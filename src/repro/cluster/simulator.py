@@ -7,8 +7,11 @@ occupy resources for their service time, and aggregate throughput is
 measured as completed tasks per second of makespan.
 
 The simulator is system-agnostic: schedulers implement the small
-:class:`Scheduler` protocol.  Pending tasks queue FIFO per model so results
-are deterministic.
+:class:`Scheduler` protocol.  Pending tasks wait in per-(tenant, model)
+FIFO queues ordered by ``(arrival_s, enqueue seq)``, so results are
+deterministic.  One dispatch pass visits them in a merged order: a heap
+holds each queue's next task keyed by the queue's class prefix (locality or
+the tenancy order, frozen for the pass) followed by that FIFO tail.
 
 Dispatch is incremental: when a model's task fails to start, the simulator
 records a *watermark* — the resource-state version it failed under plus the
@@ -17,12 +20,19 @@ skips every task of that model until resources change (an arrival, start or
 finish bumps the version) or the clock reaches the hint.  A skipped attempt
 is one the scheduler would provably have declined, so schedules (and
 therefore experiment outputs) are identical to exhaustive re-scanning while
-the number of placement attempts drops by orders of magnitude.
+the number of placement attempts drops by orders of magnitude.  Skipping
+costs O(1) per queue, not per task: a blocked model's queues leave the heap
+and, after the next version bump, re-enter at their first task past the
+merge position (a bisect), so a pass is O(queues + attempts), not
+O(backlog).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import count
 from typing import Protocol
 
 from ..errors import SimulationError
@@ -78,9 +88,11 @@ class Scheduler(Protocol):
     def has_fast_path(self, task: Task) -> bool:
         """Optional: True when ``task`` can start without reconfiguration
         (an idle deployment of its model is resident).  The simulator serves
-        fast-path tasks first to preserve locality.  Must depend only on
-        ``task.model_key`` and scheduler state — the dispatch loop caches
-        the answer per model within one pass."""
+        fast-path tasks first to preserve locality: ``(not fast,)`` is the
+        class prefix of the task's queue.  Must depend only on
+        ``task.model_key`` and scheduler state — it is asked once per queue
+        at the start of a pass, of the queue's head, and the answer holds
+        for every task of that queue until the pass ends."""
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Optional: after ``try_start`` declined ``task``, the earliest
@@ -97,7 +109,9 @@ class Scheduler(Protocol):
     def should_drop(self, task: Task, now: float) -> bool:
         """Optional (serving layer): called at dequeue, before placement is
         attempted.  Returning ``True`` drops the task (deadline expiry,
-        exhausted retry budget) without it ever occupying a board."""
+        exhausted retry budget) without it ever occupying a board.  Asked
+        of every queued task, in merged order, on every pass — define it
+        only when it can return ``True``."""
 
     def has_pending_timers(self) -> bool:
         """Optional (serving layer): ``True`` while any queued task holds a
@@ -106,11 +120,14 @@ class Scheduler(Protocol):
         no way to tell a waiting queue from a wedged one."""
 
     def dispatch_key(self, task: Task) -> tuple:
-        """Optional (tenancy layer): total dispatch order for one scan pass.
-        When present it *replaces* the :meth:`has_fast_path` locality sort —
-        the scheduler owns ordering entirely (priority classes, weighted
-        fair shares).  Like ``has_fast_path``, the key must be stable while
-        one pass's sort runs; state updated by starts feeds the next pass."""
+        """Optional (tenancy layer): the class prefix of ``task``'s queue in
+        one pass's merged order (priority class, fair-share virtual time).
+        When present it *replaces* the :meth:`has_fast_path` locality
+        prefix.  The simulator appends the FIFO tail ``(arrival_s, enqueue
+        seq)`` itself, so the key must be constant over a (tenant, model)
+        queue: it is asked once per queue at the start of a pass, of the
+        queue's head, and frozen until the pass ends; state updated by
+        starts feeds the next pass."""
 
 
 @dataclass
@@ -143,6 +160,29 @@ class SimulationResult:
         return counts
 
 
+class _Queue:
+    """One (tenant, model) FIFO of pending tasks.
+
+    ``entries`` holds ``(arrival_s, seq, task)`` sorted by ``(arrival_s,
+    seq)``; the other fields are the current dispatch pass's merge state.
+    """
+
+    __slots__ = ("key", "model_key", "entries", "prefix", "cursor", "token")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.model_key = key[1]
+        self.entries: list = []
+        #: Class prefix of every task here, frozen for the current pass.
+        self.prefix: tuple = ()
+        #: Index of the next entry the pass visits; while the queue is
+        #: parked, the first entry it skips.
+        self.cursor = 0
+        #: Token of the queue's live heap entry; ``None`` while parked or
+        #: once the pass is done with the queue.
+        self.token: int | None = None
+
+
 class ClusterSimulator:
     """Runs one task stream against one scheduler."""
 
@@ -152,21 +192,21 @@ class ClusterSimulator:
     #: Consecutive fruitless retries with nothing running => deadlock.
     MAX_IDLE_RETRIES = 64
 
-    #: Compact the pending list once this many tombstones accumulate (and
-    #: they outnumber the live entries) — keeps removal O(1) amortized.
-    COMPACT_THRESHOLD = 64
-
     def __init__(self, scheduler: Scheduler, system_name: str = "system"):
         self.scheduler = scheduler
         self.system_name = system_name
         self.queue = EventQueue()
-        self._pending: list[Task] = []
-        #: Task ids removed from the queue but not yet compacted out of
-        #: ``_pending``.  ``list.remove`` is O(n) per call, which turns the
-        #: dispatch loop quadratic at 100k-task backlogs; tombstoning keeps
-        #: each removal O(1) while preserving FIFO-per-model scan order
-        #: exactly (compaction only deletes, never reorders).
-        self._pending_dead: set[int] = set()
+        #: (tenant, model key) -> non-empty pending queue, in the order the
+        #: queues were first filled.
+        self._queues: dict[tuple, _Queue] = {}
+        self._seqs = count()
+        #: task_id -> enqueue seq of every queued or running task: the FIFO
+        #: tiebreak after arrival time, kept so a preempted task re-enters
+        #: its queue at its original place.
+        self._task_seq: dict[int, int] = {}
+        #: Tasks requeued by :meth:`abort_running` during a pass; they join
+        #: their queues when the pass ends.
+        self._requeued: list[Task] = []
         self._result = SimulationResult(system=system_name)
         self._dispatching = False
         self._running_count = 0
@@ -190,27 +230,30 @@ class ClusterSimulator:
         if bind is not None:
             bind(self)
 
-    # -- pending-queue bookkeeping ------------------------------------------------
+    # -- pending queues -----------------------------------------------------------
 
-    def _remove_pending(self, task: Task) -> None:
-        """Tombstone one queued task (O(1) amortized; order preserved)."""
-        self._pending_dead.add(task.task_id)
-        dead = len(self._pending_dead)
-        if dead >= self.COMPACT_THRESHOLD and dead * 2 > len(self._pending):
-            self._pending = [
-                t for t in self._pending if t.task_id not in self._pending_dead
-            ]
-            self._pending_dead.clear()
+    def _enqueue(self, task: Task) -> None:
+        """Queue ``task`` at its ``(arrival_s, seq)`` place in its queue."""
+        key = (task.tenant, task.model_key)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = _Queue(key)
+        insort(queue.entries,
+               (task.arrival_s, self._task_seq[task.task_id], task))
 
-    def _pending_tasks(self) -> list:
-        """Live queued tasks in arrival-scan order (tombstones elided)."""
-        if not self._pending_dead:
-            return list(self._pending)
-        return [t for t in self._pending if t.task_id not in self._pending_dead]
+    def _take(self, queue: _Queue, index: int) -> None:
+        """Remove one queued task (it started or was dropped)."""
+        del queue.entries[index]
+        if not queue.entries:
+            del self._queues[queue.key]
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending) - len(self._pending_dead)
+        queued = sum(len(queue.entries) for queue in self._queues.values())
+        return queued + len(self._requeued)
+
+    def _pending_models(self) -> list:
+        return sorted({queue.model_key for queue in self._queues.values()})
 
     # -- scheduler-driven events (live migrations) -------------------------------
 
@@ -241,9 +284,10 @@ class ClusterSimulator:
         """Abort a *running* task and requeue it (preemption).
 
         The task's already-scheduled finish event becomes stale (epoch
-        guard) and the task re-enters the pending queue immediately —
-        at its original scan position when its tombstone is still live,
-        at the tail otherwise.  The caller (the tenancy scheduler) is
+        guard) and the task re-enters its queue at its original
+        ``(arrival_s, seq)`` place — at once, or, when a dispatch pass is
+        running, as soon as that pass ends: a pass's merge never sees a task
+        requeued during it.  The caller (the tenancy scheduler) is
         responsible for the board-side teardown and for crediting any
         checkpointed progress on the next start.
         """
@@ -254,12 +298,10 @@ class ClusterSimulator:
         self._run_epoch[task.task_id] = self._run_epoch.get(task.task_id, 0) + 1
         self._running_count -= 1
         task.start_s = -1.0
-        if task.task_id in self._pending_dead:
-            # Not yet compacted: resurrect the original queue entry so the
-            # per-model FIFO scan order is preserved exactly.
-            self._pending_dead.discard(task.task_id)
+        if self._dispatching:
+            self._requeued.append(task)
         else:
-            self._pending.append(task)
+            self._enqueue(task)
         PROFILER.incr("simulator.aborted_runs")
         self._resource_version += 1
         self._dispatch()
@@ -274,7 +316,8 @@ class ClusterSimulator:
             self._result.dropped.append(task)
             PROFILER.incr("simulator.admission_sheds")
             return
-        self._pending.append(task)
+        self._task_seq[task.task_id] = next(self._seqs)
+        self._enqueue(task)
         # A new arrival changes queue pressure, which admission/expansion
         # policies observe — previously blocked models must be re-attempted.
         self._resource_version += 1
@@ -283,120 +326,18 @@ class ClusterSimulator:
     def _dispatch(self) -> None:
         """Start every pending task the scheduler can place right now.
 
-        Head-of-line blocking is intentional *per model class only*: we scan
-        the whole queue so a small task can slip past a blocked large one
+        Head-of-line blocking is intentional *per model class only*: a pass
+        visits every queue so a small task can slip past a blocked large one
         (all three evaluated systems admit out-of-order placement), but
-        tasks of the same model stay FIFO because the scan preserves order.
-
-        Tasks whose model is below its watermark — failed at this resource
-        version, clock still short of the scheduler's retry hint — are
-        skipped without consulting the scheduler: within one version the
-        scheduler's answer for that model cannot have changed, and same-model
-        tasks later in the scan hold strictly weaker time gates.
+        tasks of one (tenant, model) queue are visited in FIFO order.
+        Passes repeat while one starts or drops a task.
         """
         if self._dispatching:
             return  # avoid re-entrant scans from nested on_finish calls
         self._dispatching = True
-        fast_path = getattr(self.scheduler, "has_fast_path", None)
-        dispatch_key = getattr(self.scheduler, "dispatch_key", None)
-        observe = getattr(self.scheduler, "observe_queue", None)
-        retry_hint = getattr(self.scheduler, "retry_hint", None)
-        should_drop = getattr(self.scheduler, "should_drop", None)
         try:
-            progress = True
-            while progress:
-                progress = False
-                if observe is not None:
-                    # Give the scheduler a view of queue pressure per model
-                    # (admission/expansion decisions need it).
-                    counts: dict = {}
-                    for pending_task in self._pending:
-                        if pending_task.task_id in self._pending_dead:
-                            continue
-                        counts[pending_task.model_key] = (
-                            counts.get(pending_task.model_key, 0) + 1
-                        )
-                    observe(counts)
-                scan = self._pending_tasks()
-                if dispatch_key is not None:
-                    # The tenancy layer owns dispatch order outright:
-                    # priority classes first, weighted fair shares within
-                    # one class.  Key purity over a pass mirrors the
-                    # has_fast_path contract below.
-                    scan.sort(key=dispatch_key)
-                elif fast_path is not None:
-                    # Locality pass: tasks whose model is already resident
-                    # start first, so a cold task never evicts a hot model
-                    # out from under its queued work.  The answer is a pure
-                    # function of the model key and no state changes while
-                    # the sort runs, so it is resolved once per model per
-                    # pass — a deep backlog would otherwise pay a resident-
-                    # deployment scan per queued task per pass.
-                    fast_by_model: dict = {}
-                    for pending_task in scan:
-                        if pending_task.model_key not in fast_by_model:
-                            fast_by_model[pending_task.model_key] = bool(
-                                fast_path(pending_task)
-                            )
-                    scan.sort(
-                        key=lambda t: (
-                            not fast_by_model[t.model_key], t.arrival_s
-                        )
-                    )
-                now = self.queue.now
-                for task in scan:
-                    if should_drop is not None and should_drop(task, now):
-                        # Dropped at dequeue (deadline expiry, exhausted
-                        # retry budget): the task never occupies a board.
-                        # Checked before the watermark so an expiry is
-                        # never delayed by a blocked model's time gate.
-                        self._remove_pending(task)
-                        self._result.dropped.append(task)
-                        PROFILER.incr("simulator.dequeue_drops")
-                        self._resource_version += 1
-                        progress = True
-                        self._idle_retries = 0
-                        continue
-                    watermark = self._blocked.get(task.model_key)
-                    if (
-                        watermark is not None
-                        and watermark[0] == self._resource_version
-                        and now < watermark[1]
-                    ):
-                        PROFILER.incr("simulator.watermark_skips")
-                        continue
-                    service = self.scheduler.try_start(task, now)
-                    PROFILER.incr("simulator.try_start_attempts")
-                    if service is None:
-                        hint = (
-                            retry_hint(task, now)
-                            if retry_hint is not None
-                            else now  # no hint: retry every pass (exhaustive)
-                        )
-                        self._blocked[task.model_key] = (
-                            self._resource_version,
-                            hint,
-                        )
-                        continue
-                    if service < 0:
-                        raise SimulationError(
-                            f"scheduler returned negative service time {service}"
-                        )
-                    self._remove_pending(task)
-                    task.start_s = now
-                    self._running_count += 1
-                    self._blocked.pop(task.model_key, None)
-                    # Starting a task reshapes resources (allocation, possible
-                    # evictions, queue depth): every watermark is stale.
-                    self._resource_version += 1
-                    self.queue.schedule_in(
-                        service,
-                        self._finish,
-                        task,
-                        self._run_epoch.get(task.task_id, 0),
-                    )
-                    progress = True
-                    self._idle_retries = 0
+            while self._dispatch_pass():
+                pass
         finally:
             self._dispatching = False
         if self.pending_count and not self._retry_scheduled:
@@ -408,14 +349,198 @@ class ClusterSimulator:
                 if not waiting:
                     self._idle_retries += 1
                     if self._idle_retries > self.MAX_IDLE_RETRIES:
-                        left = self._pending_tasks()
-                        stuck = sorted({t.model_key for t in left})
                         raise SimulationError(
-                            f"{self.system_name}: {len(left)} tasks "
-                            f"stuck with an idle cluster (models: {stuck})"
+                            f"{self.system_name}: {self.pending_count} tasks "
+                            f"stuck with an idle cluster (models: "
+                            f"{self._pending_models()})"
                         )
             self._retry_scheduled = True
             self.queue.schedule_in(self.RETRY_INTERVAL_S, self._retry)
+
+    def _dispatch_pass(self) -> bool:
+        """One pass over the pending queues in merged order; returns whether
+        a task started or was dropped.
+
+        Tasks whose model is below its watermark — failed at this resource
+        version, clock still short of the scheduler's retry hint — are
+        skipped without consulting the scheduler: within one version the
+        scheduler's answer for that model cannot have changed, and
+        same-model tasks later in the pass hold strictly weaker time gates.
+        Without ``should_drop`` the skip parks every queue of the model; a
+        version bump returns each parked queue to the heap at its first
+        task whose key exceeds the one just visited, exactly where a
+        task-by-task walk would have resumed.  With ``should_drop`` every
+        task is visited for it, so an expiry is never delayed by a blocked
+        model's time gate.
+        """
+        scheduler = self.scheduler
+        dispatch_key = getattr(scheduler, "dispatch_key", None)
+        fast_path = getattr(scheduler, "has_fast_path", None)
+        observe = getattr(scheduler, "observe_queue", None)
+        retry_hint = getattr(scheduler, "retry_hint", None)
+        should_drop = getattr(scheduler, "should_drop", None)
+        try_start = scheduler.try_start
+        queues = list(self._queues.values())
+        if observe is not None:
+            # Give the scheduler a view of queue pressure per model
+            # (admission/expansion decisions need it).
+            counts: dict = {}
+            for queue in queues:
+                counts[queue.model_key] = (
+                    counts.get(queue.model_key, 0) + len(queue.entries)
+                )
+            observe(counts)
+        # Class prefixes are resolved before anything starts and hold for
+        # the whole pass.  The tenancy layer owns order outright when it
+        # is present (priority classes, then weighted fair shares);
+        # otherwise tasks whose model is already resident start first, so
+        # a cold task never evicts a hot model out from under its queued
+        # work.
+        tokens = count()
+        heap = []
+        by_model: dict = {}
+        for queue in queues:
+            arrival, seq, head = queue.entries[0]
+            if dispatch_key is not None:
+                queue.prefix = dispatch_key(head)
+            elif fast_path is not None:
+                queue.prefix = (not fast_path(head),)
+            else:
+                queue.prefix = ()
+            queue.cursor = 0
+            queue.token = token = next(tokens)
+            heap.append((queue.prefix, arrival, seq, token, queue))
+            by_model.setdefault(queue.model_key, []).append(queue)
+        heapify(heap)
+
+        now = self.queue.now
+        blocked = self._blocked
+        version = self._resource_version
+        parked: list = []
+        skips = attempts = 0
+        progress = False
+        while heap:
+            # Peek, not pop: entries pushed while this task is handled all
+            # sort after it, so it stays at the root until replaced.
+            prefix, arrival, seq, token, queue = heap[0]
+            if token != queue.token:
+                heappop(heap)  # the queue was parked after this push
+                continue
+            index = queue.cursor
+            task = queue.entries[index][2]
+            queue.cursor = index + 1
+            park = False
+            if should_drop is not None and should_drop(task, now):
+                # Dropped at dequeue (deadline expiry, exhausted retry
+                # budget): the task never occupies a board.
+                self._take(queue, index)
+                queue.cursor = index
+                self._task_seq.pop(task.task_id, None)
+                self._result.dropped.append(task)
+                PROFILER.incr("simulator.dequeue_drops")
+                self._resource_version += 1
+                progress = True
+                self._idle_retries = 0
+            else:
+                watermark = blocked.get(queue.model_key)
+                if (
+                    watermark is not None
+                    and watermark[0] == self._resource_version
+                    and now < watermark[1]
+                ):
+                    if should_drop is None:
+                        queue.cursor = index  # park from this task on
+                        park = True
+                    else:
+                        skips += 1
+                else:
+                    attempts += 1
+                    service = try_start(task, now)
+                    if service is None:
+                        hint = (
+                            retry_hint(task, now)
+                            if retry_hint is not None
+                            else now  # no hint: retry every pass (exhaustive)
+                        )
+                        blocked[queue.model_key] = (
+                            self._resource_version, hint
+                        )
+                        park = should_drop is None and now < hint
+                    elif service < 0:
+                        raise SimulationError(
+                            f"scheduler returned negative service time {service}"
+                        )
+                    else:
+                        self._take(queue, index)
+                        queue.cursor = index
+                        task.start_s = now
+                        self._running_count += 1
+                        blocked.pop(queue.model_key, None)
+                        # Starting a task reshapes resources (allocation,
+                        # possible evictions, queue depth): every watermark
+                        # is stale.
+                        self._resource_version += 1
+                        self.queue.schedule_in(
+                            service,
+                            self._finish,
+                            task,
+                            self._run_epoch.get(task.task_id, 0),
+                        )
+                        progress = True
+                        self._idle_retries = 0
+            if self._resource_version != version:
+                version = self._resource_version
+                skips += self._unpark(parked, heap, tokens,
+                                      (prefix, arrival, seq))
+            if park:
+                for other in by_model[queue.model_key]:
+                    if other.token is not None:
+                        other.token = None
+                        if other.cursor < len(other.entries):
+                            parked.append(other)
+            entries = queue.entries
+            if queue.token == token and queue.cursor < len(entries):
+                arrival, seq, _ = entries[queue.cursor]
+                queue.token = token = next(tokens)
+                heapreplace(heap, (queue.prefix, arrival, seq, token, queue))
+            else:
+                heappop(heap)
+                queue.token = None
+        for queue in parked:
+            skips += len(queue.entries) - queue.cursor
+        if skips:
+            PROFILER.incr("simulator.watermark_skips", skips)
+        if attempts:
+            PROFILER.incr("simulator.try_start_attempts", attempts)
+        for task in self._requeued:
+            self._enqueue(task)
+        self._requeued.clear()
+        return progress
+
+    @staticmethod
+    def _unpark(parked: list, heap: list, tokens, key: tuple) -> int:
+        """Return every parked queue to the heap at its first task past
+        ``key`` (the merge key just visited); returns the tasks skipped."""
+        prefix, arrival, seq = key
+        skipped = 0
+        for queue in parked:
+            entries = queue.entries
+            start = queue.cursor
+            if queue.prefix < prefix:
+                resume = len(entries)
+            elif queue.prefix > prefix:
+                resume = start
+            else:
+                # Seqs are integers: the first entry after (arrival, seq).
+                resume = bisect_left(entries, (arrival, seq + 1), start)
+            skipped += resume - start
+            queue.cursor = resume
+            if resume < len(entries):
+                queue.token = token = next(tokens)
+                heappush(heap, (queue.prefix, entries[resume][0],
+                                entries[resume][1], token, queue))
+        parked.clear()
+        return skipped
 
     def _retry(self) -> None:
         self._retry_scheduled = False
@@ -430,6 +555,7 @@ class ClusterSimulator:
             return
         task.finish_s = self.queue.now
         self._running_count -= 1
+        self._task_seq.pop(task.task_id, None)
         self.scheduler.on_finish(task, self.queue.now)
         self._result.completed.append(task)
         self._resource_version += 1
@@ -446,11 +572,10 @@ class ClusterSimulator:
         self.queue.run()
         PROFILER.incr("simulator.events", self.queue.processed)
         if self.pending_count:
-            left = self._pending_tasks()
-            stuck = sorted({t.model_key for t in left})
             raise SimulationError(
-                f"{self.system_name}: {len(left)} tasks never placed "
-                f"(models: {stuck}) — scheduler cannot serve this workload"
+                f"{self.system_name}: {self.pending_count} tasks never placed "
+                f"(models: {self._pending_models()}) — scheduler cannot "
+                f"serve this workload"
             )
         self._result.makespan_s = self.queue.now - min(t.arrival_s for t in tasks)
         return self._result

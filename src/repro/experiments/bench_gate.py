@@ -33,9 +33,10 @@ runner speed.  Refresh with::
 
 And (optionally, via ``--scale-current``) the cluster-scale smoke report:
 the pod-routed schedules must stay bit-identical to the flat control
-runs, board probes per placement search must keep growing sub-linearly
-in board count, and the largest point's wall-clock gets the same
-``--tolerance`` bound as the fig12 gate.  Refresh with::
+runs, every point's pod and flat schedule digests must equal the
+baseline's, board probes per placement search must keep growing
+sub-linearly in board count, and the largest point's wall-clock gets the
+same ``--tolerance`` bound as the fig12 gate.  Refresh with::
 
     PYTHONPATH=src python -m repro.experiments.bench_scale --smoke \
         --output benchmarks/baselines/BENCH_scale_smoke.json
@@ -273,10 +274,12 @@ def compare_scale(
     """Cluster-scale regression gate: ``(failures, warnings)``.
 
     Hard failures: scale mismatch, any pod-vs-flat schedule divergence,
-    a sub-linearity gate failure, or the largest point's pod wall-clock
-    exceeding the baseline by more than ``tolerance``.  Per-point probe
-    and event drift only warns (deterministic counters; the equivalence
-    tests arbitrate behaviour changes)."""
+    any pod or flat schedule digest differing from the baseline's at the
+    same board count (schedules must stay bit-identical), a sub-linearity
+    gate failure, or the largest point's pod wall-clock exceeding the
+    baseline by more than ``tolerance``.  Per-point probe and event drift
+    only warns (deterministic counters; the equivalence tests arbitrate
+    behaviour changes)."""
     failures: list = []
     warnings: list = []
     if current["scale"] != baseline["scale"]:
@@ -296,6 +299,17 @@ def compare_scale(
             f"pod-routed schedules diverged from flat control at "
             f"{diverged} boards (equivalence contract broken)"
         )
+    # Equal "scale" blocks mean equal board counts, point for point.
+    for point, base_point in zip(current["points"], baseline["points"]):
+        for arm in ("pod", "flat"):
+            cur = point[arm]["schedule_digest"]
+            base = base_point[arm]["schedule_digest"]
+            if cur != base:
+                failures.append(
+                    f"{arm} schedule digest changed at {point['boards']} "
+                    f"boards: {cur[:12]} vs baseline {base[:12]} "
+                    f"(schedules must stay bit-identical)"
+                )
     if not cur_gate["sublinear"]:
         failures.append(
             f"probe growth no longer sub-linear: {cur_gate['probe_growth']:.2f}x "

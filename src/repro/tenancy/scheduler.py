@@ -142,6 +142,11 @@ class TenantScheduler:
         self._preempt_gate_s = 0.0
         #: task_id -> why its last try_start declined (drives retry_hint).
         self._decline_reason: dict[int, str] = {}
+        # The dequeue gate exists only when the inner scheduler has one: the
+        # simulator visits every queued task for should_drop on every pass,
+        # but skips a blocked model's whole queue without it.
+        if getattr(inner, "should_drop", None) is not None:
+            self.should_drop = self._should_drop
 
     # -- tenant registry -----------------------------------------------------
 
@@ -212,11 +217,10 @@ class TenantScheduler:
             bind(simulator)
 
     def dispatch_key(self, task: Task) -> tuple:
-        """Strict priority classes, fair-share virtual time within one,
-        arrival FIFO as the tiebreak."""
+        """Strict priority classes, fair-share virtual time within one; the
+        simulator breaks ties by arrival FIFO."""
         state = self._state(task.tenant)
-        return (-state.params.priority, state.vtime, task.arrival_s,
-                task.task_id)
+        return (-state.params.priority, state.vtime)
 
     def observe_queue(self, pending_by_model: dict) -> None:
         observe = getattr(self.inner, "observe_queue", None)
@@ -252,9 +256,8 @@ class TenantScheduler:
         state.pending += 1
         return True
 
-    def should_drop(self, task: Task, now: float) -> bool:
-        drop = getattr(self.inner, "should_drop", None)
-        if drop is not None and drop(task, now):
+    def _should_drop(self, task: Task, now: float) -> bool:
+        if self.inner.should_drop(task, now):
             self._state(task.tenant).pending -= 1
             return True
         return False

@@ -1,0 +1,255 @@
+"""The per-queue merge dispatcher against the sort-and-walk loop it replaced.
+
+:class:`ReferenceSimulator` keeps the old dispatcher as a test-only
+reference: every pass copies the whole backlog, sorts it by the class key
+plus arrival time (stably over queue order; the tenancy order broke ties
+by ``(arrival_s, task_id)``) and walks it task by task, skipping each task
+of a model below its watermark one at a time.  Randomized small workloads
+run through both dispatchers; the schedules, the dropped sets, the
+sequence of ``(task_id, now)`` ``try_start`` calls and the watermark-skip
+and attempt totals must all match exactly.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from repro.cluster import ClusterSimulator, Task, scaled_cluster
+from repro.cluster.topology import paper_cluster
+from repro.faults import FaultInjector, FaultModelParameters
+from repro.perf.profiling import PROFILER
+from repro.runtime import Catalog, build_system
+from repro.serving import Request, ServingFrontend, ServingParameters
+from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
+from repro.vital import VitalCompiler
+
+SMALL = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25")
+#: Table 1 mix #7's models: single- and multi-replica plans.
+MIXED = SMALL + ("gru-h1536-t375", "lstm-h1536-t50", "gru-h2304-t250")
+
+
+@pytest.fixture(scope="module")
+def shared_catalog():
+    return Catalog(VitalCompiler())
+
+
+class ReferenceSimulator(ClusterSimulator):
+    """:class:`ClusterSimulator` with the sort-and-walk dispatch pass."""
+
+    def __init__(self, scheduler, system_name="reference"):
+        self._pending = []
+        self.skips = 0
+        self.attempts = 0
+        super().__init__(scheduler, system_name)
+
+    def _enqueue(self, task):
+        self._pending.append(task)
+
+    @property
+    def pending_count(self):
+        return len(self._pending) + len(self._requeued)
+
+    def _pending_models(self):
+        return sorted({task.model_key for task in self._pending})
+
+    def _remove(self, task):
+        self._pending = [t for t in self._pending if t is not task]
+
+    def _dispatch_pass(self):
+        scheduler = self.scheduler
+        fast_path = getattr(scheduler, "has_fast_path", None)
+        dispatch_key = getattr(scheduler, "dispatch_key", None)
+        observe = getattr(scheduler, "observe_queue", None)
+        retry_hint = getattr(scheduler, "retry_hint", None)
+        should_drop = getattr(scheduler, "should_drop", None)
+        progress = False
+        if observe is not None:
+            counts = {}
+            for task in self._pending:
+                counts[task.model_key] = counts.get(task.model_key, 0) + 1
+            observe(counts)
+        scan = list(self._pending)
+        if dispatch_key is not None:
+            scan.sort(key=lambda t: (*dispatch_key(t), t.arrival_s, t.task_id))
+        elif fast_path is not None:
+            fast_by_model = {}
+            for task in scan:
+                if task.model_key not in fast_by_model:
+                    fast_by_model[task.model_key] = bool(fast_path(task))
+            scan.sort(key=lambda t: (not fast_by_model[t.model_key],
+                                     t.arrival_s))
+        now = self.queue.now
+        for task in scan:
+            if should_drop is not None and should_drop(task, now):
+                self._remove(task)
+                self._result.dropped.append(task)
+                self._resource_version += 1
+                progress = True
+                self._idle_retries = 0
+                continue
+            watermark = self._blocked.get(task.model_key)
+            if (
+                watermark is not None
+                and watermark[0] == self._resource_version
+                and now < watermark[1]
+            ):
+                self.skips += 1
+                continue
+            self.attempts += 1
+            service = scheduler.try_start(task, now)
+            if service is None:
+                hint = retry_hint(task, now) if retry_hint is not None else now
+                self._blocked[task.model_key] = (self._resource_version, hint)
+                continue
+            self._remove(task)
+            task.start_s = now
+            self._running_count += 1
+            self._blocked.pop(task.model_key, None)
+            self._resource_version += 1
+            self.queue.schedule_in(service, self._finish, task,
+                                   self._run_epoch.get(task.task_id, 0))
+            progress = True
+            self._idle_retries = 0
+        # A task requeued during the pass was not in its snapshot.
+        self._pending.extend(self._requeued)
+        self._requeued.clear()
+        return progress
+
+
+def _digest(result) -> str:
+    lines = sorted(f"{t.task_id}:{t.start_s!r}:{t.finish_s!r}"
+                   for t in result.completed)
+    lines += sorted(f"dropped:{t.task_id}" for t in result.dropped)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _run_both(build) -> list:
+    """Run ``build(simulator_class) -> (simulator, tasks)`` under the
+    reference and the merge dispatcher; assert every observable matches.
+    Returns both simulators (reference first)."""
+    outcomes, simulators = [], []
+    for cls in (ReferenceSimulator, ClusterSimulator):
+        simulator, tasks = build(cls)
+        scheduler = simulator.scheduler
+        calls = []
+
+        def try_start(task, now, inner=scheduler.try_start, calls=calls):
+            calls.append((task.task_id, now))
+            return inner(task, now)
+
+        scheduler.try_start = try_start
+        skips = PROFILER.get("simulator.watermark_skips")
+        attempts = PROFILER.get("simulator.try_start_attempts")
+        result = simulator.run(tasks)
+        if cls is ReferenceSimulator:
+            counters = (simulator.skips, simulator.attempts)
+        else:
+            counters = (PROFILER.get("simulator.watermark_skips") - skips,
+                        PROFILER.get("simulator.try_start_attempts") - attempts)
+        outcomes.append({
+            "digest": _digest(result),
+            "dropped": sorted(t.task_id for t in result.dropped),
+            "calls": calls,
+            "counters": counters,
+        })
+        simulators.append(simulator)
+    reference, merged = outcomes
+    assert merged["digest"] == reference["digest"]
+    assert merged["dropped"] == reference["dropped"]
+    assert merged["calls"] == reference["calls"]
+    assert merged["counters"] == reference["counters"]
+    assert len(reference["calls"]) == reference["counters"][1]
+    return simulators
+
+
+def _tied_arrivals(rng, count: int, slots: int, span_s: float) -> list:
+    """``count`` sorted arrival times drawn from ``slots`` evenly spaced
+    instants, so many tasks arrive at exactly the same time."""
+    return sorted(rng.randrange(slots) * span_s / slots for _ in range(count))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fast_path_system_with_arrival_ties(shared_catalog, seed):
+    rng = random.Random(seed)
+    count = 96
+    arrivals = _tied_arrivals(rng, count, slots=12, span_s=0.004)
+    models = [rng.choice(MIXED) for _ in range(count)]
+    # Ids in shuffled order: a tie goes to the task queued first.
+    ids = rng.sample(range(count), count)
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(16), shared_catalog)
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a)
+                 for i, m, a in zip(ids, models, arrivals)]
+        return cls(system, "proposed"), tasks
+
+    reference, _ = _run_both(build)
+    assert reference.skips > 0
+    assert len(set(arrivals)) < count
+
+
+@pytest.mark.parametrize("with_frontend", [False, True])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
+    rng = random.Random(seed)
+    count = 120
+    arrivals = _tied_arrivals(rng, count, slots=60, span_s=0.01)
+    draws = [
+        ("premium", SMALL[0]) if rng.random() < 0.25
+        else ("besteffort", rng.choice(SMALL[1:]))
+        for _ in range(count)
+    ]
+
+    def build(cls):
+        cluster = scaled_cluster(8, pod_size=4)
+        system = build_system("proposed", cluster, shared_catalog)
+        inner = system
+        if with_frontend:
+            inner = ServingFrontend(system, ServingParameters(
+                default_deadline_s=0.02, breaker_enabled=False))
+        total = sum(len(board.blocks) for board in cluster.boards.values())
+        tenancy = TenantScheduler(inner, [
+            TenantParameters(name="premium", priority=1, weight=2.0,
+                             block_quota=int(total * 0.3), preemptible=False),
+            TenantParameters(name="besteffort", priority=0, weight=1.0,
+                             block_quota=int(total * 0.8), preemptible=True),
+        ], TenancyParameters())
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a, size_class="S",
+                      tenant=t)
+                 for i, (a, (t, m)) in enumerate(zip(arrivals, draws))]
+        return cls(tenancy, "tenancy"), tasks
+
+    aborted = PROFILER.get("simulator.aborted_runs")
+    simulators = _run_both(build)
+    # Every preemption aborts its victim from inside a try_start, i.e. in
+    # the middle of a dispatch pass.
+    for simulator in simulators:
+        assert simulator.scheduler.stats.tasks_preempted > 0
+    assert PROFILER.get("simulator.aborted_runs") > aborted
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_serving_with_deadlines_and_faults(shared_catalog, seed):
+    rng = random.Random(seed)
+    count = 300
+    arrivals = sorted(rng.uniform(0.0, 0.06) for _ in range(count))
+
+    def build(cls):
+        system = build_system("proposed", paper_cluster(), shared_catalog,
+                              recovery=True)
+        frontend = ServingFrontend(system, ServingParameters(
+            default_deadline_s=0.01, seed=seed))
+        simulator = cls(frontend, "serving")
+        simulator.injector = FaultInjector(
+            simulator, system.controller,
+            FaultModelParameters(mtbf_s=0.05, mttr_s=0.01, seed=seed))
+        simulator.injector.arm(arrivals[-1])
+        tasks = [Request(task_id=i, model_key=SMALL[i % 3], arrival_s=a,
+                         size_class="S")
+                 for i, a in enumerate(arrivals)]
+        return simulator, tasks
+
+    reference, _ = _run_both(build)
+    assert reference.scheduler.stats.expired > 0
+    assert reference.injector.failures_injected > 0

@@ -6,7 +6,8 @@ the same boards, and whole simulated schedules are bit-identical pod vs
 flat), the two index-corruption regressions (stale/duplicate
 notifications must raise, not silently corrupt), the ring-adjacency
 service-estimate regression, the board-residency reverse index, the
-simulator's tombstone queue removal, and chaos storms across pods.
+simulator's per-(tenant, model) pending queues, and chaos storms across
+pods.
 """
 
 import random
@@ -239,46 +240,106 @@ class TestServiceEstimateAdjacency:
         assert len(controller._service_cache) == entries
 
 
-class _DeclineAll:
+class _Picky:
+    """Starts each listed task id once (for 1 s) and declines the rest,
+    without a retry hint, so every pass re-asks every queued task."""
+
+    def __init__(self, accept=()):
+        self.accept = set(accept)
+        self.calls = []
+        self.counts = []
+
     def try_start(self, task, now):
+        self.calls.append(task.task_id)
+        if task.task_id in self.accept:
+            self.accept.discard(task.task_id)
+            return 1.0
         return None
 
     def on_finish(self, task, now):
         pass
 
+    def observe_queue(self, counts):
+        self.counts.append(dict(counts))
 
-class TestTombstoneRemoval:
-    def _simulator_with_pending(self, count):
-        simulator = ClusterSimulator(_DeclineAll())
-        tasks = [
-            Task(task_id=i, model_key=f"m{i % 3}", arrival_s=float(i))
-            for i in range(count)
-        ]
-        simulator._pending.extend(tasks)
-        return simulator, tasks
 
-    def test_removal_preserves_scan_order(self):
-        simulator, tasks = self._simulator_with_pending(10)
-        for task in tasks[2:5]:
-            simulator._remove_pending(task)
-        assert [t.task_id for t in simulator._pending_tasks()] == [
-            0, 1, 5, 6, 7, 8, 9
-        ]
-        assert simulator.pending_count == 7
+class _PreemptOnce(_Picky):
+    """Starts ``victim``; the first attempt of any other task aborts it
+    from inside ``try_start``, in the middle of a dispatch pass."""
 
-    def test_compaction_triggers_and_preserves_order(self):
-        simulator, tasks = self._simulator_with_pending(200)
-        rng = random.Random(4)
-        removed = set()
-        for task in rng.sample(tasks, 150):
-            simulator._remove_pending(task)
-            removed.add(task.task_id)
-        # Tombstones outnumber live entries well past the threshold: the
-        # backing list must have been compacted.
-        assert len(simulator._pending_dead) < 150
-        expected = [t.task_id for t in tasks if t.task_id not in removed]
-        assert [t.task_id for t in simulator._pending_tasks()] == expected
-        assert simulator.pending_count == 50
+    def __init__(self, victim):
+        super().__init__({victim.task_id})
+        self.victim = victim
+        self.during = None
+
+    def bind_simulator(self, simulator):
+        self.simulator = simulator
+
+    def try_start(self, task, now):
+        if task is not self.victim and self.during is None:
+            self.simulator.abort_running(self.victim)
+            self.during = (self.simulator.pending_count,
+                           _queued_ids(self.simulator))
+        return super().try_start(task, now)
+
+
+def _queued_ids(simulator, key=("", "m")):
+    queue = simulator._queues.get(key)
+    return [task.task_id for _, _, task in queue.entries] if queue else []
+
+
+class TestPendingQueues:
+    """The simulator's per-(tenant, model) FIFO queues."""
+
+    def test_removal_from_the_middle_of_a_queue(self):
+        # The head declines, so the pass moves on and starts a later task
+        # of the same model: it leaves from the middle of its queue.
+        scheduler = _Picky(accept={1})
+        simulator = ClusterSimulator(scheduler)
+        tasks = [Task(task_id=i, model_key="m", arrival_s=0.0)
+                 for i in range(3)]
+        for task in tasks:
+            simulator._arrive(task)
+        assert tasks[1].start_s == 0.0
+        assert _queued_ids(simulator) == [0, 2]
+        assert simulator.pending_count == 2
+        assert scheduler.counts[-1] == {"m": 2}
+
+    def test_observed_counts_per_model_over_tenants(self):
+        scheduler = _Picky()
+        simulator = ClusterSimulator(scheduler)
+        for task_id, model, tenant in ((0, "b", "x"), (1, "a", "x"),
+                                       (2, "b", "y"), (3, "b", "x")):
+            simulator._arrive(Task(task_id=task_id, model_key=model,
+                                   arrival_s=0.0, tenant=tenant))
+        assert list(scheduler.counts[-1].items()) == [("b", 3), ("a", 1)]
+        assert simulator.pending_count == 4
+        assert _queued_ids(simulator, ("x", "b")) == [0, 3]
+
+    def test_requeue_returns_to_original_place(self):
+        scheduler = _Picky(accept={1})
+        simulator = ClusterSimulator(scheduler)
+        tasks = [Task(task_id=i, model_key="m", arrival_s=0.0)
+                 for i in range(3)]
+        for task in tasks:
+            simulator._arrive(task)
+        simulator.abort_running(tasks[1])
+        assert tasks[1].start_s == -1.0
+        assert _queued_ids(simulator) == [0, 1, 2]
+        assert simulator.pending_count == 3
+
+    def test_mid_pass_requeue_joins_when_the_pass_ends(self):
+        victim = Task(task_id=0, model_key="m", arrival_s=0.0)
+        scheduler = _PreemptOnce(victim)
+        simulator = ClusterSimulator(scheduler)
+        simulator._arrive(victim)
+        assert victim.start_s == 0.0
+        simulator._arrive(Task(task_id=1, model_key="m", arrival_s=0.0))
+        # Counted at once, queued only after the pass that aborted it.
+        assert scheduler.during == (2, [1])
+        assert _queued_ids(simulator) == [0, 1]
+        assert simulator.pending_count == 2
+        assert scheduler.calls == [0, 1]
 
 
 class TestPodFlatScheduleEquivalence:

@@ -471,6 +471,23 @@ class TestFrontendComposition:
         assert not record.started
         assert record.board_ids == []
 
+    def test_dequeue_gate_only_over_an_inner_gate(self, shared_catalog):
+        # Without should_drop the simulator may skip a blocked model's
+        # queues wholesale, so the layer must not offer a no-op gate.
+        bare = TenantScheduler(_proposed(paper_cluster(), shared_catalog),
+                               [TenantParameters(name="t")])
+        assert getattr(bare, "should_drop", None) is None
+        scheduler, frontend, _ = self._frontend_stack(
+            shared_catalog, [TenantParameters(name="t")]
+        )
+        task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
+                    tenant="t")
+        assert scheduler.admit(task, 0.0)
+        assert scheduler.tenant("t").pending == 1
+        assert scheduler.should_drop(task, 10.0)  # past its 5 s deadline
+        assert frontend.stats.expired == 1
+        assert scheduler.tenant("t").pending == 0
+
     def test_requeue_without_record_is_a_noop(self, shared_catalog):
         _, frontend, _ = self._frontend_stack(
             shared_catalog, [TenantParameters(name="t")]
