@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.accel.batched import BatchedFunctionalSimulator, run_batched
 from repro.accel.codegen import OUT_BASE, RNNWeights, make_codegen
-from repro.accel.functional import FunctionalSimulator, _sigmoid
+from repro.accel.functional import FunctionalSimulator, WeightImage, _sigmoid
 from repro.isa.bfp import DEFAULT_FORMAT, bfp_matvec, bfp_quantize
 from repro.isa.instructions import halt
 from repro.isa.program import Program
@@ -100,7 +100,7 @@ def test_batched_rnn_run(benchmark):
                 (lambda xs: (lambda v: gen.preload_inputs(v, xs)))(xs)
                 for xs in payloads
             ],
-            shared_preload=gen.preload_weights,
+            image=WeightImage.build(gen.preload_weights),
         )
 
     lanes = benchmark(run)

@@ -33,12 +33,13 @@ each lane through the scalar simulator:
 Memory
 ------
 
-Lane DRAMs are paged (:class:`BatchedDRAM`): pages written identically to
-every lane (the weight/bias image of an identical deployment) are stored
-once and shared; only lane-varying pages (inputs, outputs) are
-materialised per lane.  A shared matrix region loads into one ``(rows,
-cols)`` MRF entry consumed by the dgemm fast path — the in-simulator
-analogue of amortising one compiled artifact across many requests.
+Lane DRAMs are paged (:class:`BatchedDRAM`): pages identical in every
+lane (the pages of the deployment's resident
+:class:`~repro.accel.functional.WeightImage`) are stored once and shared;
+only lane-varying pages (inputs, outputs) are materialised per lane.  A
+shared matrix region loads into one ``(rows, cols)`` MRF entry consumed
+by the dgemm fast path — the image's memoised matrix while the region is
+unmodified.
 
 Fallback
 --------
@@ -62,14 +63,15 @@ from ..isa.instructions import Instruction, Op
 from ..isa.program import Program
 from ..perf.profiling import PROFILER
 from .functional import (
+    PAGE_WORDS,
     FunctionalSimulator,
     ScaleOutFabric,
     SimStats,
+    WeightImage,
     _sigmoid,
+    page_spans,
+    run_lockstep,
 )
-
-#: Words per DRAM page (64 Ki words = 512 KiB of float64 per lane-page).
-PAGE_WORDS = 1 << 16
 
 #: Float64 unit roundoff.
 _UNIT = 2.0 ** -53
@@ -88,20 +90,23 @@ def _gamma(terms: int) -> float:
 class BatchedDRAM:
     """``batch`` lane DRAMs with copy-on-diverge page sharing.
 
-    Pages written identically to every lane (broadcast writes: the weight
-    image of an identical deployment) are stored once as ``(PAGE,)``
-    arrays; a lane-targeted or per-lane write promotes the page to a
-    ``(batch, PAGE)`` array.  Reads return ``(batch, length)``; callers
-    that can exploit sharing (``M_RD``) use :meth:`read_shared`, which
-    returns ``(length,)`` when every touched page is still shared.
+    Pages written identically to every lane (broadcast writes, or the
+    ``pages`` of a :class:`~repro.accel.functional.WeightImage`) are
+    stored once as ``(PAGE,)`` arrays; a lane-targeted or per-lane write
+    promotes the page to a ``(batch, PAGE)`` array, and a broadcast write
+    into a read-only shared page copies it first.  Reads return ``(batch,
+    length)``; callers that can exploit sharing (``M_RD``) use
+    :meth:`read_shared`, which returns ``(length,)`` when every touched
+    page is still shared.
     """
 
-    def __init__(self, batch: int, page_words: int = PAGE_WORDS):
+    def __init__(self, batch: int, page_words: int = PAGE_WORDS,
+                 pages: dict | None = None):
         if batch < 1:
             raise ExecutionError("BatchedDRAM needs a positive batch size")
         self.batch = batch
         self.page_words = page_words
-        self._shared: dict[int, np.ndarray] = {}
+        self._shared: dict[int, np.ndarray] = dict(pages) if pages else {}
         self._laned: dict[int, np.ndarray] = {}
 
     # -- page helpers --------------------------------------------------------
@@ -118,16 +123,12 @@ class BatchedDRAM:
         return page
 
     def _spans(self, addr: int, length: int):
-        """Yield ``(page_number, page_offset, start, stop)`` chunks."""
-        if addr < 0:
-            raise ExecutionError(f"negative DRAM address {addr}")
-        offset = 0
-        while offset < length:
-            at = addr + offset
-            number, page_offset = divmod(at, self.page_words)
-            chunk = min(length - offset, self.page_words - page_offset)
-            yield number, page_offset, offset, offset + chunk
-            offset += chunk
+        return page_spans(addr, length, self.page_words)
+
+    def page(self, number: int):
+        """The array currently backing page ``number`` (``None`` if unwritten)."""
+        laned = self._laned.get(number)
+        return laned if laned is not None else self._shared.get(number)
 
     # -- writes --------------------------------------------------------------
 
@@ -162,6 +163,8 @@ class BatchedDRAM:
                         page = self._shared[number] = np.zeros(
                             self.page_words, dtype=np.float64
                         )
+                    elif not page.flags.writeable:
+                        page = self._shared[number] = page.copy()
                     page[page_offset : page_offset + width] = values[start:stop]
             return
         if values.shape[0] != self.batch:
@@ -263,28 +266,6 @@ class LaneView:
         self._sim.load_matrix(register, matrix, lane=self.lane)
 
 
-class SharedView:
-    """Broadcast facade: writes land identically in every lane (stored
-    once).  Hand this to weight preloads of identical deployments."""
-
-    class _SharedDRAM:
-        def __init__(self, dram: BatchedDRAM):
-            self._dram = dram
-
-        def write(self, addr: int, values: np.ndarray) -> None:
-            self._dram.write(addr, np.asarray(values, dtype=np.float64).ravel())
-
-        def read(self, addr: int, length: int) -> np.ndarray:
-            return self._dram.read_shared(addr, length)
-
-    def __init__(self, sim: "BatchedFunctionalSimulator"):
-        self._sim = sim
-        self.dram = self._SharedDRAM(sim.dram)
-
-    def load_matrix(self, register: int, matrix: np.ndarray) -> None:
-        self._sim.load_matrix(register, matrix)
-
-
 class BatchedFunctionalSimulator:
     """Executes one program over ``batch`` lanes in lockstep.
 
@@ -304,6 +285,7 @@ class BatchedFunctionalSimulator:
         fabric: ScaleOutFabric | None = None,
         replica_index: int = 0,
         name: str = "",
+        image: WeightImage | None = None,
     ):
         if batch < 1:
             raise ExecutionError("batched simulation needs a positive batch")
@@ -314,7 +296,10 @@ class BatchedFunctionalSimulator:
         self.fabric = fabric
         self.replica_index = replica_index
         self.name = name or f"{program.name}[x{batch}]"
-        self.dram = BatchedDRAM(batch)
+        self.image = image
+        self.dram = BatchedDRAM(
+            batch, pages=image.pages if image is not None else None
+        )
         self.vrf: dict[int, np.ndarray] = {}
         #: register -> (rows, cols) shared or (batch, rows, cols) per lane.
         self.mrf: dict[int, np.ndarray] = {}
@@ -333,9 +318,6 @@ class BatchedFunctionalSimulator:
 
     def lane(self, index: int) -> LaneView:
         return LaneView(self, index)
-
-    def shared(self) -> SharedView:
-        return SharedView(self)
 
     def vector(self, register: int) -> np.ndarray:
         """The ``(batch, length)`` stack of one vector register."""
@@ -483,16 +465,22 @@ class BatchedFunctionalSimulator:
                     f"{self.name}: M_RD needs positive rows ({rows}) and "
                     f"cols ({cols})"
                 )
-            flat = self.dram.read_shared(inst.addr, rows * cols)
-            if flat.ndim == 1:
-                matrix = bfp_quantize(flat.reshape(rows, cols), self.fmt)
-                self.mrf[inst.dst] = matrix
-                self._row_abs[inst.dst] = np.abs(matrix).sum(axis=1)
+            memo = self.image and self.image.matrix(
+                self.dram, inst.addr, rows, cols, self.fmt
+            )
+            if memo is not None:
+                self.mrf[inst.dst], self._row_abs[inst.dst] = memo
             else:
-                self.mrf[inst.dst] = bfp_quantize(
-                    flat.reshape(self.batch, rows, cols), self.fmt
-                )
-                self._row_abs.pop(inst.dst, None)
+                flat = self.dram.read_shared(inst.addr, rows * cols)
+                if flat.ndim == 1:
+                    matrix = bfp_quantize(flat.reshape(rows, cols), self.fmt)
+                    self.mrf[inst.dst] = matrix
+                    self._row_abs[inst.dst] = np.abs(matrix).sum(axis=1)
+                else:
+                    self.mrf[inst.dst] = bfp_quantize(
+                        flat.reshape(self.batch, rows, cols), self.fmt
+                    )
+                    self._row_abs.pop(inst.dst, None)
             self.stats.dram_reads += 1
             return "ok"
         if op is Op.MV_MUL:
@@ -651,16 +639,17 @@ class _BatchedLanes:
 def run_batched(
     program: Program,
     lane_preloads: list,
-    shared_preload=None,
+    image: WeightImage | None = None,
     bfp_format: BFPFormat = DEFAULT_FORMAT,
     force_scalar: bool = False,
     max_steps: int = 100_000_000,
 ):
     """Run ``len(lane_preloads)`` requests of one program to completion.
 
-    ``shared_preload(view)`` writes lane-identical state (weights) once;
-    ``lane_preloads[i](view)`` writes lane ``i``'s inputs.  Both receive a
-    view exposing ``.dram.write/.read`` and ``.load_matrix``.  Returns an
+    Every lane's DRAM starts from ``image`` (the lane-identical weights,
+    see :class:`~repro.accel.functional.WeightImage`);
+    ``lane_preloads[i](view)`` writes lane ``i``'s inputs through a view
+    exposing ``.dram.write/.read`` and ``.load_matrix``.  Returns an
     object with ``vector``/``lane_vector``/``dram_read``/``lane_dram_read``
     and a ``fallback`` flag.
 
@@ -675,16 +664,14 @@ def run_batched(
         PROFILER.incr("batched.scalar_fallbacks")
         sims = []
         for preload in lane_preloads:
-            sim = FunctionalSimulator(program, bfp_format=bfp_format)
-            if shared_preload is not None:
-                shared_preload(sim)
+            sim = FunctionalSimulator(program, bfp_format=bfp_format, image=image)
             preload(sim)
             sim.run(max_steps)
             sims.append(sim)
         return ScalarLanes(sims)
-    sim = BatchedFunctionalSimulator(program, batch, bfp_format=bfp_format)
-    if shared_preload is not None:
-        shared_preload(sim.shared())
+    sim = BatchedFunctionalSimulator(
+        program, batch, bfp_format=bfp_format, image=image
+    )
     for lane, preload in enumerate(lane_preloads):
         preload(sim.lane(lane))
     sim.run(max_steps)
@@ -696,18 +683,18 @@ def run_batched(
 def run_scaleout_batched(
     programs: list,
     lane_preloads: list,
-    shared_preload=None,
+    images: list | None = None,
     bfp_format: BFPFormat = DEFAULT_FORMAT,
 ):
     """Co-simulate ``len(programs)`` scale-out replicas, each
     ``len(lane_preloads)`` lanes wide, over one fabric.
 
-    ``shared_preload(view, replica_index)`` and
-    ``lane_preloads[lane](view, replica_index)`` populate each replica's
-    DRAM (every FPGA holds its own image).  Lanes run in lockstep: the
-    fabric exchanges ``(batch, length)`` slices, so the combined hidden
-    state arrives per lane exactly as in the scalar co-simulation.
-    Returns ``(lanes_per_replica, fabric)``.
+    Replica ``i``'s DRAM starts from ``images[i]`` (every FPGA holds its
+    own image) and ``lane_preloads[lane](view, i)`` writes each lane's
+    inputs.  Lanes run in lockstep: the fabric exchanges ``(batch,
+    length)`` slices, so the combined hidden state arrives per lane
+    exactly as in the scalar co-simulation.  Returns
+    ``(lanes_per_replica, fabric)``.
     """
     batch = len(lane_preloads)
     if batch < 1:
@@ -717,27 +704,14 @@ def run_scaleout_batched(
         BatchedFunctionalSimulator(
             program, batch, bfp_format=bfp_format, fabric=fabric,
             replica_index=index,
+            image=images[index] if images is not None else None,
         )
         for index, program in enumerate(programs)
     ]
     for index, sim in enumerate(sims):
-        if shared_preload is not None:
-            shared_preload(sim.shared(), index)
         for lane, preload in enumerate(lane_preloads):
             preload(sim.lane(lane), index)
-
-    while not all(sim.finished for sim in sims):
-        progressed = False
-        for sim in sims:
-            if sim.finished:
-                continue
-            before = sim.stats.instructions
-            status = sim.run_until_blocked()
-            if sim.stats.instructions > before or status == "halted":
-                progressed = True
-        if not progressed:
-            stuck = [sim.name for sim in sims if not sim.finished]
-            raise ExecutionError(f"scale-out deadlock; blocked replicas: {stuck}")
+    run_lockstep(sims)
     PROFILER.incr("batched.scaleout_runs")
     PROFILER.incr("batched.lanes", batch * len(programs))
     return [_BatchedLanes(sim) for sim in sims], fabric

@@ -10,11 +10,17 @@ The simulator has an explicit program counter and loop stack so execution
 can *block* on a synchronisation read; :class:`ScaleOutFabric` co-simulates
 several replicas in lockstep, delivering each replica the *combined* hidden
 state exactly as the index-register merge in the template module does.
+
+DRAM is sparse and paged.  A :class:`WeightImage` keeps a deployment's
+weight pages resident across requests: simulators start from its
+read-only pages (copy-on-write) and take its memoised ``M_RD`` matrices
+while the region's pages are still the image's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,36 +34,123 @@ def _sigmoid(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-values))
 
 
+#: Words per DRAM page (64 Ki words = 512 KiB of float64).
+PAGE_WORDS = 1 << 16
+
+
+def page_spans(addr: int, length: int, page_words: int):
+    """Yield ``(page_number, page_offset, start, stop)`` chunks covering
+    ``length`` words from ``addr``."""
+    if addr < 0:
+        raise ExecutionError(f"negative DRAM address {addr}")
+    offset = 0
+    while offset < length:
+        number, page_offset = divmod(addr + offset, page_words)
+        chunk = min(length - offset, page_words - page_offset)
+        yield number, page_offset, offset, offset + chunk
+        offset += chunk
+
+
 class DRAM:
-    """A flat word-addressable vector memory (one float per word)."""
+    """A sparse, paged word-addressable memory (one float per word).
 
-    def __init__(self, initial_words: int = 1 << 16):
-        self._data = np.zeros(initial_words, dtype=np.float64)
+    Only pages that were written exist; every other word reads as zero.
+    ``pages`` seeds the memory with shared pages (a :class:`WeightImage`):
+    read-only pages are copied on first write, so the owner's copy never
+    changes.
+    """
 
-    def _ensure(self, words: int) -> None:
-        # Geometric (doubling) growth: amortises incremental writes at
-        # increasing addresses to O(n) total copy instead of O(n^2).
-        if words > self._data.size:
-            grown = np.zeros(max(words, self._data.size * 2), dtype=np.float64)
-            grown[: self._data.size] = self._data
-            self._data = grown
+    def __init__(self, pages: dict | None = None):
+        self._pages: dict[int, np.ndarray] = dict(pages) if pages else {}
+
+    def page(self, number: int):
+        """The array currently backing page ``number`` (``None`` if unwritten)."""
+        return self._pages.get(number)
 
     def write(self, addr: int, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64).ravel()
-        self._ensure(addr + values.size)
-        self._data[addr : addr + values.size] = values
+        for number, page_offset, start, stop in page_spans(
+            addr, values.size, PAGE_WORDS
+        ):
+            page = self._pages.get(number)
+            if page is None:
+                page = self._pages[number] = np.zeros(PAGE_WORDS)
+            elif not page.flags.writeable:
+                page = self._pages[number] = page.copy()
+            page[page_offset : page_offset + (stop - start)] = values[start:stop]
 
     def read(self, addr: int, length: int) -> np.ndarray:
-        # Reads never allocate: words beyond the written extent are zero
-        # (the value they would have after _ensure) without growing the
-        # backing store.
-        if addr + length <= self._data.size:
-            return self._data[addr : addr + length].copy()
         out = np.zeros(length, dtype=np.float64)
-        have = max(0, self._data.size - addr)
-        if have:
-            out[:have] = self._data[addr : addr + have]
+        for number, page_offset, start, stop in page_spans(
+            addr, length, PAGE_WORDS
+        ):
+            page = self._pages.get(number)
+            if page is not None:
+                out[start:stop] = page[page_offset : page_offset + (stop - start)]
         return out
+
+    def contents(self) -> np.ndarray:
+        """Words ``0`` through the last nonzero word, as one flat array."""
+        for number in sorted(self._pages, reverse=True):
+            nonzero = np.flatnonzero(self._pages[number])
+            if nonzero.size:
+                return self.read(0, number * PAGE_WORDS + int(nonzero[-1]) + 1)
+        return np.zeros(0)
+
+    @classmethod
+    def from_contents(cls, words: np.ndarray) -> "DRAM":
+        """The inverse of :meth:`contents`; all-zero pages stay unwritten."""
+        dram = cls()
+        words = np.asarray(words, dtype=np.float64)
+        for start in range(0, words.size, PAGE_WORDS):
+            chunk = words[start : start + PAGE_WORDS]
+            if chunk.any():
+                dram.write(start, chunk)
+        return dram
+
+
+class WeightImage:
+    """A deployment replica's request-invariant DRAM image, kept resident.
+
+    Holds the pages a weight preload writes, as read-only arrays that
+    every request's DRAM starts from (copy-on-write), and memoises each
+    ``M_RD`` region's BFP-quantised matrix with its per-row ``|A|`` sums
+    (the batched ``MV_MUL`` guard's factor).  A memoised matrix is valid
+    only while every page of its region is still the image's own page
+    object, so a program that overwrites weights reads fresh values.
+    """
+
+    def __init__(self, pages: dict):
+        for page in pages.values():
+            page.flags.writeable = False
+        self.pages = pages
+        self._matrices: dict[tuple, tuple] = {}
+
+    @classmethod
+    def build(cls, preload) -> "WeightImage":
+        """Run ``preload(view)`` (which writes through ``view.dram``) once
+        and keep what it wrote."""
+        dram = DRAM()
+        preload(SimpleNamespace(dram=dram))
+        return cls(dram._pages)
+
+    def matrix(self, dram, addr: int, rows: int, cols: int, fmt: BFPFormat):
+        """``(quantised, row_abs)`` for the region, or ``None`` when some
+        page of it no longer is this image's page in ``dram``."""
+        for number, _offset, _start, _stop in page_spans(
+            addr, rows * cols, PAGE_WORDS
+        ):
+            if dram.page(number) is not self.pages.get(number):
+                return None
+        key = (addr, rows, cols, fmt)
+        memo = self._matrices.get(key)
+        if memo is None:
+            flat = DRAM(self.pages).read(addr, rows * cols)
+            quantised = bfp_quantize(flat.reshape(rows, cols), fmt)
+            row_abs = np.abs(quantised).sum(axis=1)
+            quantised.flags.writeable = row_abs.flags.writeable = False
+            memo = self._matrices[key] = (quantised, row_abs)
+        return memo
 
 
 @dataclass
@@ -126,7 +219,11 @@ class ScaleOutFabric:
 
 
 class FunctionalSimulator:
-    """Executes one program on one (possibly scaled-down) accelerator."""
+    """Executes one program on one (possibly scaled-down) accelerator.
+
+    With ``image`` given, DRAM starts as that :class:`WeightImage`'s pages
+    and ``M_RD`` of an unmodified weight region takes its memoised matrix.
+    """
 
     def __init__(
         self,
@@ -135,6 +232,7 @@ class FunctionalSimulator:
         fabric: ScaleOutFabric | None = None,
         replica_index: int = 0,
         name: str = "",
+        image: WeightImage | None = None,
     ):
         program.validate(allow_sync=fabric is not None)
         self.program = program
@@ -142,7 +240,8 @@ class FunctionalSimulator:
         self.fabric = fabric
         self.replica_index = replica_index
         self.name = name or program.name
-        self.dram = DRAM()
+        self.image = image
+        self.dram = DRAM(image.pages if image is not None else None)
         self.vrf: dict[int, np.ndarray] = {}
         self.mrf: dict[int, np.ndarray] = {}
         self.pc = 0
@@ -258,8 +357,14 @@ class FunctionalSimulator:
                     f"{self.name}: M_RD needs positive rows ({rows}) and "
                     f"cols ({cols})"
                 )
-            flat = self.dram.read(inst.addr, rows * cols)
-            self.mrf[inst.dst] = bfp_quantize(flat.reshape(rows, cols), self.fmt)
+            memo = self.image and self.image.matrix(
+                self.dram, inst.addr, rows, cols, self.fmt
+            )
+            if memo is not None:
+                self.mrf[inst.dst] = memo[0]
+            else:
+                flat = self.dram.read(inst.addr, rows * cols)
+                self.mrf[inst.dst] = bfp_quantize(flat.reshape(rows, cols), self.fmt)
             self.stats.dram_reads += 1
             return "ok"
         if op is Op.MV_MUL:
@@ -343,7 +448,8 @@ class FunctionalSimulator:
 def run_program(program: Program, preload=None, **kwargs) -> FunctionalSimulator:
     """Run a single-accelerator program to completion.
 
-    ``preload(sim)`` may populate DRAM/registers before execution.
+    ``preload(sim)`` may populate DRAM/registers before execution; keyword
+    arguments (``image=...`` among them) go to :class:`FunctionalSimulator`.
     """
     sim = FunctionalSimulator(program, **kwargs)
     if preload is not None:
@@ -352,25 +458,38 @@ def run_program(program: Program, preload=None, **kwargs) -> FunctionalSimulator
     return sim
 
 
-def run_scaleout(programs: list, preload=None, bfp_format: BFPFormat = DEFAULT_FORMAT):
+def run_scaleout(
+    programs: list,
+    preload=None,
+    bfp_format: BFPFormat = DEFAULT_FORMAT,
+    images: list | None = None,
+):
     """Co-simulate scale-out replicas to completion.
 
     ``programs[i]`` runs as replica ``i``; ``preload(sim, index)`` populates
     each replica's DRAM (each FPGA has its own DRAM with its own copy of
-    inputs).  Replicas run round-robin until all finish; a full round with
-    no progress is a deadlock and raises :class:`ExecutionError`.
+    inputs), starting from ``images[i]`` when given.  Replicas run
+    round-robin until all finish; a full round with no progress is a
+    deadlock and raises :class:`ExecutionError`.
     """
     fabric = ScaleOutFabric(len(programs))
     sims = [
         FunctionalSimulator(
-            program, bfp_format=bfp_format, fabric=fabric, replica_index=index
+            program, bfp_format=bfp_format, fabric=fabric, replica_index=index,
+            image=images[index] if images is not None else None,
         )
         for index, program in enumerate(programs)
     ]
     if preload is not None:
         for index, sim in enumerate(sims):
             preload(sim, index)
+    run_lockstep(sims)
+    return sims, fabric
 
+
+def run_lockstep(sims: list) -> None:
+    """Run co-simulated replicas round-robin until all finish; a full
+    round with no progress is a deadlock."""
     while not all(sim.finished for sim in sims):
         progressed = False
         for sim in sims:
@@ -383,4 +502,3 @@ def run_scaleout(programs: list, preload=None, bfp_format: BFPFormat = DEFAULT_F
         if not progressed:
             stuck = [sim.name for sim in sims if not sim.finished]
             raise ExecutionError(f"scale-out deadlock; blocked replicas: {stuck}")
-    return sims, fabric

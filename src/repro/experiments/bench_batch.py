@@ -29,7 +29,7 @@ import numpy as np
 
 from ..accel.batched import run_batched
 from ..accel.codegen import OUT_BASE, make_codegen
-from ..accel.functional import FunctionalSimulator
+from ..accel.functional import FunctionalSimulator, WeightImage
 from ..isa.progcache import PROGRAM_CACHE
 from ..perf.profiling import PROFILER
 from ..workloads.deepbench import model_by_key
@@ -90,7 +90,7 @@ def _run_batched(spec, gen, program, payloads: list, batch: int) -> tuple:
                 (lambda xs: (lambda view: gen.preload_inputs(view, xs)))(xs)
                 for xs in group
             ],
-            shared_preload=gen.preload_weights,
+            image=WeightImage.build(gen.preload_weights),
         )
         for index in range(len(group)):
             outputs.append(lanes.lane_dram_read(index, OUT_BASE, spec.hidden))

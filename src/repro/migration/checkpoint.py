@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..accel.config import AcceleratorConfig
-from ..accel.functional import FunctionalSimulator, ScaleOutFabric, SimStats
+from ..accel.functional import DRAM, FunctionalSimulator, ScaleOutFabric, SimStats
 from ..errors import ReproError
 from ..isa.program import Program
 
@@ -103,7 +103,7 @@ class AcceleratorCheckpoint:
     #: Matrix registers as ``index -> (rows x cols) array`` (BFP-quantised
     #: values exactly as resident on chip).
     mrf: dict = field(default_factory=dict)
-    #: DRAM contents up to the high-water mark.
+    #: DRAM contents up to the last nonzero word (``DRAM.contents``).
     dram: np.ndarray = field(default_factory=lambda: np.zeros(0))
     stats: SimStats = field(default_factory=SimStats)
 
@@ -112,8 +112,6 @@ class AcceleratorCheckpoint:
     @classmethod
     def capture(cls, sim: FunctionalSimulator) -> "AcceleratorCheckpoint":
         """Snapshot ``sim`` between instructions (any PC is a boundary)."""
-        data = sim.dram._data
-        high_water = int(np.max(np.nonzero(data)[0])) + 1 if np.any(data) else 0
         return cls(
             program_name=sim.program.name,
             replica_index=sim.replica_index,
@@ -122,7 +120,7 @@ class AcceleratorCheckpoint:
             loop_stack=[list(frame) for frame in sim.loop_stack],
             vrf={index: values.copy() for index, values in sim.vrf.items()},
             mrf={index: values.copy() for index, values in sim.mrf.items()},
-            dram=data[:high_water].copy(),
+            dram=sim.dram.contents(),
             stats=SimStats(**vars(sim.stats)),
         )
 
@@ -151,8 +149,7 @@ class AcceleratorCheckpoint:
         sim.loop_stack = [list(frame) for frame in self.loop_stack]
         sim.vrf = {index: values.copy() for index, values in self.vrf.items()}
         sim.mrf = {index: values.copy() for index, values in self.mrf.items()}
-        if self.dram.size:
-            sim.dram.write(0, self.dram)
+        sim.dram = DRAM.from_contents(self.dram)
         sim.stats = SimStats(**vars(self.stats))
         return sim
 

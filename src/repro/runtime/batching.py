@@ -27,6 +27,13 @@ schedulers only create one when handed :class:`BatchingParameters`.
 Tasks without a payload get a deterministic per-task input stream seeded
 by ``task_id`` — the same stream the scalar path would generate — so
 batched-vs-scalar equivalence is checkable end-to-end through the DES.
+
+Execution is *weight-stationary*: the executor owns one
+:class:`~repro.accel.functional.WeightImage` per (model, plan width,
+replica index), built on that model's first execution and reused by every
+later one, scalar or batched, single-accelerator or scale-out.  Requests
+write only their inputs; programs come from
+:data:`~repro.isa.progcache.PROGRAM_CACHE`.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import numpy as np
 
 from ..accel.batched import run_batched, run_scaleout_batched
 from ..accel.codegen import OUT_BASE, build_scaleout_programs, make_codegen
+from ..accel.functional import WeightImage, run_scaleout
 from ..errors import ReproError
 from ..perf.profiling import PROFILER
 from ..workloads.deepbench import model_by_key
@@ -103,6 +111,8 @@ class BatchExecutor:
         self._waiting: dict[int, tuple] = {}
         self._weights: dict[str, object] = {}
         self._codegens: dict[tuple, object] = {}
+        #: (model_key, replicas, replica_index) -> resident WeightImage.
+        self._images: dict[tuple, WeightImage] = {}
         self.stats = BatchingStats()
 
     # -- model artifacts (memoised per model/width) --------------------------
@@ -129,6 +139,14 @@ class BatchExecutor:
             )
             self._codegens[key] = gen
         return gen
+
+    def _image_for(self, model_key: str, replicas: int, replica_index: int):
+        key = (model_key, replicas, replica_index)
+        image = self._images.get(key)
+        if image is None:
+            gen = self._codegen_for(model_key, replicas, replica_index)
+            image = self._images[key] = WeightImage.build(gen.preload_weights)
+        return image
 
     def default_payload(self, task) -> np.ndarray:
         """The deterministic input stream for a payload-less task."""
@@ -185,12 +203,12 @@ class BatchExecutor:
         if replicas <= 1:
             gen = self._codegen_for(model_key, 1, 0)
             lanes = run_batched(
-                gen.build(),
+                spec.program(),
                 [
                     (lambda xs: (lambda view: gen.preload_inputs(view, xs)))(xs)
                     for xs in payloads
                 ],
-                shared_preload=gen.preload_weights,
+                image=self._image_for(model_key, 1, 0),
                 force_scalar=self.params.force_scalar,
             )
             outputs = [
@@ -214,18 +232,21 @@ class BatchExecutor:
         gens = [
             self._codegen_for(spec.key, replicas, index) for index in range(replicas)
         ]
+        images = [
+            self._image_for(spec.key, replicas, index) for index in range(replicas)
+        ]
         programs = build_scaleout_programs(
             spec.kind, self._weights_for(spec.key), spec.timesteps, replicas
         )
         if self.params.force_scalar or len(payloads) == 1:
             # Scalar fallback: one scale-out co-simulation per lane.
-            from ..accel.functional import run_scaleout
-
             PROFILER.incr("batched.scalar_fallbacks")
             outputs = []
             for xs in payloads:
                 sims, _fabric = run_scaleout(
-                    programs, preload=lambda sim, i: gens[i].preload(sim, xs)
+                    programs,
+                    preload=lambda sim, i: gens[i].preload_inputs(sim, xs),
+                    images=images,
                 )
                 outputs.append(self._gather(sims, gens, spec, lane=None))
             return outputs
@@ -235,7 +256,7 @@ class BatchExecutor:
                 (lambda xs: (lambda view, i: gens[i].preload_inputs(view, xs)))(xs)
                 for xs in payloads
             ],
-            shared_preload=lambda view, i: gens[i].preload_weights(view),
+            images=images,
         )
         return [
             self._gather(lanes, gens, spec, lane=index)

@@ -20,7 +20,12 @@ from repro.accel.codegen import (
     build_scaleout_programs,
     make_codegen,
 )
-from repro.accel.functional import FunctionalSimulator, run_program, run_scaleout
+from repro.accel.functional import (
+    FunctionalSimulator,
+    WeightImage,
+    run_program,
+    run_scaleout,
+)
 from repro.errors import ExecutionError
 from repro.isa.bfp import DEFAULT_FORMAT, bfp_matvec, bfp_quantize
 from repro.isa.instructions import (
@@ -151,7 +156,7 @@ class TestRNNEquivalence:
         lanes = run_batched(
             program,
             [(lambda xs: (lambda v: gen.preload_inputs(v, xs)))(xs) for xs in payloads],
-            shared_preload=gen.preload_weights,
+            image=WeightImage.build(gen.preload_weights),
         )
         assert not lanes.fallback
         for index, xs in enumerate(payloads):
@@ -179,7 +184,7 @@ class TestRNNEquivalence:
         lanes = run_batched(
             program,
             [(lambda xs: (lambda v: gen.preload_inputs(v, xs)))(xs) for xs in payloads],
-            shared_preload=gen.preload_weights,
+            image=WeightImage.build(gen.preload_weights),
         )
         for index, xs in enumerate(payloads):
             expected = run_program(
@@ -194,7 +199,7 @@ class TestRNNEquivalence:
         lanes = run_batched(
             program,
             [lambda v: gen.preload_inputs(v, payloads[0])],
-            shared_preload=gen.preload_weights,
+            image=WeightImage.build(gen.preload_weights),
         )
         assert lanes.fallback
         expected = run_program(
@@ -207,9 +212,9 @@ class TestRNNEquivalence:
         preloads = [
             (lambda xs: (lambda v: gen.preload_inputs(v, xs)))(xs) for xs in payloads
         ]
-        fast = run_batched(program, preloads, shared_preload=gen.preload_weights)
+        fast = run_batched(program, preloads, image=WeightImage.build(gen.preload_weights))
         slow = run_batched(
-            program, preloads, shared_preload=gen.preload_weights, force_scalar=True
+            program, preloads, image=WeightImage.build(gen.preload_weights), force_scalar=True
         )
         assert not fast.fallback and slow.fallback
         assert np.array_equal(
@@ -226,7 +231,7 @@ class TestRNNEquivalence:
         lanes = run_batched(
             program,
             [(lambda xs: (lambda v: gen.preload_inputs(v, xs)))(xs) for xs in payloads],
-            shared_preload=gen.preload_weights,
+            image=WeightImage.build(gen.preload_weights),
         )
         scalar = run_program(
             program, preload=lambda s: gen.preload(s, payloads[0])
@@ -407,7 +412,7 @@ class TestRandomProgramEquivalence:
         lanes = run_batched(
             case["program"],
             [lane_preload(image) for image in lane_images],
-            shared_preload=shared_preload,
+            image=WeightImage.build(shared_preload),
         )
         assert not lanes.fallback
 
@@ -446,7 +451,7 @@ class TestScaleOutBatched:
                 (lambda xs: (lambda view, i: gens[i].preload_inputs(view, xs)))(xs)
                 for xs in payloads
             ],
-            shared_preload=lambda view, i: gens[i].preload_weights(view),
+            images=[WeightImage.build(gen.preload_weights) for gen in gens],
         )
         assert fabric.bytes_transferred > 0
         slice_rows = h // replicas

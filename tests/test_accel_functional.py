@@ -7,6 +7,7 @@ import pytest
 
 from repro.accel.codegen import (
     OUT_BASE,
+    X_BASE,
     GRUCodegen,
     LSTMCodegen,
     build_scaleout_programs,
@@ -14,6 +15,7 @@ from repro.accel.codegen import (
 )
 from repro.accel.functional import (
     DRAM,
+    PAGE_WORDS,
     FunctionalSimulator,
     ScaleOutFabric,
     run_program,
@@ -32,9 +34,23 @@ class TestDRAM:
         assert np.array_equal(dram.read(100, 8), np.arange(8.0))
 
     def test_grows_on_demand(self):
-        dram = DRAM(initial_words=4)
-        dram.write(1_000_000, np.ones(16))
-        assert dram.read(1_000_000, 16).sum() == 16
+        dram = DRAM()
+        dram.write(X_BASE, np.arange(16.0))
+        assert np.array_equal(dram.read(X_BASE, 16), np.arange(16.0))
+        touched = [
+            number
+            for number in range(X_BASE // PAGE_WORDS + 2)
+            if dram.page(number) is not None
+        ]
+        assert touched == [X_BASE // PAGE_WORDS]
+
+    def test_roundtrip_across_page_boundary(self):
+        dram = DRAM()
+        values = np.arange(1.0, 11.0)
+        dram.write(PAGE_WORDS - 4, values)
+        assert dram.page(0) is not None and dram.page(1) is not None
+        assert np.array_equal(dram.read(PAGE_WORDS - 4, 10), values)
+        assert np.array_equal(dram.read(PAGE_WORDS - 6, 3), [0.0, 0.0, 1.0])
 
     def test_unwritten_reads_zero(self):
         assert DRAM().read(5, 3).sum() == 0.0

@@ -15,8 +15,14 @@ The subsystem is off by default; the last test class pins that.
 import numpy as np
 import pytest
 
-from repro.accel.codegen import OUT_BASE, GRUCodegen, build_scaleout_programs
-from repro.accel.functional import FunctionalSimulator, run_program
+from repro.accel.codegen import (
+    OUT_BASE,
+    X_BASE,
+    GRUCodegen,
+    LSTMCodegen,
+    build_scaleout_programs,
+)
+from repro.accel.functional import FunctionalSimulator, WeightImage, run_program
 from repro.cluster import ClusterSimulator, Task, paper_cluster
 from repro.errors import AllocationError, DeploymentError, ReproError
 from repro.isa.assembler import assemble
@@ -139,6 +145,34 @@ class TestAcceleratorCheckpoint:
         for register, matrix in checkpoint.mrf.items():
             assert clone.mrf[register].shape == matrix.shape
             assert np.array_equal(clone.mrf[register], matrix)
+
+    def test_lstm_mid_loop_roundtrip_on_paged_dram(self, lstm_small):
+        """Inputs at X_BASE, weights from a resident image: the snapshot
+        resumes to the uninterrupted run's output, bitwise."""
+        weights, xs = lstm_small
+        gen = LSTMCodegen(weights, xs.shape[0])
+        program = gen.build()
+        straight = FunctionalSimulator(program)
+        gen.preload(straight, xs)
+        straight.run()
+
+        partial = FunctionalSimulator(program, image=WeightImage.build(
+            gen.preload_weights))
+        gen.preload_inputs(partial, xs)
+        while partial.loop_stack == [] or partial.loop_stack[-1][2] < 2:
+            partial.step()
+        assert not partial.finished
+        checkpoint = AcceleratorCheckpoint.capture(partial)
+        assert checkpoint.dram.size == X_BASE + xs.size
+        assert np.array_equal(checkpoint.dram[X_BASE:], xs.ravel())
+
+        resumed = checkpoint.restore(program)
+        resumed.run()
+        assert np.array_equal(
+            resumed.dram.read(OUT_BASE, weights.hidden),
+            straight.dram.read(OUT_BASE, weights.hidden),
+        )
+        assert np.array_equal(resumed.dram.contents(), straight.dram.contents())
 
     def test_restore_rejects_wrong_program(self):
         checkpoint = AcceleratorCheckpoint.capture(self._mid_loop_sim())
