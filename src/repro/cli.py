@@ -416,7 +416,7 @@ def _cmd_tenancy(args, out) -> int:
     workload = report["workload"]
     print(
         f"workload: {workload['task_count']} tasks on "
-        f"{workload['boards']} boards ({workload['pod_size']}-board pods), "
+        f"{workload['boards']} boards, "
         f"x{workload['overload_factor']:g} overload, {workload['trace']} "
         f"arrivals",
         file=out,

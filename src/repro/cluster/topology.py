@@ -32,19 +32,13 @@ class FPGACluster:
         boards: list,
         network_params: NetworkParameters | None = None,
         host_link: HostLink | None = None,
-        pod_size: int | None = None,
     ):
         if not boards:
             raise SimulationError("a cluster needs at least one board")
-        if pod_size is not None and pod_size < 1:
-            raise SimulationError(f"pod size must be positive, got {pod_size}")
         self.boards: dict[str, PhysicalFPGA] = {b.fpga_id: b for b in boards}
         if len(self.boards) != len(boards):
             raise SimulationError("duplicate FPGA ids in cluster")
         self.host_link = host_link or HostLink()
-        #: Advisory control-plane shard size; the controller's pod router
-        #: reads it when no explicit ``pod_size`` is configured there.
-        self.pod_size = pod_size
         if len(boards) >= 2:
             self.network = RingNetwork(
                 [b.fpga_id for b in boards], network_params
@@ -119,7 +113,6 @@ def homogeneous_cluster(
 def scaled_cluster(
     board_count: int,
     network_params: NetworkParameters | None = None,
-    pod_size: int | None = None,
 ) -> FPGACluster:
     """A ``board_count``-board pool with the paper platform's 3:1
     VU37P:KU115 device mix, repeated along the ring (scale benches and
@@ -137,5 +130,4 @@ def scaled_cluster(
         else:
             boards.append(PhysicalFPGA(f"vu37p-{vu}", XCVU37P))
             vu += 1
-    return FPGACluster(boards, network_params=network_params,
-                       pod_size=pod_size)
+    return FPGACluster(boards, network_params=network_params)

@@ -32,9 +32,8 @@ runner speed.  Refresh with::
         --output benchmarks/baselines/BENCH_batch_smoke.json
 
 And (optionally, via ``--scale-current``) the cluster-scale smoke report:
-the pod-routed schedules must stay bit-identical to the flat control
-runs, every point's pod and flat schedule digests must equal the
-baseline's, board probes per placement search must keep growing
+every point's schedule digest must equal the baseline's, board probes
+per placement search must keep growing
 sub-linearly in board count, and the largest point's wall-clock gets the
 same ``--tolerance`` bound as the fig12 gate.  Refresh with::
 
@@ -273,13 +272,12 @@ def compare_scale(
 ) -> tuple:
     """Cluster-scale regression gate: ``(failures, warnings)``.
 
-    Hard failures: scale mismatch, any pod-vs-flat schedule divergence,
-    any pod or flat schedule digest differing from the baseline's at the
-    same board count (schedules must stay bit-identical), a sub-linearity
-    gate failure, or the largest point's pod wall-clock exceeding the
-    baseline by more than ``tolerance``.  Per-point probe and event drift
-    only warns (deterministic counters; the equivalence tests arbitrate
-    behaviour changes)."""
+    Hard failures: scale mismatch, any schedule digest differing from the
+    baseline's at the same board count (schedules must stay
+    bit-identical), a sub-linearity gate failure, or the largest point's
+    wall-clock exceeding the baseline by more than ``tolerance``.
+    Per-point probe and event drift only warns (deterministic counters;
+    the equivalence tests arbitrate behaviour changes)."""
     failures: list = []
     warnings: list = []
     if current["scale"] != baseline["scale"]:
@@ -289,35 +287,24 @@ def compare_scale(
         )
         return failures, warnings
     cur_gate = current["gate"]
-    if not cur_gate["pod_flat_identical"]:
-        diverged = [
-            p["boards"]
-            for p in current["points"]
-            if not p["identical_to_flat"]
-        ]
-        failures.append(
-            f"pod-routed schedules diverged from flat control at "
-            f"{diverged} boards (equivalence contract broken)"
-        )
     # Equal "scale" blocks mean equal board counts, point for point.
     for point, base_point in zip(current["points"], baseline["points"]):
-        for arm in ("pod", "flat"):
-            cur = point[arm]["schedule_digest"]
-            base = base_point[arm]["schedule_digest"]
-            if cur != base:
-                failures.append(
-                    f"{arm} schedule digest changed at {point['boards']} "
-                    f"boards: {cur[:12]} vs baseline {base[:12]} "
-                    f"(schedules must stay bit-identical)"
-                )
+        cur = point["schedule_digest"]
+        base = base_point["schedule_digest"]
+        if cur != base:
+            failures.append(
+                f"schedule digest changed at {point['boards']} boards: "
+                f"{cur[:12]} vs baseline {base[:12]} (schedules must stay "
+                f"bit-identical)"
+            )
     if not cur_gate["sublinear"]:
         failures.append(
             f"probe growth no longer sub-linear: {cur_gate['probe_growth']:.2f}x "
             f"probes vs {cur_gate['board_growth']:.0f}x boards (allowed "
             f"fraction {cur_gate['sublinear_fraction']})"
         )
-    cur_wall = current["points"][-1]["pod"]["wall_s"]
-    base_wall = baseline["points"][-1]["pod"]["wall_s"]
+    cur_wall = current["points"][-1]["wall_s"]
+    base_wall = baseline["points"][-1]["wall_s"]
     ratio = cur_wall / base_wall if base_wall else float("inf")
     if ratio > 1.0 + tolerance:
         failures.append(
@@ -333,12 +320,12 @@ def compare_scale(
         )
     for cur_point, base_point in zip(current["points"], baseline["points"]):
         for key in ("placement_searches", "boards_probed", "events"):
-            cur = cur_point["pod"].get(key)
-            base = base_point["pod"].get(key)
+            cur = cur_point.get(key)
+            base = base_point.get(key)
             if cur != base:
                 warnings.append(
                     f"counter drift at {cur_point['boards']} boards: "
-                    f"pod.{key} {base} -> {cur} (behaviour change — the "
+                    f"{key} {base} -> {cur} (behaviour change — the "
                     f"equivalence tests arbitrate)"
                 )
     return failures, warnings

@@ -1,13 +1,12 @@
-"""Scale benchmark for the pod-sharded control plane.
+"""Scale benchmark for the control plane's placement index.
 
 Sweeps cluster size (4 -> 1000 boards, the paper platform's 3:1
 VU37P:KU115 mix) under a fully backlogged mixed task stream and emits
 ``BENCH_scale.json``: wall-clock, DES events/s, placement-search and
-board-probe counts — for the pod-routed controller AND a single-pod
-(flat) control run at every point.  The two runs must produce
-bit-identical schedules (the router's equivalence contract); the gate
-also checks that boards probed per placement search grow sub-linearly in
-board count, which is the whole point of sharding.
+board-probe counts, and a schedule digest per point.  The gate checks
+that boards probed per placement search grow sub-linearly in board
+count; the regression gate (``bench_gate --scale-current``) holds every
+digest to the committed baseline's.
 
 Regenerate with::
 
@@ -49,7 +48,7 @@ ARRIVAL_RATE_PER_S = 1e5
 
 #: Probe growth must stay below this fraction of board growth between the
 #: smallest and largest sweep points (0.5 = "at most half as fast as
-#: linear"; the router lands orders of magnitude under it).
+#: linear"; the bisect index lands orders of magnitude under it).
 SUBLINEAR_FRACTION = 0.5
 
 
@@ -62,11 +61,10 @@ def _schedule_digest(result) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _run_point(catalog, board_count: int, task_count: int,
-               pod_size: int | None) -> dict:
-    """One profiled simulation at one cluster size and pod configuration."""
+def _run_point(catalog, board_count: int, task_count: int) -> dict:
+    """One profiled simulation at one cluster size."""
     cluster = scaled_cluster(board_count)
-    system = build_system("proposed", cluster, catalog, pod_size=pod_size)
+    system = build_system("proposed", cluster, catalog)
     tasks = generate_workload(
         COMPOSITION,
         task_count=task_count,
@@ -82,8 +80,8 @@ def _run_point(catalog, board_count: int, task_count: int,
     searches = stats.placement_searches
     events = counters.get("simulator.events", 0)
     return {
-        "pods": system.controller.index.pod_count(),
-        "pod_size": system.controller.pod_size,
+        "boards": board_count,
+        "tasks": task_count,
         "wall_s": wall_s,
         "events": events,
         "events_per_s": events / wall_s if wall_s > 0 else 0.0,
@@ -103,43 +101,27 @@ def run_bench(
     tasks_per_board: int = FULL_TASKS_PER_BOARD,
     output: str | pathlib.Path = "BENCH_scale.json",
 ) -> dict:
-    """Run the sweep (pod-routed + flat control per point); write and
-    return the report."""
+    """Run the sweep; write and return the report."""
     catalog = Catalog(VitalCompiler())
-    points = []
-    for board_count in boards:
-        task_count = min(board_count * tasks_per_board, MAX_TASKS)
-        pod = _run_point(catalog, board_count, task_count, pod_size=None)
-        # Control: one pod spanning the whole cluster IS the flat index.
-        flat = _run_point(catalog, board_count, task_count,
-                          pod_size=board_count)
-        points.append(
-            {
-                "boards": board_count,
-                "tasks": task_count,
-                "pod": pod,
-                "flat": flat,
-                "identical_to_flat": (
-                    pod["schedule_digest"] == flat["schedule_digest"]
-                ),
-            }
-        )
+    points = [
+        _run_point(catalog, board_count,
+                   min(board_count * tasks_per_board, MAX_TASKS))
+        for board_count in boards
+    ]
     smallest, largest = points[0], points[-1]
     board_growth = largest["boards"] / smallest["boards"]
     probe_growth = (
-        largest["pod"]["probes_per_search"]
-        / smallest["pod"]["probes_per_search"]
-        if smallest["pod"]["probes_per_search"]
+        largest["probes_per_search"] / smallest["probes_per_search"]
+        if smallest["probes_per_search"]
         else 0.0
     )
     gate = {
-        "pod_flat_identical": all(p["identical_to_flat"] for p in points),
         "board_growth": board_growth,
         "probe_growth": probe_growth,
         "sublinear_fraction": SUBLINEAR_FRACTION,
         "sublinear": probe_growth <= SUBLINEAR_FRACTION * board_growth,
     }
-    gate["pass"] = gate["pod_flat_identical"] and gate["sublinear"]
+    gate["pass"] = gate["sublinear"]
     report = {
         "scale": {
             "boards": list(boards),
@@ -178,13 +160,11 @@ def main(argv=None) -> None:
         boards=boards, tasks_per_board=tasks_per_board, output=args.output
     )
     for point in report["points"]:
-        pod = point["pod"]
         print(
             f"{point['boards']:>5} boards / {point['tasks']:>6} tasks: "
-            f"{pod['wall_s']:.2f}s, {pod['events_per_s']:.0f} events/s, "
-            f"{pod['probes_per_search']:.1f} probes/search "
-            f"({'identical' if point['identical_to_flat'] else 'DIVERGED'} "
-            f"vs flat)"
+            f"{point['wall_s']:.2f}s, {point['events_per_s']:.0f} events/s, "
+            f"{point['probes_per_search']:.2f} probes/search, schedule "
+            f"{point['schedule_digest'][:12]}"
         )
     gate = report["gate"]
     print(

@@ -2,7 +2,7 @@
 
 Runs a premium (high-priority, non-preemptible) and a best-effort
 (low-priority, preemptible, block-quota-bounded) tenant together on a
-pod-sharded cluster at 2x the measured saturating rate, with the
+16-board cluster at 2x the measured saturating rate, with the
 best-effort stream alone saturating the machine, and emits
 ``BENCH_tenancy.json`` with three arms:
 
@@ -39,9 +39,8 @@ from ..tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from ..vital import VitalCompiler
 from ..workloads import ARRIVAL_PROCESSES, arrival_process
 
-#: Pod-sharded bench cluster: 16 boards in 4 pods (the paper mix 3:1).
+#: Bench cluster: 16 boards in the paper mix (3:1 VU37P:KU115).
 BOARD_COUNT = 16
-POD_SIZE = 4
 
 PREMIUM = "premium"
 BEST_EFFORT = "besteffort"
@@ -157,7 +156,7 @@ def run_arm(streams: dict, tenants: list | None, label: str) -> dict:
     never share :class:`Task` objects.
     """
     PROFILER.reset()
-    cluster = scaled_cluster(BOARD_COUNT, pod_size=POD_SIZE)
+    cluster = scaled_cluster(BOARD_COUNT)
     system = build_system("proposed", cluster, Catalog(VitalCompiler()))
     scheduler = system
     tenancy = None
@@ -212,7 +211,7 @@ def run_bench(
 ) -> dict:
     """Run the three arms at 2x overload; write (unless ``output`` is
     None) and return the report."""
-    cluster = scaled_cluster(BOARD_COUNT, pod_size=POD_SIZE)
+    cluster = scaled_cluster(BOARD_COUNT)
     total_blocks = sum(len(board.blocks) for board in cluster.boards.values())
     tenants = build_tenants(total_blocks)
     rate = BASE_RATE_PER_S * OVERLOAD_FACTOR
@@ -253,7 +252,6 @@ def run_bench(
         "workload": {
             "task_count": task_count,
             "boards": BOARD_COUNT,
-            "pod_size": POD_SIZE,
             "total_blocks": total_blocks,
             "base_rate_per_s": BASE_RATE_PER_S,
             "overload_factor": OVERLOAD_FACTOR,

@@ -99,18 +99,15 @@ def _cheapest_destination(
     replica_index: int,
     excluded: set,
     tentative_free: dict,
-    index,
 ):
     """Cheapest board that can absorb one replica, honouring tentative
-    allocations from moves already chosen in this plan.  ``index`` scopes
-    the destination search (a pod index keeps compaction pod-local; the
-    controller's router makes it cluster-wide)."""
+    allocations from moves already chosen in this plan."""
     controller = engine.controller
     occupied = {placement.fpga_id for placement in deployment.placements}
     best = None
     for device_type in sorted(deployment.plan.images):
         image = deployment.plan.images[device_type]
-        for board in index.boards_best_fit(device_type):
+        for board in controller.index.boards_best_fit(device_type):
             if board.fpga_id in excluded or board.fpga_id in occupied:
                 continue
             free = tentative_free.get(board.fpga_id, board.free_blocks)
@@ -131,8 +128,7 @@ def _cheapest_destination(
     return best
 
 
-def _open_hole(engine, board, need: int, excluded: set, tentative_free: dict,
-               index):
+def _open_hole(engine, board, need: int, excluded: set, tentative_free: dict):
     """Cheapest victim set freeing ``board`` up to ``need`` blocks.
 
     Returns ``(moves, cost)`` with ``moves`` as ``(deployment,
@@ -159,7 +155,7 @@ def _open_hole(engine, board, need: int, excluded: set, tentative_free: dict,
                 continue
             freed = deployment.placements[replica_index].virtual_blocks
             destination = _cheapest_destination(
-                engine, deployment, replica_index, excluded, local, index
+                engine, deployment, replica_index, excluded, local
             )
             if destination is None:
                 continue
@@ -187,7 +183,7 @@ def _open_hole(engine, board, need: int, excluded: set, tentative_free: dict,
 
 
 def plan_defrag(
-    controller, model_key: str, engine: MigrationEngine, index=None
+    controller, model_key: str, engine: MigrationEngine
 ) -> DefragPlan | None:
     """The cheapest compaction that would let ``model_key`` place.
 
@@ -197,14 +193,9 @@ def plan_defrag(
     few boards have a large-enough hole, greedily open the missing holes
     on the boards closest to fitting.  Returns ``None`` when no migration
     set helps (genuinely full cluster, or victims are all busy).
-
-    ``index`` scopes the whole search — candidate holes, victims and
-    destinations.  The controller passes each pod's private index in turn
-    so compaction cost stays constant as the cluster grows; ``None`` falls
-    back to the controller's cluster-wide view.
+    Candidate holes, victims and destinations span the whole cluster.
     """
-    if index is None:
-        index = controller.index
+    index = controller.index
     entry = controller.catalog.entry_by_key(model_key)
     best: DefragPlan | None = None
     for deployment_plan in entry.sorted_plans():
@@ -240,7 +231,7 @@ def plan_defrag(
                     break
                 excluded.add(board.fpga_id)
                 opened = _open_hole(
-                    engine, board, need, excluded, tentative_free, index
+                    engine, board, need, excluded, tentative_free
                 )
                 if opened is None:
                     excluded.discard(board.fpga_id)

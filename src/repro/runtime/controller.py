@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -58,6 +59,15 @@ class PlacementPolicy(enum.Enum):
     WORST_FIT = "worst_fit"
 
 
+#: Sort key over ``(free, fpga_id)`` entries per placement policy; ``None``
+#: is the entries' own ascending order (best-fit: fullest that fits first).
+_POLICY_ORDER = {
+    PlacementPolicy.BEST_FIT: None,
+    PlacementPolicy.WORST_FIT: lambda entry: (-entry[0], entry[1]),
+    PlacementPolicy.FIRST_FIT: lambda entry: entry[1],
+}
+
+
 class PlanOrder(enum.Enum):
     """In which order deployment plans are tried (paper Section 2.3).
 
@@ -80,8 +90,8 @@ class ControllerStats:
     reuse_hits: int = 0
     #: Full placement searches actually run (post fast-reject).
     placement_searches: int = 0
-    #: Boards examined across all placement searches (the scan-cost metric
-    #: the pod router keeps sub-linear in cluster size).
+    #: Boards examined across all placement searches (the scan-cost metric:
+    #: the index's bisect slices keep it sub-linear in cluster size).
     boards_probed: int = 0
     #: Placement attempts answered by the capacity fast-reject alone.
     fast_rejects: int = 0
@@ -149,10 +159,10 @@ class PlacementIndex:
     re-admits entries on transitions.
 
     The constructor accepts either a whole :class:`FPGACluster` or any
-    iterable of boards — the pod router builds one index per pod over a
-    slice of the cluster.  ``version`` counts every entry mutation; derived
-    caches (the router's per-(model, pod) feasibility cache) validate
-    against it instead of subscribing themselves.
+    iterable of boards.  The controller keeps one index over the whole
+    cluster: a search consumes only the bisect slice of boards that can
+    host its image, so its cost follows the boards it picks from, not the
+    cluster size.
     """
 
     def __init__(self, boards):
@@ -161,9 +171,6 @@ class PlacementIndex:
         self._boards: dict[str, object] = {b.fpga_id: b for b in boards}
         self._by_type: dict[str, list[tuple[int, str]]] = {}
         self._id_order: dict[str, list] = {}
-        #: Bumped on every entry mutation (occupancy or health); consumers
-        #: cache derived answers keyed by this.
-        self.version = 0
         for board in self._boards.values():
             if board.health is BoardHealth.HEALTHY:
                 self._by_type.setdefault(board.model.name, []).append(
@@ -200,7 +207,6 @@ class PlacementIndex:
         entries = self._by_type[board.model.name]
         self._pop_exact(entries, (old_free, board.fpga_id))
         bisect.insort(entries, (board.free_blocks, board.fpga_id))
-        self.version += 1
 
     def _on_health(self, board, old_health) -> None:
         was_placeable = old_health is BoardHealth.HEALTHY
@@ -211,7 +217,6 @@ class PlacementIndex:
             self._pop_exact(entries, (board.free_blocks, board.fpga_id))
         else:
             bisect.insort(entries, (board.free_blocks, board.fpga_id))
-        self.version += 1
 
     # -- queries -------------------------------------------------------------
 
@@ -260,6 +265,29 @@ class PlacementIndex:
         entries = self._by_type.get(device_type, [])
         return entries[bisect.bisect_left(entries, (blocks, "")) :]
 
+    def iter_candidates(self, requirements: dict, policy: PlacementPolicy):
+        """Boards able (by free count) to host their type's image, in
+        placement-policy order.
+
+        ``requirements`` maps device type -> minimum free blocks (the
+        type's replica-image footprint).  Each type contributes the bisect
+        slice of its entries that qualifies; with several types the slices
+        merge on the policy's key — ``(free, fpga_id)`` for best-fit,
+        ``(-free, fpga_id)`` for worst-fit, ``fpga_id`` for first-fit —
+        which is unique per board, so the order is total.  Boards are
+        yielded lazily: a search stops consuming once it has its replicas.
+        """
+        key = _POLICY_ORDER[policy]
+        slices = [
+            self.entries_with_at_least(device_type, requirements[device_type])
+            for device_type in sorted(requirements)
+        ]
+        if key is not None:
+            slices = [sorted(entries, key=key) for entries in slices]
+        boards = self._boards
+        for _, fpga_id in heapq.merge(*slices, key=key):
+            yield boards[fpga_id]
+
     def board(self, fpga_id: str):
         return self._boards[fpga_id]
 
@@ -283,11 +311,6 @@ class PlacementIndex:
 class SystemController:
     """Resource allocation over one cluster, one catalog."""
 
-    #: Most-promising pods a defragmentation attempt will plan inside
-    #: before giving up — keeps the failure path's scan cost constant as
-    #: the cluster grows (a single-pod cluster always tries its one pod).
-    DEFRAG_POD_ATTEMPTS = 4
-
     def __init__(
         self,
         cluster: FPGACluster,
@@ -304,7 +327,6 @@ class SystemController:
         migration_params=None,
         recovery_enabled: bool = False,
         recovery_params=None,
-        pod_size: int | None = None,
     ):
         self.cluster = cluster
         self.catalog = catalog
@@ -329,15 +351,7 @@ class SystemController:
         #: defrag schedule their completions on it; ``None`` = synchronous).
         self._simulator = None
         self.deployments: dict[str, Deployment] = {}
-        # The control plane is sharded: boards group into pods, each with
-        # its own PlacementIndex, behind a router that keeps per-pod
-        # summaries and a per-(model, pod) feasibility cache.  One pod
-        # (any cluster up to pod_size boards — the Fig. 12 platform) is
-        # exactly the old flat index, query order included.
-        from .pods import PodRouter  # import here: pods imports this module
-
-        self.index = PodRouter(cluster, pod_size)
-        self.pod_size = self.index.pod_size
+        self.index = PlacementIndex(cluster)
         #: fpga_id -> deployment ids with a replica on that board, so the
         #: fault path scales with the board's residents, not the fleet.
         self._residents_by_board: dict[str, set] = {}
@@ -470,7 +484,7 @@ class SystemController:
                 PROFILER.incr("controller.fast_rejects")
             if not may_evict or not self._evict_one_idle(now, model_key):
                 self.stats.placement_failures += 1
-                # Diagnostic from the pod summaries (O(pods)), not a
+                # Diagnostic from the index tails (O(types)), not a
                 # cluster walk — this raise is hot under backlog.
                 largest = {
                     device_type: self.index.max_free(device_type)
@@ -672,23 +686,13 @@ class SystemController:
     def plan_defrag(self, model_key: str):
         """The cheapest migration set that would let ``model_key`` place,
         or ``None`` — only when the subsystem is enabled and the failure
-        is fragmentation rather than capacity.
-
-        Planning is *pod-local*: the router orders pods by aggregate free
-        capacity and the planner runs inside one pod's index at a time
-        (victims and destinations both pod members), so the scan cost per
-        attempt is bounded by the pod size, not the cluster.  On a
-        single-pod cluster this is exactly the old cluster-wide plan.
-        """
+        is fragmentation rather than capacity.  Planning is cluster-wide:
+        victims and destinations may sit on any healthy board."""
         if not self.migration_enabled:
             return None
         from ..migration.defrag import plan_defrag
 
-        plan = None
-        for pod in self.index.defrag_pod_order()[: self.DEFRAG_POD_ATTEMPTS]:
-            plan = plan_defrag(self, model_key, self.migration, index=pod.index)
-            if plan is not None:
-                break
+        plan = plan_defrag(self, model_key, self.migration)
         if plan is not None:
             self.stats.defrag_plans += 1
             PROFILER.incr("controller.defrag_plans")
@@ -714,13 +718,15 @@ class SystemController:
 
     def _any_plan_could_fit(self, model_key: str) -> bool:
         """Capacity fast-reject: every placement needs at least one board
-        able to host one replica image, so when no pod has a board with
-        that much free the whole plan loop is skipped.  Answers come from
-        the router's per-(model, pod) feasibility cache, revalidated by
-        pod index version — a mutation in one pod invalidates one pod's
-        entry, not the fleet's."""
-        return self.index.any_feasible(
-            model_key, self.catalog.placement_feasible
+        able to host one replica image, so when no board has that much
+        free the whole plan loop is skipped.  One memoised catalog probe
+        per device type against the index's largest free hole."""
+        index = self.index
+        return any(
+            self.catalog.placement_feasible(
+                model_key, device_type, index.max_free(device_type)
+            )
+            for device_type in index.device_types()
         )
 
     def _find_placement(
@@ -734,9 +740,9 @@ class SystemController:
         ``allow_mixed=False`` suppresses cross-type assignments (callers use
         it to keep scarce device types free for other queued models).
 
-        Candidates stream lazily out of the pod router in the flat policy
-        order, so a search touches the few boards it actually picks from
-        (plus one summary probe per pod) instead of the whole cluster.
+        Candidates stream lazily out of the index's bisect slices in
+        policy order, so a search touches the few boards it actually picks
+        from instead of the whole cluster.
         """
         PROFILER.incr("controller.find_placement_calls")
         self.stats.placement_searches += 1

@@ -41,7 +41,7 @@ class ProposedSystem:
                  timing: TimingParameters = DEFAULT_TIMING,
                  defrag: bool = False, migration_params=None,
                  recovery: bool = False, recovery_params=None,
-                 batching=None, pod_size: int | None = None):
+                 batching=None):
         self.cluster = cluster
         self.controller = SystemController(
             cluster,
@@ -53,7 +53,6 @@ class ProposedSystem:
             migration_params=migration_params,
             recovery_enabled=recovery,
             recovery_params=recovery_params,
-            pod_size=pod_size,
         )
         #: Optional request-coalescing functional executor
         #: (:class:`repro.runtime.batching.BatchExecutor`).  Off by
@@ -490,7 +489,6 @@ def build_system(
     recovery: bool = False,
     recovery_params=None,
     batching=None,
-    pod_size: int | None = None,
 ):
     """Factory over the three evaluated systems.
 
@@ -499,9 +497,7 @@ def build_system(
     migrate through); ``recovery=True`` arms checkpoint-based failure
     recovery (:mod:`repro.faults`); ``batching`` (a
     :class:`repro.runtime.batching.BatchingParameters`) arms the
-    request-coalescing functional executor; ``pod_size`` overrides the
-    control-plane pod size (``None`` defers to the cluster's advisory
-    value, then the router default).  The defaults keep schedules
+    request-coalescing functional executor.  The defaults keep schedules
     bit-identical to the pre-migration, pre-faults implementation.
     """
     if name == "baseline":
@@ -511,9 +507,9 @@ def build_system(
     if name == "proposed":
         return ProposedSystem(cluster, catalog, timing, defrag=defrag,
                               recovery=recovery, recovery_params=recovery_params,
-                              batching=batching, pod_size=pod_size)
+                              batching=batching)
     if name == "restricted":
         return RestrictedSystem(cluster, catalog, timing, defrag=defrag,
                                 recovery=recovery, recovery_params=recovery_params,
-                                batching=batching, pod_size=pod_size)
+                                batching=batching)
     raise ReproError(f"unknown system {name!r}")

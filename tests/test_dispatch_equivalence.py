@@ -202,7 +202,7 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
     ]
 
     def build(cls):
-        cluster = scaled_cluster(8, pod_size=4)
+        cluster = scaled_cluster(8)
         system = build_system("proposed", cluster, shared_catalog)
         inner = system
         if with_frontend:

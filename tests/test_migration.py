@@ -23,7 +23,7 @@ from repro.accel.codegen import (
     build_scaleout_programs,
 )
 from repro.accel.functional import FunctionalSimulator, WeightImage, run_program
-from repro.cluster import ClusterSimulator, Task, paper_cluster
+from repro.cluster import ClusterSimulator, Task, paper_cluster, scaled_cluster
 from repro.errors import AllocationError, DeploymentError, ReproError
 from repro.isa.assembler import assemble
 from repro.migration import (
@@ -505,6 +505,36 @@ class TestDefrag:
         assert controller.index.check_consistent()
         assert controller.stats.defrag_plans == 1
         assert controller.stats.migrations_completed == len(plan.migrations)
+
+    def test_compaction_moves_victim_across_the_cluster(self, shared_catalog):
+        """Defrag plans over the whole cluster: the only hole-opening move
+        sends the victim from the first board to the far end of a
+        64-board pool (boards 32 apart in declaration order)."""
+        cluster = scaled_cluster(64)
+        system = build_system("proposed", cluster, shared_catalog, defrag=True)
+        controller = system.controller
+        target, destination = cluster.board("vu37p-0"), cluster.board("vu37p-47")
+        for board in cluster.boards.values():
+            if board is not target:
+                board.allocate("wall", board.free_blocks)
+        victim, _ = controller.deploy("gru-h512-t1")  # 4 blocks
+        assert victim.placements[0].fpga_id == target.fpga_id
+        target.allocate("wall", 2)  # target: 10 free; needs 14
+        destination.release("wall")
+        destination.allocate("wall", 12)  # destination: 4 free
+        with pytest.raises(AllocationError):
+            controller.deploy("gru-h1536-t375")
+        plan = controller.plan_defrag("gru-h1536-t375")
+        assert plan is not None
+        assert plan.target_fpgas == [target.fpga_id]
+        assert plan.move_count == 1
+        cost = controller.begin_defrag(plan, now=0.0)
+        controller.finish_defrag(plan, now=cost)
+        assert victim.placements[0].fpga_id == destination.fpga_id
+        deployment, _ = controller.deploy("gru-h1536-t375", now=cost)
+        assert deployment.placements[0].fpga_id == target.fpga_id
+        assert controller.index.check_consistent()
+        assert controller.check_residents_consistent()
 
     def test_busy_victims_block_the_plan(self, shared_catalog):
         controller, cluster = _controller(shared_catalog)

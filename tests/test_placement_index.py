@@ -1,13 +1,11 @@
-"""Pod-sharded control plane tests.
+"""Placement index and controller bookkeeping tests.
 
-Covers the router's structure and flat-equivalence contract (every query
-and the lazy candidate streams match a flat :class:`PlacementIndex` over
-the same boards, and whole simulated schedules are bit-identical pod vs
-flat), the two index-corruption regressions (stale/duplicate
-notifications must raise, not silently corrupt), the ring-adjacency
-service-estimate regression, the board-residency reverse index, the
-simulator's per-(tenant, model) pending queues, and chaos storms across
-pods.
+Covers the index's candidate order for every placement policy (including
+mixed-type merges), the two index-corruption regressions
+(stale/duplicate notifications must raise, not silently corrupt), the
+ring-adjacency service-estimate regression, the board-residency reverse
+index, the simulator's per-(tenant, model) pending queues, and chaos
+storms that recount the index after failure/repair churn.
 """
 
 import random
@@ -19,12 +17,9 @@ from repro.cluster.topology import homogeneous_cluster, paper_cluster
 from repro.errors import AllocationError
 from repro.runtime import Catalog, build_system
 from repro.runtime.controller import PlacementIndex, PlacementPolicy
-from repro.runtime.pods import DEFAULT_POD_SIZE, PodRouter
 from repro.vital import VitalCompiler
 from repro.vital.device import XCVU37P
 from repro.vital.virtual_block import BoardHealth, PhysicalFPGA
-from repro.workloads import TABLE1_COMPOSITIONS, generate_workload
-from repro.workloads.deepbench import model_by_key
 
 
 @pytest.fixture(scope="module")
@@ -36,84 +31,30 @@ def _proposed(cluster, catalog, **kwargs):
     return build_system("proposed", cluster, catalog, **kwargs)
 
 
-class TestPodRouterStructure:
-    def test_pods_partition_cluster_in_declaration_order(self):
-        cluster = scaled_cluster(70)
-        router = PodRouter(cluster, pod_size=32)
-        assert [len(pod.board_ids) for pod in router.pods] == [32, 32, 6]
-        declared = [board.fpga_id for board in cluster.boards.values()]
-        chunked = [
-            fpga_id for pod in router.pods for fpga_id in pod.board_ids
-        ]
-        assert chunked == declared
-        assert router.check_consistent()
-
-    def test_pod_of_maps_every_board(self):
-        cluster = scaled_cluster(20)
-        router = PodRouter(cluster, pod_size=8)
-        for pod in router.pods:
-            for fpga_id in pod.board_ids:
-                assert router.pod_of(fpga_id) is pod
-
-    def test_pod_size_resolution_order(self):
-        explicit = PodRouter(scaled_cluster(8, pod_size=4), pod_size=2)
-        assert explicit.pod_size == 2
-        from_cluster = PodRouter(scaled_cluster(8, pod_size=4))
-        assert from_cluster.pod_size == 4
-        default = PodRouter(scaled_cluster(8))
-        assert default.pod_size == DEFAULT_POD_SIZE
-
-    def test_invalid_pod_size_rejected(self):
-        with pytest.raises(ValueError):
-            PodRouter(scaled_cluster(8), pod_size=0)
-
-    def test_single_pod_on_paper_cluster(self):
-        """The Fig. 12 platform fits one pod: the router IS the flat
-        index there, which is what keeps the goldens bit-identical."""
-        router = PodRouter(paper_cluster())
-        assert router.pod_count() == 1
-
-
-class TestRouterFlatEquivalence:
-    """Every router query must equal the flat index over the same boards."""
+class TestIterCandidates:
+    """``iter_candidates`` yields exactly the qualifying boards, in the
+    policy's total order, across device types."""
 
     def _randomly_loaded(self, seed):
         cluster = scaled_cluster(24)
-        router = PodRouter(cluster, pod_size=5)
-        flat = PlacementIndex(cluster)
         rng = random.Random(seed)
         for at, board in enumerate(cluster.boards.values()):
             blocks = rng.randint(0, board.free_blocks)
             if blocks:
                 board.allocate(f"dep-{at}", blocks)
-        return cluster, router, flat
-
-    @pytest.mark.parametrize("seed", [3, 17, 91])
-    def test_flat_queries_match(self, seed):
-        _, router, flat = self._randomly_loaded(seed)
-        assert router.device_types() == flat.device_types()
-        for device_type in flat.device_types():
-            assert router.max_free(device_type) == flat.max_free(device_type)
-            for blocks in (0, 1, 4, 9, 999):
-                assert router.count_with_at_least(
-                    device_type, blocks
-                ) == flat.count_with_at_least(device_type, blocks)
-            for query in ("boards_best_fit", "boards_worst_fit", "boards_by_id"):
-                assert [
-                    b.fpga_id for b in getattr(router, query)(device_type)
-                ] == [b.fpga_id for b in getattr(flat, query)(device_type)]
+        cluster.board("vu37p-4").set_health(BoardHealth.FAILED)
+        return cluster, PlacementIndex(cluster)
 
     @pytest.mark.parametrize("seed", [5, 23])
     @pytest.mark.parametrize("policy", list(PlacementPolicy))
-    def test_iter_candidates_matches_flat_order(self, seed, policy):
-        _, router, flat = self._randomly_loaded(seed)
-        requirements = {
-            device_type: 3 for device_type in flat.device_types()
-        }
+    def test_order_matches_policy(self, seed, policy):
+        cluster, index = self._randomly_loaded(seed)
+        requirements = {"XCVU37P": 3, "XCKU115": 5}
         feasible = [
-            entry
-            for device_type, need in sorted(requirements.items())
-            for entry in flat.entries_with_at_least(device_type, need)
+            (board.free_blocks, board.fpga_id)
+            for board in cluster.boards.values()
+            if board.health is BoardHealth.HEALTHY
+            and board.free_blocks >= requirements[board.model.name]
         ]
         if policy is PlacementPolicy.BEST_FIT:
             expected = [fpga_id for _, fpga_id in sorted(feasible)]
@@ -128,29 +69,10 @@ class TestRouterFlatEquivalence:
             expected = sorted(fpga_id for _, fpga_id in feasible)
         streamed = [
             board.fpga_id
-            for board in router.iter_candidates(requirements, policy)
+            for board in index.iter_candidates(requirements, policy)
         ]
         assert streamed == expected
-
-    def test_feasibility_cache_revalidates_on_mutation(self, shared_catalog):
-        cluster = scaled_cluster(8)
-        router = PodRouter(cluster, pod_size=4)
-        feasible_calls = []
-
-        def feasible_fn(model_key, device_type, free):
-            feasible_calls.append(device_type)
-            return free >= 4
-
-        assert router.any_feasible("m", feasible_fn)
-        probes = len(feasible_calls)
-        # Cached: no pod mutated, so no recomputation.
-        assert router.any_feasible("m", feasible_fn)
-        assert len(feasible_calls) == probes
-        # Mutating one pod's board invalidates exactly that pod's entry.
-        board = next(iter(cluster.boards.values()))
-        board.allocate("d", 1)
-        assert router.any_feasible("m", feasible_fn)
-        assert len(feasible_calls) > probes
+        assert "vu37p-4" not in streamed
 
 
 class TestIndexCorruptionRegression:
@@ -342,50 +264,6 @@ class TestPendingQueues:
         assert scheduler.calls == [0, 1]
 
 
-class TestPodFlatScheduleEquivalence:
-    """Randomized end-to-end equivalence: the pod-routed controller must
-    produce bit-identical schedules to the flat (single-pod) controller."""
-
-    def _schedule(self, catalog, board_count, pod_size, seed, task_count=90):
-        cluster = scaled_cluster(board_count, pod_size=pod_size)
-        system = _proposed(cluster, catalog)
-        tasks = generate_workload(
-            TABLE1_COMPOSITIONS[6],
-            task_count=task_count,
-            arrival_rate_per_s=1e5,
-            seed=seed,
-        )
-        result = ClusterSimulator(system, "proposed").run(tasks)
-        return [
-            (task.task_id, task.start_s, task.finish_s)
-            for task in result.completed
-        ], system.controller
-
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_schedules_bit_identical_across_pod_sizes(
-        self, shared_catalog, seed
-    ):
-        flat, flat_controller = self._schedule(
-            shared_catalog, 12, pod_size=12, seed=seed
-        )
-        for pod_size in (3, 5):
-            podded, controller = self._schedule(
-                shared_catalog, 12, pod_size=pod_size, seed=seed
-            )
-            assert podded == flat
-            assert (
-                controller.stats.deployments_created
-                == flat_controller.stats.deployments_created
-            )
-
-    def test_paper_cluster_single_board_pods_identical(self, shared_catalog):
-        """The most extreme sharding (one board per pod) on the paper
-        platform still reproduces the flat schedule exactly."""
-        flat, _ = self._schedule(shared_catalog, 4, pod_size=4, seed=31)
-        podded, _ = self._schedule(shared_catalog, 4, pod_size=1, seed=31)
-        assert podded == flat
-
-
 class TestResidencyIndex:
     def test_tracks_deploys_and_evictions(self, shared_catalog):
         cluster = paper_cluster()
@@ -436,9 +314,9 @@ class TestResidencyIndex:
         assert deployment in controller.deployments_on(destination.fpga_id)
 
 
-def _chaos_storm(board_count, pod_size, steps, seed, catalog):
+def _chaos_storm(board_count, steps, seed, catalog):
     """Deploy/evict/fail/repair storm; returns (cluster, controller)."""
-    cluster = scaled_cluster(board_count, pod_size=pod_size)
+    cluster = scaled_cluster(board_count)
     system = _proposed(cluster, catalog, recovery=True)
     controller = system.controller
     rng = random.Random(seed)
@@ -474,13 +352,13 @@ def _chaos_storm(board_count, pod_size, steps, seed, catalog):
     return cluster, controller
 
 
-class TestPodChaosInvariants:
-    def test_storm_keeps_pods_consistent(self, shared_catalog):
+class TestChaosInvariants:
+    def test_storm_keeps_index_consistent(self, shared_catalog):
         """Moderate scale in tier-1: failures/repairs/evictions across 64
-        boards and 8 pods leave every per-pod index and the residency
-        index equal to a from-scratch recount."""
+        boards leave the placement index and the residency index equal to
+        a from-scratch recount."""
         cluster, controller = _chaos_storm(
-            64, pod_size=8, steps=220, seed=77, catalog=shared_catalog
+            64, steps=220, seed=77, catalog=shared_catalog
         )
         assert controller.index.check_consistent()
         assert controller.check_residents_consistent()
@@ -491,12 +369,11 @@ class TestPodChaosInvariants:
 
     @pytest.mark.slow
     def test_thousand_board_chaos_storm(self, shared_catalog):
-        """The 1000-board acceptance storm (nightly): pods stay
+        """The 1000-board acceptance storm (nightly): the index stays
         consistent through sustained failure/repair churn at full scale."""
         cluster, controller = _chaos_storm(
-            1000, pod_size=32, steps=1500, seed=2025, catalog=shared_catalog
+            1000, steps=1500, seed=2025, catalog=shared_catalog
         )
-        assert controller.index.pod_count() == 32
         assert controller.index.check_consistent()
         assert controller.check_residents_consistent()
         for board in cluster.boards.values():

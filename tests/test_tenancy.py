@@ -6,8 +6,8 @@ never exceed a quota), strict-priority and weighted fair-share dispatch,
 checkpoint + requeue preemption (occupancy never lost, preempted
 best-effort work always completes, resume-credit arithmetic), the
 serving-frontend composition (including the requeue path), and a
-preemption storm on a 64-board pod cluster mirroring
-:mod:`tests.test_pods`.
+preemption storm on a 64-board cluster mirroring the chaos storms in
+:mod:`tests.test_placement_index`.
 """
 
 import math
@@ -274,12 +274,12 @@ class TestQuotaEnforcement:
         assert scheduler.retry_hint(task, 1.0) == math.inf
 
 
-def _overload_setup(catalog, board_count=8, pod_size=4, task_count=120,
+def _overload_setup(catalog, board_count=8, task_count=120,
                     rate=12800.0, seed=17):
-    """Mixed premium/best-effort overload on a pod-sharded cluster, with
+    """Mixed premium/best-effort overload on a small cluster, with
     the best-effort stream sized to saturate so the premium tenant must
     preempt its way in.  Returns (scheduler, system, tasks)."""
-    cluster = scaled_cluster(board_count, pod_size=pod_size)
+    cluster = scaled_cluster(board_count)
     system = build_system("proposed", cluster, catalog)
     total_blocks = sum(len(b.blocks) for b in cluster.boards.values())
     tenants = [
@@ -354,7 +354,7 @@ class TestPreemption:
         """Flip the bench roles: the low-priority tenant is
         non-preemptible, so the starved premium tenant finds no victims
         and simply waits."""
-        cluster = scaled_cluster(8, pod_size=4)
+        cluster = scaled_cluster(8)
         system = build_system("proposed", cluster, shared_catalog)
         scheduler = TenantScheduler(
             system,
@@ -433,7 +433,7 @@ class TestPreemption:
 
 class TestFrontendComposition:
     def _frontend_stack(self, catalog, tenants, board_count=8):
-        cluster = scaled_cluster(board_count, pod_size=4)
+        cluster = scaled_cluster(board_count)
         system = build_system("proposed", cluster, catalog)
         frontend = ServingFrontend(
             system,
@@ -576,14 +576,13 @@ class TestLedgerTenantAxis:
 
 
 class TestPreemptionStorm:
-    """Chaos: three tenant classes hammering a 64-board pod cluster at
+    """Chaos: three tenant classes hammering a 64-board cluster at
     sustained overload, driving repeated preemption sweeps — mirrors the
-    pod chaos storm in :mod:`tests.test_pods` with preemption as the
-    churn source instead of board failures."""
+    chaos storm in :mod:`tests.test_placement_index` with preemption as
+    the churn source instead of board failures."""
 
-    def _storm(self, catalog, board_count, pod_size, task_count, rate,
-               seed):
-        cluster = scaled_cluster(board_count, pod_size=pod_size)
+    def _storm(self, catalog, board_count, task_count, rate, seed):
+        cluster = scaled_cluster(board_count)
         system = build_system("proposed", cluster, catalog)
         total_blocks = sum(
             len(board.blocks) for board in cluster.boards.values()
@@ -624,11 +623,10 @@ class TestPreemptionStorm:
 
     def test_storm_keeps_cluster_consistent(self, shared_catalog):
         cluster, system, scheduler, tasks, result = self._storm(
-            shared_catalog, board_count=64, pod_size=8, task_count=240,
+            shared_catalog, board_count=64, task_count=240,
             rate=60000.0, seed=41,
         )
         controller = system.controller
-        assert controller.index.pod_count() == 8
         assert scheduler.stats.preemption_sweeps > 0
         # Nothing lost, nothing leaked: all work completes, every index
         # and per-board count matches a from-scratch recount, quotas
