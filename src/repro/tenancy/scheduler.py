@@ -118,6 +118,18 @@ class TenantScheduler:
             if tenant.name in self._tenants:
                 raise ReproError(f"duplicate tenant {tenant.name!r}")
             self._tenants[tenant.name] = TenantState(params=tenant)
+        #: Lowest priority class holding a preemptible tenant (``None``
+        #: when no tenant is preemptible).  A starved task at or below it
+        #: has no possible victim; tenants :meth:`_state` registers later
+        #: are never preemptible, so this cannot go stale.
+        self._lowest_preemptible = min(
+            (
+                state.params.priority
+                for state in self._tenants.values()
+                if state.params.preemptible
+            ),
+            default=None,
+        )
         # Quota usage is read off the ledger's tenant axis; adopt the
         # controller's ledger when one is already attached (autoscale
         # composition shares it) and attach one otherwise.
@@ -259,6 +271,8 @@ class TenantScheduler:
     def _should_drop(self, task: Task, now: float) -> bool:
         if self.inner.should_drop(task, now):
             self._state(task.tenant).pending -= 1
+            self._decline_reason.pop(task.task_id, None)
+            self._resume_credit.pop(task.task_id, None)
             return True
         return False
 
@@ -369,6 +383,9 @@ class TenantScheduler:
         if now < self._preempt_gate_s:
             return False
         priority = state.params.priority
+        lowest = self._lowest_preemptible
+        if lowest is None or priority <= lowest:
+            return False  # no preemptible class below: no victim can exist
         controller = self.controller
         entry = controller.catalog.entry_by_key(task.model_key)
         plans = sorted(entry.sorted_plans(), key=controller.plan_footprint)

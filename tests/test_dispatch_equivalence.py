@@ -124,9 +124,10 @@ def _digest(result) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _run_both(build) -> list:
+def _run_both(build, expected_digest=None) -> list:
     """Run ``build(simulator_class) -> (simulator, tasks)`` under the
-    reference and the merge dispatcher; assert every observable matches.
+    reference and the merge dispatcher; assert every observable matches,
+    and the schedule digest equals ``expected_digest`` when one is given.
     Returns both simulators (reference first)."""
     outcomes, simulators = [], []
     for cls in (ReferenceSimulator, ClusterSimulator):
@@ -160,6 +161,8 @@ def _run_both(build) -> list:
     assert merged["calls"] == reference["calls"]
     assert merged["counters"] == reference["counters"]
     assert len(reference["calls"]) == reference["counters"][1]
+    if expected_digest is not None:
+        assert reference["digest"] == expected_digest
     return simulators
 
 
@@ -187,6 +190,21 @@ def test_fast_path_system_with_arrival_ties(shared_catalog, seed):
     reference, _ = _run_both(build)
     assert reference.skips > 0
     assert len(set(arrivals)) < count
+
+
+#: Schedule digests of :func:`test_tenancy_with_preemption`, pinned so an
+#: inexact change to victim planning fails here even when both
+#: dispatchers agree with each other.
+TENANCY_DIGESTS = {
+    (4, False):
+        "4fc81be81b405589d6966063ee020f0f730d46947477c2bc02614b3fe13d835b",
+    (4, True):
+        "e80e5fde7213f58b7dd160df8b68d30f4f6801f016953691fc5e62af46a32bc4",
+    (5, False):
+        "09d34462c99f33ebf31a7d77c820c9e1b2cc1e65612c218f05d94c576009cfd3",
+    (5, True):
+        "c0b5b8a343bd229938a8d0a9c6865ac3dc7ade1f72d184c8ba6c48e63cea9b2c",
+}
 
 
 @pytest.mark.parametrize("with_frontend", [False, True])
@@ -221,7 +239,7 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
         return cls(tenancy, "tenancy"), tasks
 
     aborted = PROFILER.get("simulator.aborted_runs")
-    simulators = _run_both(build)
+    simulators = _run_both(build, TENANCY_DIGESTS[(seed, with_frontend)])
     # Every preemption aborts its victim from inside a try_start, i.e. in
     # the middle of a dispatch pass.
     for simulator in simulators:

@@ -11,6 +11,7 @@ preemption storm on a 64-board cluster mirroring the chaos storms in
 """
 
 import math
+import random
 
 import pytest
 
@@ -415,6 +416,43 @@ class TestPreemption:
         assert restore_s == pytest.approx(stream)
         assert teardown_s == pytest.approx(scheduler.params.drain_s + stream)
 
+    @pytest.mark.parametrize(
+        "tenants, starved, plans",
+        [
+            # Best effort has no class below it to take blocks from.
+            ([TenantParameters(name="lo", priority=0),
+              TenantParameters(name="peer", priority=0)], "lo", False),
+            # The only lower class is non-preemptible.
+            ([TenantParameters(name="hi", priority=1, preemptible=False),
+              TenantParameters(name="lo", priority=0, preemptible=False)],
+             "hi", False),
+            # A preemptible lower class: victim planning still runs.
+            ([TenantParameters(name="hi", priority=1, preemptible=False),
+              TenantParameters(name="lo", priority=0)], "hi", True),
+        ],
+        ids=["lowest-class", "non-preemptible-below", "preemptible-below"],
+    )
+    def test_victim_planning_only_where_a_victim_can_exist(
+        self, shared_catalog, monkeypatch, tenants, starved, plans
+    ):
+        system = _proposed(paper_cluster(), shared_catalog)
+        scheduler = TenantScheduler(system, tenants)
+
+        def planned(plan, priority):
+            raise AssertionError("victim planning ran")
+
+        monkeypatch.setattr(scheduler, "_plan_victims", planned)
+        task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
+                    tenant=starved)
+        state = scheduler.tenant(starved)
+        if plans:
+            with pytest.raises(AssertionError, match="victim planning ran"):
+                scheduler._maybe_preempt(task, state, 0.0)
+        else:
+            assert not scheduler._maybe_preempt(task, state, 0.0)
+            assert scheduler.stats.preemption_sweeps == 0
+            assert state.preemptions_triggered == 0
+
     def test_cooldown_spaces_sweeps(self, shared_catalog):
         system = _proposed(paper_cluster(), shared_catalog)
         scheduler = TenantScheduler(
@@ -530,6 +568,41 @@ class TestFrontendComposition:
         assert controller.check_residents_consistent()
         for board in system.cluster.boards.values():
             assert board.free_blocks == board.recount_free_blocks()
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_dropped_tasks_leave_no_bookkeeping(self, shared_catalog, seed):
+        """Tasks the frontend drops (deadline expiry) after a declined
+        start or a preemption take their decline reason and resume
+        credit with them."""
+        cluster = scaled_cluster(8)
+        system = build_system("proposed", cluster, shared_catalog)
+        frontend = ServingFrontend(system, ServingParameters(
+            default_deadline_s=ms(20.0), breaker_enabled=False))
+        total = sum(len(board.blocks) for board in cluster.boards.values())
+        scheduler = TenantScheduler(frontend, [
+            TenantParameters(name="premium", priority=1, weight=2.0,
+                             block_quota=int(total * 0.3), preemptible=False),
+            TenantParameters(name="besteffort", priority=0, weight=1.0,
+                             block_quota=int(total * 0.8), preemptible=True),
+        ])
+        rng = random.Random(seed)
+        count = 400
+        arrivals = sorted(rng.randrange(60) * ms(10.0) / 60
+                          for _ in range(count))
+        draws = [
+            ("premium", "gru-h512-t1") if rng.random() < 0.25
+            else ("besteffort",
+                  rng.choice(["lstm-h256-t150", "lstm-h512-t25"]))
+            for _ in range(count)
+        ]
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a, size_class="S",
+                      tenant=t)
+                 for i, (a, (t, m)) in enumerate(zip(arrivals, draws))]
+        result = ClusterSimulator(scheduler, "drops").run(tasks)
+        assert result.dropped
+        assert scheduler.stats.tasks_preempted > 0
+        assert scheduler._decline_reason == {}
+        assert scheduler._resume_credit == {}
 
 
 class TestLedgerTenantAxis:
