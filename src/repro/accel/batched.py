@@ -61,7 +61,6 @@ from ..errors import ExecutionError
 from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_matvec, bfp_quantize, to_float16
 from ..isa.instructions import Instruction, Op
 from ..isa.program import Program
-from ..perf.profiling import PROFILER
 from .functional import (
     PAGE_WORDS,
     FunctionalSimulator,
@@ -447,7 +446,6 @@ class BatchedFunctionalSimulator:
             mask = ambiguous[lane]
             out[lane, mask] = exact[mask]
             self.guard_recomputed += int(mask.sum())
-            PROFILER.incr("batched.guard_recomputes", int(mask.sum()))
         return out
 
     # -- per-opcode semantics ------------------------------------------------
@@ -661,7 +659,6 @@ def run_batched(
     if batch < 1:
         raise ExecutionError("run_batched needs at least one lane")
     if batch == 1 or force_scalar:
-        PROFILER.incr("batched.scalar_fallbacks")
         sims = []
         for preload in lane_preloads:
             sim = FunctionalSimulator(program, bfp_format=bfp_format, image=image)
@@ -675,8 +672,6 @@ def run_batched(
     for lane, preload in enumerate(lane_preloads):
         preload(sim.lane(lane))
     sim.run(max_steps)
-    PROFILER.incr("batched.runs")
-    PROFILER.incr("batched.lanes", batch)
     return _BatchedLanes(sim)
 
 
@@ -712,6 +707,4 @@ def run_scaleout_batched(
         for lane, preload in enumerate(lane_preloads):
             preload(sim.lane(lane), index)
     run_lockstep(sims)
-    PROFILER.incr("batched.scaleout_runs")
-    PROFILER.incr("batched.lanes", batch * len(programs))
     return [_BatchedLanes(sim) for sim in sims], fabric

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from ..perf.profiling import PROFILER
 from ..runtime.deployment import DeploymentState
 from .policy import AutoscaleParameters
 
@@ -184,7 +183,6 @@ class Autoscaler:
         control loop damped.
         """
         self.stats.ticks += 1
-        PROFILER.incr("autoscale.ticks")
         self._check_fault_suppression(now)
         recent_slo = self._recent_slo()
         interval = max(now - self._last_tick_s, 1e-12)
@@ -221,7 +219,6 @@ class Autoscaler:
             return False
         if now < self._suppress_until:
             self.stats.suppressed += 1
-            PROFILER.incr("autoscale.suppressed")
             return False
         last = self._last_up.get(model_key)
         return last is None or now - last >= self.params.up_cooldown_s
@@ -261,7 +258,6 @@ class Autoscaler:
         self.stats.scale_ups += 1
         self.stats.widenings += 1
         self._last_up[model_key] = now
-        PROFILER.incr("autoscale.widenings")
         self._emit(
             now, model_key, "widen", units, units - current + target.replicas,
             reason,
@@ -286,14 +282,12 @@ class Autoscaler:
         placed = controller.place_plan(target, now)
         if placed is None:
             self.stats.blocked_by_capacity += 1
-            PROFILER.incr("autoscale.blocked")
             return
         new_deployment, reconfig = placed
         self._hold_until_ready(new_deployment, reconfig)
         self.stats.scale_ups += 1
         self.stats.additions += 1
         self._last_up[model_key] = now
-        PROFILER.incr("autoscale.additions")
         self._emit(
             now, model_key, "add", units, units + target.replicas, reason
         )
@@ -384,7 +378,6 @@ class Autoscaler:
         self.stats.scale_downs += 1
         self.stats.retirements += 1
         self._last_down[model_key] = now
-        PROFILER.incr("autoscale.retirements")
         self._emit(
             now, model_key, "retire", units,
             units - deployment.plan.replicas, reason,
@@ -417,7 +410,6 @@ class Autoscaler:
         self.stats.scale_downs += 1
         self.stats.narrowings += 1
         self._last_down[model_key] = now
-        PROFILER.incr("autoscale.narrowings")
         self._emit(
             now, model_key, "narrow", units,
             units - deployment.plan.replicas + target.replicas, reason,
@@ -478,7 +470,6 @@ class Autoscaler:
             if fallback is not None:
                 self._hold_until_ready(*fallback)
             self.stats.blocked_by_capacity += 1
-            PROFILER.incr("autoscale.blocked")
             return None
         self._hold_until_ready(*placed)
         return placed

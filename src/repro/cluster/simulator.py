@@ -36,7 +36,6 @@ from itertools import count
 from typing import Protocol
 
 from ..errors import SimulationError
-from ..perf.profiling import PROFILER
 from .events import EventQueue
 
 
@@ -226,6 +225,15 @@ class ClusterSimulator:
         #: run is recognised as stale and ignored; the requeued task's next
         #: start schedules a finish carrying the new epoch.
         self._run_epoch: dict[int, int] = {}
+        #: ``try_start`` calls made by dispatch passes.
+        self.try_start_attempts = 0
+        #: Queued tasks a pass passed over because their model was blocked
+        #: at the current resource version (parked or skipped).
+        self.watermark_skips = 0
+        #: :meth:`schedule_external` events fired.
+        self.external_events = 0
+        #: Running tasks aborted and requeued by :meth:`abort_running`.
+        self.aborted_runs = 0
         bind = getattr(scheduler, "bind_simulator", None)
         if bind is not None:
             bind(self)
@@ -274,7 +282,7 @@ class ClusterSimulator:
     def _external_fire(self, callback) -> None:
         self._external_inflight -= 1
         callback(self.queue.now)
-        PROFILER.incr("simulator.external_events")
+        self.external_events += 1
         self._resource_version += 1
         self._dispatch()
 
@@ -302,7 +310,7 @@ class ClusterSimulator:
             self._requeued.append(task)
         else:
             self._enqueue(task)
-        PROFILER.incr("simulator.aborted_runs")
+        self.aborted_runs += 1
         self._resource_version += 1
         self._dispatch()
 
@@ -314,7 +322,6 @@ class ClusterSimulator:
             # Shed at the door: never queued, never dispatched.  Admission
             # state (queue depths, token buckets) is the scheduler's.
             self._result.dropped.append(task)
-            PROFILER.incr("simulator.admission_sheds")
             return
         self._task_seq[task.task_id] = next(self._seqs)
         self._enqueue(task)
@@ -437,7 +444,6 @@ class ClusterSimulator:
                 queue.cursor = index
                 self._task_seq.pop(task.task_id, None)
                 self._result.dropped.append(task)
-                PROFILER.incr("simulator.dequeue_drops")
                 self._resource_version += 1
                 progress = True
                 self._idle_retries = 0
@@ -508,10 +514,8 @@ class ClusterSimulator:
                 queue.token = None
         for queue in parked:
             skips += len(queue.entries) - queue.cursor
-        if skips:
-            PROFILER.incr("simulator.watermark_skips", skips)
-        if attempts:
-            PROFILER.incr("simulator.try_start_attempts", attempts)
+        self.watermark_skips += skips
+        self.try_start_attempts += attempts
         for task in self._requeued:
             self._enqueue(task)
         self._requeued.clear()
@@ -570,7 +574,6 @@ class ClusterSimulator:
         for task in tasks:
             self.queue.schedule(task.arrival_s, self._arrive, task)
         self.queue.run()
-        PROFILER.incr("simulator.events", self.queue.processed)
         if self.pending_count:
             raise SimulationError(
                 f"{self.system_name}: {self.pending_count} tasks never placed "

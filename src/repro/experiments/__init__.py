@@ -15,8 +15,9 @@ rows/series the paper reports:
   cost accounting (decompose/partition share, amortised scale-down cost).
 * :mod:`~repro.experiments.isolation` — Section 4.4's performance-isolation
   result (instruction buffer vs shared-DRAM contention).
-* :mod:`~repro.experiments.bench_fig12` — profiled Fig. 12 benchmark driver
-  (emits ``BENCH_fig12.json`` with wall-clock and placement counters).
+* :mod:`~repro.experiments.bench_fig12` — Fig. 12 benchmark driver (emits
+  ``BENCH_fig12.json`` with wall-clock and the placement counters summed
+  from every run's simulator and controller stats).
 """
 
 from .report import format_table

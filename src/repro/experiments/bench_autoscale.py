@@ -36,7 +36,6 @@ import time
 
 from ..autoscale import Autoscaler, AutoscaleParameters, ReplicaLedger
 from ..cluster import ClusterSimulator, paper_cluster
-from ..perf.profiling import PROFILER
 from ..runtime import Catalog, build_system
 from ..serving import Request, ServingFrontend, ServingParameters
 from ..units import ms
@@ -193,7 +192,6 @@ def run_arm(
 ) -> tuple[dict, ReplicaLedger]:
     """One full run; returns the metrics block and the (unfinalised)
     replica ledger, so both arms can be charged to a common horizon."""
-    PROFILER.reset()
     system = build_system(
         "proposed", paper_cluster(), Catalog(VitalCompiler()), recovery=True
     )

@@ -31,7 +31,6 @@ from ..accel.batched import run_batched
 from ..accel.codegen import OUT_BASE, make_codegen
 from ..accel.functional import FunctionalSimulator, WeightImage
 from ..isa.progcache import PROGRAM_CACHE
-from ..perf.profiling import PROFILER
 from ..workloads.deepbench import model_by_key
 
 #: Two model configurations (the acceptance criterion's minimum); both are
@@ -145,7 +144,6 @@ def run_bench(
     output: str | pathlib.Path = "BENCH_batch.json",
 ) -> dict:
     """Full batch × model sweep; writes and returns the report."""
-    PROFILER.reset()
     PROGRAM_CACHE.clear()
     PROGRAM_CACHE.reset_stats()
     models = [run_model(key, batch_sizes, requests) for key in MODELS]
@@ -177,7 +175,6 @@ def run_bench(
         },
         "models": models,
         "program_cache": PROGRAM_CACHE.stats(),
-        "profiler": PROFILER.snapshot()["counters"],
         "gate": {
             "batch": GATE_BATCH,
             "speedup_floor": GATE_SPEEDUP_FLOOR,

@@ -3,7 +3,7 @@
 Runs one fragmented-arrival workload twice through the proposed system —
 defrag off, then defrag on — and emits ``BENCH_defrag.json`` comparing
 placement-failure rate, throughput, eviction/migration counts and host
-wall-clock, with the migration profiling counters attached.
+wall-clock, with the migration engine's counters attached.
 
 The workload models the steady state that motivates compaction: a cluster
 carrying long-lived small tenants whose neighbours have departed, leaving
@@ -26,7 +26,6 @@ import pathlib
 import time
 
 from ..cluster import ClusterSimulator, Task, paper_cluster
-from ..perf.profiling import PROFILER
 from ..runtime import Catalog, build_system
 from ..vital import VitalCompiler
 
@@ -94,7 +93,6 @@ def _build_tasks(small_tasks: int) -> list:
 
 def _run_once(defrag: bool, tasks: list) -> dict:
     """One full run; returns the per-config metrics block."""
-    PROFILER.reset()
     system = build_system(
         "proposed", paper_cluster(), Catalog(VitalCompiler()), defrag=defrag
     )
@@ -105,8 +103,8 @@ def _run_once(defrag: bool, tasks: list) -> dict:
     result = simulator.run(copy.deepcopy(tasks))
     wall_s = time.perf_counter() - start
     stats = controller.stats
-    counters = PROFILER.snapshot()["counters"]
-    deploys = max(1, counters.get("controller.deploy_calls", 0))
+    migration = controller.migration
+    deploys = max(1, stats.deploy_calls)
     return {
         "defrag": defrag,
         "completed": len(result.completed),
@@ -115,17 +113,17 @@ def _run_once(defrag: bool, tasks: list) -> dict:
         "mean_latency_s": result.mean_latency(),
         "wall_clock_s": wall_s,
         "placement_failures": stats.placement_failures,
-        "deploy_calls": counters.get("controller.deploy_calls", 0),
+        "deploy_calls": stats.deploy_calls,
         "placement_failure_rate": stats.placement_failures / deploys,
         "evictions": stats.deployments_evicted,
         "reuse_hits": stats.reuse_hits,
         "defrag_plans": stats.defrag_plans,
-        "migrations_completed": stats.migrations_completed,
+        "migrations_completed": migration.migrations_completed,
         "migration_counters": {
-            name: value
-            for name, value in counters.items()
-            if name.startswith("migration.")
-            or name == "simulator.external_events"
+            "migrations_planned": migration.migrations_planned,
+            "bytes_migrated": migration.bytes_migrated,
+            # One DES external event per defrag plan: its moves finishing.
+            "external_events": simulator.external_events,
         },
     }
 
@@ -192,7 +190,7 @@ def main(argv=None) -> None:
     )
     print(
         f"migrations: {on['migrations_completed']} "
-        f"({on['migration_counters'].get('migration.bytes', 0)} state bytes)"
+        f"({on['migration_counters']['bytes_migrated']} state bytes)"
     )
     print(f"report written to {args.output}")
 

@@ -1,9 +1,10 @@
 """Benchmark driver for the Fig. 12 runtime hot path.
 
-Runs :func:`~repro.experiments.fig12.run_fig12` under the profiling
-registry and emits ``BENCH_fig12.json`` — wall-clock, DES event count and
-placement-attempt counters plus the throughput rows — so allocator/DES
-regressions show up as numbers across PRs instead of anecdotes.
+Runs :func:`~repro.experiments.fig12.run_fig12` and emits
+``BENCH_fig12.json`` — wall-clock, DES event count and placement-attempt
+counters (summed from every run's simulator and controller stats) plus the
+throughput rows — so allocator/DES regressions show up as numbers across
+PRs instead of anecdotes.
 
 The recorded reference point is the pre-index implementation (per-event
 cluster rescans, ``sum(...)``-genexpr free-block counts): 125.3 s of
@@ -20,8 +21,8 @@ import argparse
 import json
 import pathlib
 import time
+from collections import Counter
 
-from ..perf.profiling import PROFILER
 from ..workloads import TABLE1_COMPOSITIONS
 from .fig12 import average_speedups, run_fig12
 
@@ -42,15 +43,13 @@ def run_bench(
     compositions=TABLE1_COMPOSITIONS,
     output: str | pathlib.Path = "BENCH_fig12.json",
 ) -> dict:
-    """Run the Fig. 12 experiment once, profiled; write and return the report."""
-    PROFILER.reset()
+    """Run the Fig. 12 experiment once; write and return the report."""
     start = time.perf_counter()
     rows = run_fig12(
         compositions=compositions, task_count=task_count, seeds=seeds
     )
     wall_s = time.perf_counter() - start
-    snapshot = PROFILER.snapshot()
-    counters = snapshot["counters"]
+    counters = sum((row.counters for row in rows), Counter())
     full_scale = task_count == 150 and tuple(seeds) == (1, 2, 3) and len(
         compositions
     ) == len(TABLE1_COMPOSITIONS)
@@ -67,20 +66,16 @@ def run_bench(
             "after": wall_s,
             "speedup": BASELINE_FULL_WALL_S / wall_s if full_scale else None,
         },
-        "events": counters.get("simulator.events", 0),
+        "events": counters["events"],
         "placement": {
-            "find_placement_calls": counters.get(
-                "controller.find_placement_calls", 0
-            ),
+            "find_placement_calls": counters["placement_searches"],
             "find_placement_calls_before": (
                 BASELINE_FIND_PLACEMENT_CALLS if full_scale else None
             ),
-            "deploy_calls": counters.get("controller.deploy_calls", 0),
-            "fast_rejects": counters.get("controller.fast_rejects", 0),
-            "try_start_attempts": counters.get(
-                "simulator.try_start_attempts", 0
-            ),
-            "watermark_skips": counters.get("simulator.watermark_skips", 0),
+            "deploy_calls": counters["deploy_calls"],
+            "fast_rejects": counters["fast_rejects"],
+            "try_start_attempts": counters["try_start_attempts"],
+            "watermark_skips": counters["watermark_skips"],
         },
         "throughput_rows": [
             {

@@ -23,7 +23,6 @@ import pathlib
 import time
 
 from ..cluster import ClusterSimulator, scaled_cluster
-from ..perf.profiling import PROFILER
 from ..runtime import Catalog, build_system
 from ..vital import VitalCompiler
 from ..workloads import TABLE1_COMPOSITIONS, generate_workload
@@ -51,6 +50,11 @@ ARRIVAL_RATE_PER_S = 1e5
 #: linear"; the bisect index lands orders of magnitude under it).
 SUBLINEAR_FRACTION = 0.5
 
+_TOO_FEW_BOARDS = (
+    "the scale gate needs at least two distinct board counts to measure "
+    "probe growth, got {}"
+)
+
 
 def _schedule_digest(result) -> str:
     """Stable digest of one run's schedule (task id, start, finish)."""
@@ -62,7 +66,7 @@ def _schedule_digest(result) -> str:
 
 
 def _run_point(catalog, board_count: int, task_count: int) -> dict:
-    """One profiled simulation at one cluster size."""
+    """One simulation at one cluster size."""
     cluster = scaled_cluster(board_count)
     system = build_system("proposed", cluster, catalog)
     tasks = generate_workload(
@@ -71,14 +75,13 @@ def _run_point(catalog, board_count: int, task_count: int) -> dict:
         arrival_rate_per_s=ARRIVAL_RATE_PER_S,
         seed=SEED,
     )
-    PROFILER.reset()
+    simulator = ClusterSimulator(system, "proposed")
     start = time.perf_counter()
-    result = ClusterSimulator(system, "proposed").run(tasks)
+    result = simulator.run(tasks)
     wall_s = time.perf_counter() - start
-    counters = PROFILER.snapshot()["counters"]
     stats = system.controller.stats
     searches = stats.placement_searches
-    events = counters.get("simulator.events", 0)
+    events = simulator.queue.processed
     return {
         "boards": board_count,
         "tasks": task_count,
@@ -101,7 +104,13 @@ def run_bench(
     tasks_per_board: int = FULL_TASKS_PER_BOARD,
     output: str | pathlib.Path = "BENCH_scale.json",
 ) -> dict:
-    """Run the sweep; write and return the report."""
+    """Run the sweep; write and return the report.
+
+    The gate compares the smallest and largest points, so ``boards`` needs
+    at least two distinct counts; fewer raise :class:`ValueError`.
+    """
+    if len(set(boards)) < 2:
+        raise ValueError(_TOO_FEW_BOARDS.format(list(boards)))
     catalog = Catalog(VitalCompiler())
     points = [
         _run_point(catalog, board_count,
@@ -150,6 +159,8 @@ def main(argv=None) -> None:
     )
     parser.add_argument("--output", default="BENCH_scale.json")
     args = parser.parse_args(argv)
+    if args.boards is not None and len(set(args.boards)) < 2:
+        parser.error(_TOO_FEW_BOARDS.format(args.boards))
     boards = tuple(args.boards) if args.boards else (
         SMOKE_BOARDS if args.smoke else FULL_BOARDS
     )

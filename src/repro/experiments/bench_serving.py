@@ -28,7 +28,6 @@ import time
 
 from ..cluster import ClusterSimulator, Task, paper_cluster
 from ..faults import FaultInjector, FaultModelParameters
-from ..perf.profiling import PROFILER
 from ..runtime import Catalog, build_system
 from ..serving import Request, ServingFrontend, ServingParameters
 from ..vital import VitalCompiler
@@ -108,7 +107,6 @@ def run_point(
     elastic :class:`~repro.autoscale.Autoscaler` over the frontend.
     Shared with ``repro serve``.
     """
-    PROFILER.reset()
     rate = BASE_RATE_PER_S * load_factor
     tasks = build_requests(task_count, rate, arrival=arrival)
     system = build_system(
@@ -201,7 +199,6 @@ def run_reference(
 ) -> dict:
     """The same stream with *no* serving edge: every request is accepted
     and queued forever — the tail the frontend exists to prevent."""
-    PROFILER.reset()
     rate = BASE_RATE_PER_S * load_factor
     tasks = [
         Task(

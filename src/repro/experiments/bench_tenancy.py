@@ -33,7 +33,6 @@ import pathlib
 import time
 
 from ..cluster import ClusterSimulator, Task, scaled_cluster
-from ..perf.profiling import PROFILER
 from ..runtime import Catalog, build_system
 from ..tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from ..vital import VitalCompiler
@@ -155,7 +154,6 @@ def run_arm(streams: dict, tenants: list | None, label: str) -> dict:
     mutates task state (start/finish stamps, run epochs), so arms must
     never share :class:`Task` objects.
     """
-    PROFILER.reset()
     cluster = scaled_cluster(BOARD_COUNT)
     system = build_system("proposed", cluster, Catalog(VitalCompiler()))
     scheduler = system

@@ -10,6 +10,7 @@ on average, ~16% over the restricted policy).
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..cluster import ClusterSimulator, paper_cluster
@@ -20,6 +21,10 @@ from ..workloads import TABLE1_COMPOSITIONS, WorkloadComposition, generate_workl
 from .report import format_table
 
 SYSTEMS = ("baseline", "restricted", "proposed")
+#: Per-run counters a row sums over its seeds and systems (the baseline
+#: system has no controller, so it adds simulator counters only).
+SIMULATOR_COUNTERS = ("try_start_attempts", "watermark_skips")
+CONTROLLER_COUNTERS = ("deploy_calls", "placement_searches", "fast_rejects")
 
 
 @dataclass
@@ -28,6 +33,9 @@ class Fig12Row:
 
     composition: WorkloadComposition
     throughput: dict = field(default_factory=dict)
+    #: DES ``events`` plus the :data:`SIMULATOR_COUNTERS` and
+    #: :data:`CONTROLLER_COUNTERS` of every run behind this row.
+    counters: Counter = field(default_factory=Counter)
 
     @property
     def speedup_vs_baseline(self) -> float:
@@ -48,6 +56,7 @@ def run_fig12(
     rows = []
     for composition in compositions:
         sums = {name: 0.0 for name in SYSTEMS}
+        counters = Counter()
         for seed in seeds:
             tasks = generate_workload(
                 composition,
@@ -59,16 +68,23 @@ def run_fig12(
                 cluster = paper_cluster()
                 catalog = Catalog(VitalCompiler())
                 system = build_system(name, cluster, catalog)
-                result = ClusterSimulator(system, name).run(
-                    [copy.deepcopy(task) for task in tasks]
-                )
+                simulator = ClusterSimulator(system, name)
+                result = simulator.run([copy.deepcopy(task) for task in tasks])
                 sums[name] += result.throughput
+                counters["events"] += simulator.queue.processed
+                for key in SIMULATOR_COUNTERS:
+                    counters[key] += getattr(simulator, key)
+                controller = getattr(system, "controller", None)
+                if controller is not None:
+                    for key in CONTROLLER_COUNTERS:
+                        counters[key] += getattr(controller.stats, key)
         rows.append(
             Fig12Row(
                 composition=composition,
                 throughput={
                     name: total / len(seeds) for name, total in sums.items()
                 },
+                counters=counters,
             )
         )
     return rows

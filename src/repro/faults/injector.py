@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass
 
 from ..errors import SimulationError
-from ..perf.profiling import PROFILER
 from ..vital.virtual_block import BoardHealth
 
 
@@ -123,7 +122,6 @@ class FaultInjector:
         else:
             self.controller.on_board_failure(board, now)
         self.failures_injected += 1
-        PROFILER.incr("faults.injected")
         self._down_since[fpga_id] = now
 
     def _repair(self, fpga_id: str, now: float) -> None:
@@ -132,7 +130,6 @@ class FaultInjector:
             return  # already repaired (overlapping schedules)
         self.controller.on_board_repair(board, now)
         self.repairs_applied += 1
-        PROFILER.incr("faults.repaired")
         began = self._down_since.pop(fpga_id, now)
         self._downtime_s += now - began
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..perf.latency import weight_load_seconds
-from ..perf.profiling import PROFILER
 from ..runtime.deployment import Deployment, DeploymentState
 from ..units import ms
 from ..workloads.deepbench import model_by_key
@@ -99,12 +98,10 @@ class RecoveryManager:
         affected = controller.deployments_on(board.fpga_id)
         for deployment in affected:
             controller.stats.deployments_failed += 1
-            PROFILER.incr("faults.deployments_failed")
             lost = now - deployment.last_checkpoint_s(
                 now, self.params.checkpoint_interval_s
             )
             controller.stats.lost_work_s += lost
-            PROFILER.incr("faults.lost_work_us", int(lost * 1e6))
             if deployment.state is DeploymentState.IDLE:
                 self.recover(deployment, now)
             else:
@@ -163,7 +160,6 @@ class RecoveryManager:
             controller.tenant_context = prior
         cost = self._restore_cost(deployment, from_checkpoint=not scale_down)
         self.restores_started += 1
-        PROFILER.incr("faults.restores_started")
         simulator = controller._simulator
         if simulator is None:
             # Synchronous mode (no DES bound): complete immediately.
@@ -218,10 +214,8 @@ class RecoveryManager:
         deployment.checkpoint_origin_s = now
         deployment.recoveries += 1
         controller.stats.recoveries += 1
-        PROFILER.incr("faults.recoveries")
         if scale_down:
             controller.stats.scale_down_recoveries += 1
-            PROFILER.incr("faults.scale_down_recoveries")
 
     # -- backoff -------------------------------------------------------------
 
@@ -231,7 +225,6 @@ class RecoveryManager:
         controller = self.controller
         if attempt >= self.params.max_retries or controller._simulator is None:
             controller.stats.recovery_failures += 1
-            PROFILER.incr("faults.recovery_failures")
             reason = (
                 "retries-exhausted"
                 if attempt >= self.params.max_retries
@@ -250,7 +243,6 @@ class RecoveryManager:
         delay = self.params.backoff_s(attempt)
         controller.stats.recovery_retries += 1
         controller.stats.recovery_backoff_s += delay
-        PROFILER.incr("faults.recovery_retries")
 
         def retry(
             fire_now, model_key=model_key, plan=plan, attempt=attempt,

@@ -6,9 +6,8 @@ the result is fully determined by the model configuration, the plan width
 and the BFP format.  In a serving system that sees the same handful of
 models millions of times, rebuilding that artifact per request/deployment
 is pure waste; this cache memoises the built :class:`Program` under an
-explicit key and reports hit/miss counters through
-:data:`repro.perf.profiling.PROFILER` (``progcache.hit`` /
-``progcache.miss``).
+explicit key and counts its own ``hits`` / ``misses`` / ``evictions``
+(:meth:`ProgramCache.stats`).
 
 The cache takes *builder callbacks* rather than importing any codegen
 module: ``repro.accel`` imports ``repro.isa``, so the cache (living in
@@ -28,15 +27,6 @@ import threading
 from collections import OrderedDict
 
 from .program import Program
-
-
-def _profiler():
-    # Deferred: repro.perf's package init imports repro.accel (timing
-    # models), which imports repro.isa — a top-level import here would
-    # close that cycle during package initialisation.
-    from ..perf.profiling import PROFILER
-
-    return PROFILER
 
 
 def program_cache_key(
@@ -100,7 +90,6 @@ class ProgramCache:
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                _profiler().incr("progcache.hit")
                 return self._copy(cached) if copy else cached
         # Build outside the lock: builders run codegen and may be slow.
         built = builder()
@@ -111,15 +100,12 @@ class ProgramCache:
             if cached is None:
                 self._entries[key] = cached = built
                 self.misses += 1
-                _profiler().incr("progcache.miss")
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.evictions += 1
-                    _profiler().incr("progcache.eviction")
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                _profiler().incr("progcache.hit")
         return self._copy(cached) if copy else cached
 
     @staticmethod

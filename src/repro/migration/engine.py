@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import DeploymentError, ReproError
-from ..perf.profiling import PROFILER
 from ..runtime.deployment import Deployment, DeploymentState, ReplicaPlacement
 from ..units import us
 from .checkpoint import architectural_state_bytes
@@ -190,7 +189,6 @@ class MigrationEngine:
             )
             occupied.add(board.fpga_id)
         self.migrations_planned += 1
-        PROFILER.incr("migration.plans")
         return plan
 
     # -- execution -----------------------------------------------------------
@@ -218,7 +216,6 @@ class MigrationEngine:
             controller.low_level.configure(
                 board, deployment.deployment_id, image.artifact
             )
-        PROFILER.incr("migration.begun")
         return plan.total_cost_s
 
     def finish(self, plan: MigrationPlan, now: float = 0.0) -> None:
@@ -256,8 +253,6 @@ class MigrationEngine:
         deployment.last_used_s = now
         deployment.migrations += 1
         self.migrations_completed += 1
-        PROFILER.incr("migration.completed")
-        PROFILER.incr("migration.bytes", plan.state_bytes)
         # A board under this deployment failed mid-move: the deferred
         # recovery runs now that the migration's block ownership is settled.
         if deployment.pending_recovery and controller.recovery_enabled:

@@ -6,12 +6,13 @@ latency-insensitive interface costs and the ring network.
 * :mod:`~repro.perf.overlap`    — communication/computation overlap for
   scale-out deployments (the Fig. 11 model).
 * :mod:`~repro.perf.throughput` — throughput accounting helpers.
-* :mod:`~repro.perf.profiling`  — counter registry + wall-clock timers the
-  runtime hot paths report into.
+
+Runtime counters are not kept here: each layer counts on its own per-run
+stats (``ControllerStats``, ``ServingStats``, ``ClusterSimulator``
+attributes, ...).
 """
 
 from .latency import demand_sized_instance, single_fpga_latency, InstanceChoice
-from .profiling import Profiler, PROFILER
 from .overlap import (
     ScaleOutLatency,
     overlap_window_seconds,
@@ -21,8 +22,6 @@ from .throughput import aggregate_throughput, speedup
 
 __all__ = [
     "InstanceChoice",
-    "PROFILER",
-    "Profiler",
     "ScaleOutLatency",
     "aggregate_throughput",
     "demand_sized_instance",

@@ -46,7 +46,6 @@ from ..accel.batched import run_batched, run_scaleout_batched
 from ..accel.codegen import OUT_BASE, build_scaleout_programs, make_codegen
 from ..accel.functional import WeightImage, run_scaleout
 from ..errors import ReproError
-from ..perf.profiling import PROFILER
 from ..workloads.deepbench import model_by_key
 
 
@@ -225,8 +224,6 @@ class BatchExecutor:
             self.stats.scalar_lanes += batch
         else:
             self.stats.batched_lanes += batch
-        PROFILER.incr("runtime.batch.executions")
-        PROFILER.incr("runtime.batch.lanes", batch)
 
     def _execute_scaleout(self, spec, replicas: int, payloads: list) -> list:
         gens = [
@@ -240,7 +237,6 @@ class BatchExecutor:
         )
         if self.params.force_scalar or len(payloads) == 1:
             # Scalar fallback: one scale-out co-simulation per lane.
-            PROFILER.incr("batched.scalar_fallbacks")
             outputs = []
             for xs in payloads:
                 sims, _fabric = run_scaleout(

@@ -39,7 +39,6 @@ from ..cluster.topology import FPGACluster
 from ..errors import AllocationError
 from ..perf.latency import single_fpga_latency, weight_load_seconds
 from ..perf.overlap import scaleout_latency
-from ..perf.profiling import PROFILER
 from ..units import ms
 from ..vital.bitstream import LowLevelController
 from ..vital.virtual_block import BoardHealth
@@ -88,6 +87,8 @@ class ControllerStats:
     deployments_evicted: int = 0
     placement_failures: int = 0
     reuse_hits: int = 0
+    #: :meth:`SystemController.deploy` calls, whether they place or raise.
+    deploy_calls: int = 0
     #: Full placement searches actually run (post fast-reject).
     placement_searches: int = 0
     #: Boards examined across all placement searches (the scan-cost metric:
@@ -97,8 +98,6 @@ class ControllerStats:
     fast_rejects: int = 0
     #: Defragmentation plans issued (migration subsystem enabled only).
     defrag_plans: int = 0
-    #: Live migrations completed.
-    migrations_completed: int = 0
     #: Board failures observed (fault subsystem).
     boards_failed: int = 0
     #: Boards put into drain mode (DEGRADED).
@@ -121,25 +120,10 @@ class ControllerStats:
     recovery_backoff_s: float = 0.0
     #: Simulated work lost to failures (time since last checkpoint).
     lost_work_s: float = 0.0
-    #: Requests shed by serving admission control (queue bound/token bucket).
-    requests_shed: int = 0
-    #: Requests expired at dequeue (past deadline, never occupied a board).
-    requests_expired: int = 0
-    #: Requests abandoned after exhausting their serving retry budget.
-    requests_abandoned: int = 0
-    #: Placement attempts rejected because circuit breakers held every
-    #: feasible board open.
-    breaker_rejections: int = 0
-    #: Idle deployments switched to a narrower plan under brownout.
-    brownout_switches: int = 0
     #: Placement attempts rejected by a tenant quota guard (counted apart
     #: from ``placement_failures``: a quota rejection is not a capacity
     #: shortfall, so it must trigger neither preemption nor defrag).
     quota_rejections: int = 0
-    #: Deployments torn down by priority preemption (tenancy layer).
-    deployments_preempted: int = 0
-    #: Running tasks checkpointed + requeued by preemption.
-    tasks_preempted: int = 0
 
 
 class PlacementIndex:
@@ -451,7 +435,7 @@ class SystemController:
         have waited out the patience window (which batches same-model work
         between reconfigurations).
         """
-        PROFILER.incr("controller.deploy_calls")
+        self.stats.deploy_calls += 1
         entry = self.catalog.entry(model_by_key(model_key))
         plans = entry.sorted_plans()
         if self.prefer_narrow:
@@ -466,7 +450,6 @@ class SystemController:
                 # outcome, and counting it as capacity would make the
                 # serving retry/preemption machinery fight the quota.
                 self.stats.quota_rejections += 1
-                PROFILER.incr("controller.quota_rejections")
                 raise AllocationError(
                     f"tenant quota: no plan for {model_key} fits within the "
                     f"quota of tenant {self.tenant_context!r}"
@@ -481,7 +464,6 @@ class SystemController:
                         return self._instantiate(plan, assignment, now)
             else:
                 self.stats.fast_rejects += 1
-                PROFILER.incr("controller.fast_rejects")
             if not may_evict or not self._evict_one_idle(now, model_key):
                 self.stats.placement_failures += 1
                 # Diagnostic from the index tails (O(types)), not a
@@ -516,7 +498,6 @@ class SystemController:
         probes use this to target an exact width."""
         if self.placement_guard is not None and not self.placement_guard(plan):
             self.stats.quota_rejections += 1
-            PROFILER.incr("controller.quota_rejections")
             return None
         assignment = self._find_placement(plan)
         if assignment is None:
@@ -632,7 +613,6 @@ class SystemController:
             return
         board.set_health(BoardHealth.FAILED)
         self.stats.boards_failed += 1
-        PROFILER.incr("faults.board_failures")
         if self.recovery_enabled:
             self.recovery.on_board_failure(board, now)
 
@@ -644,7 +624,6 @@ class SystemController:
             return
         board.set_health(BoardHealth.DEGRADED)
         self.stats.boards_degraded += 1
-        PROFILER.incr("faults.board_degraded")
 
     def on_board_repair(self, board, now: float = 0.0) -> None:
         """Return a board to service.
@@ -660,7 +639,6 @@ class SystemController:
             board.reset()
         board.set_health(BoardHealth.HEALTHY)
         self.stats.boards_repaired += 1
-        PROFILER.incr("faults.board_repairs")
 
     # -- migration / defragmentation ---------------------------------------------------
 
@@ -695,7 +673,6 @@ class SystemController:
         plan = plan_defrag(self, model_key, self.migration)
         if plan is not None:
             self.stats.defrag_plans += 1
-            PROFILER.incr("controller.defrag_plans")
         return plan
 
     def begin_defrag(self, defrag_plan, now: float) -> float:
@@ -712,7 +689,6 @@ class SystemController:
         """Complete every migration in ``defrag_plan``."""
         for migration_plan in defrag_plan.migrations:
             self.migration.finish(migration_plan, now)
-            self.stats.migrations_completed += 1
 
     # -- placement search --------------------------------------------------------------
 
@@ -744,7 +720,6 @@ class SystemController:
         policy order, so a search touches the few boards it actually picks
         from instead of the whole cluster.
         """
-        PROFILER.incr("controller.find_placement_calls")
         self.stats.placement_searches += 1
         options: list = []
         for device_type in plan.feasible_types:
@@ -846,7 +821,6 @@ class SystemController:
                 if len(chosen) == plan.replicas:
                     break
         self.stats.boards_probed += probed
-        PROFILER.incr("controller.board_probes", probed)
         return chosen if len(chosen) == plan.replicas else None
 
     def _evict_one_idle(self, now: float, requesting_model: str) -> bool:

@@ -42,7 +42,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..cluster.simulator import Task
-from ..perf.profiling import PROFILER
 from ..runtime.deployment import DeploymentState
 from ..vital.virtual_block import BoardHealth
 from .breaker import BreakerState, CircuitBreaker
@@ -229,7 +228,6 @@ class ServingFrontend:
         self._depth[model] = self._depth.get(model, 0) + 1
         self._bump_tenant(task, +1)
         self.stats.admitted += 1
-        PROFILER.incr("serving.admitted")
         if self._simulator is not None:
             # Deadline wake: expiry becomes an exact DES event (the wake
             # itself is a no-op — the re-dispatch it triggers runs the
@@ -242,8 +240,6 @@ class ServingFrontend:
     def _shed_at_door(self, record: RequestRecord) -> bool:
         record.outcome = RequestOutcome.SHED
         self.stats.shed += 1
-        self.controller.stats.requests_shed += 1
-        PROFILER.incr("serving.shed")
         return False
 
     def _condemn_oldest(self, model_key: str) -> None:
@@ -253,10 +249,8 @@ class ServingFrontend:
             if record.outcome is RequestOutcome.PENDING and not record.started:
                 record.outcome = RequestOutcome.SHED
                 self.stats.shed += 1
-                self.controller.stats.requests_shed += 1
                 self._depth[model_key] -= 1
                 self._bump_tenant(record.task, -1)
-                PROFILER.incr("serving.shed")
                 return
 
     # -- Scheduler protocol: dequeue-time drops ------------------------------
@@ -271,10 +265,8 @@ class ServingFrontend:
         if record.outcome is RequestOutcome.PENDING and record.deadline_missed(now):
             record.outcome = RequestOutcome.EXPIRED
             self.stats.expired += 1
-            self.controller.stats.requests_expired += 1
             self._depth[task.model_key] -= 1
             self._bump_tenant(task, -1)
-            PROFILER.incr("serving.expired")
         if record.outcome is RequestOutcome.PENDING or record.started:
             return False
         queue = self._queued.get(task.model_key)
@@ -297,8 +289,6 @@ class ServingFrontend:
             return None  # retry backoff gate
         if self._all_breakers_open(task.model_key):
             self.stats.breaker_rejections += 1
-            self.controller.stats.breaker_rejections += 1
-            PROFILER.incr("serving.breaker_rejections")
             return None
         failures_before = self.controller.stats.placement_failures
         service = self.system.try_start(task, now)
@@ -329,11 +319,8 @@ class ServingFrontend:
         if record.attempts > self.params.retry_budget:
             record.outcome = RequestOutcome.ABANDONED
             self.stats.abandoned += 1
-            self.controller.stats.requests_abandoned += 1
-            PROFILER.incr("serving.abandoned")
             return
         self.stats.placement_retries += 1
-        PROFILER.incr("serving.retries")
         jitter = self.params.retry_jitter
         delay = self.params.backoff_s(record.attempts) * (
             1.0 - jitter + 2.0 * jitter * self._rng.random()
@@ -355,7 +342,6 @@ class ServingFrontend:
         self._queued.setdefault(task.model_key, deque()).append(record)
         self._depth[task.model_key] = self._depth.get(task.model_key, 0) + 1
         self._bump_tenant(task, +1)
-        PROFILER.incr("serving.requeued")
 
     # -- Scheduler protocol: completion --------------------------------------
 
@@ -443,7 +429,6 @@ class ServingFrontend:
         """An opened breaker drains its board via the health machinery and
         schedules the half-open probe."""
         self.stats.breaker_opens += 1
-        PROFILER.incr("serving.breaker_opens")
         board = self.cluster.board(breaker.fpga_id)
         if board.health is BoardHealth.HEALTHY:
             self.controller.on_board_degraded(board, now)
@@ -479,7 +464,6 @@ class ServingFrontend:
             return
         breaker.half_open()
         self.stats.breaker_half_opens += 1
-        PROFILER.incr("serving.breaker_half_opens")
         if breaker.draining and board.health is BoardHealth.DEGRADED:
             self.controller.on_board_repair(board, now)
         breaker.draining = False
@@ -525,7 +509,6 @@ class ServingFrontend:
             self.brownout = True
             self.controller.prefer_narrow = True
             self.stats.brownout_entries += 1
-            PROFILER.incr("serving.brownout_entries")
             self._shrink_hot_models(now)
         elif self.brownout and util <= self.params.brownout_low_watermark:
             self.brownout = False
@@ -568,8 +551,6 @@ class ServingFrontend:
                 return
         else:
             self.stats.brownout_switches += 1
-            controller.stats.brownout_switches += 1
-            PROFILER.incr("serving.brownout_switches")
         new_deployment, reconfig = placed
         if self._simulator is None:
             return  # synchronous mode: usable immediately

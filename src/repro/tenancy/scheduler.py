@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from ..autoscale.accounting import ReplicaLedger
 from ..cluster.simulator import Task
 from ..errors import ReproError
-from ..perf.profiling import PROFILER
 from ..runtime.deployment import Deployment, DeploymentState
 from .policy import TenancyParameters, TenantParameters
 
@@ -250,7 +249,6 @@ class TenantScheduler:
         if quota is not None and state.pending >= quota:
             state.shed += 1
             self.stats.quota_sheds += 1
-            PROFILER.incr("tenancy.queue_sheds")
             return False
         inner_admit = getattr(self.inner, "admit", None)
         if inner_admit is not None and not inner_admit(task, now):
@@ -331,7 +329,6 @@ class TenantScheduler:
             )
             service = overhead + restore + remaining
             self.stats.restore_s += restore
-            PROFILER.incr("tenancy.preempted_restarts")
         state.vtime += service / state.params.weight
         self._running_tasks[task.task_id] = task
         self._finish_at[task.task_id] = now + service
@@ -475,7 +472,6 @@ class TenantScheduler:
         controller = self.controller
         self.stats.preemption_sweeps += 1
         state.preemptions_triggered += 1
-        PROFILER.incr("tenancy.preemption_sweeps")
         for victim in victims:
             teardown_s, restore_s = self._checkpoint_cost(victim)
             self.stats.checkpoint_s += teardown_s
@@ -486,8 +482,6 @@ class TenantScheduler:
             # unevictable until the teardown lands.
             victim.state = DeploymentState.MIGRATING
             self.stats.deployments_preempted += 1
-            controller.stats.deployments_preempted += 1
-            PROFILER.incr("tenancy.deployments_preempted")
             model_key = task.model_key
             self._preempt_pending[model_key] = (
                 self._preempt_pending.get(model_key, 0) + 1
@@ -529,8 +523,6 @@ class TenantScheduler:
         owner.pending += 1
         owner.preempted += 1
         self.stats.tasks_preempted += 1
-        self.controller.stats.tasks_preempted += 1
-        PROFILER.incr("tenancy.tasks_preempted")
         requeue = getattr(self.inner, "requeue", None)
         if requeue is not None:
             requeue(victim_task, now)

@@ -1,5 +1,6 @@
 """The scale gate holds every ``bench_scale`` schedule digest to the
-committed baseline's: a changed schedule is a hard failure."""
+committed baseline's: a changed schedule is a hard failure.  Its probe
+growth check needs at least two board counts to compare."""
 
 import copy
 import json
@@ -7,6 +8,7 @@ import pathlib
 
 import pytest
 
+from repro.experiments import bench_scale
 from repro.experiments.bench_gate import SCALE_BASELINE, compare_scale
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -50,3 +52,19 @@ def test_tampered_digest_fails(baseline, arm):
     assert f"schedule digest changed at {point['boards']} boards" in (
         failures[0]
     )
+
+
+@pytest.mark.parametrize("boards", [[16], [16, 16]])
+def test_scale_bench_rejects_fewer_than_two_board_counts(
+    boards, tmp_path, capsys
+):
+    output = tmp_path / "BENCH_scale.json"
+    with pytest.raises(ValueError, match="two distinct board counts"):
+        bench_scale.run_bench(boards=boards, output=output)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_scale.main(
+            ["--boards", *map(str, boards), "--output", str(output)]
+        )
+    assert exit_info.value.code == 2
+    assert "two distinct board counts" in capsys.readouterr().err
+    assert not output.exists()

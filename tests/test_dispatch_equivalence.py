@@ -18,7 +18,6 @@ import pytest
 from repro.cluster import ClusterSimulator, Task, scaled_cluster
 from repro.cluster.topology import paper_cluster
 from repro.faults import FaultInjector, FaultModelParameters
-from repro.perf.profiling import PROFILER
 from repro.runtime import Catalog, build_system
 from repro.serving import Request, ServingFrontend, ServingParameters
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
@@ -140,14 +139,12 @@ def _run_both(build, expected_digest=None) -> list:
             return inner(task, now)
 
         scheduler.try_start = try_start
-        skips = PROFILER.get("simulator.watermark_skips")
-        attempts = PROFILER.get("simulator.try_start_attempts")
         result = simulator.run(tasks)
         if cls is ReferenceSimulator:
             counters = (simulator.skips, simulator.attempts)
         else:
-            counters = (PROFILER.get("simulator.watermark_skips") - skips,
-                        PROFILER.get("simulator.try_start_attempts") - attempts)
+            counters = (simulator.watermark_skips,
+                        simulator.try_start_attempts)
         outcomes.append({
             "digest": _digest(result),
             "dropped": sorted(t.task_id for t in result.dropped),
@@ -238,13 +235,12 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
                  for i, (a, (t, m)) in enumerate(zip(arrivals, draws))]
         return cls(tenancy, "tenancy"), tasks
 
-    aborted = PROFILER.get("simulator.aborted_runs")
     simulators = _run_both(build, TENANCY_DIGESTS[(seed, with_frontend)])
     # Every preemption aborts its victim from inside a try_start, i.e. in
     # the middle of a dispatch pass.
     for simulator in simulators:
         assert simulator.scheduler.stats.tasks_preempted > 0
-    assert PROFILER.get("simulator.aborted_runs") > aborted
+        assert simulator.aborted_runs > 0
 
 
 @pytest.mark.parametrize("seed", [7, 8])

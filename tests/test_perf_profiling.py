@@ -1,69 +1,43 @@
-"""The profiling registry and its wiring into the runtime hot paths."""
-
-import time
+"""Hot-path counters live on the per-run stats of the layer that owns them."""
 
 from repro.cluster import ClusterSimulator, paper_cluster
 from repro.cluster.simulator import Task
-from repro.perf.profiling import PROFILER, Profiler
 from repro.runtime import Catalog, build_system
 from repro.vital import VitalCompiler
 from repro.workloads.deepbench import MODEL_POOL
 
 
-class TestProfiler:
-    def test_counters_accumulate_and_reset(self):
-        profiler = Profiler()
-        profiler.incr("a")
-        profiler.incr("a", 4)
-        profiler.incr("b")
-        assert profiler.get("a") == 5
-        assert profiler.get("missing") == 0
-        profiler.reset()
-        assert profiler.get("a") == 0
-
-    def test_timer_accumulates_wall_clock(self):
-        profiler = Profiler()
-        with profiler.timer("stage"):
-            time.sleep(0.01)
-        with profiler.timer("stage"):
-            pass
-        assert profiler.elapsed("stage") >= 0.01
-        assert profiler.elapsed("other") == 0.0
-
-    def test_timer_records_on_exception(self):
-        profiler = Profiler()
-        try:
-            with profiler.timer("stage"):
-                raise ValueError("boom")
-        except ValueError:
-            pass
-        assert profiler.elapsed("stage") > 0.0
-
-    def test_snapshot_is_json_shaped(self):
-        profiler = Profiler()
-        profiler.incr("x")
-        with profiler.timer("y"):
-            pass
-        snap = profiler.snapshot()
-        assert snap["counters"] == {"x": 1}
-        assert set(snap["timings_s"]) == {"y"}
+def _run_six_tasks():
+    spec = MODEL_POOL["S"][0]
+    tasks = [
+        Task(task_id=i, model_key=spec.key, arrival_s=i * 1e-4)
+        for i in range(6)
+    ]
+    system = build_system(
+        "proposed", paper_cluster(), Catalog(VitalCompiler())
+    )
+    simulator = ClusterSimulator(system, "proposed")
+    result = simulator.run(tasks)
+    assert len(result.completed) == 6
+    return simulator, system.controller.stats
 
 
 class TestRuntimeWiring:
     def test_simulation_populates_hot_path_counters(self):
-        PROFILER.reset()
-        spec = MODEL_POOL["S"][0]
-        tasks = [
-            Task(task_id=i, model_key=spec.key, arrival_s=i * 1e-4)
-            for i in range(6)
-        ]
-        system = build_system(
-            "proposed", paper_cluster(), Catalog(VitalCompiler())
-        )
-        result = ClusterSimulator(system, "proposed").run(tasks)
-        assert len(result.completed) == 6
-        counters = PROFILER.snapshot()["counters"]
-        assert counters["simulator.try_start_attempts"] >= 6
-        assert counters["simulator.events"] > 0
-        assert counters["controller.deploy_calls"] >= 1
-        assert counters["controller.find_placement_calls"] >= 1
+        simulator, stats = _run_six_tasks()
+        assert simulator.try_start_attempts == 9
+        assert simulator.watermark_skips == 3
+        assert simulator.queue.processed == 16
+        assert stats.deploy_calls == 5
+        assert stats.placement_searches == 5
+
+    def test_runs_in_one_process_count_independently(self):
+        first_sim, first_stats = _run_six_tasks()
+        second_sim, second_stats = _run_six_tasks()
+        assert first_stats is not second_stats
+        for simulator in (first_sim, second_sim):
+            assert simulator.try_start_attempts == 9
+            assert simulator.queue.processed == 16
+        for stats in (first_stats, second_stats):
+            assert stats.deploy_calls == 5
+            assert stats.placement_searches == 5

@@ -8,7 +8,6 @@ from repro.accel.codegen import build_scaleout_programs
 from repro.isa.instructions import halt, v_fill
 from repro.isa.program import Program
 from repro.isa.progcache import PROGRAM_CACHE, ProgramCache, program_cache_key
-from repro.perf.profiling import PROFILER
 from repro.workloads.deepbench import model_by_key
 
 
@@ -47,14 +46,15 @@ class TestProgramCache:
         assert cache.hits == 1 and cache.misses == 1
         assert first.name == second.name == "a"
 
-    def test_profiler_counters(self):
-        before_hit = PROFILER.get("progcache.hit")
-        before_miss = PROFILER.get("progcache.miss")
+    def test_counters_live_on_the_owning_cache(self):
+        before = PROGRAM_CACHE.stats()
         cache = ProgramCache()
+        other = ProgramCache()
         cache.get(_key(), lambda: _program("a"))
         cache.get(_key(), lambda: _program("a"))
-        assert PROFILER.get("progcache.miss") == before_miss + 1
-        assert PROFILER.get("progcache.hit") == before_hit + 1
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert (other.misses, other.hits) == (0, 0)
+        assert PROGRAM_CACHE.stats() == before
 
     def test_returned_copy_is_isolated(self):
         cache = ProgramCache()
