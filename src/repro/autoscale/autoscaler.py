@@ -303,13 +303,12 @@ class Autoscaler:
         for last in (self._last_down.get(model_key), self._last_up.get(model_key)):
             if last is not None and now - last < params.down_cooldown_s:
                 return False
-        deployments = self.controller.deployments_of(model_key)
-        if not deployments:
+        controller = self.controller
+        count = controller.deployment_count(model_key)
+        if not count:
             return False
-        busy = sum(
-            1 for d in deployments if d.state is not DeploymentState.IDLE
-        )
-        return busy / len(deployments) <= params.down_busy_fraction
+        busy = count - len(controller.idle_of(model_key))
+        return busy / count <= params.down_busy_fraction
 
     def _fits_after(self, model_key: str, removed_units: int) -> bool:
         """Would the EWMA arrival rate still fit ``down_target_util`` of
@@ -336,7 +335,7 @@ class Autoscaler:
         request is ever lost to a scale-down."""
         controller = self.controller
         deployments = controller.deployments_of(model_key)
-        idle = [d for d in deployments if d.is_idle]
+        idle = controller.idle_of(model_key)
         if not idle:
             return
         victim = min(idle, key=lambda d: d.last_used_s)
@@ -385,7 +384,7 @@ class Autoscaler:
         if self._simulator is None:
             controller.discard(deployment)
             return
-        deployment.state = DeploymentState.MIGRATING
+        controller.set_state(deployment, DeploymentState.MIGRATING)
 
         def complete(fire_now, d=deployment):
             if d.deployment_id in controller.deployments:
@@ -417,8 +416,8 @@ class Autoscaler:
         if self._simulator is None:
             controller.discard(deployment)
             return
-        deployment.state = DeploymentState.MIGRATING
-        new_deployment.state = DeploymentState.RECOVERING
+        controller.set_state(deployment, DeploymentState.MIGRATING)
+        controller.set_state(new_deployment, DeploymentState.RECOVERING)
 
         def complete(fire_now, old=deployment, new=new_deployment):
             if old.deployment_id in controller.deployments:
@@ -432,8 +431,7 @@ class Autoscaler:
                 else:
                     controller.discard(new)
                 return
-            new.state = DeploymentState.IDLE
-            new.last_used_s = fire_now
+            controller.set_state(new, DeploymentState.IDLE, fire_now)
             new.checkpoint_origin_s = fire_now
 
         self._simulator.schedule_external(cost, complete)
@@ -480,7 +478,7 @@ class Autoscaler:
         if self._simulator is None:
             return
         controller = self.controller
-        deployment.state = DeploymentState.RECOVERING
+        controller.set_state(deployment, DeploymentState.RECOVERING)
 
         def complete(fire_now, d=deployment):
             if d.deployment_id not in controller.deployments:
@@ -491,8 +489,7 @@ class Autoscaler:
                 else:
                     controller.discard(d)
                 return
-            d.state = DeploymentState.IDLE
-            d.last_used_s = fire_now
+            controller.set_state(d, DeploymentState.IDLE, fire_now)
             d.checkpoint_origin_s = fire_now
 
         self._simulator.schedule_external(reconfig_s, complete)

@@ -165,7 +165,7 @@ class RecoveryManager:
             # Synchronous mode (no DES bound): complete immediately.
             self._complete_recovery(deployment, now, scale_down)
             return
-        deployment.state = DeploymentState.RECOVERING
+        controller.set_state(deployment, DeploymentState.RECOVERING)
 
         def complete(fire_now, deployment=deployment, scale_down=scale_down):
             self._complete_recovery(deployment, fire_now, scale_down)
@@ -208,8 +208,7 @@ class RecoveryManager:
             # freshly configured blocks are gone too, so go around again.
             self.recover(deployment, now)
             return
-        deployment.state = DeploymentState.IDLE
-        deployment.last_used_s = now
+        controller.set_state(deployment, DeploymentState.IDLE, now)
         # A completed restore is a fresh checkpoint: restart the cadence.
         deployment.checkpoint_origin_s = now
         deployment.recoveries += 1

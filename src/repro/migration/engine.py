@@ -209,7 +209,7 @@ class MigrationEngine:
                 f"cannot migrate {plan.deployment_id}: state is "
                 f"{deployment.state.value}"
             )
-        deployment.state = DeploymentState.MIGRATING
+        controller.set_state(deployment, DeploymentState.MIGRATING)
         for move in plan.moves:
             board = controller.cluster.board(move.dst_fpga)
             image = deployment.plan.images[move.dst_type]
@@ -249,8 +249,7 @@ class MigrationEngine:
         deployment.service_s = controller._service_time(
             deployment.plan, deployment.placements
         )
-        deployment.state = DeploymentState.IDLE
-        deployment.last_used_s = now
+        controller.set_state(deployment, DeploymentState.IDLE, now)
         deployment.migrations += 1
         self.migrations_completed += 1
         # A board under this deployment failed mid-move: the deferred

@@ -123,11 +123,7 @@ class HypervisorAPI:
     def evict_idle(self, model_key: str) -> int:
         """Explicitly evict idle deployments of one model (hypervisor-driven
         reclamation); returns how many were torn down."""
-        victims = [
-            d
-            for d in list(self._controller.deployments.values())
-            if d.model_key == model_key and d.is_idle
-        ]
+        victims = self._controller.idle_of(model_key)
         for victim in victims:
             self._controller.evict(victim)
         return len(victims)

@@ -9,9 +9,12 @@ to the HS abstraction's low-level controller.
 Placement queries run against a :class:`PlacementIndex`: a per-device-type
 bisect-maintained list of ``(free_blocks, fpga_id)`` entries kept current
 by board occupancy notifications, so candidate selection is an index probe
-instead of a cluster scan.  Deployment lookups are likewise indexed per
-model.  Real FPGA-virtualization runtimes keep allocator state incremental
-for the same reason; the policies themselves are unchanged.
+instead of a cluster scan.  Deployment lookups are likewise indexed: per
+model, and — since the controller is the one writer of deployment state
+(:meth:`SystemController.set_state`) — per idle deployment, so reuse, LRU
+eviction and wake hints read only idle copies.  Real FPGA-virtualization
+runtimes keep allocator state incremental for the same reason; the
+policies themselves are unchanged.
 
 Policy knobs reproduce the systems of Fig. 12:
 
@@ -28,6 +31,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..accel.timing import (
     CycleModel,
@@ -36,7 +40,7 @@ from ..accel.timing import (
     VirtualizationContext,
 )
 from ..cluster.topology import FPGACluster
-from ..errors import AllocationError
+from ..errors import AllocationError, DeploymentError
 from ..perf.latency import single_fpga_latency, weight_load_seconds
 from ..perf.overlap import scaleout_latency
 from ..units import ms
@@ -45,6 +49,11 @@ from ..vital.virtual_block import BoardHealth
 from ..workloads.deepbench import model_by_key
 from .catalog import Catalog, DeploymentPlan
 from .deployment import Deployment, DeploymentState, ReplicaPlacement
+
+
+#: Hot-path alias: an enum member read through its class costs a
+#: descriptor call per access.
+_IDLE = DeploymentState.IDLE
 
 
 class PlacementPolicy(enum.Enum):
@@ -353,6 +362,13 @@ class SystemController:
         self._service_cache: dict = {}
         #: model key -> resident deployments in creation order.
         self._by_model: dict[str, list[Deployment]] = {}
+        #: The idle index, kept by :meth:`set_state`: model key -> its idle
+        #: deployments as ``(seq, deployment)`` in creation order (lists may
+        #: be empty) ...
+        self._idle_by_model: dict[str, list] = {}
+        #: ... and every idle deployment as ``(last_used_s, seq,
+        #: deployment)``, least recently used first, ties in creation order.
+        self._idle_lru: list = []
         #: Optional :class:`~repro.autoscale.ReplicaLedger`: when set, every
         #: instantiation/discard is reported so resident capacity can be
         #: integrated exactly over time (the autoscale bench's cost metric).
@@ -397,19 +413,31 @@ class SystemController:
         return list(self._by_model)
 
     def find_idle_deployment(self, model_key: str) -> Deployment | None:
-        """An already-resident idle deployment of this model, if any.
+        """The earliest-created idle deployment of this model, if any.
 
         With :attr:`tenant_isolation` on, only deployments owned by the
         current :attr:`tenant_context` qualify — reuse across tenants would
         let one tenant serve from blocks charged to another's quota.
         """
-        tenant = self.tenant_context if self.tenant_isolation else None
-        for deployment in self._by_model.get(model_key, ()):
-            if deployment.is_idle and (
-                tenant is None or deployment.tenant == tenant
-            ):
+        idle = self._idle_by_model.get(model_key)
+        if not idle:
+            return None
+        if not self.tenant_isolation:
+            return idle[0][1]
+        tenant = self.tenant_context
+        for _, deployment in idle:
+            if deployment.tenant == tenant:
                 return deployment
         return None
+
+    def idle_of(self, model_key: str) -> list:
+        """Idle deployments of one model, in creation order."""
+        return [entry[1] for entry in self._idle_by_model.get(model_key, ())]
+
+    def idle_lru(self):
+        """Every idle deployment, least recently used first (ties in
+        creation order) — the order LRU eviction and wake hints want."""
+        return (entry[2] for entry in self._idle_lru)
 
     def deployment_count(self, model_key: str) -> int:
         """Resident deployments of one model (busy or idle)."""
@@ -516,6 +544,85 @@ class SystemController:
         if deployment.pending_recovery and self.recovery_enabled:
             self.recovery.recover(deployment, now)
 
+    # -- deployment state (the one writer) ----------------------------------------------
+
+    def set_state(
+        self, deployment: Deployment, state: DeploymentState,
+        now: float | None = None,
+    ) -> None:
+        """Move a resident deployment to ``state``.
+
+        Every write of ``Deployment.state`` outside
+        :mod:`repro.runtime.deployment` goes through here, so the idle
+        index cannot drift.  A move to IDLE stamps ``last_used_s = now``
+        (when given).  Only deployments resident here may move: indexing
+        one that was discarded would hand it out for reuse.
+        """
+        if deployment.controller is not self:
+            raise DeploymentError(
+                f"deployment {deployment.deployment_id} is not resident in "
+                f"this controller"
+            )
+        if deployment.state is _IDLE:
+            self._unindex_idle(deployment)
+        deployment.state = state
+        if state is _IDLE:
+            if now is not None:
+                deployment.last_used_s = now
+            self._index_idle(deployment)
+
+    def _index_idle(self, deployment: Deployment) -> None:
+        seq = deployment.seq
+        bisect.insort(self._idle_by_model[deployment.model_key], (seq, deployment))
+        bisect.insort(self._idle_lru, (deployment.last_used_s, seq, deployment))
+
+    def _unindex_idle(self, deployment: Deployment) -> None:
+        seq = deployment.seq
+        idle = self._idle_by_model[deployment.model_key]
+        lru = self._idle_lru
+        at = bisect.bisect_left(idle, (seq,))
+        at_lru = bisect.bisect_left(lru, (deployment.last_used_s, seq))
+        try:
+            found = idle[at][1] is deployment and lru[at_lru][2] is deployment
+        except IndexError:
+            found = False
+        if not found:
+            raise DeploymentError(
+                f"idle index corruption: {deployment.deployment_id} is not "
+                f"where its seq and last_used_s place it (state or "
+                f"last_used_s written around SystemController.set_state)"
+            )
+        del idle[at]
+        del lru[at_lru]
+
+    def check_idle_consistent(self) -> bool:
+        """The idle index equals a from-scratch rebuild over
+        :attr:`deployments`: the same members, per-model lists in creation
+        order, and the LRU sequence in ``(last_used_s, creation)`` order
+        (invariant tests)."""
+        resident = list(self.deployments.values())
+        seqs = [d.seq for d in resident]
+        if seqs != sorted(set(seqs)):
+            return False  # creation sequence must follow insertion order
+        idle = [d for d in resident if d.is_idle]
+        expected_by_model: dict[str, list] = {}
+        for d in idle:
+            expected_by_model.setdefault(d.model_key, []).append(d.deployment_id)
+        by_model = {
+            model_key: [d.deployment_id for _, d in entries]
+            for model_key, entries in self._idle_by_model.items()
+            if entries
+        }
+        expected_lru = sorted(
+            (d.last_used_s, d.seq, d.deployment_id) for d in idle
+        )
+        lru = [(t, seq, d.deployment_id) for t, seq, d in self._idle_lru]
+        live = all(
+            self.deployments.get(d.deployment_id) is d
+            for *_, d in self._idle_lru
+        )
+        return live and by_model == expected_by_model and lru == expected_lru
+
     def evict(self, deployment: Deployment) -> None:
         """Tear a deployment down and free its blocks."""
         if deployment.state is not DeploymentState.IDLE:
@@ -539,6 +646,10 @@ class SystemController:
             board = self.cluster.board(placement.fpga_id)
             self.low_level.release(board, deployment.deployment_id)
             self.untrack_resident(placement.fpga_id, deployment.deployment_id)
+        if deployment.controller is self:
+            if deployment.state is DeploymentState.IDLE:
+                self._unindex_idle(deployment)
+            deployment.controller = None
         self.deployments.pop(deployment.deployment_id, None)
         if self.ledger is not None:
             self.ledger.on_discard(deployment, self._now())
@@ -575,7 +686,7 @@ class SystemController:
                 for deployment_id in residents
                 if deployment_id in self.deployments
             ),
-            key=lambda d: int(d.deployment_id.rsplit("-", 1)[1]),
+            key=attrgetter("seq"),
         )
 
     def check_residents_consistent(self) -> bool:
@@ -835,29 +946,24 @@ class SystemController:
         so leaving it unevictable would wedge same-model cross-tenant
         traffic on a full cluster.
         """
-        victims = [
-            d
-            for d in self.deployments.values()
-            if d.is_idle
-            and (
-                d.model_key != requesting_model
-                or (
-                    self.tenant_isolation
-                    and d.tenant != self.tenant_context
-                )
-            )
-            and now - d.last_used_s >= self.eviction_patience_s
-        ]
-        if not victims:
-            return False
-        victim = min(victims, key=lambda d: d.last_used_s)
-        self.evict(victim)
-        return True
+        patience = self.eviction_patience_s
+        isolation = self.tenant_isolation
+        tenant = self.tenant_context
+        for last_used_s, _, victim in self._idle_lru:
+            if now - last_used_s < patience:
+                return False  # every later entry is fresher still
+            if victim.model_key != requesting_model or (
+                isolation and victim.tenant != tenant
+            ):
+                self.evict(victim)
+                return True
+        return False
 
     # -- instantiation ------------------------------------------------------------------
 
     def _instantiate(self, plan: DeploymentPlan, assignment: list, now: float) -> tuple:
-        deployment_id = f"dep-{next(self._ids)}"
+        seq = next(self._ids)
+        deployment_id = f"dep-{seq}"
         placements = []
         reconfig = 0.0
         for board, image in assignment:
@@ -884,12 +990,16 @@ class SystemController:
             created_s=now,
             checkpoint_origin_s=now,
             tenant=self.tenant_context,
+            seq=seq,
+            controller=self,
         )
         deployment.service_s = self._service_time(plan, placements)
         self.deployments[deployment_id] = deployment
         for placement in placements:
             self.track_resident(placement.fpga_id, deployment_id)
         self._by_model.setdefault(plan.model_key, []).append(deployment)
+        self._idle_by_model.setdefault(plan.model_key, [])
+        self._index_idle(deployment)  # born IDLE
         self.stats.deployments_created += 1
         if self.ledger is not None:
             self.ledger.on_instantiate(deployment, now)

@@ -5,6 +5,12 @@ resident on the cluster: which boards host which replica, how many virtual
 blocks each occupies, and whether a task is currently running on it.
 Deployments persist between tasks of the same model (persistent-NN serving)
 and are evicted LRU when the controller needs their blocks.
+
+A resident deployment's ``state`` belongs to its controller:
+:meth:`~repro.runtime.controller.SystemController.set_state` is the one
+writer, because the controller indexes idle deployments.  :meth:`acquire`
+and :meth:`release` go through it; a deployment no controller holds (tests,
+or one already discarded) just flips its own state.
 """
 
 from __future__ import annotations
@@ -27,6 +33,12 @@ class DeploymentState(enum.Enum):
     #: while the last checkpoint streams back in; not servable or
     #: evictable until the restore completes (:mod:`repro.faults`).
     RECOVERING = "recovering"
+
+
+#: Hot-path aliases: an enum member read through its class costs a
+#: descriptor call per access.
+_IDLE = DeploymentState.IDLE
+_BUSY = DeploymentState.BUSY
 
 
 @dataclass
@@ -71,6 +83,12 @@ class Deployment:
     #: instantiation; ``""`` = untenanted).  Quota accounting and the
     #: preemption victim scan key off this.
     tenant: str = ""
+    #: Creation sequence within the controller (the ``n`` of ``dep-n``):
+    #: ties in reuse, LRU eviction and residency order break on it.
+    seq: int = 0
+    #: The controller this deployment is resident in (``None`` before
+    #: instantiation and after discard); state changes go through it.
+    controller: object = field(default=None, repr=False, compare=False)
 
     @property
     def member_fpgas(self) -> list:
@@ -92,20 +110,26 @@ class Deployment:
 
     @property
     def is_idle(self) -> bool:
-        return self.state is DeploymentState.IDLE
+        return self.state is _IDLE
 
     def acquire(self) -> None:
-        if self.state is not DeploymentState.IDLE:
+        if self.state is not _IDLE:
             raise DeploymentError(
                 f"deployment {self.deployment_id} is not idle"
             )
-        self.state = DeploymentState.BUSY
+        if self.controller is None:
+            self.state = _BUSY
+        else:
+            self.controller.set_state(self, _BUSY)
 
     def release(self, now: float) -> None:
-        if self.state is not DeploymentState.BUSY:
+        if self.state is not _BUSY:
             raise DeploymentError(
                 f"deployment {self.deployment_id} is not busy"
             )
-        self.state = DeploymentState.IDLE
-        self.last_used_s = now
+        if self.controller is None:
+            self.state = _IDLE
+            self.last_used_s = now
+        else:
+            self.controller.set_state(self, _IDLE, now)
         self.tasks_served += 1

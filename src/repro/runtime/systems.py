@@ -79,6 +79,11 @@ class ProposedSystem:
         self._simulator = None
         #: model key -> in-flight defrag (avoid planning duplicates).
         self._defrag_pending: set[str] = set()
+        #: model key -> pending depth, as last observed by the DES.
+        self._queue_view: dict[str, int] = {}
+        #: model key -> tasks seen (each counted on its first attempt).
+        self._seen_models: dict[str, int] = {}
+        self._seen_tasks: set[int] = set()
 
     @staticmethod
     def _same_type_only() -> bool:
@@ -116,7 +121,7 @@ class ProposedSystem:
         that have none at all."""
         if not self.expansion_enabled:
             return False
-        view = getattr(self, "_queue_view", {})
+        view = self._queue_view
         for other_key, depth in view.items():
             if other_key == model_key or depth <= 0:
                 continue
@@ -135,10 +140,7 @@ class ProposedSystem:
             self.controller.tenant_context = ""
 
     def _try_start(self, task: Task, now: float) -> float | None:
-        seen = getattr(self, "_seen_models", None)
-        if seen is None:
-            seen = self._seen_models = {}
-            self._seen_tasks = set()
+        seen = self._seen_models
         if task.task_id not in self._seen_tasks:
             # Count each task once (on its first attempt), so the observed
             # model mix is a property of the stream, not of how often the
@@ -160,8 +162,10 @@ class ProposedSystem:
             if copies > 0:
                 # Expansion uses free blocks; eviction only under strong
                 # queue pressure.
-                view = getattr(self, "_queue_view", {})
-                if view.get(task.model_key, 0) < self.EXPANSION_PRESSURE:
+                if (
+                    self._queue_view.get(task.model_key, 0)
+                    < self.EXPANSION_PRESSURE
+                ):
                     waited = 0.0
             # A heterogeneous (mixed-type) pairing takes a scarce device
             # type away from single-FPGA models.  The controller adapts to
@@ -257,8 +261,7 @@ class ProposedSystem:
                 # its next scaling event (an external event that bumps the
                 # resource version) can unblock this task.
                 return math.inf
-            view = getattr(self, "_queue_view", {})
-            if view.get(task.model_key, 0) < self.EXPANSION_PRESSURE:
+            if self._queue_view.get(task.model_key, 0) < self.EXPANSION_PRESSURE:
                 # Expansion without pressure never evicts (waited is zeroed):
                 # only a queue/resource change can help.
                 return math.inf
@@ -268,21 +271,13 @@ class ProposedSystem:
         # oldest idle foreign deployment crosses the staleness window.
         # "Foreign" matches the eviction filter: another model, or — under
         # tenant isolation — another tenant's unreusable same-model copy.
-        wakes = [
-            d.last_used_s + patience
-            for d in controller.deployments.values()
-            if d.is_idle
-            and (
-                d.model_key != task.model_key
-                or (
-                    controller.tenant_isolation
-                    and d.tenant != task.tenant
-                )
-            )
-        ]
-        if not wakes:
-            return math.inf
-        return min(wakes) - 1e-12
+        isolation = controller.tenant_isolation
+        for d in controller.idle_lru():
+            if d.model_key != task.model_key or (
+                isolation and d.tenant != task.tenant
+            ):
+                return d.last_used_s + patience - 1e-12
+        return math.inf
 
 
 class RestrictedSystem(ProposedSystem):

@@ -554,7 +554,7 @@ class ServingFrontend:
         new_deployment, reconfig = placed
         if self._simulator is None:
             return  # synchronous mode: usable immediately
-        new_deployment.state = DeploymentState.RECOVERING
+        controller.set_state(new_deployment, DeploymentState.RECOVERING)
 
         def complete(fire_now, d=new_deployment):
             if d.deployment_id not in controller.deployments:
@@ -565,8 +565,7 @@ class ServingFrontend:
                 else:
                     controller.discard(d)
                 return
-            d.state = DeploymentState.IDLE
-            d.last_used_s = fire_now
+            controller.set_state(d, DeploymentState.IDLE, fire_now)
             d.checkpoint_origin_s = fire_now
 
         self._simulator.schedule_external(reconfig, complete)

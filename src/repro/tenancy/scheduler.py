@@ -480,7 +480,7 @@ class TenantScheduler:
             # Blocks stay held through the drain + checkpoint stream; the
             # MIGRATING state keeps the deployment unservable and
             # unevictable until the teardown lands.
-            victim.state = DeploymentState.MIGRATING
+            controller.set_state(victim, DeploymentState.MIGRATING)
             self.stats.deployments_preempted += 1
             model_key = task.model_key
             self._preempt_pending[model_key] = (

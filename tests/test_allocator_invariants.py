@@ -174,6 +174,7 @@ class TestControllerIndexInvariants:
                 for p in d.placements
             )
             assert used == accounted
+            assert controller.check_idle_consistent()
             for key in model_keys:
                 expected = sum(
                     1
@@ -228,6 +229,8 @@ class TestControllerIndexInvariants:
             for board in cluster.boards.values():
                 _assert_board_consistent(board)
             assert controller.index.check_consistent()
+            assert controller.check_residents_consistent()
+            assert controller.check_idle_consistent()
             for deployment in controller.deployments.values():
                 assert deployment.state is not DeploymentState.MIGRATING
                 for placement in deployment.placements:
@@ -310,6 +313,8 @@ class TestControllerIndexInvariants:
             for board in cluster.boards.values():
                 _assert_board_consistent(board)
             assert controller.index.check_consistent()
+            assert controller.check_residents_consistent()
+            assert controller.check_idle_consistent()
             # Never double-place: every block is owned by at most one
             # deployment, and every placement's record matches the board.
             claimed: dict = {}

@@ -25,6 +25,7 @@ from repro.cluster import ClusterSimulator, paper_cluster
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultModelParameters
 from repro.runtime import Catalog, build_system
+from repro.runtime.deployment import DeploymentState
 from repro.serving import (
     BreakerState,
     Request,
@@ -241,8 +242,8 @@ class TestScaleDownPaths:
         controller = system.controller
         cold = _place(controller)
         warm = _place(controller)
-        cold.last_used_s = 0.0
-        warm.last_used_s = 1.0
+        controller.set_state(cold, DeploymentState.IDLE, now=0.0)
+        controller.set_state(warm, DeploymentState.IDLE, now=1.0)
         scaler = Autoscaler(frontend, AutoscaleParameters())
         scaler.evaluate(5.0)
         assert scaler.stats.retirements == 1
@@ -261,14 +262,12 @@ class TestScaleDownPaths:
         assert deployments[0].plan.replicas == 1
 
     def test_scale_down_only_acts_on_idle_deployments(self, catalog):
-        from repro.runtime.deployment import DeploymentState
-
         cluster, system, frontend = _frontend(catalog)
         controller = system.controller
         busy_a = _place(controller)
         busy_b = _place(controller)
-        busy_a.state = DeploymentState.BUSY
-        busy_b.state = DeploymentState.BUSY
+        busy_a.acquire()
+        busy_b.acquire()
         scaler = Autoscaler(frontend, AutoscaleParameters())
         scaler.evaluate(5.0)
         # Both deployments hold in-flight work: nothing may be touched.
@@ -423,6 +422,7 @@ def _assert_storm_invariants(cluster, system, frontend, scaler, result):
     for fpga_id, board in cluster.boards.items():
         assert board.used_blocks == owners_by_board.get(fpga_id, 0)
     assert system.controller.index.check_consistent()
+    assert system.controller.check_idle_consistent()
     for model, depth in frontend._depth.items():
         assert depth == 0, f"{model} queue depth leaked: {depth}"
     # Every decision stayed inside the replica-unit envelope.

@@ -267,3 +267,50 @@ def test_serving_with_deadlines_and_faults(shared_catalog, seed):
     reference, _ = _run_both(build)
     assert reference.scheduler.stats.expired > 0
     assert reference.injector.failures_injected > 0
+
+
+#: Schedule digests of :func:`test_eviction_heavy_backlog`, pinned so an
+#: inexact idle lookup (reuse order, LRU victim or wake hint) fails here
+#: even when both dispatchers agree with each other.
+EVICTION_DIGESTS = {
+    False:
+        "2bdae4809f6d87103e2564ebf728868a057d27b5e82d2dabbf752136c4484911",
+    True:
+        "0429fc35d8d52eae278b808649aecf91fe2f5e2665b4875b25a6a8d320e00d05",
+}
+
+
+@pytest.mark.parametrize("isolation", [False, True])
+def test_eviction_heavy_backlog(shared_catalog, isolation):
+    """A deep mixed-model backlog on eight boards: most models wait out
+    the patience window, evict another model's stale idle copy, or sleep
+    until a wake hint says one has gone stale.  With tenant isolation two
+    tenants share each model, so same-model copies of the other tenant are
+    eviction victims and wake sources too."""
+    rng = random.Random(11)
+    count = 240
+    arrivals = sorted(rng.uniform(0.0, 0.01) for _ in range(count))
+    draws = [(rng.choice(MIXED), rng.choice("ab")) for _ in range(count)]
+    wakes = []
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(8), shared_catalog)
+        system.controller.tenant_isolation = isolation
+        patience = system.controller.eviction_patience_s
+
+        def retry_hint(task, now, inner=system.retry_hint):
+            hint = inner(task, now)
+            if now - task.arrival_s >= patience and hint != float("inf"):
+                wakes.append(hint)
+            return hint
+
+        system.retry_hint = retry_hint
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a,
+                      tenant=t if isolation else "")
+                 for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
+        return cls(system, "proposed"), tasks
+
+    simulators = _run_both(build, EVICTION_DIGESTS[isolation])
+    for simulator in simulators:
+        assert simulator.scheduler.controller.stats.deployments_evicted > 0
+    assert wakes

@@ -290,6 +290,8 @@ class TestFaultsUnderSimulation:
         )
         injector.arm(tasks[-1].arrival_s)
         result = simulator.run(tasks)
+        assert system.controller.check_residents_consistent()
+        assert system.controller.check_idle_consistent()
         return system.controller.stats, injector, result
 
     def test_all_tasks_complete_despite_faults(self, catalog):

@@ -540,6 +540,7 @@ class TestDefrag:
         assert deployment.placements[0].fpga_id == target.fpga_id
         assert controller.index.check_consistent()
         assert controller.check_residents_consistent()
+        assert controller.check_idle_consistent()
 
     def test_busy_victims_block_the_plan(self, shared_catalog):
         controller, cluster = _controller(shared_catalog)
@@ -566,6 +567,7 @@ class TestDefrag:
         # start before the defrag completed.
         assert result.completed[0].start_s > 0.0
         assert controller.index.check_consistent()
+        assert controller.check_idle_consistent()
         assert simulator.external_events >= 1
         assert controller.migration.bytes_migrated > 0
 

@@ -362,6 +362,7 @@ class TestChaosInvariants:
         )
         assert controller.index.check_consistent()
         assert controller.check_residents_consistent()
+        assert controller.check_idle_consistent()
         for board in cluster.boards.values():
             assert board.free_blocks == board.recount_free_blocks()
         assert controller.stats.boards_failed > 0
@@ -376,6 +377,7 @@ class TestChaosInvariants:
         )
         assert controller.index.check_consistent()
         assert controller.check_residents_consistent()
+        assert controller.check_idle_consistent()
         for board in cluster.boards.values():
             assert board.free_blocks == board.recount_free_blocks()
         assert controller.stats.boards_failed > 100

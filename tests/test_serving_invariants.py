@@ -112,8 +112,10 @@ def _assert_invariants(cluster, system, frontend, result):
             owners_by_board[placement.fpga_id] += placement.virtual_blocks
     for fpga_id, board in cluster.boards.items():
         assert board.used_blocks == owners_by_board.get(fpga_id, 0)
-    # 5. The placement index survived the storm.
+    # 5. The placement, residency and idle indexes survived the storm.
     assert system.controller.index.check_consistent()
+    assert system.controller.check_residents_consistent()
+    assert system.controller.check_idle_consistent()
     # 6. Internal queue accounting drained to zero.
     for model, depth in frontend._depth.items():
         assert depth == 0, f"{model} queue depth leaked: {depth}"

@@ -707,6 +707,7 @@ class TestPreemptionStorm:
         assert len(result.completed) == len(tasks)
         assert controller.index.check_consistent()
         assert controller.check_residents_consistent()
+        assert controller.check_idle_consistent()
         for board in cluster.boards.values():
             assert board.free_blocks == board.recount_free_blocks()
         assert scheduler.quota_violations() == {}
