@@ -24,7 +24,14 @@ the number of placement attempts drops by orders of magnitude.  Skipping
 costs O(1) per queue, not per task: a blocked model's queues leave the heap
 and, after the next version bump, re-enter at their first task past the
 merge position (a bisect), so a pass is O(queues + attempts), not
-O(backlog).
+O(backlog).  A model whose queued tasks the dequeue gate
+(:meth:`Scheduler.should_drop`) might drop is walked task by task instead;
+:meth:`Scheduler.may_drop` tells the simulator at pass start which models
+it can park anyway.
+
+A pass runs only when something is queued, and the scheduler is shown the
+per-model queue depths (:meth:`Scheduler.observe_queue`) only when they
+changed since it last saw them.
 """
 
 from __future__ import annotations
@@ -75,7 +82,12 @@ class Task:
 
 
 class Scheduler(Protocol):
-    """What a system-under-test must implement."""
+    """What a system-under-test must implement.
+
+    The simulator reads every hook off the scheduler once when it is built
+    and again when :meth:`ClusterSimulator.run` starts, never during a run:
+    a wrapper (a tracer, a test spy) must be installed before ``run``.
+    """
 
     def try_start(self, task: Task, now: float) -> float | None:
         """Attempt to start ``task``; returns its service time in seconds,
@@ -90,8 +102,9 @@ class Scheduler(Protocol):
         fast-path tasks first to preserve locality: ``(not fast,)`` is the
         class prefix of the task's queue.  Must depend only on
         ``task.model_key`` and scheduler state — it is asked once per queue
-        at the start of a pass, of the queue's head, and the answer holds
-        for every task of that queue until the pass ends."""
+        at the start of a pass over two or more queues, of the queue's head,
+        and the answer holds for every task of that queue until the pass
+        ends."""
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Optional: after ``try_start`` declined ``task``, the earliest
@@ -109,8 +122,27 @@ class Scheduler(Protocol):
         """Optional (serving layer): called at dequeue, before placement is
         attempted.  Returning ``True`` drops the task (deadline expiry,
         exhausted retry budget) without it ever occupying a board.  Asked
-        of every queued task, in merged order, on every pass — define it
-        only when it can return ``True``."""
+        of every queued task of a model :meth:`may_drop` allows, in merged
+        order, on every pass — define it only when it can return
+        ``True``."""
+
+    def may_drop(self, model_key: str, now: float) -> bool:
+        """Optional, with :meth:`should_drop`: asked once per queued model
+        at the start of a pass.  ``False`` promises that ``should_drop``
+        would return ``False`` for every task of the model queued now, at
+        ``now`` — nothing inside one pass may break that promise — and
+        lets the simulator park the model's queues while they are blocked
+        instead of visiting each task.  ``True`` is always safe.  Without
+        this hook every model is walked task by task."""
+
+    def observe_queue(self, pending_by_model: dict) -> None:
+        """Optional: queue pressure, ``{model key: queued tasks}`` summed
+        over tenants.  Called at the start of a pass, and when a dispatch
+        leaves nothing queued, but only if the counts changed since the
+        last call; they hold for the whole pass.  It must only store what
+        it is given: the ``try_start`` and ``retry_hint`` calls of a pass
+        read that view, and they always follow a call with the current
+        counts."""
 
     def has_pending_timers(self) -> bool:
         """Optional (serving layer): ``True`` while any queued task holds a
@@ -124,9 +156,9 @@ class Scheduler(Protocol):
         When present it *replaces* the :meth:`has_fast_path` locality
         prefix.  The simulator appends the FIFO tail ``(arrival_s, enqueue
         seq)`` itself, so the key must be constant over a (tenant, model)
-        queue: it is asked once per queue at the start of a pass, of the
-        queue's head, and frozen until the pass ends; state updated by
-        starts feeds the next pass."""
+        queue: it is asked once per queue at the start of a pass over two
+        or more queues, of the queue's head, and frozen until the pass
+        ends; state updated by starts feeds the next pass."""
 
 
 @dataclass
@@ -166,7 +198,8 @@ class _Queue:
     seq)``; the other fields are the current dispatch pass's merge state.
     """
 
-    __slots__ = ("key", "model_key", "entries", "prefix", "cursor", "token")
+    __slots__ = ("key", "model_key", "entries", "prefix", "cursor", "token",
+                 "droppable")
 
     def __init__(self, key: tuple):
         self.key = key
@@ -180,6 +213,9 @@ class _Queue:
         #: Token of the queue's live heap entry; ``None`` while parked or
         #: once the pass is done with the queue.
         self.token: int | None = None
+        #: Whether the dequeue gate may drop a task of this model in the
+        #: current pass (its queues are walked task by task).
+        self.droppable = False
 
 
 class ClusterSimulator:
@@ -198,6 +234,11 @@ class ClusterSimulator:
         #: (tenant, model key) -> non-empty pending queue, in the order the
         #: queues were first filled.
         self._queues: dict[tuple, _Queue] = {}
+        #: Tasks in ``_queues``.
+        self._queued = 0
+        #: Whether the queue depths changed since the scheduler last
+        #: observed them.
+        self._counts_dirty = True
         self._seqs = count()
         #: task_id -> enqueue seq of every queued or running task: the FIFO
         #: tiebreak after arrival time, kept so a preempted task re-enters
@@ -237,6 +278,23 @@ class ClusterSimulator:
         bind = getattr(scheduler, "bind_simulator", None)
         if bind is not None:
             bind(self)
+        self._resolve_hooks()
+
+    def _resolve_hooks(self) -> None:
+        """Read the scheduler's hooks (``None`` when absent) once, not on
+        every arrival or pass; :meth:`run` reads them again, so wrappers
+        installed after construction are seen."""
+        scheduler = self.scheduler
+        self._try_start = scheduler.try_start
+        self._on_finish = scheduler.on_finish
+        self._admit = getattr(scheduler, "admit", None)
+        self._dispatch_key = getattr(scheduler, "dispatch_key", None)
+        self._fast_path = getattr(scheduler, "has_fast_path", None)
+        self._observe = getattr(scheduler, "observe_queue", None)
+        self._retry_hint = getattr(scheduler, "retry_hint", None)
+        self._should_drop = getattr(scheduler, "should_drop", None)
+        self._may_drop = getattr(scheduler, "may_drop", None)
+        self._has_timers = getattr(scheduler, "has_pending_timers", None)
 
     # -- pending queues -----------------------------------------------------------
 
@@ -248,17 +306,34 @@ class ClusterSimulator:
             queue = self._queues[key] = _Queue(key)
         insort(queue.entries,
                (task.arrival_s, self._task_seq[task.task_id], task))
+        self._queued += 1
+        self._counts_dirty = True
 
     def _take(self, queue: _Queue, index: int) -> None:
         """Remove one queued task (it started or was dropped)."""
         del queue.entries[index]
+        self._queued -= 1
+        self._counts_dirty = True
         if not queue.entries:
             del self._queues[queue.key]
 
     @property
     def pending_count(self) -> int:
-        queued = sum(len(queue.entries) for queue in self._queues.values())
-        return queued + len(self._requeued)
+        """Tasks waiting to start: queued, or requeued during this pass."""
+        return self._queued + len(self._requeued)
+
+    def _observe_queue(self) -> None:
+        """Show the scheduler the queue depths per model (called only when
+        they changed since it last saw them)."""
+        self._counts_dirty = False
+        if self._observe is None:
+            return
+        counts: dict = {}
+        for queue in self._queues.values():
+            counts[queue.model_key] = (
+                counts.get(queue.model_key, 0) + len(queue.entries)
+            )
+        self._observe(counts)
 
     def _pending_models(self) -> list:
         return sorted({queue.model_key for queue in self._queues.values()})
@@ -317,7 +392,7 @@ class ClusterSimulator:
     # -- event handlers ----------------------------------------------------------
 
     def _arrive(self, task: Task) -> None:
-        admit = getattr(self.scheduler, "admit", None)
+        admit = self._admit
         if admit is not None and not admit(task, self.queue.now):
             # Shed at the door: never queued, never dispatched.  Admission
             # state (queue depths, token buckets) is the scheduler's.
@@ -337,32 +412,42 @@ class ClusterSimulator:
         visits every queue so a small task can slip past a blocked large one
         (all three evaluated systems admit out-of-order placement), but
         tasks of one (tenant, model) queue are visited in FIFO order.
-        Passes repeat while one starts or drops a task.
+        Passes repeat while one starts or drops a task, and never run with
+        nothing queued.
         """
         if self._dispatching:
             return  # avoid re-entrant scans from nested on_finish calls
         self._dispatching = True
         try:
-            while self._dispatch_pass():
-                pass
+            while self.pending_count:
+                if not self._dispatch_pass():
+                    break  # a pass that takes no task leaves tasks queued
+            else:
+                # Nothing queued: a pass could start or drop nothing.  The
+                # scheduler still sees the emptied backlog, as a pass would
+                # have shown it.
+                if self._counts_dirty:
+                    self._observe_queue()
+                return
         finally:
             self._dispatching = False
-        if self.pending_count and not self._retry_scheduled:
-            # Time-gated policies (eviction staleness) need the clock to
-            # advance before a blocked task can be placed; poll.
-            if self._running_count == 0 and self._external_inflight == 0:
-                timers = getattr(self.scheduler, "has_pending_timers", None)
-                waiting = timers is not None and timers()
-                if not waiting:
-                    self._idle_retries += 1
-                    if self._idle_retries > self.MAX_IDLE_RETRIES:
-                        raise SimulationError(
-                            f"{self.system_name}: {self.pending_count} tasks "
-                            f"stuck with an idle cluster (models: "
-                            f"{self._pending_models()})"
-                        )
-            self._retry_scheduled = True
-            self.queue.schedule_in(self.RETRY_INTERVAL_S, self._retry)
+        if self._retry_scheduled:
+            return
+        # Time-gated policies (eviction staleness) need the clock to advance
+        # before a blocked task can be placed; poll.
+        if self._running_count == 0 and self._external_inflight == 0:
+            timers = self._has_timers
+            waiting = timers is not None and timers()
+            if not waiting:
+                self._idle_retries += 1
+                if self._idle_retries > self.MAX_IDLE_RETRIES:
+                    raise SimulationError(
+                        f"{self.system_name}: {self.pending_count} tasks "
+                        f"stuck with an idle cluster (models: "
+                        f"{self._pending_models()})"
+                    )
+        self._retry_scheduled = True
+        self.queue.schedule_in(self.RETRY_INTERVAL_S, self._retry)
 
     def _dispatch_pass(self) -> bool:
         """One pass over the pending queues in merged order; returns whether
@@ -373,30 +458,28 @@ class ClusterSimulator:
         skipped without consulting the scheduler: within one version the
         scheduler's answer for that model cannot have changed, and
         same-model tasks later in the pass hold strictly weaker time gates.
-        Without ``should_drop`` the skip parks every queue of the model; a
-        version bump returns each parked queue to the heap at its first
-        task whose key exceeds the one just visited, exactly where a
-        task-by-task walk would have resumed.  With ``should_drop`` every
-        task is visited for it, so an expiry is never delayed by a blocked
-        model's time gate.
+        The skip parks every queue of the model; a version bump returns
+        each parked queue to the heap at its first task whose key exceeds
+        the one just visited, exactly where a task-by-task walk would have
+        resumed.  A model the dequeue gate may drop from (``may_drop``, or
+        any model when only ``should_drop`` exists) is never parked: each of
+        its tasks is visited for ``should_drop``, so an expiry is never
+        delayed by a blocked model's time gate.
         """
-        scheduler = self.scheduler
-        dispatch_key = getattr(scheduler, "dispatch_key", None)
-        fast_path = getattr(scheduler, "has_fast_path", None)
-        observe = getattr(scheduler, "observe_queue", None)
-        retry_hint = getattr(scheduler, "retry_hint", None)
-        should_drop = getattr(scheduler, "should_drop", None)
-        try_start = scheduler.try_start
+        dispatch_key = self._dispatch_key
+        fast_path = self._fast_path
+        retry_hint = self._retry_hint
+        should_drop = self._should_drop
+        may_drop = self._may_drop
+        try_start = self._try_start
+        now = self.queue.now
+        if self._counts_dirty:
+            # Queue pressure per model, for admission/expansion decisions.
+            self._observe_queue()
         queues = list(self._queues.values())
-        if observe is not None:
-            # Give the scheduler a view of queue pressure per model
-            # (admission/expansion decisions need it).
-            counts: dict = {}
-            for queue in queues:
-                counts[queue.model_key] = (
-                    counts.get(queue.model_key, 0) + len(queue.entries)
-                )
-            observe(counts)
+        if len(queues) == 1:
+            # A class prefix only orders queues against each other.
+            dispatch_key = fast_path = None
         # Class prefixes are resolved before anything starts and hold for
         # the whole pass.  The tenancy layer owns order outright when it
         # is present (priority classes, then weighted fair shares);
@@ -417,10 +500,18 @@ class ClusterSimulator:
             queue.cursor = 0
             queue.token = token = next(tokens)
             heap.append((queue.prefix, arrival, seq, token, queue))
-            by_model.setdefault(queue.model_key, []).append(queue)
+            same_model = by_model.get(queue.model_key)
+            if same_model is None:
+                same_model = by_model[queue.model_key] = []
+                droppable = should_drop is not None and (
+                    may_drop is None or may_drop(queue.model_key, now)
+                )
+            else:
+                droppable = same_model[0].droppable
+            queue.droppable = droppable
+            same_model.append(queue)
         heapify(heap)
 
-        now = self.queue.now
         blocked = self._blocked
         version = self._resource_version
         parked: list = []
@@ -437,7 +528,8 @@ class ClusterSimulator:
             task = queue.entries[index][2]
             queue.cursor = index + 1
             park = False
-            if should_drop is not None and should_drop(task, now):
+            droppable = queue.droppable
+            if droppable and should_drop(task, now):
                 # Dropped at dequeue (deadline expiry, exhausted retry
                 # budget): the task never occupies a board.
                 self._take(queue, index)
@@ -454,11 +546,11 @@ class ClusterSimulator:
                     and watermark[0] == self._resource_version
                     and now < watermark[1]
                 ):
-                    if should_drop is None:
+                    if droppable:
+                        skips += 1
+                    else:
                         queue.cursor = index  # park from this task on
                         park = True
-                    else:
-                        skips += 1
                 else:
                     attempts += 1
                     service = try_start(task, now)
@@ -471,7 +563,7 @@ class ClusterSimulator:
                         blocked[queue.model_key] = (
                             self._resource_version, hint
                         )
-                        park = should_drop is None and now < hint
+                        park = not droppable and now < hint
                     elif service < 0:
                         raise SimulationError(
                             f"scheduler returned negative service time {service}"
@@ -496,8 +588,9 @@ class ClusterSimulator:
                         self._idle_retries = 0
             if self._resource_version != version:
                 version = self._resource_version
-                skips += self._unpark(parked, heap, tokens,
-                                      (prefix, arrival, seq))
+                if parked:
+                    skips += self._unpark(parked, heap, tokens,
+                                          (prefix, arrival, seq))
             if park:
                 for other in by_model[queue.model_key]:
                     if other.token is not None:
@@ -560,7 +653,7 @@ class ClusterSimulator:
         task.finish_s = self.queue.now
         self._running_count -= 1
         self._task_seq.pop(task.task_id, None)
-        self.scheduler.on_finish(task, self.queue.now)
+        self._on_finish(task, self.queue.now)
         self._result.completed.append(task)
         self._resource_version += 1
         self._dispatch()
@@ -571,6 +664,7 @@ class ClusterSimulator:
         """Simulate the full task stream to completion."""
         if not tasks:
             raise SimulationError("no tasks to simulate")
+        self._resolve_hooks()
         for task in tasks:
             self.queue.schedule(task.arrival_s, self._arrive, task)
         self.queue.run()

@@ -12,9 +12,12 @@ graceful when offered load exceeds capacity or boards fail:
   :class:`~repro.serving.policy.SheddingPolicy` (tail or head drop).
 * **Deadlines** — every admitted request carries an absolute deadline;
   a request past its deadline is expired *at dequeue* (the simulator's
-  ``should_drop`` hook) and never occupies a board.  Each admission also
-  schedules a deadline wake via ``schedule_external`` so expiry is an
-  exact DES event, not a poll artifact.
+  ``should_drop`` hook) and never occupies a board.  A request is past its
+  deadline strictly after it, so it expires at the first dispatch pass
+  later than its deadline, never before.  Each admission also schedules a
+  deadline wake via ``schedule_external``; the pass that wake triggers
+  runs *at* the deadline and so does not expire the request, but it keeps
+  an idle queue from waiting on the idle-retry poll alone.
 * **Retry budget** — genuine placement failures (the controller raised
   ``AllocationError``) consume a per-request budget with jittered
   exponential backoff; exhaustion abandons the request.  Waiting behind a
@@ -38,8 +41,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from ..cluster.simulator import Task
 from ..runtime.deployment import DeploymentState
@@ -96,8 +99,16 @@ class ServingFrontend:
         self._rng = random.Random(self.params.seed)
         #: task_id -> RequestRecord (created at admission or first start).
         self._records: dict[int, RequestRecord] = {}
-        #: model key -> FIFO of queued (admitted, not started) records.
-        self._queued: dict[str, deque] = {}
+        #: model key -> task_id -> queued (admitted, not started) record,
+        #: in queueing order.
+        self._queued: dict[str, dict[int, RequestRecord]] = {}
+        #: model key -> queued records already condemned (shed, expired or
+        #: abandoned) that the dispatcher has yet to drop.
+        self._condemned: dict[str, int] = {}
+        #: model key -> min-heap of ``(deadline_s, task_id)`` of queued
+        #: records; entries of records that left the queue are popped once
+        #: they reach the top, so the top is always queued.
+        self._deadlines: dict[str, list] = {}
         #: model key -> live queue depth (PENDING, not condemned).
         self._depth: dict[str, int] = {}
         #: tenant -> live queue depth (tenancy layer's pressure signal).
@@ -113,6 +124,11 @@ class ServingFrontend:
         self._total_blocks = sum(
             len(board.blocks) for board in self.cluster.boards.values()
         )
+        #: Free blocks over every board, healthy or not.
+        self._free_blocks = 0
+        for board in self.cluster.boards.values():
+            self._free_blocks += board.free_blocks
+            board.subscribe(self._on_occupancy)
         self._feasible_types: dict[str, list] = {}
         #: (due_s, breaker) half-open probes in synchronous mode.
         self._due: list = []
@@ -194,6 +210,32 @@ class ServingFrontend:
         """The frontend's record for one task (tests and benches read it)."""
         return self._records.get(task_id)
 
+    def _enqueue(self, record: RequestRecord) -> None:
+        task = record.task
+        self._queued.setdefault(task.model_key, {})[task.task_id] = record
+        heappush(self._deadlines.setdefault(task.model_key, []),
+                 (record.deadline_s, task.task_id))
+
+    def _dequeue(self, record: RequestRecord) -> None:
+        """Take a record off its model's queue (it started or dropped)."""
+        task = record.task
+        queue = self._queued.get(task.model_key)
+        if queue is None or queue.pop(task.task_id, None) is None:
+            return
+        if record.outcome is not RequestOutcome.PENDING:
+            self._condemned[task.model_key] -= 1
+        deadlines = self._deadlines[task.model_key]
+        while deadlines and deadlines[0][1] not in queue:
+            heappop(deadlines)
+
+    def _condemn(self, record: RequestRecord, outcome: RequestOutcome) -> None:
+        """Give a request its terminal drop outcome; a queued one now waits
+        for the dispatcher to drop it."""
+        record.outcome = outcome
+        model_key = record.task.model_key
+        if record.task.task_id in self._queued.get(model_key, ()):
+            self._condemned[model_key] = self._condemned.get(model_key, 0) + 1
+
     def _bucket(self, model_key: str) -> TokenBucket | None:
         if self.params.admission_rate_per_s <= 0:
             return None
@@ -224,14 +266,15 @@ class ServingFrontend:
                 self._condemn_oldest(model)
             else:
                 return self._shed_at_door(record)
-        self._queued.setdefault(model, deque()).append(record)
+        self._enqueue(record)
         self._depth[model] = self._depth.get(model, 0) + 1
         self._bump_tenant(task, +1)
         self.stats.admitted += 1
         if self._simulator is not None:
-            # Deadline wake: expiry becomes an exact DES event (the wake
-            # itself is a no-op — the re-dispatch it triggers runs the
-            # should_drop sweep at precisely the deadline instant).
+            # Deadline wake (a no-op event): it re-dispatches at the
+            # deadline instant.  That pass cannot expire the request —
+            # expiry needs ``now > deadline`` — so expiry lands at the
+            # first pass after it, never before.
             self._simulator.schedule_external(
                 max(0.0, record.deadline_s - now), lambda _now: None
             )
@@ -245,9 +288,9 @@ class ServingFrontend:
     def _condemn_oldest(self, model_key: str) -> None:
         """Head drop: mark the oldest still-pending queued request of this
         model shed; the dispatcher drops it at its next pass."""
-        for record in self._queued.get(model_key, ()):
+        for record in self._queued.get(model_key, {}).values():
             if record.outcome is RequestOutcome.PENDING and not record.started:
-                record.outcome = RequestOutcome.SHED
+                self._condemn(record, RequestOutcome.SHED)
                 self.stats.shed += 1
                 self._depth[model_key] -= 1
                 self._bump_tenant(record.task, -1)
@@ -263,19 +306,26 @@ class ServingFrontend:
         if record is None:
             return False
         if record.outcome is RequestOutcome.PENDING and record.deadline_missed(now):
-            record.outcome = RequestOutcome.EXPIRED
+            self._condemn(record, RequestOutcome.EXPIRED)
             self.stats.expired += 1
             self._depth[task.model_key] -= 1
             self._bump_tenant(task, -1)
         if record.outcome is RequestOutcome.PENDING or record.started:
             return False
-        queue = self._queued.get(task.model_key)
-        if queue is not None:
-            try:
-                queue.remove(record)
-            except ValueError:
-                pass
+        self._dequeue(record)
         return True
+
+    def may_drop(self, model_key: str, now: float) -> bool:
+        """Whether :meth:`should_drop` could drop a queued request of this
+        model at ``now``: one is condemned or past its deadline.  ``False``
+        lets the simulator park the model's blocked queues.  It holds for a
+        whole pass: inside one, only the request being tried can be
+        condemned (an exhausted retry budget), and the pass does not visit
+        it again; a request requeued by preemption joins after the pass."""
+        if self._condemned.get(model_key):
+            return True
+        deadlines = self._deadlines.get(model_key)
+        return bool(deadlines) and now > deadlines[0][0]
 
     # -- Scheduler protocol: placement ---------------------------------------
 
@@ -301,12 +351,7 @@ class ServingFrontend:
         record.started = True
         self._depth[task.model_key] -= 1
         self._bump_tenant(task, -1)
-        queue = self._queued.get(task.model_key)
-        if queue is not None:
-            try:
-                queue.remove(record)
-            except ValueError:
-                pass
+        self._dequeue(record)
         deployment = self.system.running_deployment(task.task_id)
         if deployment is not None:
             record.board_ids = list(deployment.member_fpgas)
@@ -317,7 +362,7 @@ class ServingFrontend:
     def _placement_failed(self, record: RequestRecord, now: float) -> None:
         record.attempts += 1
         if record.attempts > self.params.retry_budget:
-            record.outcome = RequestOutcome.ABANDONED
+            self._condemn(record, RequestOutcome.ABANDONED)
             self.stats.abandoned += 1
             return
         self.stats.placement_retries += 1
@@ -339,7 +384,7 @@ class ServingFrontend:
             return
         record.started = False
         record.board_ids = []
-        self._queued.setdefault(task.model_key, deque()).append(record)
+        self._enqueue(record)
         self._depth[task.model_key] = self._depth.get(task.model_key, 0) + 1
         self._bump_tenant(task, +1)
 
@@ -387,7 +432,7 @@ class ServingFrontend:
         if not queue:
             return inner
         hint = math.inf
-        for record in queue:
+        for record in queue.values():
             if record.outcome is not RequestOutcome.PENDING:
                 return now
             gate = (
@@ -404,7 +449,7 @@ class ServingFrontend:
         waiting queue is not a deadlock."""
         now = self._now()
         for queue in self._queued.values():
-            for record in queue:
+            for record in queue.values():
                 if record.outcome is not RequestOutcome.PENDING:
                     return True  # droppable: the next pass makes progress
                 if math.isfinite(record.deadline_s):
@@ -494,12 +539,14 @@ class ServingFrontend:
 
     # -- brownout ------------------------------------------------------------
 
+    def _on_occupancy(self, board, old_free: int) -> None:
+        self._free_blocks += board.free_blocks - old_free
+
     def utilisation(self) -> float:
         """Occupied fraction of every virtual block in the cluster."""
         if not self._total_blocks:
             return 0.0
-        free = sum(board.free_blocks for board in self.cluster.boards.values())
-        return 1.0 - free / self._total_blocks
+        return 1.0 - self._free_blocks / self._total_blocks
 
     def _update_brownout(self, now: float) -> None:
         if not self.params.brownout_enabled:

@@ -155,9 +155,12 @@ class TenantScheduler:
         self._decline_reason: dict[int, str] = {}
         # The dequeue gate exists only when the inner scheduler has one: the
         # simulator visits every queued task for should_drop on every pass,
-        # but skips a blocked model's whole queue without it.
+        # but skips a blocked model's whole queue without it — or when the
+        # inner may_drop says no task of the model can drop.
         if getattr(inner, "should_drop", None) is not None:
             self.should_drop = self._should_drop
+            if getattr(inner, "may_drop", None) is not None:
+                self.may_drop = self._may_drop
 
     # -- tenant registry -----------------------------------------------------
 
@@ -273,6 +276,9 @@ class TenantScheduler:
             self._resume_credit.pop(task.task_id, None)
             return True
         return False
+
+    def _may_drop(self, model_key: str, now: float) -> bool:
+        return self.inner.may_drop(model_key, now)
 
     def retry_hint(self, task: Task, now: float) -> float:
         reason = self._decline_reason.get(task.task_id)

@@ -4,10 +4,12 @@
 reference: every pass copies the whole backlog, sorts it by the class key
 plus arrival time (stably over queue order; the tenancy order broke ties
 by ``(arrival_s, task_id)``) and walks it task by task, skipping each task
-of a model below its watermark one at a time.  Randomized small workloads
-run through both dispatchers; the schedules, the dropped sets, the
-sequence of ``(task_id, now)`` ``try_start`` calls and the watermark-skip
-and attempt totals must all match exactly.
+of a model below its watermark one at a time.  It asks ``should_drop``
+of every task and ``observe_queue`` at every pass, and never calls
+``may_drop``.  Randomized small workloads run through both dispatchers;
+the schedules, the dropped sets, the sequence of ``(task_id, now)``
+``try_start`` calls and the watermark-skip and attempt totals must all
+match exactly.
 """
 
 import hashlib
@@ -19,7 +21,12 @@ from repro.cluster import ClusterSimulator, Task, scaled_cluster
 from repro.cluster.topology import paper_cluster
 from repro.faults import FaultInjector, FaultModelParameters
 from repro.runtime import Catalog, build_system
-from repro.serving import Request, ServingFrontend, ServingParameters
+from repro.serving import (
+    Request,
+    ServingFrontend,
+    ServingParameters,
+    SheddingPolicy,
+)
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.vital import VitalCompiler
 
@@ -55,19 +62,25 @@ class ReferenceSimulator(ClusterSimulator):
     def _remove(self, task):
         self._pending = [t for t in self._pending if t is not task]
 
-    def _dispatch_pass(self):
-        scheduler = self.scheduler
-        fast_path = getattr(scheduler, "has_fast_path", None)
-        dispatch_key = getattr(scheduler, "dispatch_key", None)
-        observe = getattr(scheduler, "observe_queue", None)
-        retry_hint = getattr(scheduler, "retry_hint", None)
-        should_drop = getattr(scheduler, "should_drop", None)
-        progress = False
+    def _observe_queue(self):
+        # The simulator only asks while its counts are dirty, and the
+        # reference never cleans them: every pass observes at its start,
+        # changed or not, as the old pass did.
+        observe = getattr(self.scheduler, "observe_queue", None)
         if observe is not None:
             counts = {}
             for task in self._pending:
                 counts[task.model_key] = counts.get(task.model_key, 0) + 1
             observe(counts)
+
+    def _dispatch_pass(self):
+        scheduler = self.scheduler
+        fast_path = getattr(scheduler, "has_fast_path", None)
+        dispatch_key = getattr(scheduler, "dispatch_key", None)
+        retry_hint = getattr(scheduler, "retry_hint", None)
+        should_drop = getattr(scheduler, "should_drop", None)
+        progress = False
+        self._observe_queue()
         scan = list(self._pending)
         if dispatch_key is not None:
             scan.sort(key=lambda t: (*dispatch_key(t), t.arrival_s, t.task_id))
@@ -158,6 +171,8 @@ def _run_both(build, expected_digest=None) -> list:
     assert merged["calls"] == reference["calls"]
     assert merged["counters"] == reference["counters"]
     assert len(reference["calls"]) == reference["counters"][1]
+    # A reference that never dispatched would agree with anything.
+    assert reference["counters"][1] > 0
     if expected_digest is not None:
         assert reference["digest"] == expected_digest
     return simulators
@@ -243,17 +258,32 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
         assert simulator.aborted_runs > 0
 
 
-@pytest.mark.parametrize("seed", [7, 8])
-def test_serving_with_deadlines_and_faults(shared_catalog, seed):
+#: Schedule digests of the serving tests below, pinned so that skipping a
+#: dequeue gate the frontend proves cannot fire (parking a serving queue)
+#: fails here even when both dispatchers agree with each other.
+SERVING_DIGESTS = {
+    7: "b69754f9f31f1657ed950960ca961b6c7f211265cdca5d13f9aff43f2d36926c",
+    8: "dde9aae470c5ef25aeaf214aa37450d63b0dae47a06b13c7ad54dfda2b41de3f",
+    "head_drop":
+        "9488449c50d21c5b92fedf44d0f62cef461823fc66be2bad24469ec3b7e3230b",
+    "no_retry":
+        "3c77b8fff41599ebdf7725d61841de4e5fe76f0b01350f988fab824910147ec5",
+}
+
+
+def _serving_build(catalog, seed, **overrides):
+    """300 requests over 60 ms on the paper cluster, 10 ms deadlines and
+    faults every ~50 ms: deep enough for expiries, backoffs and blocked
+    models side by side."""
     rng = random.Random(seed)
     count = 300
     arrivals = sorted(rng.uniform(0.0, 0.06) for _ in range(count))
 
     def build(cls):
-        system = build_system("proposed", paper_cluster(), shared_catalog,
+        system = build_system("proposed", paper_cluster(), catalog,
                               recovery=True)
         frontend = ServingFrontend(system, ServingParameters(
-            default_deadline_s=0.01, seed=seed))
+            default_deadline_s=0.01, seed=seed, **overrides))
         simulator = cls(frontend, "serving")
         simulator.injector = FaultInjector(
             simulator, system.controller,
@@ -264,9 +294,37 @@ def test_serving_with_deadlines_and_faults(shared_catalog, seed):
                  for i, a in enumerate(arrivals)]
         return simulator, tasks
 
-    reference, _ = _run_both(build)
+    return build
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_serving_with_deadlines_and_faults(shared_catalog, seed):
+    reference, _ = _run_both(_serving_build(shared_catalog, seed),
+                             SERVING_DIGESTS[seed])
     assert reference.scheduler.stats.expired > 0
     assert reference.injector.failures_injected > 0
+
+
+@pytest.mark.parametrize("variant", ["head_drop", "no_retry"])
+def test_serving_condemned_requests(shared_catalog, variant):
+    """Requests condemned while queued — shed by a head drop, abandoned
+    on an exhausted retry budget — must leave at the next pass even when
+    their model is blocked, so a model holding one is never parked."""
+    overrides = {
+        "head_drop": {"shedding": SheddingPolicy.HEAD_DROP,
+                      "max_queue_depth": 3},
+        "no_retry": {"retry_budget": 0},
+    }[variant]
+    build = _serving_build(shared_catalog, 7, **overrides)
+    reference, _ = _run_both(build, SERVING_DIGESTS[variant])
+    stats = reference.scheduler.stats
+    if variant == "head_drop":
+        # Head drop admits every arrival, so each shed condemned a request
+        # already queued.
+        assert stats.shed > 0
+        assert stats.admitted == stats.offered
+    else:
+        assert stats.abandoned > 0
 
 
 #: Schedule digests of :func:`test_eviction_heavy_backlog`, pinned so an

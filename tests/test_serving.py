@@ -183,6 +183,66 @@ class TestDeadlines:
         # The run ends at the deadline wake, not at an idle-retry guess.
         assert result.makespan_s == pytest.approx(deadline)
 
+    def test_expiry_lands_at_the_first_pass_after_the_deadline(self, catalog):
+        """Pins today's expiry semantics: ``now > deadline`` expires a
+        request, so the pass its deadline wake runs at the deadline instant
+        keeps it, and it leaves at the first dispatch pass strictly later."""
+        _, _, frontend = _frontend(
+            catalog, default_deadline_s=0.004, max_queue_depth=64
+        )
+        simulator = ClusterSimulator(frontend, "expiry-semantics")
+        passes = []
+        dispatch_pass = simulator._dispatch_pass
+
+        def spy_pass():
+            passes.append(simulator.queue.now)
+            return dispatch_pass()
+
+        expired_at = {}
+        should_drop = frontend.should_drop
+
+        def spy_gate(task, now):
+            dropped = should_drop(task, now)
+            outcome = frontend.record_for(task.task_id).outcome
+            if dropped and outcome is RequestOutcome.EXPIRED:
+                expired_at[task.task_id] = now
+            return dropped
+
+        # Installed after the simulator was built: hooks are read at run().
+        simulator._dispatch_pass = spy_pass
+        frontend.should_drop = spy_gate
+        arrivals = mmpp_arrivals(240, 6000.0, seed=5)
+        tasks = [
+            Task(task_id=i, model_key=model, arrival_s=arrival,
+                 size_class="S")
+            for i, (arrival, model) in enumerate(zip(
+                arrivals,
+                ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25") * 80,
+            ))
+        ]
+        simulator.run(tasks)
+        assert len(expired_at) == frontend.stats.expired > 0
+        for task_id, now in expired_at.items():
+            deadline = frontend.record_for(task_id).deadline_s
+            assert now > deadline
+            assert now == min(t for t in passes if t > deadline)
+
+    def test_may_drop_tracks_condemned_and_late_requests(self, catalog):
+        _, _, frontend = _frontend(
+            catalog, max_queue_depth=2, shedding=SheddingPolicy.HEAD_DROP
+        )
+        model = "gru-h512-t1"
+        tasks = _requests(3, model_key=model, deadline_s=0.005)
+        assert not frontend.may_drop(model, 0.0)  # nothing queued
+        assert frontend.admit(tasks[0], 0.0) and frontend.admit(tasks[1], 0.0)
+        assert not frontend.may_drop(model, 0.005)  # at the deadline
+        assert frontend.may_drop(model, 0.006)  # past it
+        assert frontend.admit(tasks[2], 0.0)  # head drop condemns tasks[0]
+        assert frontend.may_drop(model, 0.0)
+        assert frontend.should_drop(tasks[0], 0.0)
+        assert not frontend.may_drop(model, 0.0)
+        assert frontend.may_drop(model, 0.006)
+
     def test_default_deadline_granted_to_plain_tasks(self, catalog):
         _, _, frontend = _frontend(catalog, default_deadline_s=0.3)
         task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=1.0,

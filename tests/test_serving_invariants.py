@@ -73,6 +73,14 @@ def _run_storm(catalog, seed, rate_per_s=4000.0, count=150, mtbf_s=None,
     return cluster, system, frontend, result
 
 
+def _assert_utilisation(cluster, frontend):
+    """The frontend's running free-block count, failed boards included,
+    matches a recount."""
+    total = sum(len(board.blocks) for board in cluster.boards.values())
+    free = sum(board.recount_free_blocks() for board in cluster.boards.values())
+    assert frontend.utilisation() == 1 - free / total
+
+
 def _assert_invariants(cluster, system, frontend, result):
     stats = frontend.stats
     # 1. Accounting identity: every offered request reached exactly one
@@ -112,6 +120,7 @@ def _assert_invariants(cluster, system, frontend, result):
             owners_by_board[placement.fpga_id] += placement.virtual_blocks
     for fpga_id, board in cluster.boards.items():
         assert board.used_blocks == owners_by_board.get(fpga_id, 0)
+    _assert_utilisation(cluster, frontend)
     # 5. The placement, residency and idle indexes survived the storm.
     assert system.controller.index.check_consistent()
     assert system.controller.check_residents_consistent()
@@ -121,6 +130,8 @@ def _assert_invariants(cluster, system, frontend, result):
         assert depth == 0, f"{model} queue depth leaked: {depth}"
     for model, queue in frontend._queued.items():
         assert not queue, f"{model} queue not drained"
+        assert not frontend._condemned.get(model), f"{model} condemned leaked"
+        assert not frontend._deadlines[model], f"{model} deadlines leaked"
 
 
 class TestServingInvariants:
@@ -167,7 +178,8 @@ class TestServingInvariants:
     def test_goodput_survives_the_storm(self, catalog):
         """Graceful degradation: even at ~4x overload with faults, the
         admitted requests that complete overwhelmingly meet their SLO."""
-        _, _, frontend, result = _run_storm(catalog, 10, mtbf_s=0.5)
+        cluster, _, frontend, result = _run_storm(catalog, 10, mtbf_s=0.5)
+        _assert_utilisation(cluster, frontend)
         stats = frontend.stats
         assert stats.completed > 0
         assert stats.slo_attainment() >= 0.9

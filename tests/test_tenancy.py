@@ -515,6 +515,7 @@ class TestFrontendComposition:
         bare = TenantScheduler(_proposed(paper_cluster(), shared_catalog),
                                [TenantParameters(name="t")])
         assert getattr(bare, "should_drop", None) is None
+        assert getattr(bare, "may_drop", None) is None
         scheduler, frontend, _ = self._frontend_stack(
             shared_catalog, [TenantParameters(name="t")]
         )
@@ -522,9 +523,14 @@ class TestFrontendComposition:
                     tenant="t")
         assert scheduler.admit(task, 0.0)
         assert scheduler.tenant("t").pending == 1
+        # The frontend's may_drop is forwarded, so the simulator parks
+        # the tenancy+serving stack's blocked queues too.
+        assert not scheduler.may_drop(task.model_key, 5.0)
+        assert scheduler.may_drop(task.model_key, 10.0)
         assert scheduler.should_drop(task, 10.0)  # past its 5 s deadline
         assert frontend.stats.expired == 1
         assert scheduler.tenant("t").pending == 0
+        assert not scheduler.may_drop(task.model_key, 10.0)
 
     def test_requeue_without_record_is_a_noop(self, shared_catalog):
         _, frontend, _ = self._frontend_stack(
