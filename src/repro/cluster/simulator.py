@@ -102,9 +102,8 @@ class Scheduler(Protocol):
         fast-path tasks first to preserve locality: ``(not fast,)`` is the
         class prefix of the task's queue.  Must depend only on
         ``task.model_key`` and scheduler state — it is asked once per queue
-        at the start of a pass over two or more queues, of the queue's head,
-        and the answer holds for every task of that queue until the pass
-        ends."""
+        at the start of a pass, of the queue's head, and the answer holds
+        for every task of that queue until the pass ends."""
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Optional: after ``try_start`` declined ``task``, the earliest
@@ -124,16 +123,16 @@ class Scheduler(Protocol):
         exhausted retry budget) without it ever occupying a board.  Asked
         of every queued task of a model :meth:`may_drop` allows, in merged
         order, on every pass — define it only when it can return
-        ``True``."""
+        ``True``, and always together with :meth:`may_drop`."""
 
     def may_drop(self, model_key: str, now: float) -> bool:
-        """Optional, with :meth:`should_drop`: asked once per queued model
-        at the start of a pass.  ``False`` promises that ``should_drop``
-        would return ``False`` for every task of the model queued now, at
-        ``now`` — nothing inside one pass may break that promise — and
-        lets the simulator park the model's queues while they are blocked
-        instead of visiting each task.  ``True`` is always safe.  Without
-        this hook every model is walked task by task."""
+        """Required with :meth:`should_drop`, absent without it: asked once
+        per queued model at the start of a pass.  ``False`` promises that
+        ``should_drop`` would return ``False`` for every task of the model
+        queued now, at ``now`` — nothing inside one pass may break that
+        promise — and lets the simulator park the model's queues while
+        they are blocked instead of visiting each task.  ``True`` is always
+        safe: the model's tasks are then walked one by one."""
 
     def observe_queue(self, pending_by_model: dict) -> None:
         """Optional: queue pressure, ``{model key: queued tasks}`` summed
@@ -156,9 +155,9 @@ class Scheduler(Protocol):
         When present it *replaces* the :meth:`has_fast_path` locality
         prefix.  The simulator appends the FIFO tail ``(arrival_s, enqueue
         seq)`` itself, so the key must be constant over a (tenant, model)
-        queue: it is asked once per queue at the start of a pass over two
-        or more queues, of the queue's head, and frozen until the pass
-        ends; state updated by starts feeds the next pass."""
+        queue: it is asked once per queue at the start of a pass, of the
+        queue's head, and frozen until the pass ends; state updated by
+        starts feeds the next pass."""
 
 
 @dataclass
@@ -294,6 +293,11 @@ class ClusterSimulator:
         self._retry_hint = getattr(scheduler, "retry_hint", None)
         self._should_drop = getattr(scheduler, "should_drop", None)
         self._may_drop = getattr(scheduler, "may_drop", None)
+        if (self._should_drop is None) != (self._may_drop is None):
+            raise SimulationError(
+                f"{self.system_name}: a scheduler defines should_drop and "
+                f"may_drop together or neither"
+            )
         self._has_timers = getattr(scheduler, "has_pending_timers", None)
 
     # -- pending queues -----------------------------------------------------------
@@ -461,10 +465,9 @@ class ClusterSimulator:
         The skip parks every queue of the model; a version bump returns
         each parked queue to the heap at its first task whose key exceeds
         the one just visited, exactly where a task-by-task walk would have
-        resumed.  A model the dequeue gate may drop from (``may_drop``, or
-        any model when only ``should_drop`` exists) is never parked: each of
-        its tasks is visited for ``should_drop``, so an expiry is never
-        delayed by a blocked model's time gate.
+        resumed.  A model the dequeue gate may drop from (``may_drop``) is
+        never parked: each of its tasks is visited for ``should_drop``, so
+        an expiry is never delayed by a blocked model's time gate.
         """
         dispatch_key = self._dispatch_key
         fast_path = self._fast_path
@@ -476,10 +479,6 @@ class ClusterSimulator:
         if self._counts_dirty:
             # Queue pressure per model, for admission/expansion decisions.
             self._observe_queue()
-        queues = list(self._queues.values())
-        if len(queues) == 1:
-            # A class prefix only orders queues against each other.
-            dispatch_key = fast_path = None
         # Class prefixes are resolved before anything starts and hold for
         # the whole pass.  The tenancy layer owns order outright when it
         # is present (priority classes, then weighted fair shares);
@@ -489,7 +488,7 @@ class ClusterSimulator:
         tokens = count()
         heap = []
         by_model: dict = {}
-        for queue in queues:
+        for queue in self._queues.values():
             arrival, seq, head = queue.entries[0]
             if dispatch_key is not None:
                 queue.prefix = dispatch_key(head)
@@ -503,8 +502,8 @@ class ClusterSimulator:
             same_model = by_model.get(queue.model_key)
             if same_model is None:
                 same_model = by_model[queue.model_key] = []
-                droppable = should_drop is not None and (
-                    may_drop is None or may_drop(queue.model_key, now)
+                droppable = should_drop is not None and may_drop(
+                    queue.model_key, now
                 )
             else:
                 droppable = same_model[0].droppable

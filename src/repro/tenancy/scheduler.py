@@ -153,14 +153,12 @@ class TenantScheduler:
         self._preempt_gate_s = 0.0
         #: task_id -> why its last try_start declined (drives retry_hint).
         self._decline_reason: dict[int, str] = {}
-        # The dequeue gate exists only when the inner scheduler has one: the
-        # simulator visits every queued task for should_drop on every pass,
-        # but skips a blocked model's whole queue without it — or when the
-        # inner may_drop says no task of the model can drop.
+        # The dequeue gate (should_drop with its may_drop) exists only when
+        # the inner scheduler has one: without it the simulator skips a
+        # blocked model's whole queue instead of visiting each task.
         if getattr(inner, "should_drop", None) is not None:
             self.should_drop = self._should_drop
-            if getattr(inner, "may_drop", None) is not None:
-                self.may_drop = self._may_drop
+            self.may_drop = self._may_drop
 
     # -- tenant registry -----------------------------------------------------
 
