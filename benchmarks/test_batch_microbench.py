@@ -14,7 +14,12 @@ import numpy as np
 
 from repro.accel.batched import BatchedFunctionalSimulator, run_batched
 from repro.accel.codegen import OUT_BASE, RNNWeights, make_codegen
-from repro.accel.functional import FunctionalSimulator, WeightImage, _sigmoid
+from repro.accel.functional import (
+    FunctionalSimulator,
+    WeightImage,
+    _sigmoid,
+    guard_factor,
+)
 from repro.isa.bfp import DEFAULT_FORMAT, bfp_matvec, bfp_quantize
 from repro.isa.instructions import halt
 from repro.isa.program import Program
@@ -51,13 +56,18 @@ def test_bfp_quantize_matrix(benchmark):
 
 
 def test_guarded_batched_matvec(benchmark):
-    """One dgemm + rounding-boundary guard for the whole batch."""
+    """Operand quantisation, one dgemm and the rounding-boundary guard for
+    the whole batch."""
     rng = np.random.default_rng(3)
     matrix = bfp_quantize(rng.normal(0.0, 1.0, (ROWS, COLS)), DEFAULT_FORMAT)
-    row_abs = np.abs(matrix).sum(axis=1)
+    guard = guard_factor(matrix)
     vecs = rng.normal(0.0, 1.0, (BATCH, COLS))
     sim = BatchedFunctionalSimulator(Program([halt()]), batch=BATCH)
-    out = benchmark(sim._matvec_shared, matrix, row_abs, vecs)
+
+    def guarded():
+        return sim._matvec_shared(matrix, guard, *sim._convert(vecs))
+
+    out = benchmark(guarded)
     assert out.shape == (BATCH, ROWS)
     for lane in (0, BATCH // 2, BATCH - 1):
         want = bfp_matvec(matrix, vecs[lane], DEFAULT_FORMAT)

@@ -15,6 +15,9 @@ Bit-identity contract
 Batched execution produces *bit-identical* architectural state to running
 each lane through the scalar simulator:
 
+* Both simulators run one copy of the instruction semantics
+  (:class:`~repro.accel.functional.SimulatorCore`); only the ``M_RD``
+  read, the operand's BFP conversion and ``MV_MUL`` differ by layout.
 * Elementwise paths (MFU ops, activations, float16 rounding) and the
   blockwise BFP quantisation operate along the last axis, so a ``(N, L)``
   batch computes exactly the per-lane values.
@@ -55,36 +58,24 @@ simulators, each ``N`` lanes wide, over one fabric.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from ..errors import ExecutionError
-from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_matvec, bfp_quantize, to_float16
-from ..isa.instructions import Instruction, Op
+from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_quantize
 from ..isa.program import Program
 from .functional import (
     PAGE_WORDS,
     FunctionalSimulator,
     ScaleOutFabric,
     SimStats,
+    SimulatorCore,
     WeightImage,
-    _sigmoid,
+    guard_factor,
     page_spans,
     run_lockstep,
 )
-
-#: Float64 unit roundoff.
-_UNIT = 2.0 ** -53
-
-
-def _gamma(terms: int) -> float:
-    """Worst-case relative error factor for a float64 sum/dot of ``terms``
-    terms under *any* summation order (sequential, pairwise, blocked,
-    FMA): ``gamma_n = n*u / (1 - n*u)``, padded with one extra term for
-    the product roundings and doubled once more for slack — the guard is
-    a correctness gate, so it is deliberately loose."""
-    nu = (terms + 2) * _UNIT
-    return 2.0 * nu / (1.0 - nu)
-
 
 class BatchedDRAM:
     """``batch`` lane DRAMs with copy-on-diverge page sharing.
@@ -265,16 +256,19 @@ class LaneView:
         self._sim.load_matrix(register, matrix, lane=self.lane)
 
 
-class BatchedFunctionalSimulator:
+class BatchedFunctionalSimulator(SimulatorCore):
     """Executes one program over ``batch`` lanes in lockstep.
 
-    Mirrors :class:`FunctionalSimulator` exactly, with every vector
-    register a ``(batch, length)`` array.  Matrix registers stay shared
-    ``(rows, cols)`` arrays while their DRAM source is lane-identical
-    (the common case), unlocking the guarded-dgemm ``MV_MUL`` path; a
-    lane-divergent matrix region degrades that register to ``(batch,
-    rows, cols)`` with per-lane dgemv — bit-identical either way.
+    Runs :class:`~repro.accel.functional.SimulatorCore`'s instruction
+    semantics with every vector register a ``(batch, length)`` array.
+    Matrix registers stay shared ``(rows, cols)`` arrays while their DRAM
+    source is lane-identical (the common case), unlocking the
+    guarded-dgemm ``MV_MUL`` path; a lane-divergent matrix region degrades
+    that register to ``(batch, rows, cols)`` with per-lane dgemv —
+    bit-identical either way.
     """
+
+    scaleout_runner = "run_scaleout_batched"
 
     def __init__(
         self,
@@ -288,27 +282,13 @@ class BatchedFunctionalSimulator:
     ):
         if batch < 1:
             raise ExecutionError("batched simulation needs a positive batch")
-        program.validate(allow_sync=fabric is not None)
-        self.program = program
-        self.batch = batch
-        self.fmt = bfp_format
-        self.fabric = fabric
-        self.replica_index = replica_index
-        self.name = name or f"{program.name}[x{batch}]"
-        self.image = image
-        self.dram = BatchedDRAM(
-            batch, pages=image.pages if image is not None else None
+        super().__init__(
+            program, bfp_format, fabric, replica_index,
+            name or f"{program.name}[x{batch}]", image,
+            BatchedDRAM(batch, pages=image.pages if image is not None else None),
         )
-        self.vrf: dict[int, np.ndarray] = {}
-        #: register -> (rows, cols) shared or (batch, rows, cols) per lane.
-        self.mrf: dict[int, np.ndarray] = {}
-        #: register -> per-row sum of |matrix| (shared matrices only) —
-        #: one factor of the MV_MUL rounding-boundary guard.
-        self._row_abs: dict[int, np.ndarray] = {}
-        self.pc = 0
-        self.loop_stack: list[list] = []
-        self.halted = False
-        self.stats = SimStats()
+        self.batch = batch
+        self.lanes = (batch,)
         #: Output elements the boundary guard sent to the exact scalar
         #: path (observability: expected to stay ~0).
         self.guard_recomputed = 0
@@ -317,15 +297,6 @@ class BatchedFunctionalSimulator:
 
     def lane(self, index: int) -> LaneView:
         return LaneView(self, index)
-
-    def vector(self, register: int) -> np.ndarray:
-        """The ``(batch, length)`` stack of one vector register."""
-        try:
-            return self.vrf[register]
-        except KeyError:
-            raise ExecutionError(
-                f"{self.name}: read of uninitialised vector register v{register}"
-            ) from None
 
     def lane_vector(self, lane: int, register: int) -> np.ndarray:
         return self.vector(register)[lane]
@@ -336,7 +307,7 @@ class BatchedFunctionalSimulator:
         quantised = bfp_quantize(np.asarray(matrix, dtype=np.float64), self.fmt)
         if lane is None:
             self.mrf[register] = quantised
-            self._row_abs[register] = np.abs(quantised).sum(axis=1)
+            self._guards[register] = guard_factor(quantised)
             return
         current = self.mrf.get(register)
         if current is None or current.ndim == 2:
@@ -344,229 +315,60 @@ class BatchedFunctionalSimulator:
             if current is not None and current.shape == quantised.shape:
                 stack[:] = current
             self.mrf[register] = stack
-            self._row_abs.pop(register, None)
+            self._guards[register] = None
         self.mrf[register][lane] = quantised
 
-    # -- execution -----------------------------------------------------------
+    # -- M_RD and MV_MUL -----------------------------------------------------
 
-    @property
-    def finished(self) -> bool:
-        return self.halted or self.pc >= len(self.program.instructions)
+    def _read_matrix(self, addr: int, rows: int, cols: int) -> tuple:
+        flat = self.dram.read_shared(addr, rows * cols)
+        if flat.ndim == 1:
+            matrix = bfp_quantize(flat.reshape(rows, cols), self.fmt)
+            return matrix, guard_factor(matrix)
+        return bfp_quantize(flat.reshape(self.batch, rows, cols), self.fmt), None
 
-    def _iteration_index(self) -> int:
-        return self.loop_stack[-1][2] if self.loop_stack else 0
+    def _convert(self, values: np.ndarray) -> tuple:
+        quantised = bfp_quantize(values, self.fmt)
+        return quantised, np.abs(quantised).max(axis=1, keepdims=True)
 
-    def _effective_addr(self, inst: Instruction) -> int:
-        stride = int(inst.imm) if inst.op in (Op.V_RD, Op.V_WR) and not inst.is_sync else 0
-        return inst.addr + stride * self._iteration_index()
+    def _matvec(self, register: int, matrix: np.ndarray, quantised: np.ndarray,
+                lane_max: np.ndarray) -> np.ndarray:
+        if matrix.ndim == 2:
+            return self._matvec_shared(
+                matrix, self._guards[register], quantised, lane_max
+            )
+        # Lane-divergent matrices: the exact scalar path per lane.
+        return np.stack([
+            matrix[lane] @ quantised[lane] for lane in range(self.batch)
+        ])
 
-    def step(self) -> str:
-        """One batched instruction; ``"ok"``/``"blocked"``/``"halted"``."""
-        if self.finished:
-            return "halted"
-        inst = self.program.instructions[self.pc]
-        op = inst.op
-
-        if op is Op.LOOP:
-            self.loop_stack.append([self.pc + 1, int(inst.imm), 0])
-            self.pc += 1
-            return "ok"
-        if op is Op.ENDLOOP:
-            if not self.loop_stack:
-                raise ExecutionError(f"{self.name}: ENDLOOP with empty loop stack")
-            frame = self.loop_stack[-1]
-            frame[1] -= 1
-            frame[2] += 1
-            if frame[1] > 0:
-                self.pc = frame[0]
-            else:
-                self.loop_stack.pop()
-                self.pc += 1
-            return "ok"
-        if op is Op.HALT:
-            self.halted = True
-            return "halted"
-        if op is Op.NOP:
-            self.pc += 1
-            self.stats.instructions += 1
-            return "ok"
-
-        status = self._execute(inst)
-        if status == "blocked":
-            self.stats.blocked_polls += 1
-            return "blocked"
-        self.pc += 1
-        self.stats.instructions += 1
-        return "ok"
-
-    def run(self, max_steps: int = 100_000_000) -> SimStats:
-        for _ in range(max_steps):
-            status = self.step()
-            if status == "halted":
-                return self.stats
-            if status == "blocked":
-                raise ExecutionError(
-                    f"{self.name}: blocked on sync read at pc={self.pc} "
-                    "(run replicas under run_scaleout_batched)"
-                )
-        raise ExecutionError(f"{self.name}: exceeded {max_steps} steps")
-
-    def run_until_blocked(self, max_steps: int = 100_000_000) -> str:
-        for _ in range(max_steps):
-            status = self.step()
-            if status != "ok":
-                return status
-        raise ExecutionError(f"{self.name}: exceeded {max_steps} steps")
-
-    # -- MV_MUL: guarded dgemm ----------------------------------------------
-
-    def _matvec_shared(self, matrix: np.ndarray, row_abs: np.ndarray,
-                       vecs: np.ndarray) -> np.ndarray:
-        """``(batch, rows)`` batched matrix-vector product, bit-identical
-        (post float16 rounding) to per-lane ``bfp_matvec``.
+    def _matvec_shared(self, matrix: np.ndarray, guard: np.ndarray,
+                       quantised: np.ndarray, lane_max: np.ndarray) -> np.ndarray:
+        """``(batch, rows)`` batched matrix-vector product of BFP-quantised
+        operands, bit-identical (post float16 rounding) to the per-lane
+        dgemv ``matrix @ quantised[lane]``.
 
         One dgemm computes all lanes; the rounding-boundary guard then
         recomputes — with the *exact* scalar dgemv — every element whose
-        error interval could round differently in float16.
+        error interval could round differently in float16.  ``guard`` is
+        the matrix's :func:`~repro.accel.functional.guard_factor` and
+        ``lane_max`` the per-lane ``max|quantised|`` as a column.
         """
-        quantised = bfp_quantize(vecs, self.fmt)
         out = quantised @ matrix.T
         # Per-element bound on |any-order dot - this dot|:
-        #   E = 2 * gamma(cols) * max|x_lane| * sum_k |A[row, k]|
-        bound = _gamma(matrix.shape[1]) * np.abs(quantised).max(
-            axis=1, keepdims=True
-        ) * row_abs[None, :]
+        #   E = max|x_lane| * gamma(cols) * sum_k |A[row, k]|
+        bound = lane_max * guard
         lo = (out - bound).astype(np.float16)
         hi = (out + bound).astype(np.float16)
         ambiguous = lo != hi
         # NaN/inf compare unequal to themselves -> recomputed exactly.
-        risky = np.nonzero(ambiguous.any(axis=1))[0]
-        for lane in risky:
-            exact = matrix @ quantised[lane]
-            mask = ambiguous[lane]
-            out[lane, mask] = exact[mask]
-            self.guard_recomputed += int(mask.sum())
+        if ambiguous.any():
+            for lane in np.nonzero(ambiguous.any(axis=1))[0]:
+                exact = matrix @ quantised[lane]
+                mask = ambiguous[lane]
+                out[lane, mask] = exact[mask]
+                self.guard_recomputed += int(mask.sum())
         return out
-
-    # -- per-opcode semantics ------------------------------------------------
-
-    def _execute(self, inst: Instruction) -> str:
-        op = inst.op
-        if op is Op.V_RD:
-            return self._exec_v_rd(inst)
-        if op is Op.V_WR:
-            return self._exec_v_wr(inst)
-        if op is Op.M_RD:
-            rows, cols = inst.length, int(inst.imm)
-            if rows <= 0 or cols <= 0:
-                raise ExecutionError(
-                    f"{self.name}: M_RD needs positive rows ({rows}) and "
-                    f"cols ({cols})"
-                )
-            memo = self.image and self.image.matrix(
-                self.dram, inst.addr, rows, cols, self.fmt
-            )
-            if memo is not None:
-                self.mrf[inst.dst], self._row_abs[inst.dst] = memo
-            else:
-                flat = self.dram.read_shared(inst.addr, rows * cols)
-                if flat.ndim == 1:
-                    matrix = bfp_quantize(flat.reshape(rows, cols), self.fmt)
-                    self.mrf[inst.dst] = matrix
-                    self._row_abs[inst.dst] = np.abs(matrix).sum(axis=1)
-                else:
-                    self.mrf[inst.dst] = bfp_quantize(
-                        flat.reshape(self.batch, rows, cols), self.fmt
-                    )
-                    self._row_abs.pop(inst.dst, None)
-            self.stats.dram_reads += 1
-            return "ok"
-        if op is Op.MV_MUL:
-            matrix = self.mrf.get(inst.ma)
-            if matrix is None:
-                raise ExecutionError(
-                    f"{self.name}: MV_MUL from unloaded matrix m{inst.ma}"
-                )
-            vecs = self.vector(inst.a)
-            if matrix.shape[-1] != vecs.shape[-1]:
-                raise ExecutionError(
-                    f"{self.name}: MV_MUL dims {matrix.shape} @ {vecs.shape[-1]}"
-                )
-            if matrix.ndim == 2:
-                result = self._matvec_shared(
-                    matrix, self._row_abs[inst.ma], vecs
-                )
-            else:
-                # Lane-divergent matrices: the exact scalar path per lane.
-                result = np.stack([
-                    bfp_matvec(matrix[lane], vecs[lane], self.fmt)
-                    for lane in range(self.batch)
-                ])
-            self.vrf[inst.dst] = to_float16(result)
-            self.stats.mv_muls += 1
-            return "ok"
-
-        self.stats.mfu_ops += 1
-        if op is Op.VV_ADD:
-            result = self.vector(inst.a) + self.vector(inst.b)
-        elif op is Op.VV_SUB:
-            result = self.vector(inst.a) - self.vector(inst.b)
-        elif op is Op.VV_MUL:
-            result = self.vector(inst.a) * self.vector(inst.b)
-        elif op is Op.V_SIGM:
-            result = _sigmoid(self.vector(inst.a))
-        elif op is Op.V_TANH:
-            result = np.tanh(self.vector(inst.a))
-        elif op is Op.V_RELU:
-            result = np.maximum(self.vector(inst.a), 0.0)
-        elif op is Op.V_COPY:
-            result = self.vector(inst.a).copy()
-        elif op is Op.V_FILL:
-            result = np.full((self.batch, inst.length), float(inst.imm))
-        elif op is Op.V_SLICE:
-            offset = int(inst.imm)
-            source = self.vector(inst.a)
-            if offset + inst.length > source.shape[-1]:
-                raise ExecutionError(f"{self.name}: V_SLICE out of range")
-            result = source[:, offset : offset + inst.length].copy()
-        elif op is Op.V_CONCAT:
-            result = np.concatenate(
-                [self.vector(inst.a), self.vector(inst.b)], axis=-1
-            )
-        else:  # pragma: no cover - exhaustive over Op
-            raise ExecutionError(f"{self.name}: unimplemented opcode {op}")
-        self.vrf[inst.dst] = to_float16(result)
-        return "ok"
-
-    def _exec_v_rd(self, inst: Instruction) -> str:
-        if inst.is_sync:
-            if self.fabric is None:
-                raise ExecutionError(
-                    f"{self.name}: sync read without a scale-out fabric"
-                )
-            combined = self.fabric.try_recv(self.replica_index, inst.addr, inst.length)
-            if combined is None:
-                return "blocked"
-            self.vrf[inst.dst] = combined
-            self.stats.recvs += 1
-            return "ok"
-        self.vrf[inst.dst] = self.dram.read(self._effective_addr(inst), inst.length)
-        self.stats.dram_reads += 1
-        return "ok"
-
-    def _exec_v_wr(self, inst: Instruction) -> str:
-        values = self.vector(inst.a)
-        if inst.is_sync:
-            if self.fabric is None:
-                raise ExecutionError(
-                    f"{self.name}: sync write without a scale-out fabric"
-                )
-            self.fabric.send(self.replica_index, inst.addr, values[:, : inst.length])
-            self.stats.sends += 1
-            return "ok"
-        self.dram.write(self._effective_addr(inst), values[:, : inst.length])
-        self.stats.dram_writes += 1
-        return "ok"
 
 
 class ScalarLanes:
@@ -598,14 +400,11 @@ class ScalarLanes:
 
     @property
     def stats(self) -> SimStats:
-        merged = SimStats()
-        for sim in self.sims:
-            merged.instructions += sim.stats.instructions
-            merged.mv_muls += sim.stats.mv_muls
-            merged.mfu_ops += sim.stats.mfu_ops
-            merged.dram_reads += sim.stats.dram_reads
-            merged.dram_writes += sim.stats.dram_writes
-        return merged
+        """Every counter summed over the lane simulators."""
+        return SimStats(**{
+            field.name: sum(getattr(sim.stats, field.name) for sim in self.sims)
+            for field in fields(SimStats)
+        })
 
 
 class _BatchedLanes:

@@ -2,9 +2,10 @@
 
 Executes ISA programs with numpy, reproducing the accelerator's numerical
 behaviour: matrix-vector products in block floating point (weights quantised
-at ``M_RD``, activations re-quantised per multiply), float16 rounding after
-every multi-function-unit operation, and the inter-FPGA synchronisation
-module semantics of Fig. 8b for scale-out programs.
+at ``M_RD``, each activation register quantised once per write and reused
+by every multiply that reads it), float16 rounding after every
+multi-function-unit operation, and the inter-FPGA synchronisation module
+semantics of Fig. 8b for scale-out programs.
 
 The simulator has an explicit program counter and loop stack so execution
 can *block* on a synchronisation read; :class:`ScaleOutFabric` co-simulates
@@ -25,13 +26,34 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..errors import ExecutionError
-from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_matvec, bfp_quantize, to_float16
+from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_quantize, to_float16
 from ..isa.instructions import Instruction, Op
 from ..isa.program import Program
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-values))
+
+
+#: Float64 unit roundoff.
+_UNIT = 2.0 ** -53
+
+
+def _gamma(terms: int) -> float:
+    """Worst-case relative error factor for a float64 sum/dot of ``terms``
+    terms under *any* summation order (sequential, pairwise, blocked,
+    FMA): ``gamma_n = n*u / (1 - n*u)``, padded with one extra term for
+    the product roundings and doubled once more for slack — the guard is
+    a correctness gate, so it is deliberately loose."""
+    nu = (terms + 2) * _UNIT
+    return 2.0 * nu / (1.0 - nu)
+
+
+def guard_factor(quantised: np.ndarray) -> np.ndarray:
+    """``gamma(cols) * sum_k |A[row, k]|`` per row of a quantised matrix:
+    the matrix's factor of the batched ``MV_MUL`` rounding-boundary guard
+    (the operand's per-lane ``max|x|`` is the other)."""
+    return _gamma(quantised.shape[-1]) * np.abs(quantised).sum(axis=-1)
 
 
 #: Words per DRAM page (64 Ki words = 512 KiB of float64).
@@ -114,10 +136,10 @@ class WeightImage:
 
     Holds the pages a weight preload writes, as read-only arrays that
     every request's DRAM starts from (copy-on-write), and memoises each
-    ``M_RD`` region's BFP-quantised matrix with its per-row ``|A|`` sums
-    (the batched ``MV_MUL`` guard's factor).  A memoised matrix is valid
-    only while every page of its region is still the image's own page
-    object, so a program that overwrites weights reads fresh values.
+    ``M_RD`` region's BFP-quantised matrix with its :func:`guard_factor`
+    (the batched ``MV_MUL`` guard's matrix factor).  A memoised matrix is
+    valid only while every page of its region is still the image's own
+    page object, so a program that overwrites weights reads fresh values.
     """
 
     def __init__(self, pages: dict):
@@ -135,8 +157,8 @@ class WeightImage:
         return cls(dram._pages)
 
     def matrix(self, dram, addr: int, rows: int, cols: int, fmt: BFPFormat):
-        """``(quantised, row_abs)`` for the region, or ``None`` when some
-        page of it no longer is this image's page in ``dram``."""
+        """``(quantised, guard_factor)`` for the region, or ``None`` when
+        some page of it no longer is this image's page in ``dram``."""
         for number, _offset, _start, _stop in page_spans(
             addr, rows * cols, PAGE_WORDS
         ):
@@ -147,9 +169,9 @@ class WeightImage:
         if memo is None:
             flat = DRAM(self.pages).read(addr, rows * cols)
             quantised = bfp_quantize(flat.reshape(rows, cols), fmt)
-            row_abs = np.abs(quantised).sum(axis=1)
-            quantised.flags.writeable = row_abs.flags.writeable = False
-            memo = self._matrices[key] = (quantised, row_abs)
+            guard = guard_factor(quantised)
+            quantised.flags.writeable = guard.flags.writeable = False
+            memo = self._matrices[key] = (quantised, guard)
         return memo
 
 
@@ -218,32 +240,53 @@ class ScaleOutFabric:
         return min(len(q) for q in queues)
 
 
-class FunctionalSimulator:
-    """Executes one program on one (possibly scaled-down) accelerator.
+class SimulatorCore:
+    """Control flow and instruction semantics shared by the scalar and
+    batched simulators.
 
-    With ``image`` given, DRAM starts as that :class:`WeightImage`'s pages
-    and ``M_RD`` of an unmodified weight region takes its memoised matrix.
+    Every vector register is an array whose last axis is the vector:
+    ``(length,)`` in :class:`FunctionalSimulator`, ``(batch, length)``
+    with ``lanes = (batch,)`` in the batched simulator.  The loop stack,
+    addressing, DRAM and sync transfers and every MFU operation are
+    written once over that last axis.  A subclass supplies what depends
+    on the lane layout: reading a matrix region (:meth:`_read_matrix`),
+    the FP16-to-BFP conversion of an operand (:meth:`_convert`) and the
+    matrix-vector product (:meth:`_matvec`).
+
+    Quantise once: ``MV_MUL`` takes its operand's BFP conversion from a
+    per-register memo that keeps the register's array object beside it.
+    The entry is valid only while ``vrf[register]`` *is* that object.
+    Every write installs a new array (``V_RD``, a sync receive, an MFU or
+    ``MV_MUL`` result, a host ``vrf[r] = ...``, a checkpoint restore), so
+    no writer has to invalidate anything; arrays in ``vrf`` are never
+    changed in place.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        bfp_format: BFPFormat = DEFAULT_FORMAT,
-        fabric: ScaleOutFabric | None = None,
-        replica_index: int = 0,
-        name: str = "",
-        image: WeightImage | None = None,
-    ):
+    #: Leading shape of every vector register (empty: one request).
+    lanes: tuple = ()
+    #: The co-simulator a blocked :meth:`run` points at.
+    scaleout_runner = "run_scaleout"
+
+    def __init__(self, program: Program, bfp_format: BFPFormat,
+                 fabric: ScaleOutFabric | None, replica_index: int,
+                 name: str, image: WeightImage | None, dram):
         program.validate(allow_sync=fabric is not None)
         self.program = program
         self.fmt = bfp_format
         self.fabric = fabric
         self.replica_index = replica_index
-        self.name = name or program.name
+        self.name = name
         self.image = image
-        self.dram = DRAM(image.pages if image is not None else None)
+        self.dram = dram
         self.vrf: dict[int, np.ndarray] = {}
+        #: register -> BFP-quantised matrix: ``(rows, cols)``, or ``(batch,
+        #: rows, cols)`` when a batched region differs between lanes.
         self.mrf: dict[int, np.ndarray] = {}
+        #: register -> the matrix's guard factor (:func:`guard_factor`)
+        #: when the batched guarded-dgemm path can use it, else ``None``.
+        self._guards: dict[int, np.ndarray | None] = {}
+        #: register -> ``(array, quantised, lane_max)`` (see above).
+        self._operands: dict[int, tuple] = {}
         self.pc = 0
         # Loop stack entries: [start_pc, remaining_trips, iteration_index].
         self.loop_stack: list[list] = []
@@ -260,10 +303,6 @@ class FunctionalSimulator:
             raise ExecutionError(
                 f"{self.name}: read of uninitialised vector register v{register}"
             ) from None
-
-    def load_matrix(self, register: int, matrix: np.ndarray) -> None:
-        """Host-side direct matrix load (bypasses DRAM; used by tests)."""
-        self.mrf[register] = bfp_quantize(np.asarray(matrix, dtype=np.float64), self.fmt)
 
     # -- execution ----------------------------------------------------------------
 
@@ -329,7 +368,7 @@ class FunctionalSimulator:
             if status == "blocked":
                 raise ExecutionError(
                     f"{self.name}: blocked on sync read at pc={self.pc} "
-                    "(run replicas under run_scaleout)"
+                    f"(run replicas under {self.scaleout_runner})"
                 )
         raise ExecutionError(f"{self.name}: exceeded {max_steps} steps")
 
@@ -360,11 +399,9 @@ class FunctionalSimulator:
             memo = self.image and self.image.matrix(
                 self.dram, inst.addr, rows, cols, self.fmt
             )
-            if memo is not None:
-                self.mrf[inst.dst] = memo[0]
-            else:
-                flat = self.dram.read(inst.addr, rows * cols)
-                self.mrf[inst.dst] = bfp_quantize(flat.reshape(rows, cols), self.fmt)
+            if memo is None:
+                memo = self._read_matrix(inst.addr, rows, cols)
+            self.mrf[inst.dst], self._guards[inst.dst] = memo
             self.stats.dram_reads += 1
             return "ok"
         if op is Op.MV_MUL:
@@ -373,12 +410,15 @@ class FunctionalSimulator:
                 raise ExecutionError(
                     f"{self.name}: MV_MUL from unloaded matrix m{inst.ma}"
                 )
-            vec = self.vector(inst.a)
-            if matrix.shape[1] != vec.size:
+            values = self.vector(inst.a)
+            if matrix.shape[-1] != values.shape[-1]:
                 raise ExecutionError(
-                    f"{self.name}: MV_MUL dims {matrix.shape} @ {vec.size}"
+                    f"{self.name}: MV_MUL dims {matrix.shape} @ {values.shape[-1]}"
                 )
-            result = bfp_matvec(matrix, vec, self.fmt)
+            operand = self._operands.get(inst.a)
+            if operand is None or operand[0] is not values:
+                operand = self._operands[inst.a] = (values, *self._convert(values))
+            result = self._matvec(inst.ma, matrix, operand[1], operand[2])
             self.vrf[inst.dst] = to_float16(result)
             self.stats.mv_muls += 1
             return "ok"
@@ -400,15 +440,17 @@ class FunctionalSimulator:
         elif op is Op.V_COPY:
             result = self.vector(inst.a).copy()
         elif op is Op.V_FILL:
-            result = np.full(inst.length, float(inst.imm))
+            result = np.full((*self.lanes, inst.length), float(inst.imm))
         elif op is Op.V_SLICE:
             offset = int(inst.imm)
             source = self.vector(inst.a)
-            if offset + inst.length > source.size:
+            if offset + inst.length > source.shape[-1]:
                 raise ExecutionError(f"{self.name}: V_SLICE out of range")
-            result = source[offset : offset + inst.length].copy()
+            result = source[..., offset : offset + inst.length].copy()
         elif op is Op.V_CONCAT:
-            result = np.concatenate([self.vector(inst.a), self.vector(inst.b)])
+            result = np.concatenate(
+                [self.vector(inst.a), self.vector(inst.b)], axis=-1
+            )
         else:  # pragma: no cover - exhaustive over Op
             raise ExecutionError(f"{self.name}: unimplemented opcode {op}")
         self.vrf[inst.dst] = to_float16(result)
@@ -431,18 +473,57 @@ class FunctionalSimulator:
         return "ok"
 
     def _exec_v_wr(self, inst: Instruction) -> str:
-        values = self.vector(inst.a)
+        values = self.vector(inst.a)[..., : inst.length]
         if inst.is_sync:
             if self.fabric is None:
                 raise ExecutionError(
                     f"{self.name}: sync write without a scale-out fabric"
                 )
-            self.fabric.send(self.replica_index, inst.addr, values[: inst.length])
+            self.fabric.send(self.replica_index, inst.addr, values)
             self.stats.sends += 1
             return "ok"
-        self.dram.write(self._effective_addr(inst), values[: inst.length])
+        self.dram.write(self._effective_addr(inst), values)
         self.stats.dram_writes += 1
         return "ok"
+
+
+class FunctionalSimulator(SimulatorCore):
+    """Executes one program on one (possibly scaled-down) accelerator.
+
+    With ``image`` given, DRAM starts as that :class:`WeightImage`'s pages
+    and ``M_RD`` of an unmodified weight region takes its memoised matrix.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        bfp_format: BFPFormat = DEFAULT_FORMAT,
+        fabric: ScaleOutFabric | None = None,
+        replica_index: int = 0,
+        name: str = "",
+        image: WeightImage | None = None,
+    ):
+        super().__init__(
+            program, bfp_format, fabric, replica_index, name or program.name,
+            image, DRAM(image.pages if image is not None else None),
+        )
+
+    def load_matrix(self, register: int, matrix: np.ndarray) -> None:
+        """Host-side direct matrix load (bypasses DRAM; used by tests)."""
+        self.mrf[register] = bfp_quantize(np.asarray(matrix, dtype=np.float64), self.fmt)
+        self._guards[register] = None
+
+    def _read_matrix(self, addr: int, rows: int, cols: int) -> tuple:
+        flat = self.dram.read(addr, rows * cols)
+        return bfp_quantize(flat.reshape(rows, cols), self.fmt), None
+
+    def _convert(self, values: np.ndarray) -> tuple:
+        return bfp_quantize(values, self.fmt), None
+
+    def _matvec(self, register: int, matrix: np.ndarray, quantised: np.ndarray,
+                lane_max) -> np.ndarray:
+        # The tile engines accumulate exactly: one float64 dgemv.
+        return matrix @ quantised
 
 
 def run_program(program: Program, preload=None, **kwargs) -> FunctionalSimulator:

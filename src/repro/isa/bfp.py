@@ -73,7 +73,8 @@ def bfp_quantize(values: np.ndarray, fmt: BFPFormat = DEFAULT_FORMAT) -> np.ndar
 
     Tile-aligned inputs (last axis already a multiple of the block size —
     the common case: engines consume whole tiles) skip the pad/unpad
-    round-trip, so the only allocation is the quantised result itself.
+    round-trip; the block maxima, scales and mantissas are still
+    temporaries the size of the input.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:

@@ -28,6 +28,7 @@ body), redirecting consumers to the combined register.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, replace
 
 from ..errors import ISAError
@@ -75,8 +76,10 @@ class ScaleOutPlan:
 
     @property
     def send_address(self) -> int:
-        """Each exchanged value gets its own sync sub-window."""
-        return SYNC_ADDRESS + hash(self.value) % 256 * 0x1000
+        """Each exchanged value gets its own sync sub-window.  CRC-32, not
+        ``hash()``: string hashes change with ``PYTHONHASHSEED``, so the
+        address (and whether two values collide) would change per process."""
+        return SYNC_ADDRESS + zlib.crc32(self.value.encode()) % 256 * 0x1000
 
 
 def insert_scaleout_communication(program: Program, plan: ScaleOutPlan) -> Program:

@@ -3,6 +3,8 @@ simulator (model zoo configs and randomized property-style programs), the
 paged copy-on-diverge :class:`BatchedDRAM`, the MV_MUL rounding-boundary
 guard, fallback paths (batch=1, ``force_scalar``) and batched scale-out."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.accel.batched import (
     PAGE_WORDS,
     BatchedDRAM,
     BatchedFunctionalSimulator,
-    _gamma,
+    ScalarLanes,
     run_batched,
     run_scaleout_batched,
 )
@@ -22,7 +24,10 @@ from repro.accel.codegen import (
 )
 from repro.accel.functional import (
     FunctionalSimulator,
+    SimStats,
     WeightImage,
+    _gamma,
+    guard_factor,
     run_program,
     run_scaleout,
 )
@@ -240,6 +245,23 @@ class TestRNNEquivalence:
         assert lanes.stats.instructions == scalar.stats.instructions
         assert lanes.stats.mv_muls == scalar.stats.mv_muls
 
+    def test_scalar_fallback_sums_every_stats_field(self, gru_small):
+        """``ScalarLanes.stats`` sums every ``SimStats`` field, the sync
+        counters included (replicas of a scale-out run exercise them)."""
+        weights, xs = gru_small
+        programs = build_scaleout_programs("gru", weights, xs.shape[0], 2)
+        gens = [
+            make_codegen("gru", weights, xs.shape[0], replicas=2, replica_index=i)
+            for i in range(2)
+        ]
+        sims, _ = run_scaleout(programs, preload=lambda sim, i: gens[i].preload(sim, xs))
+        merged = ScalarLanes(sims).stats
+        for field in fields(SimStats):
+            assert getattr(merged, field.name) == sum(
+                getattr(sim.stats, field.name) for sim in sims
+            ), field.name
+        assert merged.sends > 0 and merged.recvs > 0
+
 
 class TestRoundingBoundaryGuard:
     def test_gamma_positive_and_monotonic(self):
@@ -252,10 +274,10 @@ class TestRoundingBoundaryGuard:
         matrix = bfp_quantize(rng.normal(0.0, 1.0, (6, 8)), DEFAULT_FORMAT)
         vecs = rng.normal(0.0, 1.0, (3, 8))
         sim = BatchedFunctionalSimulator(Program([halt()]), batch=3)
-        inflated = np.abs(matrix).sum(axis=1) * 1e15
-        out = sim._matvec_shared(matrix, inflated, vecs)
+        inflated = guard_factor(matrix) * 1e15
+        quantised, lane_max = sim._convert(vecs)
+        out = sim._matvec_shared(matrix, inflated, quantised, lane_max)
         assert sim.guard_recomputed == out.size
-        quantised = bfp_quantize(vecs, DEFAULT_FORMAT)
         expected = np.stack([matrix @ quantised[lane] for lane in range(3)])
         assert np.array_equal(out, expected)
 
@@ -264,7 +286,7 @@ class TestRoundingBoundaryGuard:
         matrix = bfp_quantize(rng.normal(0.0, 1.0, (16, 32)), DEFAULT_FORMAT)
         vecs = rng.normal(0.0, 1.0, (8, 32))
         sim = BatchedFunctionalSimulator(Program([halt()]), batch=8)
-        out = sim._matvec_shared(matrix, np.abs(matrix).sum(axis=1), vecs)
+        out = sim._matvec_shared(matrix, guard_factor(matrix), *sim._convert(vecs))
         for lane in range(8):
             want = bfp_matvec(matrix, vecs[lane], DEFAULT_FORMAT)
             assert np.array_equal(
