@@ -274,6 +274,8 @@ class ClusterSimulator:
         self.external_events = 0
         #: Running tasks aborted and requeued by :meth:`abort_running`.
         self.aborted_runs = 0
+        #: Callbacks :meth:`run` fires once the event queue is empty.
+        self._run_end: list = []
         bind = getattr(scheduler, "bind_simulator", None)
         if bind is not None:
             bind(self)
@@ -357,6 +359,12 @@ class ClusterSimulator:
             raise SimulationError(f"negative external-event delay {delay_s}")
         self._external_inflight += 1
         self.queue.schedule_in(delay_s, self._external_fire, callback)
+
+    def add_run_end(self, callback) -> None:
+        """Call ``callback()`` at the end of every :meth:`run`, after the
+        last event and before the pending-task check (the batch executor
+        drains its partial groups here)."""
+        self._run_end.append(callback)
 
     def _external_fire(self, callback) -> None:
         self._external_inflight -= 1
@@ -667,6 +675,8 @@ class ClusterSimulator:
         for task in tasks:
             self.queue.schedule(task.arrival_s, self._arrive, task)
         self.queue.run()
+        for callback in self._run_end:
+            callback()
         if self.pending_count:
             raise SimulationError(
                 f"{self.system_name}: {self.pending_count} tasks never placed "

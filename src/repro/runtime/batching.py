@@ -14,11 +14,17 @@ Integration contract — *no change to DES event semantics*:
 * ``submit(task, replicas, now)`` is called by the scheduler inside
   ``try_start`` after the deployment is acquired.  It only buffers; a full
   group (``max_batch`` lanes) executes immediately.
-* ``ensure_executed(task)`` is called inside ``on_finish`` *before* the
-  deployment is released: if the task's group has not yet filled, the
-  partial group executes right then (falling back to the scalar simulator
-  for singleton groups).  A task therefore always holds its output by the
-  time its completion event is observable, at unchanged timestamps — the
+* ``withdraw(task)`` is called when a running task is preempted: the task
+  leaves its waiting group unexecuted and re-submits when it restarts, so
+  its output comes from the plan width of the run that completes (a task
+  whose group already ran at that width is not run again).
+* ``flush()`` runs every partial group.  The scheduler registers it as a
+  run-end step of the driving
+  :class:`~repro.cluster.simulator.ClusterSimulator`, which fires once the
+  event queue is empty and before ``run()`` returns.  Nothing in the
+  simulation reads ``Task.output``, so a group waits for ``max_batch``
+  lanes across completions instead of being cut at its first one; every
+  output exists when ``run()`` returns, at unchanged timestamps — the
   fig12 goldens are bit-identical with the executor on or off.
 
 The executor is **off by default** (like migration, faults and serving):
@@ -53,8 +59,9 @@ from ..workloads.deepbench import model_by_key
 class BatchingParameters:
     """Knobs for the request-coalescing executor.
 
-    ``max_batch`` bounds group size (memory and latency of one batched
-    run); ``weight_seed`` fixes the model weights used for functional
+    ``max_batch`` bounds group size: the lanes, and so the memory, of one
+    batched run (a group executes when it fills, or at run end);
+    ``weight_seed`` fixes the model weights used for functional
     execution; ``force_scalar`` pins every execution to the scalar
     fallback (equivalence harnesses compare against it).
     """
@@ -108,6 +115,8 @@ class BatchExecutor:
         self._groups: dict[tuple, list] = {}
         #: task_id -> group key, while the task waits.
         self._waiting: dict[int, tuple] = {}
+        #: task_id -> group key of the execution that set its output.
+        self._executed: dict[int, tuple] = {}
         self._weights: dict[str, object] = {}
         self._codegens: dict[tuple, object] = {}
         #: (model_key, replicas, replica_index) -> resident WeightImage.
@@ -157,10 +166,13 @@ class BatchExecutor:
 
     def submit(self, task, replicas: int, now: float) -> None:
         """Buffer ``task`` for batched execution; runs the group when it
-        reaches ``max_batch`` lanes."""
-        if task.task_id in self._waiting:
-            return
+        reaches ``max_batch`` lanes.  A task restarted after preemption at
+        the width its output already came from is not run again."""
         key = (task.model_key, replicas)
+        if task.task_id in self._waiting or (
+            task.output is not None and self._executed.get(task.task_id) == key
+        ):
+            return
         group = self._groups.setdefault(key, [])
         group.append(task)
         self._waiting[task.task_id] = key
@@ -169,18 +181,23 @@ class BatchExecutor:
             self.stats.full_batches += 1
             self._execute(key)
 
-    def ensure_executed(self, task) -> None:
-        """Execute ``task``'s group now if it is still waiting (called at
-        task finish, before the deployment releases)."""
-        key = self._waiting.get(task.task_id)
+    def withdraw(self, task) -> None:
+        """Take a still-waiting ``task`` out of its group unexecuted
+        (preemption: the task re-submits when it restarts)."""
+        key = self._waiting.pop(task.task_id, None)
         if key is None:
             return
-        self.stats.partial_flushes += 1
-        self._execute(key)
+        group = [t for t in self._groups[key] if t.task_id != task.task_id]
+        if group:
+            self._groups[key] = group
+        else:
+            del self._groups[key]
 
     def flush(self) -> None:
-        """Execute every waiting group (end-of-run drain)."""
+        """Execute every waiting group (end-of-run drain); each counts as
+        a partial flush."""
         for key in list(self._groups):
+            self.stats.partial_flushes += 1
             self._execute(key)
 
     # -- execution -----------------------------------------------------------
@@ -218,6 +235,7 @@ class BatchExecutor:
             outputs = self._execute_scaleout(spec, replicas, payloads)
         for task, output in zip(tasks, outputs):
             task.output = output
+            self._executed[task.task_id] = key
         self.stats.executions += 1
         self.stats.batch_sizes[batch] = self.stats.batch_sizes.get(batch, 0) + 1
         if scalar:

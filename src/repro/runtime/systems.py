@@ -58,7 +58,9 @@ class ProposedSystem:
         #: (:class:`repro.runtime.batching.BatchExecutor`).  Off by
         #: default: pure-timing runs never touch the functional simulator,
         #: and timestamps are identical either way — batching only decides
-        #: *how* task outputs are computed, never *when* events fire.
+        #: *how* task outputs are computed, never *when* events fire.  A
+        #: group executes when it fills, or when the driving simulator's
+        #: run ends (see :meth:`bind_simulator`).
         self.batch_executor = None
         if batching is not None:
             from .batching import BatchExecutor, BatchingParameters
@@ -97,9 +99,17 @@ class ProposedSystem:
 
     def bind_simulator(self, simulator) -> None:
         """Adopt the driving DES (gives defrag and failure recovery a
-        clock to schedule on)."""
+        clock to schedule on, and drains the batch executor's partial
+        groups when the run ends)."""
         self._simulator = simulator
         self.controller.bind_simulator(simulator)
+        if self.batch_executor is not None:
+            simulator.add_run_end(self._drain_outputs)
+
+    def _drain_outputs(self) -> None:
+        # Looked up per call: a wrapper installed on ``flush`` after this
+        # system was bound still sees the drain.
+        self.batch_executor.flush()
 
     def has_fast_path(self, task: Task) -> bool:
         return self.controller.find_idle_deployment(task.model_key) is not None
@@ -192,12 +202,10 @@ class ProposedSystem:
         return reconfig + deployment.service_s
 
     def on_finish(self, task: Task, now: float) -> None:
+        # A still-waiting batch group keeps filling past this completion:
+        # nothing in the simulation reads outputs, and the run-end drain
+        # executes whatever group is left.
         deployment = self._running.pop(task.task_id)
-        if self.batch_executor is not None:
-            # The task's output must exist by the time its completion is
-            # observable; a still-waiting group executes now (scalar
-            # fallback when it degenerated to one lane).
-            self.batch_executor.ensure_executed(task)
         self.controller.release(deployment, now)
 
     def abort_task(self, task: Task):
@@ -207,9 +215,9 @@ class ProposedSystem:
         deployment the task was running on."""
         deployment = self._running.pop(task.task_id)
         if self.batch_executor is not None:
-            # Keep the coalescing executor's group state consistent; the
-            # requeued task re-submits on its next start.
-            self.batch_executor.ensure_executed(task)
+            # The aborted run's lane is dropped unexecuted; the requeued
+            # task re-submits on its next start.
+            self.batch_executor.withdraw(task)
         return deployment
 
     # -- defragmentation (migration subsystem; off unless ``defrag=True``) ---------

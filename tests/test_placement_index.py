@@ -370,8 +370,9 @@ class TestChaosInvariants:
 
     @pytest.mark.slow
     def test_thousand_board_chaos_storm(self, shared_catalog):
-        """The 1000-board acceptance storm (nightly): the index stays
-        consistent through sustained failure/repair churn at full scale."""
+        """The 1000-board acceptance storm (a ``slow`` test, run by its own
+        CI step): the index stays consistent through sustained
+        failure/repair churn at full scale."""
         cluster, controller = _chaos_storm(
             1000, steps=1500, seed=2025, catalog=shared_catalog
         )

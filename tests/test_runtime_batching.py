@@ -1,8 +1,8 @@
 """Request-coalescing tests: the :class:`BatchExecutor` contract (buffer
-until full, flush at finish, scalar fallback for singletons), batched-vs-
-scalar output equality through the executor, and — the integration
-invariant — unchanged DES event timing with batching on, off, or forced
-scalar."""
+until full, drain partial groups with ``flush``, scalar fallback for
+singletons), batched-vs-scalar output equality through the executor, and —
+the integration invariant — unchanged DES event timing with batching on,
+off, or forced scalar."""
 
 import numpy as np
 import pytest
@@ -56,18 +56,19 @@ class TestBatchExecutor:
         for task in tasks:
             assert task.output is not None and task.output.shape == (512,)
 
-    def test_partial_group_flushes_at_finish(self):
+    def test_partial_group_flushes_as_one_execution(self):
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         tasks = [_task(i) for i in range(3)]
         for task in tasks:
             executor.submit(task, replicas=1, now=0.0)
         assert executor.stats.executions == 0
-        executor.ensure_executed(tasks[0])
+        executor.flush()
         assert executor.stats.executions == 1
         assert executor.stats.partial_flushes == 1
+        assert executor.stats.batch_sizes == {3: 1}
         assert all(task.output is not None for task in tasks)
-        # Already-executed tasks are a no-op.
-        executor.ensure_executed(tasks[1])
+        # Nothing left waiting: a second drain is a no-op.
+        executor.flush()
         assert executor.stats.executions == 1
 
     def test_resubmit_is_idempotent(self):
@@ -81,7 +82,7 @@ class TestBatchExecutor:
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         task = _task(0)
         executor.submit(task, replicas=1, now=0.0)
-        executor.ensure_executed(task)
+        executor.flush()
         assert executor.stats.scalar_lanes == 1
         assert executor.stats.batched_lanes == 0
 
