@@ -246,7 +246,7 @@ class MigrationEngine:
                 block_indices=list(dst.owned_indices(deployment.deployment_id)),
             )
             self.bytes_migrated += move.state_bytes
-        deployment.service_s = controller._service_time(
+        deployment.service_s = controller.service_time(
             deployment.plan, deployment.placements
         )
         controller.set_state(deployment, DeploymentState.IDLE, now)

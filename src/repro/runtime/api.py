@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..errors import AllocationError, DeploymentError
+from ..errors import DeploymentError
 from .controller import SystemController
 
 
@@ -64,12 +64,10 @@ class HypervisorAPI:
         deployment = self._controller.find_idle_deployment(model_key)
         reconfig = 0.0
         if deployment is None:
-            try:
-                deployment, reconfig = self._controller.deploy(
-                    model_key, now=now, waited_s=0.0
-                )
-            except AllocationError:
+            placed = self._controller.try_deploy(model_key, now=now, waited_s=0.0)
+            if placed is None:
                 return None
+            deployment, reconfig = placed
         deployment.acquire()
         handle = TaskHandle(
             handle_id=next(self._ids),

@@ -452,16 +452,58 @@ class SystemController:
     ) -> tuple:
         """Create a new deployment for ``model_key``.
 
+        Returns ``(deployment, reconfig_seconds)``; raises
+        :class:`AllocationError` when the model cannot currently be placed.
+        A thin wrapper over :meth:`try_deploy` (same policy, same counters)
+        for callers that want a refusal as an exception: the message — a
+        tenant-quota refusal, or the largest free hole per device type —
+        is built only here, so the scheduler's hot decline path, which
+        calls :meth:`try_deploy`, never formats one.
+        """
+        quota_before = self.stats.quota_rejections
+        placed = self.try_deploy(model_key, now, waited_s, allow_mixed)
+        if placed is not None:
+            return placed
+        if self.stats.quota_rejections > quota_before:
+            raise AllocationError(
+                f"tenant quota: no plan for {model_key} fits within the "
+                f"quota of tenant {self.tenant_context!r}"
+            )
+        # Diagnostic from the index tails (O(types)), not a cluster walk.
+        largest = {
+            device_type: self.index.max_free(device_type)
+            for device_type in self.index.device_types()
+        }
+        raise AllocationError(
+            f"no feasible allocation for {model_key} "
+            f"(largest free hole per type: {largest})"
+        )
+
+    def try_deploy(
+        self,
+        model_key: str,
+        now: float = 0.0,
+        waited_s: float = 0.0,
+        allow_mixed: bool = True,
+    ) -> tuple | None:
+        """Create a new deployment for ``model_key``, or return ``None``.
+
         Returns ``(deployment, reconfig_seconds)``.  Follows the greedy
         policy: try the fewest-FPGAs plan first; when no placement exists,
-        evict idle deployments LRU and retry; raise
-        :class:`AllocationError` when the model cannot currently be placed.
+        evict idle deployments LRU and retry; give up (``None``) when the
+        model cannot currently be placed.  A refusal by the tenant quota
+        guard counts in ``stats.quota_rejections``, any other refusal in
+        ``stats.placement_failures``.
 
         ``waited_s`` is how long the requesting task has queued.  Eviction
         is gated twice to prevent reconfiguration thrash on mixed streams:
         the model must have no resident deployment, and the requester must
         have waited out the patience window (which batches same-model work
         between reconfigurations).
+
+        Under a deep backlog almost every call is refused, so a refusal
+        raises nothing and formats nothing: it returns ``None`` and leaves
+        the diagnostic to :meth:`deploy`.
         """
         self.stats.deploy_calls += 1
         entry = self.catalog.entry(model_by_key(model_key))
@@ -478,10 +520,7 @@ class SystemController:
                 # outcome, and counting it as capacity would make the
                 # serving retry/preemption machinery fight the quota.
                 self.stats.quota_rejections += 1
-                raise AllocationError(
-                    f"tenant quota: no plan for {model_key} fits within the "
-                    f"quota of tenant {self.tenant_context!r}"
-                )
+                return None
             plans = allowed
         may_evict = waited_s >= self.eviction_patience_s
         while True:
@@ -494,16 +533,7 @@ class SystemController:
                 self.stats.fast_rejects += 1
             if not may_evict or not self._evict_one_idle(now, model_key):
                 self.stats.placement_failures += 1
-                # Diagnostic from the index tails (O(types)), not a
-                # cluster walk — this raise is hot under backlog.
-                largest = {
-                    device_type: self.index.max_free(device_type)
-                    for device_type in self.index.device_types()
-                }
-                raise AllocationError(
-                    f"no feasible allocation for {model_key} "
-                    f"(largest free hole per type: {largest})"
-                )
+                return None
 
     def emit_event(self, event) -> None:
         """Append a structured operational event (bounded ring)."""
@@ -887,15 +917,33 @@ class SystemController:
             for b in ids[at + 1 :]
         )
 
-    def _estimate_service(self, plan: DeploymentPlan, assignment: list) -> float:
-        """Service-time estimate for an assignment.
+    def service_time(self, plan: DeploymentPlan, placements: list) -> float:
+        """Per-task latency of ``plan`` on ``placements`` (the simulator's
+        service time), read through the one service cache of
+        :meth:`_estimate_service` — the migration engine re-times a moved
+        deployment with this."""
+        return self._estimate_service(
+            plan,
+            [
+                (self.cluster.board(placement.fpga_id),
+                 plan.image_for(placement.device_type))
+                for placement in placements
+            ],
+        )
 
-        Cached per (model, replicas, ordered device types, ring-hop
-        signature): the estimate is a pure function of exactly those
-        inputs.  Keying on the type mix alone (the old key) let two
-        assignments with identical types but different ring adjacency
-        share one entry, so ``_find_placement``'s min() could pick the
-        slower pair on the stale number.
+    def _estimate_service(self, plan: DeploymentPlan, assignment: list) -> float:
+        """Service time of a ``(board, image)`` assignment.
+
+        The controller's one service cache, keyed per (model, replicas,
+        ordered device types, ring-hop signature): the latency is a pure
+        function of exactly those inputs.  Keying on the type mix alone
+        (the old key) let two assignments with identical types but
+        different ring adjacency share one entry, so ``_find_placement``'s
+        min() could pick the slower pair on the stale number.  Ranking
+        candidates, stamping the winner's ``service_s`` in
+        :meth:`_instantiate` and re-timing a migrated deployment
+        (:meth:`service_time`) all read it, so the cycle model evaluates a
+        placement shape once, not once per deployment.
         """
         types = tuple(board.model.name for board, _ in assignment)
         key = (plan.model_key, plan.replicas, types,
@@ -993,7 +1041,7 @@ class SystemController:
             seq=seq,
             controller=self,
         )
-        deployment.service_s = self._service_time(plan, placements)
+        deployment.service_s = self._estimate_service(plan, assignment)
         self.deployments[deployment_id] = deployment
         for placement in placements:
             self.track_resident(placement.fpga_id, deployment_id)
@@ -1006,7 +1054,8 @@ class SystemController:
         return deployment, reconfig
 
     def _service_time(self, plan: DeploymentPlan, placements: list) -> float:
-        """Per-task latency on this deployment (the simulator's service)."""
+        """Per-task latency on ``placements``, evaluated by the cycle model
+        (uncached: callers want :meth:`service_time`)."""
         if plan.replicas == 1:
             image = plan.image_for(placements[0].device_type)
             virt = VirtualizationContext(

@@ -23,7 +23,7 @@ from ..accel.codegen import build_scaleout_programs
 from ..accel.timing import CycleModel, TimingParameters, DEFAULT_TIMING
 from ..cluster.simulator import Task
 from ..cluster.topology import FPGACluster
-from ..errors import AllocationError, ReproError
+from ..errors import ReproError
 from ..perf.latency import BASE_INSTANCES, weight_load_seconds
 from ..perf.overlap import scaleout_latency
 from ..vital.bitstream import LowLevelController
@@ -123,19 +123,20 @@ class ProposedSystem:
     def observe_queue(self, pending_by_model: dict) -> None:
         self._queue_view = dict(pending_by_model)
 
-    def _deployment_count(self, model_key: str) -> int:
-        return self.controller.deployment_count(model_key)
-
     def _expansion_allowed(self, model_key: str) -> bool:
         """Fairness: a model with copies yields space to pending models
-        that have none at all."""
+        that have none at all.
+
+        A model has copies exactly when its key is in the controller's
+        per-model index (``discard`` deletes a key with its last copy), so
+        the check is a membership probe per queued model, not a count.
+        """
         if not self.expansion_enabled:
             return False
         view = self._queue_view
-        for other_key, depth in view.items():
-            if other_key == model_key or depth <= 0:
-                continue
-            if self._deployment_count(other_key) == 0:
+        resident = self.controller._by_model
+        for key, depth in view.items():
+            if depth > 0 and key not in resident and key != model_key:
                 return False
         return view.get(model_key, 0) >= 2
 
@@ -162,10 +163,11 @@ class ProposedSystem:
             # the controller provably cannot place it, so don't charge a
             # placement failure for re-asking.
             return None
-        deployment = self.controller.find_idle_deployment(task.model_key)
+        controller = self.controller
+        deployment = controller.find_idle_deployment(task.model_key)
         reconfig = 0.0
         if deployment is None:
-            copies = self._deployment_count(task.model_key)
+            copies = controller.deployment_count(task.model_key)
             if copies > 0 and not self._expansion_allowed(task.model_key):
                 return None  # wait for the busy copy instead of expanding
             waited = now - task.arrival_s
@@ -185,16 +187,15 @@ class ProposedSystem:
             total_seen = sum(seen.values())
             other_seen = total_seen - seen.get(task.model_key, 0)
             allow_mixed = other_seen <= 0.05 * total_seen
-            try:
-                deployment, reconfig = self.controller.deploy(
-                    task.model_key, now, waited_s=waited,
-                    allow_mixed=allow_mixed,
-                )
-            except AllocationError:
+            placed = controller.try_deploy(
+                task.model_key, now, waited_s=waited, allow_mixed=allow_mixed
+            )
+            if placed is None:
                 self._maybe_defrag(task.model_key, now)
                 return None
+            deployment, reconfig = placed
         else:
-            self.controller.stats.reuse_hits += 1
+            controller.stats.reuse_hits += 1
         deployment.acquire()
         self._running[task.task_id] = deployment
         if self.batch_executor is not None:

@@ -18,8 +18,8 @@ graceful when offered load exceeds capacity or boards fail:
   deadline wake via ``schedule_external``; the pass that wake triggers
   runs *at* the deadline and so does not expire the request, but it keeps
   an idle queue from waiting on the idle-retry poll alone.
-* **Retry budget** — genuine placement failures (the controller raised
-  ``AllocationError``) consume a per-request budget with jittered
+* **Retry budget** — genuine placement failures (the controller counted
+  a ``placement_failure``) consume a per-request budget with jittered
   exponential backoff; exhaustion abandons the request.  Waiting behind a
   busy deployment costs nothing — that is queueing, not failure.
 * **Circuit breakers** — per-board failure/latency windows
