@@ -41,6 +41,7 @@ from ..serving import Request, ServingFrontend, ServingParameters
 from ..units import ms
 from ..vital import VitalCompiler
 from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from .report import percentile
 
 #: Weighted round-robin model pattern: the stream leans on the slowest
 #: model (lstm-h256-t150, ~1200 req/s per single deployment) so its
@@ -236,8 +237,8 @@ def run_arm(
         "goodput_per_s": (
             stats.slo_hits / result.makespan_s if result.makespan_s else 0.0
         ),
-        "p50_latency_s": _percentile(stats.latencies_s, 0.50),
-        "p99_latency_s": _percentile(stats.latencies_s, 0.99),
+        "p50_latency_s": percentile(stats.latencies_s, 0.50),
+        "p99_latency_s": percentile(stats.latencies_s, 0.99),
         "makespan_s": result.makespan_s,
         "wall_clock_s": wall_s,
         "deployments_created": controller.stats.deployments_created,
@@ -257,13 +258,6 @@ def run_arm(
             "peak_units": dict(sorted(a.peak_units.items())),
         }
     return metrics, ledger
-
-
-def _percentile(values: list, fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[int(fraction * (len(ordered) - 1))]
 
 
 def run_trace(trace: str, task_count: int) -> dict:

@@ -16,13 +16,21 @@ scalar simulator on every swept model.  The CI regression gate
 (:mod:`repro.experiments.bench_gate`) compares the measured *speedup
 ratio* against the committed smoke baseline — a within-run ratio, so the
 gate is insensitive to absolute runner speed.
+
+Run as a module, the bench pins the BLAS thread pools to one thread (as
+``benchmarks/e2e/run.py`` does for its workers) so both arms measure the
+program rather than a small host's thread scheduler.  The package imports
+numpy before the module body runs, so an unpinned invocation re-executes
+itself with the pin; the report's ``thread_env`` records what the run saw.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -50,6 +58,9 @@ GATE_SPEEDUP_FLOOR = 5.0
 
 WEIGHT_SEED = 0
 INPUT_SEED = 1234
+
+#: BLAS / OpenMP thread pools pinned to one thread for a module run.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _payloads(spec, count: int) -> list:
@@ -173,6 +184,7 @@ def run_bench(
             "weight_seed": WEIGHT_SEED,
             "input_seed": INPUT_SEED,
         },
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
         "models": models,
         "program_cache": PROGRAM_CACHE.stats(),
         "gate": {
@@ -232,4 +244,10 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":  # pragma: no cover - manual driver
+    if any(os.environ.get(name) != "1" for name in THREAD_ENV):
+        os.execve(
+            sys.executable,
+            [sys.executable, "-m", __spec__.name, *sys.argv[1:]],
+            {**os.environ, **dict.fromkeys(THREAD_ENV, "1")},
+        )
     main()

@@ -24,6 +24,7 @@ from ..cluster import ClusterSimulator, Task, paper_cluster
 from ..faults import FaultInjector, FaultModelParameters
 from ..runtime import Catalog, build_system
 from ..vital import VitalCompiler
+from .report import percentile
 
 #: Small serving models (one of each per round-robin turn).
 STREAM_MODELS = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25")
@@ -51,13 +52,6 @@ def _build_tasks(task_count: int) -> list:
         )
         for index in range(task_count)
     ]
-
-
-def _p99_latency(completed: list) -> float:
-    if not completed:
-        return 0.0
-    latencies = sorted(task.latency_s for task in completed)
-    return latencies[int(0.99 * (len(latencies) - 1))]
 
 
 def run_point(
@@ -108,7 +102,9 @@ def run_point(
         "makespan_s": result.makespan_s,
         "throughput_tasks_per_s": result.throughput,
         "mean_latency_s": result.mean_latency(),
-        "p99_latency_s": _p99_latency(result.completed),
+        "p99_latency_s": percentile(
+            [task.latency_s for task in result.completed], 0.99
+        ),
         "wall_clock_s": wall_s,
         "availability": (
             injector.availability(result.makespan_s) if injector else 1.0

@@ -1,70 +1,35 @@
-"""CI bench regression gate: compare a fresh smoke ``BENCH_fig12.json``
-against the committed baseline and fail on real slowdowns.
+"""CI bench regression gate: one comparator over a declarative check table.
 
-Wall-clock is the gating metric: more than ``--tolerance`` (default 25%)
-over the baseline fails the build — generous enough to absorb shared-runner
-noise, tight enough to catch an accidentally re-quadratic allocator.  The
-deterministic work counters (placement attempts, DES events) are compared
-exactly but only *warn* on drift: a drift there is intentional behaviour
-change territory, and the golden tests — not this gate — decide whether it
-is correct.  Refresh the baseline when a PR legitimately changes the
-counters or the smoke workload::
+Each bench writes ``BENCH_<gate>.json`` into the working directory; the
+gate checks every row of :data:`TABLE` for the named gates (all of them by
+default) and exits 1 when a hard row fails::
 
-    PYTHONPATH=src python -m repro.experiments.bench_fig12 --smoke \
-        --output benchmarks/baselines/BENCH_fig12_smoke.json
+    PYTHONPATH=src python -m repro.experiments.bench_gate            # all
+    PYTHONPATH=src python -m repro.experiments.bench_gate tenancy    # one
 
-The gate also (optionally, via ``--serving-current``) checks the serving
-smoke report: the overload gate point must still pass, and its
-admitted-request SLO attainment may not drop more than 5 percentage
-points below the committed baseline.  Refresh that baseline with::
+A row is ``(gate, path, check, tolerance, level)``.  ``path`` is dotted;
+``*`` fans out over dict keys or list items and ``-1`` is a list's last
+item.  ``check`` is one of :data:`CHECKS`: ``true``, ``zero``,
+``at_least`` and ``above`` look at the report alone; ``equal``,
+``ratio_max``, ``ratio_min`` and ``drop_max`` compare it against the
+committed baseline ``benchmarks/baselines/BENCH_<gate>_smoke.json``
+(those rows fan out over the baseline, so a value the report lost
+fails).  ``level`` is ``hard`` (fails the build), ``warn`` (drift in a
+deterministic counter: a behaviour change, which the golden and
+equivalence tests arbitrate) or ``id``: the rows naming the workload.
+On an ``id`` mismatch a gate fails at once, except the gates in
+:data:`INTRINSIC_ON_MISMATCH`, which run only their baseline-free rows:
+the nightly full-scale tenancy report has no smoke baseline, but its
+quota, recovery and p99-bound checks carry their own references.
 
-    PYTHONPATH=src python -m repro.experiments.bench_serving --smoke \
-        --output benchmarks/baselines/BENCH_serving_smoke.json
+Wall-clock rows allow 25% over the baseline, generous enough to absorb
+shared-runner noise and tight enough to catch an accidentally quadratic
+allocator; the speedup and savings rows are within-run ratios, so they
+are insensitive to absolute runner speed.  Refresh a baseline when a
+change legitimately moves it::
 
-And (optionally, via ``--batch-current``) the batched-simulation smoke
-report: batched outputs must stay bit-identical to scalar, the gate
-point's speedup floor must hold, and the measured batched-vs-scalar
-speedup may not drop more than 25% below the committed baseline.  The
-speedup is a within-run ratio, so this gate is insensitive to absolute
-runner speed.  Refresh with::
-
-    PYTHONPATH=src python -m repro.experiments.bench_batch --smoke \
-        --output benchmarks/baselines/BENCH_batch_smoke.json
-
-And (optionally, via ``--scale-current``) the cluster-scale smoke report:
-every point's schedule digest must equal the baseline's, board probes
-per placement search must keep growing
-sub-linearly in board count, and the largest point's wall-clock gets the
-same ``--tolerance`` bound as the fig12 gate.  Refresh with::
-
-    PYTHONPATH=src python -m repro.experiments.bench_scale --smoke \
-        --output benchmarks/baselines/BENCH_scale_smoke.json
-
-And (optionally, via ``--autoscale-current``) the elastic-autoscaling
-smoke report: every trace's own gate must still pass (SLO within its
-margin of the static-peak arm, replica-second savings at or above the
-absolute floor), and the measured savings may not regress more than 25%
-below the committed baseline.  Savings are a within-run ratio of the two
-arms, so this gate is insensitive to absolute runner speed.  Refresh
-with::
-
-    PYTHONPATH=src python -m repro.experiments.bench_autoscale --smoke \
-        --output benchmarks/baselines/BENCH_autoscale_smoke.json
-
-And (optionally, via ``--tenancy-current``) the multi-tenancy smoke
-report: the tenancy arm's own gate must still pass (zero quota
-violations, premium p99 within its solo-run bound, every preempted task
-recovered), and the premium tenant's mixed-arm p99 may not regress more
-than 25% over the committed baseline.  Refresh with::
-
-    PYTHONPATH=src python -m repro.experiments.bench_tenancy --smoke \
-        --output benchmarks/baselines/BENCH_tenancy_smoke.json
-
-``--all-current`` runs every gate at once against the default produced
-report names (``BENCH_fig12.json``, ``BENCH_serving.json``,
-``BENCH_batch.json``, ``BENCH_scale.json``, ``BENCH_autoscale.json``,
-``BENCH_tenancy.json``) and the committed baselines — the single CI
-entry point.
+    PYTHONPATH=src python -m repro.experiments.bench_<gate> --smoke \\
+        --output benchmarks/baselines/BENCH_<gate>_smoke.json
 """
 
 from __future__ import annotations
@@ -74,517 +39,192 @@ import json
 import pathlib
 import sys
 
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_fig12_smoke.json"
-DEFAULT_TOLERANCE = 0.25
+BASELINE_DIR = pathlib.Path("benchmarks/baselines")
+#: Allowed fractional drift of wall-clock, speedup, savings and p99.
+TOLERANCE = 0.25
+#: Allowed drop in admitted-request SLO attainment (5 percentage points).
+SLO_DROP = 0.05
 
-SERVING_BASELINE = "benchmarks/baselines/BENCH_serving_smoke.json"
-#: Allowed drop in admitted-request SLO attainment at the gate point
-#: (5 percentage points).
-SLO_DROP_TOLERANCE = 0.05
+HARD, WARN, ID = "hard", "warn", "id"
 
-BATCH_BASELINE = "benchmarks/baselines/BENCH_batch_smoke.json"
-#: Allowed fractional drop in batched-vs-scalar speedup at the gate batch.
-BATCH_SPEEDUP_DROP_TOLERANCE = 0.25
-
-SCALE_BASELINE = "benchmarks/baselines/BENCH_scale_smoke.json"
-
-AUTOSCALE_BASELINE = "benchmarks/baselines/BENCH_autoscale_smoke.json"
-#: Allowed fractional drop in replica-second savings vs the baseline.
-AUTOSCALE_SAVINGS_DROP_TOLERANCE = 0.25
-
-TENANCY_BASELINE = "benchmarks/baselines/BENCH_tenancy_smoke.json"
-#: Allowed fractional growth of the premium tenant's mixed-arm p99 over
-#: the committed baseline.
-TENANCY_P99_DRIFT_TOLERANCE = 0.25
-
-#: ``--all-current`` shorthand: every gate's default produced report.
-ALL_CURRENT_DEFAULTS = {
-    "current": "BENCH_fig12.json",
-    "serving_current": "BENCH_serving.json",
-    "batch_current": "BENCH_batch.json",
-    "scale_current": "BENCH_scale.json",
-    "autoscale_current": "BENCH_autoscale.json",
-    "tenancy_current": "BENCH_tenancy.json",
+#: check -> (passes(current, baseline, tolerance), requirement text).
+CHECKS = {
+    "equal": (lambda cur, base, tol: cur == base, "== baseline {base!r}"),
+    "true": (lambda cur, base, tol: bool(cur), "true"),
+    "zero": (lambda cur, base, tol: not cur, "zero"),
+    "at_least": (lambda cur, base, tol: cur >= tol, ">= {tol:g}"),
+    "above": (lambda cur, base, tol: cur > tol, "> {tol:g}"),
+    "ratio_max": (
+        lambda cur, base, tol: cur <= base * (1.0 + tol),
+        "<= baseline {base:.4g} + {tol:.0%}",
+    ),
+    "ratio_min": (
+        lambda cur, base, tol: cur >= base * (1.0 - tol),
+        ">= baseline {base:.4g} - {tol:.0%}",
+    ),
+    "drop_max": (
+        lambda cur, base, tol: base - cur <= tol,
+        ">= baseline {base:.4g} - {tol:g}",
+    ),
 }
+BASELINE_FREE = {"true", "zero", "at_least", "above"}
+#: Checks allowing drift against the baseline; a passing hard one is
+#: reported as within tolerance.
+DRIFT = {"ratio_max", "ratio_min", "drop_max"}
 
-#: Deterministic work counters (exact comparison, warnings only).
-COUNTER_KEYS = (
-    "find_placement_calls",
-    "deploy_calls",
-    "fast_rejects",
-    "try_start_attempts",
-    "watermark_skips",
+TABLE = (
+    ("fig12", "scale", "equal", None, ID),
+    ("fig12", "wall_s.after", "ratio_max", TOLERANCE, HARD),
+    ("fig12", "placement.find_placement_calls", "equal", None, WARN),
+    ("fig12", "placement.deploy_calls", "equal", None, WARN),
+    ("fig12", "placement.fast_rejects", "equal", None, WARN),
+    ("fig12", "placement.try_start_attempts", "equal", None, WARN),
+    ("fig12", "placement.watermark_skips", "equal", None, WARN),
+    ("fig12", "events", "equal", None, WARN),
+    ("serving", "workload.task_count", "equal", None, ID),
+    ("serving", "gate.pass", "true", None, HARD),
+    ("serving", "gate.slo_admitted", "drop_max", SLO_DROP, HARD),
+    ("serving", "gate.p99_latency_s", "ratio_max", TOLERANCE, WARN),
+    ("batch", "scale.requests", "equal", None, ID),
+    ("batch", "scale.models", "equal", None, ID),
+    ("batch", "gate.bit_identical", "true", None, HARD),
+    ("batch", "gate.pass", "true", None, HARD),
+    ("batch", "gate.speedups.*", "ratio_min", TOLERANCE, HARD),
+    ("scale", "scale", "equal", None, ID),
+    ("scale", "points.*.schedule_digest", "equal", None, HARD),
+    ("scale", "gate.sublinear", "true", None, HARD),
+    ("scale", "points.-1.wall_s", "ratio_max", TOLERANCE, HARD),
+    ("scale", "points.*.placement_searches", "equal", None, WARN),
+    ("scale", "points.*.boards_probed", "equal", None, WARN),
+    ("scale", "points.*.events", "equal", None, WARN),
+    ("autoscale", "workload.task_count", "equal", None, ID),
+    ("autoscale", "workload.traces", "equal", None, ID),
+    ("autoscale", "gate.per_trace.*.pass", "true", None, HARD),
+    ("autoscale", "gate.per_trace.*.replica_second_savings", "ratio_min", TOLERANCE, HARD),
+    ("tenancy", "workload.task_count", "equal", None, ID),
+    ("tenancy", "workload.boards", "equal", None, ID),
+    ("tenancy", "gate.quota_violations", "zero", None, HARD),
+    ("tenancy", "gate.recovery_rate", "at_least", 1.0, HARD),
+    ("tenancy", "gate.pass", "true", None, HARD),
+    ("tenancy", "gate.premium_mixed_p99_s", "ratio_max", TOLERANCE, HARD),
+    ("tenancy", "mixed_tenancy.tenancy.preemption_sweeps", "equal", None, WARN),
+    ("tenancy", "mixed_tenancy.tenancy.tasks_preempted", "equal", None, WARN),
+    ("tenancy", "mixed_tenancy.tenancy.quota_sheds", "equal", None, WARN),
+    ("faults", "comparison.min_recovery_rate", "at_least", 1.0, HARD),
+    # failure_rate_off - failure_rate_on: defrag must lower the rate.
+    ("defrag", "comparison.failure_rate_reduction", "above", 0.0, HARD),
+    ("defrag", "defrag_on.migrations_completed", "at_least", 1, HARD),
+    ("defrag", "defrag_on.migration_counters.bytes_migrated", "above", 0, HARD),
 )
+GATES = tuple(dict.fromkeys(row[0] for row in TABLE))
+INTRINSIC_ON_MISMATCH = {"tenancy"}
+
+#: A path component with nothing behind it.
+MISSING = object()
 
 
-def compare(current: dict, baseline: dict, tolerance: float) -> tuple:
-    """Returns ``(failures, warnings)`` message lists."""
-    failures: list = []
-    warnings: list = []
-    if current["scale"] != baseline["scale"]:
-        failures.append(
-            f"scale mismatch: current {current['scale']} vs baseline "
-            f"{baseline['scale']} — comparing different workloads"
-        )
-        return failures, warnings
-    base_wall = baseline["wall_s"]["after"]
-    cur_wall = current["wall_s"]["after"]
-    ratio = cur_wall / base_wall if base_wall else float("inf")
-    if ratio > 1.0 + tolerance:
-        failures.append(
-            f"wall-clock regression: {cur_wall:.2f}s vs baseline "
-            f"{base_wall:.2f}s ({ratio:.2f}x, tolerance "
-            f"{1.0 + tolerance:.2f}x)"
-        )
-    else:
-        warnings.append(
-            f"wall-clock: {cur_wall:.2f}s vs baseline {base_wall:.2f}s "
-            f"({ratio:.2f}x) — within tolerance"
-        )
-    for key in COUNTER_KEYS:
-        cur = current["placement"].get(key)
-        base = baseline["placement"].get(key)
-        if cur != base:
-            warnings.append(
-                f"counter drift: placement.{key} {base} -> {cur} "
-                f"(behaviour change — the golden tests arbitrate)"
-            )
-    if current.get("events") != baseline.get("events"):
-        warnings.append(
-            f"counter drift: simulator events "
-            f"{baseline.get('events')} -> {current.get('events')}"
-        )
-    return failures, warnings
+def resolve(doc, path: str) -> dict:
+    """``{concrete path: value}`` for every match of a dotted ``path``."""
+    found = {"": doc}
+    for part in path.split("."):
+        step = {}
+        for prefix, node in found.items():
+            try:
+                if part == "*":
+                    items = (
+                        node.items() if isinstance(node, dict)
+                        else enumerate(node)
+                    )
+                elif isinstance(node, list):
+                    items = [(part, node[int(part)])]
+                else:
+                    items = [(part, node[part])]
+            except (KeyError, IndexError, TypeError, ValueError):
+                items = [(part, MISSING)]
+            for key, value in items:
+                step[f"{prefix}.{key}" if prefix else str(key)] = value
+        found = step
+    return found
 
 
-def compare_serving(
-    current: dict, baseline: dict, slo_tolerance: float = SLO_DROP_TOLERANCE
-) -> tuple:
-    """SLO-attainment gate on the serving smoke report: ``(failures,
-    warnings)``.  Fails when the overload gate point no longer passes or
-    its SLO attainment regressed more than ``slo_tolerance`` below the
-    committed baseline; latency/shed drift only warns (the bench's own
-    ``gate.pass`` bounds the absolutes)."""
-    failures: list = []
-    warnings: list = []
-    cur_work = current["workload"]
-    base_work = baseline["workload"]
-    if cur_work["task_count"] != base_work["task_count"]:
-        failures.append(
-            f"serving scale mismatch: current {cur_work['task_count']} "
-            f"tasks vs baseline {base_work['task_count']} — comparing "
-            f"different workloads"
-        )
-        return failures, warnings
-    cur_gate = current["gate"]
-    base_gate = baseline["gate"]
-    if not cur_gate["pass"]:
-        failures.append(
-            f"serving gate point failed outright: SLO "
-            f"{cur_gate['slo_admitted']:.3f} (floor "
-            f"{cur_gate['slo_floor']}), p99 "
-            f"{cur_gate['p99_latency_s'] * 1e3:.1f} ms (bound "
-            f"{cur_gate['p99_bound_s'] * 1e3:.0f} ms)"
-        )
-    drop = base_gate["slo_admitted"] - cur_gate["slo_admitted"]
-    if drop > slo_tolerance:
-        failures.append(
-            f"serving SLO regression: attainment "
-            f"{cur_gate['slo_admitted']:.3f} vs baseline "
-            f"{base_gate['slo_admitted']:.3f} "
-            f"({drop * 100:.1f} pp drop, tolerance "
-            f"{slo_tolerance * 100:.0f} pp)"
-        )
-    else:
-        warnings.append(
-            f"serving SLO: {cur_gate['slo_admitted']:.3f} vs baseline "
-            f"{base_gate['slo_admitted']:.3f} — within tolerance"
-        )
-    if cur_gate["p99_latency_s"] > 1.25 * base_gate["p99_latency_s"]:
-        warnings.append(
-            f"serving p99 drift: {cur_gate['p99_latency_s'] * 1e3:.1f} ms "
-            f"vs baseline {base_gate['p99_latency_s'] * 1e3:.1f} ms "
-            f"(still inside the gate's absolute bound)"
-        )
-    return failures, warnings
-
-
-def compare_batch(
-    current: dict,
-    baseline: dict,
-    drop_tolerance: float = BATCH_SPEEDUP_DROP_TOLERANCE,
-) -> tuple:
-    """Batched-throughput regression gate: ``(failures, warnings)``.
-
-    Hard failures: any non-bit-identical point (the batched path's
-    correctness contract), the gate point's absolute speedup floor no
-    longer holding, or a per-model speedup more than ``drop_tolerance``
-    below the committed baseline.
-    """
-    failures: list = []
-    warnings: list = []
-    cur_scale = current["scale"]
-    base_scale = baseline["scale"]
-    if (
-        cur_scale["requests"] != base_scale["requests"]
-        or cur_scale["models"] != base_scale["models"]
-    ):
-        failures.append(
-            f"batch scale mismatch: current {cur_scale} vs baseline "
-            f"{base_scale} — comparing different workloads"
-        )
-        return failures, warnings
-    cur_gate = current["gate"]
-    base_gate = baseline["gate"]
-    if not cur_gate["bit_identical"]:
-        failures.append(
-            "batched outputs no longer bit-identical to the scalar "
-            "simulator (see the report's per-point bit_identical flags)"
-        )
-    if not cur_gate["pass"]:
-        failures.append(
-            f"batch gate point failed outright: speedups "
-            f"{cur_gate['speedups']} (floor {cur_gate['speedup_floor']}x "
-            f"at batch {cur_gate['batch']})"
-        )
-    for model, base_speedup in base_gate["speedups"].items():
-        cur_speedup = cur_gate["speedups"].get(model)
-        if cur_speedup is None:
-            failures.append(f"batch gate lost model {model}")
-            continue
-        floor = base_speedup * (1.0 - drop_tolerance)
-        if cur_speedup < floor:
-            failures.append(
-                f"batched speedup regression on {model}: "
-                f"{cur_speedup:.2f}x vs baseline {base_speedup:.2f}x "
-                f"(floor {floor:.2f}x at {drop_tolerance * 100:.0f}% drop)"
-            )
-        else:
-            warnings.append(
-                f"batched speedup on {model}: {cur_speedup:.2f}x vs "
-                f"baseline {base_speedup:.2f}x — within tolerance"
-            )
-    return failures, warnings
-
-
-def compare_scale(
-    current: dict, baseline: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple:
-    """Cluster-scale regression gate: ``(failures, warnings)``.
-
-    Hard failures: scale mismatch, any schedule digest differing from the
-    baseline's at the same board count (schedules must stay
-    bit-identical), a sub-linearity gate failure, or the largest point's
-    wall-clock exceeding the baseline by more than ``tolerance``.
-    Per-point probe and event drift only warns (deterministic counters;
-    the equivalence tests arbitrate behaviour changes)."""
-    failures: list = []
-    warnings: list = []
-    if current["scale"] != baseline["scale"]:
-        failures.append(
-            f"scale-bench mismatch: current {current['scale']} vs baseline "
-            f"{baseline['scale']} — comparing different sweeps"
-        )
-        return failures, warnings
-    cur_gate = current["gate"]
-    # Equal "scale" blocks mean equal board counts, point for point.
-    for point, base_point in zip(current["points"], baseline["points"]):
-        cur = point["schedule_digest"]
-        base = base_point["schedule_digest"]
-        if cur != base:
-            failures.append(
-                f"schedule digest changed at {point['boards']} boards: "
-                f"{cur[:12]} vs baseline {base[:12]} (schedules must stay "
-                f"bit-identical)"
-            )
-    if not cur_gate["sublinear"]:
-        failures.append(
-            f"probe growth no longer sub-linear: {cur_gate['probe_growth']:.2f}x "
-            f"probes vs {cur_gate['board_growth']:.0f}x boards (allowed "
-            f"fraction {cur_gate['sublinear_fraction']})"
-        )
-    cur_wall = current["points"][-1]["wall_s"]
-    base_wall = baseline["points"][-1]["wall_s"]
-    ratio = cur_wall / base_wall if base_wall else float("inf")
-    if ratio > 1.0 + tolerance:
-        failures.append(
-            f"scale wall-clock regression at "
-            f"{current['points'][-1]['boards']} boards: {cur_wall:.2f}s vs "
-            f"baseline {base_wall:.2f}s ({ratio:.2f}x, tolerance "
-            f"{1.0 + tolerance:.2f}x)"
-        )
-    else:
-        warnings.append(
-            f"scale wall-clock: {cur_wall:.2f}s vs baseline "
-            f"{base_wall:.2f}s ({ratio:.2f}x) — within tolerance"
-        )
-    for cur_point, base_point in zip(current["points"], baseline["points"]):
-        for key in ("placement_searches", "boards_probed", "events"):
-            cur = cur_point.get(key)
-            base = base_point.get(key)
-            if cur != base:
-                warnings.append(
-                    f"counter drift at {cur_point['boards']} boards: "
-                    f"{key} {base} -> {cur} (behaviour change — the "
-                    f"equivalence tests arbitrate)"
-                )
-    return failures, warnings
-
-
-def compare_autoscale(
-    current: dict,
-    baseline: dict,
-    drop_tolerance: float = AUTOSCALE_SAVINGS_DROP_TOLERANCE,
-) -> tuple:
-    """Elastic-autoscaling regression gate: ``(failures, warnings)``.
-
-    Hard failures: workload mismatch, any trace whose own gate no longer
-    passes (SLO fell more than the bench's margin below the static-peak
-    arm, or replica-second savings dipped under the absolute floor), or a
-    trace's savings more than ``drop_tolerance`` below the committed
-    baseline.  SLO-delta drift inside the margin only warns.
-    """
-    failures: list = []
-    warnings: list = []
-    cur_work = current["workload"]
-    base_work = baseline["workload"]
-    if (
-        cur_work["task_count"] != base_work["task_count"]
-        or cur_work["traces"] != base_work["traces"]
-    ):
-        failures.append(
-            f"autoscale scale mismatch: current {cur_work['task_count']} "
-            f"tasks over {cur_work['traces']} vs baseline "
-            f"{base_work['task_count']} over {base_work['traces']} — "
-            f"comparing different workloads"
-        )
-        return failures, warnings
-    cur_gate = current["gate"]
-    base_gate = baseline["gate"]
-    for trace, base_point in base_gate["per_trace"].items():
-        cur_point = cur_gate["per_trace"].get(trace)
-        if cur_point is None:
-            failures.append(f"autoscale gate lost trace {trace}")
-            continue
-        if not cur_point["pass"]:
-            failures.append(
-                f"autoscale gate failed outright on {trace}: dSLO "
-                f"{cur_point['slo_delta_pp']:.2f} pp (margin "
-                f"{cur_gate['slo_margin_pp']} pp), savings "
-                f"{cur_point['replica_second_savings']:.1%} (floor "
-                f"{cur_gate['savings_floor']:.0%})"
-            )
-            continue
-        base_savings = base_point["replica_second_savings"]
-        cur_savings = cur_point["replica_second_savings"]
-        floor = base_savings * (1.0 - drop_tolerance)
-        if cur_savings < floor:
-            failures.append(
-                f"autoscale savings regression on {trace}: "
-                f"{cur_savings:.1%} vs baseline {base_savings:.1%} "
-                f"(floor {floor:.1%} at {drop_tolerance * 100:.0f}% drop)"
-            )
-        else:
-            warnings.append(
-                f"autoscale savings on {trace}: {cur_savings:.1%} vs "
-                f"baseline {base_savings:.1%}, dSLO "
-                f"{cur_point['slo_delta_pp']:.2f} pp — within tolerance"
-            )
-    return failures, warnings
-
-
-def compare_tenancy(
-    current: dict,
-    baseline: dict,
-    drift_tolerance: float = TENANCY_P99_DRIFT_TOLERANCE,
-) -> tuple:
-    """Multi-tenancy regression gate: ``(failures, warnings)``.
-
-    Hard failures: workload mismatch, any quota violation (the ledger's
-    per-tenant peak resident usage exceeded a quota — the layer's
-    zero-violation contract), the bench's own gate no longer passing
-    (premium p99 out of its solo-run bound, or a preempted task never
-    completing), or the premium tenant's mixed-arm p99 more than
-    ``drift_tolerance`` above the committed baseline.  Preemption-count
-    drift only warns (deterministic counters; the tenancy tests
-    arbitrate behaviour changes).
-
-    Unlike the other gates, a workload mismatch is not fatal: the
-    zero-violation / recovery / p99-bound checks are intrinsic to the
-    run (each arm carries its own solo reference), so the nightly
-    full-scale report is gated on those and only the baseline-drift
-    comparison is skipped, with a warning."""
-    failures: list = []
-    warnings: list = []
-    cur_work = current["workload"]
-    base_work = baseline["workload"]
-    same_workload = (
-        cur_work["task_count"] == base_work["task_count"]
-        and cur_work["boards"] == base_work["boards"]
+def needs_baseline(gate: str) -> bool:
+    """Whether any of ``gate``'s rows reads the committed baseline."""
+    return any(
+        row[0] == gate and (row[4] == ID or row[2] not in BASELINE_FREE)
+        for row in TABLE
     )
-    if not same_workload:
-        warnings.append(
-            f"tenancy workload differs from baseline: "
-            f"{cur_work['task_count']} tasks on {cur_work['boards']} "
-            f"boards vs baseline {base_work['task_count']} on "
-            f"{base_work['boards']} — intrinsic checks only, baseline "
-            f"drift comparison skipped"
+
+
+def _show(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else repr(value)
+
+
+def _check(gate, path, check, tol, current, baseline) -> list:
+    """``[(passed, message)]`` for every value ``path`` matches."""
+    passes, requirement = CHECKS[check]
+    free = check in BASELINE_FREE
+    results = []
+    for where, value in resolve(current if free else baseline, path).items():
+        cur, base = (value, None) if free else (
+            resolve(current, where)[where], value
         )
-    cur_gate = current["gate"]
-    base_gate = baseline["gate"]
-    if cur_gate["quota_violations"]:
-        failures.append(
-            f"tenant quota violated: {cur_gate['quota_violations']} "
-            f"(the quota guard's zero-violation contract is broken)"
-        )
-    if cur_gate["recovery_rate"] < 1.0:
-        failures.append(
-            f"preempted work lost: recovery rate "
-            f"{cur_gate['recovery_rate']:.3f} < 1.0 "
-            f"({cur_gate['tasks_preempted']} preemptions)"
-        )
-    if not cur_gate["pass"]:
-        failures.append(
-            f"tenancy gate point failed outright: premium p99 "
-            f"{cur_gate['premium_mixed_p99_s'] * 1e3:.2f} ms vs solo "
-            f"{cur_gate['premium_solo_p99_s'] * 1e3:.2f} ms "
-            f"(bound {cur_gate['p99_bound_factor']:g}x)"
-        )
-    if not same_workload:
-        return failures, warnings
-    base_p99 = base_gate["premium_mixed_p99_s"]
-    cur_p99 = cur_gate["premium_mixed_p99_s"]
-    ceiling = base_p99 * (1.0 + drift_tolerance)
-    if base_p99 and cur_p99 > ceiling:
-        failures.append(
-            f"premium p99 regression: {cur_p99 * 1e3:.2f} ms vs baseline "
-            f"{base_p99 * 1e3:.2f} ms (ceiling {ceiling * 1e3:.2f} ms at "
-            f"{drift_tolerance * 100:.0f}% drift)"
-        )
-    else:
-        warnings.append(
-            f"tenancy premium p99: {cur_p99 * 1e3:.2f} ms vs baseline "
-            f"{base_p99 * 1e3:.2f} ms — within tolerance"
-        )
-    cur_tenancy = current["mixed_tenancy"]["tenancy"]
-    base_tenancy = baseline["mixed_tenancy"]["tenancy"]
-    for key in ("preemption_sweeps", "tasks_preempted", "quota_sheds"):
-        if cur_tenancy.get(key) != base_tenancy.get(key):
-            warnings.append(
-                f"counter drift: tenancy.{key} "
-                f"{base_tenancy.get(key)} -> {cur_tenancy.get(key)} "
-                f"(behaviour change — the tenancy tests arbitrate)"
-            )
+        if MISSING in (cur, base):
+            results.append((False, f"{gate} {where}: missing"))
+            continue
+        rule = requirement.format(base=base, tol=tol)
+        message = f"{gate} {where}: {_show(cur)} (needs {rule})"
+        results.append((passes(cur, base, tol), message))
+    return results
+
+
+def compare(gate: str, current: dict, baseline: dict | None = None) -> tuple:
+    """``(failures, warnings)`` message lists for one gate's rows."""
+    rows = [row[1:] for row in TABLE if row[0] == gate]
+    mismatches = [
+        message
+        for path, check, tol, level in rows if level == ID
+        for passed, message in _check(gate, path, check, tol, current, baseline)
+        if not passed
+    ]
+    warnings = []
+    if mismatches:
+        if gate not in INTRINSIC_ON_MISMATCH:
+            return [f"{m} — comparing different workloads" for m in mismatches], []
+        warnings = [f"{m} — baseline rows skipped" for m in mismatches]
+        rows = [row for row in rows if row[1] in BASELINE_FREE]
+    failures = []
+    for path, check, tol, level in rows:
+        if level == ID:
+            continue
+        for passed, message in _check(gate, path, check, tol, current, baseline):
+            if not passed:
+                (failures if level == HARD else warnings).append(message)
+            elif level == HARD and check in DRIFT:
+                warnings.append(f"{message} — within tolerance")
     return failures, warnings
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--current", default="BENCH_fig12.json",
-                        help="freshly produced smoke report (pass an empty "
-                        "string to skip the fig12 gate, e.g. when gating a "
-                        "full-scale report that has no smoke counterpart)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="committed reference report")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="allowed fractional wall-clock slowdown "
-                        "(default 0.25)")
-    parser.add_argument("--serving-current", default=None,
-                        help="freshly produced serving smoke report "
-                        "(omit to skip the serving gate)")
-    parser.add_argument("--serving-baseline", default=SERVING_BASELINE,
-                        help="committed serving reference report")
-    parser.add_argument("--batch-current", default=None,
-                        help="freshly produced batched-simulation smoke "
-                        "report (omit to skip the batch gate)")
-    parser.add_argument("--batch-baseline", default=BATCH_BASELINE,
-                        help="committed batched-simulation reference report")
-    parser.add_argument("--scale-current", default=None,
-                        help="freshly produced cluster-scale smoke report "
-                        "(omit to skip the scale gate)")
-    parser.add_argument("--scale-baseline", default=SCALE_BASELINE,
-                        help="committed cluster-scale reference report")
-    parser.add_argument("--autoscale-current", default=None,
-                        help="freshly produced autoscaling smoke report "
-                        "(omit to skip the autoscale gate)")
-    parser.add_argument("--autoscale-baseline", default=AUTOSCALE_BASELINE,
-                        help="committed autoscaling reference report")
-    parser.add_argument("--tenancy-current", default=None,
-                        help="freshly produced multi-tenancy smoke report "
-                        "(omit to skip the tenancy gate)")
-    parser.add_argument("--tenancy-baseline", default=TENANCY_BASELINE,
-                        help="committed multi-tenancy reference report")
-    parser.add_argument("--all-current", action="store_true",
-                        help="run every gate against the default produced "
-                        "report names and committed baselines (the single "
-                        "CI entry point)")
+    parser.add_argument(
+        "gates", nargs="*", metavar="GATE",
+        help=f"gates to run (default: all of {', '.join(GATES)})",
+    )
     args = parser.parse_args(argv)
-    if args.all_current:
-        for attr, default in ALL_CURRENT_DEFAULTS.items():
-            if getattr(args, attr) in (None, parser.get_default(attr)):
-                setattr(args, attr, default)
+    unknown = sorted(set(args.gates) - set(GATES))
+    if unknown:
+        parser.error(f"unknown gate(s): {', '.join(unknown)}")
     failures: list = []
     warnings: list = []
-    if args.current:
-        current = json.loads(pathlib.Path(args.current).read_text())
-        baseline = json.loads(pathlib.Path(args.baseline).read_text())
-        failures, warnings = compare(current, baseline, args.tolerance)
-    if args.serving_current:
-        serving_current = json.loads(
-            pathlib.Path(args.serving_current).read_text()
-        )
-        serving_baseline = json.loads(
-            pathlib.Path(args.serving_baseline).read_text()
-        )
-        serving_failures, serving_warnings = compare_serving(
-            serving_current, serving_baseline
-        )
-        failures.extend(serving_failures)
-        warnings.extend(serving_warnings)
-    if args.batch_current:
-        batch_current = json.loads(pathlib.Path(args.batch_current).read_text())
-        batch_baseline = json.loads(
-            pathlib.Path(args.batch_baseline).read_text()
-        )
-        batch_failures, batch_warnings = compare_batch(
-            batch_current, batch_baseline
-        )
-        failures.extend(batch_failures)
-        warnings.extend(batch_warnings)
-    if args.scale_current:
-        scale_current = json.loads(pathlib.Path(args.scale_current).read_text())
-        scale_baseline = json.loads(
-            pathlib.Path(args.scale_baseline).read_text()
-        )
-        scale_failures, scale_warnings = compare_scale(
-            scale_current, scale_baseline, args.tolerance
-        )
-        failures.extend(scale_failures)
-        warnings.extend(scale_warnings)
-    if args.autoscale_current:
-        autoscale_current = json.loads(
-            pathlib.Path(args.autoscale_current).read_text()
-        )
-        autoscale_baseline = json.loads(
-            pathlib.Path(args.autoscale_baseline).read_text()
-        )
-        autoscale_failures, autoscale_warnings = compare_autoscale(
-            autoscale_current, autoscale_baseline
-        )
-        failures.extend(autoscale_failures)
-        warnings.extend(autoscale_warnings)
-    if args.tenancy_current:
-        tenancy_current = json.loads(
-            pathlib.Path(args.tenancy_current).read_text()
-        )
-        tenancy_baseline = json.loads(
-            pathlib.Path(args.tenancy_baseline).read_text()
-        )
-        tenancy_failures, tenancy_warnings = compare_tenancy(
-            tenancy_current, tenancy_baseline
-        )
-        failures.extend(tenancy_failures)
-        warnings.extend(tenancy_warnings)
+    for gate in args.gates or GATES:
+        current = json.loads(pathlib.Path(f"BENCH_{gate}.json").read_text())
+        baseline = None
+        if needs_baseline(gate):
+            path = BASELINE_DIR / f"BENCH_{gate}_smoke.json"
+            baseline = json.loads(path.read_text())
+        gate_failures, gate_warnings = compare(gate, current, baseline)
+        failures.extend(gate_failures)
+        warnings.extend(gate_warnings)
     for message in warnings:
         print(f"[warn] {message}")
     for message in failures:

@@ -5,7 +5,7 @@ VU37P:KU115 mix) under a fully backlogged mixed task stream and emits
 ``BENCH_scale.json``: wall-clock, DES events/s, placement-search and
 board-probe counts, and a schedule digest per point.  The gate checks
 that boards probed per placement search grow sub-linearly in board
-count; the regression gate (``bench_gate --scale-current``) holds every
+count; the regression gate (``bench_gate scale``) holds every
 digest to the committed baseline's.
 
 Regenerate with::

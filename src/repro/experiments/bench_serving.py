@@ -32,6 +32,7 @@ from ..runtime import Catalog, build_system
 from ..serving import Request, ServingFrontend, ServingParameters
 from ..vital import VitalCompiler
 from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from .report import percentile
 
 #: Small serving models (one of each per round-robin turn).
 STREAM_MODELS = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25")
@@ -82,13 +83,6 @@ def build_requests(
         )
         for index, arrival_s in enumerate(arrivals)
     ]
-
-
-def _percentile(values: list, fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[int(fraction * (len(ordered) - 1))]
 
 
 def run_point(
@@ -163,8 +157,8 @@ def run_point(
         ),
         "shed_rate": stats.shed_rate(),
         "goodput_per_s": stats.slo_hits / makespan if makespan else 0.0,
-        "p50_latency_s": _percentile(stats.latencies_s, 0.50),
-        "p99_latency_s": _percentile(stats.latencies_s, 0.99),
+        "p50_latency_s": percentile(stats.latencies_s, 0.50),
+        "p99_latency_s": percentile(stats.latencies_s, 0.99),
         "makespan_s": makespan,
         "wall_clock_s": wall_s,
         "placement_retries": stats.placement_retries,
@@ -221,8 +215,8 @@ def run_reference(
         "offered_rate_per_s": rate,
         "completed": len(result.completed),
         "slo_attainment": on_time / len(latencies) if latencies else 1.0,
-        "p50_latency_s": _percentile(latencies, 0.50),
-        "p99_latency_s": _percentile(latencies, 0.99),
+        "p50_latency_s": percentile(latencies, 0.50),
+        "p99_latency_s": percentile(latencies, 0.99),
         "makespan_s": result.makespan_s,
     }
 

@@ -37,6 +37,7 @@ from ..runtime import Catalog, build_system
 from ..tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from ..vital import VitalCompiler
 from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from .report import percentile
 
 #: Bench cluster: 16 boards in the paper mix (3:1 VU37P:KU115).
 BOARD_COUNT = 16
@@ -121,13 +122,6 @@ def build_streams(
     return streams
 
 
-def _percentile(values: list, fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[int(fraction * (len(ordered) - 1))]
-
-
 def _tenant_latencies(result) -> dict:
     latencies: dict = {}
     for task in result.completed:
@@ -140,8 +134,8 @@ def _latency_block(latencies: dict) -> dict:
         name: {
             "completed": len(values),
             "mean_s": sum(values) / len(values) if values else 0.0,
-            "p50_s": _percentile(values, 0.50),
-            "p99_s": _percentile(values, 0.99),
+            "p50_s": percentile(values, 0.50),
+            "p99_s": percentile(values, 0.99),
         }
         for name, values in sorted(latencies.items())
     }

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from ..accel import BW_V37, CycleModel
 from ..accel.timing import VirtualizationContext
 from ..workloads.deepbench import TABLE4_BENCHMARKS, ModelSpec
-from .report import format_table
+from .report import format_table, percentile
 
 #: Co-resident accelerators in the sharing scenario.
 NEIGHBOURS = 2
@@ -149,13 +149,6 @@ class TenantIsolationRow:
         return self.shared_p99_s / self.solo_p99_s if self.solo_p99_s else 1.0
 
 
-def _percentile(values: list, fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[int(fraction * (len(ordered) - 1))]
-
-
 def _tenant_tasks(
     name: str,
     models: tuple,
@@ -252,9 +245,9 @@ def run_tenant_isolation(
             TenantIsolationRow(
                 tenant=name,
                 solo_mean_s=sum(solo[name]) / len(solo[name]) if solo[name] else 0.0,
-                solo_p99_s=_percentile(solo[name], 0.99),
+                solo_p99_s=percentile(solo[name], 0.99),
                 shared_mean_s=sum(shared) / len(shared) if shared else 0.0,
-                shared_p99_s=_percentile(shared, 0.99),
+                shared_p99_s=percentile(shared, 0.99),
                 completed_solo=len(solo[name]),
                 completed_shared=len(shared),
             )

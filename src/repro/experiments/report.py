@@ -1,4 +1,5 @@
-"""Plain-text table rendering shared by the experiment drivers."""
+"""Plain-text tables and summary statistics shared by the experiment
+drivers."""
 
 from __future__ import annotations
 
@@ -26,3 +27,12 @@ def format_table(headers: list, rows: list, title: str = "") -> str:
 def pct(fraction: float) -> str:
     """Render a fraction as a percentage string."""
     return f"{fraction * 100:.1f}%"
+
+
+def percentile(values, fraction: float) -> float:
+    """The sorted ``values`` at index ``int(fraction * (n - 1))``; 0.0 when
+    empty."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[int(fraction * (len(ordered) - 1))]
