@@ -16,15 +16,17 @@ the tenancy order, frozen for the pass) followed by that FIFO tail.
 Dispatch is incremental: when a model's task fails to start, the simulator
 records a *watermark* — the resource-state version it failed under plus the
 scheduler's earliest time-gate hint (:meth:`Scheduler.retry_hint`) — and
-skips every task of that model until resources change (an arrival, start or
-finish bumps the version) or the clock reaches the hint.  A skipped attempt
-is one the scheduler would provably have declined, so schedules (and
-therefore experiment outputs) are identical to exhaustive re-scanning while
-the number of placement attempts drops by orders of magnitude.  Skipping
-costs O(1) per queue, not per task: a blocked model's queues leave the heap
-and, after the next version bump, re-enter at their first task past the
-merge position (a bisect), so a pass is O(queues + attempts), not
-O(backlog).  A model whose queued tasks the dequeue gate
+skips every task of that model until resources change (a start or finish
+bumps the version; so does an arrival, unless
+:meth:`Scheduler.arrival_wakes_all` lets it wake only its own model) or the
+clock reaches the hint.  A skipped attempt is one the scheduler would
+provably have declined, so schedules (and therefore experiment outputs) are
+identical to those of a task-by-task walk that retries every blocked model
+on every arrival, while the number of placement attempts drops by orders of
+magnitude.  Skipping costs O(1) per queue, not per task: a blocked model's
+queues leave the heap and, after the next version bump, re-enter at their
+first task past the merge position (a bisect), so a pass is O(queues +
+attempts), not O(backlog).  A model whose queued tasks the dequeue gate
 (:meth:`Scheduler.should_drop`) might drop is walked task by task instead;
 :meth:`Scheduler.may_drop` tells the simulator at pass start which models
 it can park anyway.
@@ -133,6 +135,17 @@ class Scheduler(Protocol):
         promise — and lets the simulator park the model's queues while
         they are blocked instead of visiting each task.  ``True`` is always
         safe: the model's tasks are then walked one by one."""
+
+    def arrival_wakes_all(self, task: Task, now: float) -> bool:
+        """Optional: asked once per queued arrival, before its dispatch.
+        ``False`` promises that a retry of any other blocked model would
+        decline again, with no side effect, if it repeated the attempt its
+        watermark recorded; the simulator then retries only ``task``'s
+        model (and each model whose watermark came from a task behind its
+        oldest queued one).  Without the hook, or on ``True``, every
+        blocked model is retried.  Define it only when declines are pure:
+        a scheduler whose decline may evict, preempt or spend a retry
+        budget must leave it out."""
 
     def observe_queue(self, pending_by_model: dict) -> None:
         """Optional: queue pressure, ``{model key: queued tasks}`` summed
@@ -251,11 +264,15 @@ class ClusterSimulator:
         self._running_count = 0
         self._retry_scheduled = False
         self._idle_retries = 0
-        #: Monotonic version of cluster resource state; bumped whenever an
-        #: arrival, start or finish could change a try_start outcome.
+        #: Monotonic version of cluster resource state; bumped whenever a
+        #: start, a finish or an arrival (unless the scheduler's
+        #: ``arrival_wakes_all`` says no) could change a try_start outcome.
         self._resource_version = 0
         #: model key -> (version it failed under, earliest useful retry time).
         self._blocked: dict[str, tuple[int, float]] = {}
+        #: Models whose watermark a task behind the model's oldest queued
+        #: one recorded (see :meth:`_arrive`).
+        self._behind_head: set = set()
         #: Scheduler-driven events in flight (live migrations): they hold
         #: resources and will bump the version when they complete, so an
         #: idle queue is not a deadlock while any are outstanding.
@@ -295,6 +312,7 @@ class ClusterSimulator:
         self._retry_hint = getattr(scheduler, "retry_hint", None)
         self._should_drop = getattr(scheduler, "should_drop", None)
         self._may_drop = getattr(scheduler, "may_drop", None)
+        self._arrival_wakes_all = getattr(scheduler, "arrival_wakes_all", None)
         if (self._should_drop is None) != (self._may_drop is None):
             raise SimulationError(
                 f"{self.system_name}: a scheduler defines should_drop and "
@@ -412,9 +430,24 @@ class ClusterSimulator:
             return
         self._task_seq[task.task_id] = next(self._seqs)
         self._enqueue(task)
-        # A new arrival changes queue pressure, which admission/expansion
-        # policies observe — previously blocked models must be re-attempted.
-        self._resource_version += 1
+        wakes_all = self._arrival_wakes_all
+        if wakes_all is None or wakes_all(task, self.queue.now):
+            # A new arrival changes queue pressure, which admission and
+            # expansion policies observe: every blocked model is retried.
+            self._resource_version += 1
+        else:
+            # The scheduler vouches that retrying another model would
+            # repeat its recorded decline, with no side effect.  That holds
+            # only where the retry asks about the same task: a model whose
+            # watermark came from a task behind its oldest queued one (a
+            # parked queue resumed past it) would now be asked about that
+            # oldest task (its own waiting time, wake hint and first
+            # count in the observed mix), so it wakes with the arriving one.
+            blocked = self._blocked
+            blocked.pop(task.model_key, None)
+            for model_key in self._behind_head:
+                blocked.pop(model_key, None)
+            self._behind_head.clear()
         self._dispatch()
 
     def _dispatch(self) -> None:
@@ -475,7 +508,11 @@ class ClusterSimulator:
         the one just visited, exactly where a task-by-task walk would have
         resumed.  A model the dequeue gate may drop from (``may_drop``) is
         never parked: each of its tasks is visited for ``should_drop``, so
-        an expiry is never delayed by a blocked model's time gate.
+        an expiry is never delayed by a blocked model's time gate.  An
+        arrival the scheduler calls quiet (``arrival_wakes_all``) bumps no
+        version: it clears only its own model's watermark and those
+        recorded behind a model's oldest task, so the next pass parks every
+        other blocked model at its first visit.
         """
         dispatch_key = self._dispatch_key
         fast_path = self._fast_path
@@ -520,6 +557,7 @@ class ClusterSimulator:
         heapify(heap)
 
         blocked = self._blocked
+        behind_head = self._behind_head
         version = self._resource_version
         parked: list = []
         skips = attempts = 0
@@ -567,9 +605,18 @@ class ClusterSimulator:
                             if retry_hint is not None
                             else now  # no hint: retry every pass (exhaustive)
                         )
-                        blocked[queue.model_key] = (
-                            self._resource_version, hint
-                        )
+                        model_key = queue.model_key
+                        blocked[model_key] = (self._resource_version, hint)
+                        # Declined behind the model's oldest queued task?
+                        same_model = by_model[model_key]
+                        if index or len(same_model) > 1 and any(
+                            other.entries
+                            and other.entries[0][:2] < (arrival, seq)
+                            for other in same_model
+                        ):
+                            behind_head.add(model_key)
+                        else:
+                            behind_head.discard(model_key)
                         park = not droppable and now < hint
                     elif service < 0:
                         raise SimulationError(

@@ -86,6 +86,8 @@ class ProposedSystem:
         #: model key -> tasks seen (each counted on its first attempt).
         self._seen_models: dict[str, int] = {}
         self._seen_tasks: set[int] = set()
+        #: ``controller.stats.deployments_evicted`` at the last arrival.
+        self._evictions_at_arrival = 0
 
     @staticmethod
     def _same_type_only() -> bool:
@@ -247,6 +249,35 @@ class ProposedSystem:
         self._simulator.schedule_external(cost, complete)
         return True
 
+    def arrival_wakes_all(self, task: Task, now: float) -> bool:
+        """Whether ``task``'s arrival can change another model's answer.
+
+        An arrival only raises its own model's queue depth.  Elsewhere that
+        can hold a model back (the :meth:`_expansion_allowed` fairness
+        rule), never let one start, and it feeds no other model's
+        :meth:`retry_hint`.  While a model stays blocked its share of the
+        observed mix can only shrink, so ``allow_mixed`` never turns a
+        refused placement into one that fits.  So retrying a blocked model
+        with the task it last declined is a pure decline unless a decline
+        itself may act:
+
+        * with defrag on, a decline may start a compaction;
+        * a failed placement may have evicted idle deployments since the
+          last arrival, freeing blocks without waking anyone;
+        * an idle deployment is already stale, so a decline in this very
+          pass could evict it.
+        """
+        controller = self.controller
+        evicted = controller.stats.deployments_evicted
+        moved = evicted != self._evictions_at_arrival
+        self._evictions_at_arrival = evicted
+        if controller.migration_enabled or moved:
+            return True
+        oldest = next(controller.idle_lru(), None)
+        return oldest is not None and (
+            now - oldest.last_used_s >= controller.eviction_patience_s
+        )
+
     def retry_hint(self, task: Task, now: float) -> float:
         """Earliest time a declined task could start absent releases.
 
@@ -254,7 +285,12 @@ class ProposedSystem:
         requester ageing past the eviction-patience window, and an idle
         foreign deployment going stale enough to evict.  Everything else
         (queue pressure, deployment counts, free blocks) only moves on
-        arrivals/starts/finishes, which the simulator tracks by version.
+        starts, finishes and arrivals, which the simulator tracks by
+        version.  An arrival moves only its own model's queue depth, which
+        is no input of another model's hint (see
+        :meth:`arrival_wakes_all`); a failed placement that evicted moves
+        deployment counts and free blocks with no version bump, which is
+        why the next arrival then wakes every model.
         Hints are biased a hair early so float rounding can only cause a
         harmless extra attempt, never a missed one.
         """

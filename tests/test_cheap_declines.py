@@ -312,9 +312,12 @@ class TestExpansionAllowed:
 
 
 def test_small_deep_backlog_is_pinned(shared_catalog):
-    """256 mix-7 tasks on 32 boards: ~2 000 refused placements and 21
-    evictions.  The schedule and every placement counter match the raising
-    implementation's."""
+    """256 mix-7 tasks on 32 boards: ~1 000 refused placements and 21
+    evictions.  The schedule, searches, creations and evictions match the
+    raising implementation's; the refusals are fewer because an arrival
+    retries only its own model (they were 2 067 deploy calls, 2 030
+    failures, 2 028 fast rejects and 2 435 attempts while every arrival
+    retried every blocked model)."""
     system = build_system("proposed", scaled_cluster(32), shared_catalog)
     tasks = generate_workload(
         TABLE1_COMPOSITIONS[6], task_count=256, arrival_rate_per_s=1e5, seed=1
@@ -335,11 +338,11 @@ def test_small_deep_backlog_is_pinned(shared_catalog):
         "deployments_evicted": stats.deployments_evicted,
         "try_start_attempts": simulator.try_start_attempts,
     } == {
-        "deploy_calls": 2067,
-        "placement_failures": 2030,
-        "fast_rejects": 2028,
+        "deploy_calls": 1010,
+        "placement_failures": 973,
+        "fast_rejects": 971,
         "placement_searches": 66,
         "deployments_created": 37,
         "deployments_evicted": 21,
-        "try_start_attempts": 2435,
+        "try_start_attempts": 1290,
     }

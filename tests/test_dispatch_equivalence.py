@@ -6,19 +6,26 @@ plus arrival time (stably over queue order; the tenancy order broke ties
 by ``(arrival_s, task_id)``) and walks it task by task, skipping each task
 of a model below its watermark one at a time.  It asks ``should_drop``
 of every task and ``observe_queue`` at every pass, and never calls
-``may_drop``.  Randomized small workloads run through both dispatchers;
-the schedules, the dropped sets, the sequence of ``(task_id, now)``
-``try_start`` calls and the watermark-skip and attempt totals must all
-match exactly.
+``may_drop``.  It also keeps the old wake rule — every arrival retries
+every blocked model — and never asks ``arrival_wakes_all``.  Randomized
+small workloads run through both dispatchers; the schedules and the
+dropped sets must match exactly.  So must the sequence of ``(task_id,
+now)`` ``try_start`` calls and the watermark-skip and attempt totals,
+unless the scheduler answers ``arrival_wakes_all``: then the merge
+dispatcher's calls must be a subsequence of the reference's, and every
+call it skipped must have declined without evicting anything.
 """
 
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSimulator, Task, scaled_cluster
 from repro.cluster.topology import paper_cluster
+from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultModelParameters
 from repro.runtime import Catalog, build_system
 from repro.serving import (
@@ -48,6 +55,10 @@ class ReferenceSimulator(ClusterSimulator):
         self.skips = 0
         self.attempts = 0
         super().__init__(scheduler, system_name)
+
+    def _resolve_hooks(self):
+        super()._resolve_hooks()
+        self._arrival_wakes_all = None  # every arrival wakes every model
 
     def _enqueue(self, task):
         self._pending.append(task)
@@ -147,9 +158,13 @@ def _run_both(build, expected_digest=None) -> list:
         scheduler = simulator.scheduler
         calls = []
 
-        def try_start(task, now, inner=scheduler.try_start, calls=calls):
-            calls.append((task.task_id, now))
-            return inner(task, now)
+        def try_start(task, now, inner=scheduler.try_start, calls=calls,
+                      stats=scheduler.controller.stats):
+            evicted = stats.deployments_evicted
+            service = inner(task, now)
+            calls.append((task.task_id, now, service is None,
+                          stats.deployments_evicted - evicted))
+            return service
 
         scheduler.try_start = try_start
         result = simulator.run(tasks)
@@ -168,14 +183,37 @@ def _run_both(build, expected_digest=None) -> list:
     reference, merged = outcomes
     assert merged["digest"] == reference["digest"]
     assert merged["dropped"] == reference["dropped"]
-    assert merged["calls"] == reference["calls"]
-    assert merged["counters"] == reference["counters"]
+    if hasattr(simulators[1].scheduler, "arrival_wakes_all"):
+        _assert_pure_skips(reference["calls"], merged["calls"])
+        assert merged["counters"][1] <= reference["counters"][1]
+    else:
+        assert merged["calls"] == reference["calls"]
+        assert merged["counters"] == reference["counters"]
     assert len(reference["calls"]) == reference["counters"][1]
     # A reference that never dispatched would agree with anything.
     assert reference["counters"][1] > 0
     if expected_digest is not None:
         assert reference["digest"] == expected_digest
     return simulators
+
+
+def _assert_pure_skips(reference: list, merged: list) -> None:
+    """``merged`` is a subsequence of ``reference``, and every call
+    ``reference`` made that ``merged`` skipped declined and evicted
+    nothing."""
+    calls = iter(reference)
+    for call in merged:
+        for ref in calls:
+            if ref == call:
+                break
+            task_id, now, declined, evicted = ref
+            assert declined and evicted == 0, (
+                f"skipped try_start({task_id}, {now}) was not a pure decline"
+            )
+        else:
+            raise AssertionError(f"{call} is not in the reference's order")
+    for task_id, now, declined, evicted in calls:
+        assert declined and evicted == 0
 
 
 def _tied_arrivals(rng, count: int, slots: int, span_s: float) -> list:
@@ -372,3 +410,112 @@ def test_eviction_heavy_backlog(shared_catalog, isolation):
     for simulator in simulators:
         assert simulator.scheduler.controller.stats.deployments_evicted > 0
     assert wakes
+
+
+#: Schedule digests of :func:`test_idle_copies_go_stale_between_arrivals`.
+STALE_IDLE_DIGESTS = {
+    1: "342508109a4687e3d8e39b86214151c67bdb7d688eb98132a06af7c4b7204a5f",
+    5: "e99af515c428a19040afada7897a9c1a6e19e22faafd9b88cb2317692a737811",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_idle_copies_go_stale_between_arrivals(shared_catalog, seed):
+    """Arrivals spread over half a second on eight boards: idle copies
+    outlive the patience window while tasks still arrive, and a failed
+    placement evicts one before the next arrival.  The per-model arrival
+    wake must see both and wake every model."""
+    rng = random.Random(seed)
+    count = 240
+    arrivals = sorted(rng.uniform(0.0, 0.5) for _ in range(count))
+    models = [rng.choice(MIXED) for _ in range(count)]
+    answers = []
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(8), shared_catalog)
+
+        def arrival_wakes_all(task, now, inner=system.arrival_wakes_all):
+            answers.append(inner(task, now))
+            return answers[-1]
+
+        system.arrival_wakes_all = arrival_wakes_all
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a)
+                 for i, (a, m) in enumerate(zip(arrivals, models))]
+        return cls(system, "proposed"), tasks
+
+    _run_both(build, STALE_IDLE_DIGESTS[seed])
+    # Only the merge dispatcher asks, once per arrival.
+    assert len(answers) == count
+    assert True in answers and False in answers
+
+
+#: Schedule digests of :func:`test_watermark_behind_the_head`.
+BEHIND_HEAD_DIGESTS = {
+    4: "69718b0b111774b97a32d893c5a5930f0b85798a8d2e7520de9d854f51274e05",
+    14: "2525b6a30099fbfef96377d7adf02b086efa4dbb056dc077d3e2c2da8e0af98b",
+}
+
+
+@pytest.mark.parametrize("seed", [4, 14])
+def test_watermark_behind_the_head(shared_catalog, seed):
+    """A parked queue that resumes past its oldest tasks records its
+    watermark from a later task.  The reference's next arrival retries the
+    model at its oldest task instead: another waiting time, another wake
+    hint, a first count in the observed mix.  Two isolated tenants on six
+    boards make that retry act (an eviction, a start), so an arrival must
+    wake such a model too."""
+    rng = random.Random(seed)
+    count = 100
+    arrivals = sorted(rng.uniform(0.0, 0.3) for _ in range(count))
+    draws = [(rng.choice(MIXED), rng.choice("ab")) for _ in range(count)]
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(6), shared_catalog)
+        system.controller.tenant_isolation = True
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a, tenant=t)
+                 for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
+        return cls(system, "proposed"), tasks
+
+    _run_both(build, BEHIND_HEAD_DIGESTS[seed])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    boards=st.integers(min_value=4, max_value=16),
+    count=st.integers(min_value=1, max_value=120),
+    span_s=st.floats(min_value=0.0, max_value=0.5),
+    isolation=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
+                                            span_s, isolation, seed):
+    """The standing oracle for the per-model arrival wake: a bare
+    proposed system on random clusters, streams and arrival spreads (one
+    tenant, or two isolated ones) schedules exactly as when every arrival
+    wakes every model."""
+    rng = random.Random(seed)
+    arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
+    draws = [(rng.choice(MIXED), rng.choice("ab") if isolation else "")
+             for _ in range(count)]
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(boards),
+                              shared_catalog)
+        system.controller.tenant_isolation = isolation
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a, tenant=t)
+                 for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
+        return cls(system, "proposed"), tasks
+
+    try:
+        _run_both(build)
+    except SimulationError:
+        # An isolated tenant can wait forever for a copy only the other
+        # tenant may use; both dispatchers must then wedge alike.
+        assert isolation
+        errors = []
+        for cls in (ReferenceSimulator, ClusterSimulator):
+            simulator, tasks = build(cls)
+            with pytest.raises(SimulationError) as raised:
+                simulator.run(tasks)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
