@@ -14,19 +14,25 @@ holds each queue's next task keyed by the queue's class prefix (locality or
 the tenancy order, frozen for the pass) followed by that FIFO tail.
 
 Dispatch is incremental: when a model's task fails to start, the simulator
-records a *watermark* — the resource-state version it failed under plus the
-scheduler's earliest time-gate hint (:meth:`Scheduler.retry_hint`) — and
-skips every task of that model until resources change (a start or finish
-bumps the version; so does an arrival, unless
-:meth:`Scheduler.arrival_wakes_all` lets it wake only its own model) or the
-clock reaches the hint.  A skipped attempt is one the scheduler would
-provably have declined, so schedules (and therefore experiment outputs) are
-identical to those of a task-by-task walk that retries every blocked model
-on every arrival, while the number of placement attempts drops by orders of
-magnitude.  Skipping costs O(1) per queue, not per task: a blocked model's
-queues leave the heap and, after the next version bump, re-enter at their
-first task past the merge position (a bisect), so a pass is O(queues +
-attempts), not O(backlog).  A model whose queued tasks the dequeue gate
+records a *watermark* — the resource-state version it failed under, the
+scheduler's earliest time-gate hint (:meth:`Scheduler.retry_hint`) and the
+task that declined — and skips every task of that model until resources
+change or the clock reaches the hint.  Every arrival, start and finish may
+change resources; :meth:`Scheduler.woken_models` names the models the event
+can wake.  Without the hook, or on "all", the event bumps the version and
+every blocked model is retried.  Otherwise only the named models are woken;
+every other model keeps its decline.  A start or finish may still move a
+kept model's hint (it changes the idle set), so at the model's next visit
+the task that declined is re-hinted (one ``retry_hint`` call, not a
+``try_start``) and any other task is attempted.  A skipped attempt is one
+the scheduler would provably have declined, with the same hint, so
+schedules (and therefore experiment outputs) are identical to those of a
+task-by-task walk that retries every blocked model after every event, while
+the number of placement attempts drops by orders of magnitude.  Skipping
+costs O(1) per queue, not per task: a blocked model's queues leave the heap
+and, after the next start or finish, re-enter at their first task past the
+merge position (a bisect), so a pass is O(queues + attempts), not
+O(backlog).  A model whose queued tasks the dequeue gate
 (:meth:`Scheduler.should_drop`) might drop is walked task by task instead;
 :meth:`Scheduler.may_drop` tells the simulator at pass start which models
 it can park anyway.
@@ -112,7 +118,12 @@ class Scheduler(Protocol):
         future time a retry could succeed *without* any resource release in
         between (``math.inf`` when only a release can help).  Hints must be
         conservative (never later than the true unblock time); the simulator
-        uses them to skip provably fruitless attempts."""
+        uses them to skip provably fruitless attempts.  Also asked, with no
+        new ``try_start``, of a declined task whose model an event did not
+        wake (see :meth:`woken_models`).  The simulator re-asks only after
+        the events that may move what a hint reads, so a hint may read only
+        the clock, the idle set and its model's own observed queue
+        depth."""
 
     def admit(self, task: Task, now: float) -> bool:
         """Optional (serving layer): called once at arrival, before the
@@ -136,16 +147,23 @@ class Scheduler(Protocol):
         they are blocked instead of visiting each task.  ``True`` is always
         safe: the model's tasks are then walked one by one."""
 
-    def arrival_wakes_all(self, task: Task, now: float) -> bool:
-        """Optional: asked once per queued arrival, before its dispatch.
-        ``False`` promises that a retry of any other blocked model would
-        decline again, with no side effect, if it repeated the attempt its
-        watermark recorded; the simulator then retries only ``task``'s
-        model (and each model whose watermark came from a task behind its
-        oldest queued one).  Without the hook, or on ``True``, every
-        blocked model is retried.  Define it only when declines are pure:
-        a scheduler whose decline may evict, preempt or spend a retry
-        budget must leave it out."""
+    def woken_models(self, event: str, task: Task, now: float):
+        """Optional: asked after ``task``'s ``event`` — ``"arrive"`` (once
+        it is queued), ``"start"`` (after ``try_start`` placed it) or
+        ``"finish"`` (after :meth:`on_finish`) — while some model is
+        blocked (with none blocked there is nothing to wake, and it is not
+        asked).  Returns the keys of the models the event can wake, or
+        ``None`` for every model.  Naming a
+        set promises, for every other blocked model, that repeating the
+        ``try_start`` its watermark recorded would decline again with no
+        side effect, and — after an arrival — that ``retry_hint`` would
+        return the same hint.  The simulator retries only the named models
+        (and each model whose watermark came from a task behind its oldest
+        queued one); after a start or finish it re-hints the others at their
+        next visit instead.  Without the hook every event wakes every
+        model.  Define it only when declines are pure: a scheduler whose
+        decline may evict, preempt or spend a retry budget must leave it
+        out."""
 
     def observe_queue(self, pending_by_model: dict) -> None:
         """Optional: queue pressure, ``{model key: queued tasks}`` summed
@@ -264,15 +282,24 @@ class ClusterSimulator:
         self._running_count = 0
         self._retry_scheduled = False
         self._idle_retries = 0
-        #: Monotonic version of cluster resource state; bumped whenever a
-        #: start, a finish or an arrival (unless the scheduler's
-        #: ``arrival_wakes_all`` says no) could change a try_start outcome.
+        #: Monotonic version of cluster resource state; bumped whenever an
+        #: event could change every model's try_start outcome (a start, a
+        #: finish or an arrival the scheduler's ``woken_models`` does not
+        #: narrow, a drop, a preemption, an external event).
         self._resource_version = 0
-        #: model key -> (version it failed under, earliest useful retry time).
-        self._blocked: dict[str, tuple[int, float]] = {}
+        #: model key -> (version it failed under, earliest useful retry
+        #: time, hint epoch it was computed at, the task that declined).
+        self._blocked: dict[str, tuple] = {}
+        #: Bumped by each start or finish that wakes only some models: every
+        #: kept watermark's hint may have moved with the idle set.
+        self._hint_epoch = 0
         #: Models whose watermark a task behind the model's oldest queued
-        #: one recorded (see :meth:`_arrive`).
+        #: one recorded (see :meth:`_wake`).
         self._behind_head: set = set()
+        #: Models whose watermark hint was computed in a pass after one of
+        #: their own tasks started in it, under a queue view the next pass
+        #: no longer shows (see :meth:`_wake`).
+        self._view_moved: set = set()
         #: Scheduler-driven events in flight (live migrations): they hold
         #: resources and will bump the version when they complete, so an
         #: idle queue is not a deadlock while any are outstanding.
@@ -284,6 +311,9 @@ class ClusterSimulator:
         self._run_epoch: dict[int, int] = {}
         #: ``try_start`` calls made by dispatch passes.
         self.try_start_attempts = 0
+        #: ``retry_hint`` calls that refreshed a kept watermark instead of
+        #: repeating its ``try_start``.
+        self.rehints = 0
         #: Queued tasks a pass passed over because their model was blocked
         #: at the current resource version (parked or skipped).
         self.watermark_skips = 0
@@ -312,7 +342,7 @@ class ClusterSimulator:
         self._retry_hint = getattr(scheduler, "retry_hint", None)
         self._should_drop = getattr(scheduler, "should_drop", None)
         self._may_drop = getattr(scheduler, "may_drop", None)
-        self._arrival_wakes_all = getattr(scheduler, "arrival_wakes_all", None)
+        self._woken_models = getattr(scheduler, "woken_models", None)
         if (self._should_drop is None) != (self._may_drop is None):
             raise SimulationError(
                 f"{self.system_name}: a scheduler defines should_drop and "
@@ -430,25 +460,53 @@ class ClusterSimulator:
             return
         self._task_seq[task.task_id] = next(self._seqs)
         self._enqueue(task)
-        wakes_all = self._arrival_wakes_all
-        if wakes_all is None or wakes_all(task, self.queue.now):
-            # A new arrival changes queue pressure, which admission and
-            # expansion policies observe: every blocked model is retried.
-            self._resource_version += 1
+        if self._woken_models is None:
+            self._resource_version += 1  # every model may wake
         else:
-            # The scheduler vouches that retrying another model would
-            # repeat its recorded decline, with no side effect.  That holds
-            # only where the retry asks about the same task: a model whose
-            # watermark came from a task behind its oldest queued one (a
-            # parked queue resumed past it) would now be asked about that
-            # oldest task (its own waiting time, wake hint and first
-            # count in the observed mix), so it wakes with the arriving one.
-            blocked = self._blocked
-            blocked.pop(task.model_key, None)
-            for model_key in self._behind_head:
-                blocked.pop(model_key, None)
-            self._behind_head.clear()
+            self._wake("arrive", task)
         self._dispatch()
+
+    def _wake(self, event: str, task: Task) -> None:
+        """Retry the models ``task``'s ``event`` can wake, as the
+        scheduler's ``woken_models`` names them.
+
+        On ``None``, or with nothing blocked, the version bump retries
+        every blocked model.  Otherwise the scheduler vouches that retrying
+        any other model would repeat its recorded decline, with no side
+        effect.  That holds only where the retry asks about the same task:
+        a model whose watermark came from a task behind its oldest queued
+        one (a parked queue resumed past it) would now be asked about that
+        oldest task (its own waiting time, wake hint and first count in the
+        observed mix), so it wakes with the named ones.  The hint of a kept
+        watermark may still have moved:
+
+        * a start or finish changes the idle set, so every kept hint is
+          re-asked at its model's next visit (a new hint epoch);
+        * an arrival moves no idle set, but a hint recorded after its own
+          model started in the same pass read that pass's queue view, which
+          the next pass no longer shows, so those hints are re-asked.
+        """
+        woken = None
+        if self._blocked:  # with nothing blocked there is nothing to wake
+            woken = self._woken_models(event, task, self.queue.now)
+        if woken is None:
+            self._resource_version += 1
+            return
+        blocked = self._blocked
+        for model_key in woken:
+            blocked.pop(model_key, None)
+        for model_key in self._behind_head:
+            blocked.pop(model_key, None)
+        self._behind_head.clear()
+        if event != "arrive":
+            self._hint_epoch += 1
+            return
+        for model_key in self._view_moved:
+            watermark = blocked.get(model_key)
+            if watermark is not None:
+                version, hint, _, declined = watermark
+                blocked[model_key] = (version, hint, -1, declined)
+        self._view_moved.clear()
 
     def _dispatch(self) -> None:
         """Start every pending task the scheduler can place right now.
@@ -503,16 +561,17 @@ class ClusterSimulator:
         skipped without consulting the scheduler: within one version the
         scheduler's answer for that model cannot have changed, and
         same-model tasks later in the pass hold strictly weaker time gates.
-        The skip parks every queue of the model; a version bump returns
-        each parked queue to the heap at its first task whose key exceeds
-        the one just visited, exactly where a task-by-task walk would have
-        resumed.  A model the dequeue gate may drop from (``may_drop``) is
-        never parked: each of its tasks is visited for ``should_drop``, so
-        an expiry is never delayed by a blocked model's time gate.  An
-        arrival the scheduler calls quiet (``arrival_wakes_all``) bumps no
-        version: it clears only its own model's watermark and those
-        recorded behind a model's oldest task, so the next pass parks every
-        other blocked model at its first visit.
+        The skip parks every queue of the model; a version bump, or a start
+        that woke only some models, returns each parked queue to the heap at
+        its first task whose key exceeds the one just visited, exactly where
+        a task-by-task walk would have resumed.  A model the dequeue gate
+        may drop from (``may_drop``) is never parked: each of its tasks is
+        visited for ``should_drop``, so an expiry is never delayed by a
+        blocked model's time gate.  After a start or finish that did not
+        wake a model (``woken_models``), its watermark holds but its hint
+        is stale: the task that recorded it is re-hinted at its next visit
+        (the reference retry would decline it again, then ask this hint),
+        and any other task of the model is attempted.
         """
         dispatch_key = self._dispatch_key
         fast_path = self._fast_path
@@ -558,9 +617,13 @@ class ClusterSimulator:
 
         blocked = self._blocked
         behind_head = self._behind_head
+        view_moved = self._view_moved
         version = self._resource_version
+        epoch = self._hint_epoch
         parked: list = []
-        skips = attempts = 0
+        # Models with a task started in this pass (kept with the hook only).
+        started: set = set()
+        skips = attempts = rehints = 0
         progress = False
         while heap:
             # Peek, not pop: entries pushed while this task is handled all
@@ -585,18 +648,28 @@ class ClusterSimulator:
                 progress = True
                 self._idle_retries = 0
             else:
-                watermark = blocked.get(queue.model_key)
-                if (
-                    watermark is not None
-                    and watermark[0] == self._resource_version
-                    and now < watermark[1]
-                ):
+                model_key = queue.model_key
+                watermark = blocked.get(model_key)
+                hint = None  # set when this visit leaves the model declined
+                if watermark is not None and watermark[0] == version:
+                    if watermark[2] == epoch:
+                        park = now < watermark[1]
+                    elif watermark[3] is task and retry_hint is not None:
+                        # An event since this very task declined did not
+                        # wake its model, so a retry would decline again,
+                        # but it may have moved the hint: ask for the hint
+                        # that decline would record instead.
+                        rehints += 1
+                        hint = retry_hint(task, now)
+                        if now >= hint:
+                            hint = None  # the gate opened: attempt it
+                if park:
                     if droppable:
                         skips += 1
+                        park = False
                     else:
                         queue.cursor = index  # park from this task on
-                        park = True
-                else:
+                elif hint is None:
                     attempts += 1
                     service = try_start(task, now)
                     if service is None:
@@ -605,19 +678,6 @@ class ClusterSimulator:
                             if retry_hint is not None
                             else now  # no hint: retry every pass (exhaustive)
                         )
-                        model_key = queue.model_key
-                        blocked[model_key] = (self._resource_version, hint)
-                        # Declined behind the model's oldest queued task?
-                        same_model = by_model[model_key]
-                        if index or len(same_model) > 1 and any(
-                            other.entries
-                            and other.entries[0][:2] < (arrival, seq)
-                            for other in same_model
-                        ):
-                            behind_head.add(model_key)
-                        else:
-                            behind_head.discard(model_key)
-                        park = not droppable and now < hint
                     elif service < 0:
                         raise SimulationError(
                             f"scheduler returned negative service time {service}"
@@ -627,11 +687,14 @@ class ClusterSimulator:
                         queue.cursor = index
                         task.start_s = now
                         self._running_count += 1
-                        blocked.pop(queue.model_key, None)
+                        blocked.pop(model_key, None)
                         # Starting a task reshapes resources (allocation,
-                        # possible evictions, queue depth): every watermark
-                        # is stale.
-                        self._resource_version += 1
+                        # possible evictions, the idle set).
+                        if self._woken_models is None:
+                            self._resource_version += 1
+                        else:
+                            started.add(model_key)
+                            self._wake("start", task)
                         self.queue.schedule_in(
                             service,
                             self._finish,
@@ -640,8 +703,33 @@ class ClusterSimulator:
                         )
                         progress = True
                         self._idle_retries = 0
-            if self._resource_version != version:
+                if hint is not None:
+                    blocked[model_key] = (
+                        self._resource_version, hint, self._hint_epoch, task
+                    )
+                    # A hint read this pass's queue view, frozen before the
+                    # model's own start in it?
+                    if model_key in started:
+                        view_moved.add(model_key)
+                    elif view_moved:
+                        view_moved.discard(model_key)
+                    # Declined behind the model's oldest queued task?
+                    same_model = by_model[model_key]
+                    if index or len(same_model) > 1 and any(
+                        other.entries
+                        and other.entries[0][:2] < (arrival, seq)
+                        for other in same_model
+                    ):
+                        behind_head.add(model_key)
+                    else:
+                        behind_head.discard(model_key)
+                    park = not droppable and now < hint
+            if (
+                self._resource_version != version
+                or self._hint_epoch != epoch
+            ):
                 version = self._resource_version
+                epoch = self._hint_epoch
                 if parked:
                     skips += self._unpark(parked, heap, tokens,
                                           (prefix, arrival, seq))
@@ -663,6 +751,7 @@ class ClusterSimulator:
             skips += len(queue.entries) - queue.cursor
         self.watermark_skips += skips
         self.try_start_attempts += attempts
+        self.rehints += rehints
         for task in self._requeued:
             self._enqueue(task)
         self._requeued.clear()
@@ -709,7 +798,10 @@ class ClusterSimulator:
         self._task_seq.pop(task.task_id, None)
         self._on_finish(task, self.queue.now)
         self._result.completed.append(task)
-        self._resource_version += 1
+        if self._woken_models is None:
+            self._resource_version += 1
+        else:
+            self._wake("finish", task)
         self._dispatch()
 
     # -- entry point -----------------------------------------------------------------

@@ -86,8 +86,10 @@ class ProposedSystem:
         #: model key -> tasks seen (each counted on its first attempt).
         self._seen_models: dict[str, int] = {}
         self._seen_tasks: set[int] = set()
-        #: ``controller.stats.deployments_evicted`` at the last arrival.
-        self._evictions_at_arrival = 0
+        #: Deployments created plus evicted, at the last ``woken_models``.
+        self._placements_seen = 0
+        #: model key -> its observed queue depth at its last ``retry_hint``.
+        self._hinted_depth: dict[str, int] = {}
 
     @staticmethod
     def _same_type_only() -> bool:
@@ -249,34 +251,70 @@ class ProposedSystem:
         self._simulator.schedule_external(cost, complete)
         return True
 
-    def arrival_wakes_all(self, task: Task, now: float) -> bool:
-        """Whether ``task``'s arrival can change another model's answer.
+    def woken_models(self, event: str, task: Task, now: float):
+        """The models ``task``'s ``event`` can wake (``None``: every model).
 
-        An arrival only raises its own model's queue depth.  Elsewhere that
-        can hold a model back (the :meth:`_expansion_allowed` fairness
-        rule), never let one start, and it feeds no other model's
-        :meth:`retry_hint`.  While a model stays blocked its share of the
-        observed mix can only shrink, so ``allow_mixed`` never turns a
-        refused placement into one that fits.  So retrying a blocked model
-        with the task it last declined is a pure decline unless a decline
-        itself may act:
+        A decline of a blocked model is pure, and repeats, unless one of
+        these moved since the decline: free blocks or the resident set
+        (which :meth:`_expansion_allowed` reads), a stale idle copy a
+        decline would evict, or the model's own idle copies and queue
+        depth.  So every model wakes when
 
-        * with defrag on, a decline may start a compaction;
-        * a failed placement may have evicted idle deployments since the
-          last arrival, freeing blocks without waking anyone;
-        * an idle deployment is already stale, so a decline in this very
-          pass could evict it.
+        * defrag or recovery is on: a decline may start a compaction, and
+          a release may re-place a failed deployment;
+        * a deployment was created or evicted since the last answer (a
+          deploying start, or a failed placement that evicted).  The
+          simulator asks only while a model is blocked, so a move while
+          none was can wake every model once more than it had to;
+        * the least recently used idle copy is already past patience, so a
+          decline in the next pass could evict it;
+        * under tenant isolation, on a start or finish: a watermark is per
+          model, so one tenant's decline parks the other tenant's queue of
+          it, and the start or finish may have freed a copy only that
+          tenant can reuse.
+
+        Otherwise the event wakes at most its own model:
+
+        * a finish adds an idle copy of its model, no free blocks;
+        * a reuse start removes an idle copy of its model, whose own
+          watermark the simulator drops at the start;
+        * an arrival raises only its model's queue depth.  Elsewhere that
+          can hold a model back (fairness), never let one start, and no
+          other model's hint reads it.  While a model stays blocked its
+          share of the observed mix only shrinks, so ``allow_mixed`` never
+          turns a refused placement into one that fits.  The arriving model
+          itself keeps its decline when its hint saw a depth of at least
+          :attr:`EXPANSION_PRESSURE`: one more queued task then moves
+          neither the fairness rule, nor the eviction gate, nor the hint.
+
+        A start or finish still moves the idle set, so the simulator
+        re-hints the models it keeps blocked.
         """
         controller = self.controller
-        evicted = controller.stats.deployments_evicted
-        moved = evicted != self._evictions_at_arrival
-        self._evictions_at_arrival = evicted
-        if controller.migration_enabled or moved:
-            return True
+        stats = controller.stats
+        placements = stats.deployments_created + stats.deployments_evicted
+        moved = placements != self._placements_seen
+        self._placements_seen = placements
+        if (
+            moved
+            or controller.migration_enabled
+            or controller.recovery_enabled
+            or controller.tenant_isolation and event != "arrive"
+        ):
+            return None
         oldest = next(controller.idle_lru(), None)
-        return oldest is not None and (
+        if oldest is not None and (
             now - oldest.last_used_s >= controller.eviction_patience_s
-        )
+        ):
+            return None
+        if event == "start":
+            return ()
+        if event == "arrive" and (
+            self._hinted_depth.get(task.model_key, 0)
+            >= self.EXPANSION_PRESSURE
+        ):
+            return ()
+        return (task.model_key,)
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Earliest time a declined task could start absent releases.
@@ -285,16 +323,19 @@ class ProposedSystem:
         requester ageing past the eviction-patience window, and an idle
         foreign deployment going stale enough to evict.  Everything else
         (queue pressure, deployment counts, free blocks) only moves on
-        starts, finishes and arrivals, which the simulator tracks by
-        version.  An arrival moves only its own model's queue depth, which
-        is no input of another model's hint (see
-        :meth:`arrival_wakes_all`); a failed placement that evicted moves
-        deployment counts and free blocks with no version bump, which is
-        why the next arrival then wakes every model.
+        starts, finishes and arrivals, which the simulator tracks through
+        :meth:`woken_models`.  A hint reads the idle set and the model's own
+        observed queue depth, nothing another model's arrival moves; the
+        depth it saw is kept for the model's next arrival.  A failed
+        placement that evicted moves deployment counts and free blocks
+        without an event, which is why the next event wakes every model.
         Hints are biased a hair early so float rounding can only cause a
         harmless extra attempt, never a missed one.
         """
         controller = self.controller
+        self._hinted_depth[task.model_key] = self._queue_view.get(
+            task.model_key, 0
+        )
         if task.model_key in self._defrag_pending:
             # A compaction is in flight for this model; its completion is
             # an external event that bumps the resource version itself.

@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.accel import BW_V37, generate_accelerator, CONTROL_MODULES
 from repro.accel.codegen import RNNWeights
 from repro.core import decompose, partition
 from repro.rtl.builder import DesignBuilder
+
+# Hypothesis profiles.  The default one is derandomized: every run of the
+# suite draws the same examples, at each test's own example count, so a
+# run fails only when the code changed.  ``pytest --hypothesis-profile
+# oracle tests/test_dispatch_equivalence.py`` searches fresh random examples
+# (2 000 per test that sets no count of its own) for new counterexamples.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("oracle", max_examples=2000, derandomize=False,
+                          database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
-"""An arrival retries only its own model unless the scheduler says more.
+"""An event retries only the models the scheduler says it can wake.
 
-``ClusterSimulator`` asks ``arrival_wakes_all`` at each arrival; without
-the hook, or on ``True``, every blocked model is retried.  On ``False``
-only the arriving model, and a model whose watermark a task behind its
-oldest queued one recorded, are.  ``ProposedSystem`` answers ``True``
-exactly when a decline could act: defrag on, an eviction since the last
-arrival, or an idle deployment already past the patience window.
+``ClusterSimulator`` asks ``woken_models`` after each arrival, start and
+finish; without the hook, or on ``None``, every blocked model is retried.
+Otherwise only the named models, and a model whose watermark a task behind
+its oldest queued one recorded, are; after a start or finish every other
+blocked model is re-hinted at its next visit instead of retried.
+``ProposedSystem`` answers ``None`` exactly when a decline could act or
+another model's answer could move: defrag or recovery on, a deployment
+created or evicted since the last answer, an idle deployment already past
+the patience window, or a start or finish under tenant isolation.
 """
 
 import pytest
@@ -13,6 +16,9 @@ import pytest
 from repro.cluster import ClusterSimulator, Task, paper_cluster
 from repro.runtime import Catalog, build_system
 from repro.vital import VitalCompiler
+
+MODEL = "gru-h512-t1"
+EVENTS = ("arrive", "start", "finish")
 
 
 @pytest.fixture(scope="module")
@@ -23,38 +29,90 @@ def shared_catalog():
 # -- ProposedSystem's answer -------------------------------------------------------
 
 
-def _task(model_key="gru-h512-t1", arrival_s=0.0):
-    return Task(task_id=0, model_key=model_key, arrival_s=arrival_s)
+def _task(model_key=MODEL, arrival_s=0.0, task_id=0):
+    return Task(task_id=task_id, model_key=model_key, arrival_s=arrival_s)
+
+
+def _quiet_system(catalog, **options):
+    """A proposed system whose last answer already saw every deployment."""
+    system = build_system("proposed", paper_cluster(), catalog, **options)
+    system.woken_models("arrive", _task(), 0.0)
+    return system
 
 
 def test_quiet_cluster_wakes_only_the_arriving_model(shared_catalog):
     system = build_system("proposed", paper_cluster(), shared_catalog)
-    assert system.arrival_wakes_all(_task(), 0.0) is False
+    assert system.woken_models("arrive", _task(), 0.0) == (MODEL,)
 
 
 def test_defrag_wakes_every_model(shared_catalog):
-    system = build_system("proposed", paper_cluster(), shared_catalog,
-                          defrag=True)
-    assert system.arrival_wakes_all(_task(), 0.0) is True
+    system = _quiet_system(shared_catalog, defrag=True)
+    for event in EVENTS:
+        assert system.woken_models(event, _task(), 0.0) is None
+
+
+def test_recovery_wakes_every_model(shared_catalog):
+    system = _quiet_system(shared_catalog, recovery=True)
+    for event in EVENTS:
+        assert system.woken_models(event, _task(), 0.0) is None
+
+
+def test_isolation_wakes_every_model_on_starts_and_finishes(shared_catalog):
+    system = _quiet_system(shared_catalog)
+    system.controller.tenant_isolation = True
+    assert system.woken_models("start", _task(), 0.0) is None
+    assert system.woken_models("finish", _task(), 0.0) is None
+    assert system.woken_models("arrive", _task(), 0.0) == (MODEL,)
 
 
 def test_an_eviction_since_the_last_arrival_wakes_every_model(shared_catalog):
-    system = build_system("proposed", paper_cluster(), shared_catalog)
+    system = _quiet_system(shared_catalog)
     controller = system.controller
     deployment, _ = controller.deploy("lstm-h256-t150", now=0.0)
     controller.evict(deployment)
-    assert system.arrival_wakes_all(_task(), 0.0) is True
-    # Seen once: the next arrival with no new eviction is quiet again.
-    assert system.arrival_wakes_all(_task(), 0.0) is False
+    assert system.woken_models("arrive", _task(), 0.0) is None
+    # Seen once: the next event with no new deployment or eviction is quiet.
+    assert system.woken_models("arrive", _task(), 0.0) == (MODEL,)
 
 
 def test_a_stale_idle_deployment_wakes_every_model(shared_catalog):
-    system = build_system("proposed", paper_cluster(), shared_catalog)
+    system = _quiet_system(shared_catalog)
     controller = system.controller
     controller.deploy("lstm-h256-t150", now=0.0)
     patience = controller.eviction_patience_s
-    assert system.arrival_wakes_all(_task(), patience / 2) is False
-    assert system.arrival_wakes_all(_task(), patience) is True
+    # The deployment is a creation: the first answer after it wakes all.
+    assert system.woken_models("arrive", _task(), 0.0) is None
+    assert system.woken_models("arrive", _task(), patience / 2) == (MODEL,)
+    assert system.woken_models("arrive", _task(), patience) is None
+
+
+def test_starts_and_finishes_wake_at_most_their_own_model(shared_catalog):
+    system = _quiet_system(shared_catalog)
+    system.observe_queue({MODEL: 2})
+    first, second = _task(task_id=0), _task(task_id=1)
+    service = system.try_start(first, 0.0)
+    assert service is not None
+    # A deploying start changes free blocks and the resident set.
+    assert system.woken_models("start", first, 0.0) is None
+    system.on_finish(first, service)
+    assert system.woken_models("finish", first, service) == (MODEL,)
+    # A reuse start: the simulator drops the starting model's watermark.
+    assert system.try_start(second, service) is not None
+    assert system.controller.stats.reuse_hits == 1
+    assert system.woken_models("start", second, service) == ()
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_an_arrival_at_pressure_keeps_its_own_models_decline(shared_catalog,
+                                                             depth):
+    """The arriving model wakes unless its hint saw a queue depth of at
+    least ``EXPANSION_PRESSURE``: one more task then changes nothing."""
+    system = _quiet_system(shared_catalog)
+    assert system.EXPANSION_PRESSURE == 4
+    system.observe_queue({MODEL: depth})
+    system.retry_hint(_task(), 0.0)
+    woken = system.woken_models("arrive", _task(task_id=1), 0.0)
+    assert woken == (() if depth >= 4 else (MODEL,))
 
 
 # -- the simulator's wake rule ---------------------------------------------------
@@ -62,13 +120,20 @@ def test_a_stale_idle_deployment_wakes_every_model(shared_catalog):
 
 class _OneBoard:
     """Model ``"a"`` runs for a second; ``"b"`` is declined until an
-    ``"a"`` task has finished."""
+    ``"a"`` task has finished.  With ``wakes_all`` given, an arrival wakes
+    every model (``True``) or only its own (``False``); starts and
+    finishes wake every model."""
 
     def __init__(self, wakes_all=None):
         self.calls = []
         self.finished = 0
         if wakes_all is not None:
-            self.arrival_wakes_all = lambda task, now: wakes_all
+            def woken_models(event, task, now):
+                if event == "arrive" and not wakes_all:
+                    return (task.model_key,)
+                return None
+
+            self.woken_models = woken_models
 
     def try_start(self, task, now):
         self.calls.append((task.model_key, now))
@@ -111,3 +176,46 @@ def test_a_quiet_arrival_retries_only_its_own_model(wakes_all):
             ("b", 0.0), ("a", 0.25), ("b", 0.25),
             ("a", 0.5), ("b", 0.5), ("b", 1.25),
         ]
+
+
+class _Gated:
+    """Model ``"b"`` is declined until ``OPEN_S`` whatever else happens;
+    ``"a"`` runs for 0.1 s.  Every event wakes only its own model."""
+
+    OPEN_S = 0.5
+
+    def __init__(self):
+        self.calls = []
+        self.hints = []
+
+    def try_start(self, task, now):
+        self.calls.append((task.model_key, now))
+        if task.model_key == "b" and now < self.OPEN_S:
+            return None
+        return 0.1
+
+    def on_finish(self, task, now):
+        pass
+
+    def retry_hint(self, task, now):
+        self.hints.append((task.task_id, now))
+        return self.OPEN_S
+
+    def woken_models(self, event, task, now):
+        return () if event == "start" else (task.model_key,)
+
+
+def test_a_quiet_start_or_finish_rehints_instead_of_retrying():
+    scheduler = _Gated()
+    tasks = [Task(task_id=0, model_key="b", arrival_s=0.0),
+             Task(task_id=1, model_key="a", arrival_s=0.25)]
+    simulator = ClusterSimulator(scheduler)
+    result = simulator.run(tasks)
+    assert len(result.completed) == 2
+    # "b" is tried at its arrival and once its gate opens; the start and
+    # the finish of "a" each re-ask its hint instead.
+    assert scheduler.calls[:2] == [("b", 0.0), ("a", 0.25)]
+    [(model_key, now)] = scheduler.calls[2:]
+    assert model_key == "b" and now == pytest.approx(_Gated.OPEN_S)
+    assert scheduler.hints == [(0, 0.0), (0, 0.25), (0, 0.35)]
+    assert simulator.rehints == 2

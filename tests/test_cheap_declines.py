@@ -312,12 +312,13 @@ class TestExpansionAllowed:
 
 
 def test_small_deep_backlog_is_pinned(shared_catalog):
-    """256 mix-7 tasks on 32 boards: ~1 000 refused placements and 21
+    """256 mix-7 tasks on 32 boards: ~250 refused placements and 21
     evictions.  The schedule, searches, creations and evictions match the
-    raising implementation's; the refusals are fewer because an arrival
-    retries only its own model (they were 2 067 deploy calls, 2 030
-    failures, 2 028 fast rejects and 2 435 attempts while every arrival
-    retried every blocked model)."""
+    raising implementation's; the refusals are fewer because an event
+    retries only the models it can wake (they were 2 067 deploy calls,
+    2 030 failures, 2 028 fast rejects and 2 435 attempts while every
+    event retried every blocked model, and 1 010, 973, 971 and 1 290 while
+    only arrivals woke one model)."""
     system = build_system("proposed", scaled_cluster(32), shared_catalog)
     tasks = generate_workload(
         TABLE1_COMPOSITIONS[6], task_count=256, arrival_rate_per_s=1e5, seed=1
@@ -338,11 +339,11 @@ def test_small_deep_backlog_is_pinned(shared_catalog):
         "deployments_evicted": stats.deployments_evicted,
         "try_start_attempts": simulator.try_start_attempts,
     } == {
-        "deploy_calls": 1010,
-        "placement_failures": 973,
-        "fast_rejects": 971,
+        "deploy_calls": 291,
+        "placement_failures": 254,
+        "fast_rejects": 252,
         "placement_searches": 66,
         "deployments_created": 37,
         "deployments_evicted": 21,
-        "try_start_attempts": 1290,
+        "try_start_attempts": 570,
     }

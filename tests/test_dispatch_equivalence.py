@@ -6,12 +6,12 @@ plus arrival time (stably over queue order; the tenancy order broke ties
 by ``(arrival_s, task_id)``) and walks it task by task, skipping each task
 of a model below its watermark one at a time.  It asks ``should_drop``
 of every task and ``observe_queue`` at every pass, and never calls
-``may_drop``.  It also keeps the old wake rule — every arrival retries
-every blocked model — and never asks ``arrival_wakes_all``.  Randomized
-small workloads run through both dispatchers; the schedules and the
-dropped sets must match exactly.  So must the sequence of ``(task_id,
-now)`` ``try_start`` calls and the watermark-skip and attempt totals,
-unless the scheduler answers ``arrival_wakes_all``: then the merge
+``may_drop``.  It also keeps the old wake rule — every arrival, start and
+finish retries every blocked model — and never asks ``woken_models``.
+Randomized small workloads run through both dispatchers; the schedules
+and the dropped sets must match exactly.  So must the sequence of
+``(task_id, now)`` ``try_start`` calls and the watermark-skip and attempt
+totals, unless the scheduler answers ``woken_models``: then the merge
 dispatcher's calls must be a subsequence of the reference's, and every
 call it skipped must have declined without evicting anything.
 """
@@ -20,7 +20,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSimulator, Task, scaled_cluster
@@ -58,7 +58,7 @@ class ReferenceSimulator(ClusterSimulator):
 
     def _resolve_hooks(self):
         super()._resolve_hooks()
-        self._arrival_wakes_all = None  # every arrival wakes every model
+        self._woken_models = None  # every event wakes every model
 
     def _enqueue(self, task):
         self._pending.append(task)
@@ -183,7 +183,7 @@ def _run_both(build, expected_digest=None) -> list:
     reference, merged = outcomes
     assert merged["digest"] == reference["digest"]
     assert merged["dropped"] == reference["dropped"]
-    if hasattr(simulators[1].scheduler, "arrival_wakes_all"):
+    if hasattr(simulators[1].scheduler, "woken_models"):
         _assert_pure_skips(reference["calls"], merged["calls"])
         assert merged["counters"][1] <= reference["counters"][1]
     else:
@@ -434,19 +434,63 @@ def test_idle_copies_go_stale_between_arrivals(shared_catalog, seed):
     def build(cls):
         system = build_system("proposed", scaled_cluster(8), shared_catalog)
 
-        def arrival_wakes_all(task, now, inner=system.arrival_wakes_all):
-            answers.append(inner(task, now))
-            return answers[-1]
+        def woken_models(event, task, now, inner=system.woken_models):
+            woken = inner(event, task, now)
+            if event == "arrive":
+                answers.append(woken)
+            return woken
 
-        system.arrival_wakes_all = arrival_wakes_all
+        system.woken_models = woken_models
         tasks = [Task(task_id=i, model_key=m, arrival_s=a)
                  for i, (a, m) in enumerate(zip(arrivals, models))]
         return cls(system, "proposed"), tasks
 
     _run_both(build, STALE_IDLE_DIGESTS[seed])
-    # Only the merge dispatcher asks, once per arrival.
-    assert len(answers) == count
-    assert True in answers and False in answers
+    # Only the merge dispatcher asks, once per arrival while a model is
+    # blocked.
+    assert 0 < len(answers) < count
+    assert None in answers and any(woken is not None for woken in answers)
+
+
+#: Schedule digests of :func:`test_a_nearly_single_model_stream`.
+SINGLE_MODEL_DIGESTS = {
+    1: "e5a3faba19a9c3eac1589185c2666eb7c755c5a61bb8a899b4c0372f1f202768",
+    2: "63a9e7a13535da166fd4f936b9497b63841ca1bdcbeba7733e72f28a1c318d52",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_nearly_single_model_stream(shared_catalog, seed):
+    """95 % of 240 tasks are one multi-replica model.  Its placements may
+    take a mixed-type pair only while its share of the tasks seen so far
+    is at least 95 % (``allow_mixed``), and a task is seen at its first
+    attempt.  The calls the merge dispatcher skips must leave both the
+    flag and that first count as the reference's."""
+    rng = random.Random(seed)
+    count = 240
+    arrivals = sorted(rng.uniform(0.0, 0.2) for _ in range(count))
+    others = set(rng.sample(range(count), count // 20))
+    models = [rng.choice(SMALL) if i in others else MIXED[3]
+              for i in range(count)]
+    allow_mixed = []
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(6), shared_catalog)
+        controller = system.controller
+
+        def try_deploy(model_key, now, waited_s=0.0, allow_mixed=True,
+                       inner=controller.try_deploy, flags=allow_mixed):
+            flags.append(allow_mixed)
+            return inner(model_key, now, waited_s, allow_mixed)
+
+        controller.try_deploy = try_deploy
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a)
+                 for i, (a, m) in enumerate(zip(arrivals, models))]
+        return cls(system, "proposed"), tasks
+
+    reference, merged = _run_both(build, SINGLE_MODEL_DIGESTS[seed])
+    assert True in allow_mixed and False in allow_mixed
+    assert merged.try_start_attempts < reference.attempts
 
 
 #: Schedule digests of :func:`test_watermark_behind_the_head`.
@@ -479,7 +523,7 @@ def test_watermark_behind_the_head(shared_catalog, seed):
     _run_both(build, BEHIND_HEAD_DIGESTS[seed])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(
     boards=st.integers(min_value=4, max_value=16),
     count=st.integers(min_value=1, max_value=120),
@@ -487,12 +531,20 @@ def test_watermark_behind_the_head(shared_catalog, seed):
     isolation=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+# Counterexamples to three wrong wake rules, in order: keeping, over the
+# next arrival, a hint recorded after its own model started in the same
+# pass (the rule while only arrivals woke per model); lowering every kept
+# hint to a finish's new idle copy's stale time instead of re-asking it;
+# arrivals that never re-ask a hint whose queue view went stale.
+@example(boards=15, count=81, span_s=0.125, isolation=False, seed=71)
+@example(boards=4, count=4, span_s=0.0, isolation=False, seed=0)
+@example(boards=6, count=120, span_s=0.1953125, isolation=False, seed=32084)
 def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
                                             span_s, isolation, seed):
-    """The standing oracle for the per-model arrival wake: a bare
-    proposed system on random clusters, streams and arrival spreads (one
-    tenant, or two isolated ones) schedules exactly as when every arrival
-    wakes every model."""
+    """The standing oracle for the per-model wake: a bare proposed system
+    on random clusters, streams and arrival spreads (one tenant, or two
+    isolated ones) schedules exactly as when every arrival, start and
+    finish wakes every model, and only skips calls that decline purely."""
     rng = random.Random(seed)
     arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
     draws = [(rng.choice(MIXED), rng.choice("ab") if isolation else "")
