@@ -120,10 +120,13 @@ class Scheduler(Protocol):
         conservative (never later than the true unblock time); the simulator
         uses them to skip provably fruitless attempts.  Also asked, with no
         new ``try_start``, of a declined task whose model an event did not
-        wake (see :meth:`woken_models`).  The simulator re-asks only after
-        the events that may move what a hint reads, so a hint may read only
-        the clock, the idle set and its model's own observed queue
-        depth."""
+        wake (see :meth:`woken_models`): after a start or finish, and after
+        an arrival only where the hint read a queue view that has since
+        moved.  So, with that hook defined, a hint may read the clock, the
+        task, the idle set and its model's own observed queue depth, plus
+        only state that moves where ``woken_models`` answers ``None`` (for
+        :class:`~repro.runtime.systems.ProposedSystem`: deployment creations
+        and evictions, defrag and recovery state)."""
 
     def admit(self, task: Task, now: float) -> bool:
         """Optional (serving layer): called once at arrival, before the
@@ -460,20 +463,17 @@ class ClusterSimulator:
             return
         self._task_seq[task.task_id] = next(self._seqs)
         self._enqueue(task)
-        if self._woken_models is None:
-            self._resource_version += 1  # every model may wake
-        else:
-            self._wake("arrive", task)
+        self._wake("arrive", task)
         self._dispatch()
 
     def _wake(self, event: str, task: Task) -> None:
         """Retry the models ``task``'s ``event`` can wake, as the
         scheduler's ``woken_models`` names them.
 
-        On ``None``, or with nothing blocked, the version bump retries
-        every blocked model.  Otherwise the scheduler vouches that retrying
-        any other model would repeat its recorded decline, with no side
-        effect.  That holds only where the retry asks about the same task:
+        Without the hook, on ``None``, or with nothing blocked, the version
+        bump retries every blocked model.  Otherwise the scheduler vouches
+        that retrying any other model would repeat its recorded decline,
+        with no side effect.  That holds only where the retry asks about the same task:
         a model whose watermark came from a task behind its oldest queued
         one (a parked queue resumed past it) would now be asked about that
         oldest task (its own waiting time, wake hint and first count in the
@@ -487,7 +487,8 @@ class ClusterSimulator:
           the next pass no longer shows, so those hints are re-asked.
         """
         woken = None
-        if self._blocked:  # with nothing blocked there is nothing to wake
+        # With nothing blocked there is nothing to wake: the hook is not asked.
+        if self._woken_models is not None and self._blocked:
             woken = self._woken_models(event, task, self.queue.now)
         if woken is None:
             self._resource_version += 1
@@ -621,7 +622,7 @@ class ClusterSimulator:
         version = self._resource_version
         epoch = self._hint_epoch
         parked: list = []
-        # Models with a task started in this pass (kept with the hook only).
+        # Models with a task started in this pass.
         started: set = set()
         skips = attempts = rehints = 0
         progress = False
@@ -690,11 +691,8 @@ class ClusterSimulator:
                         blocked.pop(model_key, None)
                         # Starting a task reshapes resources (allocation,
                         # possible evictions, the idle set).
-                        if self._woken_models is None:
-                            self._resource_version += 1
-                        else:
-                            started.add(model_key)
-                            self._wake("start", task)
+                        started.add(model_key)
+                        self._wake("start", task)
                         self.queue.schedule_in(
                             service,
                             self._finish,
@@ -798,10 +796,7 @@ class ClusterSimulator:
         self._task_seq.pop(task.task_id, None)
         self._on_finish(task, self.queue.now)
         self._result.completed.append(task)
-        if self._woken_models is None:
-            self._resource_version += 1
-        else:
-            self._wake("finish", task)
+        self._wake("finish", task)
         self._dispatch()
 
     # -- entry point -----------------------------------------------------------------

@@ -267,11 +267,7 @@ class ProposedSystem:
           simulator asks only while a model is blocked, so a move while
           none was can wake every model once more than it had to;
         * the least recently used idle copy is already past patience, so a
-          decline in the next pass could evict it;
-        * under tenant isolation, on a start or finish: a watermark is per
-          model, so one tenant's decline parks the other tenant's queue of
-          it, and the start or finish may have freed a copy only that
-          tenant can reuse.
+          decline in the next pass could evict it.
 
         Otherwise the event wakes at most its own model:
 
@@ -299,7 +295,6 @@ class ProposedSystem:
             moved
             or controller.migration_enabled
             or controller.recovery_enabled
-            or controller.tenant_isolation and event != "arrive"
         ):
             return None
         oldest = next(controller.idle_lru(), None)
@@ -324,11 +319,14 @@ class ProposedSystem:
         foreign deployment going stale enough to evict.  Everything else
         (queue pressure, deployment counts, free blocks) only moves on
         starts, finishes and arrivals, which the simulator tracks through
-        :meth:`woken_models`.  A hint reads the idle set and the model's own
-        observed queue depth, nothing another model's arrival moves; the
-        depth it saw is kept for the model's next arrival.  A failed
-        placement that evicted moves deployment counts and free blocks
-        without an event, which is why the next event wakes every model.
+        :meth:`woken_models`.  Besides the clock and the task, a hint reads
+        the idle set and the model's own observed queue depth, which the
+        simulator re-asks it about, and deployment counts and defrag state,
+        which move only where :meth:`woken_models` wakes every model.  No
+        input is another model's queue depth.  The depth a hint saw is kept
+        for the model's next arrival.  A failed placement that evicted
+        moves deployment counts and free blocks without an event, which is
+        why the next event wakes every model.
         Hints are biased a hair early so float rounding can only cause a
         harmless extra attempt, never a missed one.
         """

@@ -7,8 +7,8 @@ its oldest queued one recorded, are; after a start or finish every other
 blocked model is re-hinted at its next visit instead of retried.
 ``ProposedSystem`` answers ``None`` exactly when a decline could act or
 another model's answer could move: defrag or recovery on, a deployment
-created or evicted since the last answer, an idle deployment already past
-the patience window, or a start or finish under tenant isolation.
+created or evicted since the last answer, or an idle deployment already
+past the patience window.
 """
 
 import pytest
@@ -55,14 +55,6 @@ def test_recovery_wakes_every_model(shared_catalog):
     system = _quiet_system(shared_catalog, recovery=True)
     for event in EVENTS:
         assert system.woken_models(event, _task(), 0.0) is None
-
-
-def test_isolation_wakes_every_model_on_starts_and_finishes(shared_catalog):
-    system = _quiet_system(shared_catalog)
-    system.controller.tenant_isolation = True
-    assert system.woken_models("start", _task(), 0.0) is None
-    assert system.woken_models("finish", _task(), 0.0) is None
-    assert system.woken_models("arrive", _task(), 0.0) == (MODEL,)
 
 
 def test_an_eviction_since_the_last_arrival_wakes_every_model(shared_catalog):

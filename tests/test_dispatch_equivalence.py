@@ -430,6 +430,7 @@ def test_idle_copies_go_stale_between_arrivals(shared_catalog, seed):
     arrivals = sorted(rng.uniform(0.0, 0.5) for _ in range(count))
     models = [rng.choice(MIXED) for _ in range(count)]
     answers = []
+    blocked_at_arrival = []  # per arrival: was any model blocked?
 
     def build(cls):
         system = build_system("proposed", scaled_cluster(8), shared_catalog)
@@ -441,14 +442,23 @@ def test_idle_copies_go_stale_between_arrivals(shared_catalog, seed):
             return woken
 
         system.woken_models = woken_models
+        simulator = cls(system, "proposed")
+        if cls is ClusterSimulator:
+            def wake(event, task, inner=simulator._wake):
+                if event == "arrive":
+                    blocked_at_arrival.append(bool(simulator._blocked))
+                inner(event, task)
+
+            simulator._wake = wake
         tasks = [Task(task_id=i, model_key=m, arrival_s=a)
                  for i, (a, m) in enumerate(zip(arrivals, models))]
-        return cls(system, "proposed"), tasks
+        return simulator, tasks
 
     _run_both(build, STALE_IDLE_DIGESTS[seed])
     # Only the merge dispatcher asks, once per arrival while a model is
     # blocked.
-    assert 0 < len(answers) < count
+    assert len(blocked_at_arrival) == count
+    assert len(answers) == sum(blocked_at_arrival)
     assert None in answers and any(woken is not None for woken in answers)
 
 
