@@ -117,12 +117,6 @@ class AcceleratorConfig:
         return 2.0 * self.macs_per_cycle * self.frequency_hz
 
     @property
-    def max_rows(self) -> int:
-        """Largest output dimension processed in one pass (rows across
-        tiles); larger MVMs iterate over row blocks."""
-        return self.tiles * self.native_rows
-
-    @property
     def mfu_total_lanes(self) -> int:
         """Aggregate float16 lanes across all MFU slices."""
         return self.tiles * self.mfu_lanes_per_tile

@@ -252,8 +252,8 @@ class Autoscaler:
         if not wider:
             return False
         target = min(wider, key=lambda plan: plan.replicas)
-        swapped = self._swap_plan(deployment, target, now)
-        if swapped is None:
+        if controller.swap_plan(deployment, target, now) is None:
+            self.stats.blocked_by_capacity += 1
             return False
         self.stats.scale_ups += 1
         self.stats.widenings += 1
@@ -284,7 +284,7 @@ class Autoscaler:
             self.stats.blocked_by_capacity += 1
             return
         new_deployment, reconfig = placed
-        self._hold_until_ready(new_deployment, reconfig)
+        self.controller.hold_until_ready(new_deployment, reconfig)
         self.stats.scale_ups += 1
         self.stats.additions += 1
         self._last_up[model_key] = now
@@ -423,16 +423,7 @@ class Autoscaler:
             if old.deployment_id in controller.deployments:
                 old.pending_recovery = False
                 controller.discard(old)
-            if new.deployment_id not in controller.deployments:
-                return
-            if new.pending_recovery:
-                if controller.recovery_enabled:
-                    controller.recovery.recover(new, fire_now)
-                else:
-                    controller.discard(new)
-                return
-            controller.set_state(new, DeploymentState.IDLE, fire_now)
-            new.checkpoint_origin_s = fire_now
+            controller.finish_reconfiguration(new, fire_now)
 
         self._simulator.schedule_external(cost, complete)
 
@@ -453,46 +444,6 @@ class Autoscaler:
         )
 
     # -- shared mechanics ------------------------------------------------------
-
-    def _swap_plan(self, deployment, target_plan, now: float):
-        """Discard-first width switch with fallback (the brownout
-        ``_switch_plan`` hand-off): the old deployment's blocks fund the
-        new placement; on failure the original width goes back into the
-        space just freed."""
-        controller = self.controller
-        original_plan = deployment.plan
-        controller.discard(deployment)
-        placed = controller.place_plan(target_plan, now)
-        if placed is None:
-            fallback = controller.place_plan(original_plan, now)
-            if fallback is not None:
-                self._hold_until_ready(*fallback)
-            self.stats.blocked_by_capacity += 1
-            return None
-        self._hold_until_ready(*placed)
-        return placed
-
-    def _hold_until_ready(self, deployment, reconfig_s: float) -> None:
-        """A freshly placed deployment is unusable until its blocks are
-        configured; with a DES bound that wait is a first-class event."""
-        if self._simulator is None:
-            return
-        controller = self.controller
-        controller.set_state(deployment, DeploymentState.RECOVERING)
-
-        def complete(fire_now, d=deployment):
-            if d.deployment_id not in controller.deployments:
-                return
-            if d.pending_recovery:
-                if controller.recovery_enabled:
-                    controller.recovery.recover(d, fire_now)
-                else:
-                    controller.discard(d)
-                return
-            controller.set_state(d, DeploymentState.IDLE, fire_now)
-            d.checkpoint_origin_s = fire_now
-
-        self._simulator.schedule_external(reconfig_s, complete)
 
     def _emit(
         self,

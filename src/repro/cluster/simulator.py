@@ -135,8 +135,9 @@ class Scheduler(Protocol):
 
     def should_drop(self, task: Task, now: float) -> bool:
         """Optional (serving layer): called at dequeue, before placement is
-        attempted.  Returning ``True`` drops the task (deadline expiry,
-        exhausted retry budget) without it ever occupying a board.  Asked
+        attempted.  Returning ``True`` drops a task the scheduler has
+        condemned (shed by a head drop, expired at its deadline, out of
+        retry budget) without it ever occupying a board.  Asked
         of every queued task of a model :meth:`may_drop` allows, in merged
         order, on every pass — define it only when it can return
         ``True``, and always together with :meth:`may_drop`."""
@@ -148,7 +149,10 @@ class Scheduler(Protocol):
         queued now, at ``now`` — nothing inside one pass may break that
         promise — and lets the simulator park the model's queues while
         they are blocked instead of visiting each task.  ``True`` is always
-        safe: the model's tasks are then walked one by one."""
+        safe: the model's tasks are then walked one by one.  A scheduler
+        that condemns only at events (an admission, a placement attempt,
+        its own ``schedule_external`` timer) answers from its count of
+        condemned queued tasks."""
 
     def woken_models(self, event: str, task: Task, now: float):
         """Optional: asked after ``task``'s ``event`` — ``"arrive"`` (once

@@ -16,7 +16,7 @@ heterogeneous FPGAs.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..errors import MappingError
 from ..resources import ResourceVector, total
@@ -157,11 +157,6 @@ class SoftBlock:
             out_bits=self.out_bits,
             metadata=dict(self.metadata),
         )
-
-    def map_leaves(self, fn: Callable[["SoftBlock"], None]) -> None:
-        """Apply ``fn`` to every leaf in the subtree (in place)."""
-        for leaf in self.leaves():
-            fn(leaf)
 
     # -- display --------------------------------------------------------------------
 

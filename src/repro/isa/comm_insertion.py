@@ -159,15 +159,3 @@ def _redirect_source(inst: Instruction, plan: ScaleOutPlan) -> Instruction:
         return replace(inst, b=plan.combined_register)
     # Consumer already reads the combined register (codegen pre-wired it).
     return inst
-
-
-def make_replica_programs(program: Program, plan_factory, replicas: int) -> list:
-    """Build all ``replicas`` programs from one template.
-
-    ``plan_factory(replica_index)`` returns the :class:`ScaleOutPlan` for
-    that replica; the same source program is transformed per replica.
-    """
-    return [
-        insert_scaleout_communication(program, plan_factory(index))
-        for index in range(replicas)
-    ]

@@ -562,6 +562,49 @@ class SystemController:
             return None
         return self._instantiate(plan, assignment, now)
 
+    def swap_plan(
+        self, deployment: Deployment, target_plan: DeploymentPlan, now: float
+    ) -> tuple | None:
+        """Discard-first width switch (brownout and autoscale): the old
+        deployment's blocks fund ``target_plan``'s placement; when it does
+        not fit, the original width goes back into the space just freed
+        (best effort).  Whatever was placed is held until ready.  Returns
+        the new ``(deployment, reconfig_seconds)``, or ``None`` when the
+        switch failed."""
+        original_plan = deployment.plan
+        self.discard(deployment)
+        placed = self.place_plan(target_plan, now)
+        held = placed or self.place_plan(original_plan, now)
+        if held is not None:
+            self.hold_until_ready(*held)
+        return placed
+
+    def hold_until_ready(self, deployment: Deployment, reconfig_s: float) -> None:
+        """A freshly placed deployment is unusable until its blocks are
+        configured; with a DES bound that wait is a first-class event
+        (synchronous callers may use it at once)."""
+        if self._simulator is None:
+            return
+        self.set_state(deployment, DeploymentState.RECOVERING)
+        self._simulator.schedule_external(
+            reconfig_s, lambda now: self.finish_reconfiguration(deployment, now)
+        )
+
+    def finish_reconfiguration(self, deployment: Deployment, now: float) -> None:
+        """A held deployment's blocks are configured: it goes idle, unless
+        a board under it failed meanwhile (then it recovers, or is
+        discarded without recovery) or it was torn down."""
+        if deployment.deployment_id not in self.deployments:
+            return
+        if deployment.pending_recovery:
+            if self.recovery_enabled:
+                self.recovery.recover(deployment, now)
+            else:
+                self.discard(deployment)
+            return
+        self.set_state(deployment, _IDLE, now)
+        deployment.checkpoint_origin_s = now
+
     def release(self, deployment: Deployment, now: float) -> None:
         """Return a deployment to idle after a task completes.
 

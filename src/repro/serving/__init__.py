@@ -14,7 +14,7 @@ by the :class:`~repro.cluster.simulator.ClusterSimulator`:
   (open -> drain -> half-open probe -> close);
 * :mod:`~repro.serving.frontend` — :class:`ServingFrontend`, the
   Scheduler-protocol wrapper that does admission control, deadline
-  expiry at dequeue, retry budgets with jittered backoff, breaker-driven
+  expiry on one timer, retry budgets with jittered backoff, breaker-driven
   board drains and brownout scale-down switching.
 
 Everything is opt-in: constructing no frontend changes nothing, so the

@@ -10,14 +10,14 @@ graceful when offered load exceeds capacity or boards fail:
 * **Admission control** — per-model bounded queues plus an optional
   per-model token bucket; overflow is shed at arrival under a
   :class:`~repro.serving.policy.SheddingPolicy` (tail or head drop).
-* **Deadlines** — every admitted request carries an absolute deadline;
-  a request past its deadline is expired *at dequeue* (the simulator's
-  ``should_drop`` hook) and never occupies a board.  A request is past its
-  deadline strictly after it, so it expires at the first dispatch pass
-  later than its deadline, never before.  Each admission also schedules a
-  deadline wake via ``schedule_external``; the pass that wake triggers
-  runs *at* the deadline and so does not expire the request, but it keeps
-  an idle queue from waiting on the idle-retry poll alone.
+* **Deadlines** — every admitted request carries an absolute deadline.
+  One expiry timer per frontend (a single ``schedule_external`` event,
+  armed at the earliest deadline of a still-queued request) expires every
+  queued request whose deadline has come, *at* its deadline; the
+  dispatcher then drops it (the simulator's ``should_drop`` hook), so it
+  never occupies a board.  A request started at its deadline could not
+  finish on time anyway: service time is positive.  Without a simulator
+  the dequeue gate runs the same expiry at the caller's clock.
 * **Retry budget** — genuine placement failures (the controller counted
   a ``placement_failure``) consume a per-request budget with jittered
   exponential backoff; exhaustion abandons the request.  Waiting behind a
@@ -45,11 +45,21 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from ..cluster.simulator import Task
-from ..runtime.deployment import DeploymentState
 from ..vital.virtual_block import BoardHealth
 from .breaker import BreakerState, CircuitBreaker
 from .policy import ServingParameters, SheddingPolicy, TokenBucket
 from .request import Request, RequestOutcome, RequestRecord
+
+
+def _delay_to(due_s: float, now: float) -> float:
+    """The delay that the event queue, adding it to ``now <= due_s``, lands
+    exactly on ``due_s`` (``due_s - now`` alone may round an ulp off)."""
+    delay = due_s - now
+    while now + delay > due_s:
+        delay = math.nextafter(delay, 0.0)
+    while now + delay < due_s:
+        delay = math.nextafter(delay, math.inf)
+    return delay
 
 
 @dataclass
@@ -105,10 +115,14 @@ class ServingFrontend:
         #: model key -> queued records already condemned (shed, expired or
         #: abandoned) that the dispatcher has yet to drop.
         self._condemned: dict[str, int] = {}
-        #: model key -> min-heap of ``(deadline_s, task_id)`` of queued
-        #: records; entries of records that left the queue are popped once
-        #: they reach the top, so the top is always queued.
-        self._deadlines: dict[str, list] = {}
+        #: Min-heap of ``(deadline_s, task_id)`` of queued records, every
+        #: model's; entries of records that left the queue are popped when
+        #: the expiry timer reaches them.
+        self._expiry: list = []
+        #: Due time of the armed expiry timer (``inf``: none armed).
+        self._armed_s = math.inf
+        #: Expiry timers armed so far (one DES event each).
+        self.timers_armed = 0
         #: model key -> live queue depth (PENDING, not condemned).
         self._depth: dict[str, int] = {}
         #: tenant -> live queue depth (tenancy layer's pressure signal).
@@ -118,9 +132,6 @@ class ServingFrontend:
             fpga_id: CircuitBreaker(fpga_id, self.params)
             for fpga_id in self.cluster.boards
         }
-        self._boards_by_type: dict[str, list] = {}
-        for board in self.cluster.boards.values():
-            self._boards_by_type.setdefault(board.model.name, []).append(board)
         self._total_blocks = sum(
             len(board.blocks) for board in self.cluster.boards.values()
         )
@@ -129,7 +140,8 @@ class ServingFrontend:
         for board in self.cluster.boards.values():
             self._free_blocks += board.free_blocks
             board.subscribe(self._on_occupancy)
-        self._feasible_types: dict[str, list] = {}
+        #: model key -> (breaker, board) of every board it could land on.
+        self._candidates: dict[str, list] = {}
         #: (due_s, breaker) half-open probes in synchronous mode.
         self._due: list = []
         self._clock = 0.0
@@ -210,11 +222,22 @@ class ServingFrontend:
         """The frontend's record for one task (tests and benches read it)."""
         return self._records.get(task_id)
 
-    def _enqueue(self, record: RequestRecord) -> None:
+    def _enqueue(self, record: RequestRecord, now: float) -> None:
         task = record.task
         self._queued.setdefault(task.model_key, {})[task.task_id] = record
-        heappush(self._deadlines.setdefault(task.model_key, []),
-                 (record.deadline_s, task.task_id))
+        self._depth[task.model_key] = self._depth.get(task.model_key, 0) + 1
+        self._bump_tenant(task, +1)
+        deadline = record.deadline_s
+        if deadline <= now:
+            # Late already (requeued after its deadline): it expires now,
+            # and a timer armed now has the dispatcher drop it now.
+            self._condemn(record, RequestOutcome.EXPIRED)
+            self.stats.expired += 1
+            deadline = now
+        elif deadline < math.inf:
+            heappush(self._expiry, (deadline, task.task_id))
+        if deadline < self._armed_s and self._simulator is not None:
+            self._arm(deadline)
 
     def _dequeue(self, record: RequestRecord) -> None:
         """Take a record off its model's queue (it started or dropped)."""
@@ -222,19 +245,56 @@ class ServingFrontend:
         queue = self._queued.get(task.model_key)
         if queue is None or queue.pop(task.task_id, None) is None:
             return
-        if record.outcome is not RequestOutcome.PENDING:
+        if record.outcome is RequestOutcome.PENDING:
+            self._depth[task.model_key] -= 1
+            self._bump_tenant(task, -1)
+        else:
             self._condemned[task.model_key] -= 1
-        deadlines = self._deadlines[task.model_key]
-        while deadlines and deadlines[0][1] not in queue:
-            heappop(deadlines)
 
     def _condemn(self, record: RequestRecord, outcome: RequestOutcome) -> None:
-        """Give a request its terminal drop outcome; a queued one now waits
-        for the dispatcher to drop it."""
+        """Give a request its terminal drop outcome; a queued one leaves the
+        live depths now and waits for the dispatcher to drop it."""
         record.outcome = outcome
-        model_key = record.task.model_key
-        if record.task.task_id in self._queued.get(model_key, ()):
+        task = record.task
+        model_key = task.model_key
+        if task.task_id in self._queued.get(model_key, ()):
             self._condemned[model_key] = self._condemned.get(model_key, 0) + 1
+            self._depth[model_key] -= 1
+            self._bump_tenant(task, -1)
+
+    # -- deadline expiry -----------------------------------------------------
+
+    def _arm(self, due_s: float) -> None:
+        """Arm the expiry timer at ``due_s``; a timer armed before it, due
+        later, is superseded and fires as a no-op."""
+        self._armed_s = due_s
+        self.timers_armed += 1
+        self._simulator.schedule_external(
+            _delay_to(due_s, self._simulator.queue.now),
+            lambda now: self._on_timer(due_s, now),
+        )
+
+    def _on_timer(self, due_s: float, now: float) -> None:
+        if due_s == self._armed_s:
+            self._armed_s = math.inf
+            self._expire(now)
+
+    def _expire(self, now: float) -> None:
+        """Condemn every queued request whose deadline is at or before
+        ``now``, pop the entries of requests that left the queue, and
+        (with a simulator) arm the timer at the earliest deadline left."""
+        expiry = self._expiry
+        while expiry:
+            deadline, task_id = expiry[0]
+            record = self._records[task_id]
+            if record.outcome is RequestOutcome.PENDING and not record.started:
+                if deadline > now:
+                    if self._simulator is not None:
+                        self._arm(deadline)
+                    return
+                self._condemn(record, RequestOutcome.EXPIRED)
+                self.stats.expired += 1
+            heappop(expiry)
 
     def _bucket(self, model_key: str) -> TokenBucket | None:
         if self.params.admission_rate_per_s <= 0:
@@ -266,18 +326,8 @@ class ServingFrontend:
                 self._condemn_oldest(model)
             else:
                 return self._shed_at_door(record)
-        self._enqueue(record)
-        self._depth[model] = self._depth.get(model, 0) + 1
-        self._bump_tenant(task, +1)
+        self._enqueue(record, now)
         self.stats.admitted += 1
-        if self._simulator is not None:
-            # Deadline wake (a no-op event): it re-dispatches at the
-            # deadline instant.  That pass cannot expire the request —
-            # expiry needs ``now > deadline`` — so expiry lands at the
-            # first pass after it, never before.
-            self._simulator.schedule_external(
-                max(0.0, record.deadline_s - now), lambda _now: None
-            )
         return True
 
     def _shed_at_door(self, record: RequestRecord) -> bool:
@@ -289,27 +339,23 @@ class ServingFrontend:
         """Head drop: mark the oldest still-pending queued request of this
         model shed; the dispatcher drops it at its next pass."""
         for record in self._queued.get(model_key, {}).values():
-            if record.outcome is RequestOutcome.PENDING and not record.started:
+            if record.outcome is RequestOutcome.PENDING:
                 self._condemn(record, RequestOutcome.SHED)
                 self.stats.shed += 1
-                self._depth[model_key] -= 1
-                self._bump_tenant(record.task, -1)
                 return
 
     # -- Scheduler protocol: dequeue-time drops ------------------------------
 
     def should_drop(self, task: Task, now: float) -> bool:
-        """Dequeue gate: condemned or expired requests leave the queue
-        here, before any placement is attempted — they never hold a board."""
+        """Dequeue gate: condemned (shed, expired or abandoned) requests
+        leave the queue here, before any placement is attempted — they
+        never hold a board."""
         self._clock = now
+        if self._simulator is None:
+            self._expire(now)
         record = self._records.get(task.task_id)
         if record is None:
             return False
-        if record.outcome is RequestOutcome.PENDING and record.deadline_missed(now):
-            self._condemn(record, RequestOutcome.EXPIRED)
-            self.stats.expired += 1
-            self._depth[task.model_key] -= 1
-            self._bump_tenant(task, -1)
         if record.outcome is RequestOutcome.PENDING or record.started:
             return False
         self._dequeue(record)
@@ -317,15 +363,15 @@ class ServingFrontend:
 
     def may_drop(self, model_key: str, now: float) -> bool:
         """Whether :meth:`should_drop` could drop a queued request of this
-        model at ``now``: one is condemned or past its deadline.  ``False``
-        lets the simulator park the model's blocked queues.  It holds for a
-        whole pass: inside one, only the request being tried can be
-        condemned (an exhausted retry budget), and the pass does not visit
-        it again; a request requeued by preemption joins after the pass."""
-        if self._condemned.get(model_key):
-            return True
-        deadlines = self._deadlines.get(model_key)
-        return bool(deadlines) and now > deadlines[0][0]
+        model at ``now``: one is condemned.  ``False`` lets the simulator
+        park the model's blocked queues.  It holds for a whole pass: expiry
+        runs at the timer's own event, and inside a pass only the request
+        being tried can be condemned (an exhausted retry budget), which the
+        pass does not visit again, or a preempted request requeued after
+        its deadline, which joins the queue after the pass."""
+        if self._simulator is None:
+            self._expire(now)
+        return bool(self._condemned.get(model_key))
 
     # -- Scheduler protocol: placement ---------------------------------------
 
@@ -349,8 +395,6 @@ class ServingFrontend:
         # Started: leave the queue, remember the boards for breaker
         # attribution, and let brownout react to the new utilisation.
         record.started = True
-        self._depth[task.model_key] -= 1
-        self._bump_tenant(task, -1)
         self._dequeue(record)
         deployment = self.system.running_deployment(task.task_id)
         if deployment is not None:
@@ -384,9 +428,7 @@ class ServingFrontend:
             return
         record.started = False
         record.board_ids = []
-        self._enqueue(record)
-        self._depth[task.model_key] = self._depth.get(task.model_key, 0) + 1
-        self._bump_tenant(task, +1)
+        self._enqueue(record, now)
 
     # -- Scheduler protocol: completion --------------------------------------
 
@@ -431,32 +473,20 @@ class ServingFrontend:
         queue = self._queued.get(task.model_key)
         if not queue:
             return inner
-        hint = math.inf
-        for record in queue.values():
-            if record.outcome is not RequestOutcome.PENDING:
-                return now
-            gate = (
-                record.next_attempt_s
-                if record.next_attempt_s > now
-                else inner
-            )
-            hint = min(hint, gate)
-        return hint
+        if self._condemned.get(task.model_key):
+            return now
+        return min(
+            record.next_attempt_s if record.next_attempt_s > now else inner
+            for record in queue.values()
+        )
 
     def has_pending_timers(self) -> bool:
-        """True while any queued request holds a finite live time gate
-        (deadline or backoff) — tells the simulator an idle cluster with a
-        waiting queue is not a deadlock."""
-        now = self._now()
-        for queue in self._queued.values():
-            for record in queue.values():
-                if record.outcome is not RequestOutcome.PENDING:
-                    return True  # droppable: the next pass makes progress
-                if math.isfinite(record.deadline_s):
-                    return True
-                if record.next_attempt_s > now:
-                    return True
-        return False
+        """True while a condemned request waits in the queue (the next pass
+        drops it) — tells the simulator an idle cluster with a waiting
+        queue is not a deadlock.  Queued deadlines and backoffs need no
+        clause: the expiry timer and each backoff wake are in-flight
+        external events, which already keep the idle detector quiet."""
+        return any(self._condemned.values())
 
     # -- circuit breakers ----------------------------------------------------
 
@@ -513,29 +543,24 @@ class ServingFrontend:
             self.controller.on_board_repair(board, now)
         breaker.draining = False
 
-    def _feasible_board_types(self, model_key: str) -> list:
-        types = self._feasible_types.get(model_key)
-        if types is None:
-            types = self.controller.catalog.compatible_types(model_key)
-            self._feasible_types[model_key] = types
-        return types
-
     def _all_breakers_open(self, model_key: str) -> bool:
         """Fast-reject when every board the model could land on is held
         open (don't burn a placement search the breakers predetermine)."""
         if not self.params.breaker_enabled:
             return False
-        saw_candidate_board = False
-        for device_type in self._feasible_board_types(model_key):
-            for board in self._boards_by_type.get(device_type, ()):
-                saw_candidate_board = True
-                breaker = self._breakers[board.fpga_id]
-                if (
-                    breaker.state is not BreakerState.OPEN
-                    and board.health is not BoardHealth.FAILED
-                ):
-                    return False
-        return saw_candidate_board
+        candidates = self._candidates.get(model_key)
+        if candidates is None:
+            types = set(self.controller.catalog.compatible_types(model_key))
+            candidates = self._candidates[model_key] = [
+                (self._breakers[board.fpga_id], board)
+                for board in self.cluster.boards.values()
+                if board.model.name in types
+            ]
+        return bool(candidates) and all(
+            breaker.state is BreakerState.OPEN
+            or board.health is BoardHealth.FAILED
+            for breaker, board in candidates
+        )
 
     # -- brownout ------------------------------------------------------------
 
@@ -585,34 +610,5 @@ class ServingFrontend:
             self._switch_plan(deployment, narrow, now)
 
     def _switch_plan(self, deployment, narrow_plan, now: float) -> None:
-        controller = self.controller
-        original_plan = deployment.plan
-        controller.discard(deployment)
-        placed = controller.place_plan(narrow_plan, now)
-        if placed is None:
-            # Could not shrink after all: put the original width back in
-            # the space just freed (best effort; on a miss the model simply
-            # re-deploys on demand).
-            placed = controller.place_plan(original_plan, now)
-            if placed is None:
-                return
-        else:
+        if self.controller.swap_plan(deployment, narrow_plan, now) is not None:
             self.stats.brownout_switches += 1
-        new_deployment, reconfig = placed
-        if self._simulator is None:
-            return  # synchronous mode: usable immediately
-        controller.set_state(new_deployment, DeploymentState.RECOVERING)
-
-        def complete(fire_now, d=new_deployment):
-            if d.deployment_id not in controller.deployments:
-                return  # torn down while reconfiguring
-            if d.pending_recovery:
-                if controller.recovery_enabled:
-                    controller.recovery.recover(d, fire_now)
-                else:
-                    controller.discard(d)
-                return
-            controller.set_state(d, DeploymentState.IDLE, fire_now)
-            d.checkpoint_origin_s = fire_now
-
-        self._simulator.schedule_external(reconfig, complete)

@@ -76,8 +76,8 @@ class ServingParameters:
 
     # -- deadlines ------------------------------------------------------------
     #: Deadline granted to requests that do not carry their own: a request
-    #: not *started* by ``arrival + default_deadline_s`` is expired at
-    #: dequeue and never occupies a board.
+    #: not *started* by ``arrival + default_deadline_s`` expires at that
+    #: deadline and never occupies a board.
     default_deadline_s: float = 0.5
 
     # -- retry budget ---------------------------------------------------------

@@ -24,7 +24,8 @@ class RequestOutcome(enum.Enum):
     COMPLETED = "completed"
     #: Rejected by admission control (queue bound or token bucket).
     SHED = "shed"
-    #: Past its deadline at dequeue; dropped without occupying a board.
+    #: Still queued at its deadline; expired then, and dropped without
+    #: ever occupying a board.
     EXPIRED = "expired"
     #: Exhausted its placement-retry budget.
     ABANDONED = "abandoned"
@@ -57,6 +58,3 @@ class RequestRecord:
     board_ids: list = field(default_factory=list)
     #: Whether the request ever occupied a board.
     started: bool = False
-
-    def deadline_missed(self, now: float) -> bool:
-        return now > self.deadline_s

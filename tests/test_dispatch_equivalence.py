@@ -249,11 +249,11 @@ TENANCY_DIGESTS = {
     (4, False):
         "4fc81be81b405589d6966063ee020f0f730d46947477c2bc02614b3fe13d835b",
     (4, True):
-        "e80e5fde7213f58b7dd160df8b68d30f4f6801f016953691fc5e62af46a32bc4",
+        "66aae333f4761fa8a5319b5afc519fe43f90935e0bd2e715d6a53539210e710c",
     (5, False):
         "09d34462c99f33ebf31a7d77c820c9e1b2cc1e65612c218f05d94c576009cfd3",
     (5, True):
-        "c0b5b8a343bd229938a8d0a9c6865ac3dc7ade1f72d184c8ba6c48e63cea9b2c",
+        "2df91a95b4ed42f89d14bb48bd7d5d19471b92acee501707795497d8a0993640",
 }
 
 
@@ -300,12 +300,12 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
 #: dequeue gate the frontend proves cannot fire (parking a serving queue)
 #: fails here even when both dispatchers agree with each other.
 SERVING_DIGESTS = {
-    7: "b69754f9f31f1657ed950960ca961b6c7f211265cdca5d13f9aff43f2d36926c",
-    8: "dde9aae470c5ef25aeaf214aa37450d63b0dae47a06b13c7ad54dfda2b41de3f",
+    7: "654f2e6b5b09b5ac9c649c0461de8527b89c2d9b965ff02f0aeec5218f1ddb19",
+    8: "c8b85177d0688858a9aab31a7663fa1ed9769f2ba3177c5616df4eaaf2a0714c",
     "head_drop":
         "9488449c50d21c5b92fedf44d0f62cef461823fc66be2bad24469ec3b7e3230b",
     "no_retry":
-        "3c77b8fff41599ebdf7725d61841de4e5fe76f0b01350f988fab824910147ec5",
+        "7aeee3f027b3f2670a1a0f81773451c1ab8b47df3eebbc3f4cbfcc06a3b1f173",
 }
 
 
@@ -341,6 +341,19 @@ def test_serving_with_deadlines_and_faults(shared_catalog, seed):
                              SERVING_DIGESTS[seed])
     assert reference.scheduler.stats.expired > 0
     assert reference.injector.failures_injected > 0
+
+
+def test_one_expiry_timer_per_frontend(shared_catalog):
+    """The frontend keeps one expiry timer armed at the earliest queued
+    deadline instead of a wake per admission: past one timer per expiring
+    deadline, it arms timers for fewer than 5 % of its admissions."""
+    simulator, tasks = _serving_build(shared_catalog, 7)(ClusterSimulator)
+    simulator.run(tasks)
+    frontend = simulator.scheduler
+    stats = frontend.stats
+    assert (stats.admitted, stats.expired) == (219, 191)
+    assert frontend.timers_armed == 192
+    assert frontend.timers_armed - stats.expired < 0.05 * stats.admitted
 
 
 @pytest.mark.parametrize("variant", ["head_drop", "no_retry"])

@@ -180,24 +180,17 @@ class TestDeadlines:
         simulator = ClusterSimulator(frontend, "expiry-exact")
         deadline = 0.040
         result = simulator.run(_requests(1, deadline_s=deadline))
-        # The run ends at the deadline wake, not at an idle-retry guess.
+        # The run ends at the expiry timer, not at an idle-retry guess.
         assert result.makespan_s == pytest.approx(deadline)
 
-    def test_expiry_lands_at_the_first_pass_after_the_deadline(self, catalog):
-        """Pins today's expiry semantics: ``now > deadline`` expires a
-        request, so the pass its deadline wake runs at the deadline instant
-        keeps it, and it leaves at the first dispatch pass strictly later."""
+    def test_expiry_lands_at_the_deadline(self, catalog):
+        """A request still queued at its deadline expires then: the
+        frontend's expiry timer fires at the deadline, and the dispatch
+        pass that event runs drops it."""
         _, _, frontend = _frontend(
             catalog, default_deadline_s=0.004, max_queue_depth=64
         )
         simulator = ClusterSimulator(frontend, "expiry-semantics")
-        passes = []
-        dispatch_pass = simulator._dispatch_pass
-
-        def spy_pass():
-            passes.append(simulator.queue.now)
-            return dispatch_pass()
-
         expired_at = {}
         should_drop = frontend.should_drop
 
@@ -209,7 +202,6 @@ class TestDeadlines:
             return dropped
 
         # Installed after the simulator was built: hooks are read at run().
-        simulator._dispatch_pass = spy_pass
         frontend.should_drop = spy_gate
         arrivals = mmpp_arrivals(240, 6000.0, seed=5)
         tasks = [
@@ -223,9 +215,7 @@ class TestDeadlines:
         simulator.run(tasks)
         assert len(expired_at) == frontend.stats.expired > 0
         for task_id, now in expired_at.items():
-            deadline = frontend.record_for(task_id).deadline_s
-            assert now > deadline
-            assert now == min(t for t in passes if t > deadline)
+            assert now == frontend.record_for(task_id).deadline_s
 
     def test_may_drop_tracks_condemned_and_late_requests(self, catalog):
         _, _, frontend = _frontend(
@@ -235,13 +225,14 @@ class TestDeadlines:
         tasks = _requests(3, model_key=model, deadline_s=0.005)
         assert not frontend.may_drop(model, 0.0)  # nothing queued
         assert frontend.admit(tasks[0], 0.0) and frontend.admit(tasks[1], 0.0)
-        assert not frontend.may_drop(model, 0.005)  # at the deadline
-        assert frontend.may_drop(model, 0.006)  # past it
-        assert frontend.admit(tasks[2], 0.0)  # head drop condemns tasks[0]
-        assert frontend.may_drop(model, 0.0)
-        assert frontend.should_drop(tasks[0], 0.0)
-        assert not frontend.may_drop(model, 0.0)
-        assert frontend.may_drop(model, 0.006)
+        assert not frontend.may_drop(model, 0.004)  # before the deadline
+        assert frontend.admit(tasks[2], 0.004)  # head drop condemns tasks[0]
+        assert frontend.may_drop(model, 0.004)
+        assert frontend.should_drop(tasks[0], 0.004)
+        assert not frontend.may_drop(model, 0.004)
+        assert frontend.may_drop(model, 0.005)  # droppable from the deadline
+        assert frontend.stats.expired == 2
+        assert frontend.queue_depth(model) == 0
 
     def test_default_deadline_granted_to_plain_tasks(self, catalog):
         _, _, frontend = _frontend(catalog, default_deadline_s=0.3)

@@ -54,7 +54,7 @@ def _storm_tasks(count, rate_per_s, seed, deadline_jitter=False):
 
 
 def _run_storm(catalog, seed, rate_per_s=4000.0, count=150, mtbf_s=None,
-               **param_overrides):
+               before_run=None, **param_overrides):
     cluster = paper_cluster()
     system = build_system("proposed", cluster, catalog, recovery=True)
     defaults = dict(default_deadline_s=0.05, max_queue_depth=4)
@@ -69,6 +69,8 @@ def _run_storm(catalog, seed, rate_per_s=4000.0, count=150, mtbf_s=None,
         )
         injector.arm(count / rate_per_s * 4)
     tasks = _storm_tasks(count, rate_per_s, seed, deadline_jitter=True)
+    if before_run is not None:
+        before_run(frontend)
     result = simulator.run(tasks)
     return cluster, system, frontend, result
 
@@ -131,7 +133,11 @@ def _assert_invariants(cluster, system, frontend, result):
     for model, queue in frontend._queued.items():
         assert not queue, f"{model} queue not drained"
         assert not frontend._condemned.get(model), f"{model} condemned leaked"
-        assert not frontend._deadlines[model], f"{model} deadlines leaked"
+    for _, task_id in frontend._expiry:
+        record = frontend.record_for(task_id)
+        assert record.outcome is not RequestOutcome.PENDING or record.started, (
+            f"request {task_id} left queued in the expiry heap"
+        )
 
 
 class TestServingInvariants:
@@ -173,6 +179,37 @@ class TestServingInvariants:
             brownout_low_watermark=0.2,
             brownout_hot_depth=2,
         )
+        _assert_invariants(cluster, system, frontend, result)
+
+    def test_abandons_free_their_queue_depth(self, catalog):
+        """With no retry budget every genuine placement failure abandons
+        its request; each abandon leaves the live depth at once, so the
+        depth always equals the model's queued pending requests."""
+        checked = []
+
+        def check_depth_at_finishes(frontend):
+            on_finish = frontend.on_finish
+
+            def spy(task, now):
+                on_finish(task, now)
+                for model in MODELS:
+                    pending = sum(
+                        record.outcome is RequestOutcome.PENDING
+                        for record in frontend._queued.get(model, {}).values()
+                    )
+                    assert frontend.queue_depth(model) == pending
+                checked.append(now)
+
+            frontend.on_finish = spy
+
+        cluster, system, frontend, result = _run_storm(
+            catalog, 4, mtbf_s=0.2, retry_budget=0,
+            before_run=check_depth_at_finishes,
+        )
+        assert frontend.stats.abandoned > 0
+        assert checked
+        for model in MODELS:
+            assert frontend.queue_depth(model) == 0
         _assert_invariants(cluster, system, frontend, result)
 
     def test_goodput_survives_the_storm(self, catalog):

@@ -19,7 +19,7 @@ from repro.cluster import ClusterSimulator, Task, scaled_cluster
 from repro.cluster.topology import paper_cluster
 from repro.errors import ReproError
 from repro.runtime import Catalog, build_system
-from repro.serving import ServingFrontend, ServingParameters
+from repro.serving import RequestOutcome, ServingFrontend, ServingParameters
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.units import ms
 from repro.vital import VitalCompiler
@@ -484,6 +484,36 @@ class TestFrontendComposition:
         scheduler = TenantScheduler(frontend, tenants)
         return scheduler, frontend, system
 
+    def _preempting_stream(self, catalog, seed):
+        """Premium and preemptible best-effort tenants over a frontend with
+        20 ms deadlines, 400 tasks in 10 ms on eight boards: preemptions
+        and expiries side by side."""
+        cluster = scaled_cluster(8)
+        system = build_system("proposed", cluster, catalog)
+        frontend = ServingFrontend(system, ServingParameters(
+            default_deadline_s=ms(20.0), breaker_enabled=False))
+        total = sum(len(board.blocks) for board in cluster.boards.values())
+        scheduler = TenantScheduler(frontend, [
+            TenantParameters(name="premium", priority=1, weight=2.0,
+                             block_quota=int(total * 0.3), preemptible=False),
+            TenantParameters(name="besteffort", priority=0, weight=1.0,
+                             block_quota=int(total * 0.8), preemptible=True),
+        ])
+        rng = random.Random(seed)
+        count = 400
+        arrivals = sorted(rng.randrange(60) * ms(10.0) / 60
+                          for _ in range(count))
+        draws = [
+            ("premium", "gru-h512-t1") if rng.random() < 0.25
+            else ("besteffort",
+                  rng.choice(["lstm-h256-t150", "lstm-h512-t25"]))
+            for _ in range(count)
+        ]
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a, size_class="S",
+                      tenant=t)
+                 for i, (a, (t, m)) in enumerate(zip(arrivals, draws))]
+        return scheduler, frontend, tasks
+
     def test_layer_exposes_wrapped_system(self, shared_catalog):
         scheduler, frontend, system = self._frontend_stack(
             shared_catalog, [TenantParameters(name="t")]
@@ -525,12 +555,41 @@ class TestFrontendComposition:
         assert scheduler.tenant("t").pending == 1
         # The frontend's may_drop is forwarded, so the simulator parks
         # the tenancy+serving stack's blocked queues too.
-        assert not scheduler.may_drop(task.model_key, 5.0)
-        assert scheduler.may_drop(task.model_key, 10.0)
-        assert scheduler.should_drop(task, 10.0)  # past its 5 s deadline
+        assert not scheduler.may_drop(task.model_key, 4.0)
+        assert scheduler.may_drop(task.model_key, 5.0)  # at its deadline
+        assert scheduler.should_drop(task, 5.0)
         assert frontend.stats.expired == 1
         assert scheduler.tenant("t").pending == 0
         assert not scheduler.may_drop(task.model_key, 10.0)
+
+    def test_requeue_after_the_deadline_expires_at_once(self,
+                                                       shared_catalog):
+        """A preempted request requeued after its deadline expires at the
+        requeue instant: the dispatch that follows the preemption in the
+        same event never restarts it."""
+        scheduler, frontend, tasks = self._preempting_stream(shared_catalog, 7)
+        late, dropped_at = {}, {}
+        requeue, should_drop = frontend.requeue, frontend.should_drop
+
+        def spy_requeue(task, now):
+            if now >= frontend.record_for(task.task_id).deadline_s:
+                late[task.task_id] = now
+            requeue(task, now)
+
+        def spy_gate(task, now):
+            dropped = should_drop(task, now)
+            if dropped:
+                dropped_at[task.task_id] = now
+            return dropped
+
+        frontend.requeue = spy_requeue
+        frontend.should_drop = spy_gate
+        ClusterSimulator(scheduler, "late-requeue").run(tasks)
+        assert late
+        for task_id, now in late.items():
+            record = frontend.record_for(task_id)
+            assert record.outcome is RequestOutcome.EXPIRED
+            assert dropped_at[task_id] == now
 
     def test_requeue_without_record_is_a_noop(self, shared_catalog):
         _, frontend, _ = self._frontend_stack(
@@ -580,30 +639,7 @@ class TestFrontendComposition:
         """Tasks the frontend drops (deadline expiry) after a declined
         start or a preemption take their decline reason and resume
         credit with them."""
-        cluster = scaled_cluster(8)
-        system = build_system("proposed", cluster, shared_catalog)
-        frontend = ServingFrontend(system, ServingParameters(
-            default_deadline_s=ms(20.0), breaker_enabled=False))
-        total = sum(len(board.blocks) for board in cluster.boards.values())
-        scheduler = TenantScheduler(frontend, [
-            TenantParameters(name="premium", priority=1, weight=2.0,
-                             block_quota=int(total * 0.3), preemptible=False),
-            TenantParameters(name="besteffort", priority=0, weight=1.0,
-                             block_quota=int(total * 0.8), preemptible=True),
-        ])
-        rng = random.Random(seed)
-        count = 400
-        arrivals = sorted(rng.randrange(60) * ms(10.0) / 60
-                          for _ in range(count))
-        draws = [
-            ("premium", "gru-h512-t1") if rng.random() < 0.25
-            else ("besteffort",
-                  rng.choice(["lstm-h256-t150", "lstm-h512-t25"]))
-            for _ in range(count)
-        ]
-        tasks = [Task(task_id=i, model_key=m, arrival_s=a, size_class="S",
-                      tenant=t)
-                 for i, (a, (t, m)) in enumerate(zip(arrivals, draws))]
+        scheduler, _, tasks = self._preempting_stream(shared_catalog, seed)
         result = ClusterSimulator(scheduler, "drops").run(tasks)
         assert result.dropped
         assert scheduler.stats.tasks_preempted > 0
