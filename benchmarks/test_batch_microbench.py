@@ -1,7 +1,7 @@
 """Microbenchmarks of the batch-axis hot paths behind
 :mod:`repro.accel.batched`: the vectorized sigmoid, blockwise BFP
 quantisation over ``(batch, length)`` stacks and ``(rows, cols)``
-matrices, the guarded one-dgemm MV_MUL against per-lane dgemv, and the
+matrices, the certified one-dgemm MV_MUL against per-lane dgemv, and the
 end-to-end batched-vs-scalar RNN run.
 
 All inputs come from explicitly seeded generators and every benchmark
@@ -14,12 +14,7 @@ import numpy as np
 
 from repro.accel.batched import BatchedFunctionalSimulator, run_batched
 from repro.accel.codegen import OUT_BASE, RNNWeights, make_codegen
-from repro.accel.functional import (
-    FunctionalSimulator,
-    WeightImage,
-    _sigmoid,
-    guard_factor,
-)
+from repro.accel.functional import FunctionalSimulator, WeightImage, _sigmoid
 from repro.isa.bfp import DEFAULT_FORMAT, bfp_matvec, bfp_quantize
 from repro.isa.instructions import halt
 from repro.isa.program import Program
@@ -55,29 +50,28 @@ def test_bfp_quantize_matrix(benchmark):
     assert out.shape == (ROWS, COLS)
 
 
-def test_guarded_batched_matvec(benchmark):
-    """Operand quantisation, one dgemm and the rounding-boundary guard for
-    the whole batch."""
+def test_certified_batched_matvec(benchmark):
+    """Operand quantisation, the exactness certificate and one dgemm for
+    the whole batch, over the column-major matrix register."""
     rng = np.random.default_rng(3)
-    matrix = bfp_quantize(rng.normal(0.0, 1.0, (ROWS, COLS)), DEFAULT_FORMAT)
-    guard = guard_factor(matrix)
     vecs = rng.normal(0.0, 1.0, (BATCH, COLS))
     sim = BatchedFunctionalSimulator(Program([halt()]), batch=BATCH)
+    sim.load_matrix(0, rng.normal(0.0, 1.0, (ROWS, COLS)))
+    matrix = sim.mrf[0]
 
-    def guarded():
-        return sim._matvec_shared(matrix, guard, *sim._convert(vecs))
+    def certified():
+        return sim._matvec(0, matrix, *sim._convert(vecs))
 
-    out = benchmark(guarded)
+    out = benchmark(certified)
     assert out.shape == (BATCH, ROWS)
-    for lane in (0, BATCH // 2, BATCH - 1):
-        want = bfp_matvec(matrix, vecs[lane], DEFAULT_FORMAT)
-        assert np.array_equal(
-            out[lane].astype(np.float16), want.astype(np.float16)
-        )
+    assert sim.inexact_lanes == 0
+    for lane in range(BATCH):
+        # Exact arithmetic: bitwise the per-lane dgemv, before float16.
+        assert np.array_equal(out[lane], bfp_matvec(matrix, vecs[lane], DEFAULT_FORMAT))
 
 
 def test_per_lane_matvec_reference(benchmark):
-    """The N-dgemv baseline the guarded dgemm amortises."""
+    """The N-dgemv baseline the certified dgemm amortises."""
     rng = np.random.default_rng(3)
     matrix = bfp_quantize(rng.normal(0.0, 1.0, (ROWS, COLS)), DEFAULT_FORMAT)
     vecs = rng.normal(0.0, 1.0, (BATCH, COLS))

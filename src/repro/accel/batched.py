@@ -22,16 +22,17 @@ each lane through the scalar simulator:
   blockwise BFP quantisation operate along the last axis, so a ``(N, L)``
   batch computes exactly the per-lane values.
 * ``MV_MUL`` is the one place a faster algorithm (one dgemm for the batch
-  instead of ``N`` dgemv calls) can legally reorder float summation.  The
-  batched path runs the dgemm, then applies a *rounding-boundary guard*:
-  a rigorous forward error bound ``E`` on the difference between any two
-  float64 summation orders is computed per output element, and any element
-  whose interval ``[v - E, v + E]`` straddles a float16 rounding boundary
-  is recomputed with the exact scalar dgemv (``matrix @ lane``).  Because
-  the architectural result of ``MV_MUL`` is the float16-rounded value, all
-  unflagged elements provably round to the same float16 as the scalar
-  path, and flagged elements (empirically ~1e-9 of outputs) are taken from
-  the scalar computation verbatim.
+  instead of ``N`` dgemv calls) could reorder float64 summation, and BFP
+  makes the order irrelevant: every quantised value is a small integer
+  times its block's power-of-two scale, so a product's partial sums are
+  exact whenever the block exponents involved fit the significand.  An
+  *exactness certificate* checks that per lane from two cheap summaries —
+  the matrix's per-row block-exponent span, memoised with the matrix at
+  ``M_RD``, and the lane's span, taken when the operand is quantised.
+  Certified lanes (in practice all of them) take the one dgemm; any other
+  lane runs the scalar simulator's own dgemv, ``matrix @ lane``, on the
+  same matrix layout.  Either way each lane's product is bitwise the
+  scalar one, before the float16 rounding as well as after it.
 
 Memory
 ------
@@ -42,17 +43,19 @@ lane (the pages of the deployment's resident
 only lane-varying pages (inputs, outputs) are materialised per lane.  A
 shared matrix region loads into one ``(rows, cols)`` MRF entry consumed
 by the dgemm fast path — the image's memoised matrix while the region is
-unmodified.
+unmodified, stored column-major so ``quantised @ matrix.T`` is a plain
+dgemm.
 
 Fallback
 --------
 
-:func:`run_batched` falls back to the scalar simulator for singleton
-batches (``N == 1``) and on request (``force_scalar=True``, used by the
-runtime when a coalescing group degenerates); divergence cannot arise
-within a batch because the ISA has no data-dependent control flow — lanes
-of one program execute in lockstep by construction.  Scale-out programs
-run under :func:`run_scaleout_batched`, which co-simulates ``k`` replica
+:func:`run_batched` runs every batch, a single lane included, on the
+batched simulator; ``force_scalar=True`` runs each lane through the
+scalar simulator instead, the independent reference the equivalence
+harnesses compare against.  Divergence cannot arise within a batch
+because the ISA has no data-dependent control flow — lanes of one
+program execute in lockstep by construction.  Scale-out programs run
+under :func:`run_scaleout_batched`, which co-simulates ``k`` replica
 simulators, each ``N`` lanes wide, over one fabric.
 """
 
@@ -63,7 +66,7 @@ from dataclasses import fields
 import numpy as np
 
 from ..errors import ExecutionError
-from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_quantize
+from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_quantize_blocks
 from ..isa.program import Program
 from .functional import (
     PAGE_WORDS,
@@ -72,8 +75,9 @@ from .functional import (
     SimStats,
     SimulatorCore,
     WeightImage,
-    guard_factor,
+    exponent_range,
     page_spans,
+    quantise_matrix,
     run_lockstep,
 )
 
@@ -230,9 +234,9 @@ class LaneView:
     """A per-lane facade over a batched simulator.
 
     Exposes the subset of the scalar simulator surface that preload
-    callables use (``.dram.write/.read`` and ``.load_matrix``), mapping
-    every access to one lane — existing ``preload(sim, ...)`` functions
-    work unchanged, one lane at a time.
+    callables use (``.dram.write/.read``), mapping every access to one
+    lane — existing ``preload(sim, ...)`` functions work unchanged, one
+    lane at a time.
     """
 
     class _LaneDRAM:
@@ -248,12 +252,8 @@ class LaneView:
             return self._dram.lane_read(self._lane, addr, length)
 
     def __init__(self, sim: "BatchedFunctionalSimulator", lane: int):
-        self._sim = sim
         self.lane = lane
         self.dram = self._LaneDRAM(sim.dram, lane)
-
-    def load_matrix(self, register: int, matrix: np.ndarray) -> None:
-        self._sim.load_matrix(register, matrix, lane=self.lane)
 
 
 class BatchedFunctionalSimulator(SimulatorCore):
@@ -262,8 +262,8 @@ class BatchedFunctionalSimulator(SimulatorCore):
     Runs :class:`~repro.accel.functional.SimulatorCore`'s instruction
     semantics with every vector register a ``(batch, length)`` array.
     Matrix registers stay shared ``(rows, cols)`` arrays while their DRAM
-    source is lane-identical (the common case), unlocking the
-    guarded-dgemm ``MV_MUL`` path; a lane-divergent matrix region degrades
+    source is lane-identical (the common case), unlocking the certified
+    one-dgemm ``MV_MUL`` path; a lane-divergent matrix region degrades
     that register to ``(batch, rows, cols)`` with per-lane dgemv —
     bit-identical either way.
     """
@@ -289,9 +289,9 @@ class BatchedFunctionalSimulator(SimulatorCore):
         )
         self.batch = batch
         self.lanes = (batch,)
-        #: Output elements the boundary guard sent to the exact scalar
-        #: path (observability: expected to stay ~0).
-        self.guard_recomputed = 0
+        #: Lanes of a shared-matrix ``MV_MUL`` that failed the exactness
+        #: certificate and ran the per-lane dgemv (expected to stay 0).
+        self.inexact_lanes = 0
 
     # -- state access --------------------------------------------------------
 
@@ -301,83 +301,51 @@ class BatchedFunctionalSimulator(SimulatorCore):
     def lane_vector(self, lane: int, register: int) -> np.ndarray:
         return self.vector(register)[lane]
 
-    def load_matrix(self, register: int, matrix: np.ndarray,
-                    lane: int | None = None) -> None:
-        """Host-side direct matrix load (bypasses DRAM; tests/tools)."""
-        quantised = bfp_quantize(np.asarray(matrix, dtype=np.float64), self.fmt)
-        if lane is None:
-            self.mrf[register] = quantised
-            self._guards[register] = guard_factor(quantised)
-            return
-        current = self.mrf.get(register)
-        if current is None or current.ndim == 2:
-            stack = np.zeros((self.batch, *quantised.shape), dtype=np.float64)
-            if current is not None and current.shape == quantised.shape:
-                stack[:] = current
-            self.mrf[register] = stack
-            self._guards[register] = None
-        self.mrf[register][lane] = quantised
-
     # -- M_RD and MV_MUL -----------------------------------------------------
 
     def _read_matrix(self, addr: int, rows: int, cols: int) -> tuple:
+        # A lane-divergent region quantises to a (batch, rows, cols) stack.
         flat = self.dram.read_shared(addr, rows * cols)
-        if flat.ndim == 1:
-            matrix = bfp_quantize(flat.reshape(rows, cols), self.fmt)
-            return matrix, guard_factor(matrix)
-        return bfp_quantize(flat.reshape(self.batch, rows, cols), self.fmt), None
+        return quantise_matrix(flat.reshape(*flat.shape[:-1], rows, cols), self.fmt)
 
     def _convert(self, values: np.ndarray) -> tuple:
-        quantised = bfp_quantize(values, self.fmt)
-        return quantised, np.abs(quantised).max(axis=1, keepdims=True)
+        quantised, exponents = bfp_quantize_blocks(values, self.fmt)
+        # The batch's extreme exponents: its span bounds every lane's.
+        highest, lowest = exponent_range(exponents.ravel())
+        return quantised, (exponents, highest, lowest)
 
     def _matvec(self, register: int, matrix: np.ndarray, quantised: np.ndarray,
-                lane_max: np.ndarray) -> np.ndarray:
-        if matrix.ndim == 2:
-            return self._matvec_shared(
-                matrix, self._guards[register], quantised, lane_max
-            )
-        # Lane-divergent matrices: the exact scalar path per lane.
-        return np.stack([
-            matrix[lane] @ quantised[lane] for lane in range(self.batch)
-        ])
-
-    def _matvec_shared(self, matrix: np.ndarray, guard: np.ndarray,
-                       quantised: np.ndarray, lane_max: np.ndarray) -> np.ndarray:
-        """``(batch, rows)`` batched matrix-vector product of BFP-quantised
-        operands, bit-identical (post float16 rounding) to the per-lane
-        dgemv ``matrix @ quantised[lane]``.
-
-        One dgemm computes all lanes; the rounding-boundary guard then
-        recomputes — with the *exact* scalar dgemv — every element whose
-        error interval could round differently in float16.  ``guard`` is
-        the matrix's :func:`~repro.accel.functional.guard_factor` and
-        ``lane_max`` the per-lane ``max|quantised|`` as a column.
-        """
+                exponents: tuple) -> np.ndarray:
+        """``(batch, rows)`` products, each lane's bitwise the scalar
+        dgemv ``matrix @ quantised[lane]``: a shared matrix takes one dgemm,
+        exact (so order-free) for every lane that passes the certificate
+        (:func:`~repro.accel.functional.exactness_limits`; the batch's
+        extreme exponents clear every lane at once); any other lane reruns
+        the dgemv and counts in :attr:`inexact_lanes`."""
+        if matrix.ndim == 3:
+            # Lane-divergent matrices: the scalar path per lane.
+            return np.stack([
+                matrix[lane] @ quantised[lane] for lane in range(self.batch)
+            ])
         out = quantised @ matrix.T
-        # Per-element bound on |any-order dot - this dot|:
-        #   E = max|x_lane| * gamma(cols) * sum_k |A[row, k]|
-        bound = lane_max * guard
-        lo = (out - bound).astype(np.float16)
-        hi = (out + bound).astype(np.float16)
-        ambiguous = lo != hi
-        # NaN/inf compare unequal to themselves -> recomputed exactly.
-        if ambiguous.any():
-            for lane in np.nonzero(ambiguous.any(axis=1))[0]:
-                exact = matrix @ quantised[lane]
-                mask = ambiguous[lane]
-                out[lane, mask] = exact[mask]
-                self.guard_recomputed += int(mask.sum())
+        exponents, top, bottom = exponents
+        room, floor, cap = self._limits[register]
+        if not (top - bottom <= room and bottom >= floor and top <= cap):
+            highest, lowest = exponent_range(exponents)
+            exact = (highest - lowest <= room) & (lowest >= floor) & (highest <= cap)
+            for lane in np.flatnonzero(~exact):
+                out[lane] = matrix @ quantised[lane]
+                self.inexact_lanes += 1
         return out
 
 
 class ScalarLanes:
     """Scalar-simulator fallback behind the batched read API.
 
-    Runs each lane through its own :class:`FunctionalSimulator` (the exact
-    scalar path) and exposes the ``(batch, ...)``-shaped accessors that
-    callers of :func:`run_batched` consume — singleton batches and forced
-    fallbacks go through here.
+    Runs each lane through its own :class:`FunctionalSimulator` (the
+    independent scalar reference) and exposes the ``(batch, ...)``-shaped
+    accessors that callers of :func:`run_batched` consume — what
+    ``force_scalar`` returns.
     """
 
     fallback = True
@@ -446,18 +414,16 @@ def run_batched(
     Every lane's DRAM starts from ``image`` (the lane-identical weights,
     see :class:`~repro.accel.functional.WeightImage`);
     ``lane_preloads[i](view)`` writes lane ``i``'s inputs through a view
-    exposing ``.dram.write/.read`` and ``.load_matrix``.  Returns an
+    exposing ``.dram.write/.read``.  Returns an
     object with ``vector``/``lane_vector``/``dram_read``/``lane_dram_read``
     and a ``fallback`` flag.
 
-    Falls back to the scalar simulator for singleton batches and when
-    ``force_scalar`` is set — the fallback executes the identical scalar
-    code path, so outputs are trivially bit-identical.
+    ``force_scalar`` runs every lane on the scalar simulator instead; the
+    batched path is bitwise equal to it (see the module docstring).
     """
-    batch = len(lane_preloads)
-    if batch < 1:
+    if not lane_preloads:
         raise ExecutionError("run_batched needs at least one lane")
-    if batch == 1 or force_scalar:
+    if force_scalar:
         sims = []
         for preload in lane_preloads:
             sim = FunctionalSimulator(program, bfp_format=bfp_format, image=image)
@@ -466,7 +432,7 @@ def run_batched(
             sims.append(sim)
         return ScalarLanes(sims)
     sim = BatchedFunctionalSimulator(
-        program, batch, bfp_format=bfp_format, image=image
+        program, len(lane_preloads), bfp_format=bfp_format, image=image
     )
     for lane, preload in enumerate(lane_preloads):
         preload(sim.lane(lane))

@@ -26,7 +26,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..errors import ExecutionError
-from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_quantize, to_float16
+from ..isa.bfp import (
+    BFPFormat, DEFAULT_FORMAT, bfp_quantize, bfp_quantize_blocks, to_float16,
+)
 from ..isa.instructions import Instruction, Op
 from ..isa.program import Program
 
@@ -35,25 +37,36 @@ def _sigmoid(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-values))
 
 
-#: Float64 unit roundoff.
-_UNIT = 2.0 ** -53
+def exponent_range(exponents: np.ndarray) -> tuple:
+    """``(highest, lowest)`` of :func:`~repro.isa.bfp.bfp_quantize_blocks`
+    exponents along the last axis, over nonzero blocks (``(-inf, inf)``
+    when there are none; ``inf`` where a block is non-finite)."""
+    return (np.fmax.reduce(exponents, axis=-1, initial=-np.inf),
+            np.fmin.reduce(exponents, axis=-1, initial=np.inf))
 
 
-def _gamma(terms: int) -> float:
-    """Worst-case relative error factor for a float64 sum/dot of ``terms``
-    terms under *any* summation order (sequential, pairwise, blocked,
-    FMA): ``gamma_n = n*u / (1 - n*u)``, padded with one extra term for
-    the product roundings and doubled once more for slack — the guard is
-    a correctness gate, so it is deliberately loose."""
-    nu = (terms + 2) * _UNIT
-    return 2.0 * nu / (1.0 - nu)
+def exactness_limits(exponents: np.ndarray, cols: int, fmt: BFPFormat):
+    """The matrix half of the batched ``MV_MUL`` exactness certificate.
 
-
-def guard_factor(quantised: np.ndarray) -> np.ndarray:
-    """``gamma(cols) * sum_k |A[row, k]|`` per row of a quantised matrix:
-    the matrix's factor of the batched ``MV_MUL`` rounding-boundary guard
-    (the operand's per-lane ``max|x|`` is the other)."""
-    return _gamma(quantised.shape[-1]) * np.abs(quantised).sum(axis=-1)
+    Each term of a row-by-lane product is an integer below
+    ``2**(2 * (mantissa_bits - 1))`` times ``2**(sA + sx)``, so every
+    partial sum is exact in float64, in any order, when the spread of
+    ``sA + sx`` plus that width plus ``ceil(log2 cols)`` fits 53 bits and
+    ``sA + sx`` stays within -1074 and overflow.  Returns ``(room, floor,
+    cap)``: a lane whose block exponents (:func:`exponent_range`) run from
+    ``lo`` to ``hi`` is exact when ``hi - lo <= room``, ``lo >= floor``
+    and ``hi <= cap`` (never, for a matrix holding ``inf`` or ``NaN``).
+    """
+    highest, lowest = exponent_range(exponents)
+    top = highest.max(initial=-np.inf)
+    if top == np.inf:
+        return (np.nan,) * 3
+    width = 2 * (fmt.mantissa_bits - 1) + (cols - 1).bit_length()
+    return (
+        float(53 - width - np.max(highest - lowest, initial=-np.inf)),
+        float(-1074 - lowest.min(initial=np.inf)),
+        float(min(1023 - width - top, 1023)),
+    )
 
 
 #: Words per DRAM page (64 Ki words = 512 KiB of float64).
@@ -136,10 +149,11 @@ class WeightImage:
 
     Holds the pages a weight preload writes, as read-only arrays that
     every request's DRAM starts from (copy-on-write), and memoises each
-    ``M_RD`` region's BFP-quantised matrix with its :func:`guard_factor`
-    (the batched ``MV_MUL`` guard's matrix factor).  A memoised matrix is
-    valid only while every page of its region is still the image's own
-    page object, so a program that overwrites weights reads fresh values.
+    ``M_RD`` region's BFP-quantised matrix — column-major, the one copy
+    kept — with its :func:`exactness_limits` (the matrix half of the
+    batched ``MV_MUL`` certificate).  A memoised matrix is valid
+    only while every page of its region is still the image's own page
+    object, so a program that overwrites weights reads fresh values.
     """
 
     def __init__(self, pages: dict):
@@ -157,8 +171,8 @@ class WeightImage:
         return cls(dram._pages)
 
     def matrix(self, dram, addr: int, rows: int, cols: int, fmt: BFPFormat):
-        """``(quantised, guard_factor)`` for the region, or ``None`` when
-        some page of it no longer is this image's page in ``dram``."""
+        """``(quantised, exactness_limits)`` for the region, or ``None``
+        when some page of it no longer is this image's page in ``dram``."""
         for number, _offset, _start, _stop in page_spans(
             addr, rows * cols, PAGE_WORDS
         ):
@@ -168,11 +182,22 @@ class WeightImage:
         memo = self._matrices.get(key)
         if memo is None:
             flat = DRAM(self.pages).read(addr, rows * cols)
-            quantised = bfp_quantize(flat.reshape(rows, cols), fmt)
-            guard = guard_factor(quantised)
-            quantised.flags.writeable = guard.flags.writeable = False
-            memo = self._matrices[key] = (quantised, guard)
+            memo = self._matrices[key] = quantise_matrix(
+                flat.reshape(rows, cols), fmt
+            )
+            memo[0].flags.writeable = False
         return memo
+
+
+def quantise_matrix(matrix: np.ndarray, fmt: BFPFormat) -> tuple:
+    """``(quantised, exactness_limits)`` of a ``(..., rows, cols)`` matrix
+    (the limits cover every matrix of a stack).  The values are stored
+    column-major per matrix (``quantised.T`` C-contiguous), so a batch's
+    ``operands @ quantised.T`` is a plain dgemm."""
+    quantised, exponents = bfp_quantize_blocks(matrix, fmt)
+    column_major = np.ascontiguousarray(np.swapaxes(quantised, -1, -2))
+    return (column_major.swapaxes(-1, -2),
+            exactness_limits(exponents, matrix.shape[-1], fmt))
 
 
 @dataclass
@@ -251,7 +276,9 @@ class SimulatorCore:
     written once over that last axis.  A subclass supplies what depends
     on the lane layout: reading a matrix region (:meth:`_read_matrix`),
     the FP16-to-BFP conversion of an operand (:meth:`_convert`) and the
-    matrix-vector product (:meth:`_matvec`).
+    matrix-vector product (:meth:`_matvec`).  Every matrix register comes
+    from :func:`quantise_matrix`, column-major, so both simulators run the
+    same BLAS call for a lane's ``MV_MUL``.
 
     Quantise once: ``MV_MUL`` takes its operand's BFP conversion from a
     per-register memo that keeps the register's array object beside it.
@@ -282,10 +309,9 @@ class SimulatorCore:
         #: register -> BFP-quantised matrix: ``(rows, cols)``, or ``(batch,
         #: rows, cols)`` when a batched region differs between lanes.
         self.mrf: dict[int, np.ndarray] = {}
-        #: register -> the matrix's guard factor (:func:`guard_factor`)
-        #: when the batched guarded-dgemm path can use it, else ``None``.
-        self._guards: dict[int, np.ndarray | None] = {}
-        #: register -> ``(array, quantised, lane_max)`` (see above).
+        #: register -> the matrix's :func:`exactness_limits`.
+        self._limits: dict[int, tuple] = {}
+        #: register -> ``(array, quantised, exponents)`` (see above).
         self._operands: dict[int, tuple] = {}
         self.pc = 0
         # Loop stack entries: [start_pc, remaining_trips, iteration_index].
@@ -294,6 +320,13 @@ class SimulatorCore:
         self.stats = SimStats()
 
     # -- state access ------------------------------------------------------------
+
+    def load_matrix(self, register: int, matrix: np.ndarray) -> None:
+        """Host-side direct load of one matrix (shared by every lane of a
+        batched simulator; bypasses DRAM; tests/tools)."""
+        self.mrf[register], self._limits[register] = quantise_matrix(
+            np.asarray(matrix, dtype=np.float64), self.fmt
+        )
 
     def vector(self, register: int) -> np.ndarray:
         """Read a vector register (raises when never written)."""
@@ -401,7 +434,7 @@ class SimulatorCore:
             )
             if memo is None:
                 memo = self._read_matrix(inst.addr, rows, cols)
-            self.mrf[inst.dst], self._guards[inst.dst] = memo
+            self.mrf[inst.dst], self._limits[inst.dst] = memo
             self.stats.dram_reads += 1
             return "ok"
         if op is Op.MV_MUL:
@@ -508,20 +541,15 @@ class FunctionalSimulator(SimulatorCore):
             image, DRAM(image.pages if image is not None else None),
         )
 
-    def load_matrix(self, register: int, matrix: np.ndarray) -> None:
-        """Host-side direct matrix load (bypasses DRAM; used by tests)."""
-        self.mrf[register] = bfp_quantize(np.asarray(matrix, dtype=np.float64), self.fmt)
-        self._guards[register] = None
-
     def _read_matrix(self, addr: int, rows: int, cols: int) -> tuple:
         flat = self.dram.read(addr, rows * cols)
-        return bfp_quantize(flat.reshape(rows, cols), self.fmt), None
+        return quantise_matrix(flat.reshape(rows, cols), self.fmt)
 
     def _convert(self, values: np.ndarray) -> tuple:
         return bfp_quantize(values, self.fmt), None
 
     def _matvec(self, register: int, matrix: np.ndarray, quantised: np.ndarray,
-                lane_max) -> np.ndarray:
+                exponents) -> np.ndarray:
         # The tile engines accumulate exactly: one float64 dgemv.
         return matrix @ quantised
 

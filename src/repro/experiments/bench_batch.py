@@ -86,11 +86,11 @@ def _run_scalar(spec, gen, program, payloads: list) -> tuple:
 
 
 def _run_batched(spec, gen, program, payloads: list, batch: int) -> tuple:
-    """(outputs, wall_s, guard_recomputes): requests in ``batch``-wide
-    groups (the final group may be narrower; width 1 falls back to the
-    scalar simulator)."""
+    """(outputs, wall_s, inexact_lanes): requests in ``batch``-wide groups
+    (the final group may be narrower), with the lanes that failed the
+    ``MV_MUL`` exactness certificate and ran the per-lane dgemv."""
     outputs = []
-    guard = 0
+    inexact = 0
     start = time.perf_counter()
     for begin in range(0, len(payloads), batch):
         group = payloads[begin : begin + batch]
@@ -104,8 +104,8 @@ def _run_batched(spec, gen, program, payloads: list, batch: int) -> tuple:
         )
         for index in range(len(group)):
             outputs.append(lanes.lane_dram_read(index, OUT_BASE, spec.hidden))
-        guard += getattr(getattr(lanes, "sim", None), "guard_recomputed", 0)
-    return outputs, time.perf_counter() - start, guard
+        inexact += lanes.sim.inexact_lanes
+    return outputs, time.perf_counter() - start, inexact
 
 
 def run_model(model_key: str, batch_sizes, requests: int) -> dict:
@@ -119,7 +119,7 @@ def run_model(model_key: str, batch_sizes, requests: int) -> dict:
     scalar_rate = requests / scalar_wall
     points = []
     for batch in batch_sizes:
-        outputs, wall, guard = _run_batched(spec, gen, program, payloads, batch)
+        outputs, wall, inexact = _run_batched(spec, gen, program, payloads, batch)
         identical = all(
             np.array_equal(got, want)
             for got, want in zip(outputs, scalar_outputs)
@@ -133,7 +133,7 @@ def run_model(model_key: str, batch_sizes, requests: int) -> dict:
                 "requests_per_s": rate,
                 "speedup": rate / scalar_rate,
                 "bit_identical": identical,
-                "guard_recomputes": guard,
+                "fallback_lanes": inexact,
             }
         )
     return {

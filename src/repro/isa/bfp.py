@@ -3,13 +3,19 @@
 The accelerator uses BFP for matrix-vector multiplication "to increase the
 computing capability" and float16 for secondary operations "to avoid
 quantization noise" (paper Section 3).  In BFP a block of values shares one
-exponent; each value keeps only a narrow signed mantissa, so a multiply is a
-cheap integer multiply and the expensive alignment is amortised per block.
+exponent; each value keeps only a narrow signed integer mantissa, so a
+multiply is a cheap integer multiply and the expensive alignment is
+amortised per block.
 
-We implement the quantisation exactly (shared exponent = exponent of the
-block maximum, round-to-nearest mantissas) so the functional simulator
-reproduces the numerical behaviour of the hardware datapath, and tests can
-bound the quantisation error.
+The quantisation is exact in that sense: each block's scale is the power
+of two ``2**e`` with ``e = ceil(log2(block_max / max_mantissa))`` (the
+shared exponent), and every value becomes an integer mantissa in
+``[-max_mantissa - 1, max_mantissa]`` times that scale, rounded to nearest.
+A quantised value is therefore a small integer times a power of two, so
+products and sums of them are exact in float64 whenever the exponents
+involved stay within the significand (see :func:`bfp_quantize_blocks`).
+The functional simulator reproduces the numerical behaviour of the
+hardware datapath this way, and tests can bound the quantisation error.
 """
 
 from __future__ import annotations
@@ -47,7 +53,9 @@ class BFPFormat:
 
     @property
     def quantisation_step(self) -> float:
-        """Relative step size within a block (worst case, at the block max)."""
+        """Step size relative to the block max when ``block_max /
+        max_mantissa`` is a power of two; the power-of-two scale makes the
+        relative step of any other block larger, but less than twice this."""
         return 1.0 / self.max_mantissa
 
 
@@ -64,40 +72,82 @@ def _pad_to_blocks(array: np.ndarray, block: int) -> np.ndarray:
     return np.pad(array, pad)
 
 
-def bfp_quantize(values: np.ndarray, fmt: BFPFormat = DEFAULT_FORMAT) -> np.ndarray:
-    """Quantise ``values`` to BFP and return the dequantised float result.
+def _shared_exponent(ratio: np.ndarray) -> np.ndarray:
+    """``ceil(log2(ratio))`` for positive finite ``ratio``, computed
+    exactly (``frexp`` splits off the binary exponent; a ratio that is
+    itself a power of two keeps its own).  Zero maps to exponent 0."""
+    fraction, exponent = np.frexp(ratio)
+    exponent -= fraction == 0.5
+    return exponent
 
-    Blocks run along the last axis (matrix rows quantise per row-block, the
-    layout the tile engines consume).  The returned array is float64 but
-    contains only exactly-representable BFP values.
 
-    Tile-aligned inputs (last axis already a multiple of the block size —
-    the common case: engines consume whole tiles) skip the pad/unpad
-    round-trip; the block maxima, scales and mantissas are still
-    temporaries the size of the input.
-    """
+def _quantize(values: np.ndarray, fmt: BFPFormat) -> tuple:
+    """``(quantised, ratio, exponent)``: the dequantised values, and per
+    block (a trailing axis of length 1) ``block_max / max_mantissa`` and
+    the scale exponent."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
-        return values
+        empty = np.zeros((*values.shape[:-1], 0, 1))
+        return values, empty, empty.astype(np.int32)
     original_shape = values.shape
     padded = _pad_to_blocks(values, fmt.block_size)
     blocked = padded.reshape(*padded.shape[:-1], -1, fmt.block_size)
-    block_max = np.max(np.abs(blocked), axis=-1, keepdims=True)
-    # Shared exponent: scale so the block max maps to the mantissa range.
-    # Blocks whose max is zero — or so deeply subnormal the scale underflows
-    # to zero — quantise against unit scale (everything rounds to 0).
-    scale = np.where(block_max > 0, block_max / fmt.max_mantissa, 1.0)
-    scale = np.where(scale > 0, scale, 1.0)
+    ratio = np.max(np.abs(blocked), axis=-1, keepdims=True) / fmt.max_mantissa
+    exponent = _shared_exponent(ratio)
+    # Shared exponent: the smallest power-of-two scale that maps the block
+    # max into the mantissa range.  Blocks whose max is zero — or so deeply
+    # subnormal the ratio underflows to zero — quantise against unit scale
+    # (everything rounds to 0); a block holding inf or NaN keeps its
+    # non-finite ratio as the scale and dequantises to NaN.
+    scale = np.where(np.isfinite(ratio), np.ldexp(1.0, exponent), ratio)
     mantissas = np.clip(
         np.rint(blocked / scale), -fmt.max_mantissa - 1, fmt.max_mantissa
     )
     dequant = mantissas * scale
     if padded is values:
         # Aligned fast path: no padding was added, reshape is a view.
-        return dequant.reshape(original_shape)
+        return dequant.reshape(original_shape), ratio, exponent
     flat = dequant.reshape(padded.shape)
     slicer = tuple(slice(0, dim) for dim in original_shape)
-    return flat[slicer]
+    return flat[slicer], ratio, exponent
+
+
+def bfp_quantize(values: np.ndarray, fmt: BFPFormat = DEFAULT_FORMAT) -> np.ndarray:
+    """Quantise ``values`` to BFP and return the dequantised float result.
+
+    Blocks run along the last axis (matrix rows quantise per row-block, the
+    layout the tile engines consume).  The returned array is float64 but
+    contains only exactly-representable BFP values: per block, an integer
+    mantissa times the block's power-of-two scale.
+
+    Tile-aligned inputs (last axis already a multiple of the block size —
+    the common case: engines consume whole tiles) skip the pad/unpad
+    round-trip; the block maxima, scales and mantissas are still
+    temporaries the size of the input.
+    """
+    return _quantize(values, fmt)[0]
+
+
+def bfp_quantize_blocks(
+    values: np.ndarray, fmt: BFPFormat = DEFAULT_FORMAT
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(quantised, exponents)``: :func:`bfp_quantize`'s result and each
+    block's shared exponent.
+
+    ``exponents`` has the shape of ``quantised`` with the last axis
+    replaced by one entry per block: the integer ``e`` of the block's
+    scale ``2**e`` (as float64), ``NaN`` for a block that quantises to all
+    zeros (its scale multiplies nothing), ``+inf`` for a block holding
+    ``inf`` or ``NaN``.  Every value of a block with exponent ``e`` is an
+    integer multiple of ``2**e`` no larger than ``2**(e + mantissa_bits -
+    1)`` in magnitude — what an exactness argument about sums of products
+    needs.
+    """
+    quantised, ratio, exponent = _quantize(values, fmt)
+    exponents = np.where(
+        np.isfinite(ratio), np.where(ratio > 0, exponent, np.nan), np.inf
+    )
+    return quantised, exponents[..., 0]
 
 
 def bfp_dequantize(values: np.ndarray) -> np.ndarray:
@@ -137,8 +187,15 @@ def bfp_matvec(
 
 def quantisation_error_bound(fmt: BFPFormat, block_magnitude: float) -> float:
     """Worst-case absolute error of one quantised value in a block whose
-    maximum magnitude is ``block_magnitude`` (half a step)."""
-    return 0.5 * block_magnitude / fmt.max_mantissa
+    maximum magnitude is ``block_magnitude``: half the block's
+    power-of-two step, ``0.5 * 2**ceil(log2(block_magnitude /
+    max_mantissa))``, which is at most ``block_magnitude / max_mantissa``.
+    A block whose ratio is zero (all zeros, or so small it underflows)
+    rounds every value to 0, an error of at most ``block_magnitude``."""
+    ratio = np.float64(block_magnitude) / fmt.max_mantissa
+    if ratio == 0:
+        return float(block_magnitude)
+    return float(np.ldexp(0.5, _shared_exponent(ratio)))
 
 
 def to_float16(values: np.ndarray) -> np.ndarray:

@@ -148,7 +148,9 @@ class AcceleratorCheckpoint:
         sim.halted = self.halted
         sim.loop_stack = [list(frame) for frame in self.loop_stack]
         sim.vrf = {index: values.copy() for index, values in self.vrf.items()}
-        sim.mrf = {index: values.copy() for index, values in self.mrf.items()}
+        # Column-major, as every matrix register is (quantise_matrix): the
+        # resumed MV_MULs run the same BLAS call as the uninterrupted run.
+        sim.mrf = {index: np.array(values, order="F") for index, values in self.mrf.items()}
         sim.dram = DRAM.from_contents(self.dram)
         sim.stats = SimStats(**vars(self.stats))
         return sim

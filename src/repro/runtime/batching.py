@@ -63,7 +63,8 @@ class BatchingParameters:
     batched run (a group executes when it fills, or at run end);
     ``weight_seed`` fixes the model weights used for functional
     execution; ``force_scalar`` pins every execution to the scalar
-    fallback (equivalence harnesses compare against it).
+    simulator, the reference equivalence harnesses compare against (a
+    one-lane group otherwise runs batched too).
     """
 
     max_batch: int = 8
@@ -215,7 +216,6 @@ class BatchExecutor:
         ]
         spec = model_by_key(model_key)
         batch = len(tasks)
-        scalar = self.params.force_scalar or batch == 1
         if replicas <= 1:
             gen = self._codegen_for(model_key, 1, 0)
             lanes = run_batched(
@@ -230,7 +230,6 @@ class BatchExecutor:
             outputs = [
                 lanes.lane_dram_read(i, OUT_BASE, spec.hidden) for i in range(batch)
             ]
-            scalar = lanes.fallback
         else:
             outputs = self._execute_scaleout(spec, replicas, payloads)
         for task, output in zip(tasks, outputs):
@@ -238,7 +237,7 @@ class BatchExecutor:
             self._executed[task.task_id] = key
         self.stats.executions += 1
         self.stats.batch_sizes[batch] = self.stats.batch_sizes.get(batch, 0) + 1
-        if scalar:
+        if self.params.force_scalar:
             self.stats.scalar_lanes += batch
         else:
             self.stats.batched_lanes += batch
@@ -253,8 +252,8 @@ class BatchExecutor:
         programs = build_scaleout_programs(
             spec.kind, self._weights_for(spec.key), spec.timesteps, replicas
         )
-        if self.params.force_scalar or len(payloads) == 1:
-            # Scalar fallback: one scale-out co-simulation per lane.
+        if self.params.force_scalar:
+            # The scalar reference: one scale-out co-simulation per lane.
             outputs = []
             for xs in payloads:
                 sims, _fabric = run_scaleout(

@@ -1,12 +1,15 @@
 """Batched-simulator tests: the bit-identity contract against the scalar
 simulator (model zoo configs and randomized property-style programs), the
-paged copy-on-diverge :class:`BatchedDRAM`, the MV_MUL rounding-boundary
-guard, fallback paths (batch=1, ``force_scalar``) and batched scale-out."""
+paged copy-on-diverge :class:`BatchedDRAM`, the MV_MUL exactness
+certificate, single-lane batches, the ``force_scalar`` reference and
+batched scale-out."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accel.batched import (
     PAGE_WORDS,
@@ -26,13 +29,11 @@ from repro.accel.functional import (
     FunctionalSimulator,
     SimStats,
     WeightImage,
-    _gamma,
-    guard_factor,
     run_program,
     run_scaleout,
 )
 from repro.errors import ExecutionError
-from repro.isa.bfp import DEFAULT_FORMAT, bfp_matvec, bfp_quantize
+from repro.isa.bfp import DEFAULT_FORMAT
 from repro.isa.instructions import (
     Instruction,
     Op,
@@ -199,14 +200,14 @@ class TestRNNEquivalence:
                 lanes.lane_dram_read(index, OUT_BASE, spec.hidden), expected
             )
 
-    def test_singleton_batch_falls_back(self):
+    def test_singleton_batch_runs_batched(self):
         gen, program, payloads = _rnn_case("gru", 32, 2, 1, seed=5)
         lanes = run_batched(
             program,
             [lambda v: gen.preload_inputs(v, payloads[0])],
             image=WeightImage.build(gen.preload_weights),
         )
-        assert lanes.fallback
+        assert not lanes.fallback and lanes.sim.batch == 1
         expected = run_program(
             program, preload=lambda s: gen.preload(s, payloads[0])
         ).dram.read(OUT_BASE, 32)
@@ -263,35 +264,125 @@ class TestRNNEquivalence:
         assert merged.sends > 0 and merged.recvs > 0
 
 
-class TestRoundingBoundaryGuard:
-    def test_gamma_positive_and_monotonic(self):
-        assert 0.0 < _gamma(1) < _gamma(64) < _gamma(4096) < 1e-9
+#: The certificate tests' operand and matrix addresses (the matrix on a
+#: page of its own, so lane input writes leave it shared).
+CERT_X, CERT_MAT = 0x100, 0x10000
 
-    def test_forced_guard_recomputes_exactly(self):
-        """Inflating the error bound flags every element; the guard must
-        then reproduce the exact per-lane dgemv verbatim."""
+
+def _product_program(rows: int, cols: int) -> Program:
+    """``v1 = M @ v0`` for one ``(rows, cols)`` matrix."""
+    program = Program(name="product")
+    program.append(v_rd(0, CERT_X, cols))
+    program.append(
+        Instruction(Op.M_RD, dst=0, addr=CERT_MAT, length=rows, imm=float(cols))
+    )
+    program.append(mv_mul(1, 0, 0, rows))
+    program.append(halt())
+    return program
+
+
+def _blocked(rng, magnitudes: np.ndarray) -> np.ndarray:
+    """Normal values whose block ``j`` of each row is scaled by
+    ``magnitudes[..., j]``."""
+    block = DEFAULT_FORMAT.block_size
+    cols = magnitudes.shape[-1] * block
+    values = rng.normal(0.0, 1.0, (*magnitudes.shape[:-1], cols))
+    return values * np.repeat(magnitudes, block, axis=-1)
+
+
+def _batched_product(matrix: np.ndarray, vecs: np.ndarray):
+    """Run :func:`_product_program` over ``vecs`` with ``matrix`` shared
+    through a weight image; returns the finished batched simulator."""
+    rows, cols = matrix.shape
+    lanes = run_batched(
+        _product_program(rows, cols),
+        [(lambda x: (lambda view: view.dram.write(CERT_X, x)))(x) for x in vecs],
+        image=WeightImage.build(lambda view: view.dram.write(CERT_MAT, matrix.ravel())),
+    )
+    return lanes.sim
+
+
+def _scalar_product(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    sim = FunctionalSimulator(_product_program(*matrix.shape))
+    sim.dram.write(CERT_X, x)
+    sim.dram.write(CERT_MAT, matrix.ravel())
+    sim.run()
+    return sim.vector(1)
+
+
+class TestExactnessCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        blocks=st.integers(1, 5),
+        cut=st.integers(0, 15),
+        batch=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_dgemm_equals_per_lane_dgemv(self, rows, blocks, cut, batch, seed):
+        """Block magnitudes from 1e-3 to 10 in the matrix and in every lane:
+        each lane is certified, and the one dgemm over the batch is bitwise
+        the per-lane dgemv and the exactly rounded sum of its products."""
+        rng = np.random.default_rng(seed)
+
+        def magnitudes(shape):
+            return 10.0 ** rng.uniform(-3.0, 1.0, shape)
+
+        cols = blocks * DEFAULT_FORMAT.block_size - cut
+        matrix = _blocked(rng, magnitudes((rows, blocks)))[:, :cols]
+        vecs = _blocked(rng, magnitudes((batch, blocks)))[:, :cols]
+        sim = BatchedFunctionalSimulator(Program([halt()]), batch=batch)
+        sim.load_matrix(0, matrix)
+        quantised, exponents = sim._convert(vecs)
+        out = sim._matvec(0, sim.mrf[0], quantised, exponents)
+        assert sim.inexact_lanes == 0
+        for lane in range(batch):
+            assert np.array_equal(out[lane], sim.mrf[0] @ quantised[lane])
+            exact = [
+                math.fsum(sim.mrf[0][row] * quantised[lane])
+                for row in range(rows)
+            ]
+            assert np.array_equal(out[lane], exact)
+
+    def test_zero_lane_is_certified(self):
+        """An all-zero operand (an RNN's initial hidden state) multiplies
+        nothing and passes the certificate."""
+        rng = np.random.default_rng(2)
+        matrix = rng.normal(0.0, 1.0, (4, 32))
+        vecs = np.vstack([np.zeros(32), rng.normal(0.0, 1.0, 32)])
+        sim = _batched_product(matrix, vecs)
+        assert sim.inexact_lanes == 0
+        assert np.array_equal(sim.vector(1)[0], np.zeros(4))
+        for lane, x in enumerate(vecs):
+            assert np.array_equal(sim.vector(1)[lane], _scalar_product(matrix, x))
+
+    def test_forced_fallback_matches_scalar_and_is_counted(self):
+        """A row whose blocks sit near 2**-300 and 2**300 spans far more
+        than the 53-bit significand: every lane fails the certificate,
+        runs the per-lane dgemv and still equals the scalar simulator.
+        (The operand's second block is scaled down to keep the products
+        in float16 range.)"""
         rng = np.random.default_rng(0)
-        matrix = bfp_quantize(rng.normal(0.0, 1.0, (6, 8)), DEFAULT_FORMAT)
-        vecs = rng.normal(0.0, 1.0, (3, 8))
-        sim = BatchedFunctionalSimulator(Program([halt()]), batch=3)
-        inflated = guard_factor(matrix) * 1e15
-        quantised, lane_max = sim._convert(vecs)
-        out = sim._matvec_shared(matrix, inflated, quantised, lane_max)
-        assert sim.guard_recomputed == out.size
-        expected = np.stack([matrix @ quantised[lane] for lane in range(3)])
-        assert np.array_equal(out, expected)
+        matrix = rng.normal(0.0, 1.0, (4, 32))
+        matrix[1, :16] *= 2.0 ** -300
+        matrix[1, 16:] *= 2.0 ** 300
+        vecs = rng.normal(0.0, 1.0, (3, 32))
+        vecs[:, 16:] *= 2.0 ** -300
+        sim = _batched_product(matrix, vecs)
+        assert sim.inexact_lanes == 3
+        for lane, x in enumerate(vecs):
+            assert np.array_equal(sim.vector(1)[lane], _scalar_product(matrix, x))
 
-    def test_unflagged_dgemm_matches_scalar_after_fp16(self):
+    def test_nonfinite_operand_lane_is_not_certified(self):
         rng = np.random.default_rng(1)
-        matrix = bfp_quantize(rng.normal(0.0, 1.0, (16, 32)), DEFAULT_FORMAT)
-        vecs = rng.normal(0.0, 1.0, (8, 32))
-        sim = BatchedFunctionalSimulator(Program([halt()]), batch=8)
-        out = sim._matvec_shared(matrix, guard_factor(matrix), *sim._convert(vecs))
-        for lane in range(8):
-            want = bfp_matvec(matrix, vecs[lane], DEFAULT_FORMAT)
-            assert np.array_equal(
-                out[lane].astype(np.float16), want.astype(np.float16)
-            )
+        matrix = rng.normal(0.0, 1.0, (4, 32))
+        vecs = rng.normal(0.0, 1.0, (2, 32))
+        vecs[1, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            sim = _batched_product(matrix, vecs)
+        assert sim.inexact_lanes == 1
+        assert np.array_equal(sim.vector(1)[0], _scalar_product(matrix, vecs[0]))
+        assert np.isnan(sim.vector(1)[1]).all()
 
 
 def _random_program(rng):

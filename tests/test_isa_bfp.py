@@ -11,6 +11,7 @@ from repro.isa.bfp import (
     BFPFormat,
     bfp_matvec,
     bfp_quantize,
+    bfp_quantize_blocks,
     quantisation_error_bound,
     to_float16,
 )
@@ -160,3 +161,42 @@ def test_quantisation_idempotent_property(values):
     fmt = BFPFormat()
     once = bfp_quantize(values, fmt)
     assert np.array_equal(bfp_quantize(once, fmt), once)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 80)),
+        elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+)
+def test_blocks_share_a_power_of_two_scale(values):
+    """Every nonzero block's scale is the power of two ``2**e`` with ``e =
+    ceil(log2(block_max / max_mantissa))``, and every value of it is an
+    integer mantissa in ``[-max - 1, max]`` times that scale; all-zero
+    blocks report a NaN exponent."""
+    fmt = BFPFormat()
+    quantised, exponents = bfp_quantize_blocks(values, fmt)
+    pad = (-values.shape[-1]) % fmt.block_size
+    blocks = np.pad(values, ((0, 0), (0, pad))).reshape(
+        values.shape[0], -1, fmt.block_size
+    )
+    quant_blocks = np.pad(quantised, ((0, 0), (0, pad))).reshape(blocks.shape)
+    assert exponents.shape == blocks.shape[:-1]
+    for block, quant, exponent in zip(
+        blocks.reshape(-1, fmt.block_size),
+        quant_blocks.reshape(-1, fmt.block_size),
+        exponents.ravel(),
+    ):
+        if not quant.any():
+            assert np.isnan(exponent)
+            continue
+        assert exponent == int(exponent)
+        scale = 2.0 ** int(exponent)
+        ratio = np.max(np.abs(block)) / fmt.max_mantissa
+        assert scale / 2 < ratio <= scale
+        mantissas = quant / scale
+        assert np.array_equal(mantissas, np.rint(mantissas))
+        assert mantissas.min() >= -fmt.max_mantissa - 1
+        assert mantissas.max() <= fmt.max_mantissa

@@ -26,6 +26,8 @@ from repro.accel.functional import FunctionalSimulator, WeightImage, run_program
 from repro.cluster import ClusterSimulator, Task, paper_cluster, scaled_cluster
 from repro.errors import AllocationError, DeploymentError, ReproError
 from repro.isa.assembler import assemble
+from repro.isa.instructions import Instruction, Op, halt, v_rd
+from repro.isa.program import Program
 from repro.migration import (
     AcceleratorCheckpoint,
     FabricCheckpoint,
@@ -144,6 +146,31 @@ class TestAcceleratorCheckpoint:
         for register, matrix in checkpoint.mrf.items():
             assert clone.mrf[register].shape == matrix.shape
             assert np.array_equal(clone.mrf[register], matrix)
+
+    def test_restore_keeps_inexact_products_bitwise(self):
+        """Block scales spread over 2**-40..2**40 make the product inexact,
+        so its float64 bits depend on the BLAS kernel: a restored matrix
+        register keeps the column-major layout and resumes to the
+        uninterrupted run's product bit for bit."""
+        rng = np.random.default_rng(0)
+
+        def spread(shape):
+            return np.repeat(2.0 ** rng.integers(-40, 40, shape), 16, axis=-1)
+
+        matrix = rng.normal(0.0, 1.0, (64, 256)) * spread((64, 16))
+        x = rng.normal(0.0, 1.0, 256) * spread(16)
+        program = Program(name="inexact")
+        program.append(v_rd(0, 0x100, 256))
+        program.append(Instruction(Op.M_RD, dst=0, addr=0x10000, length=64, imm=256.0))
+        program.append(halt())
+        sim = FunctionalSimulator(program)
+        sim.dram.write(0x100, x)
+        sim.dram.write(0x10000, matrix.ravel())
+        sim.run()
+        checkpoint = AcceleratorCheckpoint.capture(sim)
+        resumed = AcceleratorCheckpoint.from_bytes(checkpoint.to_bytes()).restore(program)
+        operand = sim._convert(sim.vector(0))[0]
+        assert np.array_equal(resumed.mrf[0] @ operand, sim.mrf[0] @ operand)
 
     def test_lstm_mid_loop_roundtrip_on_paged_dram(self, lstm_small):
         """Inputs at X_BASE, weights from a resident image: the snapshot

@@ -13,7 +13,6 @@ import pytest
 
 import repro.accel.batched as batched
 import repro.accel.functional as functional
-import repro.isa.bfp as bfp
 from repro.accel.batched import BatchedFunctionalSimulator, run_scaleout_batched
 from repro.accel.codegen import make_codegen
 from repro.accel.functional import FunctionalSimulator, WeightImage, run_scaleout
@@ -93,7 +92,8 @@ def _scalar(program: Program) -> FunctionalSimulator:
 
 def _batched(program: Program, shared: bool = True) -> BatchedFunctionalSimulator:
     """Lane inputs differ; the matrix is written once for every lane
-    (``shared``: the guarded-dgemm path) or per lane (per-lane dgemv)."""
+    (``shared``: the certified one-dgemm path) or per lane (per-lane
+    dgemv)."""
     sim = BatchedFunctionalSimulator(program, BATCH)
     for lane in range(BATCH):
         _preload(sim.lane(lane), lane, matrix=not shared)
@@ -221,14 +221,18 @@ def test_lstm_timestep_quantises_each_source_once(monkeypatch, simulator):
         module = batched
 
     calls = []
-    quantise = bfp.bfp_quantize
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return quantise(*args, **kwargs)
+    def counting(quantise):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return quantise(*args, **kwargs)
+        return wrapper
 
-    for owner in (bfp, module):
-        monkeypatch.setattr(owner, "bfp_quantize", counting)
+    # The batched simulator converts with bfp_quantize_blocks (it keeps
+    # the block exponents), the scalar one with bfp_quantize.
+    for name in ("bfp_quantize", "bfp_quantize_blocks"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
     _step_until_iteration(sim, 1)
     calls.clear()
     _step_until_iteration(sim, 2)

@@ -1,6 +1,6 @@
 """Request-coalescing tests: the :class:`BatchExecutor` contract (buffer
-until full, drain partial groups with ``flush``, scalar fallback for
-singletons), batched-vs-scalar output equality through the executor, and —
+until full, drain partial groups with ``flush``, one-lane groups batched
+too), batched-vs-scalar output equality through the executor, and —
 the integration invariant — unchanged DES event timing with batching on,
 off, or forced scalar."""
 
@@ -78,13 +78,20 @@ class TestBatchExecutor:
         executor.submit(task, replicas=1, now=0.0)
         assert executor.stats.submitted == 1
 
-    def test_singleton_flush_uses_scalar_fallback(self):
+    def test_singleton_flush_runs_batched(self):
+        """A one-lane group runs on the batched simulator, bitwise equal to
+        the scalar reference."""
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         task = _task(0)
         executor.submit(task, replicas=1, now=0.0)
         executor.flush()
-        assert executor.stats.scalar_lanes == 1
-        assert executor.stats.batched_lanes == 0
+        assert executor.stats.batched_lanes == 1
+        assert executor.stats.scalar_lanes == 0
+        reference = BatchExecutor(BatchingParameters(max_batch=8, force_scalar=True))
+        scalar = _task(0)
+        reference.submit(scalar, replicas=1, now=0.0)
+        reference.flush()
+        assert np.array_equal(task.output, scalar.output)
 
     def test_batched_outputs_equal_forced_scalar(self):
         """The executor inherits the simulator's bit-identity contract."""

@@ -79,9 +79,8 @@ class TestImageEquivalence:
             for got, want in zip(outputs, expected):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-            assert (executor.stats.batched_lanes > 0) == (
-                batch > 1 and not force_scalar
-            )
+            # A one-lane group runs batched too; only force_scalar does not.
+            assert (executor.stats.batched_lanes > 0) == (not force_scalar)
 
     @pytest.mark.parametrize("force_scalar", [False, True])
     def test_two_replica_scaleout_matches_imageless(self, force_scalar):
