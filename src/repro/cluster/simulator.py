@@ -32,10 +32,9 @@ the number of placement attempts drops by orders of magnitude.  Skipping
 costs O(1) per queue, not per task: a blocked model's queues leave the heap
 and, after the next start or finish, re-enter at their first task past the
 merge position (a bisect), so a pass is O(queues + attempts), not
-O(backlog).  A model whose queued tasks the dequeue gate
-(:meth:`Scheduler.should_drop`) might drop is walked task by task instead;
-:meth:`Scheduler.may_drop` tells the simulator at pass start which models
-it can park anyway.
+O(backlog).  A task the scheduler condemns while it waits (a serving
+deadline, head drop or abandon) leaves its queue at that moment
+(:meth:`ClusterSimulator.drop_queued`), so a pass never visits it.
 
 A pass runs only when something is queued, and the scheduler is shown the
 per-model queue depths (:meth:`Scheduler.observe_queue`) only when they
@@ -133,26 +132,10 @@ class Scheduler(Protocol):
         task is queued.  Returning ``False`` sheds the task — it is recorded
         in :attr:`SimulationResult.dropped` and never dispatched."""
 
-    def should_drop(self, task: Task, now: float) -> bool:
-        """Optional (serving layer): called at dequeue, before placement is
-        attempted.  Returning ``True`` drops a task the scheduler has
-        condemned (shed by a head drop, expired at its deadline, out of
-        retry budget) without it ever occupying a board.  Asked
-        of every queued task of a model :meth:`may_drop` allows, in merged
-        order, on every pass — define it only when it can return
-        ``True``, and always together with :meth:`may_drop`."""
-
-    def may_drop(self, model_key: str, now: float) -> bool:
-        """Required with :meth:`should_drop`, absent without it: asked once
-        per queued model at the start of a pass.  ``False`` promises that
-        ``should_drop`` would return ``False`` for every task of the model
-        queued now, at ``now`` — nothing inside one pass may break that
-        promise — and lets the simulator park the model's queues while
-        they are blocked instead of visiting each task.  ``True`` is always
-        safe: the model's tasks are then walked one by one.  A scheduler
-        that condemns only at events (an admission, a placement attempt,
-        its own ``schedule_external`` timer) answers from its count of
-        condemned queued tasks."""
+    def on_drop(self, task: Task, now: float) -> None:
+        """Optional: called by :meth:`ClusterSimulator.drop_queued` once a
+        queued task has left the queue for good (the serving layer condemned
+        it).  A layer that counts pending work forgets the task here."""
 
     def woken_models(self, event: str, task: Task, now: float):
         """Optional: asked after ``task``'s ``event`` — ``"arrive"`` (once
@@ -181,12 +164,6 @@ class Scheduler(Protocol):
         read that view, and they always follow a call with the current
         counts."""
 
-    def has_pending_timers(self) -> bool:
-        """Optional (serving layer): ``True`` while any queued task holds a
-        live time gate (deadline, retry backoff) that will eventually fire.
-        Suppresses the idle-cluster deadlock detector, which otherwise has
-        no way to tell a waiting queue from a wedged one."""
-
     def dispatch_key(self, task: Task) -> tuple:
         """Optional (tenancy layer): the class prefix of ``task``'s queue in
         one pass's merged order (priority class, fair-share virtual time).
@@ -204,8 +181,9 @@ class SimulationResult:
 
     system: str
     completed: list = field(default_factory=list)
-    #: Tasks shed at admission or dropped at dequeue (serving layer only;
-    #: empty for schedulers without admission control).
+    #: Tasks shed at admission or dropped from the queue when the scheduler
+    #: condemned them (serving layer only; empty for schedulers without
+    #: admission control).
     dropped: list = field(default_factory=list)
     makespan_s: float = 0.0
 
@@ -235,8 +213,7 @@ class _Queue:
     seq)``; the other fields are the current dispatch pass's merge state.
     """
 
-    __slots__ = ("key", "model_key", "entries", "prefix", "cursor", "token",
-                 "droppable")
+    __slots__ = ("key", "model_key", "entries", "prefix", "cursor", "token")
 
     def __init__(self, key: tuple):
         self.key = key
@@ -250,9 +227,6 @@ class _Queue:
         #: Token of the queue's live heap entry; ``None`` while parked or
         #: once the pass is done with the queue.
         self.token: int | None = None
-        #: Whether the dequeue gate may drop a task of this model in the
-        #: current pass (its queues are walked task by task).
-        self.droppable = False
 
 
 class ClusterSimulator:
@@ -347,15 +321,8 @@ class ClusterSimulator:
         self._fast_path = getattr(scheduler, "has_fast_path", None)
         self._observe = getattr(scheduler, "observe_queue", None)
         self._retry_hint = getattr(scheduler, "retry_hint", None)
-        self._should_drop = getattr(scheduler, "should_drop", None)
-        self._may_drop = getattr(scheduler, "may_drop", None)
+        self._on_drop = getattr(scheduler, "on_drop", None)
         self._woken_models = getattr(scheduler, "woken_models", None)
-        if (self._should_drop is None) != (self._may_drop is None):
-            raise SimulationError(
-                f"{self.system_name}: a scheduler defines should_drop and "
-                f"may_drop together or neither"
-            )
-        self._has_timers = getattr(scheduler, "has_pending_timers", None)
 
     # -- pending queues -----------------------------------------------------------
 
@@ -377,6 +344,37 @@ class ClusterSimulator:
         self._counts_dirty = True
         if not queue.entries:
             del self._queues[queue.key]
+
+    def drop_queued(self, task: Task) -> None:
+        """Drop a queued task the scheduler has condemned (a serving
+        deadline, head drop or abandon): it leaves its queue now, is
+        recorded in :attr:`SimulationResult.dropped` and never occupies a
+        board.  Safe inside a dispatch pass, where the only task a pass can
+        condemn is the one it just tried, or one requeued during it."""
+        requeued = self._requeued
+        for index, other in enumerate(requeued):
+            if other is task:
+                del requeued[index]
+                break
+        else:
+            self._unqueue(task)
+        self._task_seq.pop(task.task_id, None)
+        self._result.dropped.append(task)
+        if self._on_drop is not None:
+            self._on_drop(task, self.queue.now)
+        # The queue view hints read has changed.
+        self._resource_version += 1
+
+    def _unqueue(self, task: Task) -> None:
+        """Take ``task`` out of its queue, keeping a running pass's cursor
+        on the entry it would visit next."""
+        queue = self._queues[(task.tenant, task.model_key)]
+        index = bisect_left(
+            queue.entries, (task.arrival_s, self._task_seq[task.task_id])
+        )
+        if index < queue.cursor:
+            queue.cursor -= 1
+        self._take(queue, index)
 
     @property
     def pending_count(self) -> int:
@@ -520,8 +518,8 @@ class ClusterSimulator:
         visits every queue so a small task can slip past a blocked large one
         (all three evaluated systems admit out-of-order placement), but
         tasks of one (tenant, model) queue are visited in FIFO order.
-        Passes repeat while one starts or drops a task, and never run with
-        nothing queued.
+        Passes repeat while one starts a task, and never run with nothing
+        queued.
         """
         if self._dispatching:
             return  # avoid re-entrant scans from nested on_finish calls
@@ -531,7 +529,7 @@ class ClusterSimulator:
                 if not self._dispatch_pass():
                     break  # a pass that takes no task leaves tasks queued
             else:
-                # Nothing queued: a pass could start or drop nothing.  The
+                # Nothing queued: a pass could start nothing.  The
                 # scheduler still sees the emptied backlog, as a pass would
                 # have shown it.
                 if self._counts_dirty:
@@ -544,22 +542,19 @@ class ClusterSimulator:
         # Time-gated policies (eviction staleness) need the clock to advance
         # before a blocked task can be placed; poll.
         if self._running_count == 0 and self._external_inflight == 0:
-            timers = self._has_timers
-            waiting = timers is not None and timers()
-            if not waiting:
-                self._idle_retries += 1
-                if self._idle_retries > self.MAX_IDLE_RETRIES:
-                    raise SimulationError(
-                        f"{self.system_name}: {self.pending_count} tasks "
-                        f"stuck with an idle cluster (models: "
-                        f"{self._pending_models()})"
-                    )
+            self._idle_retries += 1
+            if self._idle_retries > self.MAX_IDLE_RETRIES:
+                raise SimulationError(
+                    f"{self.system_name}: {self.pending_count} tasks "
+                    f"stuck with an idle cluster (models: "
+                    f"{self._pending_models()})"
+                )
         self._retry_scheduled = True
         self.queue.schedule_in(self.RETRY_INTERVAL_S, self._retry)
 
     def _dispatch_pass(self) -> bool:
         """One pass over the pending queues in merged order; returns whether
-        a task started or was dropped.
+        a task started.
 
         Tasks whose model is below its watermark — failed at this resource
         version, clock still short of the scheduler's retry hint — are
@@ -569,20 +564,17 @@ class ClusterSimulator:
         The skip parks every queue of the model; a version bump, or a start
         that woke only some models, returns each parked queue to the heap at
         its first task whose key exceeds the one just visited, exactly where
-        a task-by-task walk would have resumed.  A model the dequeue gate
-        may drop from (``may_drop``) is never parked: each of its tasks is
-        visited for ``should_drop``, so an expiry is never delayed by a
-        blocked model's time gate.  After a start or finish that did not
-        wake a model (``woken_models``), its watermark holds but its hint
-        is stale: the task that recorded it is re-hinted at its next visit
-        (the reference retry would decline it again, then ask this hint),
-        and any other task of the model is attempted.
+        a task-by-task walk would have resumed.  A task condemned while it
+        is tried (an abandon) leaves at once (:meth:`drop_queued`), and the
+        pass goes on at the next task in merged order.  After a start or
+        finish that did not wake a model (``woken_models``), its watermark
+        holds but its hint is stale: the task that recorded it is re-hinted
+        at its next visit (the reference retry would decline it again, then
+        ask this hint), and any other task of the model is attempted.
         """
         dispatch_key = self._dispatch_key
         fast_path = self._fast_path
         retry_hint = self._retry_hint
-        should_drop = self._should_drop
-        may_drop = self._may_drop
         try_start = self._try_start
         now = self.queue.now
         if self._counts_dirty:
@@ -608,16 +600,7 @@ class ClusterSimulator:
             queue.cursor = 0
             queue.token = token = next(tokens)
             heap.append((queue.prefix, arrival, seq, token, queue))
-            same_model = by_model.get(queue.model_key)
-            if same_model is None:
-                same_model = by_model[queue.model_key] = []
-                droppable = should_drop is not None and may_drop(
-                    queue.model_key, now
-                )
-            else:
-                droppable = same_model[0].droppable
-            queue.droppable = droppable
-            same_model.append(queue)
+            by_model.setdefault(queue.model_key, []).append(queue)
         heapify(heap)
 
         blocked = self._blocked
@@ -641,91 +624,75 @@ class ClusterSimulator:
             task = queue.entries[index][2]
             queue.cursor = index + 1
             park = False
-            droppable = queue.droppable
-            if droppable and should_drop(task, now):
-                # Dropped at dequeue (deadline expiry, exhausted retry
-                # budget): the task never occupies a board.
-                self._take(queue, index)
-                queue.cursor = index
-                self._task_seq.pop(task.task_id, None)
-                self._result.dropped.append(task)
-                self._resource_version += 1
-                progress = True
-                self._idle_retries = 0
-            else:
-                model_key = queue.model_key
-                watermark = blocked.get(model_key)
-                hint = None  # set when this visit leaves the model declined
-                if watermark is not None and watermark[0] == version:
-                    if watermark[2] == epoch:
-                        park = now < watermark[1]
-                    elif watermark[3] is task and retry_hint is not None:
-                        # An event since this very task declined did not
-                        # wake its model, so a retry would decline again,
-                        # but it may have moved the hint: ask for the hint
-                        # that decline would record instead.
-                        rehints += 1
-                        hint = retry_hint(task, now)
-                        if now >= hint:
-                            hint = None  # the gate opened: attempt it
-                if park:
-                    if droppable:
-                        skips += 1
-                        park = False
-                    else:
-                        queue.cursor = index  # park from this task on
-                elif hint is None:
-                    attempts += 1
-                    service = try_start(task, now)
-                    if service is None:
-                        hint = (
-                            retry_hint(task, now)
-                            if retry_hint is not None
-                            else now  # no hint: retry every pass (exhaustive)
-                        )
-                    elif service < 0:
-                        raise SimulationError(
-                            f"scheduler returned negative service time {service}"
-                        )
-                    else:
-                        self._take(queue, index)
-                        queue.cursor = index
-                        task.start_s = now
-                        self._running_count += 1
-                        blocked.pop(model_key, None)
-                        # Starting a task reshapes resources (allocation,
-                        # possible evictions, the idle set).
-                        started.add(model_key)
-                        self._wake("start", task)
-                        self.queue.schedule_in(
-                            service,
-                            self._finish,
-                            task,
-                            self._run_epoch.get(task.task_id, 0),
-                        )
-                        progress = True
-                        self._idle_retries = 0
-                if hint is not None:
-                    blocked[model_key] = (
-                        self._resource_version, hint, self._hint_epoch, task
+            model_key = queue.model_key
+            watermark = blocked.get(model_key)
+            hint = None  # set when this visit leaves the model declined
+            if watermark is not None and watermark[0] == version:
+                if watermark[2] == epoch:
+                    park = now < watermark[1]
+                elif watermark[3] is task and retry_hint is not None:
+                    # An event since this very task declined did not wake
+                    # its model, so a retry would decline again, but it may
+                    # have moved the hint: ask for the hint that decline
+                    # would record instead.
+                    rehints += 1
+                    hint = retry_hint(task, now)
+                    if now >= hint:
+                        hint = None  # the gate opened: attempt it
+            if park:
+                queue.cursor = index  # park from this task on
+            elif hint is None:
+                attempts += 1
+                service = try_start(task, now)
+                if service is None:
+                    hint = (
+                        retry_hint(task, now)
+                        if retry_hint is not None
+                        else now  # no hint: retry every pass (exhaustive)
                     )
-                    # A hint read this pass's queue view, frozen before the
-                    # model's own start in it?
-                    if model_key in started:
-                        view_moved.add(model_key)
-                    elif view_moved:
-                        view_moved.discard(model_key)
-                    # Declined behind the model's oldest queued task?
-                    same_model = by_model[model_key]
-                    if index or len(same_model) > 1 and any(
-                        other.entries
-                        and other.entries[0][:2] < (arrival, seq)
-                        for other in same_model
-                    ):
-                        behind_head.add(model_key)
-                    else:
-                        behind_head.discard(model_key)
-                    park = not droppable and now < hint
+                elif service < 0:
+                    raise SimulationError(
+                        f"scheduler returned negative service time {service}"
+                    )
+                else:
+                    self._take(queue, index)
+                    queue.cursor = index
+                    task.start_s = now
+                    self._running_count += 1
+                    blocked.pop(model_key, None)
+                    # Starting a task reshapes resources (allocation,
+                    # possible evictions, the idle set).
+                    started.add(model_key)
+                    self._wake("start", task)
+                    self.queue.schedule_in(
+                        service,
+                        self._finish,
+                        task,
+                        self._run_epoch.get(task.task_id, 0),
+                    )
+                    progress = True
+                    self._idle_retries = 0
+            if hint is not None:
+                blocked[model_key] = (
+                    self._resource_version, hint, self._hint_epoch, task
+                )
+                # A hint read this pass's queue view, frozen before the
+                # model's own start in it?
+                if model_key in started:
+                    view_moved.add(model_key)
+                elif view_moved:
+                    view_moved.discard(model_key)
+                # Declined behind the model's oldest queued task?
+                same_model = by_model[model_key]
+                if index or len(same_model) > 1 and any(
+                    other.entries
+                    and other.entries[0][:2] < (arrival, seq)
+                    for other in same_model
+                ):
+                    behind_head.add(model_key)
+                else:
+                    behind_head.discard(model_key)
+                park = now < hint
             if (
                 self._resource_version != version
                 or self._hint_epoch != epoch

@@ -15,7 +15,9 @@ batch size (8) the batched path must clear a >= 5x speedup over the
 scalar simulator on every swept model.  The CI regression gate
 (:mod:`repro.experiments.bench_gate`) compares the measured *speedup
 ratio* against the committed smoke baseline — a within-run ratio, so the
-gate is insensitive to absolute runner speed.
+gate is insensitive to absolute runner speed.  Each arm is timed as the
+median of :data:`REPEATS` runs, and every run's outputs are checked, so
+one noisy scalar run cannot move the gated ratio on its own.
 
 Run as a module, the bench pins the BLAS thread pools to one thread (as
 ``benchmarks/e2e/run.py`` does for its workers) so both arms measure the
@@ -30,6 +32,7 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
 import sys
 import time
 
@@ -55,6 +58,10 @@ SMOKE_REQUESTS = 8
 #: The gate point and its floor: >= 5x at batch 8 (target 10x).
 GATE_BATCH = 8
 GATE_SPEEDUP_FLOOR = 5.0
+
+#: Timed runs per arm (scalar, and each batch size); the median wall time
+#: is reported.
+REPEATS = 5
 
 WEIGHT_SEED = 0
 INPUT_SEED = 1234
@@ -115,15 +122,32 @@ def run_model(model_key: str, batch_sizes, requests: int) -> dict:
     gen = make_codegen(spec.kind, weights, spec.timesteps)
     program = gen.build()
     payloads = _payloads(spec, requests)
-    scalar_outputs, scalar_wall = _run_scalar(spec, gen, program, payloads)
-    scalar_rate = requests / scalar_wall
-    points = []
-    for batch in batch_sizes:
-        outputs, wall, inexact = _run_batched(spec, gen, program, payloads, batch)
-        identical = all(
+    scalar_runs = [
+        _run_scalar(spec, gen, program, payloads) for _ in range(REPEATS)
+    ]
+    scalar_outputs = scalar_runs[0][0]
+
+    def matches(outputs) -> bool:
+        return all(
             np.array_equal(got, want)
             for got, want in zip(outputs, scalar_outputs)
         )
+
+    # The scalar simulator is the reference: its repeats must agree too.
+    scalar_stable = all(matches(outputs) for outputs, _ in scalar_runs)
+    scalar_wall = statistics.median(wall for _, wall in scalar_runs)
+    scalar_rate = requests / scalar_wall
+    points = []
+    for batch in batch_sizes:
+        runs = [
+            _run_batched(spec, gen, program, payloads, batch)
+            for _ in range(REPEATS)
+        ]
+        identical = scalar_stable and all(
+            matches(outputs) for outputs, _, _ in runs
+        )
+        wall = statistics.median(run[1] for run in runs)
+        inexact = max(run[2] for run in runs)
         rate = requests / wall
         points.append(
             {
@@ -179,6 +203,7 @@ def run_bench(
     report = {
         "scale": {
             "requests": requests,
+            "repeats": REPEATS,
             "batch_sizes": list(batch_sizes),
             "models": list(MODELS),
             "weight_seed": WEIGHT_SEED,

@@ -13,11 +13,12 @@ graceful when offered load exceeds capacity or boards fail:
 * **Deadlines** — every admitted request carries an absolute deadline.
   One expiry timer per frontend (a single ``schedule_external`` event,
   armed at the earliest deadline of a still-queued request) expires every
-  queued request whose deadline has come, *at* its deadline; the
-  dispatcher then drops it (the simulator's ``should_drop`` hook), so it
-  never occupies a board.  A request started at its deadline could not
-  finish on time anyway: service time is positive.  Without a simulator
-  the dequeue gate runs the same expiry at the caller's clock.
+  queued request whose deadline has come, *at* its deadline, and takes it
+  out of the simulator's queue then (``drop_queued``), so it never
+  occupies a board.  A request started at its deadline could not finish
+  on time anyway: service time is positive.  A head drop or an abandon
+  leaves the queue the same way, at the event that condemns it.  Without
+  a simulator there is no timer, and nothing expires.
 * **Retry budget** — genuine placement failures (the controller counted
   a ``placement_failure``) consume a per-request budget with jittered
   exponential backoff; exhaustion abandons the request.  Waiting behind a
@@ -109,12 +110,9 @@ class ServingFrontend:
         self._rng = random.Random(self.params.seed)
         #: task_id -> RequestRecord (created at admission or first start).
         self._records: dict[int, RequestRecord] = {}
-        #: model key -> task_id -> queued (admitted, not started) record,
-        #: in queueing order.
+        #: model key -> task_id -> queued (admitted, neither started nor
+        #: condemned) record, in queueing order.
         self._queued: dict[str, dict[int, RequestRecord]] = {}
-        #: model key -> queued records already condemned (shed, expired or
-        #: abandoned) that the dispatcher has yet to drop.
-        self._condemned: dict[str, int] = {}
         #: Min-heap of ``(deadline_s, task_id)`` of queued records, every
         #: model's; entries of records that left the queue are popped when
         #: the expiry timer reaches them.
@@ -123,8 +121,6 @@ class ServingFrontend:
         self._armed_s = math.inf
         #: Expiry timers armed so far (one DES event each).
         self.timers_armed = 0
-        #: model key -> live queue depth (PENDING, not condemned).
-        self._depth: dict[str, int] = {}
         #: tenant -> live queue depth (tenancy layer's pressure signal).
         self._tenant_depth: dict[str, int] = {}
         self._buckets: dict[str, TokenBucket] = {}
@@ -184,8 +180,8 @@ class ServingFrontend:
         """Live queued (admitted, not started) requests — one model's, or
         every model's.  The autoscaler's primary pressure signal."""
         if model_key is not None:
-            return self._depth.get(model_key, 0)
-        return sum(self._depth.values())
+            return len(self._queued.get(model_key, ()))
+        return sum(len(queue) for queue in self._queued.values())
 
     def queue_depth_by_tenant(self) -> dict:
         """Live queued requests per tenant (zero entries elided)."""
@@ -225,42 +221,34 @@ class ServingFrontend:
     def _enqueue(self, record: RequestRecord, now: float) -> None:
         task = record.task
         self._queued.setdefault(task.model_key, {})[task.task_id] = record
-        self._depth[task.model_key] = self._depth.get(task.model_key, 0) + 1
         self._bump_tenant(task, +1)
         deadline = record.deadline_s
         if deadline <= now:
-            # Late already (requeued after its deadline): it expires now,
-            # and a timer armed now has the dispatcher drop it now.
+            # Requeued after its deadline: it expires now.
             self._condemn(record, RequestOutcome.EXPIRED)
             self.stats.expired += 1
-            deadline = now
-        elif deadline < math.inf:
+            return
+        if deadline < math.inf:
             heappush(self._expiry, (deadline, task.task_id))
         if deadline < self._armed_s and self._simulator is not None:
             self._arm(deadline)
 
-    def _dequeue(self, record: RequestRecord) -> None:
-        """Take a record off its model's queue (it started or dropped)."""
+    def _dequeue(self, record: RequestRecord) -> bool:
+        """Take a record off its model's queue (it started or was
+        condemned); returns whether it was queued."""
         task = record.task
         queue = self._queued.get(task.model_key)
         if queue is None or queue.pop(task.task_id, None) is None:
-            return
-        if record.outcome is RequestOutcome.PENDING:
-            self._depth[task.model_key] -= 1
-            self._bump_tenant(task, -1)
-        else:
-            self._condemned[task.model_key] -= 1
+            return False
+        self._bump_tenant(task, -1)
+        return True
 
     def _condemn(self, record: RequestRecord, outcome: RequestOutcome) -> None:
         """Give a request its terminal drop outcome; a queued one leaves the
-        live depths now and waits for the dispatcher to drop it."""
+        frontend's and the simulator's queues now."""
         record.outcome = outcome
-        task = record.task
-        model_key = task.model_key
-        if task.task_id in self._queued.get(model_key, ()):
-            self._condemned[model_key] = self._condemned.get(model_key, 0) + 1
-            self._depth[model_key] -= 1
-            self._bump_tenant(task, -1)
+        if self._dequeue(record) and self._simulator is not None:
+            self._simulator.drop_queued(record.task)
 
     # -- deadline expiry -----------------------------------------------------
 
@@ -321,7 +309,13 @@ class ServingFrontend:
         bucket = self._bucket(model)
         if bucket is not None and not bucket.try_take(now):
             return self._shed_at_door(record)
-        if self._depth.get(model, 0) >= self.params.max_queue_depth:
+        if record.deadline_s <= now:
+            # Late on arrival: it expires at the door and is never queued.
+            record.outcome = RequestOutcome.EXPIRED
+            self.stats.admitted += 1
+            self.stats.expired += 1
+            return False
+        if self.queue_depth(model) >= self.params.max_queue_depth:
             if self.params.shedding is SheddingPolicy.HEAD_DROP:
                 self._condemn_oldest(model)
             else:
@@ -336,42 +330,11 @@ class ServingFrontend:
         return False
 
     def _condemn_oldest(self, model_key: str) -> None:
-        """Head drop: mark the oldest still-pending queued request of this
-        model shed; the dispatcher drops it at its next pass."""
-        for record in self._queued.get(model_key, {}).values():
-            if record.outcome is RequestOutcome.PENDING:
-                self._condemn(record, RequestOutcome.SHED)
-                self.stats.shed += 1
-                return
-
-    # -- Scheduler protocol: dequeue-time drops ------------------------------
-
-    def should_drop(self, task: Task, now: float) -> bool:
-        """Dequeue gate: condemned (shed, expired or abandoned) requests
-        leave the queue here, before any placement is attempted — they
-        never hold a board."""
-        self._clock = now
-        if self._simulator is None:
-            self._expire(now)
-        record = self._records.get(task.task_id)
-        if record is None:
-            return False
-        if record.outcome is RequestOutcome.PENDING or record.started:
-            return False
-        self._dequeue(record)
-        return True
-
-    def may_drop(self, model_key: str, now: float) -> bool:
-        """Whether :meth:`should_drop` could drop a queued request of this
-        model at ``now``: one is condemned.  ``False`` lets the simulator
-        park the model's blocked queues.  It holds for a whole pass: expiry
-        runs at the timer's own event, and inside a pass only the request
-        being tried can be condemned (an exhausted retry budget), which the
-        pass does not visit again, or a preempted request requeued after
-        its deadline, which joins the queue after the pass."""
-        if self._simulator is None:
-            self._expire(now)
-        return bool(self._condemned.get(model_key))
+        """Head drop: shed the oldest queued request of this model."""
+        queue = self._queued.get(model_key)
+        if queue:
+            self._condemn(next(iter(queue.values())), RequestOutcome.SHED)
+            self.stats.shed += 1
 
     # -- Scheduler protocol: placement ---------------------------------------
 
@@ -379,8 +342,6 @@ class ServingFrontend:
         self._clock = now
         self._pump_breakers(now)
         record = self._record(task, now)
-        if record.outcome is not RequestOutcome.PENDING:
-            return None  # condemned; the dispatcher drops it next pass
         if now < record.next_attempt_s:
             return None  # retry backoff gate
         if self._all_breakers_open(task.model_key):
@@ -422,7 +383,9 @@ class ServingFrontend:
     def requeue(self, task: Task, now: float) -> None:
         """Return a started request to its queue (tenancy preemption): the
         start bookkeeping is reversed exactly, so depth accounting and the
-        deadline/drop gates govern the re-run like any queued request."""
+        deadline govern the re-run like any queued request.  The simulator
+        must already hold the task again (``abort_running``): a request
+        requeued after its deadline is dropped at once."""
         record = self._records.get(task.task_id)
         if record is None or not record.started:
             return
@@ -467,26 +430,15 @@ class ServingFrontend:
     def retry_hint(self, task: Task, now: float) -> float:
         """Conservative per-model gate: the earliest moment *any* queued
         request of this model could act — its backoff expiry when backing
-        off, the inner scheduler's hint otherwise.  Condemned requests
-        make the model immediately actionable (the drop is progress)."""
+        off, the inner scheduler's hint otherwise."""
         inner = self.system.retry_hint(task, now)
         queue = self._queued.get(task.model_key)
         if not queue:
             return inner
-        if self._condemned.get(task.model_key):
-            return now
         return min(
             record.next_attempt_s if record.next_attempt_s > now else inner
             for record in queue.values()
         )
-
-    def has_pending_timers(self) -> bool:
-        """True while a condemned request waits in the queue (the next pass
-        drops it) — tells the simulator an idle cluster with a waiting
-        queue is not a deadlock.  Queued deadlines and backoffs need no
-        clause: the expiry timer and each backoff wake are in-flight
-        external events, which already keep the idle detector quiet."""
-        return any(self._condemned.values())
 
     # -- circuit breakers ----------------------------------------------------
 
@@ -593,7 +545,7 @@ class ServingFrontend:
         scale-down fallback applied proactively)."""
         controller = self.controller
         for model_key in sorted(self._queued):
-            if self._depth.get(model_key, 0) < self.params.brownout_hot_depth:
+            if self.queue_depth(model_key) < self.params.brownout_hot_depth:
                 continue
             plans = controller.catalog.entry_by_key(model_key).sorted_plans()
             if len(plans) < 2:

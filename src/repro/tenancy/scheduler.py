@@ -153,12 +153,6 @@ class TenantScheduler:
         self._preempt_gate_s = 0.0
         #: task_id -> why its last try_start declined (drives retry_hint).
         self._decline_reason: dict[int, str] = {}
-        # The dequeue gate (should_drop with its may_drop) exists only when
-        # the inner scheduler has one: without it the simulator skips a
-        # blocked model's whole queue instead of visiting each task.
-        if getattr(inner, "should_drop", None) is not None:
-            self.should_drop = self._should_drop
-            self.may_drop = self._may_drop
 
     # -- tenant registry -----------------------------------------------------
 
@@ -239,10 +233,6 @@ class TenantScheduler:
         if observe is not None:
             observe(pending_by_model)
 
-    def has_pending_timers(self) -> bool:
-        timers = getattr(self.inner, "has_pending_timers", None)
-        return timers() if timers is not None else False
-
     def admit(self, task: Task, now: float) -> bool:
         state = self._state(task.tenant)
         state.offered += 1
@@ -267,16 +257,13 @@ class TenantScheduler:
         state.pending += 1
         return True
 
-    def _should_drop(self, task: Task, now: float) -> bool:
-        if self.inner.should_drop(task, now):
-            self._state(task.tenant).pending -= 1
-            self._decline_reason.pop(task.task_id, None)
-            self._resume_credit.pop(task.task_id, None)
-            return True
-        return False
-
-    def _may_drop(self, model_key: str, now: float) -> bool:
-        return self.inner.may_drop(model_key, now)
+    def on_drop(self, task: Task, now: float) -> None:
+        """The inner frontend condemned a queued task (the simulator has
+        dropped it): it is no longer pending, and its decline reason and
+        resume credit go with it."""
+        self._state(task.tenant).pending -= 1
+        self._decline_reason.pop(task.task_id, None)
+        self._resume_credit.pop(task.task_id, None)
 
     def retry_hint(self, task: Task, now: float) -> float:
         reason = self._decline_reason.get(task.task_id)
@@ -299,6 +286,7 @@ class TenantScheduler:
         guard = self._guard_for(state)
         failures_before = controller.stats.placement_failures
         quota_before = controller.stats.quota_rejections
+        pending_before = state.pending
         controller.placement_guard = guard
         try:
             service = self.inner.try_start(task, now)
@@ -313,7 +301,10 @@ class TenantScheduler:
                 reason = "quota"
             else:
                 reason = "inner"
-            self._decline_reason[task.task_id] = reason
+            if state.pending == pending_before:
+                # Still queued: the inner start did not condemn the task
+                # (an abandon drops it, and :meth:`on_drop` ran already).
+                self._decline_reason[task.task_id] = reason
             return None
         self._decline_reason.pop(task.task_id, None)
         state.pending -= 1
@@ -527,8 +518,10 @@ class TenantScheduler:
         owner.pending += 1
         owner.preempted += 1
         self.stats.tasks_preempted += 1
+        # The simulator requeues the task first, so a frontend that finds
+        # it late can drop it at once.
+        if self._simulator is not None:
+            self._simulator.abort_running(victim_task)
         requeue = getattr(self.inner, "requeue", None)
         if requeue is not None:
             requeue(victim_task, now)
-        if self._simulator is not None:
-            self._simulator.abort_running(victim_task)

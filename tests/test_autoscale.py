@@ -83,7 +83,6 @@ def _queue(frontend, count, model_key=MODEL, now=0.0):
 
 
 def _drain_queue(frontend, model_key=MODEL):
-    frontend._depth[model_key] = 0
     frontend._queued[model_key].clear()
 
 
@@ -423,8 +422,8 @@ def _assert_storm_invariants(cluster, system, frontend, scaler, result):
         assert board.used_blocks == owners_by_board.get(fpga_id, 0)
     assert system.controller.index.check_consistent()
     assert system.controller.check_idle_consistent()
-    for model, depth in frontend._depth.items():
-        assert depth == 0, f"{model} queue depth leaked: {depth}"
+    for model, queue in frontend._queued.items():
+        assert not queue, f"{model} queue depth leaked: {len(queue)}"
     # Every decision stayed inside the replica-unit envelope.
     params = scaler.params
     for event in system.controller.events:

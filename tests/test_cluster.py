@@ -283,22 +283,6 @@ class TestOptionalSchedulerProtocol:
         # many more try_start calls for the identical schedule.
         assert scheduler.attempts > 10
 
-    def test_dequeue_gate_needs_both_hooks(self):
-        # should_drop and may_drop come as a pair; either one alone is
-        # refused when the simulator is built and when a run starts.
-        scheduler = _OneSlotScheduler()
-        scheduler.should_drop = lambda task, now: False
-        with pytest.raises(SimulationError, match="together"):
-            ClusterSimulator(scheduler, "t")
-        scheduler = _OneSlotScheduler()
-        simulator = ClusterSimulator(scheduler, "t")
-        scheduler.may_drop = lambda model_key, now: False
-        with pytest.raises(SimulationError, match="together"):
-            simulator.run([Task(task_id=0, model_key="m", arrival_s=0.0)])
-        scheduler.should_drop = lambda task, now: False
-        result = simulator.run([Task(task_id=0, model_key="m", arrival_s=0.0)])
-        assert len(result.completed) == 1
-
 
 class TestClusterSimulator:
     def _tasks(self, count, gap=0.0):

@@ -4,10 +4,10 @@
 reference: every pass copies the whole backlog, sorts it by the class key
 plus arrival time (stably over queue order; the tenancy order broke ties
 by ``(arrival_s, task_id)``) and walks it task by task, skipping each task
-of a model below its watermark one at a time.  It asks ``should_drop``
-of every task and ``observe_queue`` at every pass, and never calls
-``may_drop``.  It also keeps the old wake rule — every arrival, start and
-finish retries every blocked model — and never asks ``woken_models``.
+of a model below its watermark one at a time.  It asks ``observe_queue``
+at every pass, and shares only the queue removal of ``drop_queued`` with
+its own backlog.  It also keeps the old wake rule — every arrival, start
+and finish retries every blocked model — and never asks ``woken_models``.
 Randomized small workloads run through both dispatchers; the schedules
 and the dropped sets must match exactly.  So must the sequence of
 ``(task_id, now)`` ``try_start`` calls and the watermark-skip and attempt
@@ -70,7 +70,7 @@ class ReferenceSimulator(ClusterSimulator):
     def _pending_models(self):
         return sorted({task.model_key for task in self._pending})
 
-    def _remove(self, task):
+    def _unqueue(self, task):
         self._pending = [t for t in self._pending if t is not task]
 
     def _observe_queue(self):
@@ -89,7 +89,6 @@ class ReferenceSimulator(ClusterSimulator):
         fast_path = getattr(scheduler, "has_fast_path", None)
         dispatch_key = getattr(scheduler, "dispatch_key", None)
         retry_hint = getattr(scheduler, "retry_hint", None)
-        should_drop = getattr(scheduler, "should_drop", None)
         progress = False
         self._observe_queue()
         scan = list(self._pending)
@@ -104,13 +103,6 @@ class ReferenceSimulator(ClusterSimulator):
                                      t.arrival_s))
         now = self.queue.now
         for task in scan:
-            if should_drop is not None and should_drop(task, now):
-                self._remove(task)
-                self._result.dropped.append(task)
-                self._resource_version += 1
-                progress = True
-                self._idle_retries = 0
-                continue
             watermark = self._blocked.get(task.model_key)
             if (
                 watermark is not None
@@ -125,7 +117,7 @@ class ReferenceSimulator(ClusterSimulator):
                 hint = retry_hint(task, now) if retry_hint is not None else now
                 self._blocked[task.model_key] = (self._resource_version, hint)
                 continue
-            self._remove(task)
+            self._unqueue(task)
             task.start_s = now
             self._running_count += 1
             self._blocked.pop(task.model_key, None)
@@ -296,16 +288,16 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
         assert simulator.aborted_runs > 0
 
 
-#: Schedule digests of the serving tests below, pinned so that skipping a
-#: dequeue gate the frontend proves cannot fire (parking a serving queue)
-#: fails here even when both dispatchers agree with each other.
+#: Schedule digests of the serving tests below, pinned so that a request
+#: dropped at any other moment than its condemnation fails here even when
+#: both dispatchers agree with each other.
 SERVING_DIGESTS = {
     7: "654f2e6b5b09b5ac9c649c0461de8527b89c2d9b965ff02f0aeec5218f1ddb19",
     8: "c8b85177d0688858a9aab31a7663fa1ed9769f2ba3177c5616df4eaaf2a0714c",
     "head_drop":
         "9488449c50d21c5b92fedf44d0f62cef461823fc66be2bad24469ec3b7e3230b",
     "no_retry":
-        "7aeee3f027b3f2670a1a0f81773451c1ab8b47df3eebbc3f4cbfcc06a3b1f173",
+        "8650a816ed979d6a397acc8915deccfaca353a932332d3f0f46e428f395eaf0a",
 }
 
 
@@ -359,8 +351,8 @@ def test_one_expiry_timer_per_frontend(shared_catalog):
 @pytest.mark.parametrize("variant", ["head_drop", "no_retry"])
 def test_serving_condemned_requests(shared_catalog, variant):
     """Requests condemned while queued — shed by a head drop, abandoned
-    on an exhausted retry budget — must leave at the next pass even when
-    their model is blocked, so a model holding one is never parked."""
+    on an exhausted retry budget — leave the queue at once, even when
+    their model is blocked, and both dispatchers drop them alike."""
     overrides = {
         "head_drop": {"shedding": SheddingPolicy.HEAD_DROP,
                       "max_queue_depth": 3},

@@ -8,6 +8,7 @@ index, the simulator's per-(tenant, model) pending queues, and chaos
 storms that recount the index after failure/repair churn.
 """
 
+import math
 import random
 
 import pytest
@@ -205,6 +206,33 @@ class _PreemptOnce(_Picky):
         return super().try_start(task, now)
 
 
+class _Condemning(_Picky):
+    """:class:`_Picky` whose ``try_start`` first runs the action set for
+    that task id (a ``drop_queued`` call), and whose retry hint parks a
+    declined model (``inf``) once ``park`` is set."""
+
+    def __init__(self, accept=()):
+        super().__init__(accept)
+        self.park = False
+        self.actions = {}
+        self.dropped = []
+
+    def bind_simulator(self, simulator):
+        self.simulator = simulator
+
+    def try_start(self, task, now):
+        action = self.actions.pop(task.task_id, None)
+        if action is not None:
+            action()
+        return super().try_start(task, now)
+
+    def retry_hint(self, task, now):
+        return math.inf if self.park else now
+
+    def on_drop(self, task, now):
+        self.dropped.append(task.task_id)
+
+
 def _queued_ids(simulator, key=("", "m")):
     queue = simulator._queues.get(key)
     return [task.task_id for _, _, task in queue.entries] if queue else []
@@ -262,6 +290,84 @@ class TestPendingQueues:
         assert _queued_ids(simulator) == [0, 1]
         assert simulator.pending_count == 2
         assert scheduler.calls == [0, 1]
+
+    @staticmethod
+    def _backlog(scheduler, models):
+        """A simulator holding one declined task per entry of ``models``,
+        all arriving at 0 in that order (ids 0, 1, ...)."""
+        simulator = ClusterSimulator(scheduler)
+        tasks = [Task(task_id=i, model_key=m, arrival_s=0.0)
+                 for i, m in enumerate(models)]
+        for task in tasks:
+            simulator._arrive(task)
+        scheduler.calls.clear()
+        return simulator, tasks
+
+    def test_drop_the_task_just_tried(self):
+        # Task 0 is dropped inside its own try_start (an abandon); the
+        # pass goes on at task 1, the next in merged order, and starts it.
+        scheduler = _Condemning()
+        simulator, tasks = self._backlog(scheduler, "mmm")
+        scheduler.accept = {1}
+        scheduler.actions[0] = lambda: simulator.drop_queued(tasks[0])
+        simulator._arrive(Task(task_id=3, model_key="m", arrival_s=0.0))
+        assert scheduler.calls[:4] == [0, 1, 2, 3]
+        assert tasks[1].start_s == 0.0
+        assert [t.task_id for t in simulator._result.dropped] == [0]
+        assert scheduler.dropped == [0]
+        assert _queued_ids(simulator) == [2, 3]
+        assert simulator.pending_count == 2
+
+    def test_drop_before_a_parked_queues_cursor(self):
+        # Task 0 declines and parks model m behind it; task 1 (model x)
+        # drops it and starts.  The start resumes m at its first task past
+        # task 1 in merged order: task 2, now at the queue's head.
+        scheduler = _Condemning()
+        simulator, tasks = self._backlog(scheduler, "mxmm")
+        scheduler.park = True
+        scheduler.accept = {1}
+        scheduler.actions[1] = lambda: simulator.drop_queued(tasks[0])
+        simulator._arrive(Task(task_id=4, model_key="y", arrival_s=0.0))
+        assert scheduler.calls == [0, 1, 2, 4]
+        assert _queued_ids(simulator) == [2, 3]
+        assert simulator.pending_count == 3
+        assert scheduler.dropped == [0]
+
+    def test_drop_a_task_requeued_mid_pass(self):
+        # A task aborted inside a pass waits in the requeue list until the
+        # pass ends; dropped there, it never rejoins its queue.
+        scheduler = _Condemning(accept={0})
+        simulator = ClusterSimulator(scheduler)
+        victim = Task(task_id=0, model_key="m", arrival_s=0.0)
+        simulator._arrive(victim)
+        assert victim.start_s == 0.0
+
+        def preempt_then_drop():
+            simulator.abort_running(victim)
+            assert simulator.pending_count == 2
+            simulator.drop_queued(victim)
+            assert simulator.pending_count == 1
+
+        scheduler.actions[1] = preempt_then_drop
+        simulator._arrive(Task(task_id=1, model_key="m", arrival_s=0.0))
+        assert simulator._requeued == []
+        assert _queued_ids(simulator) == [1]
+        assert [t.task_id for t in simulator._result.dropped] == [0]
+        assert scheduler.dropped == [0]
+
+    def test_drop_a_queues_last_task(self):
+        # Dropping a queue's only task removes the queue; a later arrival
+        # of the model opens a fresh one.
+        scheduler = _Condemning()
+        simulator, tasks = self._backlog(scheduler, "m")
+        simulator.drop_queued(tasks[0])
+        assert simulator._queues == {}
+        assert simulator.pending_count == 0
+        assert scheduler.dropped == [0]
+        scheduler.accept = {1}
+        simulator._arrive(Task(task_id=1, model_key="m", arrival_s=0.0))
+        assert scheduler.calls == [1]
+        assert simulator.pending_count == 0
 
 
 class TestResidencyIndex:

@@ -1,8 +1,9 @@
 """Serving-edge tests (:mod:`repro.serving`).
 
 Covers the policy primitives (token bucket, parameters, backoff), the
-admission path (bounded queues, tail vs head drop), deadline expiry at
-dequeue, the placement retry budget and abandonment, the per-board
+admission path (bounded queues, tail vs head drop), deadline expiry and
+drops at the moment of condemnation, the placement retry budget and
+abandonment, the per-board
 circuit-breaker state machine (unit and DES-integrated), brownout
 plan-switching, the new arrival processes, and the recovery-backoff
 surfacing added alongside the frontend.
@@ -40,6 +41,24 @@ def _frontend(catalog, recovery=True, **param_overrides):
     system = build_system("proposed", cluster, catalog, recovery=recovery)
     params = ServingParameters(**param_overrides)
     return cluster, system, ServingFrontend(system, params)
+
+
+def _spy_drops(simulator, frontend):
+    """Record ``(task_id, now, outcome)`` at every ``drop_queued``, and
+    check that each drop takes its task out of the simulator's queue then
+    (installed on the simulator: the frontend calls it by attribute)."""
+    drops = []
+    drop_queued = simulator.drop_queued
+
+    def spy(task):
+        pending = simulator.pending_count
+        drop_queued(task)
+        assert simulator.pending_count == pending - 1
+        outcome = frontend.record_for(task.task_id).outcome
+        drops.append((task.task_id, simulator.queue.now, outcome))
+
+    simulator.drop_queued = spy
+    return drops
 
 
 def _requests(count, model_key="gru-h512-t1", gap_s=0.001, deadline_s=0.0):
@@ -185,24 +204,13 @@ class TestDeadlines:
 
     def test_expiry_lands_at_the_deadline(self, catalog):
         """A request still queued at its deadline expires then: the
-        frontend's expiry timer fires at the deadline, and the dispatch
-        pass that event runs drops it."""
+        frontend's expiry timer fires at the deadline and takes it out of
+        the simulator's queue at once."""
         _, _, frontend = _frontend(
             catalog, default_deadline_s=0.004, max_queue_depth=64
         )
         simulator = ClusterSimulator(frontend, "expiry-semantics")
-        expired_at = {}
-        should_drop = frontend.should_drop
-
-        def spy_gate(task, now):
-            dropped = should_drop(task, now)
-            outcome = frontend.record_for(task.task_id).outcome
-            if dropped and outcome is RequestOutcome.EXPIRED:
-                expired_at[task.task_id] = now
-            return dropped
-
-        # Installed after the simulator was built: hooks are read at run().
-        frontend.should_drop = spy_gate
+        drops = _spy_drops(simulator, frontend)
         arrivals = mmpp_arrivals(240, 6000.0, seed=5)
         tasks = [
             Task(task_id=i, model_key=model, arrival_s=arrival,
@@ -212,27 +220,49 @@ class TestDeadlines:
                 ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25") * 80,
             ))
         ]
-        simulator.run(tasks)
-        assert len(expired_at) == frontend.stats.expired > 0
-        for task_id, now in expired_at.items():
+        result = simulator.run(tasks)
+        expired = [(task_id, now) for task_id, now, outcome in drops
+                   if outcome is RequestOutcome.EXPIRED]
+        assert len(expired) == frontend.stats.expired > 0
+        assert len(drops) == len(result.dropped) - frontend.stats.shed
+        for task_id, now in expired:
             assert now == frontend.record_for(task_id).deadline_s
 
-    def test_may_drop_tracks_condemned_and_late_requests(self, catalog):
-        _, _, frontend = _frontend(
-            catalog, max_queue_depth=2, shedding=SheddingPolicy.HEAD_DROP
+    def test_condemned_requests_leave_the_queue_at_once(self, catalog):
+        """A head drop leaves the simulator's queue at the arrival that
+        sheds it, an abandon at the failed placement that condemns it."""
+        cluster, _, frontend = _frontend(
+            catalog, breaker_enabled=False, retry_budget=1, retry_jitter=0.0,
+            retry_base_s=0.002, max_queue_depth=2,
+            shedding=SheddingPolicy.HEAD_DROP, default_deadline_s=30.0,
         )
-        model = "gru-h512-t1"
-        tasks = _requests(3, model_key=model, deadline_s=0.005)
-        assert not frontend.may_drop(model, 0.0)  # nothing queued
-        assert frontend.admit(tasks[0], 0.0) and frontend.admit(tasks[1], 0.0)
-        assert not frontend.may_drop(model, 0.004)  # before the deadline
-        assert frontend.admit(tasks[2], 0.004)  # head drop condemns tasks[0]
-        assert frontend.may_drop(model, 0.004)
-        assert frontend.should_drop(tasks[0], 0.004)
-        assert not frontend.may_drop(model, 0.004)
-        assert frontend.may_drop(model, 0.005)  # droppable from the deadline
-        assert frontend.stats.expired == 2
-        assert frontend.queue_depth(model) == 0
+        for board in cluster.boards.values():
+            board.set_health(BoardHealth.FAILED)
+        simulator = ClusterSimulator(frontend, "condemned")
+        drops = _spy_drops(simulator, frontend)
+        # Three arrivals at once into a queue of two: the third sheds the
+        # first.  The second fails placement, backs off 2 ms (the third
+        # waits behind its hint) and fails again past its budget of one;
+        # the third then does the same 2 ms later.
+        result = simulator.run(_requests(3, gap_s=0.0))
+        assert drops == [
+            (0, 0.0, RequestOutcome.SHED),
+            (1, 0.002, RequestOutcome.ABANDONED),
+            (2, 0.004, RequestOutcome.ABANDONED),
+        ]
+        assert [task.task_id for task in result.dropped] == [0, 1, 2]
+        assert frontend.queue_depth() == 0
+
+    def test_request_late_on_arrival_expires_at_the_door(self, catalog):
+        _, _, frontend = _frontend(catalog)
+        simulator = ClusterSimulator(frontend, "late-arrival")
+        late = Request(task_id=0, model_key="gru-h512-t1", arrival_s=0.002,
+                       size_class="S", deadline_s=0.001)
+        result = simulator.run([late])
+        assert result.dropped == [late] and late.start_s < 0
+        assert frontend.record_for(0).outcome is RequestOutcome.EXPIRED
+        assert (frontend.stats.admitted, frontend.stats.expired) == (1, 1)
+        assert frontend.queue_depth() == 0
 
     def test_default_deadline_granted_to_plain_tasks(self, catalog):
         _, _, frontend = _frontend(catalog, default_deadline_s=0.3)

@@ -83,6 +83,18 @@ def _assert_utilisation(cluster, frontend):
     assert frontend.utilisation() == 1 - free / total
 
 
+def _assert_one_queue(frontend):
+    """The simulator queues exactly the requests the frontend holds queued:
+    a condemned request leaves both at once."""
+    simulator = frontend._simulator
+    held = {task.task_id for task in simulator._requeued}
+    for queue in simulator._queues.values():
+        held.update(task.task_id for _, _, task in queue.entries)
+    queued = {task_id for queue in frontend._queued.values()
+              for task_id in queue}
+    assert held == queued
+
+
 def _assert_invariants(cluster, system, frontend, result):
     stats = frontend.stats
     # 1. Accounting identity: every offered request reached exactly one
@@ -127,12 +139,10 @@ def _assert_invariants(cluster, system, frontend, result):
     assert system.controller.index.check_consistent()
     assert system.controller.check_residents_consistent()
     assert system.controller.check_idle_consistent()
-    # 6. Internal queue accounting drained to zero.
-    for model, depth in frontend._depth.items():
-        assert depth == 0, f"{model} queue depth leaked: {depth}"
-    for model, queue in frontend._queued.items():
-        assert not queue, f"{model} queue not drained"
-        assert not frontend._condemned.get(model), f"{model} condemned leaked"
+    # 6. One queue: the simulator's and the frontend's hold the same
+    #    requests, and both drained to zero.
+    _assert_one_queue(frontend)
+    assert frontend.queue_depth() == 0
     for _, task_id in frontend._expiry:
         record = frontend.record_for(task_id)
         assert record.outcome is not RequestOutcome.PENDING or record.started, (
@@ -183,8 +193,9 @@ class TestServingInvariants:
 
     def test_abandons_free_their_queue_depth(self, catalog):
         """With no retry budget every genuine placement failure abandons
-        its request; each abandon leaves the live depth at once, so the
-        depth always equals the model's queued pending requests."""
+        its request; each abandon leaves the frontend's and the
+        simulator's queues at once, so at every finish both hold the same
+        requests."""
         checked = []
 
         def check_depth_at_finishes(frontend):
@@ -192,12 +203,7 @@ class TestServingInvariants:
 
             def spy(task, now):
                 on_finish(task, now)
-                for model in MODELS:
-                    pending = sum(
-                        record.outcome is RequestOutcome.PENDING
-                        for record in frontend._queued.get(model, {}).values()
-                    )
-                    assert frontend.queue_depth(model) == pending
+                _assert_one_queue(frontend)
                 checked.append(now)
 
             frontend.on_finish = spy

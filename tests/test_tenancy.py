@@ -484,14 +484,14 @@ class TestFrontendComposition:
         scheduler = TenantScheduler(frontend, tenants)
         return scheduler, frontend, system
 
-    def _preempting_stream(self, catalog, seed):
+    def _preempting_stream(self, catalog, seed, **overrides):
         """Premium and preemptible best-effort tenants over a frontend with
         20 ms deadlines, 400 tasks in 10 ms on eight boards: preemptions
         and expiries side by side."""
         cluster = scaled_cluster(8)
         system = build_system("proposed", cluster, catalog)
         frontend = ServingFrontend(system, ServingParameters(
-            default_deadline_s=ms(20.0), breaker_enabled=False))
+            default_deadline_s=ms(20.0), breaker_enabled=False, **overrides))
         total = sum(len(board.blocks) for board in cluster.boards.values())
         scheduler = TenantScheduler(frontend, [
             TenantParameters(name="premium", priority=1, weight=2.0,
@@ -539,57 +539,40 @@ class TestFrontendComposition:
         assert not record.started
         assert record.board_ids == []
 
-    def test_dequeue_gate_only_over_an_inner_gate(self, shared_catalog):
-        # Without should_drop the simulator may skip a blocked model's
-        # queues wholesale, so the layer must not offer a no-op gate.
-        bare = TenantScheduler(_proposed(paper_cluster(), shared_catalog),
-                               [TenantParameters(name="t")])
-        assert getattr(bare, "should_drop", None) is None
-        assert getattr(bare, "may_drop", None) is None
-        scheduler, frontend, _ = self._frontend_stack(
-            shared_catalog, [TenantParameters(name="t")]
-        )
-        task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
-                    tenant="t")
-        assert scheduler.admit(task, 0.0)
-        assert scheduler.tenant("t").pending == 1
-        # The frontend's may_drop is forwarded, so the simulator parks
-        # the tenancy+serving stack's blocked queues too.
-        assert not scheduler.may_drop(task.model_key, 4.0)
-        assert scheduler.may_drop(task.model_key, 5.0)  # at its deadline
-        assert scheduler.should_drop(task, 5.0)
-        assert frontend.stats.expired == 1
-        assert scheduler.tenant("t").pending == 0
-        assert not scheduler.may_drop(task.model_key, 10.0)
-
     def test_requeue_after_the_deadline_expires_at_once(self,
                                                        shared_catalog):
         """A preempted request requeued after its deadline expires at the
-        requeue instant: the dispatch that follows the preemption in the
-        same event never restarts it."""
+        requeue instant: it leaves the simulator's queue inside the
+        requeue, so the pass that preempted it never restarts it."""
         scheduler, frontend, tasks = self._preempting_stream(shared_catalog, 7)
-        late, dropped_at = {}, {}
-        requeue, should_drop = frontend.requeue, frontend.should_drop
+        simulator = ClusterSimulator(scheduler, "late-requeue")
+        late, dropped_in = {}, {}
+        requeuing = []
+        requeue, drop_queued = frontend.requeue, simulator.drop_queued
 
         def spy_requeue(task, now):
             if now >= frontend.record_for(task.task_id).deadline_s:
                 late[task.task_id] = now
+            requeuing.append(task.task_id)
             requeue(task, now)
+            requeuing.pop()
 
-        def spy_gate(task, now):
-            dropped = should_drop(task, now)
-            if dropped:
-                dropped_at[task.task_id] = now
-            return dropped
+        def spy_drop(task):
+            pending = simulator.pending_count
+            drop_queued(task)
+            assert simulator.pending_count == pending - 1
+            dropped_in[task.task_id] = (
+                simulator.queue.now, requeuing[-1] if requeuing else None
+            )
 
         frontend.requeue = spy_requeue
-        frontend.should_drop = spy_gate
-        ClusterSimulator(scheduler, "late-requeue").run(tasks)
+        simulator.drop_queued = spy_drop
+        simulator.run(tasks)
         assert late
         for task_id, now in late.items():
             record = frontend.record_for(task_id)
             assert record.outcome is RequestOutcome.EXPIRED
-            assert dropped_at[task_id] == now
+            assert dropped_in[task_id] == (now, task_id)
 
     def test_requeue_without_record_is_a_noop(self, shared_catalog):
         _, frontend, _ = self._frontend_stack(
@@ -638,13 +621,41 @@ class TestFrontendComposition:
     def test_dropped_tasks_leave_no_bookkeeping(self, shared_catalog, seed):
         """Tasks the frontend drops (deadline expiry) after a declined
         start or a preemption take their decline reason and resume
-        credit with them."""
+        credit with them, and leave their tenant's pending count as they
+        leave the simulator's queue."""
         scheduler, _, tasks = self._preempting_stream(shared_catalog, seed)
-        result = ClusterSimulator(scheduler, "drops").run(tasks)
+        simulator = ClusterSimulator(scheduler, "drops")
+        on_finish = scheduler.on_finish
+        finishes = []
+
+        def check_pending(task, now):
+            on_finish(task, now)
+            queued = {}
+            for queue in simulator._queues.values():
+                for _, _, waiting in queue.entries:
+                    queued[waiting.tenant] = queued.get(waiting.tenant, 0) + 1
+            for name in ("premium", "besteffort"):
+                assert scheduler.tenant(name).pending == queued.get(name, 0)
+            finishes.append(now)
+
+        scheduler.on_finish = check_pending
+        result = simulator.run(tasks)
+        assert finishes
         assert result.dropped
         assert scheduler.stats.tasks_preempted > 0
         assert scheduler._decline_reason == {}
         assert scheduler._resume_credit == {}
+
+    def test_abandoned_tasks_leave_no_decline_reason(self, shared_catalog):
+        """An abandon drops its task inside the tenancy layer's own
+        ``try_start``: the decline it then reads is not kept."""
+        scheduler, frontend, tasks = self._preempting_stream(
+            shared_catalog, 4, retry_budget=0)
+        ClusterSimulator(scheduler, "abandons").run(tasks)
+        assert frontend.stats.abandoned > 0
+        assert scheduler._decline_reason == {}
+        for name in ("premium", "besteffort"):
+            assert scheduler.tenant(name).pending == 0
 
 
 class TestLedgerTenantAxis:
