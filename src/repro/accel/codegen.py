@@ -195,13 +195,13 @@ class _RNNCodegenBase:
             sim.dram.write(BIAS_BASE + gate * h, self.weights.b[gate])
 
     def preload_inputs(self, sim, xs: np.ndarray) -> None:
-        """The per-request half of the DRAM image (the input stream)."""
+        """The per-request half of the DRAM image: the input stream, one
+        row-major block at ``X_BASE`` (``x_t`` at ``X_BASE + t * input_dim``)."""
         d = self.weights.input_dim
         xs = np.asarray(xs, dtype=np.float64)
         if xs.shape != (self.timesteps, d):
             raise ISAError(f"xs shape {xs.shape} != ({self.timesteps}, {d})")
-        for t in range(self.timesteps):
-            sim.dram.write(X_BASE + t * d, xs[t])
+        sim.dram.write(X_BASE, xs.ravel())
 
     # -- program assembly --------------------------------------------------------------
 

@@ -18,7 +18,9 @@ Cached programs are immutable by convention; :meth:`ProgramCache.get`
 returns a shallow copy (fresh ``instructions`` list and ``metadata`` dict
 over the same frozen :class:`Instruction` records) so callers that append
 or tag instructions cannot corrupt the cached artifact.  Hot read-only
-paths may pass ``copy=False``.
+paths may pass ``copy=False``, which returns the cached object itself and
+so lets a cache hold any immutable artifact, not only programs (the
+functional weight store in :mod:`repro.runtime.batching` is one).
 """
 
 from __future__ import annotations

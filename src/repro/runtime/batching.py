@@ -34,12 +34,15 @@ Tasks without a payload get a deterministic per-task input stream seeded
 by ``task_id`` — the same stream the scalar path would generate — so
 batched-vs-scalar equivalence is checkable end-to-end through the DES.
 
-Execution is *weight-stationary*: the executor owns one
-:class:`~repro.accel.functional.WeightImage` per (model, plan width,
-replica index), built on that model's first execution and reused by every
-later one, scalar or batched, single-accelerator or scale-out.  Requests
-write only their inputs; programs come from
-:data:`~repro.isa.progcache.PROGRAM_CACHE`.
+Execution is *weight-stationary across runs*: a model is compiled once
+per process into its program and its weight layout, and every execution
+after that only writes its inputs.  :data:`WEIGHT_STORE` keeps one
+:class:`~repro.accel.functional.WeightImage` per (model, weight seed,
+plan width, replica index), built at that key's first execution in the
+process and then shared by every executor and every later run, scalar or
+batched, single-accelerator or scale-out; the image keeps its memoised
+quantised matrices, and the raw weight tensors are dropped once it is
+built.  Programs come from :data:`~repro.isa.progcache.PROGRAM_CACHE`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,39 @@ from ..accel.batched import run_batched, run_scaleout_batched
 from ..accel.codegen import OUT_BASE, build_scaleout_programs, make_codegen
 from ..accel.functional import WeightImage, run_scaleout
 from ..errors import ReproError
+from ..isa.progcache import ProgramCache
 from ..workloads.deepbench import model_by_key
+
+#: LRU bound of :data:`WEIGHT_STORE`: an entry holds a full weight image
+#: and its quantised matrices (8-33 MB for an S model).
+WEIGHT_STORE_CAPACITY = 16
+
+#: Process-wide ``(model_key, weight_seed, replicas, replica_index) ->
+#: (input codegen, WeightImage)`` store (see :func:`resident_weights`).
+WEIGHT_STORE = ProgramCache(capacity=WEIGHT_STORE_CAPACITY)
+
+
+def resident_weights(
+    model_key: str, weight_seed: int, replicas: int, replica_index: int
+) -> tuple:
+    """``(codegen, image)`` for one replica, built on the key's first use
+    in the process.  The codegen only writes inputs, so it is built over
+    shape-only weights: the weight tensors live only while the image is
+    built."""
+
+    def build() -> tuple:
+        spec = model_by_key(model_key)
+        weights = spec.real_weights(seed=weight_seed)
+        image = WeightImage.build(
+            make_codegen(spec.kind, weights, spec.timesteps, replicas=replicas,
+                         replica_index=replica_index).preload_weights
+        )
+        gen = make_codegen(spec.kind, spec.metadata_weights(), spec.timesteps,
+                           replicas=replicas, replica_index=replica_index)
+        return gen, image
+
+    key = (model_key, weight_seed, replicas, replica_index)
+    return WEIGHT_STORE.get(key, build, copy=False)
 
 
 @dataclass(frozen=True)
@@ -108,7 +143,8 @@ class BatchingStats:
 
 
 class BatchExecutor:
-    """Coalesces same-model functional executions into batched runs."""
+    """Coalesces same-model functional executions into batched runs on
+    the weight images of :data:`WEIGHT_STORE`."""
 
     def __init__(self, params: BatchingParameters | None = None):
         self.params = params or BatchingParameters()
@@ -118,44 +154,7 @@ class BatchExecutor:
         self._waiting: dict[int, tuple] = {}
         #: task_id -> group key of the execution that set its output.
         self._executed: dict[int, tuple] = {}
-        self._weights: dict[str, object] = {}
-        self._codegens: dict[tuple, object] = {}
-        #: (model_key, replicas, replica_index) -> resident WeightImage.
-        self._images: dict[tuple, WeightImage] = {}
         self.stats = BatchingStats()
-
-    # -- model artifacts (memoised per model/width) --------------------------
-
-    def _weights_for(self, model_key: str):
-        weights = self._weights.get(model_key)
-        if weights is None:
-            spec = model_by_key(model_key)
-            weights = spec.real_weights(seed=self.params.weight_seed)
-            self._weights[model_key] = weights
-        return weights
-
-    def _codegen_for(self, model_key: str, replicas: int, replica_index: int):
-        key = (model_key, replicas, replica_index)
-        gen = self._codegens.get(key)
-        if gen is None:
-            spec = model_by_key(model_key)
-            gen = make_codegen(
-                spec.kind,
-                self._weights_for(model_key),
-                spec.timesteps,
-                replicas=replicas,
-                replica_index=replica_index,
-            )
-            self._codegens[key] = gen
-        return gen
-
-    def _image_for(self, model_key: str, replicas: int, replica_index: int):
-        key = (model_key, replicas, replica_index)
-        image = self._images.get(key)
-        if image is None:
-            gen = self._codegen_for(model_key, replicas, replica_index)
-            image = self._images[key] = WeightImage.build(gen.preload_weights)
-        return image
 
     def default_payload(self, task) -> np.ndarray:
         """The deterministic input stream for a payload-less task."""
@@ -217,14 +216,11 @@ class BatchExecutor:
         spec = model_by_key(model_key)
         batch = len(tasks)
         if replicas <= 1:
-            gen = self._codegen_for(model_key, 1, 0)
+            gen, image = resident_weights(model_key, self.params.weight_seed, 1, 0)
             lanes = run_batched(
                 spec.program(),
-                [
-                    (lambda xs: (lambda view: gen.preload_inputs(view, xs)))(xs)
-                    for xs in payloads
-                ],
-                image=self._image_for(model_key, 1, 0),
+                [lambda view, xs=xs: gen.preload_inputs(view, xs) for xs in payloads],
+                image=image,
                 force_scalar=self.params.force_scalar,
             )
             outputs = [
@@ -243,14 +239,12 @@ class BatchExecutor:
             self.stats.batched_lanes += batch
 
     def _execute_scaleout(self, spec, replicas: int, payloads: list) -> list:
-        gens = [
-            self._codegen_for(spec.key, replicas, index) for index in range(replicas)
-        ]
-        images = [
-            self._image_for(spec.key, replicas, index) for index in range(replicas)
-        ]
+        gens, images = zip(*(
+            resident_weights(spec.key, self.params.weight_seed, replicas, index)
+            for index in range(replicas)
+        ))
         programs = build_scaleout_programs(
-            spec.kind, self._weights_for(spec.key), spec.timesteps, replicas
+            spec.kind, spec.metadata_weights(), spec.timesteps, replicas
         )
         if self.params.force_scalar:
             # The scalar reference: one scale-out co-simulation per lane.
@@ -266,7 +260,7 @@ class BatchExecutor:
         lanes, _fabric = run_scaleout_batched(
             programs,
             [
-                (lambda xs: (lambda view, i: gens[i].preload_inputs(view, xs)))(xs)
+                lambda view, i, xs=xs: gens[i].preload_inputs(view, xs)
                 for xs in payloads
             ],
             images=images,

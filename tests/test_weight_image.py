@@ -1,7 +1,10 @@
 """Resident weight images: image-backed execution is bitwise the image-less
-simulator's, copy-on-write keeps the image intact when a program writes
-into its weight pages, and the executor takes its programs from the
-decoded-program cache."""
+simulator's, one image per (model, weight seed, plan width, replica) is
+shared by every executor of the process, copy-on-write keeps the image
+intact when a program writes into its weight pages, and the executor
+takes its programs from the decoded-program cache."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,6 +24,11 @@ from repro.isa.instructions import Instruction, Op, halt, mv_mul, v_fill, v_wr
 from repro.isa.program import Program
 from repro.isa.progcache import PROGRAM_CACHE
 from repro.runtime import BatchExecutor, BatchingParameters
+from repro.runtime.batching import (
+    WEIGHT_STORE,
+    WEIGHT_STORE_CAPACITY,
+    resident_weights,
+)
 from repro.workloads.deepbench import model_by_key
 
 S_MODELS = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25")
@@ -108,16 +116,114 @@ class TestImageEquivalence:
             ])
             assert np.array_equal(got, want)
 
-    def test_images_built_lazily_once_per_executor(self):
+
+@pytest.fixture
+def cold_store():
+    """An empty process-wide weight store with zeroed counters, emptied
+    again afterwards."""
+    WEIGHT_STORE.clear()
+    WEIGHT_STORE.reset_stats()
+    yield WEIGHT_STORE
+    WEIGHT_STORE.clear()
+    WEIGHT_STORE.reset_stats()
+
+
+def _digest(image: WeightImage) -> str:
+    """A hash of every page and every memoised matrix of ``image``."""
+    sha = hashlib.sha256()
+    for number in sorted(image.pages):
+        sha.update(repr(number).encode())
+        sha.update(image.pages[number].tobytes())
+    for key in sorted(image._matrices, key=repr):
+        quantised, limits = image._matrices[key]
+        sha.update(repr((key, limits)).encode())
+        sha.update(quantised.tobytes(order="A"))
+    return sha.hexdigest()
+
+
+class TestWeightStore:
+    def test_images_built_lazily_once_per_process(self, cold_store):
         spec = model_by_key("gru-h512-t1")
         payloads = _payloads(spec, 4)
-        executor = BatchExecutor(BatchingParameters(max_batch=2))
-        assert executor._images == {}
-        _execute(executor, _tasks(spec.key, payloads[:2]))
-        image = executor._images[(spec.key, 1, 0)]
-        _execute(executor, _tasks(spec.key, payloads[2:]))
-        assert executor._images == {(spec.key, 1, 0): image}
-        assert BatchExecutor()._images == {}
+        first = BatchExecutor(BatchingParameters(max_batch=2))
+        assert len(cold_store) == 0
+        _execute(first, _tasks(spec.key, payloads[:2]))
+        assert cold_store.misses == 1
+        gen, image = resident_weights(spec.key, 0, 1, 0)
+        # The kept codegen writes inputs only: no weight tensors survive.
+        assert all(
+            tensor is None
+            for tensor in gen.weights.w + gen.weights.u + gen.weights.b
+        )
+        second = BatchExecutor(BatchingParameters(max_batch=2))
+        _execute(second, _tasks(spec.key, payloads[2:]))
+        assert cold_store.misses == 1 and len(cold_store) == 1
+        assert resident_weights(spec.key, 0, 1, 0)[1] is image
+
+    def test_other_weight_seed_builds_its_own_image(self, cold_store):
+        spec = model_by_key("gru-h512-t1")
+        payloads = _payloads(spec, 2)
+        outputs = {}
+        for seed in (0, 1):
+            executor = BatchExecutor(
+                BatchingParameters(max_batch=2, weight_seed=seed)
+            )
+            outputs[seed] = _execute(executor, _tasks(spec.key, payloads))
+        assert cold_store.misses == 2
+        assert (resident_weights(spec.key, 0, 1, 0)[1]
+                is not resident_weights(spec.key, 1, 1, 0)[1])
+        assert not np.array_equal(outputs[0][0], outputs[1][0])
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @pytest.mark.parametrize("force_scalar", [False, True])
+    def test_cold_and_warm_store_outputs_bitwise_equal(
+        self, cold_store, force_scalar, replicas
+    ):
+        spec = model_by_key("gru-h512-t1")
+        payloads = _payloads(spec, 3)
+        params = BatchingParameters(max_batch=3, force_scalar=force_scalar)
+        cold = _execute(BatchExecutor(params), _tasks(spec.key, payloads),
+                        replicas=replicas)
+        assert cold_store.misses == replicas
+        warm = _execute(BatchExecutor(params), _tasks(spec.key, payloads),
+                        replicas=replicas)
+        assert cold_store.misses == replicas
+        for got, want in zip(warm, cold):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_shared_image_unchanged_by_a_run(self, cold_store):
+        spec = model_by_key("lstm-h512-t25")
+        payloads = _payloads(spec, 2)
+        _execute(BatchExecutor(BatchingParameters(max_batch=2)),
+                 _tasks(spec.key, payloads))
+        image = resident_weights(spec.key, 0, 1, 0)[1]
+        assert image._matrices  # the first run filled the memo
+        before = _digest(image)
+        for force_scalar in (False, True):
+            executor = BatchExecutor(
+                BatchingParameters(max_batch=2, force_scalar=force_scalar)
+            )
+            _execute(executor, _tasks(spec.key, payloads))
+            assert resident_weights(spec.key, 0, 1, 0)[1] is image
+            assert _digest(image) == before
+        assert not any(page.flags.writeable for page in image.pages.values())
+        assert not any(
+            quantised.flags.writeable for quantised, _ in image._matrices.values()
+        )
+
+    def test_store_evicts_least_recently_used_past_its_bound(self, cold_store):
+        assert cold_store.capacity == WEIGHT_STORE_CAPACITY
+        key = "lstm-h256-t150"  # the smallest weight image
+        for seed in range(WEIGHT_STORE_CAPACITY):
+            resident_weights(key, seed, 1, 0)
+        assert cold_store.evictions == 0
+        resident_weights(key, 0, 1, 0)  # seed 0 becomes the most recent
+        resident_weights(key, WEIGHT_STORE_CAPACITY, 1, 0)
+        assert cold_store.evictions == 1
+        assert len(cold_store) == WEIGHT_STORE_CAPACITY
+        assert (key, 0, 1, 0) in cold_store
+        assert (key, 1, 1, 0) not in cold_store
 
 
 class TestProgramSource:
