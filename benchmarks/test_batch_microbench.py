@@ -1,7 +1,8 @@
 """Microbenchmarks of the batch-axis hot paths behind
 :mod:`repro.accel.batched`: the vectorized sigmoid, blockwise BFP
 quantisation over ``(batch, length)`` stacks and ``(rows, cols)``
-matrices, the certified one-dgemm MV_MUL against per-lane dgemv, and the
+matrices, the certified one-dgemm MV_MUL against per-lane dgemv, a loop's
+input-stream products as chunked dgemms at loop entry, and the
 end-to-end batched-vs-scalar RNN run.
 
 All inputs come from explicitly seeded generators and every benchmark
@@ -15,8 +16,8 @@ import numpy as np
 from repro.accel.batched import BatchedFunctionalSimulator, run_batched
 from repro.accel.codegen import OUT_BASE, RNNWeights, make_codegen
 from repro.accel.functional import FunctionalSimulator, WeightImage, _sigmoid
-from repro.isa.bfp import DEFAULT_FORMAT, bfp_matvec, bfp_quantize
-from repro.isa.instructions import halt
+from repro.isa.bfp import DEFAULT_FORMAT, bfp_matvec, bfp_quantize, to_float16
+from repro.isa.instructions import Instruction, Op, endloop, halt, loop, mv_mul
 from repro.isa.program import Program
 
 SEED = 0
@@ -68,6 +69,39 @@ def test_certified_batched_matvec(benchmark):
     for lane in range(BATCH):
         # Exact arithmetic: bitwise the per-lane dgemv, before float16.
         assert np.array_equal(out[lane], bfp_matvec(matrix, vecs[lane], DEFAULT_FORMAT))
+
+
+def test_streamed_products(benchmark):
+    """Every iteration's product of a loop's input-stream MV_MUL, computed
+    at loop entry as chunked certified dgemms: bitwise the per-step
+    certified matvecs (float16-rounded, as the register receives them)."""
+    trips, batch = 64, 8
+    program = Program([
+        loop(trips),
+        Instruction(Op.V_RD, dst=0, addr=0, length=COLS, imm=float(COLS)),
+        mv_mul(1, 0, 0, ROWS),
+        endloop(),
+        halt(),
+    ])
+    rng = np.random.default_rng(5)
+    streams = rng.normal(0.0, 1.0, (batch, trips, COLS))
+    sim = BatchedFunctionalSimulator(program, batch=batch)
+    for lane in range(batch):
+        sim.dram.write(0, streams[lane].ravel(), lane=lane)
+    sim.load_matrix(0, rng.normal(0.0, 1.0, (ROWS, COLS)))
+    matrix = sim.mrf[0]
+
+    def streamed():
+        sim.loop_stack = [[1, trips, 0]]
+        sim._enter_loop(0)
+        return sim._streamed[2][2]
+
+    products = benchmark(streamed)
+    assert products.shape == (trips, batch, ROWS)
+    assert sim.inexact_lanes == 0
+    for step in range(trips):
+        per_step = sim._matvec(0, matrix, *sim._convert(streams[:, step]))
+        assert np.array_equal(products[step].astype(np.float64), to_float16(per_step))
 
 
 def test_per_lane_matvec_reference(benchmark):

@@ -33,6 +33,14 @@ each lane through the scalar simulator:
   lane runs the scalar simulator's own dgemv, ``matrix @ lane``, on the
   same matrix layout.  Either way each lane's product is bitwise the
   scalar one, before the float16 rounding as well as after it.
+* A loop's input-stream ``MV_MUL``s (:func:`input_streams`: the operand
+  is a strided DRAM read and nothing in the body can change DRAM or the
+  matrix) depend only on the iteration index.  When the loop starts,
+  every iteration's product is computed in advance by the same certified
+  dgemm, over chunks of (iteration, lane) rows: each row is quantised
+  along the last axis exactly as its per-step operand would be and passes
+  or fails the same certificate, so each installed product is bitwise the
+  per-step one.
 
 Memory
 ------
@@ -45,6 +53,11 @@ shared matrix region loads into one ``(rows, cols)`` MRF entry consumed
 by the dgemm fast path — the image's memoised matrix while the region is
 unmodified, stored column-major so ``quantised @ matrix.T`` is a plain
 dgemm.
+
+A loop's precomputed stream products are kept float16-rounded, ``(trips,
+batch, rows)``, until the next loop entry; while they are computed, the
+transients are one chunk of about :data:`STREAM_ROWS` rows (its operands,
+their quantisation and its float64 products).
 
 Fallback
 --------
@@ -67,6 +80,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..isa.bfp import BFPFormat, DEFAULT_FORMAT, bfp_quantize_blocks
+from ..isa.instructions import VECTOR_WRITERS, Op
 from ..isa.program import Program
 from .functional import (
     PAGE_WORDS,
@@ -80,6 +94,65 @@ from .functional import (
     quantise_matrix,
     run_lockstep,
 )
+
+#: Rows (lanes x iterations) per chunk when a loop's input-stream products
+#: are precomputed: one chunk's operands and float64 products are the
+#: transient memory of :meth:`BatchedFunctionalSimulator._enter_loop`.
+STREAM_ROWS = 256
+
+
+def input_streams(program: Program) -> dict:
+    """``{LOOP pc: {V_RD pc: [MV_MUL pc, ...]}}``: the input-stream
+    ``MV_MUL``s of each loop, grouped by the strided read they multiply.
+
+    An ``MV_MUL`` qualifies when its operand register is written in the
+    loop body only by one non-sync ``V_RD`` with a positive stride that
+    comes earlier in the body, and its matrix register is never
+    ``M_RD``'d in the body; a loop qualifies only when its body holds no
+    nested ``LOOP`` and no non-sync ``V_WR``, so DRAM cannot change while
+    it runs.  Each iteration's product then depends on the iteration
+    index alone.
+    """
+    instructions = program.instructions
+    plan = {}
+    starts = []
+    for end, inst in enumerate(instructions):
+        if inst.op is Op.LOOP:
+            starts.append(end)
+        elif inst.op is Op.ENDLOOP and starts:
+            start = starts.pop()
+            streams = _body_streams(instructions, start + 1, end)
+            if streams:
+                plan[start] = streams
+    return plan
+
+
+def _body_streams(instructions: list, begin: int, end: int) -> dict:
+    body = range(begin, end)
+    if any(
+        instructions[pc].op is Op.LOOP
+        or (instructions[pc].op is Op.V_WR and not instructions[pc].is_sync)
+        for pc in body
+    ):
+        return {}
+    loaded = {instructions[pc].dst for pc in body if instructions[pc].op is Op.M_RD}
+    writers: dict[int, list] = {}
+    for pc in body:
+        if instructions[pc].op in VECTOR_WRITERS:
+            writers.setdefault(instructions[pc].dst, []).append(pc)
+    streams: dict[int, list] = {}
+    for pc in body:
+        inst = instructions[pc]
+        if inst.op is not Op.MV_MUL or inst.ma in loaded:
+            continue
+        sources = writers.get(inst.a, ())
+        if len(sources) != 1 or sources[0] > pc:
+            continue
+        read = instructions[sources[0]]
+        if read.op is Op.V_RD and not read.is_sync and int(read.imm) > 0:
+            streams.setdefault(sources[0], []).append(pc)
+    return streams
+
 
 class BatchedDRAM:
     """``batch`` lane DRAMs with copy-on-diverge page sharing.
@@ -291,7 +364,10 @@ class BatchedFunctionalSimulator(SimulatorCore):
         self.lanes = (batch,)
         #: Lanes of a shared-matrix ``MV_MUL`` that failed the exactness
         #: certificate and ran the per-lane dgemv (expected to stay 0).
+        #: Beside it, the core's ``streamed_mv_muls`` counts the
+        #: ``MV_MUL``s that installed a product precomputed at loop entry.
         self.inexact_lanes = 0
+        self._streams = input_streams(program)
 
     # -- state access --------------------------------------------------------
 
@@ -308,6 +384,55 @@ class BatchedFunctionalSimulator(SimulatorCore):
         flat = self.dram.read_shared(addr, rows * cols)
         return quantise_matrix(flat.reshape(*flat.shape[:-1], rows, cols), self.fmt)
 
+    def _enter_loop(self, pc: int) -> None:
+        """Precompute every iteration's product of the loop's input-stream
+        ``MV_MUL``s (:func:`input_streams`) as a few large certified dgemms.
+
+        Each stream is read and converted once, in chunks of about
+        :data:`STREAM_ROWS` (iteration, lane) rows, and every chunk goes
+        through :meth:`_matvec` for each ``MV_MUL`` reading it: each row
+        passes the same certificate as the per-step product (an
+        uncertified row reruns the dgemv and counts in
+        :attr:`inexact_lanes`).  Products are kept float16-rounded,
+        ``(trips, batch, rows)``, and an ``MV_MUL`` installs its row only
+        while its register still holds the matrix they were computed
+        from (a lane-divergent matrix, or a one-trip loop, is not
+        precomputed).
+        """
+        self._streamed = {}
+        frame = self.loop_stack[-1]
+        trips = frame[1]
+        if trips < 2:
+            return
+        instructions = self.program.instructions
+        chunks = np.array_split(
+            np.arange(trips), min(trips, -(-trips * self.batch // STREAM_ROWS))
+        )
+        for read_pc, mul_pcs in self._streams.get(pc, {}).items():
+            read = instructions[read_pc]
+            targets = []
+            for mul_pc in mul_pcs:
+                register = instructions[mul_pc].ma
+                matrix = self.mrf.get(register)
+                if matrix is None or matrix.ndim != 2 or matrix.shape[-1] != read.length:
+                    continue
+                products = np.empty((trips, self.batch, matrix.shape[0]), np.float16)
+                self._streamed[mul_pc] = (matrix, frame, products)
+                targets.append((register, matrix, products))
+            if not targets:
+                continue
+            stride = int(read.imm)
+            for chunk in chunks:
+                rows = np.stack([
+                    self.dram.read(read.addr + stride * int(index), read.length)
+                    for index in chunk
+                ]).reshape(-1, read.length)
+                quantised, exponents = self._convert(rows)
+                for register, matrix, products in targets:
+                    products[chunk[0] : chunk[-1] + 1] = self._matvec(
+                        register, matrix, quantised, exponents
+                    ).reshape(chunk.size, self.batch, -1)
+
     def _convert(self, values: np.ndarray) -> tuple:
         quantised, exponents = bfp_quantize_blocks(values, self.fmt)
         # The batch's extreme exponents: its span bounds every lane's.
@@ -316,11 +441,12 @@ class BatchedFunctionalSimulator(SimulatorCore):
 
     def _matvec(self, register: int, matrix: np.ndarray, quantised: np.ndarray,
                 exponents: tuple) -> np.ndarray:
-        """``(batch, rows)`` products, each lane's bitwise the scalar
-        dgemv ``matrix @ quantised[lane]``: a shared matrix takes one dgemm,
-        exact (so order-free) for every lane that passes the certificate
-        (:func:`~repro.accel.functional.exactness_limits`; the batch's
-        extreme exponents clear every lane at once); any other lane reruns
+        """``(n, rows)`` products of ``n`` operand rows (the batch's lanes,
+        or a chunk of a loop's (iteration, lane) rows), each bitwise the
+        scalar dgemv ``matrix @ quantised[row]``: a shared matrix takes one
+        dgemm, exact (so order-free) for every row that passes the
+        certificate (:func:`~repro.accel.functional.exactness_limits`; the
+        extreme exponents clear every row at once); any other row reruns
         the dgemv and counts in :attr:`inexact_lanes`."""
         if matrix.ndim == 3:
             # Lane-divergent matrices: the scalar path per lane.

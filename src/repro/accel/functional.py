@@ -276,7 +276,9 @@ class SimulatorCore:
     written once over that last axis.  A subclass supplies what depends
     on the lane layout: reading a matrix region (:meth:`_read_matrix`),
     the FP16-to-BFP conversion of an operand (:meth:`_convert`) and the
-    matrix-vector product (:meth:`_matvec`).  Every matrix register comes
+    matrix-vector product (:meth:`_matvec`); it may also precompute a
+    loop's input-stream products when the loop starts
+    (:meth:`_enter_loop`).  Every matrix register comes
     from :func:`quantise_matrix`, column-major, so both simulators run the
     same BLAS call for a lane's ``MV_MUL``.
 
@@ -313,6 +315,12 @@ class SimulatorCore:
         self._limits: dict[int, tuple] = {}
         #: register -> ``(array, quantised, exponents)`` (see above).
         self._operands: dict[int, tuple] = {}
+        #: ``MV_MUL`` pc -> ``(matrix, loop frame, products)``: the running
+        #: loop's precomputed products of an input stream, filled by
+        #: :meth:`_enter_loop` (the batched simulator's; see there).
+        self._streamed: dict[int, tuple] = {}
+        #: ``MV_MUL``s that installed a precomputed product.
+        self.streamed_mv_muls = 0
         self.pc = 0
         # Loop stack entries: [start_pc, remaining_trips, iteration_index].
         self.loop_stack: list[list] = []
@@ -360,6 +368,7 @@ class SimulatorCore:
 
         if op is Op.LOOP:
             self.loop_stack.append([self.pc + 1, int(inst.imm), 0])
+            self._enter_loop(self.pc)
             self.pc += 1
             return "ok"
         if op is Op.ENDLOOP:
@@ -389,6 +398,10 @@ class SimulatorCore:
         self.pc += 1
         self.stats.instructions += 1
         return "ok"
+
+    def _enter_loop(self, pc: int) -> None:
+        """Hook run when the ``LOOP`` at ``pc`` starts (its frame is on
+        top of the loop stack); the scalar simulator does nothing here."""
 
     def run(self, max_steps: int = 100_000_000) -> SimStats:
         """Run to completion; raises on deadlock (blocked with no fabric
@@ -448,6 +461,13 @@ class SimulatorCore:
                 raise ExecutionError(
                     f"{self.name}: MV_MUL dims {matrix.shape} @ {values.shape[-1]}"
                 )
+            streamed = self._streamed.get(self.pc)
+            if (streamed is not None and streamed[0] is matrix
+                    and self.loop_stack and streamed[1] is self.loop_stack[-1]):
+                self.vrf[inst.dst] = streamed[2][streamed[1][2]].astype(np.float64)
+                self.streamed_mv_muls += 1
+                self.stats.mv_muls += 1
+                return "ok"
             operand = self._operands.get(inst.a)
             if operand is None or operand[0] is not values:
                 operand = self._operands[inst.a] = (values, *self._convert(values))

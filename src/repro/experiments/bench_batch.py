@@ -93,11 +93,13 @@ def _run_scalar(spec, gen, program, payloads: list) -> tuple:
 
 
 def _run_batched(spec, gen, program, payloads: list, batch: int) -> tuple:
-    """(outputs, wall_s, inexact_lanes): requests in ``batch``-wide groups
-    (the final group may be narrower), with the lanes that failed the
-    ``MV_MUL`` exactness certificate and ran the per-lane dgemv."""
+    """(outputs, wall_s, inexact_lanes, streamed_mv_muls): requests in
+    ``batch``-wide groups (the final group may be narrower), with the
+    lanes that failed the ``MV_MUL`` exactness certificate and ran the
+    per-lane dgemv, and the ``MV_MUL``s that installed a product
+    precomputed at loop entry."""
     outputs = []
-    inexact = 0
+    inexact = streamed = 0
     start = time.perf_counter()
     for begin in range(0, len(payloads), batch):
         group = payloads[begin : begin + batch]
@@ -112,7 +114,8 @@ def _run_batched(spec, gen, program, payloads: list, batch: int) -> tuple:
         for index in range(len(group)):
             outputs.append(lanes.lane_dram_read(index, OUT_BASE, spec.hidden))
         inexact += lanes.sim.inexact_lanes
-    return outputs, time.perf_counter() - start, inexact
+        streamed += lanes.sim.streamed_mv_muls
+    return outputs, time.perf_counter() - start, inexact, streamed
 
 
 def run_model(model_key: str, batch_sizes, requests: int) -> dict:
@@ -143,9 +146,7 @@ def run_model(model_key: str, batch_sizes, requests: int) -> dict:
             _run_batched(spec, gen, program, payloads, batch)
             for _ in range(REPEATS)
         ]
-        identical = scalar_stable and all(
-            matches(outputs) for outputs, _, _ in runs
-        )
+        identical = scalar_stable and all(matches(run[0]) for run in runs)
         wall = statistics.median(run[1] for run in runs)
         inexact = max(run[2] for run in runs)
         rate = requests / wall
@@ -158,6 +159,7 @@ def run_model(model_key: str, batch_sizes, requests: int) -> dict:
                 "speedup": rate / scalar_rate,
                 "bit_identical": identical,
                 "fallback_lanes": inexact,
+                "streamed_mv_muls": max(run[3] for run in runs),
             }
         )
     return {
@@ -250,7 +252,8 @@ def main(argv=None) -> None:
             print(
                 f"  batch {point['batch']:>3}: "
                 f"{point['requests_per_s']:.1f} req/s "
-                f"({point['speedup']:.2f}x){flag}"
+                f"({point['speedup']:.2f}x, {point['streamed_mv_muls']} "
+                f"streamed MV_MULs){flag}"
             )
     cache = report["program_cache"]
     print(

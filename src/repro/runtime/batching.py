@@ -37,12 +37,13 @@ batched-vs-scalar equivalence is checkable end-to-end through the DES.
 Execution is *weight-stationary across runs*: a model is compiled once
 per process into its program and its weight layout, and every execution
 after that only writes its inputs.  :data:`WEIGHT_STORE` keeps one
-:class:`~repro.accel.functional.WeightImage` per (model, weight seed,
-plan width, replica index), built at that key's first execution in the
-process and then shared by every executor and every later run, scalar or
-batched, single-accelerator or scale-out; the image keeps its memoised
-quantised matrices, and the raw weight tensors are dropped once it is
-built.  Programs come from :data:`~repro.isa.progcache.PROGRAM_CACHE`.
+:class:`~repro.accel.functional.WeightImage` per (model, weight seed),
+built at that key's first execution in the process and then shared by
+every executor and every later run, scalar or batched, and by every plan
+width and replica of a scale-out (each FPGA's DRAM holds the whole
+model); the image keeps its memoised quantised matrices, and the raw
+weight tensors are dropped once it is built.  Programs come from
+:data:`~repro.isa.progcache.PROGRAM_CACHE`.
 """
 
 from __future__ import annotations
@@ -62,32 +63,33 @@ from ..workloads.deepbench import model_by_key
 #: and its quantised matrices (8-33 MB for an S model).
 WEIGHT_STORE_CAPACITY = 16
 
-#: Process-wide ``(model_key, weight_seed, replicas, replica_index) ->
-#: (input codegen, WeightImage)`` store (see :func:`resident_weights`).
+#: Process-wide ``(model_key, weight_seed) -> WeightImage`` store (see
+#: :func:`resident_weights`).
 WEIGHT_STORE = ProgramCache(capacity=WEIGHT_STORE_CAPACITY)
 
 
-def resident_weights(
-    model_key: str, weight_seed: int, replicas: int, replica_index: int
-) -> tuple:
-    """``(codegen, image)`` for one replica, built on the key's first use
-    in the process.  The codegen only writes inputs, so it is built over
-    shape-only weights: the weight tensors live only while the image is
-    built."""
+def resident_weights(model_key: str, weight_seed: int) -> WeightImage:
+    """The model's weight image, built on the key's first use in the
+    process.  Every replica's DRAM holds the whole model, so one image
+    serves every plan width and replica index (its matrix memo is keyed
+    by region: each replica quantises only its own slices).  The weight
+    tensors live only while the image is built."""
 
-    def build() -> tuple:
+    def build() -> WeightImage:
         spec = model_by_key(model_key)
-        weights = spec.real_weights(seed=weight_seed)
-        image = WeightImage.build(
-            make_codegen(spec.kind, weights, spec.timesteps, replicas=replicas,
-                         replica_index=replica_index).preload_weights
+        return WeightImage.build(
+            make_codegen(spec.kind, spec.real_weights(seed=weight_seed),
+                         spec.timesteps).preload_weights
         )
-        gen = make_codegen(spec.kind, spec.metadata_weights(), spec.timesteps,
-                           replicas=replicas, replica_index=replica_index)
-        return gen, image
 
-    key = (model_key, weight_seed, replicas, replica_index)
-    return WEIGHT_STORE.get(key, build, copy=False)
+    return WEIGHT_STORE.get((model_key, weight_seed), build, copy=False)
+
+
+def input_codegen(spec, replicas: int = 1, replica_index: int = 0):
+    """A codegen for one replica's input writes and output slice, built
+    over shape-only weights (it holds no tensors)."""
+    return make_codegen(spec.kind, spec.metadata_weights(), spec.timesteps,
+                        replicas=replicas, replica_index=replica_index)
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,11 @@ class BatchExecutor:
         spec = model_by_key(model_key)
         batch = len(tasks)
         if replicas <= 1:
-            gen, image = resident_weights(model_key, self.params.weight_seed, 1, 0)
+            gen = input_codegen(spec)
             lanes = run_batched(
                 spec.program(),
                 [lambda view, xs=xs: gen.preload_inputs(view, xs) for xs in payloads],
-                image=image,
+                image=resident_weights(model_key, self.params.weight_seed),
                 force_scalar=self.params.force_scalar,
             )
             outputs = [
@@ -239,10 +241,8 @@ class BatchExecutor:
             self.stats.batched_lanes += batch
 
     def _execute_scaleout(self, spec, replicas: int, payloads: list) -> list:
-        gens, images = zip(*(
-            resident_weights(spec.key, self.params.weight_seed, replicas, index)
-            for index in range(replicas)
-        ))
+        gens = [input_codegen(spec, replicas, index) for index in range(replicas)]
+        images = [resident_weights(spec.key, self.params.weight_seed)] * replicas
         programs = build_scaleout_programs(
             spec.kind, spec.metadata_weights(), spec.timesteps, replicas
         )

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.accel.batched as batched
 from repro.accel.batched import (
     PAGE_WORDS,
     BatchedDRAM,
     BatchedFunctionalSimulator,
     ScalarLanes,
+    input_streams,
     run_batched,
     run_scaleout_batched,
 )
@@ -165,6 +167,11 @@ class TestRNNEquivalence:
             image=WeightImage.build(gen.preload_weights),
         )
         assert not lanes.fallback
+        # Every W·x_t product of a multi-step loop is precomputed.
+        gates = {"gru": 3, "lstm": 4}[kind]
+        assert lanes.sim.streamed_mv_muls == (
+            gates * timesteps if timesteps > 1 else 0
+        )
         for index, xs in enumerate(payloads):
             expected = run_program(
                 program, preload=lambda s, xs=xs: gen.preload(s, xs)
@@ -391,12 +398,16 @@ def _random_program(rng):
     Exercises V_RD/V_WR (plain and loop-strided), M_RD + MV_MUL (shared
     and lane-divergent matrices), every MFU op, V_SLICE/V_CONCAT, and
     nested register reuse — the batched simulator must track the scalar
-    one bitwise through all of it.
+    one bitwise through all of it.  About half the programs multiply the
+    loop's stream instead of writing it back: with a shared matrix those
+    products are precomputed at loop entry (``hoisted``).
     """
     program = Program(name="prop")
     lengths = {}
 
     in_addr, mat_addr, stream_addr, out_addr = 0x100, 0x4000, 0x800, 0x6000
+    # The stream's matrix sits on a page of its own, so it stays shared.
+    stream_mat_addr = PAGE_WORDS
     n_inputs = int(rng.integers(2, 4))
     offset = 0
     for reg in range(n_inputs):
@@ -418,20 +429,31 @@ def _random_program(rng):
     lengths[next_reg] = rows
     next_reg += 1
 
-    # A loop with strided stream reads and writes.
+    # A loop with strided stream reads, and writes or products of them.
     iters, chunk = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    multiply = bool(rng.integers(0, 2))
+    stream_rows = int(rng.integers(2, 7))
+    if multiply:
+        program.append(
+            Instruction(Op.M_RD, dst=1, addr=stream_mat_addr, length=stream_rows,
+                        imm=float(chunk))
+        )
     program.append(loop(iters))
     program.append(
         Instruction(Op.V_RD, dst=next_reg, addr=stream_addr, length=chunk,
                     imm=float(chunk))
     )
-    program.append(
-        Instruction(Op.V_WR, a=next_reg, addr=stream_addr + iters * chunk,
-                    length=chunk, imm=float(chunk))
-    )
+    if multiply:
+        program.append(mv_mul(next_reg + 1, 1, next_reg, stream_rows))
+        lengths[next_reg + 1] = stream_rows
+    else:
+        program.append(
+            Instruction(Op.V_WR, a=next_reg, addr=stream_addr + iters * chunk,
+                        length=chunk, imm=float(chunk))
+        )
     program.append(endloop())
     lengths[next_reg] = chunk
-    next_reg += 1
+    next_reg += 2
 
     # Random MFU traffic over whatever is live.
     for _ in range(int(rng.integers(6, 16))):
@@ -476,6 +498,10 @@ def _random_program(rng):
 
     matrix = rng.normal(0.0, 1.0, (rows, cols))
     return {
+        "stream_mat_addr": stream_mat_addr,
+        "stream_matrix": rng.normal(0.0, 1.0, (stream_rows, chunk)),
+        "hoisted": multiply and shared_matrix,
+        "iters": iters,
         "program": program,
         "lengths": lengths,
         "spill": spill,
@@ -493,7 +519,16 @@ class TestRandomProgramEquivalence:
     """Property-style: seeded random programs, random batch sizes, every
     architectural register and DRAM window compared bitwise."""
 
-    @pytest.mark.parametrize("seed", range(6))
+    SEEDS = range(10)
+
+    def test_some_programs_are_hoisted(self):
+        hoisted = [
+            _random_program(np.random.default_rng(1000 + seed))["hoisted"]
+            for seed in self.SEEDS
+        ]
+        assert any(hoisted) and not all(hoisted)
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_batched_tracks_scalar(self, seed):
         rng = np.random.default_rng(1000 + seed)
         case = _random_program(rng)
@@ -506,6 +541,9 @@ class TestRandomProgramEquivalence:
                 "matrix": case["matrix"]
                 if case["shared_matrix"]
                 else rng.normal(0.0, 1.0, case["matrix"].shape),
+                "stream_matrix": case["stream_matrix"]
+                if case["shared_matrix"]
+                else rng.normal(0.0, 1.0, case["stream_matrix"].shape),
             }
             for _ in range(batch)
         ]
@@ -516,11 +554,15 @@ class TestRandomProgramEquivalence:
                 view.dram.write(case["stream_addr"], image["stream"])
                 if not case["shared_matrix"]:
                     view.dram.write(case["mat_addr"], image["matrix"].ravel())
+                    view.dram.write(case["stream_mat_addr"],
+                                    image["stream_matrix"].ravel())
             return preload
 
         def shared_preload(view):
             if case["shared_matrix"]:
                 view.dram.write(case["mat_addr"], case["matrix"].ravel())
+                view.dram.write(case["stream_mat_addr"],
+                                case["stream_matrix"].ravel())
 
         lanes = run_batched(
             case["program"],
@@ -528,6 +570,9 @@ class TestRandomProgramEquivalence:
             image=WeightImage.build(shared_preload),
         )
         assert not lanes.fallback
+        assert lanes.sim.streamed_mv_muls == (
+            case["iters"] if case["hoisted"] else 0
+        )
 
         for index, image in enumerate(lane_images):
             ref = FunctionalSimulator(case["program"])
@@ -543,6 +588,200 @@ class TestRandomProgramEquivalence:
                     lanes.lane_dram_read(index, addr, length),
                     ref.dram.read(addr, length),
                 ), f"seed {seed}: DRAM spill of v{reg} diverged on lane {index}"
+
+
+#: Input-stream hoist tests: the stream, the loop's matrix and a second
+#: matrix (each on a page of its own, so lane writes leave them shared)
+#: and the output.
+H_X, H_MAT, H_MAT2, H_OUT = 0x100, 0x10000, 0x20000, 0x30000
+H_ROWS, H_COLS = 5, 32
+
+STREAM_READ = Instruction(Op.V_RD, dst=0, addr=H_X, length=H_COLS, imm=float(H_COLS))
+PRODUCT = mv_mul(1, 0, 0, H_ROWS)
+#: A body whose product is precomputed at loop entry.
+HOISTED = (STREAM_READ, PRODUCT)
+#: Bodies that must run the per-step product.
+FALLBACK_BODIES = {
+    "v_wr_into_stream": HOISTED + (
+        Instruction(Op.V_WR, a=1, addr=H_X + H_COLS, length=H_ROWS,
+                    imm=float(H_COLS)),
+    ),
+    "m_rd_in_body": HOISTED + (
+        Instruction(Op.M_RD, dst=0, addr=H_MAT2, length=H_ROWS, imm=float(H_COLS)),
+    ),
+    "second_writer": (STREAM_READ, v_sigm(0, 0, H_COLS), PRODUCT),
+    "product_before_read": (PRODUCT, STREAM_READ),
+    "nested_loop": HOISTED + (loop(2), v_fill(3, 1.0, 4), endloop()),
+}
+
+
+def _hoist_program(trips: int, body) -> Program:
+    """Accumulate ``body``'s ``v1`` over ``trips`` iterations into ``v2``
+    (``v0`` holds the stream's first vector before the loop)."""
+    program = Program(name="hoist")
+    program.append(
+        Instruction(Op.M_RD, dst=0, addr=H_MAT, length=H_ROWS, imm=float(H_COLS))
+    )
+    program.append(v_rd(0, H_X, H_COLS))
+    program.append(v_fill(2, 0.0, H_ROWS))
+    program.append(loop(trips))
+    for inst in body:
+        program.append(inst)
+    program.append(vv_add(2, 2, 1, H_ROWS))
+    program.append(endloop())
+    program.append(v_wr(2, H_OUT, H_ROWS))
+    program.append(halt())
+    return program
+
+
+def _run_hoist(program, trips: int, batch: int = 3, shared: bool = True,
+               streams=None, loop_imm=None, prepare=None):
+    """Run ``program`` batched and per lane on the scalar simulator with
+    random streams (``streams[lane]`` when given) and assert the bitwise
+    contract: every register, the output and ``SimStats`` equal each
+    lane's scalar run.  ``loop_imm`` rewrites the ``LOOP`` count once the
+    simulators are built (validation rejects a count below 1);
+    ``prepare(sim)`` runs on every simulator before its run."""
+    rng = np.random.default_rng(trips * 10 + batch)
+    matrices = rng.normal(0.0, 1.0, (2, H_ROWS, H_COLS))
+    lane_matrices = rng.normal(0.0, 1.0, (batch, H_ROWS, H_COLS))
+    if streams is None:
+        streams = rng.normal(0.0, 1.0, (batch, (trips + 1) * H_COLS))
+
+    def weights(view):
+        if shared:
+            view.dram.write(H_MAT, matrices[0].ravel())
+        view.dram.write(H_MAT2, matrices[1].ravel())
+
+    def inputs(view, lane):
+        view.dram.write(H_X, streams[lane])
+        if not shared:
+            view.dram.write(H_MAT, lane_matrices[lane].ravel())
+
+    sim = BatchedFunctionalSimulator(program, batch, image=WeightImage.build(weights))
+    refs = [FunctionalSimulator(program) for _ in range(batch)]
+    for lane, ref in enumerate(refs):
+        inputs(sim.lane(lane), lane)
+        weights(ref)
+        inputs(ref, lane)
+    if loop_imm is not None:
+        index = next(i for i, inst in enumerate(program.instructions)
+                     if inst.op is Op.LOOP)
+        program.instructions[index] = Instruction(Op.LOOP, imm=float(loop_imm))
+    if prepare is not None:
+        for each in (sim, *refs):
+            prepare(each)
+    sim.run()
+    for lane, ref in enumerate(refs):
+        ref.run()
+        for register in (0, 1, 2):
+            assert np.array_equal(sim.lane_vector(lane, register), ref.vector(register))
+        assert np.array_equal(sim.dram.lane_read(lane, H_OUT, H_ROWS),
+                              ref.dram.read(H_OUT, H_ROWS))
+        assert sim.stats == ref.stats
+    return sim
+
+
+class TestInputStreamHoist:
+    """A loop's input-stream ``MV_MUL``s run as chunked dgemms at loop
+    entry; every body that breaks a condition of :func:`input_streams`
+    runs the per-step product, bitwise the scalar simulator either way."""
+
+    def test_hoisted_run_matches_scalar(self):
+        sim = _run_hoist(_hoist_program(6, HOISTED), trips=6)
+        assert sim.streamed_mv_muls == 6
+        assert sim.inexact_lanes == 0
+
+    def test_plan_maps_loop_to_its_stream_products(self):
+        plan = input_streams(_hoist_program(6, HOISTED + (mv_mul(3, 0, 0, H_ROWS),)))
+        assert plan == {3: {4: [5, 6]}}
+
+    @pytest.mark.parametrize("body", sorted(FALLBACK_BODIES))
+    def test_disqualified_body_falls_back(self, body):
+        program = _hoist_program(6, FALLBACK_BODIES[body])
+        assert input_streams(program) == {}
+        sim = _run_hoist(program, trips=6)
+        assert sim.streamed_mv_muls == 0
+
+    def test_lane_divergent_matrix_falls_back(self):
+        program = _hoist_program(6, HOISTED)
+        assert input_streams(program)
+        sim = _run_hoist(program, trips=6, shared=False)
+        assert sim.mrf[0].ndim == 3
+        assert sim.streamed_mv_muls == 0
+
+    @pytest.mark.parametrize("loop_imm", [0, 1])
+    def test_short_loop_falls_back(self, loop_imm):
+        sim = _run_hoist(_hoist_program(1, HOISTED), trips=1, loop_imm=loop_imm)
+        assert sim.stats.mv_muls == 1  # a zero-trip loop still runs once
+        assert sim.streamed_mv_muls == 0
+
+    def test_uncertified_rows_count_as_in_the_per_step_path(self):
+        """Rows whose first block sits near 2**-40 span more than the
+        certificate allows: each (lane, iteration) row of them reruns the
+        dgemv and counts once, exactly as the per-step products count."""
+        trips, batch = 8, 3
+        rng = np.random.default_rng(5)
+        streams = rng.normal(0.0, 1.0, (batch, trips + 1, H_COLS))
+        wide = rng.random((batch, trips + 1)) < 0.3
+        streams[..., :16] *= np.where(wide, 2.0 ** -40, 1.0)[..., None]
+        streams = streams.reshape(batch, -1)
+        hoisted = _run_hoist(_hoist_program(trips, HOISTED), trips, batch,
+                             streams=streams)
+        # A V_WR outside the stream keeps the products per step.
+        spill = Instruction(Op.V_WR, a=1, addr=H_OUT + H_COLS, length=H_ROWS)
+        per_step = _run_hoist(_hoist_program(trips, HOISTED + (spill,)),
+                              trips, batch, streams=streams)
+        assert hoisted.streamed_mv_muls == trips and per_step.streamed_mv_muls == 0
+        assert hoisted.inexact_lanes == per_step.inexact_lanes
+        assert hoisted.inexact_lanes == int(wide[:, :trips].sum()) > 0
+
+    def test_trips_not_a_multiple_of_the_chunk(self, monkeypatch):
+        """Seven trips of three lanes in chunks of about eight rows: three
+        chunks of 9, 6 and 6 rows, each converted once."""
+        monkeypatch.setattr(batched, "STREAM_ROWS", 8)
+        calls = []
+        quantise = batched.bfp_quantize_blocks
+
+        def counting(values, fmt):
+            calls.append(values.shape[0])
+            return quantise(values, fmt)
+
+        monkeypatch.setattr(batched, "bfp_quantize_blocks", counting)
+        sim = _run_hoist(_hoist_program(7, HOISTED), trips=7, batch=3)
+        assert calls == [9, 6, 6]
+        assert sim.streamed_mv_muls == 7
+
+    def test_loop_resumed_from_copied_frames_runs_per_step(self):
+        """A simulator resumed inside a loop from copied state (as a
+        checkpoint restore builds it) never ran that loop's entry: the
+        remaining products run per step."""
+
+        def resume_at_iteration_three(sim):
+            _step_to_iteration(sim, 3)
+            sim.loop_stack = [list(frame) for frame in sim.loop_stack]
+
+        sim = _run_hoist(_hoist_program(6, HOISTED), trips=6,
+                         prepare=resume_at_iteration_three)
+        assert sim.streamed_mv_muls == 3
+
+    def test_matrix_loaded_by_the_host_mid_loop_runs_per_step(self):
+        """The precomputed products hold only while the register *is* the
+        matrix they came from."""
+        other = np.random.default_rng(8).normal(0.0, 1.0, (H_ROWS, H_COLS))
+
+        def reload_at_iteration_three(sim):
+            _step_to_iteration(sim, 3)
+            sim.load_matrix(0, other)
+
+        sim = _run_hoist(_hoist_program(6, HOISTED), trips=6,
+                         prepare=reload_at_iteration_three)
+        assert sim.streamed_mv_muls == 3
+
+
+def _step_to_iteration(sim, index: int) -> None:
+    while not (sim.loop_stack and sim.loop_stack[-1][2] == index):
+        assert sim.step() == "ok"
 
 
 class TestScaleOutBatched:
@@ -567,6 +806,8 @@ class TestScaleOutBatched:
             images=[WeightImage.build(gen.preload_weights) for gen in gens],
         )
         assert fabric.bytes_transferred > 0
+        # Sync transfers in the loop body leave the x stream hoistable.
+        assert all(replica.sim.streamed_mv_muls == 3 * t for replica in lanes)
         slice_rows = h // replicas
 
         for index, xs in enumerate(payloads):

@@ -6,6 +6,7 @@ replaces the register; the second product must be the product of the
 register's *current* value, in the scalar and in the batched simulator.
 A counting test pins the saving on one LSTM timestep."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.accel.functional import FunctionalSimulator, WeightImage, run_scaleou
 from repro.isa.bfp import bfp_matvec, to_float16
 from repro.isa.instructions import (
     SYNC_ADDRESS,
+    Op,
     halt,
     m_rd,
     mv_mul,
@@ -204,7 +206,9 @@ def _step_until_iteration(sim, index: int) -> None:
 @pytest.mark.parametrize("simulator", ["scalar", "batched"])
 def test_lstm_timestep_quantises_each_source_once(monkeypatch, simulator):
     """An LSTM timestep multiplies ``x`` by four ``W`` and ``h`` by four
-    ``U``: two conversions, not eight."""
+    ``U``: two conversions, not eight.  The batched simulator converts the
+    whole ``x`` stream at loop entry, in chunks of ``STREAM_ROWS``
+    (iteration, lane) rows, so a timestep converts ``h`` only."""
     spec = model_by_key("lstm-h256-t150")
     gen = make_codegen(spec.kind, spec.real_weights(), spec.timesteps)
     program = gen.build()
@@ -233,8 +237,18 @@ def test_lstm_timestep_quantises_each_source_once(monkeypatch, simulator):
     for name in ("bfp_quantize", "bfp_quantize_blocks"):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    while program.instructions[sim.pc].op is not Op.LOOP:
+        assert sim.step() == "ok"
+    calls.clear()
+    assert sim.step() == "ok"  # loop entry
+    if simulator == "batched":
+        rows = spec.timesteps * sim.batch
+        assert len(calls) == math.ceil(rows / batched.STREAM_ROWS) == 2
+    else:
+        assert not calls
     _step_until_iteration(sim, 1)
     calls.clear()
     _step_until_iteration(sim, 2)
     assert sim.stats.mv_muls == 16
-    assert len(calls) == 2
+    assert len(calls) == (2 if simulator == "scalar" else 1)
+    assert sim.streamed_mv_muls == (0 if simulator == "scalar" else 8)

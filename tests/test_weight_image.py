@@ -1,6 +1,6 @@
 """Resident weight images: image-backed execution is bitwise the image-less
-simulator's, one image per (model, weight seed, plan width, replica) is
-shared by every executor of the process, copy-on-write keeps the image
+simulator's, one image per (model, weight seed) is shared by every
+executor, plan width and replica of the process, copy-on-write keeps the image
 intact when a program writes into its weight pages, and the executor
 takes its programs from the decoded-program cache."""
 
@@ -27,6 +27,7 @@ from repro.runtime import BatchExecutor, BatchingParameters
 from repro.runtime.batching import (
     WEIGHT_STORE,
     WEIGHT_STORE_CAPACITY,
+    input_codegen,
     resident_weights,
 )
 from repro.workloads.deepbench import model_by_key
@@ -149,8 +150,10 @@ class TestWeightStore:
         assert len(cold_store) == 0
         _execute(first, _tasks(spec.key, payloads[:2]))
         assert cold_store.misses == 1
-        gen, image = resident_weights(spec.key, 0, 1, 0)
-        # The kept codegen writes inputs only: no weight tensors survive.
+        image = resident_weights(spec.key, 0)
+        assert isinstance(image, WeightImage)
+        # The executor's codegen writes inputs only: it holds no tensors.
+        gen = input_codegen(spec)
         assert all(
             tensor is None
             for tensor in gen.weights.w + gen.weights.u + gen.weights.b
@@ -158,7 +161,7 @@ class TestWeightStore:
         second = BatchExecutor(BatchingParameters(max_batch=2))
         _execute(second, _tasks(spec.key, payloads[2:]))
         assert cold_store.misses == 1 and len(cold_store) == 1
-        assert resident_weights(spec.key, 0, 1, 0)[1] is image
+        assert resident_weights(spec.key, 0) is image
 
     def test_other_weight_seed_builds_its_own_image(self, cold_store):
         spec = model_by_key("gru-h512-t1")
@@ -170,8 +173,7 @@ class TestWeightStore:
             )
             outputs[seed] = _execute(executor, _tasks(spec.key, payloads))
         assert cold_store.misses == 2
-        assert (resident_weights(spec.key, 0, 1, 0)[1]
-                is not resident_weights(spec.key, 1, 1, 0)[1])
+        assert resident_weights(spec.key, 0) is not resident_weights(spec.key, 1)
         assert not np.array_equal(outputs[0][0], outputs[1][0])
 
     @pytest.mark.parametrize("replicas", [1, 2])
@@ -184,10 +186,10 @@ class TestWeightStore:
         params = BatchingParameters(max_batch=3, force_scalar=force_scalar)
         cold = _execute(BatchExecutor(params), _tasks(spec.key, payloads),
                         replicas=replicas)
-        assert cold_store.misses == replicas
+        assert cold_store.misses == 1
         warm = _execute(BatchExecutor(params), _tasks(spec.key, payloads),
                         replicas=replicas)
-        assert cold_store.misses == replicas
+        assert cold_store.misses == 1
         for got, want in zip(warm, cold):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -197,7 +199,7 @@ class TestWeightStore:
         payloads = _payloads(spec, 2)
         _execute(BatchExecutor(BatchingParameters(max_batch=2)),
                  _tasks(spec.key, payloads))
-        image = resident_weights(spec.key, 0, 1, 0)[1]
+        image = resident_weights(spec.key, 0)
         assert image._matrices  # the first run filled the memo
         before = _digest(image)
         for force_scalar in (False, True):
@@ -205,7 +207,7 @@ class TestWeightStore:
                 BatchingParameters(max_batch=2, force_scalar=force_scalar)
             )
             _execute(executor, _tasks(spec.key, payloads))
-            assert resident_weights(spec.key, 0, 1, 0)[1] is image
+            assert resident_weights(spec.key, 0) is image
             assert _digest(image) == before
         assert not any(page.flags.writeable for page in image.pages.values())
         assert not any(
@@ -216,14 +218,30 @@ class TestWeightStore:
         assert cold_store.capacity == WEIGHT_STORE_CAPACITY
         key = "lstm-h256-t150"  # the smallest weight image
         for seed in range(WEIGHT_STORE_CAPACITY):
-            resident_weights(key, seed, 1, 0)
+            resident_weights(key, seed)
         assert cold_store.evictions == 0
-        resident_weights(key, 0, 1, 0)  # seed 0 becomes the most recent
-        resident_weights(key, WEIGHT_STORE_CAPACITY, 1, 0)
+        resident_weights(key, 0)  # seed 0 becomes the most recent
+        resident_weights(key, WEIGHT_STORE_CAPACITY)
         assert cold_store.evictions == 1
         assert len(cold_store) == WEIGHT_STORE_CAPACITY
-        assert (key, 0, 1, 0) in cold_store
-        assert (key, 1, 1, 0) not in cold_store
+        assert (key, 0) in cold_store
+        assert (key, 1) not in cold_store
+
+    def test_scaleout_widths_share_one_page_set(self, cold_store):
+        """Width 1 and both replicas of a width-2 scale-out run on one
+        image: one page set, whose matrix memo holds the full matrices
+        and each replica's half-row slices."""
+        spec = model_by_key("gru-h512-t1")
+        payloads = _payloads(spec, 2)
+        for replicas in (1, 2):
+            _execute(BatchExecutor(BatchingParameters(max_batch=2)),
+                     _tasks(spec.key, payloads), replicas=replicas)
+        assert cold_store.misses == 1 and len(cold_store) == 1
+        image = resident_weights(spec.key, 0)
+        rows = {key[1] for key in image._matrices}
+        assert rows == {spec.hidden, spec.hidden // 2}
+        addresses = {key[0] for key in image._matrices if key[1] == spec.hidden // 2}
+        assert len(addresses) == 2 * 2 * 3  # W and U halves of 3 gates
 
 
 class TestProgramSource:
