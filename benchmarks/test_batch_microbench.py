@@ -94,7 +94,7 @@ def test_streamed_products(benchmark):
     def streamed():
         sim.loop_stack = [[1, trips, 0]]
         sim._enter_loop(0)
-        return sim._streamed[2][2]
+        return sim._streamed[2][1]
 
     products = benchmark(streamed)
     assert products.shape == (trips, batch, ROWS)

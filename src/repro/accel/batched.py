@@ -400,8 +400,7 @@ class BatchedFunctionalSimulator(SimulatorCore):
         precomputed).
         """
         self._streamed = {}
-        frame = self.loop_stack[-1]
-        trips = frame[1]
+        trips = self.loop_stack[-1][1]
         if trips < 2:
             return
         instructions = self.program.instructions
@@ -417,7 +416,7 @@ class BatchedFunctionalSimulator(SimulatorCore):
                 if matrix is None or matrix.ndim != 2 or matrix.shape[-1] != read.length:
                     continue
                 products = np.empty((trips, self.batch, matrix.shape[0]), np.float16)
-                self._streamed[mul_pc] = (matrix, frame, products)
+                self._streamed[mul_pc] = (matrix, products)
                 targets.append((register, matrix, products))
             if not targets:
                 continue

@@ -124,25 +124,6 @@ class DRAM:
                 out[start:stop] = page[page_offset : page_offset + (stop - start)]
         return out
 
-    def contents(self) -> np.ndarray:
-        """Words ``0`` through the last nonzero word, as one flat array."""
-        for number in sorted(self._pages, reverse=True):
-            nonzero = np.flatnonzero(self._pages[number])
-            if nonzero.size:
-                return self.read(0, number * PAGE_WORDS + int(nonzero[-1]) + 1)
-        return np.zeros(0)
-
-    @classmethod
-    def from_contents(cls, words: np.ndarray) -> "DRAM":
-        """The inverse of :meth:`contents`; all-zero pages stay unwritten."""
-        dram = cls()
-        words = np.asarray(words, dtype=np.float64)
-        for start in range(0, words.size, PAGE_WORDS):
-            chunk = words[start : start + PAGE_WORDS]
-            if chunk.any():
-                dram.write(start, chunk)
-        return dram
-
 
 class WeightImage:
     """A deployment replica's request-invariant DRAM image, kept resident.
@@ -286,9 +267,8 @@ class SimulatorCore:
     per-register memo that keeps the register's array object beside it.
     The entry is valid only while ``vrf[register]`` *is* that object.
     Every write installs a new array (``V_RD``, a sync receive, an MFU or
-    ``MV_MUL`` result, a host ``vrf[r] = ...``, a checkpoint restore), so
-    no writer has to invalidate anything; arrays in ``vrf`` are never
-    changed in place.
+    ``MV_MUL`` result, a host ``vrf[r] = ...``), so no writer has to
+    invalidate anything; arrays in ``vrf`` are never changed in place.
     """
 
     #: Leading shape of every vector register (empty: one request).
@@ -315,9 +295,9 @@ class SimulatorCore:
         self._limits: dict[int, tuple] = {}
         #: register -> ``(array, quantised, exponents)`` (see above).
         self._operands: dict[int, tuple] = {}
-        #: ``MV_MUL`` pc -> ``(matrix, loop frame, products)``: the running
-        #: loop's precomputed products of an input stream, filled by
-        #: :meth:`_enter_loop` (the batched simulator's; see there).
+        #: ``MV_MUL`` pc -> ``(matrix, products)``: the running loop's
+        #: precomputed products of an input stream, one per iteration,
+        #: filled by :meth:`_enter_loop` (the batched simulator's; see there).
         self._streamed: dict[int, tuple] = {}
         #: ``MV_MUL``s that installed a precomputed product.
         self.streamed_mv_muls = 0
@@ -462,9 +442,9 @@ class SimulatorCore:
                     f"{self.name}: MV_MUL dims {matrix.shape} @ {values.shape[-1]}"
                 )
             streamed = self._streamed.get(self.pc)
-            if (streamed is not None and streamed[0] is matrix
-                    and self.loop_stack and streamed[1] is self.loop_stack[-1]):
-                self.vrf[inst.dst] = streamed[2][streamed[1][2]].astype(np.float64)
+            if streamed is not None and streamed[0] is matrix:
+                products = streamed[1][self.loop_stack[-1][2]]
+                self.vrf[inst.dst] = products.astype(np.float64)
                 self.streamed_mv_muls += 1
                 self.stats.mv_muls += 1
                 return "ok"

@@ -93,10 +93,6 @@ class CompileError(MappingError):
     """The HS-abstraction compiler could not map a cluster of soft blocks."""
 
 
-class ResourceExceededError(CompileError):
-    """A cluster of soft blocks does not fit the targeted device/blocks."""
-
-
 # ---------------------------------------------------------------------------
 # Runtime system
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ that story:
   :meth:`repro.cluster.simulator.ClusterSimulator.schedule_external`,
   plus targeted ``fail_board`` injection for tests;
 * :mod:`~repro.faults.recovery` — a :class:`RecoveryManager` that rebuilds
-  deployments lost to a failure from their last periodic
-  :class:`~repro.migration.checkpoint.AcceleratorCheckpoint`, falling back
-  to the paper's scale-down optimisation when no same-width placement
-  exists and retrying with bounded exponential backoff when the cluster is
-  momentarily full.
+  deployments lost to a failure from their last periodic checkpoint
+  (priced by :meth:`~repro.migration.engine.MigrationEngine.state_bytes`),
+  falling back to the paper's scale-down optimisation when no same-width
+  placement exists and retrying with bounded exponential backoff when the
+  cluster is momentarily full.
 
 Board health itself (``HEALTHY``/``DEGRADED``/``FAILED``) lives on
 :class:`~repro.vital.virtual_block.PhysicalFPGA` and is surfaced through

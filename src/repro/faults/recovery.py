@@ -2,7 +2,8 @@
 
 When a board fails its resident replica configurations are gone.  The
 recovery manager rebuilds every affected deployment from its last periodic
-:class:`~repro.migration.checkpoint.AcceleratorCheckpoint`:
+checkpoint, whose size
+:meth:`~repro.migration.engine.MigrationEngine.state_bytes` models:
 
 1. tear the broken deployment down (releasing whatever blocks survive);
 2. re-place the *same* deployment plan on healthy boards and stream the
@@ -250,12 +251,3 @@ class RecoveryManager:
             self._replace(model_key, plan, fire_now, attempt + 1, tenant=tenant)
 
         controller._simulator.schedule_external(delay, retry)
-
-    # The capped schedule, surfaced: attempt -> delay (docs and tests ask
-    # the manager, not the arithmetic, so the cap stays a single source).
-    def backoff_schedule(self) -> list[float]:
-        """Every backoff delay this manager would schedule, in order."""
-        return [
-            self.params.backoff_s(attempt)
-            for attempt in range(self.params.max_retries)
-        ]

@@ -24,7 +24,7 @@ from .instructions import Instruction, Op, SYNC_ADDRESS
 from .program import Program
 from .assembler import assemble, disassemble
 from .encoder import decode_program, encode_program
-from .bfp import BFPFormat, bfp_quantize, bfp_dequantize
+from .bfp import BFPFormat, bfp_quantize
 from .dependencies import DependenceGraph, build_dependence_graph
 from .comm_insertion import insert_scaleout_communication
 from .progcache import PROGRAM_CACHE, ProgramCache, program_cache_key
@@ -40,7 +40,6 @@ __all__ = [
     "ProgramCache",
     "SYNC_ADDRESS",
     "assemble",
-    "bfp_dequantize",
     "bfp_quantize",
     "build_dependence_graph",
     "decode_program",

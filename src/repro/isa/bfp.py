@@ -150,15 +150,6 @@ def bfp_quantize_blocks(
     return quantised, exponents[..., 0]
 
 
-def bfp_dequantize(values: np.ndarray) -> np.ndarray:
-    """BFP values dequantise to themselves (stored dequantised); identity.
-
-    Kept as an explicit API so call sites document where dequantisation
-    happens in the hardware pipeline (the BFP-to-FP16 converter).
-    """
-    return np.asarray(values, dtype=np.float64)
-
-
 def bfp_matvec(
     matrix: np.ndarray,
     vector: np.ndarray,

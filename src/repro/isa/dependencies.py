@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .instructions import Instruction, Op
-from .program import Program
 
 
 @dataclass
@@ -60,22 +59,6 @@ class DependenceGraph:
                     return False
         return True
 
-    def critical_path(self, weight) -> float:
-        """Longest path under ``weight(instruction) -> float``."""
-        memo: dict[int, float] = {}
-
-        def longest(index: int) -> float:
-            if index in memo:
-                return memo[index]
-            base = weight(self.order[index])
-            succ = self.successors(index)
-            memo[index] = base + (max(longest(s) for s in succ) if succ else 0.0)
-            return memo[index]
-
-        if not self.order:
-            return 0.0
-        return max(longest(i) for i in range(len(self.order)))
-
 
 def _dram_range(inst: Instruction) -> tuple | None:
     """Static address interval a DRAM instruction touches, or ``None``."""
@@ -95,7 +78,7 @@ def build_dependence_graph(instructions: list) -> DependenceGraph:
     """Build the dependence DAG for one straight-line region.
 
     The region must not contain ``LOOP``/``ENDLOOP`` — callers split on loop
-    structure first (see :meth:`Program.body_slices`).
+    structure first (as :func:`~repro.isa.reorder.reorder_for_overlap` does).
     """
     graph = DependenceGraph(order=list(instructions))
     last_writer: dict[int, int] = {}
@@ -151,25 +134,3 @@ def build_dependence_graph(instructions: list) -> DependenceGraph:
                 dram_accesses.append((index, span, is_write))
 
     return graph
-
-
-def program_region_graphs(program: Program) -> list:
-    """Dependence graphs for every maximal loop-free region of a program.
-
-    Returns ``(start_index, graph)`` pairs in program order; region indices
-    inside each graph are relative to ``start_index``.
-    """
-    regions = []
-    start = 0
-    for index, inst in enumerate(program.instructions):
-        if inst.op in (Op.LOOP, Op.ENDLOOP):
-            if index > start:
-                regions.append(
-                    (start, build_dependence_graph(program.instructions[start:index]))
-                )
-            start = index + 1
-    if start < len(program.instructions):
-        regions.append(
-            (start, build_dependence_graph(program.instructions[start:]))
-        )
-    return regions

@@ -68,10 +68,6 @@ class Op(enum.Enum):
         return "mfu"
 
     @property
-    def reads_memory(self) -> bool:
-        return self in (Op.V_RD, Op.M_RD)
-
-    @property
     def writes_memory(self) -> bool:
         return self is Op.V_WR
 

@@ -19,9 +19,10 @@ from .instructions import Instruction, Op, SYNC_ADDRESS, VECTOR_WRITERS
 class RegisterFootprint:
     """Architectural registers a program actually touches.
 
-    The demand side of the checkpoint state-size model
-    (:mod:`repro.migration.checkpoint`): a snapshot only needs to carry the
-    registers the program can have written, not the full register files.
+    The demand side of the state-size model
+    (:func:`repro.migration.engine.architectural_state_bytes`): a move only
+    needs to carry the registers the program can have written, not the full
+    register files.
     ``matrix_words`` is the total word count of every distinct matrix
     register load (rows x cols per ``M_RD`` destination).
     """
@@ -82,29 +83,6 @@ class Program:
     def sync_instructions(self) -> list:
         """All inter-FPGA send/recv instructions."""
         return [inst for inst in self.instructions if inst.is_sync]
-
-    def body_slices(self) -> list:
-        """``(start, end, trip_count)`` for every loop body plus top level.
-
-        Used by the dependence/reordering tools, which operate within one
-        loop body at a time.  The top level is reported with trip count 1.
-        """
-        slices = []
-        stack = []
-        for index, inst in enumerate(self.instructions):
-            if inst.op is Op.LOOP:
-                stack.append((index + 1, int(inst.imm)))
-            elif inst.op is Op.ENDLOOP:
-                if not stack:
-                    raise ProgramValidationError(
-                        f"{self.name}: ENDLOOP without LOOP at {index}"
-                    )
-                start, trips = stack.pop()
-                slices.append((start, index, trips))
-        if stack:
-            raise ProgramValidationError(f"{self.name}: unterminated LOOP")
-        slices.append((0, len(self.instructions), 1))
-        return slices
 
     def register_footprint(self) -> RegisterFootprint:
         """Registers and vector lengths this program can touch (static).

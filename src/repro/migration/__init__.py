@@ -1,18 +1,21 @@
-"""Checkpoint/restore and live migration (the cloud-operations layer).
+"""Live migration and defragmentation (the cloud-operations layer).
 
 The framework's application-specific ISA makes accelerator state
 *architectural*: everything a running NPU holds — vector/matrix register
-files, the program counter and loop stack, DRAM, undelivered
-synchronisation slices — is visible at an instruction boundary, with no
-microarchitectural residue.  A snapshot taken there can therefore be
-serialised, shipped over the ring network, and resumed on any board whose
-mapping database holds an image for the same program, *including boards of
-a different device type* (the catalog compiles every plan per type).
+files, the program counter and loop stack, undelivered synchronisation
+slices — is visible at an instruction boundary, with no microarchitectural
+residue.  A replica can therefore resume on any board whose mapping
+database holds an image for the same program, *including boards of a
+different device type* (the catalog compiles every plan per type), and the
+cost of moving it is the size of that state.  The simulation charges that
+cost; it never captures or restores a simulator.
 
-Three layers build on that property:
+Two layers plus a state-size model:
 
-* :mod:`~repro.migration.checkpoint` — architectural snapshots with
-  serialize/deserialize and a config-derived state-size model;
+* :func:`~repro.migration.engine.architectural_state_bytes` — a replica's
+  transferable state, derived from its accelerator config and program;
+  every migration, recovery, preemption and retirement is priced through
+  :meth:`~repro.migration.engine.MigrationEngine.state_bytes`;
 * :mod:`~repro.migration.engine`     — planning and executing moves of a
   live deployment to other boards, charging drain + state transfer +
   virtual-block reconfiguration;
@@ -25,28 +28,23 @@ False)``); enabling it changes scheduling outcomes, so the Fig. 12 goldens
 only pin the disabled path.
 """
 
-from .checkpoint import (
-    AcceleratorCheckpoint,
-    FabricCheckpoint,
-    architectural_state_bytes,
-    checkpoint_scaleout,
-    restore_scaleout,
-)
 from .defrag import DefragPlan, cluster_fragmentation, fragmentation, plan_defrag
-from .engine import MigrationEngine, MigrationParameters, MigrationPlan, ReplicaMove
+from .engine import (
+    MigrationEngine,
+    MigrationParameters,
+    MigrationPlan,
+    ReplicaMove,
+    architectural_state_bytes,
+)
 
 __all__ = [
-    "AcceleratorCheckpoint",
     "DefragPlan",
-    "FabricCheckpoint",
     "MigrationEngine",
     "MigrationParameters",
     "MigrationPlan",
     "ReplicaMove",
     "architectural_state_bytes",
-    "checkpoint_scaleout",
     "cluster_fragmentation",
     "fragmentation",
     "plan_defrag",
-    "restore_scaleout",
 ]

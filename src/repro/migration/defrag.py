@@ -71,10 +71,6 @@ class DefragPlan:
     def total_cost_s(self) -> float:
         return sum(plan.total_cost_s for plan in self.migrations)
 
-    @property
-    def move_count(self) -> int:
-        return sum(len(plan.moves) for plan in self.migrations)
-
 
 def _movable_deployments(controller, board):
     """Idle deployments with exactly one replica on ``board``, stable order."""

@@ -19,10 +19,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..accel.config import AcceleratorConfig
 from ..errors import DeploymentError, ReproError
+from ..isa.program import Program
 from ..runtime.deployment import Deployment, DeploymentState, ReplicaPlacement
 from ..units import us
-from .checkpoint import architectural_state_bytes
+
+#: Activations travel as float16 on the wire (the network's element size).
+ACTIVATION_BYTES = 2
+#: Fixed control state: program counter, loop stack, status registers.
+CONTROL_STATE_BYTES = 256
+
+
+def architectural_state_bytes(
+    config: AcceleratorConfig, program: Program | None = None
+) -> int:
+    """Transferable state of one replica, modelled from its config.
+
+    The AS-ISA makes this state architectural, so its size is known without
+    capturing anything.  Three components:
+
+    * the vector register file (float16 activations),
+    * the weight state resident in matrix registers / per-tile memory
+      (``weight_bits`` per element, as stored on chip),
+    * fixed control state (PC, loop stack, status).
+
+    With ``program`` given, the register files are sized to the program's
+    static footprint (a move only ships registers the program can have
+    written); without it, the architectural maximum from the config is
+    used.
+    """
+    if program is not None:
+        footprint = program.register_footprint()
+        vector_regs = footprint.vector_registers
+        vector_length = footprint.max_vector_length or config.max_vector_length
+        matrix_bits = footprint.matrix_words * config.weight_bits
+    else:
+        vector_regs = config.vector_registers
+        vector_length = config.max_vector_length
+        # A matrix register holds up to max_vector_length x max_vector_length
+        # weights, so the architectural ceiling is quadratic in the length.
+        matrix_bits = (
+            config.matrix_registers
+            * config.max_vector_length ** 2
+            * config.weight_bits
+        )
+    vrf_bytes = vector_regs * vector_length * ACTIVATION_BYTES
+    return int(vrf_bytes + matrix_bits // 8 + CONTROL_STATE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -57,10 +100,6 @@ class ReplicaMove:
     @property
     def cost_s(self) -> float:
         return self.drain_s + self.transfer_s + self.reconfig_s
-
-    @property
-    def cross_type(self) -> bool:
-        return self.src_type != self.dst_type
 
 
 @dataclass
@@ -256,10 +295,3 @@ class MigrationEngine:
         # recovery runs now that the migration's block ownership is settled.
         if deployment.pending_recovery and controller.recovery_enabled:
             controller.recovery.recover(deployment, now)
-
-    def migrate(self, deployment: Deployment, targets: dict, now: float = 0.0) -> MigrationPlan:
-        """Plan and synchronously execute one move (no DES in the loop)."""
-        plan = self.plan_move(deployment, targets)
-        self.begin(plan, now)
-        self.finish(plan, now)
-        return plan

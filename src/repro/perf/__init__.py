@@ -18,12 +18,11 @@ from .overlap import (
     overlap_window_seconds,
     scaleout_latency,
 )
-from .throughput import aggregate_throughput, speedup
+from .throughput import speedup
 
 __all__ = [
     "InstanceChoice",
     "ScaleOutLatency",
-    "aggregate_throughput",
     "demand_sized_instance",
     "overlap_window_seconds",
     "scaleout_latency",

@@ -5,11 +5,6 @@ from __future__ import annotations
 from ..errors import ReproError
 
 
-def aggregate_throughput(results: dict) -> dict:
-    """Tasks/second per workload set from :class:`SimulationResult` values."""
-    return {key: result.throughput for key, result in results.items()}
-
-
 def speedup(candidate: float, baseline: float) -> float:
     """Throughput ratio candidate/baseline (the Fig. 12 bar heights)."""
     if baseline <= 0:

@@ -55,10 +55,6 @@ class ResourceVector:
 
     # -- iteration / conversion ----------------------------------------------
 
-    def as_dict(self) -> dict:
-        """Return the five quantities as a plain dict."""
-        return {kind: getattr(self, kind) for kind in RESOURCE_KINDS}
-
     def __iter__(self) -> Iterator[float]:
         return iter(getattr(self, kind) for kind in RESOURCE_KINDS)
 

@@ -125,11 +125,6 @@ def structural_signature(design: Design, module_name: str) -> str:
     return signature
 
 
-def clear_signature_cache() -> None:
-    """Drop memoised signatures (tests mutate designs between checks)."""
-    _signature_cache.clear()
-
-
 def _node_match(a: dict, b: dict) -> bool:
     return a.get("label") == b.get("label")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..errors import RTLValidationError, UnknownModuleError
 
@@ -86,10 +86,6 @@ class Instance:
     module_name: str
     connections: dict = field(default_factory=dict)
     parameters: dict = field(default_factory=dict)
-
-    def connect(self, port_name: str, net_name: str) -> None:
-        """Bind ``port_name`` of the instantiated module to ``net_name``."""
-        self.connections[port_name] = net_name
 
 
 @dataclass(frozen=True)
@@ -179,28 +175,6 @@ class Module:
         raise RTLValidationError(
             f"module {self.name!r} has no net {net_name!r}"
         )
-
-    def net_consumers(self, net_name: str, design: "Design") -> list[tuple]:
-        """All ``(instance, port)`` pairs reading ``net_name``."""
-        return self._net_endpoints(net_name, design, Direction.INPUT)
-
-    def net_drivers(self, net_name: str, design: "Design") -> list[tuple]:
-        """All ``(instance, port)`` pairs driving ``net_name``."""
-        return self._net_endpoints(net_name, design, Direction.OUTPUT)
-
-    def _net_endpoints(
-        self, net_name: str, design: "Design", direction: Direction
-    ) -> list[tuple]:
-        endpoints = []
-        for inst in self.instances.values():
-            ports = design.ports_of(inst.module_name)
-            for port_name, bound_net in inst.connections.items():
-                if bound_net != net_name:
-                    continue
-                port = ports.get(port_name)
-                if port is not None and port.direction is direction:
-                    endpoints.append((inst, port))
-        return endpoints
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -317,19 +291,3 @@ class Design:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Design({self.name!r}, modules={len(self.modules)}, top={self._top!r})"
-
-
-def connect_chain(module: Module, instances: Iterable[Instance], out_port: str, in_port: str, prefix: str = "chain") -> None:
-    """Wire ``instances`` into a linear chain via new nets.
-
-    Convenience used by generators and tests: the ``out_port`` of each
-    instance is connected to the ``in_port`` of the next through a fresh net
-    named ``{prefix}_{i}``.
-    """
-    chain = list(instances)
-    for index in range(len(chain) - 1):
-        net_name = f"{prefix}_{index}"
-        if net_name not in module.nets:
-            module.add_net(net_name)
-        chain[index].connect(out_port, net_name)
-        chain[index + 1].connect(in_port, net_name)

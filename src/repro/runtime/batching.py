@@ -126,23 +126,6 @@ class BatchingStats:
     #: lane-count histogram over executions (size -> count).
     batch_sizes: dict = field(default_factory=dict)
 
-    def snapshot(self) -> dict:
-        mean = (
-            (self.batched_lanes + self.scalar_lanes) / self.executions
-            if self.executions
-            else 0.0
-        )
-        return {
-            "submitted": self.submitted,
-            "executions": self.executions,
-            "batched_lanes": self.batched_lanes,
-            "scalar_lanes": self.scalar_lanes,
-            "full_batches": self.full_batches,
-            "partial_flushes": self.partial_flushes,
-            "mean_batch": mean,
-            "batch_sizes": {str(k): v for k, v in sorted(self.batch_sizes.items())},
-        }
-
 
 class BatchExecutor:
     """Coalesces same-model functional executions into batched runs on

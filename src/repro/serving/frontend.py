@@ -121,8 +121,6 @@ class ServingFrontend:
         self._armed_s = math.inf
         #: Expiry timers armed so far (one DES event each).
         self.timers_armed = 0
-        #: tenant -> live queue depth (tenancy layer's pressure signal).
-        self._tenant_depth: dict[str, int] = {}
         self._buckets: dict[str, TokenBucket] = {}
         self._breakers = {
             fpga_id: CircuitBreaker(fpga_id, self.params)
@@ -183,18 +181,6 @@ class ServingFrontend:
             return len(self._queued.get(model_key, ()))
         return sum(len(queue) for queue in self._queued.values())
 
-    def queue_depth_by_tenant(self) -> dict:
-        """Live queued requests per tenant (zero entries elided)."""
-        return {
-            tenant: depth
-            for tenant, depth in sorted(self._tenant_depth.items())
-            if depth > 0
-        }
-
-    def _bump_tenant(self, task: Task, delta: int) -> None:
-        tenant = getattr(task, "tenant", "")
-        self._tenant_depth[tenant] = self._tenant_depth.get(tenant, 0) + delta
-
     def _now(self) -> float:
         if self._simulator is not None:
             return self._simulator.queue.now
@@ -221,7 +207,6 @@ class ServingFrontend:
     def _enqueue(self, record: RequestRecord, now: float) -> None:
         task = record.task
         self._queued.setdefault(task.model_key, {})[task.task_id] = record
-        self._bump_tenant(task, +1)
         deadline = record.deadline_s
         if deadline <= now:
             # Requeued after its deadline: it expires now.
@@ -238,10 +223,7 @@ class ServingFrontend:
         condemned); returns whether it was queued."""
         task = record.task
         queue = self._queued.get(task.model_key)
-        if queue is None or queue.pop(task.task_id, None) is None:
-            return False
-        self._bump_tenant(task, -1)
-        return True
+        return queue is not None and queue.pop(task.task_id, None) is not None
 
     def _condemn(self, record: RequestRecord, outcome: RequestOutcome) -> None:
         """Give a request its terminal drop outcome; a queued one leaves the

@@ -20,8 +20,6 @@ from .synthetic import (
     TABLE1_COMPOSITIONS,
     WorkloadComposition,
     generate_workload,
-    load_trace,
-    save_trace,
 )
 from .arrival import (
     ARRIVAL_PROCESSES,
@@ -44,11 +42,9 @@ __all__ = [
     "arrival_process",
     "diurnal_arrivals",
     "generate_workload",
-    "load_trace",
     "lognormal_arrivals",
     "mmpp_arrivals",
     "pareto_arrivals",
-    "save_trace",
     "model_by_key",
     "poisson_arrivals",
     "size_class_of",

@@ -95,45 +95,3 @@ def generate_workload(
             )
         )
     return tasks
-
-
-# ---------------------------------------------------------------------------
-# Trace persistence: experiments pin their task streams to disk so runs are
-# exactly reproducible across machines and library versions.
-# ---------------------------------------------------------------------------
-
-
-def save_trace(tasks: list, path) -> None:
-    """Write a task stream as a JSON trace file."""
-    import json
-    from pathlib import Path
-
-    records = [
-        {
-            "task_id": task.task_id,
-            "model_key": task.model_key,
-            "arrival_s": task.arrival_s,
-            "size_class": task.size_class,
-        }
-        for task in tasks
-    ]
-    Path(path).write_text(json.dumps({"version": 1, "tasks": records}, indent=1))
-
-
-def load_trace(path) -> list:
-    """Read a task stream written by :func:`save_trace`."""
-    import json
-    from pathlib import Path
-
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != 1:
-        raise ReproError(f"unsupported trace version in {path}")
-    return [
-        Task(
-            task_id=record["task_id"],
-            model_key=record["model_key"],
-            arrival_s=record["arrival_s"],
-            size_class=record.get("size_class", ""),
-        )
-        for record in payload["tasks"]
-    ]

@@ -752,19 +752,6 @@ class TestInputStreamHoist:
         assert calls == [9, 6, 6]
         assert sim.streamed_mv_muls == 7
 
-    def test_loop_resumed_from_copied_frames_runs_per_step(self):
-        """A simulator resumed inside a loop from copied state (as a
-        checkpoint restore builds it) never ran that loop's entry: the
-        remaining products run per step."""
-
-        def resume_at_iteration_three(sim):
-            _step_to_iteration(sim, 3)
-            sim.loop_stack = [list(frame) for frame in sim.loop_stack]
-
-        sim = _run_hoist(_hoist_program(6, HOISTED), trips=6,
-                         prepare=resume_at_iteration_three)
-        assert sim.streamed_mv_muls == 3
-
     def test_matrix_loaded_by_the_host_mid_loop_runs_per_step(self):
         """The precomputed products hold only while the register *is* the
         matrix they came from."""

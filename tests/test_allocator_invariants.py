@@ -222,9 +222,11 @@ class TestControllerIndexInvariants:
                     >= deployment.plan.images[board.model.name].virtual_blocks
                 ]
                 if candidates:
-                    engine.migrate(
-                        deployment, {replica: rng.choice(candidates)}, now=now
+                    plan = engine.plan_move(
+                        deployment, {replica: rng.choice(candidates)}
                     )
+                    engine.begin(plan, now)
+                    engine.finish(plan, now)
                     migrated += 1
             for board in cluster.boards.values():
                 _assert_board_consistent(board)
@@ -293,11 +295,11 @@ class TestControllerIndexInvariants:
                         )
                     ]
                     if candidates:
-                        engine.migrate(
-                            deployment,
-                            {replica: rng.choice(candidates)},
-                            now=now,
+                        plan = engine.plan_move(
+                            deployment, {replica: rng.choice(candidates)}
                         )
+                        engine.begin(plan, now)
+                        engine.finish(plan, now)
                         migrated += 1
             elif action < 0.70:
                 board = cluster.board(rng.choice(board_ids))

@@ -239,11 +239,13 @@ class TestCachedServiceTime:
             ]
             deployment, _ = controller._instantiate(plan, assignment, now=0.0)
             before = deployment.service_s
-            controller.migration.migrate(
+            engine = controller.migration
+            move = engine.plan_move(
                 deployment,
                 {index: boards[fpga_id] for index, fpga_id in targets.items()},
-                now=1.0,
             )
+            engine.begin(move, now=1.0)
+            engine.finish(move, now=1.0)
             fresh = controller._service_time(plan, deployment.placements)
             assert deployment.service_s == fresh
             assert deployment.service_s != before

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.isa.dependencies import (
-    build_dependence_graph,
-    program_region_graphs,
-)
+from repro.isa.dependencies import build_dependence_graph
 from repro.isa.instructions import (
     SYNC_ADDRESS,
     Instruction,
     Op,
-    endloop,
     loop,
     m_rd,
     mv_mul,
@@ -20,7 +16,6 @@ from repro.isa.instructions import (
     v_wr,
     vv_add,
 )
-from repro.isa.program import Program
 
 
 def _edge(graph, src, dst) -> bool:
@@ -138,26 +133,3 @@ class TestGraphUtilities:
         assert graph.is_valid_order([0, 1])
         assert not graph.is_valid_order([1, 0])
         assert not graph.is_valid_order([0])
-
-    def test_critical_path(self):
-        insts = [v_fill(0, 1.0, 4), v_copy(1, 0, 4), v_fill(2, 0.0, 4)]
-        graph = build_dependence_graph(insts)
-        assert graph.critical_path(lambda inst: 1.0) == pytest.approx(2.0)
-
-    def test_program_region_graphs_split_on_loops(self):
-        program = Program()
-        program.extend(
-            [
-                v_fill(0, 0.0, 4),
-                loop(2),
-                vv_add(1, 0, 0, 4),
-                v_copy(2, 1, 4),
-                endloop(),
-                v_wr(2, 0x10, 4),
-            ]
-        )
-        regions = program_region_graphs(program)
-        starts = [start for start, _ in regions]
-        sizes = [len(graph.order) for _, graph in regions]
-        assert starts == [0, 2, 5]
-        assert sizes == [1, 2, 1]

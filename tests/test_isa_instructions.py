@@ -19,10 +19,9 @@ class TestOpMetadata:
         assert Op.LOOP.unit == "control"
 
     def test_memory_flags(self):
-        assert Op.V_RD.reads_memory
-        assert Op.M_RD.reads_memory
         assert Op.V_WR.writes_memory
-        assert not Op.MV_MUL.reads_memory
+        assert not Op.V_RD.writes_memory
+        assert not Op.MV_MUL.writes_memory
 
 
 class TestReadWriteSets:

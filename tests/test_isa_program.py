@@ -53,11 +53,6 @@ class TestContainer:
         )
         assert program.dynamic_instruction_count() == 6
 
-    def test_body_slices(self):
-        slices = _simple_program().body_slices()
-        assert (2, 3, 3) in slices  # loop body: instruction index 2, 3 trips
-        assert slices[-1] == (0, 5, 1)  # top level
-
     def test_sync_instructions(self):
         program = Program()
         program.append(v_rd(0, SYNC_ADDRESS, 8))

@@ -1,9 +1,8 @@
-"""Checkpoint/restore + live-migration subsystem tests.
+"""Live-migration subsystem tests.
 
-Covers the three layers separately and together:
+Covers the layers separately and together:
 
-* ISA-level checkpoints: capture/serialise/restore identity, including
-  mid-loop snapshots and scale-out fabrics with in-flight slices.
+* The state-size model every move, recovery and preemption is priced by.
 * The migration engine: same-type and cross-type moves at runtime level,
   validation errors, and the begin/finish dual-occupancy window.
 * Defragmentation: the fragmentation metric, compaction planning, and the
@@ -12,32 +11,16 @@ Covers the three layers separately and together:
 The subsystem is off by default; the last test class pins that.
 """
 
-import numpy as np
 import pytest
 
-from repro.accel.codegen import (
-    OUT_BASE,
-    X_BASE,
-    GRUCodegen,
-    LSTMCodegen,
-    build_scaleout_programs,
-)
-from repro.accel.functional import FunctionalSimulator, WeightImage, run_program
 from repro.cluster import ClusterSimulator, Task, paper_cluster, scaled_cluster
 from repro.errors import AllocationError, DeploymentError, ReproError
-from repro.isa.assembler import assemble
-from repro.isa.instructions import Instruction, Op, halt, v_rd
-from repro.isa.program import Program
 from repro.migration import (
-    AcceleratorCheckpoint,
-    FabricCheckpoint,
     MigrationEngine,
     architectural_state_bytes,
-    checkpoint_scaleout,
     cluster_fragmentation,
     fragmentation,
     plan_defrag,
-    restore_scaleout,
 )
 from repro.runtime import Catalog, build_system
 from repro.runtime.controller import SystemController
@@ -62,17 +45,6 @@ def _controller(catalog, **kwargs):
     return controller, cluster
 
 
-LOOP_SOURCE = (
-    "v_fill v0, 0.0, 4\n"
-    "v_fill v1, 1.0, 4\n"
-    "loop 6\n"
-    "vv_add v0, v0, v1, 4\n"
-    "v_wr v0, 0x80, 4\n"
-    "endloop\n"
-    "halt\n"
-)
-
-
 class TestStateSizeModel:
     def test_program_footprint_never_exceeds_config_maximum(self, shared_catalog):
         entry = shared_catalog.entry_by_key("gru-h512-t1")
@@ -95,191 +67,6 @@ class TestStateSizeModel:
         )
 
 
-class TestAcceleratorCheckpoint:
-    def _mid_loop_sim(self):
-        sim = FunctionalSimulator(assemble(LOOP_SOURCE, name="loopy"))
-        # Step into the middle of the third loop iteration.
-        for _ in range(12):
-            sim.step()
-        assert sim.loop_stack, "snapshot point must be mid-loop"
-        return sim
-
-    def test_mid_loop_capture_restore_identity(self):
-        original = self._mid_loop_sim()
-        checkpoint = AcceleratorCheckpoint.capture(original)
-        restored = checkpoint.restore(assemble(LOOP_SOURCE, name="loopy"))
-        original.run()
-        restored.run()
-        assert np.array_equal(restored.vector(0), original.vector(0))
-        assert np.array_equal(
-            restored.dram.read(0x80, 4), original.dram.read(0x80, 4)
-        )
-        assert restored.stats.instructions == original.stats.instructions
-
-    def test_capture_does_not_alias_live_state(self):
-        sim = self._mid_loop_sim()
-        checkpoint = AcceleratorCheckpoint.capture(sim)
-        before = checkpoint.vrf[0].copy()
-        sim.run()  # keeps mutating v0 after the snapshot
-        assert np.array_equal(checkpoint.vrf[0], before)
-
-    def test_serialise_roundtrip(self):
-        checkpoint = AcceleratorCheckpoint.capture(self._mid_loop_sim())
-        clone = AcceleratorCheckpoint.from_bytes(checkpoint.to_bytes())
-        assert clone.pc == checkpoint.pc
-        assert clone.loop_stack == checkpoint.loop_stack
-        for register, values in checkpoint.vrf.items():
-            assert np.array_equal(clone.vrf[register], values)
-        assert np.array_equal(clone.dram, checkpoint.dram)
-        assert vars(clone.stats) == vars(checkpoint.stats)
-        assert checkpoint.payload_bytes() == len(checkpoint.to_bytes())
-
-    def test_serialise_preserves_matrix_shapes(self, gru_small):
-        weights, xs = gru_small
-        gen = GRUCodegen(weights, xs.shape[0])
-        sim = FunctionalSimulator(gen.build())
-        gen.preload(sim, xs)
-        for _ in range(40):
-            sim.step()
-        checkpoint = AcceleratorCheckpoint.capture(sim)
-        clone = AcceleratorCheckpoint.from_bytes(checkpoint.to_bytes())
-        for register, matrix in checkpoint.mrf.items():
-            assert clone.mrf[register].shape == matrix.shape
-            assert np.array_equal(clone.mrf[register], matrix)
-
-    def test_restore_keeps_inexact_products_bitwise(self):
-        """Block scales spread over 2**-40..2**40 make the product inexact,
-        so its float64 bits depend on the BLAS kernel: a restored matrix
-        register keeps the column-major layout and resumes to the
-        uninterrupted run's product bit for bit."""
-        rng = np.random.default_rng(0)
-
-        def spread(shape):
-            return np.repeat(2.0 ** rng.integers(-40, 40, shape), 16, axis=-1)
-
-        matrix = rng.normal(0.0, 1.0, (64, 256)) * spread((64, 16))
-        x = rng.normal(0.0, 1.0, 256) * spread(16)
-        program = Program(name="inexact")
-        program.append(v_rd(0, 0x100, 256))
-        program.append(Instruction(Op.M_RD, dst=0, addr=0x10000, length=64, imm=256.0))
-        program.append(halt())
-        sim = FunctionalSimulator(program)
-        sim.dram.write(0x100, x)
-        sim.dram.write(0x10000, matrix.ravel())
-        sim.run()
-        checkpoint = AcceleratorCheckpoint.capture(sim)
-        resumed = AcceleratorCheckpoint.from_bytes(checkpoint.to_bytes()).restore(program)
-        operand = sim._convert(sim.vector(0))[0]
-        assert np.array_equal(resumed.mrf[0] @ operand, sim.mrf[0] @ operand)
-
-    def test_lstm_mid_loop_roundtrip_on_paged_dram(self, lstm_small):
-        """Inputs at X_BASE, weights from a resident image: the snapshot
-        resumes to the uninterrupted run's output, bitwise."""
-        weights, xs = lstm_small
-        gen = LSTMCodegen(weights, xs.shape[0])
-        program = gen.build()
-        straight = FunctionalSimulator(program)
-        gen.preload(straight, xs)
-        straight.run()
-
-        partial = FunctionalSimulator(program, image=WeightImage.build(
-            gen.preload_weights))
-        gen.preload_inputs(partial, xs)
-        while partial.loop_stack == [] or partial.loop_stack[-1][2] < 2:
-            partial.step()
-        assert not partial.finished
-        checkpoint = AcceleratorCheckpoint.capture(partial)
-        assert checkpoint.dram.size == X_BASE + xs.size
-        assert np.array_equal(checkpoint.dram[X_BASE:], xs.ravel())
-
-        resumed = checkpoint.restore(program)
-        resumed.run()
-        assert np.array_equal(
-            resumed.dram.read(OUT_BASE, weights.hidden),
-            straight.dram.read(OUT_BASE, weights.hidden),
-        )
-        assert np.array_equal(resumed.dram.contents(), straight.dram.contents())
-
-    def test_restore_rejects_wrong_program(self):
-        checkpoint = AcceleratorCheckpoint.capture(self._mid_loop_sim())
-        with pytest.raises(ReproError, match="cannot resume"):
-            checkpoint.restore(assemble("halt\n", name="other"))
-
-    def test_unknown_version_rejected(self):
-        blob = AcceleratorCheckpoint.capture(self._mid_loop_sim()).to_bytes()
-        tampered = blob.replace(b'"version": 1', b'"version": 99')
-        with pytest.raises(ReproError, match="version"):
-            AcceleratorCheckpoint.from_bytes(tampered)
-
-
-class TestScaleOutCheckpoint:
-    def _partial_scaleout(self, gru_small, replicas=2):
-        weights, xs = gru_small
-        t = xs.shape[0]
-        programs = build_scaleout_programs("gru", weights, t, replicas)
-        gens = [
-            GRUCodegen(weights, t, replicas=replicas, replica_index=i)
-            for i in range(replicas)
-        ]
-        from repro.accel.functional import ScaleOutFabric
-
-        fabric = ScaleOutFabric(replicas)
-        sims = [
-            FunctionalSimulator(program, fabric=fabric, replica_index=i)
-            for i, program in enumerate(programs)
-        ]
-        for i, sim in enumerate(sims):
-            gens[i].preload(sim, xs)
-        # Run replica 0 until it blocks on the exchange: its slice is now
-        # in flight in the fabric while replica 1 has not sent yet.
-        status = sims[0].run_until_blocked()
-        assert status == "blocked"
-        return sims, fabric, weights, xs
-
-    def _drain(self, sims):
-        while not all(sim.finished for sim in sims):
-            progressed = False
-            for sim in sims:
-                if sim.finished:
-                    continue
-                before = sim.stats.instructions
-                status = sim.run_until_blocked()
-                if sim.stats.instructions > before or status == "halted":
-                    progressed = True
-            assert progressed, "scale-out deadlock after restore"
-
-    def test_in_flight_slices_survive_migration(self, gru_small):
-        sims, fabric, weights, xs = self._partial_scaleout(gru_small)
-        replicas = len(sims)
-        checkpoints, fabric_checkpoint = checkpoint_scaleout(sims, fabric)
-
-        # Ship the snapshot over the wire (what the migration transfers).
-        blobs = [c.to_bytes() for c in checkpoints]
-        fabric_blob = fabric_checkpoint.to_bytes()
-        restored_sims, restored_fabric = restore_scaleout(
-            [AcceleratorCheckpoint.from_bytes(b) for b in blobs],
-            FabricCheckpoint.from_bytes(fabric_blob),
-            [sim.program for sim in sims],
-        )
-
-        self._drain(sims)
-        self._drain(restored_sims)
-        h = weights.hidden
-        slice_rows = h // replicas
-        for i in range(replicas):
-            assert np.array_equal(
-                restored_sims[i].dram.read(OUT_BASE + i * slice_rows, slice_rows),
-                sims[i].dram.read(OUT_BASE + i * slice_rows, slice_rows),
-            )
-        assert restored_fabric.bytes_transferred == fabric.bytes_transferred
-
-    def test_restore_count_mismatch(self, gru_small):
-        sims, fabric, _, _ = self._partial_scaleout(gru_small)
-        checkpoints, fabric_checkpoint = checkpoint_scaleout(sims, fabric)
-        with pytest.raises(ReproError, match="checkpoints"):
-            restore_scaleout(checkpoints, fabric_checkpoint, [sims[0].program])
-
-
 class TestMigrationEngine:
     def test_same_type_move(self, shared_catalog):
         controller, cluster = _controller(shared_catalog)
@@ -293,7 +80,9 @@ class TestMigrationEngine:
             if board.model.name == src_type and board.fpga_id != src
         ]
         engine = controller.migration
-        plan = engine.migrate(deployment, {0: destinations[0]}, now=1.0)
+        plan = engine.plan_move(deployment, {0: destinations[0]})
+        engine.begin(plan, now=1.0)
+        engine.finish(plan, now=1.0)
         placement = deployment.placements[0]
         assert placement.fpga_id == destinations[0].fpga_id
         assert cluster.board(src).free_blocks == len(cluster.board(src).blocks)
@@ -305,16 +94,16 @@ class TestMigrationEngine:
         assert deployment.service_s == pytest.approx(service_before)
         assert plan.total_cost_s > 0
         assert controller.index.check_consistent()
-        # The engine is the one owner of the move count: a direct migrate
+        # The engine is the one owner of the move count: a direct move
         # is counted there, and the controller keeps no copy that could
         # miss it.
         assert engine.migrations_completed == 1
         assert engine.bytes_migrated == plan.state_bytes > 0
         assert not hasattr(controller.stats, "migrations_completed")
 
-    def test_cross_type_move_and_functional_identity(self, shared_catalog):
-        """The acceptance property: checkpoint on one device type, restore
-        on another board of another type, identical functional output."""
+    def test_move_to_another_device_type(self, shared_catalog):
+        """A replica moves to a board of another device type: the plan's
+        image for that type is placed there and the indexes follow."""
         controller, cluster = _controller(shared_catalog)
         deployment, _ = controller.deploy("lstm-h256-t150")
         src_placement = deployment.placements[0]
@@ -329,18 +118,12 @@ class TestMigrationEngine:
             if board.model.name == other_type
         )
 
-        # Run the deployment's program halfway on the source, checkpoint.
-        program = deployment.plan.programs[0]
-        straight = run_program(program)
-        partial = FunctionalSimulator(program)
-        for _ in range(len(program.instructions) // 2):
-            partial.step()
-        checkpoint = AcceleratorCheckpoint.capture(partial)
-
         engine = controller.migration
-        plan = engine.migrate(deployment, {0: destination}, now=2.0)
+        plan = engine.plan_move(deployment, {0: destination})
+        engine.begin(plan, now=2.0)
+        engine.finish(plan, now=2.0)
         move = plan.moves[0]
-        assert move.cross_type
+        assert move.src_type != move.dst_type == other_type
         assert move.dst_blocks == deployment.plan.images[other_type].virtual_blocks
         new_placement = deployment.placements[0]
         assert new_placement.device_type == other_type
@@ -348,15 +131,6 @@ class TestMigrationEngine:
         # Service time was re-estimated for the new device-type mix.
         assert deployment.service_s > 0
         assert controller.index.check_consistent()
-
-        # Resume the shipped snapshot on the destination: same program (the
-        # checkpoint is ISA-level), new board and type, identical output.
-        resumed = AcceleratorCheckpoint.from_bytes(checkpoint.to_bytes()).restore(
-            program
-        )
-        resumed.run()
-        for register in straight.vrf:
-            assert np.array_equal(resumed.vector(register), straight.vector(register))
 
     def test_move_costs_follow_the_model(self, shared_catalog):
         controller, cluster = _controller(shared_catalog)
@@ -527,7 +301,8 @@ class TestDefrag:
         assert plan.device_type == "XCVU37P"
         assert plan.needed_blocks == 14
         assert len(plan.target_fpgas) == 1
-        assert plan.move_count == 2  # two 4-block victims open a 16-hole
+        # Two 4-block victims open a 16-hole.
+        assert sum(len(m.moves) for m in plan.migrations) == 2
         cost = controller.begin_defrag(plan, now=0.0)
         assert cost == pytest.approx(plan.total_cost_s) and cost > 0
         controller.finish_defrag(plan, now=cost)
@@ -559,7 +334,7 @@ class TestDefrag:
         plan = controller.plan_defrag("gru-h1536-t375")
         assert plan is not None
         assert plan.target_fpgas == [target.fpga_id]
-        assert plan.move_count == 1
+        assert sum(len(m.moves) for m in plan.migrations) == 1
         cost = controller.begin_defrag(plan, now=0.0)
         controller.finish_defrag(plan, now=cost)
         assert victim.placements[0].fpga_id == destination.fpga_id

@@ -75,7 +75,7 @@ class TestErrorHierarchy:
         with pytest.raises(errors.ReproError):
             raise errors.PartitionError("x")
         with pytest.raises(errors.MappingError):
-            raise errors.ResourceExceededError("y")
+            raise errors.CompileError("y")
 
 
 class TestReportHelpers:

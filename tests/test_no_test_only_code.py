@@ -1,0 +1,196 @@
+"""No definition in ``src/`` that only the tests name.
+
+A function that only a test calls pins behaviour that no workload, bench,
+CLI command or example depends on: code to maintain that no run exercises.
+This test parses ``src/`` and collects every function, method and class
+(dunder methods aside), then looks each name up among the names that
+``src/``, ``benchmarks/`` and ``examples/`` use.  A *use* is a name or
+attribute reference, an import outside a package ``__init__``, a keyword
+argument, or a string constant that is exactly the name (method-name
+tables such as the e2e tracer's); a package re-export, a docstring or a
+string annotation is not a use.  The scan matches names, not bindings, so
+a method counts as used when any attribute of that name is read anywhere:
+it misses dead code whose name something live shares.
+
+A definition that nothing there uses fails unless :data:`ALLOWED` names it,
+with the reason it stays, or :data:`PENDING` lists it.  Both tables fail
+when an entry goes stale (its definition is gone or now has a use), so
+they only ever shrink.
+"""
+
+import ast
+import collections
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+#: Test-only definitions that stay, keyed ``path-under-repro::qualname``.
+ALLOWED = {
+    "runtime/controller.py::SystemController.check_idle_consistent":
+        "checker: recounts the idle index from every deployment",
+    "rtl/equivalence.py::modules_equivalent":
+        "checker: confirms a structural_signature verdict by graph isomorphism",
+    "isa/bfp.py::quantisation_error_bound":
+        "checker: the BFP error bound quantised outputs are held to",
+    "core/interface.py::ElasticChannel":
+        "reference model: the cycle-level channel transfer_cycles is checked against",
+    "core/interface.py::LatencyInsensitiveInterface.transfer_cycles":
+        "paper artefact: Section 2.1's interface latency, checked against ElasticChannel",
+    "core/interface.py::boundary_overhead_cycles":
+        "paper artefact: Table 4's per-boundary latency overhead",
+    "core/topdown.py::decompose_top_down":
+        "paper artefact: Fig. 3b's top-down flow, cross-checked against the bottom-up one",
+    "core/softblock.py::reduction_block":
+        "paper artefact: Fig. 2c's reduction built from the two primitive patterns",
+    "core/partition.py::PartitionTree.frontier_of_size":
+        "paper artefact: Fig. 6's frontier for a given device count",
+    "isa/reorder.py::overlap_window":
+        "paper artefact: the overlap window Fig. 11's model integrates",
+    "runtime/api.py::HypervisorAPI":
+        "paper artefact: Fig. 7's high-level system API",
+    "runtime/api.py::HypervisorAPI.evict_idle":
+        "paper artefact: part of Fig. 7's high-level system API",
+    "runtime/catalog.py::Catalog.instance_count":
+        "paper artefact: the paper's inventory of distinct accelerator instances",
+    "serving/frontend.py::ServingFrontend.record_for":
+        "accessor: one request's frontend record",
+    "accel/batched.py::BatchedFunctionalSimulator.lane_vector":
+        "accessor: one lane's register, compared with the scalar simulator's",
+    "accel/batched.py::ScalarLanes.lane_vector":
+        "accessor: one lane's register, compared with the scalar simulator's",
+    "accel/batched.py::_BatchedLanes.lane_vector":
+        "accessor: one lane's register, compared with the scalar simulator's",
+    "accel/batched.py::BatchedDRAM.resident_bytes":
+        "accessor: storage held, which shows pages shared between lanes",
+    "accel/functional.py::ScaleOutFabric.pending_rounds":
+        "accessor: completed sync rounds not yet received",
+    "workloads/deepbench.py::all_models":
+        "accessor: every registered model, for sweeps over the registry",
+}
+
+#: Test-only definitions still to delete, each with the number of tests
+#: that check nothing else and go with it.  Never add to this table.
+PENDING = {
+    "accel/config.py::MemoryPlan.physical_bits_per_tile": 1,
+    "accel/generator.py::design_summary": 1,
+    "accel/memory.py::usable_words": 1,
+    "accel/memory.py::utilisation_of_uram": 2,
+    "cluster/network.py::RingNetwork.diameter": 1,
+    "cluster/simulator.py::SimulationResult.per_class_counts": 1,
+    "cluster/topology.py::homogeneous_cluster": 1,
+    "core/interface.py::LatencyInsensitiveInterface.crossing_latency_cycles": 1,
+    "core/mapping.py::AcceleratorMapping.option_by_id": 1,
+    "core/softblock.py::SoftBlock.arity_profile": 1,
+    "experiments/report.py::pct": 2,
+    "faults/injector.py::FaultInjector.fail_board": 1,
+    "isa/bfp.py::BFPFormat.quantisation_step": 1,
+    "isa/program.py::Program.count_op": 1,
+    "isa/program.py::Program.sync_instructions": 1,
+    "perf/throughput.py::geometric_mean": 2,
+    "resources.py::ResourceVector.fits_in": 1,
+    "resources.py::ResourceVector.is_nonnegative": 1,
+    "rtl/flatten.py::primitive_census": 2,
+    "rtl/hierarchy.py::iter_hierarchy": 3,
+    "rtl/hierarchy.py::BasicInstance.leaf_name": 1,
+    "rtl/ir.py::Direction.flipped": 1,
+    "rtl/ir.py::Module.net_width": 1,
+    "rtl/ir.py::Design.instance_counts": 1,
+    "units.py::fmt_time": 6,
+    "units.py::ns": 1,
+    "units.py::to_us": 1,
+    "units.py::kbit": 1,
+    "vital/bitstream.py::BitstreamStore.total_compile_seconds": 1,
+    "vital/floorplan.py::frequency_gain_of_floorplanning": 1,
+    "vital/virtual_block.py::PhysicalFPGA.is_placeable": 1,
+}
+
+
+def _not_uses(tree) -> set:
+    """Ids of the string constants that are docstrings or annotations."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                found.add(id(first.value))
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if annotation is not None:
+            found.update(id(part) for part in ast.walk(annotation))
+    return found
+
+
+def _uses(directory: pathlib.Path) -> collections.Counter:
+    """Every name used in the Python files under ``directory``."""
+    seen = collections.Counter()
+    for path in sorted(directory.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reexport = path.name == "__init__.py" and SRC in path.parents
+        skipped = _not_uses(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                seen[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                seen[node.attr] += 1
+            elif isinstance(node, ast.keyword) and node.arg:
+                seen[node.arg] += 1
+            elif reexport:
+                continue
+            elif isinstance(node, ast.alias):
+                seen[node.name.rsplit(".", 1)[-1]] += 1
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.isidentifier() and id(node) not in skipped):
+                seen[node.value] += 1
+    return seen
+
+
+def _definitions() -> dict:
+    """``path::qualname -> name`` for every non-dunder def and class."""
+    found = {}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                qualname = scope + child.name
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found[f"{path}::{qualname}"] = child.name
+                if isinstance(child, ast.ClassDef):
+                    visit(child, path, qualname + ".")
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(), "")
+    return found
+
+
+@pytest.fixture(scope="module")
+def unused() -> set:
+    """Definitions that nothing in src/, benchmarks/ or examples/ uses."""
+    uses = collections.Counter()
+    for directory in ("src", "benchmarks", "examples"):
+        uses.update(_uses(ROOT / directory))
+    return {key for key, name in _definitions().items() if not uses[name]}
+
+
+def test_no_new_test_only_code(unused):
+    unlisted = sorted(unused - set(ALLOWED) - set(PENDING))
+    assert not unlisted, (
+        "only tests (or nothing) use these src/ definitions; delete them, "
+        "or allow one with the artefact or check it pins: " + ", ".join(unlisted)
+    )
+
+
+@pytest.mark.parametrize("table", ["ALLOWED", "PENDING"])
+def test_tables_hold_only_test_only_code(unused, table):
+    stale = sorted(set(globals()[table]) - unused)
+    assert not stale, f"{table} entries now used or gone: {', '.join(stale)}"
+
+
+def test_allowed_entries_give_a_reason():
+    kinds = ("checker:", "reference model:", "paper artefact:", "accessor:")
+    assert all(reason.startswith(kinds) for reason in ALLOWED.values())

@@ -414,7 +414,10 @@ class TestResidencyIndex:
             and board.model.name in image_types
             and board.can_host(image_types[board.model.name].virtual_blocks)
         )
-        controller.migration.migrate(deployment, {0: destination})
+        engine = controller.migration
+        plan = engine.plan_move(deployment, {0: destination})
+        engine.begin(plan, now=0.0)
+        engine.finish(plan, now=0.0)
         assert controller.check_residents_consistent()
         assert deployment not in controller.deployments_on(src)
         assert deployment in controller.deployments_on(destination.fpga_id)

@@ -31,7 +31,6 @@ from repro.isa.instructions import (
     vv_add,
 )
 from repro.isa.program import Program
-from repro.migration.checkpoint import AcceleratorCheckpoint
 from repro.workloads.deepbench import model_by_key
 
 ROWS, COLS, HALF = 6, 32, 16
@@ -184,17 +183,6 @@ class TestHostWriters:
         sim.vrf[0] = np.linspace(-1.0, 1.0, BATCH * COLS).reshape(BATCH, COLS)
         sim.run()
         _assert_batched(sim)
-
-    def test_checkpoint_restore(self):
-        program = _program()
-        sim = _scalar(program)
-        _step_past_first_product(sim)
-        checkpoint = AcceleratorCheckpoint.capture(sim)
-        checkpoint.vrf[0] = np.linspace(-1.0, 1.0, COLS)
-        resumed = checkpoint.restore(program)
-        resumed.run()
-        assert np.array_equal(resumed.vector(0), np.linspace(-1.0, 1.0, COLS))
-        _assert_scalar(resumed)
 
 
 def _step_until_iteration(sim, index: int) -> None:

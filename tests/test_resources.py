@@ -23,7 +23,7 @@ class TestConstruction:
 
     def test_from_dict_roundtrip(self):
         original = vec(1, 2, 3, 4, 5)
-        assert ResourceVector.from_dict(original.as_dict()) == original
+        assert ResourceVector.from_dict(dict(zip(RESOURCE_KINDS, original))) == original
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(TypeError):
@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_kind_order_matches_iteration(self):
         v = vec(1, 2, 3, 4, 5)
-        assert list(v) == [v.as_dict()[k] for k in RESOURCE_KINDS]
+        assert list(v) == [getattr(v, k) for k in RESOURCE_KINDS]
 
 
 class TestArithmetic:
@@ -146,7 +146,7 @@ def test_scaling_preserves_containment(a, factor):
 @given(vectors)
 def test_self_utilisation_is_one_or_nan(a):
     for kind, value in a.utilisation(a).items():
-        component = a.as_dict()[kind]
+        component = getattr(a, kind)
         if component > 0:
             assert value == pytest.approx(1.0)
         else:

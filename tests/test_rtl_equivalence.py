@@ -3,12 +3,9 @@ data-parallelism detection (paper Fig. 4a/4b)."""
 
 import pytest
 
+from repro.rtl import equivalence
 from repro.rtl.builder import DesignBuilder
-from repro.rtl.equivalence import (
-    clear_signature_cache,
-    modules_equivalent,
-    structural_signature,
-)
+from repro.rtl.equivalence import modules_equivalent, structural_signature
 
 
 def _two_stage_module(db, name, cell="FP16_ADD"):
@@ -22,9 +19,9 @@ def _two_stage_module(db, name, cell="FP16_ADD"):
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_signature_cache()
+    equivalence._signature_cache.clear()
     yield
-    clear_signature_cache()
+    equivalence._signature_cache.clear()
 
 
 class TestSignatures:

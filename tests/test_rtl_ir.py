@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RTLValidationError, UnknownModuleError
-from repro.rtl.ir import Design, Direction, Module, Port, connect_chain
+from repro.rtl.ir import Design, Direction, Module, Port
 
 
 class TestPort:
@@ -54,23 +54,6 @@ class TestModule:
         assert [p.name for p in module.input_ports()] == ["a"]
         assert [p.name for p in module.output_ports()] == ["y", "z"]
 
-    def test_net_drivers_and_consumers(self):
-        design = Design("d")
-        child = Module("child")
-        child.add_port("i", Direction.INPUT, 1)
-        child.add_port("o", Direction.OUTPUT, 1)
-        design.add_module(child)
-        top = Module("top")
-        top.add_net("w")
-        top.add_instance("u0", "child", {"o": "w"})
-        top.add_instance("u1", "child", {"i": "w"})
-        design.add_module(top)
-        design.top = "top"
-        drivers = top.net_drivers("w", design)
-        consumers = top.net_consumers("w", design)
-        assert [inst.name for inst, _ in drivers] == ["u0"]
-        assert [inst.name for inst, _ in consumers] == ["u1"]
-
 
 class TestDesign:
     def test_top_unset_raises(self):
@@ -109,19 +92,3 @@ class TestDesign:
     def test_submodule_names_excludes_primitives(self, mini_design):
         names = mini_design.submodule_names("lane")
         assert names == {"stage_a", "stage_b", "stage_c"}
-
-
-class TestConnectChain:
-    def test_chains_instances_with_fresh_nets(self):
-        design = Design("d")
-        stage = Module("stage")
-        stage.add_port("i", Direction.INPUT, 1)
-        stage.add_port("o", Direction.OUTPUT, 1)
-        design.add_module(stage)
-        top = Module("top")
-        instances = [top.add_instance(f"s{i}", "stage") for i in range(3)]
-        connect_chain(top, instances, "o", "i")
-        assert instances[0].connections["o"] == "chain_0"
-        assert instances[1].connections["i"] == "chain_0"
-        assert instances[1].connections["o"] == "chain_1"
-        assert instances[2].connections["i"] == "chain_1"

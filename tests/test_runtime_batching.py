@@ -142,11 +142,11 @@ class TestBatchExecutor:
         executor = BatchExecutor(BatchingParameters(max_batch=2))
         for i in range(4):
             executor.submit(_task(i), replicas=1, now=0.0)
-        snap = executor.stats.snapshot()
-        assert snap["submitted"] == 4
-        assert snap["executions"] == 2
-        assert snap["mean_batch"] == 2.0
-        assert snap["batch_sizes"] == {"2": 2}
+        stats = executor.stats
+        assert stats.submitted == 4
+        assert stats.executions == 2
+        assert stats.batched_lanes + stats.scalar_lanes == 4
+        assert stats.batch_sizes == {2: 2}
 
 
 class TestScaleOutExecution:

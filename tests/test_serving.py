@@ -546,7 +546,8 @@ class TestRecoveryBackoffSurfacing:
         cluster = paper_cluster()
         system = build_system("proposed", cluster, catalog, recovery=True)
         manager = system.controller.recovery
-        schedule = manager.backoff_schedule()
+        params = manager.params
+        schedule = [params.backoff_s(attempt) for attempt in range(params.max_retries)]
         assert len(schedule) == manager.params.max_retries
         assert schedule[0] == manager.params.retry_base_s
         assert schedule[-1] == manager.params.retry_cap_s

@@ -523,21 +523,53 @@ class TestFrontendComposition:
         assert scheduler.controller is system.controller
 
     def test_requeue_restores_queue_and_tenant_depth(self, shared_catalog):
-        scheduler, frontend, _ = self._frontend_stack(
-            shared_catalog, [TenantParameters(name="t")]
-        )
-        task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
-                    tenant="t")
-        assert scheduler.admit(task, 0.0)
-        assert frontend.queue_depth_by_tenant() == {"t": 1}
-        service = frontend.try_start(task, 0.0)
-        assert service is not None
-        assert frontend.queue_depth_by_tenant() == {}
-        frontend.requeue(task, 0.0)
-        assert frontend.queue_depth_by_tenant() == {"t": 1}
-        record = frontend._records[0]
-        assert not record.started
-        assert record.board_ids == []
+        """A preempted request is back in the simulator's (tenant, model)
+        queue when the frontend requeues it; the requeue reverses the
+        frontend's start bookkeeping and queues its record again, so the
+        tenant's depth the simulator holds is the frontend's too."""
+        scheduler, frontend, tasks = self._preempting_stream(shared_catalog, 7)
+        simulator = ClusterSimulator(scheduler, "requeue-depth")
+        requeued = []
+        requeue = frontend.requeue
+
+        def tenant_depth(tenant):
+            return sum(
+                len(queue.entries)
+                for (owner, _), queue in simulator._queues.items()
+                if owner == tenant
+            ) + sum(task.tenant == tenant for task in simulator._requeued)
+
+        def frontend_depth(tenant):
+            return sum(
+                record.task.tenant == tenant
+                for queue in frontend._queued.values()
+                for record in queue.values()
+            )
+
+        def spy_requeue(task, now):
+            record = frontend.record_for(task.task_id)
+            held = task in simulator._requeued or task in [
+                entry[2]
+                for entry in simulator._queues[(task.tenant, task.model_key)].entries
+            ]
+            assert held and record.started
+            depth = tenant_depth(task.tenant)
+            assert frontend_depth(task.tenant) == depth - 1
+            requeue(task, now)
+            assert not record.started
+            assert record.board_ids == []
+            if record.outcome is RequestOutcome.PENDING:
+                requeued.append(task.task_id)
+                assert tenant_depth(task.tenant) == depth
+                assert frontend_depth(task.tenant) == depth
+            else:
+                # Requeued after its deadline: it left both queues at once.
+                assert tenant_depth(task.tenant) == depth - 1
+                assert frontend_depth(task.tenant) == depth - 1
+
+        frontend.requeue = spy_requeue
+        simulator.run(tasks)
+        assert requeued
 
     def test_requeue_after_the_deadline_expires_at_once(self,
                                                        shared_catalog):
@@ -580,7 +612,7 @@ class TestFrontendComposition:
         )
         stranger = Task(task_id=99, model_key="gru-h512-t1", arrival_s=0.0)
         frontend.requeue(stranger, 0.0)
-        assert frontend.queue_depth_by_tenant() == {}
+        assert frontend.queue_depth() == 0
 
     def test_overload_run_through_frontend(self, shared_catalog):
         """The full stack — TenantScheduler over ServingFrontend over the

@@ -186,38 +186,3 @@ class TestArrivals:
         assert arrival_process("poisson") is poisson_arrivals
         with pytest.raises(ReproError):
             arrival_process("fractal")
-
-
-class TestTracePersistence:
-    def test_roundtrip(self, tmp_path):
-        from repro.workloads.synthetic import load_trace, save_trace
-
-        tasks = generate_workload(TABLE1_COMPOSITIONS[6], 30, seed=8)
-        path = tmp_path / "trace.json"
-        save_trace(tasks, path)
-        loaded = load_trace(path)
-        assert [t.model_key for t in loaded] == [t.model_key for t in tasks]
-        assert [t.arrival_s for t in loaded] == [t.arrival_s for t in tasks]
-        assert [t.size_class for t in loaded] == [t.size_class for t in tasks]
-
-    def test_version_check(self, tmp_path):
-        from repro.workloads.synthetic import load_trace
-
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "tasks": []}')
-        with pytest.raises(ReproError):
-            load_trace(path)
-
-    def test_loaded_trace_runs(self, tmp_path):
-        from repro.cluster import ClusterSimulator
-        from repro.runtime import Catalog, build_system
-        from repro.vital import VitalCompiler
-        from repro.cluster import paper_cluster
-        from repro.workloads.synthetic import load_trace, save_trace
-
-        tasks = generate_workload(TABLE1_COMPOSITIONS[0], 20, seed=3)
-        path = tmp_path / "trace.json"
-        save_trace(tasks, path)
-        system = build_system("proposed", paper_cluster(), Catalog(VitalCompiler()))
-        result = ClusterSimulator(system, "proposed").run(load_trace(path))
-        assert len(result.completed) == 20
