@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..errors import DecomposeError
 from ..resources import ResourceVector, total
 from ..rtl import (
@@ -94,6 +92,30 @@ class DecomposedAccelerator:
         return self.data_root.kind is PatternKind.DATA
 
 
+@dataclass
+class _BlockGraph:
+    """The block graph on plain dicts: node -> block, plus ``succ``/``pred``
+    maps of ``{node: bits}``.  Every dict iterates in insertion order, which
+    fixes the merge order and so the extracted tree."""
+
+    blocks: dict = field(default_factory=dict)
+    succ: dict = field(default_factory=dict)
+    pred: dict = field(default_factory=dict)
+
+    def add_node(self, node, block: SoftBlock) -> None:
+        self.blocks[node] = block
+        self.succ[node] = {}
+        self.pred[node] = {}
+
+    def add_bits(self, src, dst, bits: int) -> None:
+        """Add ``bits`` to edge ``src -> dst`` (created last if new)."""
+        self.succ[src][dst] = self.succ[src].get(dst, 0) + bits
+        self.pred[dst][src] = self.succ[src][dst]
+
+    def edges(self) -> list:
+        return [(src, dst) for src, dsts in self.succ.items() for dst in dsts]
+
+
 class Decomposer:
     """Configurable decomposing tool; see module docstring for the steps."""
 
@@ -142,7 +164,7 @@ class Decomposer:
         stats.control_blocks = len(control_insts)
 
         graph = self._build_block_graph(design, data_insts, stats)
-        stats.basic_blocks = graph.number_of_nodes()
+        stats.basic_blocks = len(graph.blocks)
 
         self._iterate_merges(graph, stats)
 
@@ -177,8 +199,8 @@ class Decomposer:
 
     def _build_block_graph(
         self, design: Design, data_insts, stats: DecomposeStats
-    ) -> nx.DiGraph:
-        graph = nx.DiGraph()
+    ) -> _BlockGraph:
+        graph = _BlockGraph()
         producers: dict[str, list] = {}
         consumers: dict[str, list] = {}
 
@@ -193,7 +215,7 @@ class Decomposer:
                 module.ports[p].width for p in inst.outputs if p in module.ports
             )
             block = self._make_leaf(design, inst, in_bits, out_bits, stats)
-            graph.add_node(index, block=block)
+            graph.add_node(index, block)
             for port_name, net_key in inst.outputs.items():
                 width = module.ports[port_name].width if port_name in module.ports else 1
                 producers.setdefault(net_key, []).append((index, width))
@@ -206,12 +228,8 @@ class Decomposer:
         for net_key, outs in producers.items():
             for src, width in outs:
                 for dst, _ in consumers.get(net_key, ()):
-                    if src == dst:
-                        continue
-                    if graph.has_edge(src, dst):
-                        graph.edges[src, dst]["bits"] += width
-                    else:
-                        graph.add_edge(src, dst, bits=width)
+                    if src != dst:
+                        graph.add_bits(src, dst, width)
         return graph
 
     @staticmethod
@@ -278,9 +296,6 @@ class Decomposer:
         ]
         if len(prims) < 2:
             return 1
-        undirected = nx.Graph()
-        for inst in prims:
-            undirected.add_node(inst.name, cell=inst.module_name)
         net_users: dict[str, list] = {}
         for inst in prims:
             for port_name, net_name in inst.connections.items():
@@ -289,21 +304,27 @@ class Decomposer:
                 if net_name in module.ports:
                     continue  # shared I/O does not serialise lanes
                 net_users.setdefault(net_name, []).append(inst.name)
+        parent = {inst.name: inst.name for inst in prims}  # union-find
+
+        def find(node):
+            while parent[node] != node:
+                parent[node] = node = parent[parent[node]]
+            return node
+
         for users in net_users.values():
-            for i in range(len(users) - 1):
-                undirected.add_edge(users[i], users[i + 1])
-        components = list(nx.connected_components(undirected))
+            for a, b in zip(users, users[1:]):
+                parent[find(a)] = find(b)
+        components: dict = {}
+        for inst in prims:
+            components.setdefault(find(inst.name), []).append(inst.module_name)
         if len(components) < 2:
             return 1
-        profiles = set()
-        for component in components:
-            cells = sorted(undirected.nodes[n]["cell"] for n in component)
-            profiles.add(tuple(cells))
+        profiles = {tuple(sorted(cells)) for cells in components.values()}
         return len(components) if len(profiles) == 1 else 1
 
     # -- steps 3-5: iterate merges ---------------------------------------------------
 
-    def _iterate_merges(self, graph: nx.DiGraph, stats: DecomposeStats) -> None:
+    def _iterate_merges(self, graph: _BlockGraph, stats: DecomposeStats) -> None:
         for _ in range(self.max_iterations):
             stats.iterations += 1
             changed = self._merge_data_siblings(graph, stats)
@@ -315,7 +336,7 @@ class Decomposer:
             f"decomposition did not converge in {self.max_iterations} iterations"
         )
 
-    def _merge_data_siblings(self, graph: nx.DiGraph, stats: DecomposeStats) -> bool:
+    def _merge_data_siblings(self, graph: _BlockGraph, stats: DecomposeStats) -> bool:
         """Step 3: group equivalent blocks sharing producers and consumers.
 
         Grouping uses the *lane* signature — a DATA block whose children all
@@ -324,11 +345,12 @@ class Decomposer:
         keep coalescing until one DATA parent covers the whole group.
         """
         groups: dict = {}
-        for node in graph.nodes:
-            block = graph.nodes[node]["block"]
-            preds = frozenset(graph.predecessors(node))
-            succs = frozenset(graph.successors(node))
-            key = (_lane_signature(block), preds - {node}, succs - {node})
+        for node, block in graph.blocks.items():
+            key = (
+                _lane_signature(block),
+                frozenset(graph.pred[node]),
+                frozenset(graph.succ[node]),
+            )
             groups.setdefault(key, []).append(node)
 
         merged_any = False
@@ -339,7 +361,7 @@ class Decomposer:
             # Data-parallel blocks must not feed each other.
             if preds & member_set or succs & member_set:
                 continue
-            blocks = [graph.nodes[n]["block"] for n in members]
+            blocks = [graph.blocks[n] for n in members]
             children = _normalise_data_children(blocks)
             parent = data_block(
                 name=f"data[{blocks[0].name}x{len(children)}]",
@@ -355,25 +377,23 @@ class Decomposer:
             return True
         return merged_any
 
-    def _merge_lane_pipelines(self, graph: nx.DiGraph, stats: DecomposeStats) -> bool:
+    def _merge_lane_pipelines(self, graph: _BlockGraph, stats: DecomposeStats) -> bool:
         """Step 4 (Fig. 4c): adjacent equal-arity DATA blocks merge lane-wise
         into DATA-of-PIPELINE."""
-        for src, dst in list(graph.edges):
-            if src == dst:
-                continue
-            a = graph.nodes[src]["block"]
-            b = graph.nodes[dst]["block"]
+        for src, dst in graph.edges():
+            a = graph.blocks[src]
+            b = graph.blocks[dst]
             if a.kind is not PatternKind.DATA or b.kind is not PatternKind.DATA:
                 continue
             if len(a.children) != len(b.children):
                 continue
-            if graph.out_degree(src) != 1 or graph.in_degree(dst) != 1:
+            if len(graph.succ[src]) != 1 or len(graph.pred[dst]) != 1:
                 continue
             lanes = []
             for index, (left, right) in enumerate(zip(a.children, b.children)):
                 stage_left = left.clone()
                 stage_right = right.clone()
-                edge_bits = graph.edges[src, dst]["bits"]
+                edge_bits = graph.succ[src][dst]
                 stage_left.out_bits = max(1, edge_bits // len(a.children))
                 lane = _join_pipeline(
                     f"lane{index}[{stage_left.name}->{stage_right.name}]",
@@ -393,18 +413,17 @@ class Decomposer:
             return True
         return False
 
-    def _merge_pipeline_chains(self, graph: nx.DiGraph, stats: DecomposeStats) -> bool:
+    def _merge_pipeline_chains(self, graph: _BlockGraph, stats: DecomposeStats) -> bool:
         """Step 4 (chains): merge maximal linear producer/consumer chains."""
-        for start in list(graph.nodes):
+        for start in list(graph.blocks):
             chain = _maximal_chain(graph, start)
             if len(chain) < 2:
                 continue
             blocks = []
             for position, node in enumerate(chain):
-                block = graph.nodes[node]["block"]
+                block = graph.blocks[node]
                 if position + 1 < len(chain):
-                    bits = graph.edges[node, chain[position + 1]]["bits"]
-                    block.out_bits = bits
+                    block.out_bits = graph.succ[node][chain[position + 1]]
                 blocks.append(block)
             parent = _join_pipeline(
                 f"pipe[{blocks[0].name}..{blocks[-1].name}]", blocks
@@ -418,19 +437,15 @@ class Decomposer:
     # -- finish -------------------------------------------------------------------
 
     @staticmethod
-    def _finalise_root(graph: nx.DiGraph, stats: DecomposeStats) -> SoftBlock:
-        nodes = list(graph.nodes)
+    def _finalise_root(graph: _BlockGraph, stats: DecomposeStats) -> SoftBlock:
+        nodes = list(graph.blocks)
         stats.residual_roots = len(nodes)
         if len(nodes) == 1:
-            return graph.nodes[nodes[0]]["block"]
+            return graph.blocks[nodes[0]]
         # Irregular residue: order topologically and wrap in a pipeline so a
         # single root always exists; flag it so callers know patterns did not
         # fully cover the design.
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
-            order = nodes
-        blocks = [graph.nodes[n]["block"] for n in order]
+        blocks = [graph.blocks[n] for n in _residual_order(graph)]
         root = _join_pipeline("pipe[residual]", blocks)
         root.metadata["irregular"] = True
         stats.note(f"residual wrap of {len(blocks)} roots")
@@ -442,28 +457,42 @@ class Decomposer:
 # ---------------------------------------------------------------------------
 
 
-def _contract(graph: nx.DiGraph, members, parent: SoftBlock) -> None:
-    """Replace ``members`` by one node holding ``parent``; external edges are
-    re-attached with summed widths."""
+def _contract(graph: _BlockGraph, members, parent: SoftBlock) -> None:
+    """Replace ``members`` by one node holding ``parent`` (id ``max + 1``,
+    appended last); external edges are re-attached with summed widths."""
     member_set = set(members)
-    new_node = max(graph.nodes) + 1 if graph.nodes else 0
+    new_node = max(graph.blocks) + 1
     in_edges: dict = {}
     out_edges: dict = {}
     for node in members:
-        for pred in graph.predecessors(node):
-            if pred in member_set:
-                continue
-            in_edges[pred] = in_edges.get(pred, 0) + graph.edges[pred, node]["bits"]
-        for succ in graph.successors(node):
-            if succ in member_set:
-                continue
-            out_edges[succ] = out_edges.get(succ, 0) + graph.edges[node, succ]["bits"]
-    graph.remove_nodes_from(members)
-    graph.add_node(new_node, block=parent)
+        for pred, bits in graph.pred.pop(node).items():
+            if pred not in member_set:
+                in_edges[pred] = in_edges.get(pred, 0) + bits
+                del graph.succ[pred][node]
+        for succ, bits in graph.succ.pop(node).items():
+            if succ not in member_set:
+                out_edges[succ] = out_edges.get(succ, 0) + bits
+                del graph.pred[succ][node]
+        del graph.blocks[node]
+    graph.add_node(new_node, parent)
     for pred, bits in in_edges.items():
-        graph.add_edge(pred, new_node, bits=bits)
+        graph.add_bits(pred, new_node, bits)
     for succ, bits in out_edges.items():
-        graph.add_edge(new_node, succ, bits=bits)
+        graph.add_bits(new_node, succ, bits)
+
+
+def _residual_order(graph: _BlockGraph) -> list:
+    """Topological order by generations: the sources in node order, then
+    each node's freed successors in edge order.  On a cycle the residue
+    keeps node order."""
+    indegree = {node: len(preds) for node, preds in graph.pred.items()}
+    order = [node for node, degree in indegree.items() if degree == 0]
+    for node in order:  # grows while walked: one generation after another
+        for succ in graph.succ[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                order.append(succ)
+    return order if len(order) == len(indegree) else list(graph.blocks)
 
 
 def _lane_signature(block: SoftBlock) -> str:
@@ -514,29 +543,22 @@ def _join_pipeline(name: str, blocks) -> SoftBlock:
     )
 
 
-def _maximal_chain(graph: nx.DiGraph, start) -> list:
+def _maximal_chain(graph: _BlockGraph, start) -> list:
     """The maximal linear chain through ``start`` (nodes with single in/out)."""
-
-    def linear_forward(node) -> bool:
-        return graph.out_degree(node) == 1
-
-    def linear_backward(node) -> bool:
-        return graph.in_degree(node) == 1
-
     chain = [start]
     seen = {start}
     node = start
-    while linear_forward(node):
-        (succ,) = graph.successors(node)
-        if succ in seen or graph.in_degree(succ) != 1:
+    while len(graph.succ[node]) == 1:
+        (succ,) = graph.succ[node]
+        if succ in seen or len(graph.pred[succ]) != 1:
             break
         chain.append(succ)
         seen.add(succ)
         node = succ
     node = start
-    while linear_backward(node):
-        (pred,) = graph.predecessors(node)
-        if pred in seen or graph.out_degree(pred) != 1:
+    while len(graph.pred[node]) == 1:
+        (pred,) = graph.pred[node]
+        if pred in seen or len(graph.succ[pred]) != 1:
             break
         chain.insert(0, pred)
         seen.add(pred)

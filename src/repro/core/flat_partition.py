@@ -20,21 +20,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import PartitionError
 from .patterns import PatternKind
 from .softblock import SoftBlock
 
 
-def leaf_connectivity_graph(tree: SoftBlock) -> nx.Graph:
-    """Reconstruct the leaf-level connectivity graph from a pattern tree.
+def leaf_connectivity_graph(tree: SoftBlock):
+    """Reconstruct the leaf-level connectivity graph (an undirected
+    ``networkx.Graph``) from a pattern tree.
 
     Pipeline stages connect head-to-tail with the stage's recorded
     ``out_bits`` as the edge weight; data-parallel children are mutually
     unconnected.  ``head``/``tail`` of a composite follow the dataflow:
     first/last child of a pipeline, all children of a data node.
     """
+    import networkx as nx  # lazily: only this ablation needs it
+
     graph = nx.Graph()
 
     def heads(block: SoftBlock) -> list:
@@ -127,11 +128,13 @@ class FlatBipartition:
 
 def flat_bipartition(tree: SoftBlock, seed: int = 0) -> FlatBipartition:
     """Bisect the leaf graph with Kernighan–Lin, ignoring patterns."""
+    from networkx.algorithms.community import kernighan_lin_bisection
+
     graph = leaf_connectivity_graph(tree)
     if graph.number_of_nodes() - 1 < 2:  # minus the io node
         raise PartitionError("flat bisection needs at least two leaves")
     started = time.perf_counter()
-    left, right = nx.algorithms.community.kernighan_lin_bisection(
+    left, right = kernighan_lin_bisection(
         graph, weight="bits", seed=seed
     )
     elapsed = time.perf_counter() - started

@@ -61,6 +61,9 @@ class BFPFormat:
 
 DEFAULT_FORMAT = BFPFormat()
 
+#: Binary exponent of the smallest normal float64 (``2**-1022``).
+_MIN_NORMAL_EXPONENT = np.finfo(np.float64).minexp
+
 
 def _pad_to_blocks(array: np.ndarray, block: int) -> np.ndarray:
     """Pad the last axis to a multiple of ``block`` with zeros."""
@@ -100,9 +103,13 @@ def _quantize(values: np.ndarray, fmt: BFPFormat) -> tuple:
     # (everything rounds to 0); a block holding inf or NaN keeps its
     # non-finite ratio as the scale and dequantises to NaN.
     scale = np.where(np.isfinite(ratio), np.ldexp(1.0, exponent), ratio)
-    mantissas = np.clip(
-        np.rint(blocked / scale), -fmt.max_mantissa - 1, fmt.max_mantissa
-    )
+    mantissas = np.rint(blocked / scale)
+    # ``scale >= ratio`` and dividing by a power of two is exact, so a
+    # normal ratio (rounded to within 2**-53) keeps every mantissa in
+    # [-max_mantissa, max_mantissa].  A ratio rounded on the subnormal grid
+    # can fall far below ``block_max / max_mantissa``: only then clip.
+    if exponent.min() <= _MIN_NORMAL_EXPONENT:
+        np.clip(mantissas, -fmt.max_mantissa - 1, fmt.max_mantissa, out=mantissas)
     dequant = mantissas * scale
     if padded is values:
         # Aligned fast path: no padding was added, reshape is a view.

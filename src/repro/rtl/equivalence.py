@@ -10,7 +10,8 @@ compromise — *structural* equivalence:
    colour refinement over the module's connectivity graph, and
 2. for modules below a size threshold, an exact ``networkx`` graph-isomorphism
    confirmation, so signature collisions cannot produce false positives on
-   the module sizes the decomposer actually compares.
+   the module sizes the decomposer actually compares.  Only that check
+   imports networkx; the signature runs on plain dicts.
 
 Two instances of the *same* module are trivially equivalent; the interesting
 case is separately-defined modules with identical structure (e.g. generated
@@ -20,8 +21,6 @@ tile engines), which the signature catches.
 from __future__ import annotations
 
 import hashlib
-
-import networkx as nx
 
 from .ir import Design, Module
 
@@ -44,48 +43,50 @@ def _interface_signature(module: Module) -> str:
     return repr(shape)
 
 
-def _connection_graph(design: Design, module: Module) -> nx.Graph:
-    """Bipartite instance/net graph of a module body.
+def _connection_graph(design: Design, module: Module) -> tuple:
+    """Bipartite instance/net graph of a module body, as ``(labels,
+    adjacency)``: node -> label, and node -> ``{neighbour: direction}``.
 
     Instance nodes are labelled by their *referenced module's signature*
     (recursing for submodules, cell name for primitives), net nodes by width.
     Edges are labelled by the port direction so that producer/consumer
-    orientation matters.
+    orientation matters; an instance wired to one net through several
+    ports keeps one edge, labelled by the last of them.
     """
-    graph = nx.Graph()
-    for net in module.nets.values():
-        graph.add_node(("net", net.name), label=f"net:{net.width}")
+    labels = {("net", net.name): f"net:{net.width}" for net in module.nets.values()}
+    adjacency: dict = {node: {} for node in labels}
     for inst in module.instances.values():
         if design.has_module(inst.module_name):
             label = "mod:" + structural_signature(design, inst.module_name)
         else:
             label = "cell:" + inst.module_name
         node = ("inst", inst.name)
-        graph.add_node(node, label=label)
+        labels[node] = label
+        adjacency[node] = {}
         ports = design.ports_of(inst.module_name)
         for port_name, net_name in inst.connections.items():
             port = ports.get(port_name)
             direction = port.direction.value if port is not None else "?"
-            if ("net", net_name) in graph:
-                graph.add_edge(node, ("net", net_name), direction=direction)
+            net = ("net", net_name)
+            if net in labels:
+                adjacency[node][net] = adjacency[net][node] = direction
     # Port nets get their direction stamped into the label so that inputs
     # and outputs of the module refine differently.
     for port in module.ports.values():
         node = ("net", port.name)
-        if node in graph:
-            graph.nodes[node]["label"] += f":{port.direction.value}"
-    return graph
+        if node in labels:
+            labels[node] += f":{port.direction.value}"
+    return labels, adjacency
 
 
-def _wl_hash(graph: nx.Graph) -> str:
+def _wl_hash(labels: dict, adjacency: dict) -> str:
     """Canonical hash of a labelled graph via WL colour refinement."""
-    colours = {node: graph.nodes[node].get("label", "") for node in graph.nodes}
+    colours = dict(labels)
     for _ in range(REFINEMENT_ROUNDS):
         new_colours = {}
-        for node in graph.nodes:
+        for node, neighbours in adjacency.items():
             neighbourhood = sorted(
-                (graph.edges[node, nbr].get("direction", ""), colours[nbr])
-                for nbr in graph.neighbors(node)
+                (direction, colours[nbr]) for nbr, direction in neighbours.items()
             )
             blob = colours[node] + "|" + repr(neighbourhood)
             new_colours[node] = hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -116,13 +117,26 @@ def structural_signature(design: Design, module_name: str) -> str:
     if cached is not None:
         return cached
     module = design.require_module(module_name)
-    body = _wl_hash(_connection_graph(design, module))
+    body = _wl_hash(*_connection_graph(design, module))
     attrs = module.attributes.get("equiv_class", "")
     signature = hashlib.sha256(
         f"{_interface_signature(module)}|{body}|{attrs}".encode()
     ).hexdigest()[:24]
     _signature_cache[cache_key] = signature
     return signature
+
+
+def _to_networkx(labels: dict, adjacency: dict):
+    """The connection graph as an ``nx.Graph`` for the isomorphism check."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    for node, label in labels.items():
+        graph.add_node(node, label=label)
+    for node, neighbours in adjacency.items():
+        for nbr, direction in neighbours.items():
+            graph.add_edge(node, nbr, direction=direction)
+    return graph
 
 
 def _node_match(a: dict, b: dict) -> bool:
@@ -154,9 +168,11 @@ def modules_equivalent(design: Design, name_a: str, name_b: str) -> bool:
         or len(module_b.instances) > EXACT_CHECK_MAX_INSTANCES
     ):
         return True  # trust the signature for very large bodies
-    graph_a = _connection_graph(design, module_a)
-    graph_b = _connection_graph(design, module_b)
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    graph_a = _to_networkx(*_connection_graph(design, module_a))
+    graph_b = _to_networkx(*_connection_graph(design, module_b))
+    matcher = GraphMatcher(
         graph_a, graph_b, node_match=_node_match, edge_match=_edge_match
     )
     return matcher.is_isomorphic()

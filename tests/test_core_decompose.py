@@ -1,11 +1,14 @@
 """Decomposing-tool tests: the five-step flow on hand-built and generated
 designs (paper Section 2.2.1)."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accel import BW_K115, BW_V37, CONTROL_MODULES, generate_accelerator
 from repro.core import PatternKind, decompose
-from repro.core.decompose import Decomposer
+from repro.core.decompose import Decomposer, _BlockGraph, _contract, _residual_order
 from repro.errors import DecomposeError
 from repro.rtl import design_resources
 from repro.rtl.builder import DesignBuilder
@@ -233,3 +236,193 @@ class TestEdgeCases:
         db.top("top")
         result = decompose(db.build(), control_modules={"ctl"})
         assert result.data_root.kind is PatternKind.LEAF
+
+
+def _decompose_stages(name, stages, nets):
+    """Decompose a flat design: one single-gate module per stage, each
+    ``(instance, cell, inputs, outputs)`` with port -> net maps over the
+    8-bit ``nets`` of the top module, plus a control module."""
+    db = DesignBuilder(name)
+    m = db.module("ctl")
+    m.inputs("clk")
+    m.instance("g", "DFF", clk="clk")
+    m.build()
+    for inst, cell, ins, outs in stages:
+        m = db.module(f"m_{inst}")
+        m.inputs("clk", *[(p, 8) for p in ins]).outputs(*[(p, 8) for p in outs])
+        m.instance("g", cell)
+        m.build()
+    m = db.module("top")
+    m.inputs("clk")
+    m.nets(*[(n, 8) for n in nets])
+    m.instance("c", "ctl", clk="clk")
+    for inst, cell, ins, outs in stages:
+        m.instance(inst, f"m_{inst}", clk="clk", **ins, **outs)
+    m.build()
+    db.top("top")
+    return decompose(db.build(), control_modules={"ctl"})
+
+
+class TestResidualWrap:
+    """An irregular residue is wrapped in ``pipe[residual]``.  The stage
+    orders below were recorded with the networkx implementation
+    (``topological_sort``, node order on a cycle)."""
+
+    def test_several_roots_in_generation_order(self):
+        # Two unrelated sources feed y, which feeds two unrelated sinks:
+        # nothing merges.  Declared out of order, so topological order
+        # (sources in node order, then y's successors in edge order)
+        # differs from node order (z2, x2, y, z1, x1).
+        result = _decompose_stages("roots", [
+            ("z2", "NOT", {"i": "n2"}, {}),
+            ("x2", "AND2", {}, {"o": "a2"}),
+            ("y", "XOR2", {"i1": "a1", "i2": "a2"}, {"o1": "n1", "o2": "n2"}),
+            ("z1", "NAND2", {"i": "n1"}, {}),
+            ("x1", "OR2", {}, {"o": "a1"}),
+        ], ["a1", "a2", "n1", "n2"])
+        root = result.data_root
+        assert root.name == "pipe[residual]"
+        assert root.metadata["irregular"] is True
+        assert result.stats.residual_roots == 5
+        assert [c.name for c in root.children] == ["x2", "x1", "y", "z1", "z2"]
+
+    def test_cycle_keeps_node_order(self):
+        # p <-> q and p <-> r are cycles; s is a source feeding p.  No
+        # topological order exists, so the residue keeps node order even
+        # though s could go first.
+        result = _decompose_stages("cycle", [
+            ("r", "NOT", {"i": "pr"}, {"o": "rp"}),
+            ("p", "XOR2", {"i1": "qp", "i2": "rp", "i3": "sp"},
+             {"o1": "pq", "o2": "pr"}),
+            ("q", "NAND2", {"i": "pq"}, {"o": "qp"}),
+            ("s", "OR2", {}, {"o": "sp"}),
+        ], ["pq", "qp", "pr", "rp", "sp"])
+        root = result.data_root
+        assert root.name == "pipe[residual]"
+        assert result.stats.residual_roots == 4
+        assert [c.name for c in root.children] == ["r", "p", "q", "s"]
+
+
+def _networkx_contract(graph, members, parent):
+    """The networkx implementation ``_contract`` replaced, as a reference."""
+    member_set = set(members)
+    new_node = max(graph.nodes) + 1
+    in_edges, out_edges = {}, {}
+    for node in members:
+        for pred in graph.predecessors(node):
+            if pred not in member_set:
+                in_edges[pred] = in_edges.get(pred, 0) + graph.edges[pred, node]["bits"]
+        for succ in graph.successors(node):
+            if succ not in member_set:
+                out_edges[succ] = out_edges.get(succ, 0) + graph.edges[node, succ]["bits"]
+    graph.remove_nodes_from(members)
+    graph.add_node(new_node, block=parent)
+    for pred, bits in in_edges.items():
+        graph.add_edge(pred, new_node, bits=bits)
+    for succ, bits in out_edges.items():
+        graph.add_edge(new_node, succ, bits=bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 64)),
+             max_size=24),
+    st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=4), max_size=3),
+)
+def test_block_graph_orders_match_networkx(nodes, edges, contractions):
+    """The dict block graph keeps networkx's orders through edge merging
+    and contraction: nodes, successors and predecessors (with bits), the
+    edge list and the residual order (node order on a cycle)."""
+    import networkx as nx
+
+    graph, reference = _BlockGraph(), nx.DiGraph()
+    for node in range(nodes):
+        graph.add_node(node, f"b{node}")
+        reference.add_node(node, block=f"b{node}")
+    for src, dst, bits in edges:
+        src, dst = src % nodes, dst % nodes
+        if src == dst:
+            continue
+        graph.add_bits(src, dst, bits)
+        if reference.has_edge(src, dst):
+            reference.edges[src, dst]["bits"] += bits
+        else:
+            reference.add_edge(src, dst, bits=bits)
+    for step, picks in enumerate(contractions):
+        present = list(graph.blocks)
+        members = list(dict.fromkeys(present[i % len(present)] for i in picks))
+        _contract(graph, members, f"c{step}")
+        _networkx_contract(reference, members, f"c{step}")
+    assert list(graph.blocks) == list(reference.nodes)
+    assert list(graph.blocks.values()) == [
+        data["block"] for _, data in reference.nodes(data=True)
+    ]
+    for node in reference.nodes:
+        assert list(graph.succ[node].items()) == [
+            (dst, data["bits"]) for dst, data in reference.succ[node].items()
+        ]
+        assert list(graph.pred[node].items()) == [
+            (src, data["bits"]) for src, data in reference.pred[node].items()
+        ]
+    assert graph.edges() == list(reference.edges)
+    try:
+        expected = list(nx.topological_sort(reference))
+    except nx.NetworkXUnfeasible:
+        expected = list(reference.nodes)
+    assert _residual_order(graph) == expected
+
+
+#: Every model the four e2e workloads deploy; their catalog builds the ten
+#: (tiles, device type) designs pinned below.
+E2E_MODELS = (
+    "gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25",
+    "gru-h1536-t375", "lstm-h1536-t50", "gru-h2304-t250",
+)
+
+#: sha256 prefixes of each design's decomposed tree (control block, then
+#: data root): per block its depth, kind, name, signature and in/out bits,
+#: in child order.  Recorded with the networkx implementation; the fig12
+#: timing goldens would not see a change of child order.
+TREE_PINS = {
+    (2, "XCKU115"): "76624e18e928f3ee",
+    (2, "XCVU37P"): "6509cb2cdfd33a52",
+    (3, "XCKU115"): "c0e7e9a181a5a1f9",
+    (3, "XCVU37P"): "5124dfa83338f5f1",
+    (4, "XCKU115"): "40f0d1da678a90b8",
+    (5, "XCVU37P"): "24d36c5244ed6bed",
+    (6, "XCVU37P"): "e59015def9fb9259",
+    (13, "XCKU115"): "626ed64042f3dbe6",
+    (19, "XCVU37P"): "3e854ce53ee23908",
+    (21, "XCVU37P"): "2c6f26d82e5c5ff5",
+}
+
+
+def _tree_digest(decomposed) -> str:
+    lines = []
+
+    def walk(block, depth):
+        lines.append(
+            f"{depth}|{block.kind.value}|{block.name}|{block.signature}"
+            f"|{block.in_bits}|{block.out_bits}"
+        )
+        for child in block.children:
+            walk(child, depth + 1)
+
+    walk(decomposed.control, 0)
+    lines.append("--")
+    walk(decomposed.data_root, 0)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_e2e_catalog_trees_pinned():
+    from repro.runtime import Catalog
+
+    catalog = Catalog()
+    for key in E2E_MODELS:
+        catalog.entry_by_key(key)
+    digests = {
+        key: _tree_digest(decomposed)
+        for key, decomposed in catalog._design_cache.items()
+    }
+    assert digests == TREE_PINS

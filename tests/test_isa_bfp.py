@@ -200,3 +200,51 @@ def test_blocks_share_a_power_of_two_scale(values):
         assert np.array_equal(mantissas, np.rint(mantissas))
         assert mantissas.min() >= -fmt.max_mantissa - 1
         assert mantissas.max() <= fmt.max_mantissa
+
+
+def _clipped_quantize(values, fmt):
+    """The quantiser with its mantissas always clipped to ``[-max - 1,
+    max]`` (aligned input only): the formula ``bfp_quantize`` must match
+    bit for bit while it clips only blocks with a subnormal ratio."""
+    blocks = values.reshape(-1, fmt.block_size)
+    ratio = np.max(np.abs(blocks), axis=-1, keepdims=True) / fmt.max_mantissa
+    fraction, exponent = np.frexp(ratio)
+    exponent -= fraction == 0.5
+    scale = np.where(np.isfinite(ratio), np.ldexp(1.0, exponent), ratio)
+    mantissas = np.clip(
+        np.rint(blocks / scale), -fmt.max_mantissa - 1, fmt.max_mantissa
+    )
+    return (mantissas * scale).reshape(values.shape)
+
+
+def _boundary_blocks(fmt):
+    """Blocks whose maximum sits at and next to ``max_mantissa * 2**k``
+    (normal, subnormal and near-overflow ``k``, either sign), subnormal
+    multiples of the smallest float, zero blocks and non-finite blocks.
+    The subnormal maxima are where the clip still bites: ``46 * 2**-1074``
+    rounds to a ratio of ``2**-1074`` and a mantissa of 46, clipped to 31."""
+    fractions = np.linspace(-1.0, 1.0, fmt.block_size - 1)
+    maxima = []
+    for k in [*range(-1085, -1060), *range(-1030, -1015), *range(-6, 7),
+              *range(990, 994)]:
+        edge = np.ldexp(float(fmt.max_mantissa), k)
+        maxima += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    maxima += [n * 5e-324 for n in range(1, 400)]
+    blocks = []
+    for peak in maxima:
+        for sign in (1.0, -1.0):
+            blocks.append(np.append(sign * peak, peak * fractions))
+    blocks.append(np.zeros(fmt.block_size))
+    blocks.append(-np.zeros(fmt.block_size))
+    for special in (np.inf, -np.inf, np.nan):
+        blocks.append(np.append(special, fractions))
+    return np.array(blocks)
+
+
+def test_quantisation_matches_clipped_formula_at_boundaries():
+    fmt = BFPFormat()
+    values = _boundary_blocks(fmt)
+    with np.errstate(invalid="ignore"):
+        expected = _clipped_quantize(values, fmt)
+        quantised = bfp_quantize(values, fmt)
+    assert np.array_equal(quantised.view(np.int64), expected.view(np.int64))
