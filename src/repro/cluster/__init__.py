@@ -14,7 +14,7 @@ each other by a secondary bidirectional ring network.  Includes:
 
 from .events import EventQueue
 from .network import RingNetwork, NetworkParameters
-from .topology import FPGACluster, paper_cluster, homogeneous_cluster, scaled_cluster
+from .topology import FPGACluster, paper_cluster, scaled_cluster
 from .simulator import ClusterSimulator, Task, SimulationResult
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "RingNetwork",
     "SimulationResult",
     "Task",
-    "homogeneous_cluster",
     "paper_cluster",
     "scaled_cluster",
 ]

@@ -107,6 +107,3 @@ class RingNetwork:
             + added_latency_s
         )
 
-    def diameter(self) -> int:
-        """Largest minimal hop count in the ring."""
-        return len(self.node_ids) // 2

@@ -36,6 +36,9 @@ O(backlog).  A task the scheduler condemns while it waits (a serving
 deadline, head drop or abandon) leaves its queue at that moment
 (:meth:`ClusterSimulator.drop_queued`), so a pass never visits it.
 
+These queues are the only record of queued work: the layers above read
+their depths and order here instead of keeping copies.
+
 A pass runs only when something is queued, and the scheduler is shown the
 per-model queue depths (:meth:`Scheduler.observe_queue`) only when they
 changed since it last saw them.
@@ -46,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import count
+from itertools import chain, count
 from typing import Protocol
 
 from ..errors import SimulationError
@@ -130,12 +133,14 @@ class Scheduler(Protocol):
     def admit(self, task: Task, now: float) -> bool:
         """Optional (serving layer): called once at arrival, before the
         task is queued.  Returning ``False`` sheds the task — it is recorded
-        in :attr:`SimulationResult.dropped` and never dispatched."""
+        in :attr:`SimulationResult.dropped` and never dispatched.  The
+        simulator's queue depths do not count the task yet."""
 
     def on_drop(self, task: Task, now: float) -> None:
         """Optional: called by :meth:`ClusterSimulator.drop_queued` once a
         queued task has left the queue for good (the serving layer condemned
-        it).  A layer that counts pending work forgets the task here."""
+        it).  A layer that keeps per-task state for queued work forgets the
+        task here; queue depths are the simulator's to answer."""
 
     def woken_models(self, event: str, task: Task, now: float):
         """Optional: asked after ``task``'s ``event`` — ``"arrive"`` (once
@@ -198,12 +203,6 @@ class SimulationResult:
         if not self.completed:
             return 0.0
         return sum(t.latency_s for t in self.completed) / len(self.completed)
-
-    def per_class_counts(self) -> dict:
-        counts: dict[str, int] = {}
-        for task in self.completed:
-            counts[task.size_class] = counts.get(task.size_class, 0) + 1
-        return counts
 
 
 class _Queue:
@@ -381,6 +380,50 @@ class ClusterSimulator:
         """Tasks waiting to start: queued, or requeued during this pass."""
         return self._queued + len(self._requeued)
 
+    # Queue reads for the layers above.  Like :attr:`pending_count`, each
+    # counts a task requeued during the running pass.  Each visits the
+    # non-empty queues (at most one per tenant and model), never the
+    # backlog, so enqueue and take keep no count for them.
+
+    def queued_depth(self, model_key: str) -> int:
+        """Tasks of one model waiting to start, summed over tenants."""
+        depth = 0
+        for queue in self._queues.values():
+            if queue.model_key == model_key:
+                depth += len(queue.entries)
+        if self._requeued:
+            depth += sum(t.model_key == model_key for t in self._requeued)
+        return depth
+
+    def tenant_depth(self, tenant: str) -> int:
+        """Tasks of one tenant waiting to start, summed over models."""
+        depth = 0
+        for (owner, _), queue in self._queues.items():
+            if owner == tenant:
+                depth += len(queue.entries)
+        if self._requeued:
+            depth += sum(t.tenant == tenant for t in self._requeued)
+        return depth
+
+    def queued_models(self) -> list:
+        """Sorted keys of the models with a task waiting to start."""
+        return sorted({queue.model_key for queue in self._queues.values()}
+                      | {task.model_key for task in self._requeued})
+
+    def queued_tasks(self, model_key: str) -> list:
+        """One model's tasks waiting to start, every tenant's, in
+        ``(arrival_s, seq)`` order."""
+        runs = [queue.entries for queue in self._queues.values()
+                if queue.model_key == model_key]
+        if self._requeued:
+            seqs = self._task_seq
+            runs += [[(task.arrival_s, seqs[task.task_id], task)]
+                     for task in self._requeued
+                     if task.model_key == model_key]
+        if len(runs) == 1:
+            return [entry[2] for entry in runs[0]]
+        return [entry[2] for entry in sorted(chain.from_iterable(runs))]
+
     def _observe_queue(self) -> None:
         """Show the scheduler the queue depths per model (called only when
         they changed since it last saw them)."""
@@ -393,9 +436,6 @@ class ClusterSimulator:
                 counts.get(queue.model_key, 0) + len(queue.entries)
             )
         self._observe(counts)
-
-    def _pending_models(self) -> list:
-        return sorted({queue.model_key for queue in self._queues.values()})
 
     # -- scheduler-driven events (live migrations) -------------------------------
 
@@ -547,7 +587,7 @@ class ClusterSimulator:
                 raise SimulationError(
                     f"{self.system_name}: {self.pending_count} tasks "
                     f"stuck with an idle cluster (models: "
-                    f"{self._pending_models()})"
+                    f"{self.queued_models()})"
                 )
         self._retry_scheduled = True
         self.queue.schedule_in(self.RETRY_INTERVAL_S, self._retry)
@@ -785,7 +825,7 @@ class ClusterSimulator:
         if self.pending_count:
             raise SimulationError(
                 f"{self.system_name}: {self.pending_count} tasks never placed "
-                f"(models: {self._pending_models()}) — scheduler cannot "
+                f"(models: {self.queued_models()}) — scheduler cannot "
                 f"serve this workload"
             )
         self._result.makespan_s = self.queue.now - min(t.arrival_s for t in tasks)

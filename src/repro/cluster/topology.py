@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..errors import SimulationError
 from ..units import us, gbps
-from ..vital.device import FPGAModel, XCKU115, XCVU37P
+from ..vital.device import XCKU115, XCVU37P
 from ..vital.virtual_block import PhysicalFPGA
 from .network import NetworkParameters, RingNetwork
 
@@ -96,16 +96,6 @@ def paper_cluster(network_params: NetworkParameters | None = None) -> FPGACluste
         PhysicalFPGA("vu37p-1", XCVU37P),
         PhysicalFPGA("vu37p-2", XCVU37P),
         PhysicalFPGA("ku115-0", XCKU115),
-    ]
-    return FPGACluster(boards, network_params=network_params)
-
-
-def homogeneous_cluster(
-    model: FPGAModel, count: int, network_params: NetworkParameters | None = None
-) -> FPGACluster:
-    """A same-type cluster (used by ablations and tests)."""
-    boards = [
-        PhysicalFPGA(f"{model.name.lower()}-{i}", model) for i in range(count)
     ]
     return FPGACluster(boards, network_params=network_params)
 

@@ -7,8 +7,9 @@ the same :class:`~repro.cluster.simulator.Scheduler` protocol, so a
 On top of the inner scheduler it layers the mechanisms that keep goodput
 graceful when offered load exceeds capacity or boards fail:
 
-* **Admission control** — per-model bounded queues plus an optional
-  per-model token bucket; overflow is shed at arrival under a
+* **Admission control** — a per-model bound on the requests queued in
+  the simulator (the only queue) plus an optional per-model token bucket;
+  overflow is shed at arrival under a
   :class:`~repro.serving.policy.SheddingPolicy` (tail or head drop).
 * **Deadlines** — every admitted request carries an absolute deadline.
   One expiry timer per frontend (a single ``schedule_external`` event,
@@ -17,8 +18,7 @@ graceful when offered load exceeds capacity or boards fail:
   out of the simulator's queue then (``drop_queued``), so it never
   occupies a board.  A request started at its deadline could not finish
   on time anyway: service time is positive.  A head drop or an abandon
-  leaves the queue the same way, at the event that condemns it.  Without
-  a simulator there is no timer, and nothing expires.
+  leaves the queue the same way, at the event that condemns it.
 * **Retry budget** — genuine placement failures (the controller counted
   a ``placement_failure``) consume a per-request budget with jittered
   exponential backoff; exhaustion abandons the request.  Waiting behind a
@@ -35,7 +35,8 @@ graceful when offered load exceeds capacity or boards fail:
 
 Everything is opt-in: no behaviour of the wrapped system changes unless a
 frontend is constructed around it, so the Fig. 12 golden path is
-untouched.
+untouched.  A frontend serves only once a simulator binds it (the
+simulator's constructor does); an earlier ``admit`` raises ``ReproError``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from ..cluster.simulator import Task
+from ..errors import ReproError
 from ..vital.virtual_block import BoardHealth
 from .breaker import BreakerState, CircuitBreaker
 from .policy import ServingParameters, SheddingPolicy, TokenBucket
@@ -110,9 +112,6 @@ class ServingFrontend:
         self._rng = random.Random(self.params.seed)
         #: task_id -> RequestRecord (created at admission or first start).
         self._records: dict[int, RequestRecord] = {}
-        #: model key -> task_id -> queued (admitted, neither started nor
-        #: condemned) record, in queueing order.
-        self._queued: dict[str, dict[int, RequestRecord]] = {}
         #: Min-heap of ``(deadline_s, task_id)`` of queued records, every
         #: model's; entries of records that left the queue are popped when
         #: the expiry timer reaches them.
@@ -136,9 +135,6 @@ class ServingFrontend:
             board.subscribe(self._on_occupancy)
         #: model key -> (breaker, board) of every board it could land on.
         self._candidates: dict[str, list] = {}
-        #: (due_s, breaker) half-open probes in synchronous mode.
-        self._due: list = []
-        self._clock = 0.0
         self.brownout = False
         self._simulator = None
         #: Optional elastic autoscaler (:mod:`repro.autoscale`); attached
@@ -155,17 +151,6 @@ class ServingFrontend:
         self.system.bind_simulator(simulator)
         if self.autoscaler is not None:
             self.autoscaler.bind_simulator(simulator)
-        # Probes queued while unbound become first-class DES events now —
-        # without this hand-off a probe scheduled before binding would
-        # only ever fire piggybacked on an unrelated admit/try_start call.
-        if self._due:
-            now = simulator.queue.now
-            for due_s, breaker in self._due:
-                simulator.schedule_external(
-                    max(0.0, due_s - now),
-                    lambda fire_now, b=breaker: self._probe(b, fire_now),
-                )
-            self._due = []
 
     def attach_autoscaler(self, autoscaler) -> None:
         """Adopt an :class:`~repro.autoscale.Autoscaler` (it calls this
@@ -176,15 +161,11 @@ class ServingFrontend:
 
     def queue_depth(self, model_key: str | None = None) -> int:
         """Live queued (admitted, not started) requests — one model's, or
-        every model's.  The autoscaler's primary pressure signal."""
+        every model's — as the simulator holds them.  The autoscaler's
+        primary pressure signal."""
         if model_key is not None:
-            return len(self._queued.get(model_key, ()))
-        return sum(len(queue) for queue in self._queued.values())
-
-    def _now(self) -> float:
-        if self._simulator is not None:
-            return self._simulator.queue.now
-        return self._clock
+            return self._simulator.queued_depth(model_key)
+        return self._simulator.pending_count
 
     # -- record bookkeeping --------------------------------------------------
 
@@ -204,9 +185,9 @@ class ServingFrontend:
         """The frontend's record for one task (tests and benches read it)."""
         return self._records.get(task_id)
 
-    def _enqueue(self, record: RequestRecord, now: float) -> None:
-        task = record.task
-        self._queued.setdefault(task.model_key, {})[task.task_id] = record
+    def _watch_deadline(self, record: RequestRecord, now: float) -> None:
+        """Arm the deadline of a request the simulator queues (admitted)
+        or holds again (requeued)."""
         deadline = record.deadline_s
         if deadline <= now:
             # Requeued after its deadline: it expires now.
@@ -214,23 +195,15 @@ class ServingFrontend:
             self.stats.expired += 1
             return
         if deadline < math.inf:
-            heappush(self._expiry, (deadline, task.task_id))
-        if deadline < self._armed_s and self._simulator is not None:
+            heappush(self._expiry, (deadline, record.task.task_id))
+        if deadline < self._armed_s:
             self._arm(deadline)
 
-    def _dequeue(self, record: RequestRecord) -> bool:
-        """Take a record off its model's queue (it started or was
-        condemned); returns whether it was queued."""
-        task = record.task
-        queue = self._queued.get(task.model_key)
-        return queue is not None and queue.pop(task.task_id, None) is not None
-
     def _condemn(self, record: RequestRecord, outcome: RequestOutcome) -> None:
-        """Give a request its terminal drop outcome; a queued one leaves the
-        frontend's and the simulator's queues now."""
+        """Give a queued request its terminal drop outcome: it leaves the
+        simulator's queue now."""
         record.outcome = outcome
-        if self._dequeue(record) and self._simulator is not None:
-            self._simulator.drop_queued(record.task)
+        self._simulator.drop_queued(record.task)
 
     # -- deadline expiry -----------------------------------------------------
 
@@ -251,16 +224,15 @@ class ServingFrontend:
 
     def _expire(self, now: float) -> None:
         """Condemn every queued request whose deadline is at or before
-        ``now``, pop the entries of requests that left the queue, and
-        (with a simulator) arm the timer at the earliest deadline left."""
+        ``now``, pop the entries of requests that left the queue, and arm
+        the timer at the earliest deadline left."""
         expiry = self._expiry
         while expiry:
             deadline, task_id = expiry[0]
             record = self._records[task_id]
             if record.outcome is RequestOutcome.PENDING and not record.started:
                 if deadline > now:
-                    if self._simulator is not None:
-                        self._arm(deadline)
+                    self._arm(deadline)
                     return
                 self._condemn(record, RequestOutcome.EXPIRED)
                 self.stats.expired += 1
@@ -281,8 +253,8 @@ class ServingFrontend:
 
     def admit(self, task: Task, now: float) -> bool:
         """Arrival-time admission: bounded queue + token bucket."""
-        self._clock = now
-        self._pump_breakers(now)
+        if self._simulator is None:
+            raise ReproError("ServingFrontend.admit before bind_simulator")
         record = self._record(task, now)
         self.stats.offered += 1
         model = task.model_key
@@ -297,12 +269,12 @@ class ServingFrontend:
             self.stats.admitted += 1
             self.stats.expired += 1
             return False
-        if self.queue_depth(model) >= self.params.max_queue_depth:
+        if self._simulator.queued_depth(model) >= self.params.max_queue_depth:
             if self.params.shedding is SheddingPolicy.HEAD_DROP:
                 self._condemn_oldest(model)
             else:
                 return self._shed_at_door(record)
-        self._enqueue(record, now)
+        self._watch_deadline(record, now)
         self.stats.admitted += 1
         return True
 
@@ -312,17 +284,15 @@ class ServingFrontend:
         return False
 
     def _condemn_oldest(self, model_key: str) -> None:
-        """Head drop: shed the oldest queued request of this model."""
-        queue = self._queued.get(model_key)
-        if queue:
-            self._condemn(next(iter(queue.values())), RequestOutcome.SHED)
-            self.stats.shed += 1
+        """Head drop: shed this model's queued request that is first in
+        ``(arrival_s, seq)`` order, whichever tenant it belongs to."""
+        first = self._simulator.queued_tasks(model_key)[0]
+        self._condemn(self._records[first.task_id], RequestOutcome.SHED)
+        self.stats.shed += 1
 
     # -- Scheduler protocol: placement ---------------------------------------
 
     def try_start(self, task: Task, now: float) -> float | None:
-        self._clock = now
-        self._pump_breakers(now)
         record = self._record(task, now)
         if now < record.next_attempt_s:
             return None  # retry backoff gate
@@ -335,15 +305,15 @@ class ServingFrontend:
             if self.controller.stats.placement_failures > failures_before:
                 self._placement_failed(record, now)
             return None
-        # Started: leave the queue, remember the boards for breaker
-        # attribution, and let brownout react to the new utilisation.
+        # Started: remember the boards for breaker attribution, and let
+        # brownout react to the new utilisation.  The simulator takes the
+        # task off its queue once this returns.
         record.started = True
-        self._dequeue(record)
         deployment = self.system.running_deployment(task.task_id)
         if deployment is not None:
             record.board_ids = list(deployment.member_fpgas)
         self.stats.started += 1
-        self._update_brownout(now)
+        self._update_brownout(now, starting=task.model_key)
         return service
 
     def _placement_failed(self, record: RequestRecord, now: float) -> None:
@@ -358,27 +328,25 @@ class ServingFrontend:
             1.0 - jitter + 2.0 * jitter * self._rng.random()
         )
         record.next_attempt_s = now + delay
-        if self._simulator is not None:
-            # Wake the dispatcher when the backoff expires.
-            self._simulator.schedule_external(delay, lambda _now: None)
+        # Wake the dispatcher when the backoff expires.
+        self._simulator.schedule_external(delay, lambda _now: None)
 
     def requeue(self, task: Task, now: float) -> None:
         """Return a started request to its queue (tenancy preemption): the
-        start bookkeeping is reversed exactly, so depth accounting and the
-        deadline govern the re-run like any queued request.  The simulator
-        must already hold the task again (``abort_running``): a request
-        requeued after its deadline is dropped at once."""
+        start bookkeeping is reversed exactly, so the deadline governs the
+        re-run like any queued request.  The simulator must already hold
+        the task again (``abort_running``): a request requeued after its
+        deadline is dropped at once."""
         record = self._records.get(task.task_id)
         if record is None or not record.started:
             return
         record.started = False
         record.board_ids = []
-        self._enqueue(record, now)
+        self._watch_deadline(record, now)
 
     # -- Scheduler protocol: completion --------------------------------------
 
     def on_finish(self, task: Task, now: float) -> None:
-        self._clock = now
         self.system.on_finish(task, now)
         record = self._records.get(task.task_id)
         if record is None:
@@ -414,13 +382,11 @@ class ServingFrontend:
         request of this model could act — its backoff expiry when backing
         off, the inner scheduler's hint otherwise."""
         inner = self.system.retry_hint(task, now)
-        queue = self._queued.get(task.model_key)
-        if not queue:
-            return inner
-        return min(
-            record.next_attempt_s if record.next_attempt_s > now else inner
-            for record in queue.values()
-        )
+        records = self._records
+        backoffs = [records[queued.task_id].next_attempt_s
+                    for queued in self._simulator.queued_tasks(task.model_key)]
+        return min((next_s if next_s > now else inner for next_s in backoffs),
+                   default=inner)
 
     # -- circuit breakers ----------------------------------------------------
 
@@ -431,8 +397,9 @@ class ServingFrontend:
         if board.health is not BoardHealth.FAILED:
             return
         breaker = self._breakers.get(board.fpga_id)
-        if breaker is not None and breaker.record_failure(self._now()):
-            self._drain(breaker, self._now())
+        now = self._simulator.queue.now
+        if breaker is not None and breaker.record_failure(now):
+            self._drain(breaker, now)
 
     def _drain(self, breaker: CircuitBreaker, now: float) -> None:
         """An opened breaker drains its board via the health machinery and
@@ -442,32 +409,19 @@ class ServingFrontend:
         if board.health is BoardHealth.HEALTHY:
             self.controller.on_board_degraded(board, now)
             breaker.draining = True
-        self._schedule_half_open(breaker, now)
+        self._schedule_half_open(breaker)
 
-    def _schedule_half_open(self, breaker: CircuitBreaker, now: float) -> None:
-        delay = breaker.cooldown_s()
-        if self._simulator is not None:
-            self._simulator.schedule_external(
-                delay, lambda fire_now, b=breaker: self._probe(b, fire_now)
-            )
-        else:
-            self._due.append((now + delay, breaker))
-
-    def _pump_breakers(self, now: float) -> None:
-        """Synchronous mode only: fire half-open probes that have come due
-        (with a DES bound they are first-class external events instead)."""
-        if self._simulator is not None or not self._due:
-            return
-        due = [entry for entry in self._due if entry[0] <= now]
-        self._due = [entry for entry in self._due if entry[0] > now]
-        for _, breaker in due:
-            self._probe(breaker, now)
+    def _schedule_half_open(self, breaker: CircuitBreaker) -> None:
+        self._simulator.schedule_external(
+            breaker.cooldown_s(),
+            lambda fire_now, b=breaker: self._probe(b, fire_now),
+        )
 
     def _probe(self, breaker: CircuitBreaker, now: float) -> None:
         board = self.cluster.board(breaker.fpga_id)
         if board.health is BoardHealth.FAILED:
             # Still hard-down (fault injector owns it): probe again later.
-            self._schedule_half_open(breaker, now)
+            self._schedule_half_open(breaker)
             return
         if breaker.state is not BreakerState.OPEN:
             return
@@ -507,7 +461,10 @@ class ServingFrontend:
             return 0.0
         return 1.0 - self._free_blocks / self._total_blocks
 
-    def _update_brownout(self, now: float) -> None:
+    def _update_brownout(self, now: float, starting: str = "") -> None:
+        """Enter or leave brownout at the current utilisation.  ``starting``
+        names the model of a task that has started but is still on the
+        simulator's queue (its :meth:`try_start` has not returned)."""
         if not self.params.brownout_enabled:
             return
         util = self.utilisation()
@@ -515,19 +472,23 @@ class ServingFrontend:
             self.brownout = True
             self.controller.prefer_narrow = True
             self.stats.brownout_entries += 1
-            self._shrink_hot_models(now)
+            self._shrink_hot_models(now, starting)
         elif self.brownout and util <= self.params.brownout_low_watermark:
             self.brownout = False
             self.controller.prefer_narrow = False
             self.stats.brownout_exits += 1
 
-    def _shrink_hot_models(self, now: float) -> None:
+    def _shrink_hot_models(self, now: float, starting: str) -> None:
         """Switch hot models' idle deployments to the narrowest catalog
         plan (cross-width, so a cold restart — the recovery manager's
-        scale-down fallback applied proactively)."""
+        scale-down fallback applied proactively).  A model is hot when
+        its queued requests, ``starting`` not counted, reach
+        ``brownout_hot_depth``."""
         controller = self.controller
-        for model_key in sorted(self._queued):
-            if self.queue_depth(model_key) < self.params.brownout_hot_depth:
+        simulator = self._simulator
+        for model_key in simulator.queued_models():
+            depth = simulator.queued_depth(model_key) - (model_key == starting)
+            if depth < self.params.brownout_hot_depth:
                 continue
             plans = controller.catalog.entry_by_key(model_key).sorted_plans()
             if len(plans) < 2:

@@ -8,8 +8,8 @@ control, deadlines, retries and breakers; the tenancy layer wraps it the
 way the frontend wraps the system).  It adds:
 
 * **tenant identities** — every task carries ``task.tenant``; per-tenant
-  state tracks pending/running work, fair-share virtual time and outcome
-  counters;
+  state tracks running work, fair-share virtual time and outcome
+  counters (queued work is the simulator's ``tenant_depth``);
 * **quotas** — block/replica ceilings enforced *at the allocation point*
   via the controller's ``placement_guard``, so a tenant can be declined
   but never overshoot (zero-violation by construction), with instantaneous
@@ -31,7 +31,8 @@ way the frontend wraps the system).  It adds:
 
 Everything is off by default at the system level: untenanted runs never
 construct this class, ``task.tenant == ""`` everywhere, and the fig12
-goldens are bit-identical.
+goldens are bit-identical.  The layer must be bound to a simulator
+before its first :meth:`TenantScheduler.admit`.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ from .policy import TenancyParameters, TenantParameters
 
 @dataclass
 class TenantState:
-    """Mutable runtime state of one tenant."""
+    """Mutable runtime state of one tenant.  Its queued work is not here:
+    the simulator's queues hold it."""
 
     params: TenantParameters
     #: Start-time fair-queueing virtual time; advanced by
     #: ``service / weight`` at every start, floor-normalised on activation
     #: so an idle tenant cannot hoard credit.
     vtime: float = 0.0
-    pending: int = 0
     running: int = 0
     offered: int = 0
     shed: int = 0
@@ -65,10 +66,6 @@ class TenantState:
     #: Preemption sweeps this tenant triggered as the starved party.
     preemptions_triggered: int = 0
     latencies_s: list = field(default_factory=list)
-
-    @property
-    def active(self) -> bool:
-        return self.pending > 0 or self.running > 0
 
 
 @dataclass
@@ -233,11 +230,18 @@ class TenantScheduler:
         if observe is not None:
             observe(pending_by_model)
 
+    def _active(self, name: str, state: TenantState) -> bool:
+        """Whether the tenant has work queued or running."""
+        return state.running > 0 or self._simulator.tenant_depth(name) > 0
+
     def admit(self, task: Task, now: float) -> bool:
+        simulator = self._simulator
+        if simulator is None:
+            raise ReproError("TenantScheduler.admit before bind_simulator")
         state = self._state(task.tenant)
         state.offered += 1
         quota = state.params.queue_quota
-        if quota is not None and state.pending >= quota:
+        if quota is not None and simulator.tenant_depth(task.tenant) >= quota:
             state.shed += 1
             self.stats.quota_sheds += 1
             return False
@@ -245,23 +249,21 @@ class TenantScheduler:
         if inner_admit is not None and not inner_admit(task, now):
             state.shed += 1
             return False
-        if not state.active:
+        if not self._active(task.tenant, state):
             # Activation floor: an idle tenant re-enters at the active
             # minimum, not at its stale (possibly tiny) virtual time —
             # otherwise a long-idle tenant would lock out its class.
             active = [
-                s.vtime for s in self._tenants.values() if s.active
+                s.vtime for name, s in self._tenants.items()
+                if self._active(name, s)
             ]
             if active:
                 state.vtime = max(state.vtime, min(active))
-        state.pending += 1
         return True
 
     def on_drop(self, task: Task, now: float) -> None:
         """The inner frontend condemned a queued task (the simulator has
-        dropped it): it is no longer pending, and its decline reason and
-        resume credit go with it."""
-        self._state(task.tenant).pending -= 1
+        dropped it): its decline reason and resume credit go with it."""
         self._decline_reason.pop(task.task_id, None)
         self._resume_credit.pop(task.task_id, None)
 
@@ -286,7 +288,10 @@ class TenantScheduler:
         guard = self._guard_for(state)
         failures_before = controller.stats.placement_failures
         quota_before = controller.stats.quota_rejections
-        pending_before = state.pending
+        # Marked declined up front: an abandon inside the inner start drops
+        # the task, and :meth:`on_drop` takes the mark with it.
+        declined = self._decline_reason
+        declined[task.task_id] = "inner"
         controller.placement_guard = guard
         try:
             service = self.inner.try_start(task, now)
@@ -301,13 +306,11 @@ class TenantScheduler:
                 reason = "quota"
             else:
                 reason = "inner"
-            if state.pending == pending_before:
-                # Still queued: the inner start did not condemn the task
-                # (an abandon drops it, and :meth:`on_drop` ran already).
-                self._decline_reason[task.task_id] = reason
+            if task.task_id in declined:
+                # Still queued: the inner start did not condemn the task.
+                declined[task.task_id] = reason
             return None
-        self._decline_reason.pop(task.task_id, None)
-        state.pending -= 1
+        del declined[task.task_id]
         state.running += 1
         credit = self._resume_credit.pop(task.task_id, None)
         if credit is not None:
@@ -486,10 +489,7 @@ class TenantScheduler:
                 controller.discard(victim)
                 self._preempt_pending[model_key] -= 1
 
-            if self._simulator is not None:
-                self._simulator.schedule_external(teardown_s, teardown)
-            else:
-                teardown(now)
+            self._simulator.schedule_external(teardown_s, teardown)
         self._preempt_gate_s = now + self.params.cooldown_s
 
     def _abort_victim_task(self, victim: Deployment, restore_s: float,
@@ -515,13 +515,11 @@ class TenantScheduler:
             self.stats.preempted_distinct += 1
         owner = self._state(victim_task.tenant)
         owner.running -= 1
-        owner.pending += 1
         owner.preempted += 1
         self.stats.tasks_preempted += 1
         # The simulator requeues the task first, so a frontend that finds
         # it late can drop it at once.
-        if self._simulator is not None:
-            self._simulator.abort_running(victim_task)
+        self._simulator.abort_running(victim_task)
         requeue = getattr(self.inner, "requeue", None)
         if requeue is not None:
             requeue(victim_task, now)

@@ -6,9 +6,9 @@ fleet, and a grow is never immediately undone), both scale-up paths
 (widen-in-place and add-a-deployment), both scale-down paths (retire and
 narrow, idle-only so in-flight work cannot be lost), fault-coordination
 suppression, single-owner elasticity (the base system's reactive
-expansion defers to an attached autoscaler), the late-bound breaker
-half-open probes riding the DES, and a diurnal storm with the fault
-injector armed where the full accounting identity must still close.
+expansion defers to an attached autoscaler), and a diurnal storm with
+the fault injector armed where the full accounting identity must still
+close.
 """
 
 from types import SimpleNamespace
@@ -27,13 +27,14 @@ from repro.faults import FaultInjector, FaultModelParameters
 from repro.runtime import Catalog, build_system
 from repro.runtime.deployment import DeploymentState
 from repro.serving import (
-    BreakerState,
     Request,
+    RequestOutcome,
     ServingFrontend,
     ServingParameters,
 )
 from repro.vital import VitalCompiler
 from repro.workloads import diurnal_arrivals
+from tests.queueing import queue_tasks
 
 MODEL = "gru-h512-t1"
 
@@ -44,10 +45,14 @@ def catalog():
 
 
 def _frontend(catalog, recovery=True, **param_overrides):
+    """A frontend bound to a simulator, as every serving stack is; its
+    events run only where a test runs them."""
     cluster = paper_cluster()
     system = build_system("proposed", cluster, catalog, recovery=recovery)
     params = ServingParameters(**param_overrides)
-    return cluster, system, ServingFrontend(system, params)
+    frontend = ServingFrontend(system, params)
+    ClusterSimulator(frontend, "autoscale")
+    return cluster, system, frontend
 
 
 def _requests(count, model_key=MODEL, gap_s=0.001, deadline_s=0.0):
@@ -77,13 +82,14 @@ def _place(controller, model_key=MODEL, replicas=1, now=0.0):
     return deployment
 
 
-def _queue(frontend, count, model_key=MODEL, now=0.0):
-    for request in _requests(count, model_key=model_key):
-        assert frontend.admit(request, now)
+def _queue(frontend, count, model_key=MODEL):
+    assert all(queue_tasks(frontend, _requests(count, model_key=model_key)))
 
 
 def _drain_queue(frontend, model_key=MODEL):
-    frontend._queued[model_key].clear()
+    for task in frontend._simulator.queued_tasks(model_key):
+        frontend._condemn(frontend.record_for(task.task_id),
+                          RequestOutcome.SHED)
 
 
 class TestAutoscaleParameters:
@@ -176,6 +182,8 @@ class TestHysteresis:
         scaler.evaluate(0.02)
         scaler.evaluate(0.05)
         assert scaler.stats.scale_downs == 0
+        # The widened deployment's reconfiguration lands before 0.2 s.
+        frontend._simulator.queue.run(until=0.2)
         scaler.evaluate(0.2)
         assert scaler.stats.scale_downs == 1
 
@@ -245,6 +253,7 @@ class TestScaleDownPaths:
         controller.set_state(warm, DeploymentState.IDLE, now=1.0)
         scaler = Autoscaler(frontend, AutoscaleParameters())
         scaler.evaluate(5.0)
+        frontend._simulator.queue.run()  # the checkpoint, then the discard
         assert scaler.stats.retirements == 1
         survivors = controller.deployments_of(MODEL)
         assert [d.deployment_id for d in survivors] == [warm.deployment_id]
@@ -255,6 +264,7 @@ class TestScaleDownPaths:
         _place(controller, replicas=2)
         scaler = Autoscaler(frontend, AutoscaleParameters())
         scaler.evaluate(5.0)
+        frontend._simulator.queue.run()  # the migration to the narrow copy
         assert scaler.stats.narrowings == 1
         deployments = controller.deployments_of(MODEL)
         assert len(deployments) == 1
@@ -337,29 +347,6 @@ class TestSingleOwnerElasticity:
         assert frontend.autoscaler is not None
 
 
-class TestBreakerProbesOnDES:
-    def test_late_bind_drains_queued_probes_into_events(self, catalog):
-        cluster, system, frontend = _frontend(
-            catalog, breaker_cooldown_s=0.01, default_deadline_s=30.0
-        )
-        breaker = frontend.breaker("vu37p-0")
-        # Two failure units inside the window trip the default 2.0
-        # threshold; scheduled unbound, the probe lands on the kludge
-        # list...
-        breaker.record_failure(0.0)
-        breaker.record_failure(0.0)
-        assert breaker.state is BreakerState.OPEN
-        frontend._schedule_half_open(breaker, 0.0)
-        assert frontend._due
-        # ...and binding a simulator converts it into a first-class DES
-        # event that fires during the run.
-        simulator = ClusterSimulator(frontend, "late-bind")
-        assert frontend._due == []
-        simulator.run(_requests(4, gap_s=0.01))
-        assert frontend.stats.breaker_half_opens >= 1
-        assert breaker.state is not BreakerState.OPEN
-
-
 def _storm(catalog, count=400, rate_per_s=3600.0, mtbf_s=None, seed=11):
     cluster, system, frontend = _frontend(
         catalog, max_queue_depth=64, default_deadline_s=0.25,
@@ -368,7 +355,7 @@ def _storm(catalog, count=400, rate_per_s=3600.0, mtbf_s=None, seed=11):
     controller = system.controller
     ledger = ReplicaLedger()
     controller.ledger = ledger
-    simulator = ClusterSimulator(frontend, f"autoscale-storm-{seed}")
+    simulator = frontend._simulator
     models = ("lstm-h256-t150", "gru-h512-t1")
     arrivals = diurnal_arrivals(
         count, rate_per_s, seed=seed,
@@ -422,8 +409,7 @@ def _assert_storm_invariants(cluster, system, frontend, scaler, result):
         assert board.used_blocks == owners_by_board.get(fpga_id, 0)
     assert system.controller.index.check_consistent()
     assert system.controller.check_idle_consistent()
-    for model, queue in frontend._queued.items():
-        assert not queue, f"{model} queue depth leaked: {len(queue)}"
+    assert frontend.queue_depth() == 0
     # Every decision stayed inside the replica-unit envelope.
     params = scaler.params
     for event in system.controller.events:

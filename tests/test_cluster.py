@@ -12,7 +12,6 @@ from repro.cluster import (
     Task,
     paper_cluster,
 )
-from repro.cluster.topology import homogeneous_cluster
 from repro.errors import SimulationError
 from repro.units import us
 from repro.vital import XCKU115, XCVU37P, PhysicalFPGA
@@ -88,10 +87,6 @@ class TestRingNetwork:
         with pytest.raises(SimulationError):
             self._ring().hops("n0", "ghost")
 
-    def test_diameter(self):
-        assert self._ring(4).diameter() == 2
-        assert self._ring(5).diameter() == 2
-
     def test_transfer_time_same_node_serialisation_only(self):
         """Loopback transfers pay one serialisation pass, no link costs.
 
@@ -166,11 +161,6 @@ class TestTopology:
     def test_unknown_board(self):
         with pytest.raises(SimulationError):
             paper_cluster().board("nope")
-
-    def test_homogeneous_helper(self):
-        cluster = homogeneous_cluster(XCKU115, 3)
-        assert len(cluster.boards) == 3
-        assert cluster.device_types() == ["XCKU115"]
 
 
 class _OneSlotScheduler:
@@ -331,10 +321,3 @@ class TestClusterSimulator:
         with pytest.raises(SimulationError):
             ClusterSimulator(Never(), "t").run(self._tasks(1))
 
-    def test_per_class_counts(self):
-        scheduler = _OneSlotScheduler(service=0.1)
-        tasks = self._tasks(4)
-        for task in tasks[:2]:
-            task.size_class = "L"
-        result = ClusterSimulator(scheduler, "t").run(tasks)
-        assert result.per_class_counts() == {"L": 2, "S": 2}

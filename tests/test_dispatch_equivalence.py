@@ -5,8 +5,9 @@ reference: every pass copies the whole backlog, sorts it by the class key
 plus arrival time (stably over queue order; the tenancy order broke ties
 by ``(arrival_s, task_id)``) and walks it task by task, skipping each task
 of a model below its watermark one at a time.  It asks ``observe_queue``
-at every pass, and shares only the queue removal of ``drop_queued`` with
-its own backlog.  It also keeps the old wake rule — every arrival, start
+at every pass, shares only the queue removal of ``drop_queued`` with its
+own backlog, and answers the queue reads of the layers above (depths, a
+model's queued tasks) from that backlog.  It also keeps the old wake rule — every arrival, start
 and finish retries every blocked model — and never asks ``woken_models``.
 Randomized small workloads run through both dispatchers; the schedules
 and the dropped sets must match exactly.  So must the sequence of
@@ -67,8 +68,22 @@ class ReferenceSimulator(ClusterSimulator):
     def pending_count(self):
         return len(self._pending) + len(self._requeued)
 
-    def _pending_models(self):
-        return sorted({task.model_key for task in self._pending})
+    def _waiting(self):
+        """Every task waiting to start, in ``(arrival_s, seq)`` order."""
+        return sorted(self._pending + self._requeued,
+                      key=lambda t: (t.arrival_s, self._task_seq[t.task_id]))
+
+    def queued_depth(self, model_key):
+        return sum(t.model_key == model_key for t in self._waiting())
+
+    def tenant_depth(self, tenant):
+        return sum(t.tenant == tenant for t in self._waiting())
+
+    def queued_models(self):
+        return sorted({task.model_key for task in self._waiting()})
+
+    def queued_tasks(self, model_key):
+        return [t for t in self._waiting() if t.model_key == model_key]
 
     def _unqueue(self, task):
         self._pending = [t for t in self._pending if t is not task]

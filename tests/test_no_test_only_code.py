@@ -78,9 +78,6 @@ PENDING = {
     "accel/generator.py::design_summary": 1,
     "accel/memory.py::usable_words": 1,
     "accel/memory.py::utilisation_of_uram": 2,
-    "cluster/network.py::RingNetwork.diameter": 1,
-    "cluster/simulator.py::SimulationResult.per_class_counts": 1,
-    "cluster/topology.py::homogeneous_cluster": 1,
     "core/interface.py::LatencyInsensitiveInterface.crossing_latency_cycles": 1,
     "core/mapping.py::AcceleratorMapping.option_by_id": 1,
     "core/softblock.py::SoftBlock.arity_profile": 1,

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cluster import ClusterSimulator, Task, scaled_cluster
-from repro.cluster.topology import homogeneous_cluster, paper_cluster
+from repro.cluster.topology import FPGACluster, paper_cluster
 from repro.errors import AllocationError
 from repro.runtime import Catalog, build_system
 from repro.runtime.controller import PlacementIndex, PlacementPolicy
@@ -131,7 +131,9 @@ class TestServiceEstimateAdjacency:
         raise AssertionError("expected a 2-replica XCVU37P plan")
 
     def test_adjacency_changes_the_estimate(self, shared_catalog):
-        cluster = homogeneous_cluster(XCVU37P, 6)
+        cluster = FPGACluster(
+            [PhysicalFPGA(f"vu37p-{i}", XCVU37P) for i in range(6)]
+        )
         system = _proposed(cluster, shared_catalog)
         controller = system.controller
         plan = self._two_replica_plan(controller)
@@ -146,7 +148,9 @@ class TestServiceEstimateAdjacency:
         assert est_far > est_adjacent
 
     def test_same_signature_still_shares_cache(self, shared_catalog):
-        cluster = homogeneous_cluster(XCVU37P, 6)
+        cluster = FPGACluster(
+            [PhysicalFPGA(f"vu37p-{i}", XCVU37P) for i in range(6)]
+        )
         system = _proposed(cluster, shared_catalog)
         controller = system.controller
         plan = self._two_replica_plan(controller)

@@ -29,6 +29,7 @@ from repro.serving import (
 )
 from repro.vital import BoardHealth, VitalCompiler
 from repro.workloads import diurnal_arrivals, mmpp_arrivals
+from tests.queueing import queue_tasks
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +128,7 @@ class TestAdmission:
     def test_tail_drop_sheds_arrivals_past_the_bound(self, catalog):
         _, _, frontend = _frontend(catalog, max_queue_depth=3)
         tasks = _requests(5)
-        admitted = [frontend.admit(task, 0.0) for task in tasks]
+        admitted = queue_tasks(frontend, tasks)
         assert admitted == [True, True, True, False, False]
         assert frontend.stats.offered == 5
         assert frontend.stats.admitted == 3
@@ -143,7 +144,7 @@ class TestAdmission:
             catalog, max_queue_depth=2, shedding=SheddingPolicy.HEAD_DROP
         )
         tasks = _requests(3)
-        assert all(frontend.admit(task, 0.0) for task in tasks)
+        assert all(queue_tasks(frontend, tasks))
         # The arrival was admitted; the oldest queued request paid for it.
         assert frontend.stats.admitted == 3
         assert frontend.stats.shed == 1
@@ -161,14 +162,13 @@ class TestAdmission:
             catalog, admission_rate_per_s=10.0, admission_burst=2.0
         )
         tasks = _requests(4)
-        admitted = [frontend.admit(task, 0.0) for task in tasks]
+        admitted = queue_tasks(frontend, tasks)
         assert admitted == [True, True, False, False]
         assert frontend.stats.shed == 2
 
     def test_queue_bound_sheds_are_counted(self, catalog):
         _, _, frontend = _frontend(catalog, max_queue_depth=1)
-        for task in _requests(3):
-            frontend.admit(task, 0.0)
+        queue_tasks(frontend, _requests(3))
         assert frontend.stats.shed == 2
 
 
@@ -268,7 +268,7 @@ class TestDeadlines:
         _, _, frontend = _frontend(catalog, default_deadline_s=0.3)
         task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=1.0,
                     size_class="S")
-        frontend.admit(task, 1.0)
+        queue_tasks(frontend, [task])
         assert frontend.record_for(0).deadline_s == pytest.approx(1.3)
 
 
@@ -399,7 +399,7 @@ class TestCircuitBreakerIntegration:
             breaker.record_failure(0.0)
             assert breaker.state is BreakerState.OPEN
         task = _requests(1)[0]
-        frontend.admit(task, 0.0)
+        queue_tasks(frontend, [task])
         assert frontend.try_start(task, 0.0) is None
         assert frontend.stats.breaker_rejections == 1
 
@@ -455,11 +455,48 @@ class TestBrownout:
         )
         assert controller.index.check_consistent()
 
+    @pytest.mark.parametrize("queued, switches", [(2, 0), (3, 1)])
+    def test_a_starting_request_does_not_make_its_model_hot(
+        self, catalog, queued, switches
+    ):
+        """A start that enters brownout reads hot models off the
+        simulator's queue, where the starting request stays until its
+        ``try_start`` returns; it does not count.  With
+        ``brownout_hot_depth - 1`` requests queued behind it the model is
+        not hot, and its idle wide deployment keeps its width; with
+        ``brownout_hot_depth`` behind it the deployment is switched."""
+        _, system, frontend = _frontend(
+            catalog, brownout_high_watermark=0.2, brownout_low_watermark=0.1,
+            brownout_hot_depth=2,
+        )
+        controller = system.controller
+        plans = catalog.entry_by_key("gru-h512-t1").sorted_plans()
+        wide = max(plans, key=controller.plan_footprint)
+        for _ in range(2):
+            controller.place_plan(wide, now=0.0)
+        assert frontend.utilisation() >= 0.2 and not frontend.brownout
+        tasks = _requests(queued)
+        assert all(queue_tasks(frontend, tasks))
+        assert frontend.try_start(tasks[0], 0.0) is not None
+        assert frontend.brownout
+        assert frontend.stats.brownout_switches == switches
+        widths = sorted(
+            controller.plan_footprint(deployment.plan)
+            for deployment in controller.deployments_of("gru-h512-t1")
+        )
+        narrow = min(plans, key=controller.plan_footprint)
+        assert widths == sorted(
+            controller.plan_footprint(narrow if index < switches else wide)
+            for index in range(2)
+        )
+
     def test_watermark_hysteresis(self, catalog):
         cluster, system, frontend = _frontend(
             catalog, brownout_high_watermark=0.5, brownout_low_watermark=0.3
         )
         controller = system.controller
+        # Brownout reads hot models off the simulator's queues.
+        ClusterSimulator(frontend, "hysteresis")
         total = sum(len(board.blocks) for board in cluster.boards.values())
         # Fill 60% of the cluster with a blocker: enters brownout.
         blocked = int(0.6 * total)

@@ -19,11 +19,17 @@ from repro.cluster import ClusterSimulator, Task, scaled_cluster
 from repro.cluster.topology import paper_cluster
 from repro.errors import ReproError
 from repro.runtime import Catalog, build_system
-from repro.serving import RequestOutcome, ServingFrontend, ServingParameters
+from repro.serving import (
+    RequestOutcome,
+    ServingFrontend,
+    ServingParameters,
+    SheddingPolicy,
+)
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.units import ms
 from repro.vital import VitalCompiler
 from repro.workloads import arrival_process
+from tests.queueing import queue_tasks
 
 
 @pytest.fixture(scope="module")
@@ -140,13 +146,16 @@ class TestDispatchOrdering:
             shared_catalog,
             [TenantParameters(name="a"), TenantParameters(name="b")],
         )
+        # Tenant a has one task queued.
+        assert queue_tasks(scheduler, [
+            Task(task_id=1, model_key="m", arrival_s=0.0, tenant="a")
+        ]) == [True]
         busy = scheduler.tenant("a")
         busy.vtime = 10.0
-        busy.pending = 1
         idle = scheduler.tenant("b")
         idle.vtime = 0.0
         task = Task(task_id=0, model_key="m", arrival_s=0.0, tenant="b")
-        assert scheduler.admit(task, 0.0)
+        assert queue_tasks(scheduler, [task]) == [True]
         # The returning tenant re-enters at the active minimum, so it
         # cannot replay its idle period as accumulated credit.
         assert idle.vtime == 10.0
@@ -259,7 +268,7 @@ class TestQuotaEnforcement:
                  tenant="q")
             for i in range(5)
         ]
-        admitted = [scheduler.admit(task, 0.0) for task in tasks]
+        admitted = queue_tasks(scheduler, tasks)
         assert admitted == [True, True, False, False, False]
         assert scheduler.stats.quota_sheds == 3
         assert scheduler.tenant("q").shed == 3
@@ -383,7 +392,7 @@ class TestPreemption:
         scheduler = TenantScheduler(system, [TenantParameters(name="t")])
         first = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
                      tenant="t")
-        scheduler.admit(first, 0.0)
+        queue_tasks(scheduler, [first])
         service = scheduler.try_start(first, 0.0)
         assert service is not None
         scheduler.on_finish(first, service)
@@ -391,7 +400,7 @@ class TestPreemption:
         # model's service time.
         second = Task(task_id=1, model_key="gru-h512-t1", arrival_s=0.0,
                       tenant="t")
-        scheduler.admit(second, 0.0)
+        queue_tasks(scheduler, [second])
         remaining, restore = 0.5, 0.125
         scheduler._resume_credit[1] = (remaining, restore)
         scheduler._preempted_ever.add(1)
@@ -524,27 +533,22 @@ class TestFrontendComposition:
 
     def test_requeue_restores_queue_and_tenant_depth(self, shared_catalog):
         """A preempted request is back in the simulator's (tenant, model)
-        queue when the frontend requeues it; the requeue reverses the
-        frontend's start bookkeeping and queues its record again, so the
-        tenant's depth the simulator holds is the frontend's too."""
+        queue when the frontend requeues it, and counts in its tenant's
+        depth; the requeue reverses the frontend's start bookkeeping, and
+        one requeued after its deadline leaves the queue at once."""
         scheduler, frontend, tasks = self._preempting_stream(shared_catalog, 7)
         simulator = ClusterSimulator(scheduler, "requeue-depth")
         requeued = []
         requeue = frontend.requeue
 
         def tenant_depth(tenant):
-            return sum(
+            depth = sum(
                 len(queue.entries)
                 for (owner, _), queue in simulator._queues.items()
                 if owner == tenant
             ) + sum(task.tenant == tenant for task in simulator._requeued)
-
-        def frontend_depth(tenant):
-            return sum(
-                record.task.tenant == tenant
-                for queue in frontend._queued.values()
-                for record in queue.values()
-            )
+            assert simulator.tenant_depth(tenant) == depth
+            return depth
 
         def spy_requeue(task, now):
             record = frontend.record_for(task.task_id)
@@ -554,18 +558,15 @@ class TestFrontendComposition:
             ]
             assert held and record.started
             depth = tenant_depth(task.tenant)
-            assert frontend_depth(task.tenant) == depth - 1
             requeue(task, now)
             assert not record.started
             assert record.board_ids == []
             if record.outcome is RequestOutcome.PENDING:
                 requeued.append(task.task_id)
                 assert tenant_depth(task.tenant) == depth
-                assert frontend_depth(task.tenant) == depth
             else:
-                # Requeued after its deadline: it left both queues at once.
+                # Requeued after its deadline: it left the queue at once.
                 assert tenant_depth(task.tenant) == depth - 1
-                assert frontend_depth(task.tenant) == depth - 1
 
         frontend.requeue = spy_requeue
         simulator.run(tasks)
@@ -606,10 +607,56 @@ class TestFrontendComposition:
             assert record.outcome is RequestOutcome.EXPIRED
             assert dropped_in[task_id] == (now, task_id)
 
+    def test_head_drop_sheds_a_requeued_request_first(self, shared_catalog):
+        """A head drop sheds the model's queued request that is first in
+        ``(arrival_s, seq)`` order, whichever tenant holds it.  A
+        preempted request goes back to its place in that order, so a
+        head drop sheds it ahead of later arrivals that were queued before
+        its requeue."""
+        scheduler, frontend, tasks = self._preempting_stream(
+            shared_catalog, 5, shedding=SheddingPolicy.HEAD_DROP,
+            max_queue_depth=8,
+        )
+        simulator = ClusterSimulator(scheduler, "head-drop")
+        requeued_at = {}
+        shed_requeued = []
+        requeue, condemn_oldest = frontend.requeue, frontend._condemn_oldest
+
+        def spy_requeue(task, now):
+            requeued_at[task.task_id] = now
+            requeue(task, now)
+
+        def spy_condemn_oldest(model_key):
+            waiting = [
+                entry[2]
+                for (_, model), queue in simulator._queues.items()
+                if model == model_key
+                for entry in queue.entries
+            ] + [task for task in simulator._requeued
+                 if task.model_key == model_key]
+            first = min(waiting, key=lambda task: (
+                task.arrival_s, simulator._task_seq[task.task_id]))
+            condemn_oldest(model_key)
+            assert (frontend.record_for(first.task_id).outcome
+                    is RequestOutcome.SHED)
+            if first.task_id in requeued_at and any(
+                task.task_id not in requeued_at
+                and task.arrival_s < requeued_at[first.task_id]
+                for task in waiting
+                if task is not first
+            ):
+                shed_requeued.append(first.task_id)
+
+        frontend.requeue = spy_requeue
+        frontend._condemn_oldest = spy_condemn_oldest
+        simulator.run(tasks)
+        assert shed_requeued
+
     def test_requeue_without_record_is_a_noop(self, shared_catalog):
-        _, frontend, _ = self._frontend_stack(
+        scheduler, frontend, _ = self._frontend_stack(
             shared_catalog, [TenantParameters(name="t")]
         )
+        ClusterSimulator(scheduler, "noop")
         stranger = Task(task_id=99, model_key="gru-h512-t1", arrival_s=0.0)
         frontend.requeue(stranger, 0.0)
         assert frontend.queue_depth() == 0
@@ -653,8 +700,8 @@ class TestFrontendComposition:
     def test_dropped_tasks_leave_no_bookkeeping(self, shared_catalog, seed):
         """Tasks the frontend drops (deadline expiry) after a declined
         start or a preemption take their decline reason and resume
-        credit with them, and leave their tenant's pending count as they
-        leave the simulator's queue."""
+        credit with them, and leave their tenant's depth as they leave
+        the simulator's queue."""
         scheduler, _, tasks = self._preempting_stream(shared_catalog, seed)
         simulator = ClusterSimulator(scheduler, "drops")
         on_finish = scheduler.on_finish
@@ -667,7 +714,7 @@ class TestFrontendComposition:
                 for _, _, waiting in queue.entries:
                     queued[waiting.tenant] = queued.get(waiting.tenant, 0) + 1
             for name in ("premium", "besteffort"):
-                assert scheduler.tenant(name).pending == queued.get(name, 0)
+                assert simulator.tenant_depth(name) == queued.get(name, 0)
             finishes.append(now)
 
         scheduler.on_finish = check_pending
@@ -683,11 +730,12 @@ class TestFrontendComposition:
         ``try_start``: the decline it then reads is not kept."""
         scheduler, frontend, tasks = self._preempting_stream(
             shared_catalog, 4, retry_budget=0)
-        ClusterSimulator(scheduler, "abandons").run(tasks)
+        simulator = ClusterSimulator(scheduler, "abandons")
+        simulator.run(tasks)
         assert frontend.stats.abandoned > 0
         assert scheduler._decline_reason == {}
         for name in ("premium", "besteffort"):
-            assert scheduler.tenant(name).pending == 0
+            assert simulator.tenant_depth(name) == 0
 
 
 class TestLedgerTenantAxis:
