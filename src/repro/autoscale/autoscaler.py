@@ -177,11 +177,14 @@ class Autoscaler:
     def evaluate(self, now: float) -> None:
         """One decision pass over every model with any signal history.
 
-        Callable directly (tests, synchronous mode) or via the armed DES
-        tick.  At most one scaling action per model per tick — the
+        Callable directly (tests) or via the armed DES tick, but only once
+        a simulator is bound: retirements and narrowings complete as DES
+        events.  At most one scaling action per model per tick — the
         cooldowns would gate a second anyway, and one-step moves keep the
         control loop damped.
         """
+        if self._simulator is None:
+            raise ReproError("autoscaler needs a bound simulator to evaluate")
         self.stats.ticks += 1
         self._check_fault_suppression(now)
         recent_slo = self._recent_slo()
@@ -381,9 +384,6 @@ class Autoscaler:
             now, model_key, "retire", units,
             units - deployment.plan.replicas, reason,
         )
-        if self._simulator is None:
-            controller.discard(deployment)
-            return
         controller.set_state(deployment, DeploymentState.MIGRATING)
 
         def complete(fire_now, d=deployment):
@@ -413,9 +413,6 @@ class Autoscaler:
             now, model_key, "narrow", units,
             units - deployment.plan.replicas + target.replicas, reason,
         )
-        if self._simulator is None:
-            controller.discard(deployment)
-            return
         controller.set_state(deployment, DeploymentState.MIGRATING)
         controller.set_state(new_deployment, DeploymentState.RECOVERING)
 

@@ -41,7 +41,9 @@ their depths and order here instead of keeping copies.
 
 A pass runs only when something is queued, and the scheduler is shown the
 per-model queue depths (:meth:`Scheduler.observe_queue`) only when they
-changed since it last saw them.
+changed since it last saw them.  A pass in which every queued model is
+parked ends after one watermark lookup per queue, before it shows the
+scheduler anything.
 """
 
 from __future__ import annotations
@@ -164,9 +166,11 @@ class Scheduler(Protocol):
         """Optional: queue pressure, ``{model key: queued tasks}`` summed
         over tenants.  Called at the start of a pass, and when a dispatch
         leaves nothing queued, but only if the counts changed since the
-        last call; they hold for the whole pass.  It must only store what
-        it is given: the ``try_start`` and ``retry_hint`` calls of a pass
-        read that view, and they always follow a call with the current
+        last call; they hold for the whole pass.  A pass that would park
+        every queue before asking anything pushes nothing: the next pass
+        that asks pushes the counts as they stand then.  It must only store
+        what it is given: the ``try_start`` and ``retry_hint`` calls of a
+        pass read that view, and they always follow a call with the current
         counts."""
 
     def dispatch_key(self, task: Task) -> tuple:
@@ -297,6 +301,9 @@ class ClusterSimulator:
         #: Queued tasks a pass passed over because their model was blocked
         #: at the current resource version (parked or skipped).
         self.watermark_skips = 0
+        #: Passes ended before asking the scheduler anything, every queued
+        #: model being parked (see :meth:`_dispatch_pass`).
+        self.parked_passes = 0
         #: :meth:`schedule_external` events fired.
         self.external_events = 0
         #: Running tasks aborted and requeued by :meth:`abort_running`.
@@ -611,12 +618,40 @@ class ClusterSimulator:
         holds but its hint is stale: the task that recorded it is re-hinted
         at its next visit (the reference retry would decline it again, then
         ask this hint), and any other task of the model is attempted.
+
+        A pass that could only park ends before it asks the scheduler
+        anything: when every queued model holds a watermark at the current
+        version and hint epoch whose hint is still ahead, each queue's
+        first visit would park its whole model without a ``try_start``,
+        and parking moves neither version nor epoch, so the pass's one
+        effect is the skip count.  Such a pass pushes no queue view (the
+        counts stay dirty, so the next pass that asks pushes them first)
+        and counts in :attr:`parked_passes`.
         """
+        now = self.queue.now
+        blocked = self._blocked
+        version = self._resource_version
+        epoch = self._hint_epoch
+        # Nothing is requeued when a pass starts (the last pass queued its
+        # requeues as it ended), so when every queued model is parked the
+        # pass would only count its tasks as skipped.
+        for queue in self._queues.values():
+            watermark = blocked.get(queue.model_key)
+            if (
+                watermark is None
+                or watermark[0] != version
+                or watermark[2] != epoch
+                or now >= watermark[1]
+            ):
+                break
+        else:
+            self.watermark_skips += self._queued
+            self.parked_passes += 1
+            return False
         dispatch_key = self._dispatch_key
         fast_path = self._fast_path
         retry_hint = self._retry_hint
         try_start = self._try_start
-        now = self.queue.now
         if self._counts_dirty:
             # Queue pressure per model, for admission/expansion decisions.
             self._observe_queue()
@@ -643,11 +678,8 @@ class ClusterSimulator:
             by_model.setdefault(queue.model_key, []).append(queue)
         heapify(heap)
 
-        blocked = self._blocked
         behind_head = self._behind_head
         view_moved = self._view_moved
-        version = self._resource_version
-        epoch = self._hint_epoch
         parked: list = []
         # Models with a task started in this pass.
         started: set = set()

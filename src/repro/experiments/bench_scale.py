@@ -3,7 +3,8 @@
 Sweeps cluster size (4 -> 1000 boards, the paper platform's 3:1
 VU37P:KU115 mix) under a fully backlogged mixed task stream and emits
 ``BENCH_scale.json``: wall-clock, DES events/s, placement-search and
-board-probe counts, and a schedule digest per point.  The gate checks
+board-probe counts, parked dispatch passes, and a schedule digest per
+point.  The gate checks
 that boards probed per placement search grow sub-linearly in board
 count; the regression gate (``bench_gate scale``) holds every
 digest to the committed baseline's.
@@ -95,6 +96,8 @@ def _run_point(catalog, board_count: int, task_count: int) -> dict:
         "probes_per_search": (
             stats.boards_probed / searches if searches else 0.0
         ),
+        # Dispatch passes ended before asking the scheduler anything.
+        "parked_passes": simulator.parked_passes,
         "schedule_digest": _schedule_digest(result),
     }
 
@@ -174,7 +177,8 @@ def main(argv=None) -> None:
         print(
             f"{point['boards']:>5} boards / {point['tasks']:>6} tasks: "
             f"{point['wall_s']:.2f}s, {point['events_per_s']:.0f} events/s, "
-            f"{point['probes_per_search']:.2f} probes/search, schedule "
+            f"{point['probes_per_search']:.2f} probes/search, "
+            f"{point['parked_passes']} parked passes, schedule "
             f"{point['schedule_digest'][:12]}"
         )
     gate = report["gate"]

@@ -11,6 +11,13 @@ are cached two ways:
 * content-addressed bitstreams in the shared
   :class:`~repro.vital.bitstream.BitstreamStore`, which is what amortises
   scale-down compilation across instances (Section 4.3's 24.6% figure).
+
+The database also holds the service time of every placement shape a
+controller has timed (see
+:meth:`~repro.runtime.controller.SystemController._estimate_service`), so
+controllers sharing one catalog — the repeats of one benchmark, the
+systems of one figure — evaluate the cycle model once per shape, and
+placement searches only look results up.
 """
 
 from __future__ import annotations
@@ -110,6 +117,10 @@ class Catalog:
         self._min_blocks_cache: dict = {}
         # (model_key, device_type, free_blocks) -> bool
         self._feasibility_cache: dict = {}
+        # Service times of placement shapes, filled and read by every
+        # controller over this catalog (SystemController._estimate_service
+        # owns the key): each shape is timed once per catalog.
+        self._service_cache: dict = {}
         self.designs_generated = 0
 
     # -- public API ------------------------------------------------------------

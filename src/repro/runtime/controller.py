@@ -359,7 +359,6 @@ class SystemController:
         #: models shrink instead of monopolising the cluster.
         self.prefer_narrow = False
         self._ids = itertools.count(1)
-        self._service_cache: dict = {}
         #: model key -> resident deployments in creation order.
         self._by_model: dict[str, list[Deployment]] = {}
         #: The idle index, kept by :meth:`set_state`: model key -> its idle
@@ -947,7 +946,9 @@ class SystemController:
         count among its boards.  ``_service_time`` depends on the member
         boards only through the all-to-all exchange's critical path, which
         is exactly this number — so it is the one piece of placement
-        identity the service cache must key on."""
+        identity the service cache must key on (beside the timing, pattern
+        awareness and ring parameters that every assignment of one
+        controller shares; see :meth:`_estimate_service`)."""
         if len(assignment) < 2:
             return 0
         network = self.cluster.network
@@ -962,8 +963,8 @@ class SystemController:
 
     def service_time(self, plan: DeploymentPlan, placements: list) -> float:
         """Per-task latency of ``plan`` on ``placements`` (the simulator's
-        service time), read through the one service cache of
-        :meth:`_estimate_service` — the migration engine re-times a moved
+        service time), read through the catalog's service cache
+        (:meth:`_estimate_service`) — the migration engine re-times a moved
         deployment with this."""
         return self._estimate_service(
             plan,
@@ -977,21 +978,33 @@ class SystemController:
     def _estimate_service(self, plan: DeploymentPlan, assignment: list) -> float:
         """Service time of a ``(board, image)`` assignment.
 
-        The controller's one service cache, keyed per (model, replicas,
-        ordered device types, ring-hop signature): the latency is a pure
-        function of exactly those inputs.  Keying on the type mix alone
-        (the old key) let two assignments with identical types but
-        different ring adjacency share one entry, so ``_find_placement``'s
-        min() could pick the slower pair on the stale number.  Ranking
-        candidates, stamping the winner's ``service_s`` in
+        Read from the catalog's service cache, which every controller over
+        that catalog shares: the mapping database holds service times as it
+        holds plans.  The key is (model, replicas, ordered device types,
+        ring-hop signature) plus every input that can differ between
+        controllers sharing one catalog — pattern awareness, the timing
+        parameters and the ring's parameters (``None`` without a ring) —
+        and the latency is a pure function of exactly those inputs.
+        Keying on the type mix alone (an old key) let two assignments with
+        identical types but different ring adjacency share one entry, so
+        ``_find_placement``'s min() could pick the slower pair on the stale
+        number.  Ranking candidates, stamping the winner's ``service_s`` in
         :meth:`_instantiate` and re-timing a migrated deployment
         (:meth:`service_time`) all read it, so the cycle model evaluates a
-        placement shape once, not once per deployment.
+        placement shape once per catalog, not once per deployment or run.
         """
-        types = tuple(board.model.name for board, _ in assignment)
-        key = (plan.model_key, plan.replicas, types,
-               self._hop_signature(assignment))
-        cached = self._service_cache.get(key)
+        network = self.cluster.network
+        key = (
+            plan.model_key,
+            plan.replicas,
+            tuple(board.model.name for board, _ in assignment),
+            self._hop_signature(assignment),
+            self.pattern_aware,
+            self.timing,
+            None if network is None else network.params,
+        )
+        cache = self.catalog._service_cache
+        cached = cache.get(key)
         if cached is None:
             placements = [
                 ReplicaPlacement(
@@ -1001,8 +1014,7 @@ class SystemController:
                 )
                 for board, image in assignment
             ]
-            cached = self._service_time(plan, placements)
-            self._service_cache[key] = cached
+            cached = cache[key] = self._service_time(plan, placements)
         return cached
 
     def _pick_boards(self, plan: DeploymentPlan, boards) -> list | None:

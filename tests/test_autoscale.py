@@ -347,6 +347,13 @@ class TestSingleOwnerElasticity:
         assert frontend.autoscaler is not None
 
 
+def test_unbound_autoscaler_refuses_to_evaluate(catalog):
+    system = build_system("proposed", paper_cluster(), catalog)
+    scaler = Autoscaler(ServingFrontend(system), AutoscaleParameters())
+    with pytest.raises(ReproError):
+        scaler.evaluate(0.01)
+
+
 def _storm(catalog, count=400, rate_per_s=3600.0, mtbf_s=None, seed=11):
     cluster, system, frontend = _frontend(
         catalog, max_queue_depth=64, default_deadline_s=0.25,

@@ -100,9 +100,9 @@ class TestServiceEstimateCache:
             paper_cluster(), catalog, LowLevelController(catalog.compiler.store)
         )
         first, _ = controller.deploy("gru-h512-t1")
-        cache_size = len(controller._service_cache)
+        cache_size = len(catalog._service_cache)
         second, _ = controller.deploy("gru-h512-t1")
-        assert len(controller._service_cache) == cache_size
+        assert len(catalog._service_cache) == cache_size
         assert first.service_s == second.service_s
 
 

@@ -1,0 +1,129 @@
+"""A dispatch pass in which every queued model is parked asks nothing.
+
+When each queued model holds a watermark at the current resource version
+and hint epoch whose hint is still ahead, every queue's first visit would
+park its whole model, so :meth:`ClusterSimulator._dispatch_pass` ends at
+once: it counts the queued tasks as skipped and the pass in
+``parked_passes``, and calls no scheduler hook.  Any watermark that a
+version bump, a new hint epoch or a due hint has made stale runs the
+whole pass.  The queue view it did not push is pushed by the next pass
+that asks, counting every task that arrived in between.
+"""
+
+import pytest
+
+from repro.cluster import ClusterSimulator, Task
+from tests.queueing import queue_tasks
+
+OPEN_S = 0.05
+
+
+class _Gated:
+    """Declines every task until ``OPEN_S`` and hints that instant; an
+    event wakes no model.  Records every hook the simulator calls as
+    ``(hook, now)``."""
+
+    def __init__(self):
+        self._simulator = None
+        self.calls = []
+        self.views = []
+
+    def bind_simulator(self, simulator):
+        self._simulator = simulator
+
+    def _now(self):
+        return self._simulator.queue.now
+
+    def try_start(self, task, now):
+        self.calls.append(("try_start", now))
+        return 0.01 if now >= OPEN_S else None
+
+    def on_finish(self, task, now):
+        pass
+
+    def retry_hint(self, task, now):
+        self.calls.append(("retry_hint", now))
+        return OPEN_S
+
+    def woken_models(self, event, task, now):
+        return ()
+
+    def has_fast_path(self, task):
+        self.calls.append(("has_fast_path", self._now()))
+        return False
+
+    def observe_queue(self, counts):
+        self.calls.append(("observe_queue", self._now()))
+        self.views.append((self._now(), dict(counts)))
+
+
+class _TenancyGated(_Gated):
+    """The same scheduler with the tenancy layer's order hook, which
+    replaces ``has_fast_path``."""
+
+    def dispatch_key(self, task):
+        self.calls.append(("dispatch_key", self._now()))
+        return (0,)
+
+
+def _task(task_id, model_key, arrival_s=0.0):
+    return Task(task_id=task_id, model_key=model_key, arrival_s=arrival_s)
+
+
+@pytest.fixture(params=[_Gated, _TenancyGated], ids=["fast-path", "tenancy"])
+def parked(request):
+    """A simulator whose two queued models (two tasks of ``a``, one of
+    ``b``) both declined in one pass at time 0, and one more task of ``a``
+    arrived after it."""
+    scheduler = request.param()
+    queue_tasks(scheduler, [_task(0, "a"), _task(1, "a"), _task(2, "b")])
+    simulator = scheduler._simulator
+    assert simulator._dispatch_pass() is False
+    assert [hook for hook, _ in scheduler.calls].count("try_start") == 2
+    queue_tasks(scheduler, [_task(3, "a")])
+    scheduler.calls.clear()
+    return simulator
+
+
+def test_a_parked_pass_asks_the_scheduler_nothing(parked):
+    skips = parked.watermark_skips
+    assert parked._dispatch_pass() is False
+    assert parked.scheduler.calls == []
+    assert parked.watermark_skips - skips == parked.pending_count == 4
+    assert parked.parked_passes == 1
+    assert parked.try_start_attempts == 2
+
+
+@pytest.mark.parametrize("stale", ["version", "epoch", "hint"])
+def test_one_stale_watermark_runs_the_whole_pass(parked, stale):
+    version, hint, epoch, declined = parked._blocked["b"]
+    parked._blocked["b"] = {
+        "version": (version - 1, hint, epoch, declined),
+        "epoch": (version, hint, epoch - 1, declined),
+        "hint": (version, parked.queue.now, epoch, declined),
+    }[stale]
+    parked._dispatch_pass()
+    hooks = [hook for hook, _ in parked.scheduler.calls]
+    assert parked.parked_passes == 0
+    assert hooks[0] == "observe_queue"
+    # Only b's watermark is stale: a's queue parks, b's head is asked
+    # again (a new epoch re-asks only the hint of the task that declined).
+    assert hooks.count("try_start") == (stale != "epoch")
+    assert hooks.count("retry_hint") == 1
+
+
+def test_the_next_pass_that_asks_shows_every_arrival():
+    """Arrivals while both models wait for the gate run only parked
+    passes; the pass at the gate pushes the view with all of them."""
+    scheduler = _Gated()
+    tasks = [_task(0, "a"), _task(1, "b"), _task(2, "a", 0.01),
+             _task(3, "b", 0.02), _task(4, "b", 0.03)]
+    simulator = ClusterSimulator(scheduler, "gated")
+    result = simulator.run(tasks)
+    assert len(result.completed) == 5
+    assert simulator.parked_passes >= 9  # every retry poll before the gate
+    assert all(now == 0.0 or now >= OPEN_S for _, now in scheduler.calls)
+    (first_at, first), (second_at, second) = scheduler.views[1:3]
+    assert (first_at, first) == (0.0, {"a": 1, "b": 1})
+    assert second_at >= OPEN_S
+    assert second == {"a": 2, "b": 3}

@@ -159,12 +159,12 @@ class TestServiceEstimateAdjacency:
         controller._estimate_service(
             plan, [(boards[0], image), (boards[1], image)]
         )
-        entries = len(controller._service_cache)
+        entries = len(shared_catalog._service_cache)
         # A different adjacent pair: same types, same hop signature.
         controller._estimate_service(
             plan, [(boards[2], image), (boards[3], image)]
         )
-        assert len(controller._service_cache) == entries
+        assert len(shared_catalog._service_cache) == entries
 
 
 class _Picky:

@@ -3,11 +3,14 @@ and the restricted variant."""
 
 import pytest
 
+from repro.accel.timing import TimingParameters
 from repro.cluster import paper_cluster
+from repro.cluster.network import NetworkParameters
 from repro.errors import AllocationError
 from repro.runtime import Catalog
 from repro.runtime.controller import PlacementPolicy, SystemController
 from repro.runtime.deployment import DeploymentState
+from repro.units import us
 from repro.vital import LowLevelController, VitalCompiler
 
 
@@ -73,6 +76,59 @@ class TestDeploy:
         assert controller.find_idle_deployment("gru-h512-t1") is deployment
         deployment.acquire()
         assert controller.find_idle_deployment("gru-h512-t1") is None
+
+
+class TestCatalogServiceCache:
+    """Service times live in the catalog: controllers sharing one time
+    each placement shape once, and a controller whose timing inputs
+    differ keys its own entries."""
+
+    #: Two replicas first (the ring is timed too), then two that share
+    #: what is left of the paper cluster.
+    MODELS = ("gru-h2560-t375", "gru-h512-t1", "lstm-h256-t150")
+
+    def test_controllers_share_one_evaluation_per_shape(self, monkeypatch):
+        catalog = Catalog(VitalCompiler())
+        timed = []
+
+        def counting(self, plan, placements, inner=SystemController._service_time):
+            timed.append(plan.model_key)
+            return inner(self, plan, placements)
+
+        monkeypatch.setattr(SystemController, "_service_time", counting)
+        services, counts = [], []
+        for _ in range(2):
+            controller, _ = _controller(catalog)
+            services.append([controller.deploy(key)[0].service_s
+                             for key in self.MODELS])
+            counts.append(len(timed))
+        assert services[0] == services[1]
+        # The first controller timed every shape it ranked, once each (a
+        # search may rank several per model); the second timed none.
+        assert set(timed) == set(self.MODELS)
+        assert counts[0] == counts[1] == len(catalog._service_cache)
+
+    @pytest.mark.parametrize("variant", ["timing", "pattern_aware", "network"])
+    def test_other_timing_inputs_get_their_own_entry(self, shared_catalog,
+                                                     variant):
+        def options():
+            return {
+                "timing": {"timing": TimingParameters(decode_cycles=3)},
+                "pattern_aware": {"pattern_aware": False},
+                "network": {"cluster": paper_cluster(
+                    NetworkParameters(hop_latency_s=us(50.0)))},
+            }[variant]
+
+        model = self.MODELS[0]
+        base, _ = _controller(shared_catalog)
+        base_service = base.deploy(model)[0].service_s
+        entries = len(shared_catalog._service_cache)
+        shared, _ = _controller(shared_catalog, **options())
+        service = shared.deploy(model)[0].service_s
+        assert len(shared_catalog._service_cache) == entries + 1
+        fresh, _ = _controller(Catalog(VitalCompiler()), **options())
+        assert service == fresh.deploy(model)[0].service_s
+        assert service != base_service
 
 
 class TestEviction:
