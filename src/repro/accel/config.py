@@ -46,14 +46,6 @@ class MemoryPlan:
     uram_blocks_per_tile: int = 0
 
     @property
-    def physical_bits_per_tile(self) -> int:
-        """Physical memory consumed per tile (what utilisation reports)."""
-        return (
-            self.bram_blocks_per_tile * BRAM36_BITS
-            + self.uram_blocks_per_tile * URAM288_BITS
-        )
-
-    @property
     def usable_bits_per_tile(self) -> int:
         """Bits addressable through the unified interface.
 

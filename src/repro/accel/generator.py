@@ -270,13 +270,3 @@ def _build_top(db: DesignBuilder, config: AcceleratorConfig) -> None:
             result=lane_out,
         )
     m.build()
-
-
-def design_summary(design: Design) -> dict:
-    """Quick inventory used by reports: module count, instance count."""
-    instances = sum(len(mod.instances) for mod in design.iter_modules())
-    return {
-        "modules": len(design.modules),
-        "instances": instances,
-        "top": design.top,
-    }

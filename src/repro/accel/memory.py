@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..resources import ResourceVector
 from ..rtl.builder import ModuleBuilder
 from ..rtl.ir import Module
-from .config import MemoryPlan, BRAM36_BITS, URAM288_BITS, UNIFIED_WORDS, WORD_BITS
+from .config import MemoryPlan, BRAM36_BITS, URAM288_BITS, WORD_BITS
 
 
 def memory_resources(plan: MemoryPlan) -> ResourceVector:
@@ -98,17 +98,3 @@ def build_weight_memory(plan: MemoryPlan, name: str = "weight_mem") -> Module:
         previous_out = "reg_q"
     builder.assign("dout", previous_out)
     return builder.build()
-
-
-def usable_words(plan: MemoryPlan) -> int:
-    """Words addressable through the unified interface for one tile."""
-    return plan.usable_bits_per_tile // WORD_BITS
-
-
-def utilisation_of_uram(plan: MemoryPlan) -> float:
-    """Fraction of physical URAM bits the unified interface can use —
-    ``UNIFIED_WORDS / 4096`` when URAM is present (the paper's observed
-    under-utilisation)."""
-    if plan.uram_blocks_per_tile == 0:
-        return float("nan")
-    return UNIFIED_WORDS * WORD_BITS / URAM288_BITS

@@ -49,13 +49,13 @@ class EventQueue:
         return True
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        """Drain the queue (optionally up to time ``until``); returns the
+        """Drain the queue (optionally up to time ``until``, where the
+        clock then stands even if the queue emptied earlier); returns the
         final simulation time."""
         for _ in range(max_events):
-            if not self._heap:
-                return self.now
-            if until is not None and self._heap[0][0] > until:
-                self.now = until
+            if not self._heap or (until is not None and self._heap[0][0] > until):
+                if until is not None:
+                    self.now = max(self.now, until)
                 return self.now
             self.step()
         raise SimulationError(f"exceeded {max_events} events — runaway simulation?")

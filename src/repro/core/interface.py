@@ -42,11 +42,6 @@ class LatencyInsensitiveInterface:
         if self.stages < 1:
             raise MappingError("an elastic channel has at least one stage")
 
-    @property
-    def crossing_latency_cycles(self) -> int:
-        """Extra cycles a word spends crossing this boundary."""
-        return self.stages
-
     def transfer_cycles(self, words: int) -> int:
         """Cycles until the last of ``words`` emerges (fill + stream).
 

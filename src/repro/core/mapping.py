@@ -82,9 +82,3 @@ class AcceleratorMapping:
             (opt for opt in self.options if opt.is_deployable()),
             key=lambda opt: (opt.num_clusters, opt.cut_bits),
         )
-
-    def option_by_id(self, option_id: str) -> DeploymentOption:
-        for opt in self.options:
-            if opt.option_id == option_id:
-                return opt
-        raise KeyError(f"no deployment option {option_id!r} for {self.instance_name!r}")

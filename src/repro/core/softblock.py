@@ -119,14 +119,6 @@ class SoftBlock:
         """Number of blocks in this subtree."""
         return sum(1 for _ in self.iter_blocks())
 
-    def arity_profile(self) -> dict:
-        """Histogram of ``(kind, arity)`` over the subtree — used in tests."""
-        profile: dict = {}
-        for block in self.iter_blocks():
-            key = (block.kind.value, len(block.children))
-            profile[key] = profile.get(key, 0) + 1
-        return profile
-
     # -- resources ---------------------------------------------------------------
 
     def resources(self) -> ResourceVector:

@@ -24,11 +24,6 @@ def format_table(headers: list, rows: list, title: str = "") -> str:
     return "\n".join(parts)
 
 
-def pct(fraction: float) -> str:
-    """Render a fraction as a percentage string."""
-    return f"{fraction * 100:.1f}%"
-
-
 def percentile(values, fraction: float) -> float:
     """The sorted ``values`` at index ``int(fraction * (n - 1))``; 0.0 when
     empty."""

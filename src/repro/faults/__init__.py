@@ -9,14 +9,14 @@ that story:
 * :mod:`~repro.faults.injector` — a :class:`FaultInjector` that turns a
   per-board MTBF/MTTR model (deterministic, seeded) into first-class
   discrete-event failures and repairs via
-  :meth:`repro.cluster.simulator.ClusterSimulator.schedule_external`,
-  plus targeted ``fail_board`` injection for tests;
+  :meth:`repro.cluster.simulator.ClusterSimulator.schedule_external`;
 * :mod:`~repro.faults.recovery` — a :class:`RecoveryManager` that rebuilds
   deployments lost to a failure from their last periodic checkpoint
   (priced by :meth:`~repro.migration.engine.MigrationEngine.state_bytes`),
   falling back to the paper's scale-down optimisation when no same-width
   placement exists and retrying with bounded exponential backoff when the
-  cluster is momentarily full.
+  cluster is momentarily full.  Restores and retries are timed events on
+  that simulator, so recovery needs one bound.
 
 Board health itself (``HEALTHY``/``DEGRADED``/``FAILED``) lives on
 :class:`~repro.vital.virtual_block.PhysicalFPGA` and is surfaced through

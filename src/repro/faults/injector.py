@@ -9,10 +9,6 @@ re-dispatch the queue exactly like task starts and finishes do.  Boards are
 visited in sorted id order and all draws come from the single seeded
 stream, so a (seed, mtbf, mttr, horizon) tuple always produces the same
 timeline — chaos runs are reproducible bit for bit.
-
-Targeted injection (:meth:`FaultInjector.fail_board`) schedules one
-failure (and optionally its repair) at an exact instant, for tests and the
-``inject-faults`` CLI.
 """
 
 from __future__ import annotations
@@ -82,22 +78,6 @@ class FaultInjector:
         self.events_scheduled += scheduled
         return scheduled
 
-    def fail_board(
-        self,
-        fpga_id: str,
-        at: float,
-        repair_after: float | None = None,
-        degraded: bool = False,
-    ) -> None:
-        """Targeted injection: fail one board at ``at``, optionally
-        repairing it ``repair_after`` seconds later."""
-        self.controller.cluster.board(fpga_id)  # validate the id up front
-        self._schedule_failure(fpga_id, at, degraded)
-        self.events_scheduled += 1
-        if repair_after is not None:
-            self._schedule_repair(fpga_id, at + repair_after)
-            self.events_scheduled += 1
-
     def _schedule_failure(self, fpga_id: str, at: float, degraded: bool) -> None:
         delay = at - self.simulator.queue.now
         self.simulator.schedule_external(
@@ -116,7 +96,7 @@ class FaultInjector:
     def _fail(self, fpga_id: str, degraded: bool, now: float) -> None:
         board = self.controller.cluster.board(fpga_id)
         if board.health is not BoardHealth.HEALTHY:
-            return  # overlapping targeted + scheduled faults: already down
+            return  # already down
         if degraded:
             self.controller.on_board_degraded(board, now)
         else:

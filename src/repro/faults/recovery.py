@@ -16,6 +16,10 @@ checkpoint, whose size
 4. when nothing fits at all, retry with bounded exponential backoff —
    capacity usually returns within an MTTR.
 
+Restores and retries are timed events on the controller's bound
+:class:`~repro.cluster.simulator.ClusterSimulator`; recovering without
+one raises :class:`~repro.errors.ReproError`.
+
 Checkpoint cadence is arithmetic (see
 :meth:`~repro.runtime.deployment.Deployment.last_checkpoint_s`): a
 checkpoint every ``checkpoint_interval_s`` starting at the deployment's
@@ -62,17 +66,15 @@ class RecoveryAbandoned:
     """Structured event: a deployment could not be rebuilt.
 
     Emitted through :meth:`~repro.runtime.controller.SystemController.
-    emit_event` when the recovery manager gives up — after the final
-    backoff retry, or immediately in synchronous mode (no DES to schedule
-    retries on).  The model stays servable: its next task re-deploys from
-    the catalog; what is lost is the warm deployment and its checkpoint.
+    emit_event` when the recovery manager gives up after its final backoff
+    retry.  The model stays servable: its next task re-deploys from the
+    catalog; what is lost is the warm deployment and its checkpoint.
     """
 
     model_key: str
     replicas: int
     attempts: int
     at_s: float
-    reason: str
 
 
 class RecoveryManager:
@@ -150,6 +152,7 @@ class RecoveryManager:
         tenant: str = "",
     ) -> None:
         controller = self.controller
+        simulator = controller._clock()
         # A rebuilt deployment stays charged to its original tenant — a
         # restore must not silently launder quota attribution through the
         # (empty) default context.
@@ -161,11 +164,6 @@ class RecoveryManager:
             controller.tenant_context = prior
         cost = self._restore_cost(deployment, from_checkpoint=not scale_down)
         self.restores_started += 1
-        simulator = controller._simulator
-        if simulator is None:
-            # Synchronous mode (no DES bound): complete immediately.
-            self._complete_recovery(deployment, now, scale_down)
-            return
         controller.set_state(deployment, DeploymentState.RECOVERING)
 
         def complete(fire_now, deployment=deployment, scale_down=scale_down):
@@ -223,23 +221,18 @@ class RecoveryManager:
         self, model_key: str, plan, now: float, attempt: int, tenant: str = ""
     ) -> None:
         controller = self.controller
-        if attempt >= self.params.max_retries or controller._simulator is None:
+        if attempt >= self.params.max_retries:
             controller.stats.recovery_failures += 1
-            reason = (
-                "retries-exhausted"
-                if attempt >= self.params.max_retries
-                else "no-simulator"
-            )
             controller.emit_event(
                 RecoveryAbandoned(
                     model_key=model_key,
                     replicas=plan.replicas,
                     attempts=attempt,
                     at_s=now,
-                    reason=reason,
                 )
             )
             return
+        simulator = controller._clock()
         delay = self.params.backoff_s(attempt)
         controller.stats.recovery_retries += 1
         controller.stats.recovery_backoff_s += delay
@@ -250,4 +243,4 @@ class RecoveryManager:
         ):
             self._replace(model_key, plan, fire_now, attempt + 1, tenant=tenant)
 
-        controller._simulator.schedule_external(delay, retry)
+        simulator.schedule_external(delay, retry)

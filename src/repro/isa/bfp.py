@@ -51,13 +51,6 @@ class BFPFormat:
         """Largest representable positive mantissa value."""
         return (1 << (self.mantissa_bits - 1)) - 1
 
-    @property
-    def quantisation_step(self) -> float:
-        """Step size relative to the block max when ``block_max /
-        max_mantissa`` is a power of two; the power-of-two scale makes the
-        relative step of any other block larger, but less than twice this."""
-        return 1.0 / self.max_mantissa
-
 
 DEFAULT_FORMAT = BFPFormat()
 

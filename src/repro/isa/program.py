@@ -76,14 +76,6 @@ class Program:
 
     # -- queries -------------------------------------------------------------------
 
-    def count_op(self, op: Op) -> int:
-        """Occurrences of one opcode (static, not trip-count weighted)."""
-        return sum(1 for inst in self.instructions if inst.op is op)
-
-    def sync_instructions(self) -> list:
-        """All inter-FPGA send/recv instructions."""
-        return [inst for inst in self.instructions if inst.is_sync]
-
     def register_footprint(self) -> RegisterFootprint:
         """Registers and vector lengths this program can touch (static).
 

@@ -12,19 +12,6 @@ def speedup(candidate: float, baseline: float) -> float:
     return candidate / baseline
 
 
-def geometric_mean(values) -> float:
-    """Geometric mean (the conventional average for speedups)."""
-    values = list(values)
-    if not values:
-        raise ReproError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ReproError("geometric mean requires positive values")
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
 def arithmetic_mean(values) -> float:
     """Plain average (the paper reports average throughput improvement)."""
     values = list(values)

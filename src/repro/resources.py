@@ -87,20 +87,6 @@ class ResourceVector:
             return NotImplemented
         return all(a <= b for a, b in zip(self, other))
 
-    def fits_in(self, capacity: "ResourceVector", slack: float = 0.0) -> bool:
-        """True when this request fits in ``capacity``.
-
-        ``slack`` reserves a fraction of the capacity (e.g. ``slack=0.05``
-        keeps 5% headroom for routing), mirroring how real place-and-route
-        cannot use 100% of a device.
-        """
-        usable = capacity * (1.0 - slack)
-        return self <= usable
-
-    def is_nonnegative(self) -> bool:
-        """True when no component is negative (valid free-capacity state)."""
-        return all(a >= -1e-9 for a in self)
-
     def ceil(self) -> "ResourceVector":
         """Round each component up to an integer count."""
         return ResourceVector(*(float(math.ceil(a)) for a in self))

@@ -27,10 +27,8 @@ from .hierarchy import (
     design_resources,
     instance_resources,
     is_basic_module,
-    iter_hierarchy,
 )
 from .equivalence import modules_equivalent, structural_signature
-from .flatten import flatten_to_primitives, primitive_census
 from .parser import parse_design
 from .emitter import emit_design, emit_module
 from .validate import validate_design
@@ -47,12 +45,9 @@ __all__ = [
     "basic_module_instances",
     "design_resources",
     "emit_design",
-    "flatten_to_primitives",
-    "primitive_census",
     "emit_module",
     "instance_resources",
     "is_basic_module",
-    "iter_hierarchy",
     "modules_equivalent",
     "parse_design",
     "structural_signature",

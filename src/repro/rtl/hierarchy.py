@@ -36,28 +36,6 @@ def is_basic_module(design: Design, module_name: str) -> bool:
     )
 
 
-def iter_hierarchy(design: Design, root: str | None = None):
-    """Yield ``(path, module_name, instance)`` for every hierarchical instance.
-
-    ``path`` is the slash-joined instance path from the root (the root itself
-    is yielded with path ``""`` and ``instance=None``).  Traversal is
-    depth-first in declaration order, which gives deterministic block ids.
-    """
-    root = root or design.top
-
-    def walk(module_name: str, path: str):
-        module = design.require_module(module_name)
-        for inst in module.instances.values():
-            if not design.has_module(inst.module_name):
-                continue  # primitive cell
-            child_path = f"{path}/{inst.name}" if path else inst.name
-            yield child_path, inst.module_name, inst
-            yield from walk(inst.module_name, child_path)
-
-    yield "", root, None
-    yield from walk(root, "")
-
-
 @dataclass
 class BasicInstance:
     """One hierarchical instance of a basic module, with lifted connectivity.
@@ -73,11 +51,6 @@ class BasicInstance:
     module_name: str
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
-
-    @property
-    def leaf_name(self) -> str:
-        """The last path component (the local instance name)."""
-        return self.path.rsplit("/", 1)[-1]
 
 
 def basic_module_instances(

@@ -34,14 +34,6 @@ class Direction(enum.Enum):
     OUTPUT = "output"
     INOUT = "inout"
 
-    def flipped(self) -> "Direction":
-        """The direction seen from the other side of the connection."""
-        if self is Direction.INPUT:
-            return Direction.OUTPUT
-        if self is Direction.OUTPUT:
-            return Direction.INPUT
-        return Direction.INOUT
-
 
 @dataclass(frozen=True)
 class Port:
@@ -168,14 +160,6 @@ class Module:
         """Ports with direction OUTPUT, in declaration order."""
         return [p for p in self.ports.values() if p.direction is Direction.OUTPUT]
 
-    def net_width(self, net_name: str) -> int:
-        """Width of a net (or implicit port net)."""
-        if net_name in self.nets:
-            return self.nets[net_name].width
-        raise RTLValidationError(
-            f"module {self.name!r} has no net {net_name!r}"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Module({self.name!r}, ports={len(self.ports)}, "
@@ -280,14 +264,6 @@ class Design:
             seen.append(name)
             stack.extend(sorted(self.submodule_names(name)))
         return seen
-
-    def instance_counts(self) -> dict:
-        """How many times each module is instantiated across the design."""
-        counts: dict[str, int] = {}
-        for module in self.modules.values():
-            for inst in module.instances.values():
-                counts[inst.module_name] = counts.get(inst.module_name, 0) + 1
-        return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Design({self.name!r}, modules={len(self.modules)}, top={self._top!r})"

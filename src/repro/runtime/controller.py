@@ -40,7 +40,7 @@ from ..accel.timing import (
     VirtualizationContext,
 )
 from ..cluster.topology import FPGACluster
-from ..errors import AllocationError, DeploymentError
+from ..errors import AllocationError, DeploymentError, ReproError
 from ..perf.latency import single_fpga_latency, weight_load_seconds
 from ..perf.overlap import scaleout_latency
 from ..units import ms
@@ -331,8 +331,8 @@ class SystemController:
         self.timing = timing
         self.reconfig_s_per_block = reconfig_s_per_block
         self.eviction_patience_s = eviction_patience_s
-        #: Checkpoint/restore + defrag layer; OFF by default so existing
-        #: schedules (and the Fig. 12 goldens) are untouched.
+        #: Migration + defrag layer; OFF by default so existing schedules
+        #: (and the Fig. 12 goldens) are untouched.
         self.migration_enabled = migration_enabled
         self._migration_params = migration_params
         self._migration_engine = None
@@ -340,8 +340,8 @@ class SystemController:
         self.recovery_enabled = recovery_enabled
         self._recovery_params = recovery_params
         self._recovery_manager = None
-        #: The DES driving this controller, when one is (recovery and
-        #: defrag schedule their completions on it; ``None`` = synchronous).
+        #: The DES driving this controller (see :meth:`_clock`); ``None``
+        #: until one binds.
         self._simulator = None
         self.deployments: dict[str, Deployment] = {}
         self.index = PlacementIndex(cluster)
@@ -388,20 +388,27 @@ class SystemController:
     # -- public API (what the hypervisor calls) -------------------------------------
 
     def bind_simulator(self, simulator) -> None:
-        """Adopt the DES driving this controller.
-
-        Recovery restores and backoff retries become first-class timed
-        events on it; without one they execute synchronously (tests, CLI
-        one-shots).
-        """
+        """Adopt the DES driving this controller: recovery restores,
+        backoff retries, defrag completions and reconfiguration holds are
+        timed events on it."""
         self._simulator = simulator
 
+    def _clock(self):
+        """The bound simulator, for every path that needs simulated time.
+
+        Placement, eviction and release run without one (the
+        ``cluster-status`` CLI and :class:`~repro.runtime.api.HypervisorAPI`
+        call them that way); a restore, retry, defrag, hold or replica
+        ledger booking raises :class:`~repro.errors.ReproError` here.
+        """
+        if self._simulator is None:
+            raise ReproError("SystemController needs a bound simulator for timed work")
+        return self._simulator
+
     def _now(self) -> float:
-        """Current simulated time, or 0.0 in synchronous mode (paths that
-        already carry ``now`` should pass it instead of calling this)."""
-        if self._simulator is not None:
-            return self._simulator.queue.now
-        return 0.0
+        """Current simulated time (paths that already carry ``now`` should
+        pass it instead of calling this)."""
+        return self._clock().queue.now
 
     def deployments_of(self, model_key: str) -> list:
         """Resident deployments of one model, in creation order."""
@@ -570,6 +577,7 @@ class SystemController:
         (best effort).  Whatever was placed is held until ready.  Returns
         the new ``(deployment, reconfig_seconds)``, or ``None`` when the
         switch failed."""
+        self._clock()  # raise before the old width is discarded
         original_plan = deployment.plan
         self.discard(deployment)
         placed = self.place_plan(target_plan, now)
@@ -580,12 +588,11 @@ class SystemController:
 
     def hold_until_ready(self, deployment: Deployment, reconfig_s: float) -> None:
         """A freshly placed deployment is unusable until its blocks are
-        configured; with a DES bound that wait is a first-class event
-        (synchronous callers may use it at once)."""
-        if self._simulator is None:
-            return
+        configured: it waits in RECOVERING for ``reconfig_s`` of simulated
+        time."""
+        simulator = self._clock()
         self.set_state(deployment, DeploymentState.RECOVERING)
-        self._simulator.schedule_external(
+        simulator.schedule_external(
             reconfig_s, lambda now: self.finish_reconfiguration(deployment, now)
         )
 
@@ -784,7 +791,7 @@ class SystemController:
             self._recovery_manager = RecoveryManager(self, self._recovery_params)
         return self._recovery_manager
 
-    def on_board_failure(self, board, now: float = 0.0) -> None:
+    def on_board_failure(self, board, now: float) -> None:
         """A board died: exclude it from placement and recover residents.
 
         The health transition drops the board from the placement index;
@@ -799,7 +806,7 @@ class SystemController:
         if self.recovery_enabled:
             self.recovery.on_board_failure(board, now)
 
-    def on_board_degraded(self, board, now: float = 0.0) -> None:
+    def on_board_degraded(self, board, now: float) -> None:
         """Put a board in drain mode: residents keep serving, no new
         placements land on it (the index drops it like a failure, but no
         state is lost and no recovery runs)."""
@@ -808,7 +815,7 @@ class SystemController:
         board.set_health(BoardHealth.DEGRADED)
         self.stats.boards_degraded += 1
 
-    def on_board_repair(self, board, now: float = 0.0) -> None:
+    def on_board_repair(self, board, now: float) -> None:
         """Return a board to service.
 
         Repairing a FAILED board re-images it: it comes back empty, so any

@@ -76,9 +76,6 @@ class ProposedSystem:
         #: two uncoordinated growth loops over-provision and fight each
         #: other's scale-downs.
         self.expansion_enabled = True
-        #: Set when a :class:`~repro.cluster.simulator.ClusterSimulator`
-        #: adopts this scheduler; migrations become first-class DES events.
-        self._simulator = None
         #: model key -> in-flight defrag (avoid planning duplicates).
         self._defrag_pending: set[str] = set()
         #: model key -> pending depth, as last observed by the DES.
@@ -102,10 +99,9 @@ class ProposedSystem:
     EXPANSION_PRESSURE = 4
 
     def bind_simulator(self, simulator) -> None:
-        """Adopt the driving DES (gives defrag and failure recovery a
-        clock to schedule on, and drains the batch executor's partial
-        groups when the run ends)."""
-        self._simulator = simulator
+        """Adopt the driving DES: the controller schedules defrag,
+        recovery and reconfiguration on it, and the batch executor's
+        partial groups drain when the run ends."""
         self.controller.bind_simulator(simulator)
         if self.batch_executor is not None:
             simulator.add_run_end(self._drain_outputs)
@@ -229,26 +225,24 @@ class ProposedSystem:
 
     def _maybe_defrag(self, model_key: str, now: float) -> bool:
         """After a placement failure, start the cheapest compaction that
-        would open a hole for ``model_key`` — as a timed DES event when a
-        simulator drives us, synchronously otherwise.  Returns whether a
-        defrag was started."""
+        would open a hole for ``model_key``; its moves finish as one timed
+        event on the controller's simulator.  Returns whether a defrag was
+        started."""
         controller = self.controller
         if not controller.migration_enabled or model_key in self._defrag_pending:
             return False
         plan = controller.plan_defrag(model_key)
         if plan is None:
             return False
+        simulator = controller._clock()
         cost = controller.begin_defrag(plan, now)
-        if self._simulator is None:
-            controller.finish_defrag(plan, now)
-            return True
         self._defrag_pending.add(model_key)
 
         def complete(finish_now: float, plan=plan, key=model_key) -> None:
             controller.finish_defrag(plan, finish_now)
             self._defrag_pending.discard(key)
 
-        self._simulator.schedule_external(cost, complete)
+        simulator.schedule_external(cost, complete)
         return True
 
     def woken_models(self, event: str, task: Task, now: float):
@@ -571,10 +565,11 @@ def build_system(
 ):
     """Factory over the three evaluated systems.
 
-    ``defrag=True`` arms the checkpoint/restore + migration subsystem on
-    the framework systems (the baseline has no virtualization layer to
-    migrate through); ``recovery=True`` arms checkpoint-based failure
-    recovery (:mod:`repro.faults`); ``batching`` (a
+    ``defrag=True`` arms live migration and defragmentation on the
+    framework systems (the baseline has no virtualization layer to migrate
+    through); ``recovery=True`` arms failure recovery from periodic
+    checkpoints (:mod:`repro.faults`).  Both schedule their work on the
+    simulator that binds the system.  ``batching`` (a
     :class:`repro.runtime.batching.BatchingParameters`) arms the
     request-coalescing functional executor.  The defaults keep schedules
     bit-identical to the pre-migration, pre-faults implementation.

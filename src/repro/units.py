@@ -17,14 +17,8 @@ from __future__ import annotations
 
 # --- time ------------------------------------------------------------------
 
-NS = 1e-9
 US = 1e-6
 MS = 1e-3
-
-
-def ns(value: float) -> float:
-    """Nanoseconds to seconds."""
-    return value * NS
 
 
 def us(value: float) -> float:
@@ -35,11 +29,6 @@ def us(value: float) -> float:
 def ms(value: float) -> float:
     """Milliseconds to seconds."""
     return value * MS
-
-
-def to_us(seconds: float) -> float:
-    """Seconds to microseconds."""
-    return seconds / US
 
 
 def to_ms(seconds: float) -> float:
@@ -68,11 +57,6 @@ def to_mhz(hertz: float) -> float:
 
 KBIT = 1 << 10
 MBIT = 1 << 20
-
-
-def kbit(value: float) -> float:
-    """Kilobits (1024-based) to bits."""
-    return value * KBIT
 
 
 def mbit(value: float) -> float:
@@ -111,20 +95,6 @@ def to_tflops(flops: float) -> float:
 
 
 # --- formatting --------------------------------------------------------------
-
-
-def fmt_time(seconds: float) -> str:
-    """Render a duration with a sensible unit, e.g. ``'0.136 ms'``."""
-    if seconds == 0:
-        return "0 s"
-    magnitude = abs(seconds)
-    if magnitude >= 1.0:
-        return f"{seconds:.3g} s"
-    if magnitude >= MS:
-        return f"{seconds / MS:.3g} ms"
-    if magnitude >= US:
-        return f"{seconds / US:.3g} us"
-    return f"{seconds / NS:.3g} ns"
 
 
 def fmt_bits(bits: float) -> str:

@@ -73,10 +73,6 @@ class BitstreamStore:
     def __len__(self) -> int:
         return len(self._store)
 
-    def total_compile_seconds(self) -> float:
-        """Wall-clock actually spent compiling (cache hits cost nothing)."""
-        return sum(b.compile_seconds for b in self._store.values())
-
 
 @dataclass
 class ConfigurationEvent:

@@ -50,12 +50,3 @@ def achieved_frequency(
     congestion = max(0.0, utilisation - 0.5) * _CONGESTION_SLOPE
     penalty = min(0.35, _AUTOMATIC_BASE_PENALTY + congestion)
     return device.frequency_hz * (1.0 - penalty)
-
-
-def frequency_gain_of_floorplanning(
-    device: FPGAModel, demand: ResourceVector
-) -> float:
-    """Relative speedup floorplanning buys for this design (ablation)."""
-    auto = achieved_frequency(device, demand, FloorplanQuality.AUTOMATIC)
-    best = achieved_frequency(device, demand, FloorplanQuality.FLOORPLANNED)
-    return best / auto - 1.0

@@ -83,11 +83,6 @@ class PhysicalFPGA:
         """Deployment ids currently resident on this board."""
         return set(self._owned)
 
-    @property
-    def is_placeable(self) -> bool:
-        """Whether the placement policies may target this board."""
-        return self.health is BoardHealth.HEALTHY
-
     def can_host(self, block_count: int) -> bool:
         return (
             self.health is BoardHealth.HEALTHY

@@ -7,6 +7,7 @@ from repro.accel.config import (
     BW_K115,
     BW_V37,
     URAM288_BITS,
+    WORD_BITS,
     AcceleratorConfig,
     MemoryPlan,
     scaled_config,
@@ -14,8 +15,6 @@ from repro.accel.config import (
 from repro.accel.memory import (
     build_weight_memory,
     memory_resources,
-    usable_words,
-    utilisation_of_uram,
 )
 from repro.errors import ReproError
 from repro.rtl import validate_design
@@ -24,10 +23,6 @@ from repro.units import mhz, to_tflops
 
 
 class TestMemoryPlan:
-    def test_physical_bits(self):
-        plan = MemoryPlan(bram_blocks_per_tile=2, uram_blocks_per_tile=1)
-        assert plan.physical_bits_per_tile == 2 * BRAM36_BITS + URAM288_BITS
-
     def test_usable_bits_uram_limited(self):
         """The unified 512-word interface wastes 7/8 of each URAM —
         the under-utilisation the paper points out (Section 3)."""
@@ -37,16 +32,13 @@ class TestMemoryPlan:
 
     def test_uram_utilisation_fraction(self):
         plan = MemoryPlan(bram_blocks_per_tile=0, uram_blocks_per_tile=4)
-        assert utilisation_of_uram(plan) == pytest.approx(512 * 72 / URAM288_BITS)
-
-    def test_uram_utilisation_nan_without_uram(self):
-        import math
-
-        assert math.isnan(utilisation_of_uram(MemoryPlan(4, 0)))
+        assert plan.usable_bits_per_tile / (4 * URAM288_BITS) == pytest.approx(
+            512 * 72 / URAM288_BITS
+        )
 
     def test_usable_words(self):
         plan = MemoryPlan(bram_blocks_per_tile=1, uram_blocks_per_tile=0)
-        assert usable_words(plan) == 512
+        assert plan.usable_bits_per_tile // WORD_BITS == 512
 
 
 class TestAcceleratorConfig:

@@ -4,7 +4,6 @@ and the decomposition contract of Section 3."""
 import pytest
 
 from repro.accel import BW_K115, BW_V37, CONTROL_MODULES, generate_accelerator
-from repro.accel.generator import design_summary
 from repro.rtl import design_resources, is_basic_module, validate_design
 from repro.units import to_mbit
 
@@ -32,11 +31,6 @@ class TestStructure:
     def test_lane_is_hierarchical(self, small_accel_design):
         assert not is_basic_module(small_accel_design, "compute_lane")
         assert not is_basic_module(small_accel_design, "mvm_tile")
-
-    def test_summary(self, small_accel_design):
-        summary = design_summary(small_accel_design)
-        assert summary["top"] == "top"
-        assert summary["modules"] == len(small_accel_design.modules)
 
 
 class TestResourceCalibration:

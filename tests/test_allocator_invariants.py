@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.cluster import ClusterSimulator
 from repro.cluster.topology import paper_cluster
 from repro.errors import AllocationError
 from repro.runtime import Catalog, build_system
@@ -244,10 +245,11 @@ class TestControllerIndexInvariants:
 
     def test_chaos_failure_repair_storm(self):
         """Random board failures and repairs interleaved with deploys,
-        evicts and live migrations (recovery armed, synchronous mode): the
-        cached allocator structures must equal a from-scratch recount after
-        every step, no two deployments may ever own the same block, and no
-        placement may land on an unhealthy board."""
+        evicts and live migrations (recovery armed, restores and backoff
+        retries timed on a bound simulator): the cached allocator
+        structures must equal a from-scratch recount after every step, no
+        two deployments may ever own the same block, and no placement may
+        land on an unhealthy board."""
         from repro.vital.virtual_block import BoardHealth
 
         cluster = paper_cluster()
@@ -255,14 +257,17 @@ class TestControllerIndexInvariants:
             "proposed", cluster, Catalog(VitalCompiler()), recovery=True
         )
         controller = system.controller
+        simulator = ClusterSimulator(system, "chaos")
         engine = controller.migration
         rng = random.Random(2024)
         keys = ["gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25"]
         board_ids = sorted(cluster.boards)
         now = 0.0
         migrated = 0
+        recovering_steps = 0
         for _step in range(400):
             now += 0.005
+            simulator.queue.run(until=now)
             action = rng.random()
             if action < 0.35:
                 try:
@@ -321,6 +326,10 @@ class TestControllerIndexInvariants:
             # deployment, and every placement's record matches the board.
             claimed: dict = {}
             for deployment in controller.deployments.values():
+                recovering_steps += (
+                    deployment.state is DeploymentState.RECOVERING
+                )
+                on_failed = False
                 for placement in deployment.placements:
                     board = cluster.board(placement.fpga_id)
                     owned = board.owned_indices(deployment.deployment_id)
@@ -332,15 +341,24 @@ class TestControllerIndexInvariants:
                             f"and {deployment.deployment_id}"
                         )
                         claimed[slot] = deployment.deployment_id
-                    # Recovery must never have placed onto a board that
-                    # was unhealthy at placement time and is FAILED now
-                    # (a FAILED board's residents are recovered or gone).
-                    assert board.health is not BoardHealth.FAILED
+                    on_failed |= board.health is BoardHealth.FAILED
+                # A FAILED board's residents are recovered or gone, except
+                # a restore in flight: it is flagged and goes around again
+                # when its completion event fires.
+                if on_failed:
+                    assert deployment.pending_recovery
+                    assert not deployment.is_idle
+        simulator.queue.run()
         stats = controller.stats
         assert stats.boards_failed > 20, "storm should have failed boards"
         assert stats.deployments_failed > 0
         assert stats.recoveries > 0, "storm should have exercised recovery"
         assert migrated > 5, "storm should have exercised migration"
+        # The paths only a clock reaches: backoff retries and restores in
+        # flight.  (This seed fails no board under a restore in flight;
+        # tests/test_faults.py covers that path.)
+        assert stats.recovery_retries > 0
+        assert recovering_steps > 0
 
     def test_index_tracks_direct_board_allocation(self, deployed_controller):
         """Tests (and tools) allocate on boards directly; the placement

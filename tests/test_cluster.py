@@ -57,6 +57,14 @@ class TestEventQueue:
         assert fired == ["a"]
         assert queue.now == 2.0
 
+    def test_run_until_advances_an_empty_queue(self):
+        queue = EventQueue()
+        queue.schedule(1.0, lambda: None)
+        queue.run(until=3.0)
+        assert queue.now == 3.0
+        queue.schedule_in(0.5, lambda: None)
+        assert queue.run() == 3.5
+
     def test_runaway_detected(self):
         queue = EventQueue()
 

@@ -13,10 +13,6 @@ from repro.errors import MappingError
 
 
 class TestInterfaceStatics:
-    def test_crossing_latency_equals_stages(self):
-        iface = LatencyInsensitiveInterface(width_bits=64, stages=3)
-        assert iface.crossing_latency_cycles == 3
-
     def test_transfer_cycles_zero_words(self):
         iface = LatencyInsensitiveInterface(width_bits=64)
         assert iface.transfer_cycles(0) == 0

@@ -1,7 +1,5 @@
 """Tests for mapping records and tree rendering."""
 
-import pytest
-
 from repro.core import render_tree
 from repro.core.mapping import AcceleratorMapping, ClusterImage, DeploymentOption
 from repro.core.softblock import data_block, leaf_block
@@ -75,12 +73,6 @@ class TestAcceleratorMapping:
         mapping = self._mapping()
         mapping.options.append(_option("broken", [9], {9: {}}))
         assert all(o.option_id != "broken" for o in mapping.sorted_options())
-
-    def test_option_by_id(self):
-        mapping = self._mapping()
-        assert mapping.option_by_id("one").num_clusters == 1
-        with pytest.raises(KeyError):
-            mapping.option_by_id("ghost")
 
 
 class TestRenderTree:

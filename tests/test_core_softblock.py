@@ -60,12 +60,6 @@ class TestStructure:
         tree = data_block("d", [_leaf(), _leaf(), _leaf()])
         assert tree.count() == 4
 
-    def test_arity_profile(self):
-        tree = data_block("d", [_leaf(), _leaf()])
-        profile = tree.arity_profile()
-        assert profile[("data", 2)] == 1
-        assert profile[("leaf", 0)] == 2
-
     def test_iter_blocks_preorder(self):
         tree = pipeline_block("p", [_leaf("a"), _leaf("b")])
         names = [block.name for block in tree.iter_blocks()]

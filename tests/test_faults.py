@@ -35,7 +35,6 @@ class TestBoardHealth:
     def test_healthy_board_is_placeable(self):
         board = PhysicalFPGA("b0", XCVU37P)
         assert board.health is BoardHealth.HEALTHY
-        assert board.is_placeable
         assert board.can_host(4)
 
     def test_degraded_and_failed_refuse_new_placements(self):
@@ -70,11 +69,11 @@ class TestBoardHealth:
         controller = system.controller
         board = cluster.board("vu37p-0")
         before = controller.index.count_with_at_least("XCVU37P", 1)
-        controller.on_board_degraded(board)
+        controller.on_board_degraded(board, now=0.0)
         assert controller.index.count_with_at_least("XCVU37P", 1) == before - 1
         assert board not in controller.index.boards_by_id("XCVU37P")
         assert controller.index.check_consistent()
-        controller.on_board_repair(board)
+        controller.on_board_repair(board, now=0.0)
         assert controller.index.count_with_at_least("XCVU37P", 1) == before
         assert controller.index.check_consistent()
 
@@ -83,10 +82,10 @@ class TestBoardHealth:
         controller = system.controller
         deployment, _ = controller.deploy("gru-h512-t1")
         board = cluster.board(deployment.placements[0].fpga_id)
-        controller.on_board_failure(board)
+        controller.on_board_failure(board, now=0.0)
         assert board.health is BoardHealth.FAILED
         assert board.used_blocks > 0  # blocks still attributed
-        controller.on_board_repair(board)
+        controller.on_board_repair(board, now=0.0)
         assert board.health is BoardHealth.HEALTHY
         assert board.used_blocks == 0  # re-imaged empty
         assert controller.index.check_consistent()
@@ -111,9 +110,16 @@ class TestRecovery:
     def test_idle_deployment_recovers_immediately(self, catalog):
         cluster, system = _system(catalog)
         controller = system.controller
+        simulator = ClusterSimulator(system, "t")
         deployment, _ = controller.deploy("gru-h512-t1", now=0.0)
         failed_board = deployment.placements[0].fpga_id
+        simulator.queue.run(until=0.13)
         controller.on_board_failure(cluster.board(failed_board), now=0.13)
+        # The restore starts at the failure and completes as a timed event.
+        restoring = controller.deployments_of("gru-h512-t1")
+        assert [d.state for d in restoring] == [DeploymentState.RECOVERING]
+        assert controller.recovery.restores_started == 1
+        simulator.queue.run()
         stats = controller.stats
         assert stats.deployments_failed == 1
         assert stats.recoveries == 1
@@ -129,16 +135,20 @@ class TestRecovery:
     def test_busy_deployment_defers_recovery_to_release(self, catalog):
         cluster, system = _system(catalog)
         controller = system.controller
+        simulator = ClusterSimulator(system, "t")
         deployment, _ = controller.deploy("gru-h512-t1", now=0.0)
         deployment.acquire()
         board = cluster.board(deployment.placements[0].fpga_id)
+        simulator.queue.run(until=0.01)
         controller.on_board_failure(board, now=0.01)
         # Not yanked mid-task: flagged, still accounted as failed.
         assert deployment.pending_recovery
         assert controller.stats.deployments_failed == 1
         assert controller.stats.recoveries == 0
         assert deployment.deployment_id in controller.deployments
+        simulator.queue.run(until=0.02)
         controller.release(deployment, now=0.02)
+        simulator.queue.run()
         assert controller.stats.recoveries == 1
         assert deployment.deployment_id not in controller.deployments
         replacement = controller.find_idle_deployment("gru-h512-t1")
@@ -148,6 +158,7 @@ class TestRecovery:
     def test_scale_down_fallback_when_same_width_cannot_fit(self, catalog):
         cluster, system = _system(catalog)
         controller = system.controller
+        simulator = ClusterSimulator(system, "t")
         # lstm-h512-t25 plans: 1x5 VU37P (or 1x4 KU115), or 2x3 VU37P.
         cluster.board("ku115-0").allocate("blocker", 10)
         cluster.board("vu37p-1").allocate("blocker", 13)  # 3 free
@@ -155,7 +166,9 @@ class TestRecovery:
         deployment, _ = controller.deploy("lstm-h512-t25", now=0.0)
         assert deployment.member_fpgas == ["vu37p-0"]
         assert deployment.plan.replicas == 1
+        simulator.queue.run(until=0.01)
         controller.on_board_failure(cluster.board("vu37p-0"), now=0.01)
+        simulator.queue.run()
         stats = controller.stats
         assert stats.recoveries == 1
         assert stats.scale_down_recoveries == 1
@@ -163,20 +176,58 @@ class TestRecovery:
         assert replacement.plan.replicas == 2
         assert sorted(replacement.member_fpgas) == ["vu37p-1", "vu37p-2"]
 
-    def test_recovery_abandoned_when_nothing_fits_synchronously(self, catalog):
+    def test_recovery_abandoned_when_nothing_fits(self, catalog):
         cluster, system = _system(catalog)
         controller = system.controller
+        simulator = ClusterSimulator(system, "t")
         cluster.board("ku115-0").allocate("blocker", 10)
         cluster.board("vu37p-1").allocate("blocker", 14)  # 2 free
         cluster.board("vu37p-2").allocate("blocker", 14)  # 2 free
         deployment, _ = controller.deploy("lstm-h512-t25", now=0.0)
+        simulator.queue.run(until=0.01)
         controller.on_board_failure(cluster.board("vu37p-0"), now=0.01)
+        simulator.queue.run()
         stats = controller.stats
-        # No simulator bound: no clock to back off on, so the failure is
-        # counted immediately instead of retried.
+        # Capacity never returns: every backoff retry fails, then the
+        # failure is counted and the deployment given up.
+        params = controller.recovery.params
+        assert stats.recovery_retries == params.max_retries
+        assert stats.recovery_backoff_s == pytest.approx(
+            sum(params.backoff_s(attempt) for attempt in range(params.max_retries))
+        )
         assert stats.recoveries == 0
         assert stats.recovery_failures == 1
         assert controller.find_idle_deployment("lstm-h512-t25") is None
+        assert controller.index.check_consistent()
+
+    def test_failure_under_a_restore_goes_around_again(self, catalog):
+        cluster, system = _system(catalog)
+        controller = system.controller
+        simulator = ClusterSimulator(system, "t")
+        deployment, _ = controller.deploy("gru-h512-t1", now=0.0)
+        simulator.queue.run(until=0.01)
+        controller.on_board_failure(
+            cluster.board(deployment.placements[0].fpga_id), now=0.01
+        )
+        (restoring,) = controller.deployments_of("gru-h512-t1")
+        assert restoring.state is DeploymentState.RECOVERING
+        # The restore target fails while its blocks are being configured:
+        # the restore is flagged, not yanked, and sits on a FAILED board.
+        simulator.queue.run(until=0.011)
+        target = cluster.board(restoring.placements[0].fpga_id)
+        controller.on_board_failure(target, now=0.011)
+        assert restoring.pending_recovery
+        assert not restoring.is_idle
+        assert restoring.deployment_id in controller.deployments
+        # Its completion event starts a second restore elsewhere.
+        simulator.queue.run()
+        stats = controller.stats
+        assert stats.deployments_failed == 2
+        assert controller.recovery.restores_started == 2
+        assert stats.recoveries == 1
+        (replacement,) = controller.deployments_of("gru-h512-t1")
+        assert replacement.is_idle
+        assert target.fpga_id not in replacement.member_fpgas
         assert controller.index.check_consistent()
 
     def test_backoff_retries_succeed_when_capacity_returns(self, catalog):
@@ -187,8 +238,10 @@ class TestRecovery:
         cluster.board("vu37p-1").allocate("blocker", 14)  # 2 free
         cluster.board("vu37p-2").allocate("blocker", 14)  # 2 free
         deployment, _ = controller.deploy("lstm-h512-t25", now=0.0)
-        injector = FaultInjector(simulator, controller)
-        injector.fail_board("vu37p-0", at=0.001)
+        failed = cluster.board("vu37p-0")
+        simulator.schedule_external(
+            0.001, lambda now: controller.on_board_failure(failed, now)
+        )
         # Capacity returns mid-backoff: the blocker drains off vu37p-1.
         simulator.schedule_external(
             0.02, lambda now: cluster.board("vu37p-1").release("blocker")
@@ -237,13 +290,6 @@ class TestFaultInjector:
         )
         with pytest.raises(SimulationError, match="positive"):
             bad.arm(1.0)
-
-    def test_unknown_board_rejected(self, catalog):
-        _, _, _, injector = self._armed(
-            catalog, FaultModelParameters()
-        )
-        with pytest.raises(SimulationError):
-            injector.fail_board("ghost", at=0.1)
 
     def test_availability_accounting(self, catalog):
         cluster, system = _system(catalog, recovery=False)

@@ -31,9 +31,6 @@ class TestFormat:
         with pytest.raises(ISAError):
             BFPFormat(block_size=0)
 
-    def test_quantisation_step(self):
-        assert BFPFormat(mantissa_bits=6).quantisation_step == pytest.approx(1 / 31)
-
 
 class TestQuantize:
     def test_zero_preserved(self):

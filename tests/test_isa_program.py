@@ -39,9 +39,6 @@ class TestContainer:
         assert program[0].op is Op.V_FILL
         assert [i.op for i in program][-1] is Op.HALT
 
-    def test_count_op(self):
-        assert _simple_program().count_op(Op.VV_ADD) == 1
-
     def test_dynamic_instruction_count_weights_loops(self):
         # fill + 3x add + halt = 5 dynamic issues
         assert _simple_program().dynamic_instruction_count() == 5
@@ -52,12 +49,6 @@ class TestContainer:
             [loop(2), loop(3), vv_add(0, 0, 0, 1), endloop(), endloop()]
         )
         assert program.dynamic_instruction_count() == 6
-
-    def test_sync_instructions(self):
-        program = Program()
-        program.append(v_rd(0, SYNC_ADDRESS, 8))
-        program.append(v_rd(1, 0x10, 8))
-        assert len(program.sync_instructions()) == 1
 
 
 class TestValidation:

@@ -13,9 +13,8 @@ a method counts as used when any attribute of that name is read anywhere:
 it misses dead code whose name something live shares.
 
 A definition that nothing there uses fails unless :data:`ALLOWED` names it,
-with the reason it stays, or :data:`PENDING` lists it.  Both tables fail
-when an entry goes stale (its definition is gone or now has a use), so
-they only ever shrink.
+with the reason it stays.  An entry fails when it goes stale (its
+definition is gone or now has a use), so the table only ever shrinks.
 """
 
 import ast
@@ -69,39 +68,6 @@ ALLOWED = {
         "accessor: completed sync rounds not yet received",
     "workloads/deepbench.py::all_models":
         "accessor: every registered model, for sweeps over the registry",
-}
-
-#: Test-only definitions still to delete, each with the number of tests
-#: that check nothing else and go with it.  Never add to this table.
-PENDING = {
-    "accel/config.py::MemoryPlan.physical_bits_per_tile": 1,
-    "accel/generator.py::design_summary": 1,
-    "accel/memory.py::usable_words": 1,
-    "accel/memory.py::utilisation_of_uram": 2,
-    "core/interface.py::LatencyInsensitiveInterface.crossing_latency_cycles": 1,
-    "core/mapping.py::AcceleratorMapping.option_by_id": 1,
-    "core/softblock.py::SoftBlock.arity_profile": 1,
-    "experiments/report.py::pct": 2,
-    "faults/injector.py::FaultInjector.fail_board": 1,
-    "isa/bfp.py::BFPFormat.quantisation_step": 1,
-    "isa/program.py::Program.count_op": 1,
-    "isa/program.py::Program.sync_instructions": 1,
-    "perf/throughput.py::geometric_mean": 2,
-    "resources.py::ResourceVector.fits_in": 1,
-    "resources.py::ResourceVector.is_nonnegative": 1,
-    "rtl/flatten.py::primitive_census": 2,
-    "rtl/hierarchy.py::iter_hierarchy": 3,
-    "rtl/hierarchy.py::BasicInstance.leaf_name": 1,
-    "rtl/ir.py::Direction.flipped": 1,
-    "rtl/ir.py::Module.net_width": 1,
-    "rtl/ir.py::Design.instance_counts": 1,
-    "units.py::fmt_time": 6,
-    "units.py::ns": 1,
-    "units.py::to_us": 1,
-    "units.py::kbit": 1,
-    "vital/bitstream.py::BitstreamStore.total_compile_seconds": 1,
-    "vital/floorplan.py::frequency_gain_of_floorplanning": 1,
-    "vital/virtual_block.py::PhysicalFPGA.is_placeable": 1,
 }
 
 
@@ -175,17 +141,16 @@ def unused() -> set:
 
 
 def test_no_new_test_only_code(unused):
-    unlisted = sorted(unused - set(ALLOWED) - set(PENDING))
+    unlisted = sorted(unused - set(ALLOWED))
     assert not unlisted, (
         "only tests (or nothing) use these src/ definitions; delete them, "
         "or allow one with the artefact or check it pins: " + ", ".join(unlisted)
     )
 
 
-@pytest.mark.parametrize("table", ["ALLOWED", "PENDING"])
-def test_tables_hold_only_test_only_code(unused, table):
-    stale = sorted(set(globals()[table]) - unused)
-    assert not stale, f"{table} entries now used or gone: {', '.join(stale)}"
+def test_allowed_holds_only_test_only_code(unused):
+    stale = sorted(set(ALLOWED) - unused)
+    assert not stale, f"ALLOWED entries now used or gone: {', '.join(stale)}"
 
 
 def test_allowed_entries_give_a_reason():

@@ -16,7 +16,7 @@ from repro.perf import (
     speedup,
 )
 from repro.perf.latency import MIN_TILES, weight_load_seconds
-from repro.perf.throughput import arithmetic_mean, geometric_mean
+from repro.perf.throughput import arithmetic_mean
 from repro.units import mhz, us
 from repro.workloads.deepbench import ModelSpec
 
@@ -157,18 +157,9 @@ class TestThroughputHelpers:
         with pytest.raises(ReproError):
             speedup(1.0, 0.0)
 
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ReproError):
-            geometric_mean([1.0, 0.0])
-
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
 
     def test_means_reject_empty(self):
         with pytest.raises(ReproError):
             arithmetic_mean([])
-        with pytest.raises(ReproError):
-            geometric_mean([])

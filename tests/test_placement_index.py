@@ -428,10 +428,12 @@ class TestResidencyIndex:
 
 
 def _chaos_storm(board_count, steps, seed, catalog):
-    """Deploy/evict/fail/repair storm; returns (cluster, controller)."""
+    """Deploy/evict/fail/repair storm on a bound simulator, whose clock
+    runs restores and backoff retries; returns (cluster, controller)."""
     cluster = scaled_cluster(board_count)
     system = _proposed(cluster, catalog, recovery=True)
     controller = system.controller
+    simulator = ClusterSimulator(system, "chaos")
     rng = random.Random(seed)
     keys = ["gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25", "gru-h1536-t375"]
     board_ids = sorted(cluster.boards)
@@ -439,6 +441,7 @@ def _chaos_storm(board_count, steps, seed, catalog):
     now = 0.0
     for _step in range(steps):
         now += 0.005
+        simulator.queue.run(until=now)
         action = rng.random()
         if action < 0.5:
             try:
@@ -462,6 +465,7 @@ def _chaos_storm(board_count, steps, seed, catalog):
         live = [
             d for d in live if d.deployment_id in controller.deployments
         ]
+    simulator.queue.run()
     return cluster, controller
 
 

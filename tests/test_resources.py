@@ -59,16 +59,6 @@ class TestContainment:
     def test_le_false_on_any_exceeding_component(self):
         assert not (vec(3, 1) <= vec(2, 2))
 
-    def test_fits_in_with_slack(self):
-        demand = vec(95)
-        capacity = vec(100)
-        assert demand.fits_in(capacity, slack=0.0)
-        assert not demand.fits_in(capacity, slack=0.10)
-
-    def test_is_nonnegative(self):
-        assert vec(0, 0).is_nonnegative()
-        assert not (vec(1) - vec(2)).is_nonnegative()
-
 
 class TestMaxRatio:
     def test_binding_resource(self):

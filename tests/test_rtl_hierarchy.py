@@ -9,7 +9,6 @@ from repro.rtl import (
     design_resources,
     instance_resources,
     is_basic_module,
-    iter_hierarchy,
 )
 from repro.rtl.builder import DesignBuilder
 from repro.rtl.hierarchy import module_self_resources
@@ -29,22 +28,6 @@ class TestBasicModuleDetection:
         db.module("empty").build()
         design = db.top("empty").build()
         assert is_basic_module(design, "empty")
-
-
-class TestIterHierarchy:
-    def test_yields_root_first(self, mini_design):
-        entries = list(iter_hierarchy(mini_design))
-        assert entries[0] == ("", "top", None)
-
-    def test_paths_are_hierarchical(self, mini_design):
-        paths = {path for path, _, _ in iter_hierarchy(mini_design)}
-        assert "lane0" in paths
-        assert "lane0/sa" in paths
-        assert "lane3/sc" in paths
-
-    def test_primitives_not_traversed(self, mini_design):
-        names = {name for _, name, _ in iter_hierarchy(mini_design)}
-        assert "DFF" not in names and "BFP_MAC" not in names
 
 
 class TestBasicInstances:
@@ -98,11 +81,6 @@ class TestBasicInstances:
         instances = basic_module_instances(design)
         by_path = {inst.path: inst for inst in instances}
         assert by_path["u0"].outputs["o"] == by_path["u1"].inputs["i"]
-
-    def test_leaf_name(self, mini_design):
-        instances = basic_module_instances(mini_design)
-        by_path = {inst.path: inst for inst in instances}
-        assert by_path["lane2/sb"].leaf_name == "sb"
 
 
 class TestResourceEstimation:

@@ -4,14 +4,15 @@ and the restricted variant."""
 import pytest
 
 from repro.accel.timing import TimingParameters
-from repro.cluster import paper_cluster
+from repro.cluster import Task, paper_cluster
 from repro.cluster.network import NetworkParameters
-from repro.errors import AllocationError
-from repro.runtime import Catalog
+from repro.errors import AllocationError, ReproError
+from repro.runtime import Catalog, build_system
 from repro.runtime.controller import PlacementPolicy, SystemController
 from repro.runtime.deployment import DeploymentState
 from repro.units import us
 from repro.vital import LowLevelController, VitalCompiler
+from tests.test_migration import _shatter_vu37p
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +242,39 @@ class TestPlanOrder:
 
         controller, _ = _controller(shared_catalog)
         assert controller.plan_order is PlanOrder.FEWEST_FPGAS
+
+
+def _unbound_recovery(catalog):
+    system = build_system("proposed", paper_cluster(), catalog, recovery=True)
+    controller = system.controller
+    deployment, _ = controller.deploy("gru-h512-t1", now=0.0)
+    board = controller.cluster.board(deployment.placements[0].fpga_id)
+    return lambda: controller.on_board_failure(board, now=0.01)
+
+
+def _unbound_defrag(catalog):
+    system = build_system("proposed", paper_cluster(), catalog, defrag=True)
+    _shatter_vu37p(system.controller, system.cluster)
+    task = Task(task_id=0, model_key="gru-h1536-t375", arrival_s=0.0)
+    return lambda: system.try_start(task, 0.0)
+
+
+def _unbound_swap(catalog):
+    controller, _ = _controller(catalog)
+    deployment, _ = controller.deploy("lstm-h512-t25", now=0.0)
+    narrow = min(
+        catalog.entry_by_key("lstm-h512-t25").sorted_plans(),
+        key=controller.plan_footprint,
+    )
+    return lambda: controller.swap_plan(deployment, narrow, now=0.0)
+
+
+@pytest.mark.parametrize(
+    "timed_path", [_unbound_recovery, _unbound_defrag, _unbound_swap],
+    ids=["recovery", "defrag", "swap_plan"],
+)
+def test_unbound_controller_refuses_timed_work(shared_catalog, timed_path):
+    """Restores, defrag moves and reconfiguration holds complete as events
+    on a bound simulator; without one the controller raises."""
+    with pytest.raises(ReproError, match="bound simulator"):
+        timed_path(shared_catalog)()

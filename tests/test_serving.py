@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import ClusterSimulator, Task, paper_cluster
 from repro.errors import ReproError
-from repro.faults import FaultInjector, RecoveryAbandoned
+from repro.faults import RecoveryAbandoned
 from repro.runtime import Catalog, build_system
 from repro.serving import (
     BreakerState,
@@ -60,6 +60,19 @@ def _spy_drops(simulator, frontend):
 
     simulator.drop_queued = spy
     return drops
+
+
+def _fail_board(simulator, fpga_id, at, repair_after):
+    """Fail one board ``at`` seconds into the run and repair it
+    ``repair_after`` seconds later, through the controller's board events."""
+    controller = simulator.scheduler.controller
+    board = controller.cluster.board(fpga_id)
+    simulator.schedule_external(
+        at, lambda now: controller.on_board_failure(board, now)
+    )
+    simulator.schedule_external(
+        at + repair_after, lambda now: controller.on_board_repair(board, now)
+    )
 
 
 def _requests(count, model_key="gru-h512-t1", gap_s=0.001, deadline_s=0.0):
@@ -376,16 +389,15 @@ class TestCircuitBreakerUnit:
 
 class TestCircuitBreakerIntegration:
     def test_repeated_board_failures_open_and_drain(self, catalog):
-        cluster, system, frontend = _frontend(
+        cluster, _, frontend = _frontend(
             catalog, breaker_threshold=2.0, breaker_window_s=5.0,
             breaker_cooldown_s=10.0, default_deadline_s=30.0,
         )
         simulator = ClusterSimulator(frontend, "breaker-drain")
-        injector = FaultInjector(simulator, system.controller)
         # Two hard failures on one board inside the window: breaker opens
         # on the second and holds the board drained past its repair.
-        injector.fail_board("vu37p-0", at=0.001, repair_after=0.002)
-        injector.fail_board("vu37p-0", at=0.02, repair_after=0.002)
+        _fail_board(simulator, "vu37p-0", at=0.001, repair_after=0.002)
+        _fail_board(simulator, "vu37p-0", at=0.02, repair_after=0.002)
         result = simulator.run(_requests(6, gap_s=0.01))
         assert len(result.completed) == 6
         breaker = frontend.breaker("vu37p-0")
@@ -404,23 +416,22 @@ class TestCircuitBreakerIntegration:
         assert frontend.stats.breaker_rejections == 1
 
     def test_breaker_only_repairs_its_own_drain(self, catalog):
-        cluster, system, frontend = _frontend(
+        cluster, _, frontend = _frontend(
             catalog, breaker_threshold=1.0, breaker_cooldown_s=0.01
         )
         board = cluster.board("vu37p-0")
-        # The injector (not the breaker) holds the board FAILED: the
+        # The fault (not the breaker) holds the board FAILED: the
         # half-open probe must not flip it back to HEALTHY while the
-        # injector's repair is still pending.
+        # fault's repair is still pending.
         simulator = ClusterSimulator(frontend, "no-repair")
-        injector = FaultInjector(simulator, system.controller)
-        injector.fail_board("vu37p-0", at=0.001, repair_after=5.0)
+        _fail_board(simulator, "vu37p-0", at=0.001, repair_after=5.0)
         observed = []
         simulator.schedule_external(
             2.0, lambda now: observed.append(board.health)
         )
         simulator.run(_requests(3, gap_s=0.002, deadline_s=0.1))
         assert observed == [BoardHealth.FAILED]
-        # After the injector's own repair the board is healthy again.
+        # After the fault's own repair the board is healthy again.
         assert board.health is BoardHealth.HEALTHY
 
 
@@ -445,9 +456,11 @@ class TestBrownout:
         plans = catalog.entry_by_key("gru-h512-t1").sorted_plans()
         wide = max(plans, key=controller.plan_footprint)
         narrow = min(plans, key=controller.plan_footprint)
+        simulator = ClusterSimulator(frontend, "t")
         deployment, _ = controller.place_plan(wide, now=0.0)
         frontend._switch_plan(deployment, narrow, now=0.0)
         assert frontend.stats.brownout_switches == 1
+        simulator.queue.run()  # the narrow width is held until configured
         replacement = controller.find_idle_deployment("gru-h512-t1")
         assert (
             controller.plan_footprint(replacement.plan)
@@ -562,13 +575,17 @@ class TestRecoveryBackoffSurfacing:
         cluster = paper_cluster()
         system = build_system("proposed", cluster, catalog, recovery=True)
         controller = system.controller
+        simulator = ClusterSimulator(system, "t")
         cluster.board("ku115-0").allocate("blocker", 10)
         cluster.board("vu37p-1").allocate("blocker", 14)
         cluster.board("vu37p-2").allocate("blocker", 14)
         controller.deploy("lstm-h512-t25", now=0.0)
+        simulator.queue.run(until=0.01)
         controller.on_board_failure(cluster.board("vu37p-0"), now=0.01)
-        # Synchronous path: no simulator, so the retry is abandoned
-        # immediately and the structured event records why.
+        simulator.queue.run()
+        # Capacity never returns: the recovery gives up after its last
+        # backoff retry, and the structured event records when.
+        params = controller.recovery.params
         events = [
             event
             for event in controller.events
@@ -576,8 +593,10 @@ class TestRecoveryBackoffSurfacing:
         ]
         assert len(events) == 1
         assert events[0].model_key == "lstm-h512-t25"
-        assert events[0].reason == "no-simulator"
-        assert events[0].at_s == pytest.approx(0.01)
+        assert events[0].attempts == params.max_retries
+        assert events[0].at_s == pytest.approx(
+            0.01 + sum(params.backoff_s(a) for a in range(params.max_retries))
+        )
 
     def test_backoff_schedule_is_capped_and_surfaced(self, catalog):
         cluster = paper_cluster()

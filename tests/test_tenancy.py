@@ -745,6 +745,7 @@ class TestLedgerTenantAxis:
             system,
             [TenantParameters(name="a"), TenantParameters(name="b")],
         )
+        ClusterSimulator(scheduler, "t")  # the ledger books on its clock
         ledger = scheduler.ledger
         controller = system.controller
         controller.tenant_context = "a"

@@ -1,7 +1,5 @@
 """Unit-helper tests."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,16 +8,13 @@ from repro import units
 
 class TestTimeConversions:
     def test_us_roundtrip(self):
-        assert units.to_us(units.us(0.6)) == pytest.approx(0.6)
+        assert units.to_ms(units.us(600)) == pytest.approx(0.6)
 
     def test_ms_roundtrip(self):
         assert units.to_ms(units.ms(5.01)) == pytest.approx(5.01)
 
-    def test_ns_is_small(self):
-        assert units.ns(1) == pytest.approx(1e-9)
-
     def test_ordering(self):
-        assert units.ns(1) < units.us(1) < units.ms(1)
+        assert units.us(1) < units.ms(1)
 
 
 class TestFrequency:
@@ -35,7 +30,7 @@ class TestMemory:
         assert units.to_mbit(units.mbit(51.5)) == pytest.approx(51.5)
 
     def test_kbit_mbit_relation(self):
-        assert units.mbit(1) == units.kbit(1024)
+        assert units.mbit(1) == 1024 * units.KBIT
 
 
 class TestCompute:
@@ -44,18 +39,6 @@ class TestCompute:
 
 
 class TestFormatting:
-    def test_fmt_time_zero(self):
-        assert units.fmt_time(0) == "0 s"
-
-    def test_fmt_time_ms(self):
-        assert units.fmt_time(0.00501) == "5.01 ms"
-
-    def test_fmt_time_us(self):
-        assert "us" in units.fmt_time(units.us(3))
-
-    def test_fmt_time_seconds(self):
-        assert units.fmt_time(2.5) == "2.5 s"
-
     def test_fmt_bits_mb(self):
         assert units.fmt_bits(units.mbit(51.5)) == "51.5 Mb"
 
@@ -66,11 +49,4 @@ class TestFormatting:
 @given(st.floats(min_value=1e-9, max_value=1e3, allow_nan=False))
 def test_time_conversion_is_monotone_and_invertible(value):
     assert units.to_ms(units.ms(value)) == pytest.approx(value, rel=1e-12)
-    assert units.to_us(units.us(value)) == pytest.approx(value, rel=1e-12)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
-def test_fmt_time_always_has_unit(value):
-    text = units.fmt_time(value)
-    assert any(text.endswith(suffix) for suffix in (" s", " ms", " us", " ns"))
-    assert not math.isnan(float(text.split()[0]))
+    assert units.to_ms(units.us(value)) == pytest.approx(value / 1000, rel=1e-12)
