@@ -58,12 +58,20 @@ from ..errors import SimulationError
 from .events import EventQueue
 
 
-@dataclass
+def _run_state(default=None):
+    """A field its owning layer sets during a run (not in ``__init__``,
+    ``repr`` or ``==``)."""
+    return field(default=default, init=False, repr=False, compare=False)
+
+
+@dataclass(slots=True)
 class Task:
-    """One inference task.
+    """One inference task, and the one record of its per-request state.
 
     ``model_key`` identifies the benchmark model (e.g. ``"gru-h1536-t375"``);
-    the scheduler resolves it against its catalog.
+    the scheduler resolves it against its catalog.  The fields after
+    ``tenant`` belong to the layers a run drives the task through, each
+    written only by its owner; a task runs in one simulation only.
     """
 
     task_id: int
@@ -82,6 +90,18 @@ class Task:
     #: Owning tenant (multi-tenancy layer); ``""`` means untenanted and
     #: preserves the single-tenant paths bit-identically.
     tenant: str = ""
+    #: Simulator: enqueue seq, the FIFO tiebreak after arrival (``None``
+    #: until admitted), and the run epoch a preemption bumps.
+    seq: int | None = _run_state()
+    run_epoch: int = _run_state(0)
+    #: System: the running ``Deployment`` (the baseline: its boards;
+    #: ``None`` unless running), and whether the model mix counted it.
+    placement: object = _run_state()
+    attempted: bool = _run_state(False)
+    #: The serving frontend's ``RequestRecord`` and the tenant scheduler's
+    #: ``TenancyRecord``.
+    serving: object = _run_state()
+    tenancy: object = _run_state()
 
     @property
     def latency_s(self) -> float:
@@ -141,8 +161,8 @@ class Scheduler(Protocol):
     def on_drop(self, task: Task, now: float) -> None:
         """Optional: called by :meth:`ClusterSimulator.drop_queued` once a
         queued task has left the queue for good (the serving layer condemned
-        it).  A layer that keeps per-task state for queued work forgets the
-        task here; queue depths are the simulator's to answer."""
+        it).  A layer that keeps state for queued work on the task clears
+        it here; queue depths are the simulator's to answer."""
 
     def woken_models(self, event: str, task: Task, now: float):
         """Optional: asked after ``task``'s ``event`` — ``"arrive"`` (once
@@ -254,10 +274,6 @@ class ClusterSimulator:
         #: observed them.
         self._counts_dirty = True
         self._seqs = count()
-        #: task_id -> enqueue seq of every queued or running task: the FIFO
-        #: tiebreak after arrival time, kept so a preempted task re-enters
-        #: its queue at its original place.
-        self._task_seq: dict[int, int] = {}
         #: Tasks requeued by :meth:`abort_running` during a pass; they join
         #: their queues when the pass ends.
         self._requeued: list[Task] = []
@@ -288,11 +304,6 @@ class ClusterSimulator:
         #: resources and will bump the version when they complete, so an
         #: idle queue is not a deadlock while any are outstanding.
         self._external_inflight = 0
-        #: task_id -> run epoch.  A preemption (:meth:`abort_running`) bumps
-        #: the epoch so the already-scheduled finish event for the aborted
-        #: run is recognised as stale and ignored; the requeued task's next
-        #: start schedules a finish carrying the new epoch.
-        self._run_epoch: dict[int, int] = {}
         #: ``try_start`` calls made by dispatch passes.
         self.try_start_attempts = 0
         #: ``retry_hint`` calls that refreshed a kept watermark instead of
@@ -338,8 +349,7 @@ class ClusterSimulator:
         queue = self._queues.get(key)
         if queue is None:
             queue = self._queues[key] = _Queue(key)
-        insort(queue.entries,
-               (task.arrival_s, self._task_seq[task.task_id], task))
+        insort(queue.entries, (task.arrival_s, task.seq, task))
         self._queued += 1
         self._counts_dirty = True
 
@@ -364,7 +374,6 @@ class ClusterSimulator:
                 break
         else:
             self._unqueue(task)
-        self._task_seq.pop(task.task_id, None)
         self._result.dropped.append(task)
         if self._on_drop is not None:
             self._on_drop(task, self.queue.now)
@@ -375,9 +384,7 @@ class ClusterSimulator:
         """Take ``task`` out of its queue, keeping a running pass's cursor
         on the entry it would visit next."""
         queue = self._queues[(task.tenant, task.model_key)]
-        index = bisect_left(
-            queue.entries, (task.arrival_s, self._task_seq[task.task_id])
-        )
+        index = bisect_left(queue.entries, (task.arrival_s, task.seq))
         if index < queue.cursor:
             queue.cursor -= 1
         self._take(queue, index)
@@ -423,8 +430,7 @@ class ClusterSimulator:
         runs = [queue.entries for queue in self._queues.values()
                 if queue.model_key == model_key]
         if self._requeued:
-            seqs = self._task_seq
-            runs += [[(task.arrival_s, seqs[task.task_id], task)]
+            runs += [[(task.arrival_s, task.seq, task)]
                      for task in self._requeued
                      if task.model_key == model_key]
         if len(runs) == 1:
@@ -490,7 +496,7 @@ class ClusterSimulator:
             raise SimulationError(
                 f"abort_running: task {task.task_id} is not running"
             )
-        self._run_epoch[task.task_id] = self._run_epoch.get(task.task_id, 0) + 1
+        task.run_epoch += 1
         self._running_count -= 1
         task.start_s = -1.0
         if self._dispatching:
@@ -510,7 +516,7 @@ class ClusterSimulator:
             # state (queue depths, token buckets) is the scheduler's.
             self._result.dropped.append(task)
             return
-        self._task_seq[task.task_id] = next(self._seqs)
+        task.seq = next(self._seqs)
         self._enqueue(task)
         self._wake("arrive", task)
         self._dispatch()
@@ -737,10 +743,7 @@ class ClusterSimulator:
                     started.add(model_key)
                     self._wake("start", task)
                     self.queue.schedule_in(
-                        service,
-                        self._finish,
-                        task,
-                        self._run_epoch.get(task.task_id, 0),
+                        service, self._finish, task, task.run_epoch
                     )
                     progress = True
                     self._idle_retries = 0
@@ -827,16 +830,13 @@ class ClusterSimulator:
         self._retry_scheduled = False
         self._dispatch()
 
-    def _finish(self, task: Task, epoch: int = 0) -> None:
-        if self._run_epoch.get(task.task_id, 0) != epoch:
+    def _finish(self, task: Task, epoch: int) -> None:
+        if task.run_epoch != epoch:
             # Stale completion of a preempted run: the task was aborted and
-            # requeued after this event was scheduled.  Ignore it.  The
-            # epoch entry is deliberately never popped — a still-in-flight
-            # stale event would otherwise match the dict's default again.
+            # requeued after this event was scheduled.  Ignore it.
             return
         task.finish_s = self.queue.now
         self._running_count -= 1
-        self._task_seq.pop(task.task_id, None)
         self._on_finish(task, self.queue.now)
         self._result.completed.append(task)
         self._wake("finish", task)
@@ -850,6 +850,9 @@ class ClusterSimulator:
             raise SimulationError("no tasks to simulate")
         self._resolve_hooks()
         for task in tasks:
+            if task.seq is not None:  # its state is another run's
+                raise SimulationError(
+                    f"task {task.task_id} already arrived in a run")
             self.queue.schedule(task.arrival_s, self._arrive, task)
         self.queue.run()
         for callback in self._run_end:

@@ -29,6 +29,7 @@ replica-seconds.  Regenerate with::
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import pathlib
@@ -261,13 +262,15 @@ def run_arm(
 
 
 def run_trace(trace: str, task_count: int) -> dict:
-    """Both arms on one trace, charged to one evaluation horizon."""
+    """Both arms on one trace, charged to one evaluation horizon.  Each
+    arm runs its own copy of the requests: a task's state belongs to the
+    one run it arrives in."""
     tasks = build_trace(trace, task_count)
     static_metrics, static_ledger = run_arm(
-        trace, tasks, static_fleet(tasks), autoscale=False
+        trace, copy.deepcopy(tasks), static_fleet(tasks), autoscale=False
     )
     auto_metrics, auto_ledger = run_arm(
-        trace, tasks, minimum_fleet(tasks), autoscale=True
+        trace, copy.deepcopy(tasks), minimum_fleet(tasks), autoscale=True
     )
     horizon = max(static_metrics["makespan_s"], auto_metrics["makespan_s"])
     static_cost = static_ledger.totals(horizon)

@@ -98,7 +98,7 @@ class FaultInjector:
         if board.health is not BoardHealth.HEALTHY:
             return  # already down
         if degraded:
-            self.controller.on_board_degraded(board, now)
+            self.controller.on_board_degraded(board)
         else:
             self.controller.on_board_failure(board, now)
         self.failures_injected += 1
@@ -108,7 +108,7 @@ class FaultInjector:
         board = self.controller.cluster.board(fpga_id)
         if board.health is BoardHealth.HEALTHY:
             return  # already repaired (overlapping schedules)
-        self.controller.on_board_repair(board, now)
+        self.controller.on_board_repair(board)
         self.repairs_applied += 1
         began = self._down_since.pop(fpga_id, now)
         self._downtime_s += now - began

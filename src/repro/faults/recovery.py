@@ -111,7 +111,10 @@ class RecoveryManager:
                 deployment.pending_recovery = True
 
     def recover(self, deployment: Deployment, now: float) -> None:
-        """Tear the broken deployment down and rebuild it elsewhere."""
+        """Tear the broken deployment down and rebuild it elsewhere.  The
+        rebuild is timed work, so without a simulator this raises before it
+        changes anything."""
+        self.controller._clock()
         deployment.pending_recovery = False
         self.controller.discard(deployment)
         self._replace(

@@ -806,7 +806,7 @@ class SystemController:
         if self.recovery_enabled:
             self.recovery.on_board_failure(board, now)
 
-    def on_board_degraded(self, board, now: float) -> None:
+    def on_board_degraded(self, board) -> None:
         """Put a board in drain mode: residents keep serving, no new
         placements land on it (the index drops it like a failure, but no
         state is lost and no recovery runs)."""
@@ -815,7 +815,7 @@ class SystemController:
         board.set_health(BoardHealth.DEGRADED)
         self.stats.boards_degraded += 1
 
-    def on_board_repair(self, board, now: float) -> None:
+    def on_board_repair(self, board) -> None:
         """Return a board to service.
 
         Repairing a FAILED board re-images it: it comes back empty, so any

@@ -69,7 +69,6 @@ class ProposedSystem:
                 self.batch_executor = BatchExecutor(batching)
             else:
                 self.batch_executor = batching
-        self._running: dict[int, object] = {}
         #: Reactive queue-pressure expansion (grow an already-deployed
         #: model on demand).  An attached :class:`~repro.autoscale.
         #: Autoscaler` clears this and takes ownership of elasticity —
@@ -82,7 +81,6 @@ class ProposedSystem:
         self._queue_view: dict[str, int] = {}
         #: model key -> tasks seen (each counted on its first attempt).
         self._seen_models: dict[str, int] = {}
-        self._seen_tasks: set[int] = set()
         #: Deployments created plus evicted, at the last ``woken_models``.
         self._placements_seen = 0
         #: model key -> its observed queue depth at its last ``retry_hint``.
@@ -113,12 +111,6 @@ class ProposedSystem:
 
     def has_fast_path(self, task: Task) -> bool:
         return self.controller.find_idle_deployment(task.model_key) is not None
-
-    def running_deployment(self, task_id: int):
-        """The deployment serving ``task_id`` right now (``None`` when the
-        task is not running).  The serving layer reads this to attribute
-        completions to boards for its circuit breakers."""
-        return self._running.get(task_id)
 
     def observe_queue(self, pending_by_model: dict) -> None:
         self._queue_view = dict(pending_by_model)
@@ -152,11 +144,11 @@ class ProposedSystem:
 
     def _try_start(self, task: Task, now: float) -> float | None:
         seen = self._seen_models
-        if task.task_id not in self._seen_tasks:
+        if not task.attempted:
             # Count each task once (on its first attempt), so the observed
             # model mix is a property of the stream, not of how often the
             # dispatch loop happened to retry a blocked task.
-            self._seen_tasks.add(task.task_id)
+            task.attempted = True
             seen[task.model_key] = seen.get(task.model_key, 0) + 1
         if task.model_key in self._defrag_pending:
             # A compaction for this model is in flight; until it completes
@@ -197,7 +189,7 @@ class ProposedSystem:
         else:
             controller.stats.reuse_hits += 1
         deployment.acquire()
-        self._running[task.task_id] = deployment
+        task.placement = deployment
         if self.batch_executor is not None:
             self.batch_executor.submit(task, deployment.plan.replicas, now)
         return reconfig + deployment.service_s
@@ -206,7 +198,8 @@ class ProposedSystem:
         # A still-waiting batch group keeps filling past this completion:
         # nothing in the simulation reads outputs, and the run-end drain
         # executes whatever group is left.
-        deployment = self._running.pop(task.task_id)
+        deployment = task.placement
+        task.placement = None
         self.controller.release(deployment, now)
 
     def abort_task(self, task: Task):
@@ -214,7 +207,8 @@ class ProposedSystem:
         (priority preemption: the deployment is being checkpointed and torn
         down by the tenancy layer, not returned to idle).  Returns the
         deployment the task was running on."""
-        deployment = self._running.pop(task.task_id)
+        deployment = task.placement
+        task.placement = None
         if self.batch_executor is not None:
             # The aborted run's lane is dropped unexecuted; the requeued
             # task re-submits on its next start.
@@ -411,7 +405,6 @@ class BaselineSystem:
             )
             for board in cluster.boards.values()
         ]
-        self._running: dict[int, list] = {}
         self._latency_cache: dict = {}
         #: model key -> boards it was statically assigned to at "compile
         #: time".  Computed from the model pool without knowledge of the
@@ -506,7 +499,7 @@ class BaselineSystem:
         for board in boards:
             board.busy_until_task = task.task_id
             board.resident_model = spec.key
-        self._running[task.task_id] = boards
+        task.placement = boards
 
     def try_start(self, task: Task, now: float) -> float | None:
         spec = model_by_key(task.model_key)
@@ -544,8 +537,9 @@ class BaselineSystem:
                     return
 
     def on_finish(self, task: Task, now: float) -> None:
-        for board in self._running.pop(task.task_id):
+        for board in task.placement:
             board.busy_until_task = None
+        task.placement = None
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Static allocation has no time gates: a declined task can only

@@ -110,11 +110,9 @@ class ServingFrontend:
         self.params = params or ServingParameters()
         self.stats = ServingStats()
         self._rng = random.Random(self.params.seed)
-        #: task_id -> RequestRecord (created at admission or first start).
-        self._records: dict[int, RequestRecord] = {}
-        #: Min-heap of ``(deadline_s, task_id)`` of queued records, every
-        #: model's; entries of records that left the queue are popped when
-        #: the expiry timer reaches them.
+        #: Min-heap of ``(deadline_s, task_id, task)`` of queued requests,
+        #: every model's; entries of requests that left the queue are
+        #: popped when the expiry timer reaches them.
         self._expiry: list = []
         #: Due time of the armed expiry timer (``inf``: none armed).
         self._armed_s = math.inf
@@ -167,43 +165,27 @@ class ServingFrontend:
             return self._simulator.queued_depth(model_key)
         return self._simulator.pending_count
 
-    # -- record bookkeeping --------------------------------------------------
+    # -- deadlines -----------------------------------------------------------
 
-    def _record(self, task: Task, now: float) -> RequestRecord:
-        record = self._records.get(task.task_id)
-        if record is None:
-            deadline = getattr(task, "deadline_s", 0.0)
-            if deadline <= 0.0:
-                deadline = task.arrival_s + self.params.default_deadline_s
-                if isinstance(task, Request):
-                    task.deadline_s = deadline
-            record = RequestRecord(task=task, deadline_s=deadline)
-            self._records[task.task_id] = record
-        return record
-
-    def record_for(self, task_id: int) -> RequestRecord | None:
-        """The frontend's record for one task (tests and benches read it)."""
-        return self._records.get(task_id)
-
-    def _watch_deadline(self, record: RequestRecord, now: float) -> None:
+    def _watch_deadline(self, task: Task, now: float) -> None:
         """Arm the deadline of a request the simulator queues (admitted)
         or holds again (requeued)."""
-        deadline = record.deadline_s
+        deadline = task.serving.deadline_s
         if deadline <= now:
             # Requeued after its deadline: it expires now.
-            self._condemn(record, RequestOutcome.EXPIRED)
+            self._condemn(task, RequestOutcome.EXPIRED)
             self.stats.expired += 1
             return
         if deadline < math.inf:
-            heappush(self._expiry, (deadline, record.task.task_id))
+            heappush(self._expiry, (deadline, task.task_id, task))
         if deadline < self._armed_s:
             self._arm(deadline)
 
-    def _condemn(self, record: RequestRecord, outcome: RequestOutcome) -> None:
+    def _condemn(self, task: Task, outcome: RequestOutcome) -> None:
         """Give a queued request its terminal drop outcome: it leaves the
         simulator's queue now."""
-        record.outcome = outcome
-        self._simulator.drop_queued(record.task)
+        task.serving.outcome = outcome
+        self._simulator.drop_queued(task)
 
     # -- deadline expiry -----------------------------------------------------
 
@@ -228,13 +210,13 @@ class ServingFrontend:
         the timer at the earliest deadline left."""
         expiry = self._expiry
         while expiry:
-            deadline, task_id = expiry[0]
-            record = self._records[task_id]
+            deadline, _, task = expiry[0]
+            record = task.serving
             if record.outcome is RequestOutcome.PENDING and not record.started:
                 if deadline > now:
                     self._arm(deadline)
                     return
-                self._condemn(record, RequestOutcome.EXPIRED)
+                self._condemn(task, RequestOutcome.EXPIRED)
                 self.stats.expired += 1
             heappop(expiry)
 
@@ -252,10 +234,16 @@ class ServingFrontend:
     # -- Scheduler protocol: admission ---------------------------------------
 
     def admit(self, task: Task, now: float) -> bool:
-        """Arrival-time admission: bounded queue + token bucket."""
+        """Arrival-time admission: bounded queue + token bucket.  Every
+        offered request gets its record here."""
         if self._simulator is None:
             raise ReproError("ServingFrontend.admit before bind_simulator")
-        record = self._record(task, now)
+        deadline = getattr(task, "deadline_s", 0.0)
+        if deadline <= 0.0:
+            deadline = task.arrival_s + self.params.default_deadline_s
+            if isinstance(task, Request):
+                task.deadline_s = deadline
+        task.serving = record = RequestRecord(deadline_s=deadline)
         self.stats.offered += 1
         model = task.model_key
         if self.autoscaler is not None:
@@ -274,7 +262,7 @@ class ServingFrontend:
                 self._condemn_oldest(model)
             else:
                 return self._shed_at_door(record)
-        self._watch_deadline(record, now)
+        self._watch_deadline(task, now)
         self.stats.admitted += 1
         return True
 
@@ -287,13 +275,13 @@ class ServingFrontend:
         """Head drop: shed this model's queued request that is first in
         ``(arrival_s, seq)`` order, whichever tenant it belongs to."""
         first = self._simulator.queued_tasks(model_key)[0]
-        self._condemn(self._records[first.task_id], RequestOutcome.SHED)
+        self._condemn(first, RequestOutcome.SHED)
         self.stats.shed += 1
 
     # -- Scheduler protocol: placement ---------------------------------------
 
     def try_start(self, task: Task, now: float) -> float | None:
-        record = self._record(task, now)
+        record = task.serving
         if now < record.next_attempt_s:
             return None  # retry backoff gate
         if self._all_breakers_open(task.model_key):
@@ -303,23 +291,22 @@ class ServingFrontend:
         service = self.system.try_start(task, now)
         if service is None:
             if self.controller.stats.placement_failures > failures_before:
-                self._placement_failed(record, now)
+                self._placement_failed(task, now)
             return None
         # Started: remember the boards for breaker attribution, and let
         # brownout react to the new utilisation.  The simulator takes the
         # task off its queue once this returns.
         record.started = True
-        deployment = self.system.running_deployment(task.task_id)
-        if deployment is not None:
-            record.board_ids = list(deployment.member_fpgas)
+        record.board_ids = list(task.placement.member_fpgas)
         self.stats.started += 1
         self._update_brownout(now, starting=task.model_key)
         return service
 
-    def _placement_failed(self, record: RequestRecord, now: float) -> None:
+    def _placement_failed(self, task: Task, now: float) -> None:
+        record = task.serving
         record.attempts += 1
         if record.attempts > self.params.retry_budget:
-            self._condemn(record, RequestOutcome.ABANDONED)
+            self._condemn(task, RequestOutcome.ABANDONED)
             self.stats.abandoned += 1
             return
         self.stats.placement_retries += 1
@@ -337,18 +324,18 @@ class ServingFrontend:
         re-run like any queued request.  The simulator must already hold
         the task again (``abort_running``): a request requeued after its
         deadline is dropped at once."""
-        record = self._records.get(task.task_id)
+        record = task.serving
         if record is None or not record.started:
             return
         record.started = False
         record.board_ids = []
-        self._watch_deadline(record, now)
+        self._watch_deadline(task, now)
 
     # -- Scheduler protocol: completion --------------------------------------
 
     def on_finish(self, task: Task, now: float) -> None:
         self.system.on_finish(task, now)
-        record = self._records.get(task.task_id)
+        record = task.serving
         if record is None:
             return
         record.outcome = RequestOutcome.COMPLETED
@@ -366,7 +353,7 @@ class ServingFrontend:
                     if breaker.record_success(now):
                         self.stats.breaker_closes += 1
                 elif breaker.record_slow(now):
-                    self._drain(breaker, now)
+                    self._drain(breaker)
         self._update_brownout(now)
 
     # -- Scheduler protocol: hints and passthroughs --------------------------
@@ -382,8 +369,7 @@ class ServingFrontend:
         request of this model could act — its backoff expiry when backing
         off, the inner scheduler's hint otherwise."""
         inner = self.system.retry_hint(task, now)
-        records = self._records
-        backoffs = [records[queued.task_id].next_attempt_s
+        backoffs = [queued.serving.next_attempt_s
                     for queued in self._simulator.queued_tasks(task.model_key)]
         return min((next_s if next_s > now else inner for next_s in backoffs),
                    default=inner)
@@ -399,25 +385,25 @@ class ServingFrontend:
         breaker = self._breakers.get(board.fpga_id)
         now = self._simulator.queue.now
         if breaker is not None and breaker.record_failure(now):
-            self._drain(breaker, now)
+            self._drain(breaker)
 
-    def _drain(self, breaker: CircuitBreaker, now: float) -> None:
+    def _drain(self, breaker: CircuitBreaker) -> None:
         """An opened breaker drains its board via the health machinery and
         schedules the half-open probe."""
         self.stats.breaker_opens += 1
         board = self.cluster.board(breaker.fpga_id)
         if board.health is BoardHealth.HEALTHY:
-            self.controller.on_board_degraded(board, now)
+            self.controller.on_board_degraded(board)
             breaker.draining = True
         self._schedule_half_open(breaker)
 
     def _schedule_half_open(self, breaker: CircuitBreaker) -> None:
         self._simulator.schedule_external(
             breaker.cooldown_s(),
-            lambda fire_now, b=breaker: self._probe(b, fire_now),
+            lambda _now, b=breaker: self._probe(b),
         )
 
-    def _probe(self, breaker: CircuitBreaker, now: float) -> None:
+    def _probe(self, breaker: CircuitBreaker) -> None:
         board = self.cluster.board(breaker.fpga_id)
         if board.health is BoardHealth.FAILED:
             # Still hard-down (fault injector owns it): probe again later.
@@ -428,7 +414,7 @@ class ServingFrontend:
         breaker.half_open()
         self.stats.breaker_half_opens += 1
         if breaker.draining and board.health is BoardHealth.DEGRADED:
-            self.controller.on_board_repair(board, now)
+            self.controller.on_board_repair(board)
         breaker.draining = False
 
     def _all_breakers_open(self, model_key: str) -> bool:

@@ -2,9 +2,9 @@
 
 A :class:`Request` is a :class:`~repro.cluster.simulator.Task` carrying an
 absolute deadline; the :class:`~repro.serving.frontend.ServingFrontend`
-tracks its admission/retry state in a :class:`RequestRecord` keyed by task
-id, so plain ``Task`` streams work too (they get the frontend's default
-deadline).
+gives every offered task a :class:`RequestRecord` of its admission/retry
+state, held on the task itself (``task.serving``), so plain ``Task``
+streams work too (they get the frontend's default deadline).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class RequestOutcome(enum.Enum):
     ABANDONED = "abandoned"
 
 
-@dataclass
+@dataclass(slots=True)
 class Request(Task):
     """One serving request: a task with an absolute deadline.
 
@@ -42,11 +42,10 @@ class Request(Task):
     deadline_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
-    """Frontend-side state for one in-flight request."""
+    """Frontend-side state for one offered request."""
 
-    task: Task
     #: Absolute deadline (resolved against the frontend default).
     deadline_s: float
     outcome: RequestOutcome = RequestOutcome.PENDING

@@ -68,6 +68,21 @@ class TenantState:
     latencies_s: list = field(default_factory=list)
 
 
+@dataclass(slots=True)
+class TenancyRecord:
+    """The tenancy layer's state for one admitted request until it
+    finishes (``task.tenancy``): why its last start declined (drives
+    ``retry_hint``; ``None`` once it started or left the queue), the
+    ``(remaining_service_s, restore_stream_s)`` credit owed to its next
+    start after a preemption, the finish time of its current run, and
+    whether it was ever preempted."""
+
+    decline: str | None = None
+    resume_credit: tuple | None = None
+    finish_s: float = 0.0
+    preempted: bool = False
+
+
 @dataclass
 class TenancyStats:
     """Aggregate tenancy-layer counters."""
@@ -136,20 +151,11 @@ class TenantScheduler:
         self._simulator = None
         #: task_id -> Task for running work (victim lookup needs the Task).
         self._running_tasks: dict[int, Task] = {}
-        #: task_id -> absolute finish time of the current run.
-        self._finish_at: dict[int, float] = {}
-        #: task_id -> (remaining_service_s, restore_stream_s) credit for a
-        #: preempted task's next start.
-        self._resume_credit: dict[int, tuple] = {}
-        #: task_ids ever preempted (recovery-rate accounting).
-        self._preempted_ever: set[int] = set()
         #: model_key -> preemption teardowns in flight (their completion
         #: frees the blocks the starved model is waiting for).
         self._preempt_pending: dict[str, int] = {}
         #: Earliest time the next preemption sweep may run.
         self._preempt_gate_s = 0.0
-        #: task_id -> why its last try_start declined (drives retry_hint).
-        self._decline_reason: dict[int, str] = {}
 
     # -- tenant registry -----------------------------------------------------
 
@@ -259,17 +265,18 @@ class TenantScheduler:
             ]
             if active:
                 state.vtime = max(state.vtime, min(active))
+        task.tenancy = TenancyRecord()
         return True
 
     def on_drop(self, task: Task, now: float) -> None:
         """The inner frontend condemned a queued task (the simulator has
         dropped it): its decline reason and resume credit go with it."""
-        self._decline_reason.pop(task.task_id, None)
-        self._resume_credit.pop(task.task_id, None)
+        record = task.tenancy
+        record.decline = None
+        record.resume_credit = None
 
     def retry_hint(self, task: Task, now: float) -> float:
-        reason = self._decline_reason.get(task.task_id)
-        if reason in ("quota", "preempt"):
+        if task.tenancy.decline in ("quota", "preempt"):
             # Quota: only a release/discard (a version bump) helps.
             # Preempt: the teardown's completion is an external event that
             # bumps the version itself.
@@ -279,10 +286,11 @@ class TenantScheduler:
 
     def try_start(self, task: Task, now: float) -> float | None:
         state = self._state(task.tenant)
+        record = task.tenancy
         if self._preempt_pending.get(task.model_key, 0) > 0:
             # Blocks for this model are already being reclaimed; starting
             # another sweep before they land would over-evict.
-            self._decline_reason[task.task_id] = "preempt"
+            record.decline = "preempt"
             return None
         controller = self.controller
         guard = self._guard_for(state)
@@ -290,8 +298,7 @@ class TenantScheduler:
         quota_before = controller.stats.quota_rejections
         # Marked declined up front: an abandon inside the inner start drops
         # the task, and :meth:`on_drop` takes the mark with it.
-        declined = self._decline_reason
-        declined[task.task_id] = "inner"
+        record.decline = "inner"
         controller.placement_guard = guard
         try:
             service = self.inner.try_start(task, now)
@@ -306,30 +313,26 @@ class TenantScheduler:
                 reason = "quota"
             else:
                 reason = "inner"
-            if task.task_id in declined:
+            if record.decline is not None:
                 # Still queued: the inner start did not condemn the task.
-                declined[task.task_id] = reason
+                record.decline = reason
             return None
-        del declined[task.task_id]
+        record.decline = None
         state.running += 1
-        credit = self._resume_credit.pop(task.task_id, None)
+        credit = record.resume_credit
         if credit is not None:
+            record.resume_credit = None
             # Checkpointed restart: pay whatever placement overhead the
             # inner start actually charged (reconfig + weight load for a
             # fresh deployment), the checkpoint's restore stream, and only
             # the service the preempted run had left.
             remaining, restore = credit
-            deployment = self.system.running_deployment(task.task_id)
-            overhead = (
-                max(0.0, service - deployment.service_s)
-                if deployment is not None
-                else 0.0
-            )
+            overhead = max(0.0, service - task.placement.service_s)
             service = overhead + restore + remaining
             self.stats.restore_s += restore
         state.vtime += service / state.params.weight
         self._running_tasks[task.task_id] = task
-        self._finish_at[task.task_id] = now + service
+        record.finish_s = now + service
         return service
 
     def on_finish(self, task: Task, now: float) -> None:
@@ -338,9 +341,9 @@ class TenantScheduler:
         state.completed += 1
         state.latencies_s.append(now - task.arrival_s)
         self._running_tasks.pop(task.task_id, None)
-        self._finish_at.pop(task.task_id, None)
-        if task.task_id in self._preempted_ever:
+        if task.tenancy.preempted:
             self.stats.preempted_completed += 1
+        task.tenancy = None  # nothing reads it after the finish
         self.inner.on_finish(task, now)
 
     # -- quota guard ---------------------------------------------------------
@@ -495,23 +498,22 @@ class TenantScheduler:
     def _abort_victim_task(self, victim: Deployment, restore_s: float,
                            now: float) -> None:
         """Checkpoint + requeue the task running on a busy victim."""
-        running_id = next(
+        victim_task = next(
             (
-                task_id
-                for task_id in self._running_tasks
-                if self.system.running_deployment(task_id) is victim
+                task
+                for task in self._running_tasks.values()
+                if task.placement is victim
             ),
             None,
         )
-        if running_id is None:
+        if victim_task is None:
             return  # raced: the finish landed in this very pass
-        victim_task = self._running_tasks.pop(running_id)
+        del self._running_tasks[victim_task.task_id]
         self.system.abort_task(victim_task)
-        finish_at = self._finish_at.pop(running_id, now)
-        remaining = max(0.0, finish_at - now)
-        self._resume_credit[running_id] = (remaining, restore_s)
-        if running_id not in self._preempted_ever:
-            self._preempted_ever.add(running_id)
+        record = victim_task.tenancy
+        record.resume_credit = (max(0.0, record.finish_s - now), restore_s)
+        if not record.preempted:
+            record.preempted = True
             self.stats.preempted_distinct += 1
         owner = self._state(victim_task.tenant)
         owner.running -= 1

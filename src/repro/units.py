@@ -38,9 +38,7 @@ def to_ms(seconds: float) -> float:
 
 # --- frequency ---------------------------------------------------------------
 
-KHZ = 1e3
 MHZ = 1e6
-GHZ = 1e9
 
 
 def mhz(value: float) -> float:

@@ -308,13 +308,13 @@ class TestControllerIndexInvariants:
                         migrated += 1
             elif action < 0.70:
                 board = cluster.board(rng.choice(board_ids))
-                controller.on_board_degraded(board, now)
+                controller.on_board_degraded(board)
             elif action < 0.85:
                 board = cluster.board(rng.choice(board_ids))
                 controller.on_board_failure(board, now)
             else:
                 board = cluster.board(rng.choice(board_ids))
-                controller.on_board_repair(board, now)
+                controller.on_board_repair(board)
             # Every cached structure equals a from-scratch recount, in
             # every health configuration.
             for board in cluster.boards.values():

@@ -88,8 +88,7 @@ def _queue(frontend, count, model_key=MODEL):
 
 def _drain_queue(frontend, model_key=MODEL):
     for task in frontend._simulator.queued_tasks(model_key):
-        frontend._condemn(frontend.record_for(task.task_id),
-                          RequestOutcome.SHED)
+        frontend._condemn(task, RequestOutcome.SHED)
 
 
 class TestAutoscaleParameters:

@@ -1,6 +1,8 @@
 """Cluster-substrate tests: event queue, ring network, topology and the
 discrete-event simulator."""
 
+import copy
+
 import pytest
 
 from repro.cluster import (
@@ -306,6 +308,17 @@ class TestClusterSimulator:
     def test_no_tasks_rejected(self):
         with pytest.raises(SimulationError):
             ClusterSimulator(_OneSlotScheduler(), "t").run([])
+
+    def test_task_runs_in_one_simulation_only(self):
+        """A task carries its run's state (its enqueue seq, its run
+        epoch), so a second run refuses it; a copy runs afresh."""
+        tasks = self._tasks(2)
+        pristine = copy.deepcopy(tasks)
+        ClusterSimulator(_OneSlotScheduler(), "first").run(tasks)
+        with pytest.raises(SimulationError, match="already arrived"):
+            ClusterSimulator(_OneSlotScheduler(), "second").run(tasks)
+        again = ClusterSimulator(_OneSlotScheduler(), "copy").run(pristine)
+        assert len(again.completed) == 2
 
     def test_negative_service_rejected(self):
         class Bad:

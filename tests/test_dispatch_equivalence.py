@@ -71,7 +71,7 @@ class ReferenceSimulator(ClusterSimulator):
     def _waiting(self):
         """Every task waiting to start, in ``(arrival_s, seq)`` order."""
         return sorted(self._pending + self._requeued,
-                      key=lambda t: (t.arrival_s, self._task_seq[t.task_id]))
+                      key=lambda t: (t.arrival_s, t.seq))
 
     def queued_depth(self, model_key):
         return sum(t.model_key == model_key for t in self._waiting())
@@ -138,7 +138,7 @@ class ReferenceSimulator(ClusterSimulator):
             self._blocked.pop(task.model_key, None)
             self._resource_version += 1
             self.queue.schedule_in(service, self._finish, task,
-                                   self._run_epoch.get(task.task_id, 0))
+                                   task.run_epoch)
             progress = True
             self._idle_retries = 0
         # A task requeued during the pass was not in its snapshot.

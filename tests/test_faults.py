@@ -69,11 +69,11 @@ class TestBoardHealth:
         controller = system.controller
         board = cluster.board("vu37p-0")
         before = controller.index.count_with_at_least("XCVU37P", 1)
-        controller.on_board_degraded(board, now=0.0)
+        controller.on_board_degraded(board)
         assert controller.index.count_with_at_least("XCVU37P", 1) == before - 1
         assert board not in controller.index.boards_by_id("XCVU37P")
         assert controller.index.check_consistent()
-        controller.on_board_repair(board, now=0.0)
+        controller.on_board_repair(board)
         assert controller.index.count_with_at_least("XCVU37P", 1) == before
         assert controller.index.check_consistent()
 
@@ -85,7 +85,7 @@ class TestBoardHealth:
         controller.on_board_failure(board, now=0.0)
         assert board.health is BoardHealth.FAILED
         assert board.used_blocks > 0  # blocks still attributed
-        controller.on_board_repair(board, now=0.0)
+        controller.on_board_repair(board)
         assert board.health is BoardHealth.HEALTHY
         assert board.used_blocks == 0  # re-imaged empty
         assert controller.index.check_consistent()

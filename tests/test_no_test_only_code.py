@@ -54,8 +54,6 @@ ALLOWED = {
         "paper artefact: part of Fig. 7's high-level system API",
     "runtime/catalog.py::Catalog.instance_count":
         "paper artefact: the paper's inventory of distinct accelerator instances",
-    "serving/frontend.py::ServingFrontend.record_for":
-        "accessor: one request's frontend record",
     "accel/batched.py::BatchedFunctionalSimulator.lane_vector":
         "accessor: one lane's register, compared with the scalar simulator's",
     "accel/batched.py::ScalarLanes.lane_vector":

@@ -461,7 +461,7 @@ def _chaos_storm(board_count, steps, seed, catalog):
         else:
             board = cluster.board(rng.choice(board_ids))
             if board.health is not BoardHealth.HEALTHY:
-                controller.on_board_repair(board, now)
+                controller.on_board_repair(board)
         live = [
             d for d in live if d.deployment_id in controller.deployments
         ]

@@ -249,14 +249,14 @@ def _unbound_recovery(catalog):
     controller = system.controller
     deployment, _ = controller.deploy("gru-h512-t1", now=0.0)
     board = controller.cluster.board(deployment.placements[0].fpga_id)
-    return lambda: controller.on_board_failure(board, now=0.01)
+    return controller, lambda: controller.on_board_failure(board, now=0.01)
 
 
 def _unbound_defrag(catalog):
     system = build_system("proposed", paper_cluster(), catalog, defrag=True)
     _shatter_vu37p(system.controller, system.cluster)
     task = Task(task_id=0, model_key="gru-h1536-t375", arrival_s=0.0)
-    return lambda: system.try_start(task, 0.0)
+    return system.controller, lambda: system.try_start(task, 0.0)
 
 
 def _unbound_swap(catalog):
@@ -266,7 +266,7 @@ def _unbound_swap(catalog):
         catalog.entry_by_key("lstm-h512-t25").sorted_plans(),
         key=controller.plan_footprint,
     )
-    return lambda: controller.swap_plan(deployment, narrow, now=0.0)
+    return controller, lambda: controller.swap_plan(deployment, narrow, now=0.0)
 
 
 @pytest.mark.parametrize(
@@ -275,6 +275,18 @@ def _unbound_swap(catalog):
 )
 def test_unbound_controller_refuses_timed_work(shared_catalog, timed_path):
     """Restores, defrag moves and reconfiguration holds complete as events
-    on a bound simulator; without one the controller raises."""
+    on a bound simulator; without one the controller raises, before it
+    moves or tears down any deployment."""
+    controller, action = timed_path(shared_catalog)
+
+    def resident():
+        return {
+            key: (d.state, [(p.fpga_id, tuple(p.block_indices))
+                            for p in d.placements])
+            for key, d in controller.deployments.items()
+        }
+
+    before = resident()
     with pytest.raises(ReproError, match="bound simulator"):
-        timed_path(shared_catalog)()
+        action()
+    assert resident() == before

@@ -55,7 +55,7 @@ def _spy_drops(simulator, frontend):
         pending = simulator.pending_count
         drop_queued(task)
         assert simulator.pending_count == pending - 1
-        outcome = frontend.record_for(task.task_id).outcome
+        outcome = task.serving.outcome
         drops.append((task.task_id, simulator.queue.now, outcome))
 
     simulator.drop_queued = spy
@@ -71,7 +71,7 @@ def _fail_board(simulator, fpga_id, at, repair_after):
         at, lambda now: controller.on_board_failure(board, now)
     )
     simulator.schedule_external(
-        at + repair_after, lambda now: controller.on_board_repair(board, now)
+        at + repair_after, lambda _now: controller.on_board_repair(board)
     )
 
 
@@ -147,10 +147,7 @@ class TestAdmission:
         assert frontend.stats.admitted == 3
         assert frontend.stats.shed == 2
         for task in tasks[3:]:
-            assert (
-                frontend.record_for(task.task_id).outcome
-                is RequestOutcome.SHED
-            )
+            assert task.serving.outcome is RequestOutcome.SHED
 
     def test_head_drop_condemns_the_oldest(self, catalog):
         _, _, frontend = _frontend(
@@ -161,14 +158,8 @@ class TestAdmission:
         # The arrival was admitted; the oldest queued request paid for it.
         assert frontend.stats.admitted == 3
         assert frontend.stats.shed == 1
-        assert (
-            frontend.record_for(tasks[0].task_id).outcome
-            is RequestOutcome.SHED
-        )
-        assert (
-            frontend.record_for(tasks[2].task_id).outcome
-            is RequestOutcome.PENDING
-        )
+        assert tasks[0].serving.outcome is RequestOutcome.SHED
+        assert tasks[2].serving.outcome is RequestOutcome.PENDING
 
     def test_token_bucket_gates_admission(self, catalog):
         _, _, frontend = _frontend(
@@ -201,7 +192,7 @@ class TestDeadlines:
         assert frontend.stats.expired == 4
         assert all(task.start_s < 0 for task in result.dropped)
         for task in tasks:
-            record = frontend.record_for(task.task_id)
+            record = task.serving
             assert record.outcome is RequestOutcome.EXPIRED
             assert not record.started
 
@@ -239,7 +230,7 @@ class TestDeadlines:
         assert len(expired) == frontend.stats.expired > 0
         assert len(drops) == len(result.dropped) - frontend.stats.shed
         for task_id, now in expired:
-            assert now == frontend.record_for(task_id).deadline_s
+            assert now == tasks[task_id].serving.deadline_s
 
     def test_condemned_requests_leave_the_queue_at_once(self, catalog):
         """A head drop leaves the simulator's queue at the arrival that
@@ -273,7 +264,7 @@ class TestDeadlines:
                        size_class="S", deadline_s=0.001)
         result = simulator.run([late])
         assert result.dropped == [late] and late.start_s < 0
-        assert frontend.record_for(0).outcome is RequestOutcome.EXPIRED
+        assert late.serving.outcome is RequestOutcome.EXPIRED
         assert (frontend.stats.admitted, frontend.stats.expired) == (1, 1)
         assert frontend.queue_depth() == 0
 
@@ -282,7 +273,7 @@ class TestDeadlines:
         task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=1.0,
                     size_class="S")
         queue_tasks(frontend, [task])
-        assert frontend.record_for(0).deadline_s == pytest.approx(1.3)
+        assert task.serving.deadline_s == pytest.approx(1.3)
 
 
 class TestRetryBudget:
@@ -297,7 +288,7 @@ class TestRetryBudget:
         tasks = _requests(1)
         result = simulator.run(tasks)
         assert not result.completed
-        record = frontend.record_for(0)
+        record = tasks[0].serving
         assert record.outcome is RequestOutcome.ABANDONED
         assert record.attempts == 3  # budget of 2 + the final straw
         assert frontend.stats.placement_retries == 2
@@ -308,11 +299,12 @@ class TestRetryBudget:
         simulator = ClusterSimulator(frontend, "busy-wait")
         # Far more same-model requests than replicas: the later ones wait
         # behind busy deployments, which is queueing, not failure.
-        result = simulator.run(_requests(8, gap_s=0.0))
+        tasks = _requests(8, gap_s=0.0)
+        result = simulator.run(tasks)
         assert len(result.completed) == 8
         assert frontend.stats.abandoned == 0
-        for task_id in range(8):
-            assert frontend.record_for(task_id).attempts == 0
+        for task in tasks:
+            assert task.serving.attempts == 0
 
     def test_backoff_is_jittered_and_bounded(self, catalog):
         params = ServingParameters(retry_jitter=0.5, retry_base_s=0.002)

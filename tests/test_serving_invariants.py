@@ -72,7 +72,7 @@ def _run_storm(catalog, seed, rate_per_s=4000.0, count=150, mtbf_s=None,
         )
         injector.arm(count / rate_per_s * 4)
     tasks = _storm_tasks(count, rate_per_s, seed, deadline_jitter=True)
-    finishes = _conserve_at_finishes(frontend)
+    finishes = _conserve_at_finishes(frontend, tasks)
     if before_run is not None:
         before_run(frontend)
     result = simulator.run(tasks)
@@ -80,10 +80,11 @@ def _run_storm(catalog, seed, rate_per_s=4000.0, count=150, mtbf_s=None,
     return cluster, system, frontend, result
 
 
-def _conserve_at_finishes(frontend) -> list:
+def _conserve_at_finishes(frontend, tasks) -> list:
     """At every finish, ``completed + dropped + queued + running ==
-    offered``, with the queued requests read off the simulator; returns
-    the finish times checked."""
+    offered``, with the queued requests read off the simulator and the
+    running ones off the records on ``tasks``; returns the finish times
+    checked."""
     simulator = frontend._simulator
     on_finish = frontend.on_finish
     finishes = []
@@ -93,8 +94,9 @@ def _conserve_at_finishes(frontend) -> list:
         stats = frontend.stats
         dropped = stats.shed + stats.expired + stats.abandoned
         running = sum(
-            record.started and record.outcome is RequestOutcome.PENDING
-            for record in frontend._records.values()
+            task.serving is not None and task.serving.started
+            and task.serving.outcome is RequestOutcome.PENDING
+            for task in tasks
         )
         assert (stats.completed + dropped + simulator.pending_count
                 + running == stats.offered)
@@ -130,7 +132,7 @@ def _assert_invariants(cluster, system, frontend, result):
     # 2. Rejected work never held a board: dropped tasks never started.
     for task in result.dropped:
         assert task.start_s < 0
-        record = frontend.record_for(task.task_id)
+        record = task.serving
         assert record.outcome in (
             RequestOutcome.SHED,
             RequestOutcome.EXPIRED,
@@ -138,10 +140,12 @@ def _assert_invariants(cluster, system, frontend, result):
         )
         assert not record.started
         assert record.board_ids == []
-    # 3. Completed requests did start, and only they did.
-    started = {t.task_id for t in result.completed}
-    for task_id, record in frontend._records.items():
-        assert record.started == (task_id in started)
+    # 3. Completed requests did start, and only they did: every offered
+    #    request either completed or was dropped, once.
+    offered = result.completed + result.dropped
+    assert len({id(task) for task in offered}) == len(offered) == stats.offered
+    for task in result.completed:
+        assert task.serving.started
     # 4. Occupancy closes: blocks in use are exactly the blocks owned by
     #    live deployments (nothing leaked by drops or recoveries).
     owners_by_board = {}
@@ -159,8 +163,8 @@ def _assert_invariants(cluster, system, frontend, result):
     # 6. The queue drained to zero, and no queued request is left in the
     #    expiry heap.
     assert frontend.queue_depth() == 0
-    for _, task_id in frontend._expiry:
-        record = frontend.record_for(task_id)
+    for _, task_id, task in frontend._expiry:
+        record = task.serving
         assert record.outcome is not RequestOutcome.PENDING or record.started, (
             f"request {task_id} left queued in the expiry heap"
         )

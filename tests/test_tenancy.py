@@ -278,9 +278,10 @@ class TestQuotaEnforcement:
         scheduler = TenantScheduler(system, [TenantParameters(name="t")])
         task = Task(task_id=7, model_key="gru-h512-t1", arrival_s=0.0,
                     tenant="t")
-        scheduler._decline_reason[7] = "quota"
+        queue_tasks(scheduler, [task])
+        task.tenancy.decline = "quota"
         assert scheduler.retry_hint(task, 1.0) == math.inf
-        scheduler._decline_reason[7] = "preempt"
+        task.tenancy.decline = "preempt"
         assert scheduler.retry_hint(task, 1.0) == math.inf
 
 
@@ -402,8 +403,8 @@ class TestPreemption:
                       tenant="t")
         queue_tasks(scheduler, [second])
         remaining, restore = 0.5, 0.125
-        scheduler._resume_credit[1] = (remaining, restore)
-        scheduler._preempted_ever.add(1)
+        second.tenancy.resume_credit = (remaining, restore)
+        second.tenancy.preempted = True
         charged = scheduler.try_start(second, 0.0)
         assert charged == pytest.approx(remaining + restore)
         assert scheduler.stats.restore_s == pytest.approx(restore)
@@ -551,7 +552,7 @@ class TestFrontendComposition:
             return depth
 
         def spy_requeue(task, now):
-            record = frontend.record_for(task.task_id)
+            record = task.serving
             held = task in simulator._requeued or task in [
                 entry[2]
                 for entry in simulator._queues[(task.tenant, task.model_key)].entries
@@ -584,8 +585,8 @@ class TestFrontendComposition:
         requeue, drop_queued = frontend.requeue, simulator.drop_queued
 
         def spy_requeue(task, now):
-            if now >= frontend.record_for(task.task_id).deadline_s:
-                late[task.task_id] = now
+            if now >= task.serving.deadline_s:
+                late[task.task_id] = (now, task)
             requeuing.append(task.task_id)
             requeue(task, now)
             requeuing.pop()
@@ -602,9 +603,8 @@ class TestFrontendComposition:
         simulator.drop_queued = spy_drop
         simulator.run(tasks)
         assert late
-        for task_id, now in late.items():
-            record = frontend.record_for(task_id)
-            assert record.outcome is RequestOutcome.EXPIRED
+        for task_id, (now, task) in late.items():
+            assert task.serving.outcome is RequestOutcome.EXPIRED
             assert dropped_in[task_id] == (now, task_id)
 
     def test_head_drop_sheds_a_requeued_request_first(self, shared_catalog):
@@ -635,10 +635,9 @@ class TestFrontendComposition:
             ] + [task for task in simulator._requeued
                  if task.model_key == model_key]
             first = min(waiting, key=lambda task: (
-                task.arrival_s, simulator._task_seq[task.task_id]))
+                task.arrival_s, task.seq))
             condemn_oldest(model_key)
-            assert (frontend.record_for(first.task_id).outcome
-                    is RequestOutcome.SHED)
+            assert first.serving.outcome is RequestOutcome.SHED
             if first.task_id in requeued_at and any(
                 task.task_id not in requeued_at
                 and task.arrival_s < requeued_at[first.task_id]
@@ -722,8 +721,32 @@ class TestFrontendComposition:
         assert finishes
         assert result.dropped
         assert scheduler.stats.tasks_preempted > 0
-        assert scheduler._decline_reason == {}
-        assert scheduler._resume_credit == {}
+        for task in tasks:
+            if task.tenancy is not None:
+                assert task.tenancy.decline is None
+                assert task.tenancy.resume_credit is None
+
+    def test_composed_run_keeps_no_task_id_maps(self, shared_catalog):
+        """Per-request state lives on the task: after a run of tenancy
+        over serving over the system, with preemptions, head drops and
+        abandons, no dict or set of the simulator, the system, the
+        frontend or the tenancy layer holds a task id.  (A batch
+        executor's maps are not covered; this stack has none.)"""
+        scheduler, frontend, tasks = self._preempting_stream(
+            shared_catalog, 4, shedding=SheddingPolicy.HEAD_DROP,
+            max_queue_depth=8, retry_budget=2)
+        simulator = ClusterSimulator(scheduler, "one-record")
+        result = simulator.run(tasks)
+        assert scheduler.stats.tasks_preempted > 0
+        assert frontend.stats.shed > 0  # head drops: no door sheds here
+        assert frontend.stats.abandoned > 0
+        assert len(result.completed) + len(result.dropped) == len(tasks)
+        task_ids = {task.task_id for task in tasks}
+        for layer in (simulator, frontend.system, frontend, scheduler):
+            for name, value in vars(layer).items():
+                if isinstance(value, (dict, set)):
+                    assert not task_ids & set(value), (
+                        f"{type(layer).__name__}.{name}")
 
     def test_abandoned_tasks_leave_no_decline_reason(self, shared_catalog):
         """An abandon drops its task inside the tenancy layer's own
@@ -733,7 +756,8 @@ class TestFrontendComposition:
         simulator = ClusterSimulator(scheduler, "abandons")
         simulator.run(tasks)
         assert frontend.stats.abandoned > 0
-        assert scheduler._decline_reason == {}
+        assert all(task.tenancy is None or task.tenancy.decline is None
+                   for task in tasks)
         for name in ("premium", "besteffort"):
             assert simulator.tenant_depth(name) == 0
 
