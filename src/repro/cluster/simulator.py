@@ -11,7 +11,9 @@ The simulator is system-agnostic: schedulers implement the small
 FIFO queues ordered by ``(arrival_s, enqueue seq)``, so results are
 deterministic.  One dispatch pass visits them in a merged order: a heap
 holds each queue's next task keyed by the queue's class prefix (locality or
-the tenancy order, frozen for the pass) followed by that FIFO tail.
+the tenancy order, frozen for the pass) followed by that FIFO tail.  A pass
+that finds one queue holding work walks it in FIFO order instead: with
+nothing to merge, no prefix can change the order, so none is asked.
 
 Dispatch is incremental: when a model's task fails to start, the simulator
 records a *watermark* — the resource-state version it failed under, the
@@ -39,11 +41,13 @@ deadline, head drop or abandon) leaves its queue at that moment
 These queues are the only record of queued work: the layers above read
 their depths and order here instead of keeping copies.
 
-A pass runs only when something is queued, and the scheduler is shown the
-per-model queue depths (:meth:`Scheduler.observe_queue`) only when they
-changed since it last saw them.  A pass in which every queued model is
-parked ends after one watermark lookup per queue, before it shows the
-scheduler anything.
+A pass runs only when something is queued, and only a pass shows the
+scheduler the per-model queue depths (:meth:`Scheduler.observe_queue`),
+at its start and only when they changed since it last saw them: a
+dispatch that empties the backlog shows nothing, since every reader of
+the view runs inside a later pass, which shows the counts first.  A pass
+in which every queued model is parked ends after one watermark lookup per
+queue, before it shows the scheduler anything.
 """
 
 from __future__ import annotations
@@ -134,8 +138,10 @@ class Scheduler(Protocol):
         fast-path tasks first to preserve locality: ``(not fast,)`` is the
         class prefix of the task's queue.  Must depend only on
         ``task.model_key`` and scheduler state — it is asked once per queue
-        at the start of a pass, of the queue's head, and the answer holds
-        for every task of that queue until the pass ends."""
+        at the start of a pass over two or more queues, of the queue's
+        head, and the answer holds for every task of that queue until the
+        pass ends.  A pass over one queue walks it in FIFO order and does
+        not ask."""
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Optional: after ``try_start`` declined ``task``, the earliest
@@ -184,14 +190,14 @@ class Scheduler(Protocol):
 
     def observe_queue(self, pending_by_model: dict) -> None:
         """Optional: queue pressure, ``{model key: queued tasks}`` summed
-        over tenants.  Called at the start of a pass, and when a dispatch
-        leaves nothing queued, but only if the counts changed since the
-        last call; they hold for the whole pass.  A pass that would park
-        every queue before asking anything pushes nothing: the next pass
-        that asks pushes the counts as they stand then.  It must only store
-        what it is given: the ``try_start`` and ``retry_hint`` calls of a
-        pass read that view, and they always follow a call with the current
-        counts."""
+        over tenants.  Called only at the start of a pass, and only if the
+        counts changed since the last call; they hold for the whole pass.
+        A dispatch that leaves nothing queued pushes nothing, and neither
+        does a pass that would park every queue before asking anything:
+        the next pass that asks pushes the counts as they stand then.  It
+        must only store what it is given: the ``try_start`` and
+        ``retry_hint`` calls of a pass read that view, and they always
+        follow a call with the current counts."""
 
     def dispatch_key(self, task: Task) -> tuple:
         """Optional (tenancy layer): the class prefix of ``task``'s queue in
@@ -199,9 +205,10 @@ class Scheduler(Protocol):
         When present it *replaces* the :meth:`has_fast_path` locality
         prefix.  The simulator appends the FIFO tail ``(arrival_s, enqueue
         seq)`` itself, so the key must be constant over a (tenant, model)
-        queue: it is asked once per queue at the start of a pass, of the
-        queue's head, and frozen until the pass ends; state updated by
-        starts feeds the next pass."""
+        queue: it is asked once per queue at the start of a pass over two
+        or more queues, of the queue's head, and frozen until the pass
+        ends; state updated by starts feeds the next pass.  A pass over one
+        queue does not ask."""
 
 
 @dataclass
@@ -572,22 +579,20 @@ class ClusterSimulator:
         (all three evaluated systems admit out-of-order placement), but
         tasks of one (tenant, model) queue are visited in FIFO order.
         Passes repeat while one starts a task, and never run with nothing
-        queued.
+        queued.  A dispatch that empties the backlog shows the scheduler no
+        queue view: the next pass does, before anything reads it.
         """
         if self._dispatching:
             return  # avoid re-entrant scans from nested on_finish calls
         self._dispatching = True
         try:
-            while self.pending_count:
+            # Outside a pass nothing waits in ``_requeued``, so the queued
+            # count is the whole backlog.
+            while self._queued:
                 if not self._dispatch_pass():
                     break  # a pass that takes no task leaves tasks queued
             else:
-                # Nothing queued: a pass could start nothing.  The
-                # scheduler still sees the emptied backlog, as a pass would
-                # have shown it.
-                if self._counts_dirty:
-                    self._observe_queue()
-                return
+                return  # nothing queued: a pass could start nothing
         finally:
             self._dispatching = False
         if self._retry_scheduled:
@@ -608,6 +613,11 @@ class ClusterSimulator:
     def _dispatch_pass(self) -> bool:
         """One pass over the pending queues in merged order; returns whether
         a task started.
+
+        With one queue holding work the pass walks it in FIFO order, with
+        no heap and no class prefix; every visit follows the same rules as
+        in a merge, and a park ends the walk (nothing else is queued to
+        resume it past the parked task).
 
         Tasks whose model is below its watermark — failed at this resource
         version, clock still short of the scheduler's retry hint — are
@@ -641,7 +651,8 @@ class ClusterSimulator:
         # Nothing is requeued when a pass starts (the last pass queued its
         # requeues as it ended), so when every queued model is parked the
         # pass would only count its tasks as skipped.
-        for queue in self._queues.values():
+        queues = self._queues
+        for queue in queues.values():
             watermark = blocked.get(queue.model_key)
             if (
                 watermark is None
@@ -654,35 +665,42 @@ class ClusterSimulator:
             self.watermark_skips += self._queued
             self.parked_passes += 1
             return False
-        dispatch_key = self._dispatch_key
-        fast_path = self._fast_path
         retry_hint = self._retry_hint
         try_start = self._try_start
         if self._counts_dirty:
             # Queue pressure per model, for admission/expansion decisions.
             self._observe_queue()
-        # Class prefixes are resolved before anything starts and hold for
-        # the whole pass.  The tenancy layer owns order outright when it
-        # is present (priority classes, then weighted fair shares);
-        # otherwise tasks whose model is already resident start first, so
-        # a cold task never evicts a hot model out from under its queued
-        # work.
-        tokens = count()
-        heap = []
-        by_model: dict = {}
-        for queue in self._queues.values():
-            arrival, seq, head = queue.entries[0]
-            if dispatch_key is not None:
-                queue.prefix = dispatch_key(head)
-            elif fast_path is not None:
-                queue.prefix = (not fast_path(head),)
-            else:
-                queue.prefix = ()
+        # A lone queue is walked in FIFO order: with nothing to merge it
+        # with, no class prefix can change its order, so none is asked.
+        merge = len(queues) > 1
+        if merge:
+            # Class prefixes are resolved before anything starts and hold
+            # for the whole pass.  The tenancy layer owns order outright
+            # when it is present (priority classes, then weighted fair
+            # shares); otherwise tasks whose model is already resident
+            # start first, so a cold task never evicts a hot model out
+            # from under its queued work.
+            dispatch_key = self._dispatch_key
+            fast_path = self._fast_path
+            tokens = count()
+            heap = []
+            by_model: dict = {}
+            for queue in queues.values():
+                arrival, seq, head = queue.entries[0]
+                if dispatch_key is not None:
+                    queue.prefix = dispatch_key(head)
+                elif fast_path is not None:
+                    queue.prefix = (not fast_path(head),)
+                else:
+                    queue.prefix = ()
+                queue.cursor = 0
+                queue.token = token = next(tokens)
+                heap.append((queue.prefix, arrival, seq, token, queue))
+                by_model.setdefault(queue.model_key, []).append(queue)
+            heapify(heap)
+        else:
+            (queue,) = queues.values()
             queue.cursor = 0
-            queue.token = token = next(tokens)
-            heap.append((queue.prefix, arrival, seq, token, queue))
-            by_model.setdefault(queue.model_key, []).append(queue)
-        heapify(heap)
 
         behind_head = self._behind_head
         view_moved = self._view_moved
@@ -691,14 +709,21 @@ class ClusterSimulator:
         started: set = set()
         skips = attempts = rehints = 0
         progress = False
-        while heap:
-            # Peek, not pop: entries pushed while this task is handled all
-            # sort after it, so it stays at the root until replaced.
-            prefix, arrival, seq, token, queue = heap[0]
-            if token != queue.token:
-                heappop(heap)  # the queue was parked after this push
-                continue
-            index = queue.cursor
+        while True:
+            if merge:
+                if not heap:
+                    break
+                # Peek, not pop: entries pushed while this task is handled
+                # all sort after it, so it stays at the root until replaced.
+                prefix, arrival, seq, token, queue = heap[0]
+                if token != queue.token:
+                    heappop(heap)  # the queue was parked after this push
+                    continue
+                index = queue.cursor
+            else:
+                index = queue.cursor
+                if index == len(queue.entries):
+                    break
             task = queue.entries[index][2]
             queue.cursor = index + 1
             park = False
@@ -757,12 +782,12 @@ class ClusterSimulator:
                     view_moved.add(model_key)
                 elif view_moved:
                     view_moved.discard(model_key)
-                # Declined behind the model's oldest queued task?
-                same_model = by_model[model_key]
-                if index or len(same_model) > 1 and any(
+                # Declined behind the model's oldest queued task?  (A lone
+                # queue's oldest task is its first entry.)
+                if index or merge and len(by_model[model_key]) > 1 and any(
                     other.entries
                     and other.entries[0][:2] < (arrival, seq)
-                    for other in same_model
+                    for other in by_model[model_key]
                 ):
                     behind_head.add(model_key)
                 else:
@@ -777,8 +802,14 @@ class ClusterSimulator:
                 if parked:
                     skips += self._unpark(parked, heap, tokens,
                                           (prefix, arrival, seq))
+            if not merge:
+                if park:
+                    # Nothing else is queued to resume the walk past it.
+                    parked.append(queue)
+                    break
+                continue
             if park:
-                for other in by_model[queue.model_key]:
+                for other in by_model[model_key]:
                     if other.token is not None:
                         other.token = None
                         if other.cursor < len(other.entries):

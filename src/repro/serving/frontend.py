@@ -297,6 +297,8 @@ class ServingFrontend:
         # brownout react to the new utilisation.  The simulator takes the
         # task off its queue once this returns.
         record.started = True
+        # An exact-size copy: the property builds an over-allocated list,
+        # and the record (with it) lives until the run ends.
         record.board_ids = list(task.placement.member_fpgas)
         self.stats.started += 1
         self._update_brownout(now, starting=task.model_key)
@@ -430,11 +432,13 @@ class ServingFrontend:
                 for board in self.cluster.boards.values()
                 if board.model.name in types
             ]
-        return bool(candidates) and all(
-            breaker.state is BreakerState.OPEN
-            or board.health is BoardHealth.FAILED
-            for breaker, board in candidates
-        )
+        for breaker, board in candidates:
+            if (
+                breaker.state is not BreakerState.OPEN
+                and board.health is not BoardHealth.FAILED
+            ):
+                return False
+        return bool(candidates)
 
     # -- brownout ------------------------------------------------------------
 

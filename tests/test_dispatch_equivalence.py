@@ -9,6 +9,11 @@ at every pass, shares only the queue removal of ``drop_queued`` with its
 own backlog, and answers the queue reads of the layers above (depths, a
 model's queued tasks) from that backlog.  It also keeps the old wake rule — every arrival, start
 and finish retries every blocked model — and never asks ``woken_models``.
+It has no lone-queue shortcut: it sorts and walks (and asks every class
+prefix) even when one (tenant, model) queue holds all the work, where the
+merge dispatcher walks that queue without a heap or a prefix.  It keeps
+the simulator's backlog count ``_queued`` in step with its own backlog,
+since passes run only while that count is non-zero.
 Randomized small workloads run through both dispatchers; the schedules
 and the dropped sets must match exactly.  So must the sequence of
 ``(task_id, now)`` ``try_start`` calls and the watermark-skip and attempt
@@ -63,10 +68,7 @@ class ReferenceSimulator(ClusterSimulator):
 
     def _enqueue(self, task):
         self._pending.append(task)
-
-    @property
-    def pending_count(self):
-        return len(self._pending) + len(self._requeued)
+        self._queued += 1
 
     def _waiting(self):
         """Every task waiting to start, in ``(arrival_s, seq)`` order."""
@@ -87,6 +89,7 @@ class ReferenceSimulator(ClusterSimulator):
 
     def _unqueue(self, task):
         self._pending = [t for t in self._pending if t is not task]
+        self._queued -= 1
 
     def _observe_queue(self):
         # The simulator only asks while its counts are dirty, and the
@@ -142,7 +145,8 @@ class ReferenceSimulator(ClusterSimulator):
             progress = True
             self._idle_retries = 0
         # A task requeued during the pass was not in its snapshot.
-        self._pending.extend(self._requeued)
+        for task in self._requeued:
+            self._enqueue(task)
         self._requeued.clear()
         return progress
 
@@ -307,6 +311,78 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
     # Passes ended before asking anything count their skips as the
     # reference's walk does (the totals match exactly here).
     assert simulators[1].parked_passes > 0
+
+
+#: Schedule digest of :func:`test_lone_queue_walk_meets_park_abandon_requeue`.
+LONE_QUEUE_DIGEST = (
+    "8966c5b8fc835b04a27305c4cea7b64e27321f3de22df1d407f24a24b5c3854f")
+
+
+def test_lone_queue_walk_meets_park_abandon_requeue(shared_catalog):
+    """Tenancy over serving, one model: a pass sees one queue whenever
+    only one tenant has work queued.  Best-effort work fills eight boards,
+    then premium requests arrive with no retry budget, so the walks over
+    the premium queue alone park, abandon a request inside its
+    ``try_start`` (the cursor steps back over it) and preempt running
+    best-effort tasks (requeued when the pass ends)."""
+    rng = random.Random(0)
+    stream = sorted(
+        [(rng.uniform(0.0, 0.004), "besteffort") for _ in range(60)]
+        + [(0.006 + rng.uniform(0.0, 0.01), "premium") for _ in range(30)])
+    lone = {"passes": 0, "parks": 0, "abandons": 0, "requeues": 0}
+
+    def build(cls):
+        cluster = scaled_cluster(8)
+        system = build_system("proposed", cluster, shared_catalog)
+        frontend = ServingFrontend(system, ServingParameters(
+            default_deadline_s=0.05, breaker_enabled=False, retry_budget=0))
+        total = sum(len(board.blocks) for board in cluster.boards.values())
+        tenancy = TenantScheduler(frontend, [
+            TenantParameters(name="premium", priority=1, weight=2.0,
+                             block_quota=int(total * 0.3), preemptible=False),
+            TenantParameters(name="besteffort", priority=0, weight=1.0,
+                             block_quota=int(total * 0.8), preemptible=True),
+        ], TenancyParameters())
+        simulator = cls(tenancy, "tenancy")
+        tasks = [Request(task_id=i, model_key=SMALL[2], arrival_s=a,
+                         size_class="S", tenant=t)
+                 for i, (a, t) in enumerate(stream)]
+        if cls is ClusterSimulator:
+            _count_lone_walks(simulator, lone)
+        return simulator, tasks
+
+    _run_both(build, LONE_QUEUE_DIGEST)
+    assert all(lone.values()), lone
+
+
+def _count_lone_walks(simulator, lone: dict) -> None:
+    """Spy on ``simulator``: count its passes over one queue, and the
+    parks, drops and preemptions inside them."""
+    walking = []
+
+    def dispatch_pass(inner=simulator._dispatch_pass):
+        walking.append(len(simulator._queues) == 1)
+        parked, skips = simulator.parked_passes, simulator.watermark_skips
+        try:
+            return inner()
+        finally:
+            if walking.pop():
+                lone["passes"] += 1
+                # A walk skips tasks only past a park.
+                lone["parks"] += (simulator.parked_passes == parked
+                                  and simulator.watermark_skips > skips)
+
+    def drop_queued(task, inner=simulator.drop_queued):
+        lone["abandons"] += walking[-1:] == [True]
+        inner(task)
+
+    def abort_running(task, inner=simulator.abort_running):
+        lone["requeues"] += walking[-1:] == [True]
+        inner(task)
+
+    simulator._dispatch_pass = dispatch_pass
+    simulator.drop_queued = drop_queued
+    simulator.abort_running = abort_running
 
 
 #: Schedule digests of the serving tests below, pinned so that a request
@@ -567,24 +643,31 @@ def test_watermark_behind_the_head(shared_catalog, seed):
     span_s=st.floats(min_value=0.0, max_value=0.5),
     isolation=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
+    models=st.integers(min_value=1, max_value=len(MIXED)),
 )
 # Counterexamples to three wrong wake rules, in order: keeping, over the
 # next arrival, a hint recorded after its own model started in the same
 # pass (the rule while only arrivals woke per model); lowering every kept
 # hint to a finish's new idle copy's stale time instead of re-asking it;
 # arrivals that never re-ask a hint whose queue view went stale.
-@example(boards=15, count=81, span_s=0.125, isolation=False, seed=71)
-@example(boards=4, count=4, span_s=0.0, isolation=False, seed=0)
-@example(boards=6, count=120, span_s=0.1953125, isolation=False, seed=32084)
+@example(boards=15, count=81, span_s=0.125, isolation=False, seed=71,
+         models=len(MIXED))
+@example(boards=4, count=4, span_s=0.0, isolation=False, seed=0,
+         models=len(MIXED))
+@example(boards=6, count=120, span_s=0.1953125, isolation=False, seed=32084,
+         models=len(MIXED))
 def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
-                                            span_s, isolation, seed):
+                                            span_s, isolation, seed, models):
     """The standing oracle for the per-model wake: a bare proposed system
-    on random clusters, streams and arrival spreads (one tenant, or two
-    isolated ones) schedules exactly as when every arrival, start and
-    finish wakes every model, and only skips calls that decline purely."""
+    on random clusters, streams over the first ``models`` of the mix and
+    arrival spreads (one tenant, or two isolated ones) schedules exactly
+    as when every arrival, start and finish wakes every model, and only
+    skips calls that decline purely.  A one-model, one-tenant stream
+    walks a lone queue in every pass."""
     rng = random.Random(seed)
     arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
-    draws = [(rng.choice(MIXED), rng.choice("ab") if isolation else "")
+    draws = [(rng.choice(MIXED[:models]), rng.choice("ab") if isolation
+              else "")
              for _ in range(count)]
 
     def build(cls):

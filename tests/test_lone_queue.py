@@ -1,0 +1,131 @@
+"""A pass over one queue walks it, and the queue view is pushed only by passes.
+
+When exactly one (tenant, model) queue holds work, a dispatch pass walks
+its entries in FIFO order and asks no class prefix (``has_fast_path``,
+``dispatch_key``): with nothing to merge the queue with, no prefix can
+change the order.  A dispatch that leaves nothing queued pushes no
+``observe_queue`` view; the next pass that asks pushes the counts first,
+so every ``try_start`` and ``retry_hint`` still reads the current ones.
+"""
+
+import pytest
+
+from repro.cluster import ClusterSimulator, scaled_cluster
+from repro.runtime import Catalog, build_system
+from repro.serving import Request, ServingFrontend, ServingParameters
+from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
+from repro.vital import VitalCompiler
+from tests.test_dispatch_equivalence import MIXED, SMALL
+from tests.test_parked_passes import _Gated, _task, _TenancyGated
+
+
+@pytest.fixture(scope="module")
+def shared_catalog():
+    return Catalog(VitalCompiler())
+
+
+@pytest.mark.parametrize("scheduler_class", [_Gated, _TenancyGated],
+                         ids=["fast-path", "tenancy"])
+def test_a_lone_queue_asks_no_prefix(scheduler_class):
+    """Tasks of one model are only ever in one queue: no pass of the run
+    asks a prefix.  A second model's arrival makes its pass merge two
+    queues, which asks one prefix per queue."""
+    lone = scheduler_class()
+    result = ClusterSimulator(lone, "lone").run(
+        [_task(i, "a", 0.01 * i) for i in range(4)])
+    assert len(result.completed) == 4
+    hooks = {hook for hook, _ in lone.calls}
+    assert hooks == {"observe_queue", "try_start", "retry_hint"}
+
+    merged = scheduler_class()
+    ClusterSimulator(merged, "merged").run(
+        [_task(0, "a"), _task(1, "a", 0.01), _task(2, "b", 0.02)])
+    prefix = "dispatch_key" if scheduler_class is _TenancyGated else (
+        "has_fast_path")
+    asked = [now for hook, now in merged.calls if hook == prefix]
+    assert asked[:2] == [0.02, 0.02]
+
+
+def _bare(catalog):
+    system = build_system("proposed", scaled_cluster(8), catalog)
+    return system, system
+
+
+def _serving(catalog):
+    system = build_system("proposed", scaled_cluster(4), catalog)
+    return system, ServingFrontend(system, ServingParameters(
+        default_deadline_s=0.05, breaker_enabled=False))
+
+
+def _tenancy(catalog):
+    cluster = scaled_cluster(8)
+    system = build_system("proposed", cluster, catalog)
+    total = sum(len(board.blocks) for board in cluster.boards.values())
+    return system, TenantScheduler(system, [
+        TenantParameters(name="a", priority=1, block_quota=total // 2,
+                         preemptible=False),
+        TenantParameters(name="b", priority=0, preemptible=True),
+    ], TenancyParameters())
+
+
+@pytest.mark.parametrize("stack", [_bare, _serving, _tenancy],
+                         ids=["bare", "serving", "tenancy"])
+def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
+    """Bursts that drain between them: the backlog empties many times,
+    and no view is pushed then.  Each push comes from a pass, and every
+    ``try_start`` and ``retry_hint`` reads the counts its pass began
+    with."""
+    system, scheduler = stack(shared_catalog)
+    simulator = ClusterSimulator(scheduler, "spied")
+    in_pass = []  # the counts the running pass began with
+    pushed = []  # (in a pass, counts) per push
+    emptied = []  # dispatches that emptied the backlog
+
+    def counts_now():
+        counts = {}
+        for queue in simulator._queues.values():
+            counts[queue.model_key] = (counts.get(queue.model_key, 0)
+                                       + len(queue.entries))
+        return counts
+
+    def dispatch_pass(inner=simulator._dispatch_pass):
+        in_pass.append(counts_now())
+        try:
+            return inner()
+        finally:
+            in_pass.pop()
+
+    def dispatch(inner=simulator._dispatch):
+        nested = simulator._dispatching
+        queued = simulator.pending_count
+        inner()
+        if not nested and queued and not simulator.pending_count:
+            emptied.append(simulator.queue.now)
+
+    def observe_queue(counts, inner=scheduler.observe_queue):
+        pushed.append((bool(in_pass), dict(counts)))
+        inner(counts)
+
+    def reads_view(hook):
+        def spy(task, now, inner=getattr(scheduler, hook)):
+            assert in_pass and pushed and pushed[-1][1] == in_pass[-1], hook
+            return inner(task, now)
+        return spy
+
+    simulator._dispatch_pass = dispatch_pass
+    simulator._dispatch = dispatch
+    scheduler.observe_queue = observe_queue
+    scheduler.try_start = reads_view("try_start")
+    scheduler.retry_hint = reads_view("retry_hint")
+    tasks = [
+        Request(task_id=i, model_key=MIXED[i % 4] if stack is _bare
+                else SMALL[i % 3], arrival_s=0.05 * (i // 12) + 1e-4 * i,
+                size_class="S", tenant="ab"[i % 2] if stack is _tenancy
+                else "")
+        for i in range(96)
+    ]
+    result = simulator.run(tasks)
+    assert len(result.completed) + len(result.dropped) == len(tasks)
+    assert len(emptied) >= 8
+    assert pushed and all(from_pass for from_pass, _ in pushed)
+    assert {} not in [counts for _, counts in pushed]
