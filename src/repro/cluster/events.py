@@ -14,7 +14,11 @@ from ..errors import SimulationError
 
 
 class EventQueue:
-    """Min-heap of timed callbacks."""
+    """Min-heap of timed callbacks.
+
+    :meth:`schedule` and :meth:`schedule_in` push an event; :meth:`run`
+    pops and fires events in ``(time, insertion)`` order, inline in its
+    loop, and counts them in :attr:`processed`."""
 
     def __init__(self):
         self._heap: list = []
@@ -32,30 +36,26 @@ class EventQueue:
 
     def schedule_in(self, delay: float, callback: Callable, *args) -> None:
         """Schedule relative to the current time."""
-        self.schedule(self.now + delay, callback, *args)
-
-    @property
-    def empty(self) -> bool:
-        return not self._heap
-
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        if not self._heap:
-            return False
-        when, _seq, callback, args = heapq.heappop(self._heap)
-        self.now = when
-        callback(*args)
-        self.processed += 1
-        return True
+        when = self.now + delay
+        if when < self.now - 1e-15:
+            raise SimulationError(
+                f"cannot schedule at {when} before current time {self.now}"
+            )
+        heapq.heappush(self._heap, (when, next(self._sequence), callback, args))
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
         """Drain the queue (optionally up to time ``until``, where the
         clock then stands even if the queue emptied earlier); returns the
         final simulation time."""
+        heap = self._heap
+        heappop = heapq.heappop
         for _ in range(max_events):
-            if not self._heap or (until is not None and self._heap[0][0] > until):
+            if not heap or (until is not None and heap[0][0] > until):
                 if until is not None:
                     self.now = max(self.now, until)
                 return self.now
-            self.step()
+            when, _seq, callback, args = heappop(heap)
+            self.now = when
+            callback(*args)
+            self.processed += 1
         raise SimulationError(f"exceeded {max_events} events — runaway simulation?")

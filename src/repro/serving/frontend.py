@@ -26,12 +26,17 @@ graceful when offered load exceeds capacity or boards fail:
 * **Circuit breakers** — per-board failure/latency windows
   (:mod:`repro.serving.breaker`); an open breaker drains its board
   through the health machinery (``HEALTHY -> DEGRADED``, dropping it from
-  the placement index), half-open probes re-admit it.
+  the placement index), half-open probes re-admit it.  A completion is
+  attributed at finish to the boards of the deployment it ran on (read
+  off ``task.placement``), and only when it can move a breaker: it was
+  late, or some breaker is half-open.
 * **Brownout** — above a utilisation high watermark the frontend flips
   the controller to narrowest-plan-first dispatch and switches hot
   models' idle deployments to the narrowest catalog plan (a cross-width
   switch is a cold restart, mirroring the recovery manager's scale-down
-  fallback), exiting at a low watermark with hysteresis.
+  fallback), exiting at a low watermark with hysteresis.  It is
+  evaluated at every start and finish, but only when occupancy moved
+  since the last evaluation that changed nothing.
 
 Everything is opt-in: no behaviour of the wrapped system changes unless a
 frontend is constructed around it, so the Fig. 12 golden path is
@@ -123,6 +128,12 @@ class ServingFrontend:
             fpga_id: CircuitBreaker(fpga_id, self.params)
             for fpga_id in self.cluster.boards
         }
+        #: Boards whose breaker is half-open: only these (and a late
+        #: completion) make a finish walk its boards.
+        self._half_open: set[str] = set()
+        #: Latest backoff expiry ever set: at or before ``now``, no queued
+        #: request is backing off.
+        self._backoff_until = 0.0
         self._total_blocks = sum(
             len(board.blocks) for board in self.cluster.boards.values()
         )
@@ -134,6 +145,9 @@ class ServingFrontend:
         #: model key -> (breaker, board) of every board it could land on.
         self._candidates: dict[str, list] = {}
         self.brownout = False
+        #: Free blocks at the last brownout evaluation that changed
+        #: nothing (``None``: re-evaluate at the next start or finish).
+        self._settled_free: int | None = None
         self._simulator = None
         #: Optional elastic autoscaler (:mod:`repro.autoscale`); attached
         #: via :meth:`attach_autoscaler`, observes every offered arrival.
@@ -220,9 +234,7 @@ class ServingFrontend:
                 self.stats.expired += 1
             heappop(expiry)
 
-    def _bucket(self, model_key: str) -> TokenBucket | None:
-        if self.params.admission_rate_per_s <= 0:
-            return None
+    def _bucket(self, model_key: str) -> TokenBucket:
         bucket = self._buckets.get(model_key)
         if bucket is None:
             bucket = TokenBucket(
@@ -248,8 +260,10 @@ class ServingFrontend:
         model = task.model_key
         if self.autoscaler is not None:
             self.autoscaler.observe_arrival(model, now)
-        bucket = self._bucket(model)
-        if bucket is not None and not bucket.try_take(now):
+        if (
+            self.params.admission_rate_per_s > 0
+            and not self._bucket(model).try_take(now)
+        ):
             return self._shed_at_door(record)
         if record.deadline_s <= now:
             # Late on arrival: it expires at the door and is never queued.
@@ -293,13 +307,9 @@ class ServingFrontend:
             if self.controller.stats.placement_failures > failures_before:
                 self._placement_failed(task, now)
             return None
-        # Started: remember the boards for breaker attribution, and let
-        # brownout react to the new utilisation.  The simulator takes the
-        # task off its queue once this returns.
+        # Started: let brownout react to the new utilisation.  The
+        # simulator takes the task off its queue once this returns.
         record.started = True
-        # An exact-size copy: the property builds an over-allocated list,
-        # and the record (with it) lives until the run ends.
-        record.board_ids = list(task.placement.member_fpgas)
         self.stats.started += 1
         self._update_brownout(now, starting=task.model_key)
         return service
@@ -317,6 +327,8 @@ class ServingFrontend:
             1.0 - jitter + 2.0 * jitter * self._rng.random()
         )
         record.next_attempt_s = now + delay
+        if record.next_attempt_s > self._backoff_until:
+            self._backoff_until = record.next_attempt_s
         # Wake the dispatcher when the backoff expires.
         self._simulator.schedule_external(delay, lambda _now: None)
 
@@ -330,12 +342,14 @@ class ServingFrontend:
         if record is None or not record.started:
             return
         record.started = False
-        record.board_ids = []
         self._watch_deadline(task, now)
 
     # -- Scheduler protocol: completion --------------------------------------
 
     def on_finish(self, task: Task, now: float) -> None:
+        # The deployment the request finished on; the inner system
+        # detaches it from the task.
+        deployment = task.placement
         self.system.on_finish(task, now)
         record = task.serving
         if record is None:
@@ -346,13 +360,15 @@ class ServingFrontend:
         self.stats.latencies_s.append(now - task.arrival_s)
         if on_time:
             self.stats.slo_hits += 1
-        if self.params.breaker_enabled:
-            for fpga_id in record.board_ids:
-                breaker = self._breakers.get(fpga_id)
+        # An on-time completion moves only half-open breakers.
+        if self.params.breaker_enabled and (not on_time or self._half_open):
+            for placement in deployment.placements:
+                breaker = self._breakers.get(placement.fpga_id)
                 if breaker is None:
                     continue
                 if on_time:
                     if breaker.record_success(now):
+                        self._half_open.discard(breaker.fpga_id)
                         self.stats.breaker_closes += 1
                 elif breaker.record_slow(now):
                     self._drain(breaker)
@@ -371,10 +387,16 @@ class ServingFrontend:
         request of this model could act — its backoff expiry when backing
         off, the inner scheduler's hint otherwise."""
         inner = self.system.retry_hint(task, now)
-        backoffs = [queued.serving.next_attempt_s
-                    for queued in self._simulator.queued_tasks(task.model_key)]
-        return min((next_s if next_s > now else inner for next_s in backoffs),
-                   default=inner)
+        if self._backoff_until <= now:
+            return inner  # nothing queued is backing off
+        queued = self._simulator.queued_tasks(task.model_key)
+        hint = math.inf if queued else inner
+        for other in queued:
+            next_s = other.serving.next_attempt_s
+            term = next_s if next_s > now else inner
+            if term < hint:
+                hint = term
+        return hint
 
     # -- circuit breakers ----------------------------------------------------
 
@@ -393,6 +415,7 @@ class ServingFrontend:
         """An opened breaker drains its board via the health machinery and
         schedules the half-open probe."""
         self.stats.breaker_opens += 1
+        self._half_open.discard(breaker.fpga_id)
         board = self.cluster.board(breaker.fpga_id)
         if board.health is BoardHealth.HEALTHY:
             self.controller.on_board_degraded(board)
@@ -414,6 +437,7 @@ class ServingFrontend:
         if breaker.state is not BreakerState.OPEN:
             return
         breaker.half_open()
+        self._half_open.add(breaker.fpga_id)
         self.stats.breaker_half_opens += 1
         if breaker.draining and board.health is BoardHealth.DEGRADED:
             self.controller.on_board_repair(board)
@@ -454,19 +478,27 @@ class ServingFrontend:
     def _update_brownout(self, now: float, starting: str = "") -> None:
         """Enter or leave brownout at the current utilisation.  ``starting``
         names the model of a task that has started but is still on the
-        simulator's queue (its :meth:`try_start` has not returned)."""
-        if not self.params.brownout_enabled:
+        simulator's queue (its :meth:`try_start` has not returned).
+
+        An evaluation that changed nothing stays right until occupancy
+        moves; a transition re-arms it, since with equal watermarks the
+        state flips again at unchanged utilisation."""
+        free = self._free_blocks
+        if free == self._settled_free or not self.params.brownout_enabled:
             return
+        self._settled_free = free
         util = self.utilisation()
         if not self.brownout and util >= self.params.brownout_high_watermark:
             self.brownout = True
             self.controller.prefer_narrow = True
             self.stats.brownout_entries += 1
+            self._settled_free = None
             self._shrink_hot_models(now, starting)
         elif self.brownout and util <= self.params.brownout_low_watermark:
             self.brownout = False
             self.controller.prefer_narrow = False
             self.stats.brownout_exits += 1
+            self._settled_free = None
 
     def _shrink_hot_models(self, now: float, starting: str) -> None:
         """Switch hot models' idle deployments to the narrowest catalog

@@ -10,7 +10,7 @@ streams work too (they get the frontend's default deadline).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster.simulator import Task
 
@@ -44,7 +44,10 @@ class Request(Task):
 
 @dataclass(slots=True)
 class RequestRecord:
-    """Frontend-side state for one offered request."""
+    """Frontend-side state for one offered request.
+
+    It holds no board list: breaker attribution reads the boards of the
+    deployment a request finished on from ``task.placement`` at finish."""
 
     #: Absolute deadline (resolved against the frontend default).
     deadline_s: float
@@ -53,7 +56,6 @@ class RequestRecord:
     attempts: int = 0
     #: Earliest time the next placement attempt may run (backoff gate).
     next_attempt_s: float = 0.0
-    #: Boards the request ran on (breaker attribution), set at start.
-    board_ids: list = field(default_factory=list)
-    #: Whether the request ever occupied a board.
+    #: Whether the request occupied a board (a preemption requeue
+    #: clears it until the request starts again).
     started: bool = False

@@ -49,6 +49,8 @@ class TestEventQueue:
         queue.run()
         with pytest.raises(SimulationError):
             queue.schedule(0.5, lambda: None)
+        with pytest.raises(SimulationError):
+            queue.schedule_in(-0.5, lambda: None)
 
     def test_run_until(self):
         queue = EventQueue()

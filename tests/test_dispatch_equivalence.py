@@ -467,6 +467,64 @@ def test_serving_condemned_requests(shared_catalog, variant):
         assert stats.abandoned > 0
 
 
+#: Brownout entries, exits and schedule digest of
+#: :func:`test_brownout_with_equal_watermarks`, pinned from a frontend that
+#: evaluated brownout at every start and finish.
+EQUAL_WATERMARKS_PIN = (
+    32, 32, "80e751a47786482149cb08c69608c050d7a5fe68b01fac5d85c1c49aa69b7711")
+
+
+def test_brownout_with_equal_watermarks(shared_catalog):
+    """With ``brownout_low_watermark == brownout_high_watermark`` the
+    state flips at every evaluation at exactly that utilisation.  An
+    evaluation is skipped while occupancy has not moved since the last
+    one that changed nothing, so each flip must re-arm the next; the
+    watermark sits at the free-block count this run holds most often."""
+    watermark = 1.0 - 2 / 58  # two of the paper cluster's 58 blocks free
+    build = _serving_build(shared_catalog, 9,
+                           brownout_high_watermark=watermark,
+                           brownout_low_watermark=watermark)
+    entries, exits, digest = EQUAL_WATERMARKS_PIN
+    _, simulator = _run_both(build, digest)
+    frontend = simulator.scheduler
+    assert frontend._total_blocks == 58
+    assert (frontend.stats.brownout_entries,
+            frontend.stats.brownout_exits) == (entries, exits)
+
+
+def test_retry_hint_equals_the_backlog_scan(shared_catalog):
+    """Every ``retry_hint`` equals the scan it skips when nothing queued
+    is backing off: the earliest future backoff expiry among the model's
+    queued requests, the inner hint for the rest."""
+    simulator, tasks = _serving_build(shared_catalog, 7)(ClusterSimulator)
+    frontend = simulator.scheduler
+    system = frontend.system
+    inner_hints = []
+    checked = {"hints": 0, "backing_off": 0}
+
+    def inner_hint(task, now, inner=system.retry_hint):
+        inner_hints.append(inner(task, now))
+        return inner_hints[-1]
+
+    def retry_hint(task, now, outer=frontend.retry_hint):
+        hint = outer(task, now)
+        inner = inner_hints.pop()
+        backoffs = [queued.serving.next_attempt_s
+                    for queued in simulator.queued_tasks(task.model_key)]
+        assert hint == min((next_s if next_s > now else inner
+                            for next_s in backoffs), default=inner)
+        checked["hints"] += 1
+        checked["backing_off"] += any(next_s > now for next_s in backoffs)
+        return hint
+
+    system.retry_hint = inner_hint
+    frontend.retry_hint = retry_hint
+    simulator.run(tasks)
+    assert frontend.stats.placement_retries > 0
+    assert checked["backing_off"] > 0
+    assert checked["hints"] > checked["backing_off"]
+
+
 #: Schedule digests of :func:`test_eviction_heavy_backlog`, pinned so an
 #: inexact idle lookup (reuse order, LRU victim or wake hint) fails here
 #: even when both dispatchers agree with each other.

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import ClusterSimulator, Task, paper_cluster
+from repro.cluster import ClusterSimulator, Task, paper_cluster, scaled_cluster
 from repro.errors import ReproError
 from repro.faults import RecoveryAbandoned
 from repro.runtime import Catalog, build_system
@@ -27,6 +27,7 @@ from repro.serving import (
     SheddingPolicy,
     TokenBucket,
 )
+from repro.serving.breaker import SLOW_WEIGHT
 from repro.vital import BoardHealth, VitalCompiler
 from repro.workloads import diurnal_arrivals, mmpp_arrivals
 from tests.queueing import queue_tasks
@@ -306,6 +307,25 @@ class TestRetryBudget:
         for task in tasks:
             assert task.serving.attempts == 0
 
+    def test_retry_hint_waits_for_the_earliest_backoff(self, catalog):
+        """A model's hint is the earliest moment any of its queued requests
+        could act: the inner hint once one is not backing off, else the
+        earliest backoff expiry, even when the inner hint is earlier; with
+        nothing of the model queued, or every backoff past, the inner
+        hint."""
+        _, system, frontend = _frontend(catalog)
+        tasks = _requests(3, gap_s=0.0)
+        assert all(queue_tasks(frontend, tasks))
+        for task, next_s in zip(tasks, (3.0, 2.0, 4.0)):
+            task.serving.next_attempt_s = next_s
+        frontend._backoff_until = 4.0
+        system.retry_hint = lambda task, now: 0.5
+        assert frontend.retry_hint(tasks[0], 1.0) == 2.0
+        assert frontend.retry_hint(tasks[0], 2.5) == 0.5
+        assert frontend.retry_hint(tasks[0], 4.0) == 0.5
+        other = _requests(1, model_key="lstm-h256-t150")[0]
+        assert frontend.retry_hint(other, 1.0) == 0.5
+
     def test_backoff_is_jittered_and_bounded(self, catalog):
         params = ServingParameters(retry_jitter=0.5, retry_base_s=0.002)
         _, _, frontend = _frontend(
@@ -406,6 +426,60 @@ class TestCircuitBreakerIntegration:
         queue_tasks(frontend, [task])
         assert frontend.try_start(task, 0.0) is None
         assert frontend.stats.breaker_rejections == 1
+
+    def test_late_completion_is_slow_on_every_board_it_ran_on(self, catalog):
+        """A late completion is attributed at finish to the boards of the
+        deployment it ran on: on a two-board deployment both breakers
+        take one slow sample, and no other breaker takes any."""
+        _, system, frontend = _frontend(catalog)
+        simulator = ClusterSimulator(frontend, "late-pair")
+        task = Request(task_id=0, model_key="gru-h2304-t250", arrival_s=0.0,
+                       size_class="S", deadline_s=1e-6)
+        result = simulator.run([task])
+        assert result.completed == [task]
+        assert task.finish_s > task.serving.deadline_s
+        (deployment,) = system.controller.deployments_of("gru-h2304-t250")
+        assert len(deployment.member_fpgas) == 2
+        masses = {
+            fpga_id: breaker.failure_mass(task.finish_s)
+            for fpga_id, breaker in frontend._breakers.items()
+        }
+        assert masses == {
+            fpga_id: SLOW_WEIGHT if fpga_id in deployment.member_fpgas else 0
+            for fpga_id in masses
+        }
+
+    def test_half_open_set_follows_probe_and_close(self, catalog):
+        """The probe puts its board in the half-open set, and the on-time
+        completion that closes the breaker takes it out; at every finish
+        the set names exactly the half-open breakers."""
+        system = build_system("proposed", scaled_cluster(1), catalog,
+                              recovery=True)
+        frontend = ServingFrontend(system, ServingParameters(
+            breaker_threshold=1.0, breaker_cooldown_s=0.005,
+            breaker_probe_budget=1, default_deadline_s=30.0,
+        ))
+        simulator = ClusterSimulator(frontend, "probe-close")
+        _fail_board(simulator, "vu37p-0", at=0.001, repair_after=0.001)
+        half_open_at_finish = []
+        on_finish = frontend.on_finish
+
+        def spy(task, now):
+            on_finish(task, now)
+            half_open = {
+                fpga_id for fpga_id, breaker in frontend._breakers.items()
+                if breaker.state is BreakerState.HALF_OPEN
+            }
+            assert frontend._half_open == half_open
+            half_open_at_finish.append(bool(half_open))
+
+        frontend.on_finish = spy
+        result = simulator.run(_requests(10, gap_s=0.002))
+        stats = frontend.stats
+        assert len(result.completed) == 10
+        assert (stats.breaker_opens, stats.breaker_half_opens,
+                stats.breaker_closes) == (1, 1, 1)
+        assert not half_open_at_finish[-1]
 
     def test_breaker_only_repairs_its_own_drain(self, catalog):
         cluster, _, frontend = _frontend(

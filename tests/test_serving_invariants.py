@@ -6,9 +6,10 @@ cluster blocks are accounted for by live deployments at every point, and
 the frontend's accounting identity (offered = terminal outcomes) closes
 exactly.  Every storm also conserves tasks at every finish: completed,
 dropped, queued (the simulator's queues, the only copy) and running
-requests always add up to the requests offered so far.  Exercised under
-randomized overload storms with the fault injector armed, in the style
-of ``test_allocator_invariants``.
+requests always add up to the requests offered so far, and the
+frontend's set of half-open breakers is a recount of breaker states.
+Exercised under randomized overload storms with the fault injector armed,
+in the style of ``test_allocator_invariants``.
 """
 
 import random
@@ -19,6 +20,7 @@ from repro.cluster import ClusterSimulator, paper_cluster
 from repro.faults import FaultInjector, FaultModelParameters
 from repro.runtime import Catalog, build_system
 from repro.serving import (
+    BreakerState,
     Request,
     RequestOutcome,
     ServingFrontend,
@@ -83,8 +85,9 @@ def _run_storm(catalog, seed, rate_per_s=4000.0, count=150, mtbf_s=None,
 def _conserve_at_finishes(frontend, tasks) -> list:
     """At every finish, ``completed + dropped + queued + running ==
     offered``, with the queued requests read off the simulator and the
-    running ones off the records on ``tasks``; returns the finish times
-    checked."""
+    running ones off the records on ``tasks``, and the half-open set
+    (which gates the breaker walk of an on-time finish) names exactly the
+    half-open breakers; returns the finish times checked."""
     simulator = frontend._simulator
     on_finish = frontend.on_finish
     finishes = []
@@ -100,6 +103,10 @@ def _conserve_at_finishes(frontend, tasks) -> list:
         )
         assert (stats.completed + dropped + simulator.pending_count
                 + running == stats.offered)
+        assert frontend._half_open == {
+            fpga_id for fpga_id, breaker in frontend._breakers.items()
+            if breaker.state is BreakerState.HALF_OPEN
+        }
         finishes.append(now)
 
     frontend.on_finish = spy
@@ -139,7 +146,7 @@ def _assert_invariants(cluster, system, frontend, result):
             RequestOutcome.ABANDONED,
         )
         assert not record.started
-        assert record.board_ids == []
+        assert task.placement is None
     # 3. Completed requests did start, and only they did: every offered
     #    request either completed or was dropped, once.
     offered = result.completed + result.dropped
@@ -209,6 +216,9 @@ class TestServingInvariants:
             brownout_low_watermark=0.2,
             brownout_hot_depth=2,
         )
+        # Probes re-admit boards, and some fail and re-open: the half-open
+        # set is recounted at every finish across both.
+        assert frontend.stats.breaker_half_opens > 0
         _assert_invariants(cluster, system, frontend, result)
 
     def test_abandons_free_their_queue_depth(self, catalog):

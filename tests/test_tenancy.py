@@ -500,8 +500,9 @@ class TestFrontendComposition:
         and expiries side by side."""
         cluster = scaled_cluster(8)
         system = build_system("proposed", cluster, catalog)
-        frontend = ServingFrontend(system, ServingParameters(
-            default_deadline_s=ms(20.0), breaker_enabled=False, **overrides))
+        params = dict(default_deadline_s=ms(20.0), breaker_enabled=False)
+        params.update(overrides)
+        frontend = ServingFrontend(system, ServingParameters(**params))
         total = sum(len(board.blocks) for board in cluster.boards.values())
         scheduler = TenantScheduler(frontend, [
             TenantParameters(name="premium", priority=1, weight=2.0,
@@ -561,7 +562,7 @@ class TestFrontendComposition:
             depth = tenant_depth(task.tenant)
             requeue(task, now)
             assert not record.started
-            assert record.board_ids == []
+            assert task.placement is None
             if record.outcome is RequestOutcome.PENDING:
                 requeued.append(task.task_id)
                 assert tenant_depth(task.tenant) == depth
@@ -572,6 +573,51 @@ class TestFrontendComposition:
         frontend.requeue = spy_requeue
         simulator.run(tasks)
         assert requeued
+
+    def test_restart_is_attributed_to_the_deployment_it_finished_on(
+            self, shared_catalog):
+        """A request preempted and restarted on other boards is attributed,
+        at finish, to the deployment it finished on: a late completion is
+        slow on exactly the boards of its last start.  The breakers never
+        open, so they do not steer the schedule."""
+        scheduler, frontend, tasks = self._preempting_stream(
+            shared_catalog, 5, default_deadline_s=ms(40.0),
+            breaker_enabled=True, breaker_threshold=1e9,
+            breaker_window_s=1e9,
+        )
+        simulator = ClusterSimulator(scheduler, "restart-attribution")
+        boards_at_start = {}
+        slow = []
+        moved_and_late = []
+        try_start, on_finish = frontend.try_start, frontend.on_finish
+
+        def spy_start(task, now):
+            service = try_start(task, now)
+            if service is not None:
+                boards_at_start.setdefault(task.task_id, []).append(
+                    task.placement.member_fpgas)
+            return service
+
+        def spy_finish(task, now):
+            slow.clear()
+            late = now > task.serving.deadline_s
+            on_finish(task, now)
+            starts = boards_at_start[task.task_id]
+            assert slow == (starts[-1] if late else [])
+            if late and starts[0] != starts[-1]:
+                moved_and_late.append(task.task_id)
+
+        for breaker in frontend._breakers.values():
+            def record_slow(now, breaker=breaker, inner=breaker.record_slow):
+                slow.append(breaker.fpga_id)
+                return inner(now)
+
+            breaker.record_slow = record_slow
+        frontend.try_start, frontend.on_finish = spy_start, spy_finish
+        simulator.run(tasks)
+        assert scheduler.stats.tasks_preempted > 0
+        assert frontend.stats.breaker_opens == 0
+        assert moved_and_late
 
     def test_requeue_after_the_deadline_expires_at_once(self,
                                                        shared_catalog):
