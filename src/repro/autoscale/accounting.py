@@ -48,8 +48,6 @@ class ReplicaLedger:
         self.peak_open_blocks: dict[str, int] = {}
         #: tenant -> historical maximum of the instantaneous open replicas.
         self.peak_open_replicas: dict[str, int] = {}
-        self.deployments_opened = 0
-        self.deployments_closed = 0
 
     # -- controller notifications ---------------------------------------------
 
@@ -72,7 +70,6 @@ class ReplicaLedger:
             self.peak_open_blocks[tenant] = open_blocks
         if open_replicas > self.peak_open_replicas.get(tenant, 0):
             self.peak_open_replicas[tenant] = open_replicas
-        self.deployments_opened += 1
 
     def on_discard(self, deployment, now: float) -> None:
         entry = self._open.pop(deployment.deployment_id, None)
@@ -94,7 +91,6 @@ class ReplicaLedger:
         )
         self._open_blocks_by_tenant[tenant] -= blocks
         self._open_replicas_by_tenant[tenant] -= replicas
-        self.deployments_closed += 1
 
     # -- queries ----------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 The paper picks a replica count once, at deployment time.  The
 :class:`Autoscaler` closes the loop at run time: it consumes the signals
-the system already produces — :class:`~repro.serving.frontend.
-ServingFrontend` queue depth, a per-model arrival-rate EWMA, recent SLO
-attainment, per-deployment busy state — and drives each model's replica
-units between ``min_replicas`` and ``max_replicas``:
+the system already produces — the simulator's queue depth, a per-model
+arrival-rate EWMA, recent SLO attainment, per-deployment busy state — and
+drives each model's replica units between ``min_replicas`` and
+``max_replicas``:
 
 * **Scale-up** first tries to *widen* an idle deployment to the next
   wider catalog plan via :meth:`~repro.runtime.controller.
@@ -18,13 +18,15 @@ units between ``min_replicas`` and ``max_replicas``:
   cost, or *narrows* it to a smaller plan, holding old and new
   concurrently so the model never has a coverage gap.
 
-Decisions run as first-class DES events (``schedule_external`` ticks), so
-they interleave with serving traffic, faults, and migrations at exact
-simulated times.  The two watermarks are hysteretic and each direction
-has its own cooldown, so steady load cannot make the scaler flap; a
-fault-recovery scale-down restore (or any board failure) suppresses
-scale-up for ``fault_suppress_s`` — the fleet just shrank because
-capacity *vanished*, and growing into the hole would fight the repair.
+Decisions run as first-class DES events (``schedule_external`` ticks on
+the simulator bound to the controller, reached through its clock as
+recovery and defrag reach it), so they interleave with serving traffic,
+faults, and migrations at exact simulated times.  The two watermarks are
+hysteretic and each direction has its own cooldown, so steady load cannot
+make the scaler flap; a fault-recovery scale-down restore (or any board
+failure) suppresses scale-up for ``fault_suppress_s`` — the fleet just
+shrank because capacity *vanished*, and growing into the hole would
+fight the repair.
 
 Nothing here runs unless an ``Autoscaler`` is constructed and armed, so
 the Fig. 12 golden path is untouched.
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ReproError
 from ..runtime.deployment import DeploymentState
 from .policy import AutoscaleParameters
 
@@ -83,7 +84,6 @@ class Autoscaler:
         self.controller = frontend.controller
         self.params = params or AutoscaleParameters()
         self.stats = AutoscaleStats()
-        self._simulator = None
         self._horizon_s = 0.0
         #: model -> arrival-rate EWMA (requests/s).
         self._rate: dict[str, float] = {}
@@ -99,7 +99,7 @@ class Autoscaler:
         self._seen_boards_failed = stats.boards_failed
         self._seen_completed = frontend.stats.completed
         self._seen_slo_hits = frontend.stats.slo_hits
-        frontend.attach_autoscaler(self)
+        frontend.autoscaler = self
         # Single-owner elasticity: the base system's reactive
         # queue-pressure expansion defers to the autoscaler — two
         # uncoordinated growth loops over-provision and then fight each
@@ -107,30 +107,30 @@ class Autoscaler:
         if hasattr(frontend.system, "expansion_enabled"):
             frontend.system.expansion_enabled = False
 
-    # -- simulator adoption ----------------------------------------------------
-
-    def bind_simulator(self, simulator) -> None:
-        self._simulator = simulator
+    # -- decision ticks --------------------------------------------------------
 
     def arm(self, horizon_s: float) -> None:
-        """Schedule decision ticks as DES events out to ``horizon_s``.
+        """Schedule decision ticks as DES events out to ``horizon_s``, on
+        the simulator bound to the controller (``ReproError`` before one
+        binds).
 
-        Ticks self-perpetuate past the horizon while the frontend still
+        Ticks self-perpetuate past the horizon while the simulator still
         holds queued requests (the backlog drain deserves scale decisions
         too) and stop once both the horizon has passed and the queues are
         empty, so the event queue always terminates.
         """
-        if self._simulator is None:
-            raise ReproError("autoscaler needs a bound simulator to arm")
         self._horizon_s = horizon_s
-        self._simulator.schedule_external(self.params.interval_s, self._tick)
+        self.controller._clock().schedule_external(
+            self.params.interval_s, self._tick)
 
     def _tick(self, now: float) -> None:
         self.evaluate(now)
-        if now + self.params.interval_s <= self._horizon_s or (
-            self.frontend.queue_depth() > 0
+        simulator = self.controller._clock()
+        if (
+            now + self.params.interval_s <= self._horizon_s
+            or simulator.pending_count > 0
         ):
-            self._simulator.schedule_external(self.params.interval_s, self._tick)
+            simulator.schedule_external(self.params.interval_s, self._tick)
 
     # -- signal intake ---------------------------------------------------------
 
@@ -178,13 +178,13 @@ class Autoscaler:
         """One decision pass over every model with any signal history.
 
         Callable directly (tests) or via the armed DES tick, but only once
-        a simulator is bound: retirements and narrowings complete as DES
-        events.  At most one scaling action per model per tick — the
-        cooldowns would gate a second anyway, and one-step moves keep the
-        control loop damped.
+        a simulator is bound to the controller (``ReproError`` otherwise):
+        queue depths are the simulator's, and retirements and narrowings
+        complete as DES events.  At most one scaling action per model per
+        tick — the cooldowns would gate a second anyway, and one-step
+        moves keep the control loop damped.
         """
-        if self._simulator is None:
-            raise ReproError("autoscaler needs a bound simulator to evaluate")
+        simulator = self.controller._clock()
         self.stats.ticks += 1
         self._check_fault_suppression(now)
         recent_slo = self._recent_slo()
@@ -204,7 +204,7 @@ class Autoscaler:
             units = self.replica_units(model_key)
             if units > self.stats.peak_units.get(model_key, 0):
                 self.stats.peak_units[model_key] = units
-            depth = self.frontend.queue_depth(model_key)
+            depth = simulator.queued_depth(model_key)
             if self._should_scale_up(model_key, depth, recent_slo, units, now):
                 self._scale_up(model_key, units, depth, now)
             elif self._should_scale_down(model_key, depth, units, now):
@@ -392,7 +392,7 @@ class Autoscaler:
                 d.pending_recovery = False
                 controller.discard(d)
 
-        self._simulator.schedule_external(cost, complete)
+        controller._clock().schedule_external(cost, complete)
 
     def _narrow(
         self, deployment, target, units: int, now: float, reason: str
@@ -422,7 +422,7 @@ class Autoscaler:
                 controller.discard(old)
             controller.finish_reconfiguration(new, fire_now)
 
-        self._simulator.schedule_external(cost, complete)
+        controller._clock().schedule_external(cost, complete)
 
     def _checkpoint_cost(self, deployment) -> float:
         """Drain plus architectural state streamed over the host link

@@ -10,10 +10,11 @@ The simulator is system-agnostic: schedulers implement the small
 :class:`Scheduler` protocol.  Pending tasks wait in per-(tenant, model)
 FIFO queues ordered by ``(arrival_s, enqueue seq)``, so results are
 deterministic.  One dispatch pass visits them in a merged order: a heap
-holds each queue's next task keyed by the queue's class prefix (locality or
-the tenancy order, frozen for the pass) followed by that FIFO tail.  A pass
-that finds one queue holding work walks it in FIFO order instead: with
-nothing to merge, no prefix can change the order, so none is asked.
+holds each queue's next task keyed by the queue's class prefix
+(:meth:`Scheduler.dispatch_key`: locality or the tenancy order, frozen for
+the pass) followed by that FIFO tail.  A pass that finds one queue holding
+work walks it in FIFO order instead: with nothing to merge, no prefix can
+change the order, so none is asked.
 
 Dispatch is incremental: when a model's task fails to start, the simulator
 records a *watermark* — the resource-state version it failed under, the
@@ -41,13 +42,14 @@ deadline, head drop or abandon) leaves its queue at that moment
 These queues are the only record of queued work: the layers above read
 their depths and order here instead of keeping copies.
 
-A pass runs only when something is queued, and only a pass shows the
-scheduler the per-model queue depths (:meth:`Scheduler.observe_queue`),
-at its start and only when they changed since it last saw them: a
-dispatch that empties the backlog shows nothing, since every reader of
-the view runs inside a later pass, which shows the counts first.  A pass
-in which every queued model is parked ends after one watermark lookup per
-queue, before it shows the scheduler anything.
+A pass runs only when something is queued, and only a pass rebuilds the
+per-model queue depths the layers above read
+(:attr:`ClusterSimulator.queue_view`), at its start and only when they
+changed since the last rebuild: a dispatch that empties the backlog
+rebuilds nothing, since every reader of the view runs inside a later pass,
+which rebuilds it first.  A pass in which every queued model is parked
+ends after one watermark lookup per queue, before it rebuilds the view or
+asks the scheduler anything.
 """
 
 from __future__ import annotations
@@ -132,17 +134,6 @@ class Scheduler(Protocol):
     def on_finish(self, task: Task, now: float) -> None:
         """Release whatever ``try_start`` reserved."""
 
-    def has_fast_path(self, task: Task) -> bool:
-        """Optional: True when ``task`` can start without reconfiguration
-        (an idle deployment of its model is resident).  The simulator serves
-        fast-path tasks first to preserve locality: ``(not fast,)`` is the
-        class prefix of the task's queue.  Must depend only on
-        ``task.model_key`` and scheduler state — it is asked once per queue
-        at the start of a pass over two or more queues, of the queue's
-        head, and the answer holds for every task of that queue until the
-        pass ends.  A pass over one queue walks it in FIFO order and does
-        not ask."""
-
     def retry_hint(self, task: Task, now: float) -> float:
         """Optional: after ``try_start`` declined ``task``, the earliest
         future time a retry could succeed *without* any resource release in
@@ -153,8 +144,9 @@ class Scheduler(Protocol):
         wake (see :meth:`woken_models`): after a start or finish, and after
         an arrival only where the hint read a queue view that has since
         moved.  So, with that hook defined, a hint may read the clock, the
-        task, the idle set and its model's own observed queue depth, plus
-        only state that moves where ``woken_models`` answers ``None`` (for
+        task, the idle set and its model's own depth in
+        :attr:`ClusterSimulator.queue_view`, plus only state that moves
+        where ``woken_models`` answers ``None`` (for
         :class:`~repro.runtime.systems.ProposedSystem`: deployment creations
         and evictions, defrag and recovery state)."""
 
@@ -188,27 +180,20 @@ class Scheduler(Protocol):
         decline may evict, preempt or spend a retry budget must leave it
         out."""
 
-    def observe_queue(self, pending_by_model: dict) -> None:
-        """Optional: queue pressure, ``{model key: queued tasks}`` summed
-        over tenants.  Called only at the start of a pass, and only if the
-        counts changed since the last call; they hold for the whole pass.
-        A dispatch that leaves nothing queued pushes nothing, and neither
-        does a pass that would park every queue before asking anything:
-        the next pass that asks pushes the counts as they stand then.  It
-        must only store what it is given: the ``try_start`` and
-        ``retry_hint`` calls of a pass read that view, and they always
-        follow a call with the current counts."""
-
     def dispatch_key(self, task: Task) -> tuple:
-        """Optional (tenancy layer): the class prefix of ``task``'s queue in
-        one pass's merged order (priority class, fair-share virtual time).
-        When present it *replaces* the :meth:`has_fast_path` locality
-        prefix.  The simulator appends the FIFO tail ``(arrival_s, enqueue
-        seq)`` itself, so the key must be constant over a (tenant, model)
-        queue: it is asked once per queue at the start of a pass over two
-        or more queues, of the queue's head, and frozen until the pass
-        ends; state updated by starts feeds the next pass.  A pass over one
-        queue does not ask."""
+        """Optional: the class prefix of ``task``'s queue in one pass's
+        merged order.  The tenancy layer orders by priority class, then
+        fair-share virtual time; :class:`~repro.runtime.systems.
+        ProposedSystem` orders for locality, ``(no idle copy of the
+        model,)``, so a cold task never evicts a hot model out from under
+        its queued work.  The simulator appends the FIFO tail
+        ``(arrival_s, enqueue seq)`` itself, so the key must be constant
+        over a (tenant, model) queue: it is asked once per queue at the
+        start of a pass over two or more queues, of the queue's head, and
+        frozen until the pass ends; state updated by starts feeds the next
+        pass.  A pass over one queue does not ask.  When the outermost
+        scheduler has no such hook, the simulator asks the placement
+        system it wraps (its ``system``)."""
 
 
 @dataclass
@@ -277,9 +262,15 @@ class ClusterSimulator:
         self._queues: dict[tuple, _Queue] = {}
         #: Tasks in ``_queues``.
         self._queued = 0
-        #: Whether the queue depths changed since the scheduler last
-        #: observed them.
+        #: Whether the queue depths changed since ``queue_view`` was
+        #: last rebuilt.
         self._counts_dirty = True
+        #: ``{model key: queued tasks}`` summed over tenants, as they stood
+        #: at the start of the last pass that found them changed: a fresh
+        #: dict per rebuild, frozen for the pass, since expansion and hints
+        #: read it as a schedule input.  Parked passes and emptied backlogs
+        #: leave it stale (see :meth:`_dispatch_pass`).
+        self.queue_view: dict[str, int] = {}
         self._seqs = count()
         #: Tasks requeued by :meth:`abort_running` during a pass; they join
         #: their queues when the pass ends.
@@ -342,8 +333,9 @@ class ClusterSimulator:
         self._on_finish = scheduler.on_finish
         self._admit = getattr(scheduler, "admit", None)
         self._dispatch_key = getattr(scheduler, "dispatch_key", None)
-        self._fast_path = getattr(scheduler, "has_fast_path", None)
-        self._observe = getattr(scheduler, "observe_queue", None)
+        if self._dispatch_key is None:
+            self._dispatch_key = getattr(
+                getattr(scheduler, "system", scheduler), "dispatch_key", None)
         self._retry_hint = getattr(scheduler, "retry_hint", None)
         self._on_drop = getattr(scheduler, "on_drop", None)
         self._woken_models = getattr(scheduler, "woken_models", None)
@@ -443,19 +435,6 @@ class ClusterSimulator:
         if len(runs) == 1:
             return [entry[2] for entry in runs[0]]
         return [entry[2] for entry in sorted(chain.from_iterable(runs))]
-
-    def _observe_queue(self) -> None:
-        """Show the scheduler the queue depths per model (called only when
-        they changed since it last saw them)."""
-        self._counts_dirty = False
-        if self._observe is None:
-            return
-        counts: dict = {}
-        for queue in self._queues.values():
-            counts[queue.model_key] = (
-                counts.get(queue.model_key, 0) + len(queue.entries)
-            )
-        self._observe(counts)
 
     # -- scheduler-driven events (live migrations) -------------------------------
 
@@ -579,8 +558,9 @@ class ClusterSimulator:
         (all three evaluated systems admit out-of-order placement), but
         tasks of one (tenant, model) queue are visited in FIFO order.
         Passes repeat while one starts a task, and never run with nothing
-        queued.  A dispatch that empties the backlog shows the scheduler no
-        queue view: the next pass does, before anything reads it.
+        queued.  A dispatch that empties the backlog leaves
+        :attr:`queue_view` as it was: the next pass rebuilds it, before
+        anything reads it.
         """
         if self._dispatching:
             return  # avoid re-entrant scans from nested on_finish calls
@@ -640,9 +620,9 @@ class ClusterSimulator:
         version and hint epoch whose hint is still ahead, each queue's
         first visit would park its whole model without a ``try_start``,
         and parking moves neither version nor epoch, so the pass's one
-        effect is the skip count.  Such a pass pushes no queue view (the
-        counts stay dirty, so the next pass that asks pushes them first)
-        and counts in :attr:`parked_passes`.
+        effect is the skip count.  Such a pass leaves :attr:`queue_view`
+        stale (the counts stay dirty, so the next pass that asks rebuilds
+        it first) and counts in :attr:`parked_passes`.
         """
         now = self.queue.now
         blocked = self._blocked
@@ -668,31 +648,28 @@ class ClusterSimulator:
         retry_hint = self._retry_hint
         try_start = self._try_start
         if self._counts_dirty:
-            # Queue pressure per model, for admission/expansion decisions.
-            self._observe_queue()
+            # Queue pressure per model, for expansion decisions and hints.
+            self._counts_dirty = False
+            self.queue_view = view = {}
+            for queue in queues.values():
+                view[queue.model_key] = (
+                    view.get(queue.model_key, 0) + len(queue.entries)
+                )
         # A lone queue is walked in FIFO order: with nothing to merge it
         # with, no class prefix can change its order, so none is asked.
         merge = len(queues) > 1
         if merge:
             # Class prefixes are resolved before anything starts and hold
-            # for the whole pass.  The tenancy layer owns order outright
-            # when it is present (priority classes, then weighted fair
-            # shares); otherwise tasks whose model is already resident
-            # start first, so a cold task never evicts a hot model out
-            # from under its queued work.
+            # for the whole pass.
             dispatch_key = self._dispatch_key
-            fast_path = self._fast_path
             tokens = count()
             heap = []
             by_model: dict = {}
             for queue in queues.values():
                 arrival, seq, head = queue.entries[0]
-                if dispatch_key is not None:
-                    queue.prefix = dispatch_key(head)
-                elif fast_path is not None:
-                    queue.prefix = (not fast_path(head),)
-                else:
-                    queue.prefix = ()
+                queue.prefix = (
+                    dispatch_key(head) if dispatch_key is not None else ()
+                )
                 queue.cursor = 0
                 queue.token = token = next(tokens)
                 heap.append((queue.prefix, arrival, seq, token, queue))

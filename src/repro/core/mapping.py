@@ -46,9 +46,6 @@ class DeploymentOption:
     cluster_indices: list
     images: dict = field(default_factory=dict)
     cut_bits: int = 0
-    #: Set for scale-down options (Section 2.3): number of replicas and the
-    #: fraction of data-parallel units each replica carries.
-    scale_down_factor: int = 1
 
     @property
     def num_clusters(self) -> int:

@@ -116,7 +116,6 @@ def run_point(
         from ..autoscale import Autoscaler
 
         autoscaler = Autoscaler(frontend, autoscale_params)
-        autoscaler.bind_simulator(simulator)
         arrival_horizon = tasks[-1].arrival_s if tasks else 0.0
         autoscaler.arm(arrival_horizon)
     injector = None

@@ -44,7 +44,6 @@ class FaultInjector:
         self.params = params or FaultModelParameters()
         self.failures_injected = 0
         self.repairs_applied = 0
-        self.events_scheduled = 0
         self._down_since: dict[str, float] = {}
         self._downtime_s = 0.0
 
@@ -75,7 +74,6 @@ class FaultInjector:
                 self._schedule_repair(fpga_id, at + down_for)
                 scheduled += 2
                 at += down_for + rng.expovariate(1.0 / params.mtbf_s)
-        self.events_scheduled += scheduled
         return scheduled
 
     def _schedule_failure(self, fpga_id: str, at: float, degraded: bool) -> None:

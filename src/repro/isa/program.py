@@ -44,7 +44,6 @@ class ISALimits:
     vector_registers: int = 64
     matrix_registers: int = 64
     max_vector_length: int = 4096
-    dram_words: int = 1 << 28
 
 
 @dataclass

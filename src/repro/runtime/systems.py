@@ -77,13 +77,14 @@ class ProposedSystem:
         self.expansion_enabled = True
         #: model key -> in-flight defrag (avoid planning duplicates).
         self._defrag_pending: set[str] = set()
-        #: model key -> pending depth, as last observed by the DES.
-        self._queue_view: dict[str, int] = {}
+        #: The driving DES (see :meth:`bind_simulator`); its
+        #: ``queue_view`` is the queue pressure every decision reads.
+        self._simulator = None
         #: model key -> tasks seen (each counted on its first attempt).
         self._seen_models: dict[str, int] = {}
         #: Deployments created plus evicted, at the last ``woken_models``.
         self._placements_seen = 0
-        #: model key -> its observed queue depth at its last ``retry_hint``.
+        #: model key -> its queue-view depth at its last ``retry_hint``.
         self._hinted_depth: dict[str, int] = {}
 
     @staticmethod
@@ -97,9 +98,11 @@ class ProposedSystem:
     EXPANSION_PRESSURE = 4
 
     def bind_simulator(self, simulator) -> None:
-        """Adopt the driving DES: the controller schedules defrag,
-        recovery and reconfiguration on it, and the batch executor's
-        partial groups drain when the run ends."""
+        """Adopt the driving DES: its queue view feeds expansion and
+        hints, the controller schedules defrag, recovery and
+        reconfiguration on it, and the batch executor's partial groups
+        drain when the run ends."""
+        self._simulator = simulator
         self.controller.bind_simulator(simulator)
         if self.batch_executor is not None:
             simulator.add_run_end(self._drain_outputs)
@@ -109,11 +112,9 @@ class ProposedSystem:
         # system was bound still sees the drain.
         self.batch_executor.flush()
 
-    def has_fast_path(self, task: Task) -> bool:
-        return self.controller.find_idle_deployment(task.model_key) is not None
-
-    def observe_queue(self, pending_by_model: dict) -> None:
-        self._queue_view = dict(pending_by_model)
+    def dispatch_key(self, task: Task) -> tuple:
+        """Locality: models with an idle copy resident start first."""
+        return (self.controller.find_idle_deployment(task.model_key) is None,)
 
     def _expansion_allowed(self, model_key: str) -> bool:
         """Fairness: a model with copies yields space to pending models
@@ -125,7 +126,7 @@ class ProposedSystem:
         """
         if not self.expansion_enabled:
             return False
-        view = self._queue_view
+        view = self._simulator.queue_view
         resident = self.controller._by_model
         for key, depth in view.items():
             if depth > 0 and key not in resident and key != model_key:
@@ -167,7 +168,7 @@ class ProposedSystem:
                 # Expansion uses free blocks; eviction only under strong
                 # queue pressure.
                 if (
-                    self._queue_view.get(task.model_key, 0)
+                    self._simulator.queue_view.get(task.model_key, 0)
                     < self.EXPANSION_PRESSURE
                 ):
                     waited = 0.0
@@ -308,20 +309,19 @@ class ProposedSystem:
         (queue pressure, deployment counts, free blocks) only moves on
         starts, finishes and arrivals, which the simulator tracks through
         :meth:`woken_models`.  Besides the clock and the task, a hint reads
-        the idle set and the model's own observed queue depth, which the
-        simulator re-asks it about, and deployment counts and defrag state,
-        which move only where :meth:`woken_models` wakes every model.  No
-        input is another model's queue depth.  The depth a hint saw is kept
-        for the model's next arrival.  A failed placement that evicted
-        moves deployment counts and free blocks without an event, which is
-        why the next event wakes every model.
+        the idle set and the model's own depth in the simulator's queue
+        view, which the simulator re-asks it about, and deployment counts
+        and defrag state, which move only where :meth:`woken_models` wakes
+        every model.  No input is another model's queue depth.  The depth
+        a hint saw is kept for the model's next arrival.  A failed
+        placement that evicted moves deployment counts and free blocks
+        without an event, which is why the next event wakes every model.
         Hints are biased a hair early so float rounding can only cause a
         harmless extra attempt, never a missed one.
         """
         controller = self.controller
-        self._hinted_depth[task.model_key] = self._queue_view.get(
-            task.model_key, 0
-        )
+        depth = self._simulator.queue_view.get(task.model_key, 0)
+        self._hinted_depth[task.model_key] = depth
         if task.model_key in self._defrag_pending:
             # A compaction is in flight for this model; its completion is
             # an external event that bumps the resource version itself.
@@ -333,7 +333,7 @@ class ProposedSystem:
                 # its next scaling event (an external event that bumps the
                 # resource version) can unblock this task.
                 return math.inf
-            if self._queue_view.get(task.model_key, 0) < self.EXPANSION_PRESSURE:
+            if depth < self.EXPANSION_PRESSURE:
                 # Expansion without pressure never evicts (waited is zeroed):
                 # only a queue/resource change can help.
                 return math.inf

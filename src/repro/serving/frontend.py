@@ -2,10 +2,13 @@
 
 :class:`ServingFrontend` wraps a framework scheduler (:class:`~repro.
 runtime.systems.ProposedSystem` or the restricted variant) and implements
-the same :class:`~repro.cluster.simulator.Scheduler` protocol, so a
+the :class:`~repro.cluster.simulator.Scheduler` hooks it changes, so a
 :class:`~repro.cluster.simulator.ClusterSimulator` drives it unchanged.
-On top of the inner scheduler it layers the mechanisms that keep goodput
-graceful when offered load exceeds capacity or boards fail:
+It forwards nothing it does not change: the simulator owns the queue view
+the system reads, and takes the dispatch order from the wrapped system
+(``frontend.system``).  On top of the inner scheduler it layers the
+mechanisms that keep goodput graceful when offered load exceeds capacity
+or boards fail:
 
 * **Admission control** — a per-model bound on the requests queued in
   the simulator (the only queue) plus an optional per-model token bucket;
@@ -149,8 +152,8 @@ class ServingFrontend:
         #: nothing (``None``: re-evaluate at the next start or finish).
         self._settled_free: int | None = None
         self._simulator = None
-        #: Optional elastic autoscaler (:mod:`repro.autoscale`); attached
-        #: via :meth:`attach_autoscaler`, observes every offered arrival.
+        #: Optional elastic autoscaler (:mod:`repro.autoscale`); it sets
+        #: itself here when built, and observes every offered arrival.
         self.autoscaler = None
         if self.params.breaker_enabled:
             for board in self.cluster.boards.values():
@@ -161,23 +164,6 @@ class ServingFrontend:
     def bind_simulator(self, simulator) -> None:
         self._simulator = simulator
         self.system.bind_simulator(simulator)
-        if self.autoscaler is not None:
-            self.autoscaler.bind_simulator(simulator)
-
-    def attach_autoscaler(self, autoscaler) -> None:
-        """Adopt an :class:`~repro.autoscale.Autoscaler` (it calls this
-        from its constructor); forwards the simulator if already bound."""
-        self.autoscaler = autoscaler
-        if self._simulator is not None:
-            autoscaler.bind_simulator(self._simulator)
-
-    def queue_depth(self, model_key: str | None = None) -> int:
-        """Live queued (admitted, not started) requests — one model's, or
-        every model's — as the simulator holds them.  The autoscaler's
-        primary pressure signal."""
-        if model_key is not None:
-            return self._simulator.queued_depth(model_key)
-        return self._simulator.pending_count
 
     # -- deadlines -----------------------------------------------------------
 
@@ -374,13 +360,7 @@ class ServingFrontend:
                     self._drain(breaker)
         self._update_brownout(now)
 
-    # -- Scheduler protocol: hints and passthroughs --------------------------
-
-    def has_fast_path(self, task: Task) -> bool:
-        return self.system.has_fast_path(task)
-
-    def observe_queue(self, pending_by_model: dict) -> None:
-        self.system.observe_queue(pending_by_model)
+    # -- Scheduler protocol: hints --------------------------------------------
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Conservative per-model gate: the earliest moment *any* queued

@@ -15,11 +15,11 @@ way the frontend wraps the system).  It adds:
   but never overshoot (zero-violation by construction), with instantaneous
   usage read off the :class:`~repro.autoscale.accounting.ReplicaLedger`'s
   tenant axis; queue quotas shed at admission;
-* **dispatch order** — the simulator's optional ``dispatch_key`` hook:
-  strict priority classes first, start-time fair queueing within a class
-  (each start advances the tenant's virtual time by ``service/weight``, so
-  a weight-2 tenant receives twice the share of a weight-1 peer under
-  contention);
+* **dispatch order** — the simulator's optional ``dispatch_key`` hook,
+  which replaces the system's locality order: strict priority classes
+  first, start-time fair queueing within a class (each start advances the
+  tenant's virtual time by ``service/weight``, so a weight-2 tenant
+  receives twice the share of a weight-1 peer under contention);
 * **preemption = checkpoint + requeue** — when a higher-priority tenant's
   task fails placement on *capacity* (not quota), lower-priority
   preemptible deployments on the best board are drained, checkpointed to
@@ -28,6 +28,12 @@ way the frontend wraps the system).  It adds:
   running victim task is aborted and requeued, and on its next start it is
   charged only the checkpoint-restore stream plus its *remaining* service,
   so the preempted tenant loses the round trip but not the work.
+
+The layer calls its inner layer directly for the hooks it works around
+(``try_start``, ``on_finish``, ``retry_hint``, ``bind_simulator``), and
+probes only ``admit`` and ``requeue``, which a bare system does not
+define.  The queue view the system reads is the simulator's, so nothing
+here forwards it.
 
 Everything is off by default at the system level: untenanted runs never
 construct this class, ``task.tenant == ""`` everywhere, and the fig12
@@ -221,20 +227,13 @@ class TenantScheduler:
 
     def bind_simulator(self, simulator) -> None:
         self._simulator = simulator
-        bind = getattr(self.inner, "bind_simulator", None)
-        if bind is not None:
-            bind(simulator)
+        self.inner.bind_simulator(simulator)
 
     def dispatch_key(self, task: Task) -> tuple:
         """Strict priority classes, fair-share virtual time within one; the
         simulator breaks ties by arrival FIFO."""
         state = self._state(task.tenant)
         return (-state.params.priority, state.vtime)
-
-    def observe_queue(self, pending_by_model: dict) -> None:
-        observe = getattr(self.inner, "observe_queue", None)
-        if observe is not None:
-            observe(pending_by_model)
 
     def _active(self, name: str, state: TenantState) -> bool:
         """Whether the tenant has work queued or running."""
@@ -281,8 +280,7 @@ class TenantScheduler:
             # Preempt: the teardown's completion is an external event that
             # bumps the version itself.
             return math.inf
-        hint = getattr(self.inner, "retry_hint", None)
-        return hint(task, now) if hint is not None else now
+        return self.inner.retry_hint(task, now)
 
     def try_start(self, task: Task, now: float) -> float | None:
         state = self._state(task.tenant)

@@ -1,8 +1,10 @@
-"""Queue tasks in a simulator without running it.
+"""Queue tasks in a simulator without running it, or set its queue view.
 
 Admission reads the simulator's queues (the serving bound, head drop, the
 tenancy queue quota and activation floor), so a test that offers tasks to
-a frontend or tenancy layer by hand queues them in a bound simulator.
+a frontend or tenancy layer by hand queues them in a bound simulator.  A
+proposed system's expansion and hints read the simulator's queue view, so
+a test that drives the system by hand sets that view.
 """
 
 from repro.cluster import ClusterSimulator
@@ -25,3 +27,10 @@ def queue_tasks(scheduler, tasks) -> list:
             simulator._dispatching = False
         admitted.append(not dropped or dropped[-1] is not task)
     return admitted
+
+
+def show_counts(system, counts) -> None:
+    """Show ``system`` the queued counts a dispatch pass would: bind a
+    simulator when none is bound, and set its ``queue_view``."""
+    simulator = system._simulator or ClusterSimulator(system, "viewed")
+    simulator.queue_view = dict(counts)

@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import ClusterSimulator, Task, paper_cluster
 from repro.runtime import Catalog, build_system
 from repro.vital import VitalCompiler
+from tests.queueing import show_counts
 
 MODEL = "gru-h512-t1"
 EVENTS = ("arrive", "start", "finish")
@@ -80,7 +81,7 @@ def test_a_stale_idle_deployment_wakes_every_model(shared_catalog):
 
 def test_starts_and_finishes_wake_at_most_their_own_model(shared_catalog):
     system = _quiet_system(shared_catalog)
-    system.observe_queue({MODEL: 2})
+    show_counts(system, {MODEL: 2})
     first, second = _task(task_id=0), _task(task_id=1)
     service = system.try_start(first, 0.0)
     assert service is not None
@@ -101,7 +102,7 @@ def test_an_arrival_at_pressure_keeps_its_own_models_decline(shared_catalog,
     least ``EXPANSION_PRESSURE``: one more task then changes nothing."""
     system = _quiet_system(shared_catalog)
     assert system.EXPANSION_PRESSURE == 4
-    system.observe_queue({MODEL: depth})
+    show_counts(system, {MODEL: depth})
     system.retry_hint(_task(), 0.0)
     woken = system.woken_models("arrive", _task(task_id=1), 0.0)
     assert woken == (() if depth >= 4 else (MODEL,))

@@ -351,6 +351,8 @@ def test_unbound_autoscaler_refuses_to_evaluate(catalog):
     scaler = Autoscaler(ServingFrontend(system), AutoscaleParameters())
     with pytest.raises(ReproError):
         scaler.evaluate(0.01)
+    with pytest.raises(ReproError):
+        scaler.arm(0.01)
 
 
 def _storm(catalog, count=400, rate_per_s=3600.0, mtbf_s=None, seed=11):
@@ -384,7 +386,6 @@ def _storm(catalog, count=400, rate_per_s=3600.0, mtbf_s=None, seed=11):
         max_replicas=4,
     )
     scaler = Autoscaler(frontend, params)
-    scaler.bind_simulator(simulator)
     scaler.arm(tasks[-1].arrival_s)
     if mtbf_s is not None:
         injector = FaultInjector(
@@ -415,7 +416,7 @@ def _assert_storm_invariants(cluster, system, frontend, scaler, result):
         assert board.used_blocks == owners_by_board.get(fpga_id, 0)
     assert system.controller.index.check_consistent()
     assert system.controller.check_idle_consistent()
-    assert frontend.queue_depth() == 0
+    assert frontend._simulator.pending_count == 0
     # Every decision stayed inside the replica-unit envelope.
     params = scaler.params
     for event in system.controller.events:

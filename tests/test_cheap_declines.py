@@ -22,6 +22,7 @@ from repro.runtime.controller import SystemController
 from repro.vital import LowLevelController, VitalCompiler
 from repro.workloads import TABLE1_COMPOSITIONS, generate_workload
 from repro.workloads.deepbench import all_models
+from tests.queueing import show_counts
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +263,7 @@ def _reference_expansion_allowed(system, model_key):
     """The fairness check as a loop over the queue view (the old code)."""
     if not system.expansion_enabled:
         return False
-    view = system._queue_view
+    view = system._simulator.queue_view
     for other_key, depth in view.items():
         if other_key == model_key or depth <= 0:
             continue
@@ -290,14 +291,14 @@ class TestExpansionAllowed:
         ),
         expansion_enabled=st.booleans(),
     )
-    def test_matches_the_queue_view_loop(
+    def test_matches_the_loop_over_the_view(
         self, shared_catalog, steps, expansion_enabled
     ):
         system = build_system("proposed", paper_cluster(), shared_catalog)
         system.expansion_enabled = expansion_enabled
         controller = system.controller
         for view, resident, model_key in steps:
-            system.observe_queue(view)
+            show_counts(system, view)
             # Residency alone decides "has copies"; stand-in deployments
             # keep the controller's per-model index as discard leaves it
             # (no key without a copy).

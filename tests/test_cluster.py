@@ -195,16 +195,17 @@ class _OneSlotScheduler:
 
 
 class _ResidencyScheduler:
-    """One-slot test double with the optional ``has_fast_path`` method:
-    one model is 'resident' (hot) and starts without reconfiguration."""
+    """One-slot test double with the optional ``dispatch_key`` method:
+    one model is 'resident' (hot), starts without reconfiguration, and
+    its queue sorts first."""
 
     def __init__(self, hot="hot"):
         self.hot = hot
         self.busy = False
         self.order = []
 
-    def has_fast_path(self, task):
-        return task.model_key == self.hot
+    def dispatch_key(self, task):
+        return (task.model_key != self.hot,)
 
     def try_start(self, task, now):
         if self.busy:
@@ -249,7 +250,7 @@ class _UnhintedTimeGatedScheduler(_TimeGatedScheduler):
 
 class TestOptionalSchedulerProtocol:
     """The simulator must work with and without the optional
-    ``has_fast_path`` / ``retry_hint`` methods (discovered via getattr)."""
+    ``dispatch_key`` / ``retry_hint`` methods (discovered via getattr)."""
 
     def test_fast_path_tasks_served_first(self):
         scheduler = _ResidencyScheduler(hot="hot")

@@ -4,7 +4,7 @@
 reference: every pass copies the whole backlog, sorts it by the class key
 plus arrival time (stably over queue order; the tenancy order broke ties
 by ``(arrival_s, task_id)``) and walks it task by task, skipping each task
-of a model below its watermark one at a time.  It asks ``observe_queue``
+of a model below its watermark one at a time.  It rebuilds ``queue_view``
 at every pass, shares only the queue removal of ``drop_queued`` with its
 own backlog, and answers the queue reads of the layers above (depths, a
 model's queued tasks) from that backlog.  It also keeps the old wake rule — every arrival, start
@@ -91,33 +91,29 @@ class ReferenceSimulator(ClusterSimulator):
         self._pending = [t for t in self._pending if t is not task]
         self._queued -= 1
 
-    def _observe_queue(self):
-        # The simulator only asks while its counts are dirty, and the
-        # reference never cleans them: every pass observes at its start,
-        # changed or not, as the old pass did.
-        observe = getattr(self.scheduler, "observe_queue", None)
-        if observe is not None:
-            counts = {}
-            for task in self._pending:
-                counts[task.model_key] = counts.get(task.model_key, 0) + 1
-            observe(counts)
-
     def _dispatch_pass(self):
         scheduler = self.scheduler
-        fast_path = getattr(scheduler, "has_fast_path", None)
-        dispatch_key = getattr(scheduler, "dispatch_key", None)
         retry_hint = getattr(scheduler, "retry_hint", None)
         progress = False
-        self._observe_queue()
+        # Every pass rebuilds the view at its start, changed or not, as the
+        # old pass did.
+        self.queue_view = counts = {}
+        for task in self._pending:
+            counts[task.model_key] = counts.get(task.model_key, 0) + 1
         scan = list(self._pending)
-        if dispatch_key is not None:
-            scan.sort(key=lambda t: (*dispatch_key(t), t.arrival_s, t.task_id))
-        elif fast_path is not None:
-            fast_by_model = {}
+        # The old pass sorted a layer that owns the order (tenancy, over a
+        # placement system of its own) by key, arrival and task id, and the
+        # system's locality key stably by arrival alone.
+        system = getattr(scheduler, "system", scheduler)
+        if system is not scheduler and hasattr(scheduler, "dispatch_key"):
+            scan.sort(key=lambda t: (*scheduler.dispatch_key(t), t.arrival_s,
+                                     t.task_id))
+        elif hasattr(system, "dispatch_key"):
+            key_by_model = {}
             for task in scan:
-                if task.model_key not in fast_by_model:
-                    fast_by_model[task.model_key] = bool(fast_path(task))
-            scan.sort(key=lambda t: (not fast_by_model[t.model_key],
+                if task.model_key not in key_by_model:
+                    key_by_model[task.model_key] = system.dispatch_key(task)
+            scan.sort(key=lambda t: (*key_by_model[t.model_key],
                                      t.arrival_s))
         now = self.queue.now
         for task in scan:
@@ -736,6 +732,12 @@ def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
                  for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
         return cls(system, "proposed"), tasks
 
+    _run_both_or_wedge(build, isolation)
+
+
+def _run_both_or_wedge(build, isolation: bool) -> None:
+    """:func:`_run_both`, except that with tenant isolation both
+    dispatchers may wedge instead, alike."""
     try:
         _run_both(build)
     except SimulationError:
@@ -749,3 +751,63 @@ def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
                 simulator.run(tasks)
             errors.append(str(raised.value))
         assert errors[0] == errors[1]
+
+
+#: The stacks the layered oracle draws, outermost layer first.
+STACKS = ("bare", "serving", "tenancy", "tenancy-serving")
+
+
+@settings(deadline=None)
+@given(
+    stack=st.sampled_from(STACKS),
+    boards=st.integers(min_value=4, max_value=12),
+    count=st.integers(min_value=1, max_value=80),
+    span_s=st.floats(min_value=0.0, max_value=0.2),
+    isolation=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    models=st.integers(min_value=1, max_value=len(MIXED)),
+    deadline_s=st.floats(min_value=0.002, max_value=0.05),
+    retry_budget=st.sampled_from([0, 4]),
+    max_queue_depth=st.integers(min_value=1, max_value=32),
+)
+def test_layered_stacks_match_the_reference(
+        shared_catalog, stack, boards, count, span_s, isolation, seed,
+        models, deadline_s, retry_budget, max_queue_depth):
+    """The oracle over the whole stack: a bare system, serving over it,
+    tenancy over it, and tenancy over serving, on random clusters and
+    streams.  Serving draws its deadline, retry budget and queue bound;
+    tenancy serves a premium tenant over a preemptible best-effort one,
+    with preemption on.  Isolation is drawn for the bare system only.  A
+    layered stack answers no ``woken_models``, so its schedule, drops,
+    ``try_start`` calls and counters must equal the reference's exactly."""
+    isolation = isolation and stack == "bare"
+    rng = random.Random(seed)
+    arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
+    tenanted = stack.startswith("tenancy")
+    draws = [(rng.choice(MIXED[:models]),
+              rng.choice(("premium", "besteffort")) if tenanted
+              else rng.choice("ab") if isolation else "")
+             for _ in range(count)]
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(boards),
+                              shared_catalog)
+        system.controller.tenant_isolation = isolation
+        scheduler = system
+        if stack.endswith("serving"):
+            scheduler = ServingFrontend(system, ServingParameters(
+                default_deadline_s=deadline_s, retry_budget=retry_budget,
+                max_queue_depth=max_queue_depth, seed=seed))
+        if tenanted:
+            scheduler = TenantScheduler(scheduler, [
+                TenantParameters(name="premium", priority=1, weight=2.0,
+                                 preemptible=False),
+                TenantParameters(name="besteffort", priority=0,
+                                 preemptible=True),
+            ], TenancyParameters(isolation=False, preemption_enabled=True))
+        tasks = [Request(task_id=i, model_key=m, arrival_s=a,
+                         size_class="S", tenant=t)
+                 for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
+        return cls(scheduler, stack), tasks
+
+    _run_both_or_wedge(build, isolation)

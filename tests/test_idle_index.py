@@ -17,6 +17,7 @@ from repro.errors import AllocationError, DeploymentError
 from repro.runtime import Catalog, build_system
 from repro.runtime.deployment import DeploymentState
 from repro.vital import VitalCompiler
+from tests.queueing import show_counts
 
 #: Four copies fill one VU37P board (4 blocks each).
 SMALL = "gru-h512-t1"
@@ -150,7 +151,7 @@ class TestIsolationFilters:
         _deploy(controller, SMALL, tenant="a").acquire()
         theirs = _deploy(controller, SMALL, tenant="b")
         _cycle(controller, theirs, now=0.002)
-        system.observe_queue({SMALL: system.EXPANSION_PRESSURE})
+        show_counts(system, {SMALL: system.EXPANSION_PRESSURE})
         patience = controller.eviction_patience_s
         task = Task(task_id=0, model_key=SMALL, arrival_s=0.0, tenant="a")
         hint = system.retry_hint(task, now=patience)
@@ -168,6 +169,7 @@ class TestIsolationFilters:
         _cycle(controller, other, now=0.003)
         _cycle(controller, small, now=0.001)
         patience = controller.eviction_patience_s
+        show_counts(system, {})
         task = Task(task_id=0, model_key="lstm-h512-t25", arrival_s=0.0)
         hint = system.retry_hint(task, now=patience)
         assert hint == 0.001 + patience - 1e-12

@@ -1,11 +1,11 @@
-"""A pass over one queue walks it, and the queue view is pushed only by passes.
+"""A pass over one queue walks it, and only a pass rebuilds the queue view.
 
 When exactly one (tenant, model) queue holds work, a dispatch pass walks
-its entries in FIFO order and asks no class prefix (``has_fast_path``,
-``dispatch_key``): with nothing to merge the queue with, no prefix can
-change the order.  A dispatch that leaves nothing queued pushes no
-``observe_queue`` view; the next pass that asks pushes the counts first,
-so every ``try_start`` and ``retry_hint`` still reads the current ones.
+its entries in FIFO order and asks no class prefix (``dispatch_key``):
+with nothing to merge the queue with, no prefix can change the order.  A
+dispatch that leaves nothing queued does not rebuild the simulator's
+``queue_view``; the next pass that asks rebuilds it first, so every
+``try_start`` and ``retry_hint`` still reads the current counts.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.serving import Request, ServingFrontend, ServingParameters
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.vital import VitalCompiler
 from tests.test_dispatch_equivalence import MIXED, SMALL
-from tests.test_parked_passes import _Gated, _task, _TenancyGated
+from tests.test_parked_passes import _Gated, _Layer, _task
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def shared_catalog():
     return Catalog(VitalCompiler())
 
 
-@pytest.mark.parametrize("scheduler_class", [_Gated, _TenancyGated],
+@pytest.mark.parametrize("scheduler_class", [_Layer, _Gated],
                          ids=["fast-path", "tenancy"])
 def test_a_lone_queue_asks_no_prefix(scheduler_class):
     """Tasks of one model are only ever in one queue: no pass of the run
@@ -35,14 +35,12 @@ def test_a_lone_queue_asks_no_prefix(scheduler_class):
         [_task(i, "a", 0.01 * i) for i in range(4)])
     assert len(result.completed) == 4
     hooks = {hook for hook, _ in lone.calls}
-    assert hooks == {"observe_queue", "try_start", "retry_hint"}
+    assert hooks == {"try_start", "retry_hint"}
 
     merged = scheduler_class()
     ClusterSimulator(merged, "merged").run(
         [_task(0, "a"), _task(1, "a", 0.01), _task(2, "b", 0.02)])
-    prefix = "dispatch_key" if scheduler_class is _TenancyGated else (
-        "has_fast_path")
-    asked = [now for hook, now in merged.calls if hook == prefix]
+    asked = [now for hook, now in merged.calls if hook == "dispatch_key"]
     assert asked[:2] == [0.02, 0.02]
 
 
@@ -72,13 +70,14 @@ def _tenancy(catalog):
                          ids=["bare", "serving", "tenancy"])
 def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     """Bursts that drain between them: the backlog empties many times,
-    and no view is pushed then.  Each push comes from a pass, and every
-    ``try_start`` and ``retry_hint`` reads the counts its pass began
-    with."""
+    and the view is not rebuilt then.  Only a pass rebuilds it, exactly
+    when its counts are dirty and it asks the scheduler anything, and
+    every ``try_start`` and ``retry_hint`` reads the counts its pass
+    began with."""
     system, scheduler = stack(shared_catalog)
     simulator = ClusterSimulator(scheduler, "spied")
     in_pass = []  # the counts the running pass began with
-    pushed = []  # (in a pass, counts) per push
+    rebuilt = []  # the view of each pass that rebuilt it
     emptied = []  # dispatches that emptied the backlog
 
     def counts_now():
@@ -90,10 +89,16 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
 
     def dispatch_pass(inner=simulator._dispatch_pass):
         in_pass.append(counts_now())
+        view, dirty = simulator.queue_view, simulator._counts_dirty
+        parked = simulator.parked_passes
         try:
             return inner()
         finally:
             in_pass.pop()
+            asked = simulator.parked_passes == parked
+            assert (simulator.queue_view is not view) == (dirty and asked)
+            if simulator.queue_view is not view:
+                rebuilt.append(simulator.queue_view)
 
     def dispatch(inner=simulator._dispatch):
         nested = simulator._dispatching
@@ -101,20 +106,17 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
         inner()
         if not nested and queued and not simulator.pending_count:
             emptied.append(simulator.queue.now)
-
-    def observe_queue(counts, inner=scheduler.observe_queue):
-        pushed.append((bool(in_pass), dict(counts)))
-        inner(counts)
+            # Stale: still the counts of the pass that emptied the backlog.
+            assert simulator.queue_view is rebuilt[-1] != {}
 
     def reads_view(hook):
         def spy(task, now, inner=getattr(scheduler, hook)):
-            assert in_pass and pushed and pushed[-1][1] == in_pass[-1], hook
+            assert in_pass and simulator.queue_view == in_pass[-1], hook
             return inner(task, now)
         return spy
 
     simulator._dispatch_pass = dispatch_pass
     simulator._dispatch = dispatch
-    scheduler.observe_queue = observe_queue
     scheduler.try_start = reads_view("try_start")
     scheduler.retry_hint = reads_view("retry_hint")
     tasks = [
@@ -127,5 +129,4 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     result = simulator.run(tasks)
     assert len(result.completed) + len(result.dropped) == len(tasks)
     assert len(emptied) >= 8
-    assert pushed and all(from_pass for from_pass, _ in pushed)
-    assert {} not in [counts for _, counts in pushed]
+    assert rebuilt and {} not in rebuilt

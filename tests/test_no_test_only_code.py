@@ -2,15 +2,24 @@
 
 A function that only a test calls pins behaviour that no workload, bench,
 CLI command or example depends on: code to maintain that no run exercises.
-This test parses ``src/`` and collects every function, method and class
-(dunder methods aside), then looks each name up among the names that
-``src/``, ``benchmarks/`` and ``examples/`` use.  A *use* is a name or
-attribute reference, an import outside a package ``__init__``, a keyword
+State that nothing reads is the same waste: a field or counter kept up to
+date for no reader.  This test parses ``src/`` and collects every
+function, method and class, every name bound in a class body (fields and
+class constants) and every ``self.<attr>`` a method stores (dunders
+aside), then looks each name up among the names that ``src/``,
+``benchmarks/`` and ``examples/`` use.  A *use* is a name or attribute
+that is read (loaded), an import outside a package ``__init__``, a keyword
 argument, or a string constant that is exactly the name (method-name
-tables such as the e2e tracer's); a package re-export, a docstring or a
-string annotation is not a use.  The scan matches names, not bindings, so
-a method counts as used when any attribute of that name is read anywhere:
-it misses dead code whose name something live shares.
+tables such as the e2e tracer's); a store to a bare name or to an
+attribute of ``self``, augmented or not (``self.count += 1``), a package
+re-export, a docstring or a string annotation is not a use.  A store
+through another object (``self.stats.count += 1``) still counts: it
+writes a record that its owner may read whole (``ScalarLanes.stats``
+sums every :class:`~repro.accel.functional.SimStats` field by
+reflection), which a name scan cannot see.  The scan matches names, not
+bindings, so a method or field counts as used when any attribute of that
+name is read anywhere: it misses dead code whose name something live
+shares.
 
 A definition that nothing there uses fails unless :data:`ALLOWED` names it,
 with the reason it stays.  An entry fails when it goes stale (its
@@ -66,6 +75,14 @@ ALLOWED = {
         "accessor: completed sync rounds not yet received",
     "workloads/deepbench.py::all_models":
         "accessor: every registered model, for sweeps over the registry",
+    "cluster/simulator.py::ClusterSimulator.aborted_runs":
+        "checker: preemptions reached the simulator's requeue, mid-pass",
+    "serving/frontend.py::ServingFrontend.timers_armed":
+        "checker: one expiry timer per frontend, not one wake per admission",
+    "accel/batched.py::ScalarLanes.fallback":
+        "accessor: which simulator ran the lanes (here the scalar one)",
+    "accel/batched.py::_BatchedLanes.fallback":
+        "accessor: which simulator ran the lanes (here the batched one)",
 }
 
 
@@ -95,9 +112,11 @@ def _uses(directory: pathlib.Path) -> collections.Counter:
         skipped = _not_uses(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                seen[node.id] += 1
+                seen[node.id] += isinstance(node.ctx, ast.Load)
             elif isinstance(node, ast.Attribute):
-                seen[node.attr] += 1
+                seen[node.attr] += isinstance(node.ctx, ast.Load) or not (
+                    isinstance(node.value, ast.Name) and node.value.id == "self"
+                )
             elif isinstance(node, ast.keyword) and node.arg:
                 seen[node.arg] += 1
             elif reexport:
@@ -110,19 +129,57 @@ def _uses(directory: pathlib.Path) -> collections.Counter:
     return seen
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _stored_self_attrs(method) -> set:
+    """The attributes of ``self`` a method (or a closure in it) stores."""
+    return {
+        node.attr for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def _class_body_names(cls) -> set:
+    """The names a class body binds by assignment (fields, constants)."""
+    return {
+        node.id
+        for statement in cls.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for target in (statement.targets if isinstance(statement, ast.Assign)
+                       else [statement.target])
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    }
+
+
 def _definitions() -> dict:
-    """``path::qualname -> name`` for every non-dunder def and class."""
+    """``path::qualname -> name`` for every non-dunder def and class, and
+    every class-body name and ``self`` attribute a class defines."""
     found = {}
+
+    def define(path, qualname, name):
+        if not _is_dunder(name):
+            found[f"{path}::{qualname}"] = name
 
     def visit(node, path, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 qualname = scope + child.name
-                if not (child.name.startswith("__") and child.name.endswith("__")):
-                    found[f"{path}::{qualname}"] = child.name
+                define(path, qualname, child.name)
                 if isinstance(child, ast.ClassDef):
                     visit(child, path, qualname + ".")
+                    names = _class_body_names(child)
+                    for method in child.body:
+                        if isinstance(method, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef)):
+                            names |= _stored_self_attrs(method)
+                    for name in names:
+                        define(path, f"{qualname}.{name}", name)
 
     for path in sorted(SRC.rglob("*.py")):
         visit(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(), "")

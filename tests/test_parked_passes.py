@@ -4,10 +4,10 @@ When each queued model holds a watermark at the current resource version
 and hint epoch whose hint is still ahead, every queue's first visit would
 park its whole model, so :meth:`ClusterSimulator._dispatch_pass` ends at
 once: it counts the queued tasks as skipped and the pass in
-``parked_passes``, and calls no scheduler hook.  Any watermark that a
-version bump, a new hint epoch or a due hint has made stale runs the
-whole pass.  The queue view it did not push is pushed by the next pass
-that asks, counting every task that arrived in between.
+``parked_passes``, calls no scheduler hook and leaves the simulator's
+``queue_view`` stale.  Any watermark that a version bump, a new hint epoch
+or a due hint has made stale runs the whole pass.  The next pass that
+asks rebuilds the view, counting every task that arrived in between.
 """
 
 import pytest
@@ -21,7 +21,9 @@ OPEN_S = 0.05
 class _Gated:
     """Declines every task until ``OPEN_S`` and hints that instant; an
     event wakes no model.  Records every hook the simulator calls as
-    ``(hook, now)``."""
+    ``(hook, now)``, and each new simulator queue view a hook read as
+    ``(now, view)``.  Its own order hook stands for the tenancy layer's
+    (the "tenancy" cases)."""
 
     def __init__(self):
         self._simulator = None
@@ -31,46 +33,68 @@ class _Gated:
     def bind_simulator(self, simulator):
         self._simulator = simulator
 
-    def _now(self):
-        return self._simulator.queue.now
+    def _called(self, hook):
+        now = self._simulator.queue.now
+        self.calls.append((hook, now))
+        view = self._simulator.queue_view
+        if not self.views or self.views[-1][1] is not view:
+            self.views.append((now, view))
 
     def try_start(self, task, now):
-        self.calls.append(("try_start", now))
+        self._called("try_start")
         return 0.01 if now >= OPEN_S else None
 
     def on_finish(self, task, now):
         pass
 
     def retry_hint(self, task, now):
-        self.calls.append(("retry_hint", now))
+        self._called("retry_hint")
         return OPEN_S
 
     def woken_models(self, event, task, now):
         return ()
 
-    def has_fast_path(self, task):
-        self.calls.append(("has_fast_path", self._now()))
-        return False
-
-    def observe_queue(self, counts):
-        self.calls.append(("observe_queue", self._now()))
-        self.views.append((self._now(), dict(counts)))
-
-
-class _TenancyGated(_Gated):
-    """The same scheduler with the tenancy layer's order hook, which
-    replaces ``has_fast_path``."""
-
     def dispatch_key(self, task):
-        self.calls.append(("dispatch_key", self._now()))
+        self._called("dispatch_key")
         return (0,)
+
+
+class _Layer:
+    """A layer with no order hook of its own over a :class:`_Gated`
+    ``system``: the simulator asks the system for ``dispatch_key``, as it
+    asks a proposed system for its locality key under a serving frontend
+    (the "fast-path" cases)."""
+
+    def __init__(self):
+        self.system = _Gated()
+        self.calls = self.system.calls
+        self.views = self.system.views
+
+    @property
+    def _simulator(self):
+        return self.system._simulator
+
+    def bind_simulator(self, simulator):
+        self.system.bind_simulator(simulator)
+
+    def try_start(self, task, now):
+        return self.system.try_start(task, now)
+
+    def on_finish(self, task, now):
+        pass
+
+    def retry_hint(self, task, now):
+        return self.system.retry_hint(task, now)
+
+    def woken_models(self, event, task, now):
+        return ()
 
 
 def _task(task_id, model_key, arrival_s=0.0):
     return Task(task_id=task_id, model_key=model_key, arrival_s=arrival_s)
 
 
-@pytest.fixture(params=[_Gated, _TenancyGated], ids=["fast-path", "tenancy"])
+@pytest.fixture(params=[_Layer, _Gated], ids=["fast-path", "tenancy"])
 def parked(request):
     """A simulator whose two queued models (two tasks of ``a``, one of
     ``b``) both declined in one pass at time 0, and one more task of ``a``
@@ -87,8 +111,11 @@ def parked(request):
 
 def test_a_parked_pass_asks_the_scheduler_nothing(parked):
     skips = parked.watermark_skips
+    view = parked.queue_view
     assert parked._dispatch_pass() is False
     assert parked.scheduler.calls == []
+    # Stale: the parked pass did not count the arrival after the first.
+    assert parked.queue_view is view and view == {"a": 2, "b": 1}
     assert parked.watermark_skips - skips == parked.pending_count == 4
     assert parked.parked_passes == 1
     assert parked.try_start_attempts == 2
@@ -102,10 +129,14 @@ def test_one_stale_watermark_runs_the_whole_pass(parked, stale):
         "epoch": (version, hint, epoch - 1, declined),
         "hint": (version, parked.queue.now, epoch, declined),
     }[stale]
+    view = parked.queue_view
     parked._dispatch_pass()
     hooks = [hook for hook, _ in parked.scheduler.calls]
     assert parked.parked_passes == 0
-    assert hooks[0] == "observe_queue"
+    # Rebuilt at the pass start, before any hook read it.
+    assert parked.queue_view is not view
+    assert parked.scheduler.views[-1][1] is parked.queue_view
+    assert parked.queue_view == {"a": 3, "b": 1}
     # Only b's watermark is stale: a's queue parks, b's head is asked
     # again (a new epoch re-asks only the hint of the task that declined).
     assert hooks.count("try_start") == (stale != "epoch")
@@ -114,7 +145,7 @@ def test_one_stale_watermark_runs_the_whole_pass(parked, stale):
 
 def test_the_next_pass_that_asks_shows_every_arrival():
     """Arrivals while both models wait for the gate run only parked
-    passes; the pass at the gate pushes the view with all of them."""
+    passes; the pass at the gate rebuilds the view with all of them."""
     scheduler = _Gated()
     tasks = [_task(0, "a"), _task(1, "b"), _task(2, "a", 0.01),
              _task(3, "b", 0.02), _task(4, "b", 0.03)]

@@ -174,7 +174,6 @@ class _Picky:
     def __init__(self, accept=()):
         self.accept = set(accept)
         self.calls = []
-        self.counts = []
 
     def try_start(self, task, now):
         self.calls.append(task.task_id)
@@ -185,9 +184,6 @@ class _Picky:
 
     def on_finish(self, task, now):
         pass
-
-    def observe_queue(self, counts):
-        self.counts.append(dict(counts))
 
 
 class _PreemptOnce(_Picky):
@@ -257,7 +253,7 @@ class TestPendingQueues:
         assert tasks[1].start_s == 0.0
         assert _queued_ids(simulator) == [0, 2]
         assert simulator.pending_count == 2
-        assert scheduler.counts[-1] == {"m": 2}
+        assert simulator.queue_view == {"m": 2}
 
     def test_observed_counts_per_model_over_tenants(self):
         scheduler = _Picky()
@@ -266,7 +262,7 @@ class TestPendingQueues:
                                        (2, "b", "y"), (3, "b", "x")):
             simulator._arrive(Task(task_id=task_id, model_key=model,
                                    arrival_s=0.0, tenant=tenant))
-        assert list(scheduler.counts[-1].items()) == [("b", 3), ("a", 1)]
+        assert list(simulator.queue_view.items()) == [("b", 3), ("a", 1)]
         assert simulator.pending_count == 4
         assert _queued_ids(simulator, ("x", "b")) == [0, 3]
 

@@ -256,7 +256,7 @@ class TestDeadlines:
             (2, 0.004, RequestOutcome.ABANDONED),
         ]
         assert [task.task_id for task in result.dropped] == [0, 1, 2]
-        assert frontend.queue_depth() == 0
+        assert simulator.pending_count == 0
 
     def test_request_late_on_arrival_expires_at_the_door(self, catalog):
         _, _, frontend = _frontend(catalog)
@@ -267,7 +267,7 @@ class TestDeadlines:
         assert result.dropped == [late] and late.start_s < 0
         assert late.serving.outcome is RequestOutcome.EXPIRED
         assert (frontend.stats.admitted, frontend.stats.expired) == (1, 1)
-        assert frontend.queue_depth() == 0
+        assert simulator.pending_count == 0
 
     def test_default_deadline_granted_to_plain_tasks(self, catalog):
         _, _, frontend = _frontend(catalog, default_deadline_s=0.3)

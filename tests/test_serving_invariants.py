@@ -169,7 +169,7 @@ def _assert_invariants(cluster, system, frontend, result):
     assert system.controller.check_idle_consistent()
     # 6. The queue drained to zero, and no queued request is left in the
     #    expiry heap.
-    assert frontend.queue_depth() == 0
+    assert frontend._simulator.pending_count == 0
     for _, task_id, task in frontend._expiry:
         record = task.serving
         assert record.outcome is not RequestOutcome.PENDING or record.started, (
@@ -221,7 +221,7 @@ class TestServingInvariants:
         assert frontend.stats.breaker_half_opens > 0
         _assert_invariants(cluster, system, frontend, result)
 
-    def test_abandons_free_their_queue_depth(self, catalog):
+    def test_abandons_free_their_place_in_the_queue(self, catalog):
         """With no retry budget every genuine placement failure abandons
         its request; each abandon leaves the simulator's queue at once, so
         at every finish each model's depth the frontend reads is a recount
@@ -235,7 +235,7 @@ class TestServingInvariants:
             def spy(task, now):
                 on_finish(task, now)
                 for model in MODELS:
-                    assert frontend.queue_depth(model) == sum(
+                    assert simulator.queued_depth(model) == sum(
                         len(queue.entries)
                         for (_, queued_model), queue
                         in simulator._queues.items()
@@ -252,7 +252,7 @@ class TestServingInvariants:
         assert frontend.stats.abandoned > 0
         assert checked
         for model in MODELS:
-            assert frontend.queue_depth(model) == 0
+            assert frontend._simulator.queued_depth(model) == 0
         _assert_invariants(cluster, system, frontend, result)
 
     def test_goodput_survives_the_storm(self, catalog):

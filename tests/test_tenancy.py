@@ -701,10 +701,10 @@ class TestFrontendComposition:
         scheduler, frontend, _ = self._frontend_stack(
             shared_catalog, [TenantParameters(name="t")]
         )
-        ClusterSimulator(scheduler, "noop")
+        simulator = ClusterSimulator(scheduler, "noop")
         stranger = Task(task_id=99, model_key="gru-h512-t1", arrival_s=0.0)
         frontend.requeue(stranger, 0.0)
-        assert frontend.queue_depth() == 0
+        assert simulator.pending_count == 0
 
     def test_overload_run_through_frontend(self, shared_catalog):
         """The full stack — TenantScheduler over ServingFrontend over the
