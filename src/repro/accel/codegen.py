@@ -55,7 +55,7 @@ OUT_BASE = 0x0004_0000
 R_X = 0        # x_t (full input vector)
 R_H_FULL = 1   # h_{t-1}, full (combined across replicas)
 R_T0, R_T1, R_T2, R_T3, R_T4, R_T5 = 2, 3, 4, 5, 6, 7
-R_B0, R_B1, R_B2, R_B3 = 8, 9, 10, 11
+R_B0, R_B1, R_B2 = 8, 9, 10  # gate g's bias is R_B0 + g (11: LSTM's 4th)
 R_H_SLICE = 12  # local slice of h_t
 R_ONES = 13
 R_C_SLICE = 14  # LSTM cell state (row-local, never exchanged)

@@ -455,7 +455,7 @@ class ClusterSimulator:
     def add_run_end(self, callback) -> None:
         """Call ``callback()`` at the end of every :meth:`run`, after the
         last event and before the pending-task check (the batch executor
-        drains its partial groups here)."""
+        runs every submitted task here)."""
         self._run_end.append(callback)
 
     def _external_fire(self, callback) -> None:

@@ -55,7 +55,6 @@ class DecomposeStats:
     intra_block_splits: int = 0
     data_merges: int = 0
     pipeline_merges: int = 0
-    lane_merges: int = 0
     iterations: int = 0
     residual_roots: int = 0
     events: list = field(default_factory=list)
@@ -408,7 +407,6 @@ class Decomposer:
                 out_bits=b.out_bits,
             )
             _contract(graph, [src, dst], parent)
-            stats.lane_merges += 1
             stats.note(f"lane merge {a.name} -> {b.name}")
             return True
         return False

@@ -156,15 +156,8 @@ class RecoveryManager:
     ) -> None:
         controller = self.controller
         simulator = controller._clock()
-        # A rebuilt deployment stays charged to its original tenant — a
-        # restore must not silently launder quota attribution through the
-        # (empty) default context.
-        prior = controller.tenant_context
-        controller.tenant_context = tenant
-        try:
-            deployment, _ = controller._instantiate(plan, assignment, now)
-        finally:
-            controller.tenant_context = prior
+        # A rebuilt deployment stays charged to its original tenant.
+        deployment, _ = controller._instantiate(plan, assignment, now, tenant)
         cost = self._restore_cost(deployment, from_checkpoint=not scale_down)
         self.restores_started += 1
         controller.set_state(deployment, DeploymentState.RECOVERING)

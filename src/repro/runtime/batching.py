@@ -9,23 +9,24 @@ of the same (model, plan width) into one
 :class:`~repro.accel.batched.BatchedFunctionalSimulator` run instead of N
 scalar runs.
 
-Integration contract — *no change to DES event semantics*:
+Integration contract — *no change to DES event semantics*; the executor
+runs nothing during a run:
 
-* ``submit(task, replicas, now)`` is called by the scheduler inside
-  ``try_start`` after the deployment is acquired.  It only buffers; a full
-  group (``max_batch`` lanes) executes immediately.
-* ``withdraw(task)`` is called when a running task is preempted: the task
-  leaves its waiting group unexecuted and re-submits when it restarts, so
-  its output comes from the plan width of the run that completes (a task
-  whose group already ran at that width is not run again).
-* ``flush()`` runs every partial group.  The scheduler registers it as a
-  run-end step of the driving
+* ``submit(task, replicas)`` is called by the scheduler inside
+  ``try_start`` after the deployment is acquired.  It only records the
+  task and its (model, plan width) key.
+* ``withdraw(task)`` is called when a running task is preempted: its
+  record goes, and the task submits again when it restarts, so its output
+  comes from the plan width of the run that completes, and a task dropped
+  after a preemption holds no output.
+* ``flush()`` executes every recorded task, each key's tasks in chunks of
+  ``max_batch`` lanes in submit order, and forgets them.  The scheduler
+  registers it as a run-end step of the driving
   :class:`~repro.cluster.simulator.ClusterSimulator`, which fires once the
   event queue is empty and before ``run()`` returns.  Nothing in the
-  simulation reads ``Task.output``, so a group waits for ``max_batch``
-  lanes across completions instead of being cut at its first one; every
-  output exists when ``run()`` returns, at unchanged timestamps — the
-  fig12 goldens are bit-identical with the executor on or off.
+  simulation reads ``Task.output``, so every output exists when ``run()``
+  returns, at unchanged timestamps — the fig12 goldens are bit-identical
+  with the executor on or off.
 
 The executor is **off by default** (like migration, faults and serving):
 schedulers only create one when handed :class:`BatchingParameters`.
@@ -97,7 +98,7 @@ class BatchingParameters:
     """Knobs for the request-coalescing executor.
 
     ``max_batch`` bounds group size: the lanes, and so the memory, of one
-    batched run (a group executes when it fills, or at run end);
+    batched run (a key's tasks execute at run end in chunks of it);
     ``weight_seed`` fixes the model weights used for functional
     execution; ``force_scalar`` pins every execution to the scalar
     simulator, the reference equivalence harnesses compare against (a
@@ -117,12 +118,9 @@ class BatchingParameters:
 class BatchingStats:
     """Coalescing effectiveness counters."""
 
-    submitted: int = 0
     executions: int = 0
     batched_lanes: int = 0
     scalar_lanes: int = 0
-    full_batches: int = 0
-    partial_flushes: int = 0
     #: lane-count histogram over executions (size -> count).
     batch_sizes: dict = field(default_factory=dict)
 
@@ -133,12 +131,9 @@ class BatchExecutor:
 
     def __init__(self, params: BatchingParameters | None = None):
         self.params = params or BatchingParameters()
-        #: (model_key, replicas) -> list of waiting tasks.
-        self._groups: dict[tuple, list] = {}
-        #: task_id -> group key, while the task waits.
-        self._waiting: dict[int, tuple] = {}
-        #: task_id -> group key of the execution that set its output.
-        self._executed: dict[int, tuple] = {}
+        #: task_id -> (task, (model_key, replicas)) for every task to run
+        #: at the next flush, in first-submit order.
+        self._submitted: dict[int, tuple] = {}
         self.stats = BatchingStats()
 
     def default_payload(self, task) -> np.ndarray:
@@ -149,51 +144,34 @@ class BatchExecutor:
 
     # -- coalescing ----------------------------------------------------------
 
-    def submit(self, task, replicas: int, now: float) -> None:
-        """Buffer ``task`` for batched execution; runs the group when it
-        reaches ``max_batch`` lanes.  A task restarted after preemption at
-        the width its output already came from is not run again."""
-        key = (task.model_key, replicas)
-        if task.task_id in self._waiting or (
-            task.output is not None and self._executed.get(task.task_id) == key
-        ):
-            return
-        group = self._groups.setdefault(key, [])
-        group.append(task)
-        self._waiting[task.task_id] = key
-        self.stats.submitted += 1
-        if len(group) >= self.params.max_batch:
-            self.stats.full_batches += 1
-            self._execute(key)
+    def submit(self, task, replicas: int) -> None:
+        """Record ``task`` for execution at the next flush, at the plan
+        width ``replicas`` of its latest start (a restart overwrites the
+        width and keeps the task's place)."""
+        self._submitted[task.task_id] = (task, (task.model_key, replicas))
 
     def withdraw(self, task) -> None:
-        """Take a still-waiting ``task`` out of its group unexecuted
-        (preemption: the task re-submits when it restarts)."""
-        key = self._waiting.pop(task.task_id, None)
-        if key is None:
-            return
-        group = [t for t in self._groups[key] if t.task_id != task.task_id]
-        if group:
-            self._groups[key] = group
-        else:
-            del self._groups[key]
+        """Forget ``task`` unexecuted (preemption: the task submits again
+        when it restarts)."""
+        self._submitted.pop(task.task_id, None)
 
     def flush(self) -> None:
-        """Execute every waiting group (end-of-run drain); each counts as
-        a partial flush."""
-        for key in list(self._groups):
-            self.stats.partial_flushes += 1
-            self._execute(key)
+        """Execute every recorded task (the run-end step): each (model,
+        plan width)'s tasks in chunks of ``max_batch`` lanes, in submit
+        order."""
+        groups: dict[tuple, list] = {}
+        for task, key in self._submitted.values():
+            groups.setdefault(key, []).append(task)
+        self._submitted.clear()
+        size = self.params.max_batch
+        for key, tasks in groups.items():
+            for at in range(0, len(tasks), size):
+                self._execute(key, tasks[at : at + size])
 
     # -- execution -----------------------------------------------------------
 
-    def _execute(self, key: tuple) -> None:
-        tasks = self._groups.pop(key, None)
-        if not tasks:
-            return
+    def _execute(self, key: tuple, tasks: list) -> None:
         model_key, replicas = key
-        for task in tasks:
-            self._waiting.pop(task.task_id, None)
         payloads = [
             task.payload if task.payload is not None else self.default_payload(task)
             for task in tasks
@@ -215,7 +193,6 @@ class BatchExecutor:
             outputs = self._execute_scaleout(spec, replicas, payloads)
         for task, output in zip(tasks, outputs):
             task.output = output
-            self._executed[task.task_id] = key
         self.stats.executions += 1
         self.stats.batch_sizes[batch] = self.stats.batch_sizes.get(batch, 0) + 1
         if self.params.force_scalar:

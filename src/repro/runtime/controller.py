@@ -129,7 +129,7 @@ class ControllerStats:
     recovery_backoff_s: float = 0.0
     #: Simulated work lost to failures (time since last checkpoint).
     lost_work_s: float = 0.0
-    #: Placement attempts rejected by a tenant quota guard (counted apart
+    #: Placement attempts rejected by a tenant quota (counted apart
     #: from ``placement_failures``: a quota rejection is not a capacity
     #: shortfall, so it must trigger neither preemption nor defrag).
     quota_rejections: int = 0
@@ -372,17 +372,14 @@ class SystemController:
         #: instantiation/discard is reported so resident capacity can be
         #: integrated exactly over time (the autoscale bench's cost metric).
         self.ledger = None
-        #: Tenant on whose behalf the current placement runs (the tenancy
-        #: scheduler sets it around each ``try_start``); new deployments are
-        #: stamped with it.  ``""`` = untenanted, the single-tenant default.
-        self.tenant_context = ""
-        #: Optional quota guard ``callable(plan) -> bool`` consulted before
-        #: any plan is instantiated; a False filters that plan out.  Set
-        #: per-call by the tenancy scheduler, ``None`` otherwise.
-        self.placement_guard = None
+        #: Optional tenant quota ``callable(tenant, plan) -> bool`` that
+        #: :meth:`try_deploy` filters plans through for the tenant it
+        #: places for; the tenancy scheduler installs it once, ``None``
+        #: otherwise.
+        self.quota = None
         #: When True, :meth:`find_idle_deployment` only reuses deployments
-        #: owned by the current tenant context — tenants never ride each
-        #: other's resident accelerators, so quota attribution stays exact.
+        #: owned by the asking tenant — tenants never ride each other's
+        #: resident accelerators, so quota attribution stays exact.
         self.tenant_isolation = False
 
     # -- public API (what the hypervisor calls) -------------------------------------
@@ -418,19 +415,20 @@ class SystemController:
         """Model keys with at least one resident deployment."""
         return list(self._by_model)
 
-    def find_idle_deployment(self, model_key: str) -> Deployment | None:
+    def find_idle_deployment(
+        self, model_key: str, tenant: str = ""
+    ) -> Deployment | None:
         """The earliest-created idle deployment of this model, if any.
 
-        With :attr:`tenant_isolation` on, only deployments owned by the
-        current :attr:`tenant_context` qualify — reuse across tenants would
-        let one tenant serve from blocks charged to another's quota.
+        With :attr:`tenant_isolation` on, only deployments owned by
+        ``tenant`` qualify — reuse across tenants would let one tenant
+        serve from blocks charged to another's quota.
         """
         idle = self._idle_by_model.get(model_key)
         if not idle:
             return None
         if not self.tenant_isolation:
             return idle[0][1]
-        tenant = self.tenant_context
         for _, deployment in idle:
             if deployment.tenant == tenant:
                 return deployment
@@ -455,8 +453,9 @@ class SystemController:
         now: float = 0.0,
         waited_s: float = 0.0,
         allow_mixed: bool = True,
+        tenant: str = "",
     ) -> tuple:
-        """Create a new deployment for ``model_key``.
+        """Create a new deployment for ``model_key``, owned by ``tenant``.
 
         Returns ``(deployment, reconfig_seconds)``; raises
         :class:`AllocationError` when the model cannot currently be placed.
@@ -467,13 +466,13 @@ class SystemController:
         calls :meth:`try_deploy`, never formats one.
         """
         quota_before = self.stats.quota_rejections
-        placed = self.try_deploy(model_key, now, waited_s, allow_mixed)
+        placed = self.try_deploy(model_key, now, waited_s, allow_mixed, tenant)
         if placed is not None:
             return placed
         if self.stats.quota_rejections > quota_before:
             raise AllocationError(
                 f"tenant quota: no plan for {model_key} fits within the "
-                f"quota of tenant {self.tenant_context!r}"
+                f"quota of tenant {tenant!r}"
             )
         # Diagnostic from the index tails (O(types)), not a cluster walk.
         largest = {
@@ -491,14 +490,17 @@ class SystemController:
         now: float = 0.0,
         waited_s: float = 0.0,
         allow_mixed: bool = True,
+        tenant: str = "",
     ) -> tuple | None:
-        """Create a new deployment for ``model_key``, or return ``None``.
+        """Create a new deployment for ``model_key``, owned by ``tenant``,
+        or return ``None``.
 
         Returns ``(deployment, reconfig_seconds)``.  Follows the greedy
         policy: try the fewest-FPGAs plan first; when no placement exists,
         evict idle deployments LRU and retry; give up (``None``) when the
-        model cannot currently be placed.  A refusal by the tenant quota
-        guard counts in ``stats.quota_rejections``, any other refusal in
+        model cannot currently be placed.  Only plans :attr:`quota` allows
+        ``tenant`` are tried; a refusal because it allows none counts in
+        ``stats.quota_rejections``, any other refusal in
         ``stats.placement_failures``.
 
         ``waited_s`` is how long the requesting task has queued.  Eviction
@@ -518,8 +520,9 @@ class SystemController:
             plans = sorted(plans, key=self.plan_footprint)
         elif self.plan_order is PlanOrder.WIDEST_FIRST:
             plans = list(reversed(plans))
-        if self.placement_guard is not None:
-            allowed = [plan for plan in plans if self.placement_guard(plan)]
+        quota = self.quota
+        if quota is not None:
+            allowed = [plan for plan in plans if quota(tenant, plan)]
             if not allowed:
                 # Every plan would bust the tenant's quota.  Deliberately
                 # not a placement_failure: quota exhaustion is a policy
@@ -534,10 +537,10 @@ class SystemController:
                 for plan in plans:
                     assignment = self._find_placement(plan, allow_mixed=allow_mixed)
                     if assignment is not None:
-                        return self._instantiate(plan, assignment, now)
+                        return self._instantiate(plan, assignment, now, tenant)
             else:
                 self.stats.fast_rejects += 1
-            if not may_evict or not self._evict_one_idle(now, model_key):
+            if not may_evict or not self._evict_one_idle(now, model_key, tenant):
                 self.stats.placement_failures += 1
                 return None
 
@@ -556,13 +559,11 @@ class SystemController:
         )
 
     def place_plan(self, plan: DeploymentPlan, now: float) -> tuple | None:
-        """Place one specific plan right now, without eviction or plan
-        search.  Returns ``(deployment, reconfig_seconds)`` or ``None``
-        when no placement exists — the serving layer's brownout switch and
-        probes use this to target an exact width."""
-        if self.placement_guard is not None and not self.placement_guard(plan):
-            self.stats.quota_rejections += 1
-            return None
+        """Place one specific plan right now, untenanted, without eviction,
+        plan search or quota.  Returns ``(deployment, reconfig_seconds)``
+        or ``None`` when no placement exists — the serving layer's
+        brownout switch and the autoscaler use this to target an exact
+        width."""
         assignment = self._find_placement(plan)
         if assignment is None:
             return None
@@ -1044,21 +1045,22 @@ class SystemController:
         self.stats.boards_probed += probed
         return chosen if len(chosen) == plan.replicas else None
 
-    def _evict_one_idle(self, now: float, requesting_model: str) -> bool:
+    def _evict_one_idle(
+        self, now: float, requesting_model: str, tenant: str = ""
+    ) -> bool:
         """Reclaim the least-recently-used *stale* idle deployment.
 
         Victims must be idle past the patience window and belong to a
         different model — hot models keep their copies, over-provisioned
         ones shrink (the rebalancing that keeps mixed streams from
         thrashing while still adapting to skew).  Under tenant isolation
-        the same-model exemption only shields the requesting tenant's own
-        copies: another tenant's idle deployment cannot be reused anyway,
+        the same-model exemption only shields the requesting ``tenant``'s
+        own copies: another tenant's idle deployment cannot be reused anyway,
         so leaving it unevictable would wedge same-model cross-tenant
         traffic on a full cluster.
         """
         patience = self.eviction_patience_s
         isolation = self.tenant_isolation
-        tenant = self.tenant_context
         for last_used_s, _, victim in self._idle_lru:
             if now - last_used_s < patience:
                 return False  # every later entry is fresher still
@@ -1071,7 +1073,10 @@ class SystemController:
 
     # -- instantiation ------------------------------------------------------------------
 
-    def _instantiate(self, plan: DeploymentPlan, assignment: list, now: float) -> tuple:
+    def _instantiate(
+        self, plan: DeploymentPlan, assignment: list, now: float,
+        tenant: str = "",
+    ) -> tuple:
         seq = next(self._ids)
         deployment_id = f"dep-{seq}"
         placements = []
@@ -1099,7 +1104,7 @@ class SystemController:
             last_used_s=now,
             created_s=now,
             checkpoint_origin_s=now,
-            tenant=self.tenant_context,
+            tenant=tenant,
             seq=seq,
             controller=self,
         )

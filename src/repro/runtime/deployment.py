@@ -79,9 +79,9 @@ class Deployment:
     pending_recovery: bool = False
     #: Completed failure recoveries.
     recoveries: int = 0
-    #: Owning tenant (set from the controller's tenant context at
-    #: instantiation; ``""`` = untenanted).  Quota accounting and the
-    #: preemption victim scan key off this.
+    #: Owning tenant (the tenant the controller instantiated it for;
+    #: ``""`` = untenanted).  Quota accounting and the preemption victim
+    #: scan key off this.
     tenant: str = ""
     #: Creation sequence within the controller (the ``n`` of ``dep-n``):
     #: ties in reuse, LRU eviction and residency order break on it.
@@ -89,6 +89,9 @@ class Deployment:
     #: The controller this deployment is resident in (``None`` before
     #: instantiation and after discard); state changes go through it.
     controller: object = field(default=None, repr=False, compare=False)
+    #: The task running on it (set and cleared by the system that starts
+    #: the task; ``None`` while none runs).
+    task: object = field(default=None, repr=False, compare=False)
 
     @property
     def member_fpgas(self) -> list:

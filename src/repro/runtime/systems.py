@@ -58,9 +58,9 @@ class ProposedSystem:
         #: (:class:`repro.runtime.batching.BatchExecutor`).  Off by
         #: default: pure-timing runs never touch the functional simulator,
         #: and timestamps are identical either way — batching only decides
-        #: *how* task outputs are computed, never *when* events fire.  A
-        #: group executes when it fills, or when the driving simulator's
-        #: run ends (see :meth:`bind_simulator`).
+        #: *how* task outputs are computed, never *when* events fire.  It
+        #: executes every submitted task when the driving simulator's run
+        #: ends (see :meth:`bind_simulator`).
         self.batch_executor = None
         if batching is not None:
             from .batching import BatchExecutor, BatchingParameters
@@ -100,8 +100,8 @@ class ProposedSystem:
     def bind_simulator(self, simulator) -> None:
         """Adopt the driving DES: its queue view feeds expansion and
         hints, the controller schedules defrag, recovery and
-        reconfiguration on it, and the batch executor's partial groups
-        drain when the run ends."""
+        reconfiguration on it, and the batch executor runs the submitted
+        tasks when the run ends."""
         self._simulator = simulator
         self.controller.bind_simulator(simulator)
         if self.batch_executor is not None:
@@ -134,16 +134,6 @@ class ProposedSystem:
         return view.get(model_key, 0) >= 2
 
     def try_start(self, task: Task, now: float) -> float | None:
-        # Placement attribution: any deployment created while this task
-        # places belongs to its tenant (the controller stamps new
-        # deployments from this context; "" = untenanted, the default).
-        self.controller.tenant_context = task.tenant
-        try:
-            return self._try_start(task, now)
-        finally:
-            self.controller.tenant_context = ""
-
-    def _try_start(self, task: Task, now: float) -> float | None:
         seen = self._seen_models
         if not task.attempted:
             # Count each task once (on its first attempt), so the observed
@@ -157,7 +147,8 @@ class ProposedSystem:
             # placement failure for re-asking.
             return None
         controller = self.controller
-        deployment = controller.find_idle_deployment(task.model_key)
+        tenant = task.tenant
+        deployment = controller.find_idle_deployment(task.model_key, tenant)
         reconfig = 0.0
         if deployment is None:
             copies = controller.deployment_count(task.model_key)
@@ -181,7 +172,8 @@ class ProposedSystem:
             other_seen = total_seen - seen.get(task.model_key, 0)
             allow_mixed = other_seen <= 0.05 * total_seen
             placed = controller.try_deploy(
-                task.model_key, now, waited_s=waited, allow_mixed=allow_mixed
+                task.model_key, now, waited_s=waited, allow_mixed=allow_mixed,
+                tenant=tenant,
             )
             if placed is None:
                 self._maybe_defrag(task.model_key, now)
@@ -191,16 +183,17 @@ class ProposedSystem:
             controller.stats.reuse_hits += 1
         deployment.acquire()
         task.placement = deployment
+        deployment.task = task
         if self.batch_executor is not None:
-            self.batch_executor.submit(task, deployment.plan.replicas, now)
+            self.batch_executor.submit(task, deployment.plan.replicas)
         return reconfig + deployment.service_s
 
     def on_finish(self, task: Task, now: float) -> None:
-        # A still-waiting batch group keeps filling past this completion:
-        # nothing in the simulation reads outputs, and the run-end drain
-        # executes whatever group is left.
+        # The batch executor keeps the task's lane to run end: nothing in
+        # the simulation reads outputs.
         deployment = task.placement
         task.placement = None
+        deployment.task = None
         self.controller.release(deployment, now)
 
     def abort_task(self, task: Task):
@@ -210,6 +203,7 @@ class ProposedSystem:
         deployment the task was running on."""
         deployment = task.placement
         task.placement = None
+        deployment.task = None
         if self.batch_executor is not None:
             # The aborted run's lane is dropped unexecuted; the requeued
             # task re-submits on its next start.

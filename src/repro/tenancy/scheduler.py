@@ -10,11 +10,13 @@ way the frontend wraps the system).  It adds:
 * **tenant identities** — every task carries ``task.tenant``; per-tenant
   state tracks running work, fair-share virtual time and outcome
   counters (queued work is the simulator's ``tenant_depth``);
-* **quotas** — block/replica ceilings enforced *at the allocation point*
-  via the controller's ``placement_guard``, so a tenant can be declined
-  but never overshoot (zero-violation by construction), with instantaneous
-  usage read off the :class:`~repro.autoscale.accounting.ReplicaLedger`'s
-  tenant axis; queue quotas shed at admission;
+* **quotas** — block/replica ceilings enforced *at the allocation point*:
+  the layer installs :meth:`TenantScheduler._quota_allows` as the
+  controller's ``quota`` once, and the controller asks it for the tenant
+  each placement is for, so a tenant can be declined but never overshoot
+  (zero-violation by construction), with instantaneous usage read off the
+  :class:`~repro.autoscale.accounting.ReplicaLedger`'s tenant axis; queue
+  quotas shed at admission;
 * **dispatch order** — the simulator's optional ``dispatch_key`` hook,
   which replaces the system's locality order: strict priority classes
   first, start-time fair queueing within a class (each start advances the
@@ -25,15 +27,17 @@ way the frontend wraps the system).  It adds:
   preemptible deployments on the best board are drained, checkpointed to
   host memory (the migration engine's state-size model over the host
   link — the same arithmetic as recovery restores) and discarded; a
-  running victim task is aborted and requeued, and on its next start it is
-  charged only the checkpoint-restore stream plus its *remaining* service,
-  so the preempted tenant loses the round trip but not the work.
+  running victim task (``deployment.task``) is aborted and requeued, and
+  on its next start it is charged only the checkpoint-restore stream plus
+  its *remaining* service, so the preempted tenant loses the round trip
+  but not the work.
 
 The layer calls its inner layer directly for the hooks it works around
 (``try_start``, ``on_finish``, ``retry_hint``, ``bind_simulator``), and
 probes only ``admit`` and ``requeue``, which a bare system does not
-define.  The queue view the system reads is the simulator's, so nothing
-here forwards it.
+define.  The queue view the system reads is the simulator's, and the
+tenant a placement is for travels as an argument (``task.tenant``, which
+the system passes to the controller), so nothing here forwards either.
 
 Everything is off by default at the system level: untenanted runs never
 construct this class, ``task.tenant == ""`` everywhere, and the fig12
@@ -154,9 +158,8 @@ class TenantScheduler:
             self.controller.ledger = ReplicaLedger()
         self.ledger = self.controller.ledger
         self.controller.tenant_isolation = self.params.isolation
+        self.controller.quota = self._quota_allows
         self._simulator = None
-        #: task_id -> Task for running work (victim lookup needs the Task).
-        self._running_tasks: dict[int, Task] = {}
         #: model_key -> preemption teardowns in flight (their completion
         #: frees the blocks the starved model is waiting for).
         self._preempt_pending: dict[str, int] = {}
@@ -207,7 +210,7 @@ class TenantScheduler:
 
     def quota_violations(self) -> dict:
         """Tenants whose *peak* resident usage ever exceeded a quota —
-        empty by construction (the guard declines before the allocator),
+        empty by construction (the quota declines before the allocator),
         and the bench asserts exactly that."""
         violations = {}
         for name, state in self._tenants.items():
@@ -291,17 +294,12 @@ class TenantScheduler:
             record.decline = "preempt"
             return None
         controller = self.controller
-        guard = self._guard_for(state)
         failures_before = controller.stats.placement_failures
         quota_before = controller.stats.quota_rejections
         # Marked declined up front: an abandon inside the inner start drops
         # the task, and :meth:`on_drop` takes the mark with it.
         record.decline = "inner"
-        controller.placement_guard = guard
-        try:
-            service = self.inner.try_start(task, now)
-        finally:
-            controller.placement_guard = None
+        service = self.inner.try_start(task, now)
         if service is None:
             if controller.stats.placement_failures > failures_before:
                 reason = "capacity"
@@ -329,7 +327,6 @@ class TenantScheduler:
             service = overhead + restore + remaining
             self.stats.restore_s += restore
         state.vtime += service / state.params.weight
-        self._running_tasks[task.task_id] = task
         record.finish_s = now + service
         return service
 
@@ -338,34 +335,32 @@ class TenantScheduler:
         state.running -= 1
         state.completed += 1
         state.latencies_s.append(now - task.arrival_s)
-        self._running_tasks.pop(task.task_id, None)
         if task.tenancy.preempted:
             self.stats.preempted_completed += 1
         task.tenancy = None  # nothing reads it after the finish
         self.inner.on_finish(task, now)
 
-    # -- quota guard ---------------------------------------------------------
+    # -- quota ---------------------------------------------------------------
 
-    def _guard_for(self, state: TenantState):
-        params = state.params
-        if params.block_quota is None and params.replica_quota is None:
-            return None
-        ledger = self.ledger
-        footprint = self.controller.plan_footprint
-
-        def guard(plan, name=params.name, blocks=params.block_quota,
-                  replicas=params.replica_quota):
-            if blocks is not None and (
-                ledger.open_blocks(name) + footprint(plan) > blocks
-            ):
-                return False
-            if replicas is not None and (
-                ledger.open_replicas(tenant=name) + plan.replicas > replicas
-            ):
-                return False
+    def _quota_allows(self, tenant: str, plan) -> bool:
+        """Whether ``tenant`` may hold ``plan`` on top of what it holds
+        now (the controller's ``quota``).  A tenant with no quota, or one
+        not registered, may hold anything."""
+        state = self._tenants.get(tenant)
+        if state is None:
             return True
-
-        return guard
+        params = state.params
+        blocks = params.block_quota
+        if blocks is not None and (
+            self.ledger.open_blocks(tenant)
+            + self.controller.plan_footprint(plan) > blocks
+        ):
+            return False
+        replicas = params.replica_quota
+        return replicas is None or (
+            self.ledger.open_replicas(tenant=tenant) + plan.replicas
+            <= replicas
+        )
 
     # -- preemption ----------------------------------------------------------
 
@@ -385,9 +380,8 @@ class TenantScheduler:
         controller = self.controller
         entry = controller.catalog.entry_by_key(task.model_key)
         plans = sorted(entry.sorted_plans(), key=controller.plan_footprint)
-        guard = self._guard_for(state)
         for plan in plans:
-            if guard is not None and not guard(plan):
+            if not self._quota_allows(task.tenant, plan):
                 continue  # reclaiming blocks the tenant may not hold is moot
             victims = self._plan_victims(plan, priority)
             if victims is not None:
@@ -496,17 +490,9 @@ class TenantScheduler:
     def _abort_victim_task(self, victim: Deployment, restore_s: float,
                            now: float) -> None:
         """Checkpoint + requeue the task running on a busy victim."""
-        victim_task = next(
-            (
-                task
-                for task in self._running_tasks.values()
-                if task.placement is victim
-            ),
-            None,
-        )
+        victim_task = victim.task
         if victim_task is None:
-            return  # raced: the finish landed in this very pass
-        del self._running_tasks[victim_task.task_id]
+            return  # acquired outside a start: no task to requeue
         self.system.abort_task(victim_task)
         record = victim_task.tenancy
         record.resume_credit = (max(0.0, record.finish_s - now), restore_s)

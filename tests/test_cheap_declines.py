@@ -65,20 +65,20 @@ def _capacity_failure_after_eviction(controller):
 
 
 def _quota_refusal(controller):
-    controller.placement_guard = lambda plan: False
+    controller.quota = lambda tenant, plan: False
     return "gru-h512-t1", {}
 
 
 def _quota_refusal_on_a_full_cluster(controller):
     # The quota verdict outranks the capacity fast reject.
     _fast_reject(controller)
-    controller.placement_guard = lambda plan: False
+    controller.quota = lambda tenant, plan: False
     return "lstm-h1536-t50", {}
 
 
 def _guarded_fast_reject(controller):
     _fast_reject(controller)
-    controller.placement_guard = lambda plan: True
+    controller.quota = lambda tenant, plan: True
     return "lstm-h1536-t50", {}
 
 
@@ -164,13 +164,12 @@ class TestDeclineCounters:
     def test_quota_message(self, shared_catalog):
         controller = _controller(shared_catalog)
         model_key, _ = _quota_refusal(controller)
-        controller.tenant_context = "acme"
         with pytest.raises(
             AllocationError,
             match=r"^tenant quota: no plan for gru-h512-t1 fits within the "
             r"quota of tenant 'acme'$",
         ):
-            controller.deploy(model_key)
+            controller.deploy(model_key, tenant="acme")
 
 
 # -- one cached service time ------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Deferred functional execution: a batch group keeps filling across task
-completions and the simulator drains what is left when its run ends.
+"""Deferred functional execution: the batch executor runs nothing during
+a run, and the simulator's run-end step executes every submitted task, in
+chunks of ``max_batch`` per (model, plan width).
 
 Outputs must equal the forced-scalar run's bitwise, timestamps must equal
 the executor-off run's, every completed task must hold its output when
@@ -34,7 +35,6 @@ def _lanes(stats) -> int:
 
 
 def _assert_counts_consistent(stats) -> None:
-    assert stats.executions == stats.full_batches + stats.partial_flushes
     assert stats.executions == sum(stats.batch_sizes.values())
     assert _lanes(stats) == sum(
         size * count for size, count in stats.batch_sizes.items()
@@ -55,28 +55,32 @@ def _assert_outputs_match(result, reference) -> None:
 
 
 class TestExecutorUnit:
-    def test_flush_counts_each_group_as_partial(self):
+    def test_flush_runs_each_key_in_chunks_of_max_batch(self):
         executor = BatchExecutor(BatchingParameters(max_batch=2))
-        for i in range(3):
-            executor.submit(Task(i, MODEL, 0.0), replicas=1, now=0.0)
-        executor.submit(Task(3, MODEL, 0.0), replicas=2, now=0.0)
+        tasks = [Task(i, MODEL, 0.0) for i in range(4)]
+        for task in tasks[:3]:
+            executor.submit(task, replicas=1)
+        executor.submit(tasks[3], replicas=2)
+        assert executor.stats.executions == 0
+        assert all(task.output is None for task in tasks)
         executor.flush()
         stats = executor.stats
-        assert (stats.full_batches, stats.partial_flushes) == (1, 2)
+        assert stats.batch_sizes == {2: 1, 1: 2}
+        assert all(task.output is not None for task in tasks)
         _assert_counts_consistent(stats)
 
     def test_withdraw_removes_only_that_lane(self):
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         tasks = [Task(i, MODEL, 0.0) for i in range(3)]
         for task in tasks:
-            executor.submit(task, replicas=1, now=0.0)
+            executor.submit(task, replicas=1)
         executor.withdraw(tasks[1])
-        executor.withdraw(tasks[1])  # no longer waiting: a no-op
+        executor.withdraw(tasks[1])  # no longer recorded: a no-op
         executor.flush()
         assert tasks[1].output is None
         assert executor.stats.batch_sizes == {2: 1}
         # A withdrawn task re-submits as a fresh lane.
-        executor.submit(tasks[1], replicas=1, now=0.0)
+        executor.submit(tasks[1], replicas=1)
         executor.flush()
         assert tasks[1].output is not None
         assert executor.stats.batch_sizes == {2: 1, 1: 1}
@@ -84,22 +88,31 @@ class TestExecutorUnit:
     def test_withdrawing_the_last_lane_drops_the_group(self):
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         task = Task(0, MODEL, 0.0)
-        executor.submit(task, replicas=1, now=0.0)
+        executor.submit(task, replicas=1)
         executor.withdraw(task)
         executor.flush()
         assert executor.stats.executions == 0
 
-    def test_restart_at_same_width_is_not_rerun(self):
-        executor = BatchExecutor(BatchingParameters(max_batch=1))
-        task = Task(0, MODEL, 0.0)
-        executor.submit(task, replicas=1, now=0.0)
-        first = task.output
-        executor.submit(task, replicas=1, now=1.0)
+    def test_restart_is_executed_exactly_once(self):
+        """A restart overwrites the task's plan width and keeps its place;
+        the task runs once, at the width of its last start."""
+        executor = BatchExecutor(BatchingParameters(max_batch=8))
+        task, other = Task(0, MODEL, 0.0), Task(1, MODEL, 0.0)
+        executor.submit(task, replicas=1)
+        executor.submit(other, replicas=2)
+        executor.submit(task, replicas=1)
+        executor.submit(task, replicas=2)
+        assert list(executor._submitted) == [0, 1]
+        executor.flush()
+        assert executor.stats.batch_sizes == {2: 1}
+        reference = BatchExecutor(BatchingParameters(max_batch=8))
+        alone = Task(0, MODEL, 0.0)
+        reference.submit(alone, replicas=2)
+        reference.flush()
+        assert np.array_equal(task.output, alone.output)
+        # Forgotten once run: a second flush executes nothing.
+        executor.flush()
         assert executor.stats.executions == 1
-        assert task.output is first
-        # Another plan width computes the output again, from that width.
-        executor.submit(task, replicas=2, now=2.0)
-        assert executor.stats.executions == 2
 
 
 class TestFullWidthThroughDES:
@@ -166,14 +179,22 @@ class TestThroughWrappers:
         assert _lanes(stats) == len(result.completed)
         _assert_counts_consistent(stats)
 
-    def _tenancy(self, catalog, force_scalar):
+    def _tenancy(self, catalog, force_scalar, serving=False):
         """Best effort saturates a 4-board cluster; the premium tenant
-        preempts its way in."""
+        preempts its way in (with ``serving``, through a frontend with a
+        short queue bound and a tight deadline: some requests are shed,
+        some expire)."""
         cluster = scaled_cluster(4)
         system = build_system("proposed", cluster, catalog,
                               batching=_params(force_scalar))
+        inner, kind = system, Task
+        if serving:
+            inner, kind = ServingFrontend(
+                system, ServingParameters(max_queue_depth=4,
+                                          default_deadline_s=0.02),
+            ), Request
         blocks = sum(len(board.blocks) for board in cluster.boards.values())
-        scheduler = TenantScheduler(system, [
+        scheduler = TenantScheduler(inner, [
             TenantParameters(name="premium", priority=1, weight=2.0,
                              block_quota=int(blocks * 0.3),
                              preemptible=False),
@@ -183,11 +204,11 @@ class TestThroughWrappers:
         ], TenancyParameters())
         poisson = arrival_process("poisson")
         tasks = [
-            Task(task_id=i, model_key=MODEL, arrival_s=a, size_class="S",
+            kind(task_id=i, model_key=MODEL, arrival_s=a, size_class="S",
                  tenant="premium")
             for i, a in enumerate(poisson(6, 3200.0, seed=17))
         ] + [
-            Task(task_id=100 + i, model_key="lstm-h512-t25", arrival_s=a,
+            kind(task_id=100 + i, model_key="lstm-h512-t25", arrival_s=a,
                  size_class="S", tenant="besteffort")
             for i, a in enumerate(poisson(18, 9600.0, seed=18))
         ]
@@ -202,6 +223,18 @@ class TestThroughWrappers:
         assert len(result.completed) == 24
         _assert_outputs_match(result, reference)
         # No task runs twice and none is lost to a withdrawal.
+        stats = system.batch_executor.stats
+        assert _lanes(stats) == len(result.completed)
+        _assert_counts_consistent(stats)
+
+    def test_tenancy_over_serving_with_deadlines(self, catalog):
+        result, system, scheduler = self._tenancy(catalog, False, serving=True)
+        reference, *_ = self._tenancy(catalog, True, serving=True)
+        frontend = scheduler.inner
+        assert scheduler.stats.tasks_preempted >= 1
+        assert frontend.stats.shed >= 1 and frontend.stats.expired >= 1
+        _assert_outputs_match(result, reference)
+        assert all(task.output is None for task in result.dropped)
         stats = system.batch_executor.stats
         assert _lanes(stats) == len(result.completed)
         _assert_counts_consistent(stats)

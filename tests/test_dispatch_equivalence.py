@@ -646,9 +646,10 @@ def test_a_nearly_single_model_stream(shared_catalog, seed):
         controller = system.controller
 
         def try_deploy(model_key, now, waited_s=0.0, allow_mixed=True,
-                       inner=controller.try_deploy, flags=allow_mixed):
+                       tenant="", inner=controller.try_deploy,
+                       flags=allow_mixed):
             flags.append(allow_mixed)
-            return inner(model_key, now, waited_s, allow_mixed)
+            return inner(model_key, now, waited_s, allow_mixed, tenant)
 
         controller.try_deploy = try_deploy
         tasks = [Task(task_id=i, model_key=m, arrival_s=a)
@@ -735,15 +736,17 @@ def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
     _run_both_or_wedge(build, isolation)
 
 
-def _run_both_or_wedge(build, isolation: bool) -> None:
-    """:func:`_run_both`, except that with tenant isolation both
-    dispatchers may wedge instead, alike."""
+def _run_both_or_wedge(build, may_wedge: bool) -> list | None:
+    """:func:`_run_both`, except that where ``may_wedge`` (tenant
+    isolation or quotas) both dispatchers may wedge instead, alike (then
+    ``None``)."""
     try:
-        _run_both(build)
+        return _run_both(build)
     except SimulationError:
         # An isolated tenant can wait forever for a copy only the other
-        # tenant may use; both dispatchers must then wedge alike.
-        assert isolation
+        # tenant may use, and a tenant whose quota no plan fits for ever;
+        # both dispatchers must then wedge alike.
+        assert may_wedge
         errors = []
         for cls in (ReferenceSimulator, ClusterSimulator):
             simulator, tasks = build(cls)
@@ -769,17 +772,22 @@ STACKS = ("bare", "serving", "tenancy", "tenancy-serving")
     deadline_s=st.floats(min_value=0.002, max_value=0.05),
     retry_budget=st.sampled_from([0, 4]),
     max_queue_depth=st.integers(min_value=1, max_value=32),
+    quotas=st.tuples(*[st.one_of(st.none(), st.floats(min_value=0.02,
+                                                       max_value=1.0))] * 2),
 )
 def test_layered_stacks_match_the_reference(
         shared_catalog, stack, boards, count, span_s, isolation, seed,
-        models, deadline_s, retry_budget, max_queue_depth):
+        models, deadline_s, retry_budget, max_queue_depth, quotas):
     """The oracle over the whole stack: a bare system, serving over it,
     tenancy over it, and tenancy over serving, on random clusters and
     streams.  Serving draws its deadline, retry budget and queue bound;
     tenancy serves a premium tenant over a preemptible best-effort one,
-    with preemption on.  Isolation is drawn for the bare system only.  A
+    with preemption on, each with no block quota or a drawn fraction of
+    the cluster's blocks.  Isolation is drawn for the bare system only.  A
     layered stack answers no ``woken_models``, so its schedule, drops,
-    ``try_start`` calls and counters must equal the reference's exactly."""
+    ``try_start`` calls and counters, the controller's included
+    (``quota_rejections`` among them), must equal the reference's
+    exactly."""
     isolation = isolation and stack == "bare"
     rng = random.Random(seed)
     arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
@@ -790,8 +798,8 @@ def test_layered_stacks_match_the_reference(
              for _ in range(count)]
 
     def build(cls):
-        system = build_system("proposed", scaled_cluster(boards),
-                              shared_catalog)
+        cluster = scaled_cluster(boards)
+        system = build_system("proposed", cluster, shared_catalog)
         system.controller.tenant_isolation = isolation
         scheduler = system
         if stack.endswith("serving"):
@@ -799,15 +807,24 @@ def test_layered_stacks_match_the_reference(
                 default_deadline_s=deadline_s, retry_budget=retry_budget,
                 max_queue_depth=max_queue_depth, seed=seed))
         if tenanted:
+            total = sum(len(board.blocks) for board in cluster.boards.values())
+            premium, besteffort = (
+                None if share is None else max(1, int(total * share))
+                for share in quotas)
             scheduler = TenantScheduler(scheduler, [
                 TenantParameters(name="premium", priority=1, weight=2.0,
-                                 preemptible=False),
+                                 preemptible=False, block_quota=premium),
                 TenantParameters(name="besteffort", priority=0,
-                                 preemptible=True),
+                                 preemptible=True, block_quota=besteffort),
             ], TenancyParameters(isolation=False, preemption_enabled=True))
         tasks = [Request(task_id=i, model_key=m, arrival_s=a,
                          size_class="S", tenant=t)
                  for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
         return cls(scheduler, stack), tasks
 
-    _run_both_or_wedge(build, isolation)
+    quota_drawn = tenanted and quotas != (None, None)
+    simulators = _run_both_or_wedge(build, isolation or quota_drawn)
+    if stack != "bare" and simulators is not None:
+        reference, merged = (vars(simulator.scheduler.controller.stats)
+                             for simulator in simulators)
+        assert merged == reference

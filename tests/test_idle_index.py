@@ -37,11 +37,7 @@ def _system(catalog, boards=1, isolation=False):
 
 
 def _deploy(controller, model_key, now=0.0, tenant=""):
-    controller.tenant_context = tenant
-    try:
-        deployment, _ = controller.deploy(model_key, now=now)
-    finally:
-        controller.tenant_context = ""
+    deployment, _ = controller.deploy(model_key, now=now, tenant=tenant)
     return deployment
 
 
@@ -72,13 +68,10 @@ class TestReuseOrder:
         b_first = _deploy(controller, SMALL, tenant="b")
         b_second = _deploy(controller, SMALL, tenant="b")
         _cycle(controller, b_first, now=1.0)
-        controller.tenant_context = "b"
-        assert controller.find_idle_deployment(SMALL) is b_first
-        controller.tenant_context = "c"
-        assert controller.find_idle_deployment(SMALL) is None
+        assert controller.find_idle_deployment(SMALL, "b") is b_first
+        assert controller.find_idle_deployment(SMALL, "c") is None
         b_first.acquire()
-        controller.tenant_context = "b"
-        assert controller.find_idle_deployment(SMALL) is b_second
+        assert controller.find_idle_deployment(SMALL, "b") is b_second
         assert controller.check_idle_consistent()
 
 
@@ -137,9 +130,7 @@ class TestIsolationFilters:
         for deployment in reversed(theirs):
             controller.release(deployment, 0.001)
         patience = controller.eviction_patience_s
-        controller.tenant_context = "a"
-        controller.deploy(SMALL, now=1.0, waited_s=patience)
-        controller.tenant_context = ""
+        controller.deploy(SMALL, now=1.0, waited_s=patience, tenant="a")
         assert theirs[0].deployment_id not in controller.deployments
         assert theirs[1].deployment_id in controller.deployments
         assert all(d.deployment_id in controller.deployments for d in mine)

@@ -1,6 +1,7 @@
-"""Request-coalescing tests: the :class:`BatchExecutor` contract (buffer
-until full, drain partial groups with ``flush``, one-lane groups batched
-too), batched-vs-scalar output equality through the executor, and —
+"""Request-coalescing tests: the :class:`BatchExecutor` contract (record
+on ``submit``, execute nothing until ``flush``, then each key's tasks in
+chunks of ``max_batch``; one-lane groups batched too), batched-vs-scalar
+output equality through the executor, and —
 the integration invariant — unchanged DES event timing with batching on,
 off, or forced scalar."""
 
@@ -25,6 +26,13 @@ def _task(task_id: int, arrival_s: float = 0.0) -> Task:
                 size_class="S")
 
 
+def _execute(executor, tasks, replicas: int = 1) -> None:
+    """Submit ``tasks`` at one plan width and run them."""
+    for task in tasks:
+        executor.submit(task, replicas=replicas)
+    executor.flush()
+
+
 class TestBatchingParameters:
     def test_defaults(self):
         params = BatchingParameters()
@@ -45,13 +53,15 @@ class TestBatchExecutor:
         assert not np.array_equal(a, c)
         assert a.shape == (1, 512)
 
-    def test_full_group_executes_immediately(self):
+    def test_full_group_waits_for_flush(self):
         executor = BatchExecutor(BatchingParameters(max_batch=2))
         tasks = [_task(0), _task(1)]
         for task in tasks:
-            executor.submit(task, replicas=1, now=0.0)
+            executor.submit(task, replicas=1)
+        assert executor.stats.executions == 0
+        assert all(task.output is None for task in tasks)
+        executor.flush()
         assert executor.stats.executions == 1
-        assert executor.stats.full_batches == 1
         assert executor.stats.batched_lanes == 2
         for task in tasks:
             assert task.output is not None and task.output.shape == (512,)
@@ -60,11 +70,10 @@ class TestBatchExecutor:
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         tasks = [_task(i) for i in range(3)]
         for task in tasks:
-            executor.submit(task, replicas=1, now=0.0)
+            executor.submit(task, replicas=1)
         assert executor.stats.executions == 0
         executor.flush()
         assert executor.stats.executions == 1
-        assert executor.stats.partial_flushes == 1
         assert executor.stats.batch_sizes == {3: 1}
         assert all(task.output is not None for task in tasks)
         # Nothing left waiting: a second drain is a no-op.
@@ -74,41 +83,34 @@ class TestBatchExecutor:
     def test_resubmit_is_idempotent(self):
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         task = _task(0)
-        executor.submit(task, replicas=1, now=0.0)
-        executor.submit(task, replicas=1, now=0.0)
-        assert executor.stats.submitted == 1
+        executor.submit(task, replicas=1)
+        executor.submit(task, replicas=1)
+        executor.flush()
+        assert executor.stats.batch_sizes == {1: 1}
 
     def test_singleton_flush_runs_batched(self):
         """A one-lane group runs on the batched simulator, bitwise equal to
         the scalar reference."""
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         task = _task(0)
-        executor.submit(task, replicas=1, now=0.0)
-        executor.flush()
+        _execute(executor, [task])
         assert executor.stats.batched_lanes == 1
         assert executor.stats.scalar_lanes == 0
         reference = BatchExecutor(BatchingParameters(max_batch=8, force_scalar=True))
         scalar = _task(0)
-        reference.submit(scalar, replicas=1, now=0.0)
-        reference.flush()
+        _execute(reference, [scalar])
         assert np.array_equal(task.output, scalar.output)
 
     def test_batched_outputs_equal_forced_scalar(self):
         """The executor inherits the simulator's bit-identity contract."""
         fast = BatchExecutor(BatchingParameters(max_batch=4))
         slow = BatchExecutor(BatchingParameters(max_batch=4, force_scalar=True))
-        for executor in (fast, slow):
-            for i in range(4):
-                executor.submit(_task(i), replicas=1, now=0.0)
-        assert fast.stats.batched_lanes == 4
-        assert slow.stats.scalar_lanes == 4
-        # Re-run to capture the tasks (submit consumed fresh Task objects).
         fast_tasks = [_task(i) for i in range(4)]
         slow_tasks = [_task(i) for i in range(4)]
-        for task in fast_tasks:
-            fast.submit(task, replicas=1, now=0.0)
-        for task in slow_tasks:
-            slow.submit(task, replicas=1, now=0.0)
+        _execute(fast, fast_tasks)
+        _execute(slow, slow_tasks)
+        assert fast.stats.batched_lanes == 4
+        assert slow.stats.scalar_lanes == 4
         for got, want in zip(fast_tasks, slow_tasks):
             assert np.array_equal(got.output, want.output)
 
@@ -119,31 +121,32 @@ class TestBatchExecutor:
         payloads = [rng.normal(0.0, 1.0, (1, 512)) for _ in tasks]
         for task, payload in zip(tasks, payloads):
             task.payload = payload
-            executor.submit(task, replicas=1, now=0.0)
+        _execute(executor, tasks)
         reference = BatchExecutor(
             BatchingParameters(max_batch=2, force_scalar=True)
         )
         ref_tasks = [_task(0), _task(1)]
         for task, payload in zip(ref_tasks, payloads):
             task.payload = payload
-            reference.submit(task, replicas=1, now=0.0)
+        _execute(reference, ref_tasks)
         for got, want in zip(tasks, ref_tasks):
             assert np.array_equal(got.output, want.output)
 
     def test_flush_drains_every_group(self):
         executor = BatchExecutor(BatchingParameters(max_batch=8))
         tasks = [_task(0), _task(1)]
+        wide = [_task(2)]
         for task in tasks:
-            executor.submit(task, replicas=1, now=0.0)
+            executor.submit(task, replicas=1)
+        executor.submit(wide[0], replicas=2)
         executor.flush()
-        assert all(task.output is not None for task in tasks)
+        assert all(task.output is not None for task in tasks + wide)
+        assert executor.stats.batch_sizes == {2: 1, 1: 1}
 
     def test_stats_snapshot(self):
         executor = BatchExecutor(BatchingParameters(max_batch=2))
-        for i in range(4):
-            executor.submit(_task(i), replicas=1, now=0.0)
+        _execute(executor, [_task(i) for i in range(4)])
         stats = executor.stats
-        assert stats.submitted == 4
         assert stats.executions == 2
         assert stats.batched_lanes + stats.scalar_lanes == 4
         assert stats.batch_sizes == {2: 2}
@@ -157,10 +160,8 @@ class TestScaleOutExecution:
         slow = BatchExecutor(BatchingParameters(max_batch=2, force_scalar=True))
         fast_tasks = [_task(0), _task(1)]
         slow_tasks = [_task(0), _task(1)]
-        for task in fast_tasks:
-            fast.submit(task, replicas=2, now=0.0)
-        for task in slow_tasks:
-            slow.submit(task, replicas=2, now=0.0)
+        _execute(fast, fast_tasks, replicas=2)
+        _execute(slow, slow_tasks, replicas=2)
         for got, want in zip(fast_tasks, slow_tasks):
             assert got.output.shape == (512,)
             assert np.array_equal(got.output, want.output)
@@ -201,5 +202,6 @@ class TestDESIntegration:
         for task in scalar_result.completed:
             assert by_id[task.task_id].output is not None
             assert np.array_equal(by_id[task.task_id].output, task.output)
-        assert system.batch_executor.stats.submitted == 6
-        assert system.batch_executor.stats.executions >= 1
+        # Nothing ran during the run: the run-end step ran every task, in
+        # chunks of max_batch.
+        assert system.batch_executor.stats.batch_sizes == {4: 1, 2: 1}

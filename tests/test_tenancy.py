@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import ClusterSimulator, Task, scaled_cluster
 from repro.cluster.topology import paper_cluster
 from repro.errors import ReproError
-from repro.runtime import Catalog, build_system
+from repro.runtime import BatchingParameters, Catalog, build_system
 from repro.serving import (
     RequestOutcome,
     ServingFrontend,
@@ -221,22 +221,28 @@ class TestQuotaEnforcement:
         scheduler = TenantScheduler(
             system, [TenantParameters(name="capped", block_quota=4)]
         )
-        guard = scheduler._guard_for(scheduler.tenant("capped"))
+        quota = system.controller.quota
         entry = system.controller.catalog.entry_by_key("gru-h512-t1")
         plans = sorted(
             entry.sorted_plans(), key=system.controller.plan_footprint
         )
         small = plans[0]
         if system.controller.plan_footprint(small) <= 4:
-            assert guard(small)
+            assert quota("capped", small)
         big = plans[-1]
         if system.controller.plan_footprint(big) > 4:
-            assert not guard(big)
+            assert not quota("capped", big)
 
     def test_no_quota_means_no_guard(self, shared_catalog):
+        """A tenant without quotas, an unregistered tenant and the
+        untenanted default may each hold any plan."""
         system = _proposed(paper_cluster(), shared_catalog)
         scheduler = TenantScheduler(system, [TenantParameters(name="free")])
-        assert scheduler._guard_for(scheduler.tenant("free")) is None
+        assert system.controller.quota == scheduler._quota_allows
+        plans = system.controller.catalog.entry_by_key(
+            "gru-h2560-t375").sorted_plans()
+        for tenant in ("free", "stranger", ""):
+            assert all(scheduler._quota_allows(tenant, p) for p in plans)
 
     def test_ledger_peak_never_exceeds_quota(self, shared_catalog):
         """End to end: a tightly capped tenant under backlog is declined
@@ -494,12 +500,12 @@ class TestFrontendComposition:
         scheduler = TenantScheduler(frontend, tenants)
         return scheduler, frontend, system
 
-    def _preempting_stream(self, catalog, seed, **overrides):
+    def _preempting_stream(self, catalog, seed, batching=None, **overrides):
         """Premium and preemptible best-effort tenants over a frontend with
         20 ms deadlines, 400 tasks in 10 ms on eight boards: preemptions
         and expiries side by side."""
         cluster = scaled_cluster(8)
-        system = build_system("proposed", cluster, catalog)
+        system = build_system("proposed", cluster, catalog, batching=batching)
         params = dict(default_deadline_s=ms(20.0), breaker_enabled=False)
         params.update(overrides)
         frontend = ServingFrontend(system, ServingParameters(**params))
@@ -773,26 +779,33 @@ class TestFrontendComposition:
                 assert task.tenancy.resume_credit is None
 
     def test_composed_run_keeps_no_task_id_maps(self, shared_catalog):
-        """Per-request state lives on the task: after a run of tenancy
-        over serving over the system, with preemptions, head drops and
-        abandons, no dict or set of the simulator, the system, the
-        frontend or the tenancy layer holds a task id.  (A batch
-        executor's maps are not covered; this stack has none.)"""
+        """Per-request state lives on the task: after a batched run of
+        tenancy over serving over the system, with preemptions, head drops
+        and abandons, no dict or set of the simulator, the system, its
+        batch executor, the frontend or the tenancy layer holds a task id,
+        and no resident deployment holds a task."""
         scheduler, frontend, tasks = self._preempting_stream(
-            shared_catalog, 4, shedding=SheddingPolicy.HEAD_DROP,
-            max_queue_depth=8, retry_budget=2)
+            shared_catalog, 4, batching=BatchingParameters(),
+            shedding=SheddingPolicy.HEAD_DROP, max_queue_depth=8,
+            retry_budget=2)
         simulator = ClusterSimulator(scheduler, "one-record")
         result = simulator.run(tasks)
         assert scheduler.stats.tasks_preempted > 0
         assert frontend.stats.shed > 0  # head drops: no door sheds here
         assert frontend.stats.abandoned > 0
         assert len(result.completed) + len(result.dropped) == len(tasks)
+        system = frontend.system
+        assert all(task.output is not None for task in result.completed)
         task_ids = {task.task_id for task in tasks}
-        for layer in (simulator, frontend.system, frontend, scheduler):
+        for layer in (simulator, system, system.batch_executor, frontend,
+                      scheduler):
             for name, value in vars(layer).items():
                 if isinstance(value, (dict, set)):
                     assert not task_ids & set(value), (
                         f"{type(layer).__name__}.{name}")
+        controller = system.controller
+        assert controller.deployments
+        assert all(d.task is None for d in controller.deployments.values())
 
     def test_abandoned_tasks_leave_no_decline_reason(self, shared_catalog):
         """An abandon drops its task inside the tenancy layer's own
@@ -818,13 +831,9 @@ class TestLedgerTenantAxis:
         ClusterSimulator(scheduler, "t")  # the ledger books on its clock
         ledger = scheduler.ledger
         controller = system.controller
-        controller.tenant_context = "a"
-        try:
-            first, _ = controller.deploy("gru-h512-t1")
-        finally:
-            controller.tenant_context = ""
+        first, _ = controller.deploy("gru-h512-t1", tenant="a")
         # The ledger books the plan's nominal footprint (what the quota
-        # guard charges), not the per-device placement blocks.
+        # charges), not the per-device placement blocks.
         blocks_a = controller.plan_footprint(first.plan)
         assert ledger.open_blocks("a") == blocks_a
         assert ledger.open_blocks("b") == 0
@@ -840,11 +849,7 @@ class TestLedgerTenantAxis:
             system, [TenantParameters(name="a", block_quota=50)]
         )
         controller = system.controller
-        controller.tenant_context = "a"
-        try:
-            controller.deploy("gru-h512-t1")
-        finally:
-            controller.tenant_context = ""
+        controller.deploy("gru-h512-t1", tenant="a")
         report = scheduler.tenant_report()
         assert report["a"]["peak_open_blocks"] == (
             scheduler.ledger.peak_open_blocks["a"]

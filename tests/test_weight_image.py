@@ -54,7 +54,7 @@ def _tasks(model_key: str, payloads: list) -> list:
 
 def _execute(executor: BatchExecutor, tasks: list, replicas: int = 1) -> list:
     for task in tasks:
-        executor.submit(task, replicas=replicas, now=0.0)
+        executor.submit(task, replicas=replicas)
     executor.flush()
     return [task.output for task in tasks]
 
