@@ -480,10 +480,8 @@ def _run_experiment(name: str, args, out) -> int:
     elif name == "fig11":
         print(fig11.render(experiments.run_fig11()), file=out)
     elif name == "fig12":
-        seeds = tuple(range(1, getattr(args, "seeds", 1) + 1))
-        rows = experiments.run_fig12(
-            task_count=getattr(args, "tasks", 150), seeds=seeds
-        )
+        seeds = tuple(range(1, args.seeds + 1))
+        rows = experiments.run_fig12(task_count=args.tasks, seeds=seeds)
         print(fig12.render(rows), file=out)
     elif name == "compile-overhead":
         print(compile_overhead.render(experiments.run_compile_overhead()),

@@ -77,7 +77,8 @@ class Task:
     ``model_key`` identifies the benchmark model (e.g. ``"gru-h1536-t375"``);
     the scheduler resolves it against its catalog.  The fields after
     ``tenant`` belong to the layers a run drives the task through, each
-    written only by its owner; a task runs in one simulation only.
+    written only by its owner (``decline`` by whichever layer declined the
+    last start); a task runs in one simulation only.
     """
 
     task_id: int
@@ -104,6 +105,12 @@ class Task:
     #: ``None`` unless running), and whether the model mix counted it.
     placement: object = _run_state()
     attempted: bool = _run_state(False)
+    #: Why the last ``try_start`` declined, in the words of the layer that
+    #: declined it (``None`` once a start placed the task): the system's
+    #: ``"defrag"``, ``"busy"``, ``"capacity"`` or ``"quota"``, the serving
+    #: frontend's ``"backoff"`` or ``"breaker"``, the tenancy layer's
+    #: ``"preempt"``.  A drop leaves it as it was.
+    decline: str | None = _run_state()
     #: The serving frontend's ``RequestRecord`` and the tenant scheduler's
     #: ``TenancyRecord``.
     serving: object = _run_state()
@@ -129,7 +136,9 @@ class Scheduler(Protocol):
 
     def try_start(self, task: Task, now: float) -> float | None:
         """Attempt to start ``task``; returns its service time in seconds,
-        or ``None`` when resources are currently unavailable."""
+        or ``None`` when resources are currently unavailable.  The
+        framework's layers write why in ``task.decline``, for the layers
+        above them to read."""
 
     def on_finish(self, task: Task, now: float) -> None:
         """Release whatever ``try_start`` reserved."""
@@ -155,12 +164,6 @@ class Scheduler(Protocol):
         task is queued.  Returning ``False`` sheds the task — it is recorded
         in :attr:`SimulationResult.dropped` and never dispatched.  The
         simulator's queue depths do not count the task yet."""
-
-    def on_drop(self, task: Task, now: float) -> None:
-        """Optional: called by :meth:`ClusterSimulator.drop_queued` once a
-        queued task has left the queue for good (the serving layer condemned
-        it).  A layer that keeps state for queued work on the task clears
-        it here; queue depths are the simulator's to answer."""
 
     def woken_models(self, event: str, task: Task, now: float):
         """Optional: asked after ``task``'s ``event`` — ``"arrive"`` (once
@@ -337,7 +340,6 @@ class ClusterSimulator:
             self._dispatch_key = getattr(
                 getattr(scheduler, "system", scheduler), "dispatch_key", None)
         self._retry_hint = getattr(scheduler, "retry_hint", None)
-        self._on_drop = getattr(scheduler, "on_drop", None)
         self._woken_models = getattr(scheduler, "woken_models", None)
 
     # -- pending queues -----------------------------------------------------------
@@ -374,8 +376,6 @@ class ClusterSimulator:
         else:
             self._unqueue(task)
         self._result.dropped.append(task)
-        if self._on_drop is not None:
-            self._on_drop(task, self.queue.now)
         # The queue view hints read has changed.
         self._resource_version += 1
 

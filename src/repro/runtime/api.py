@@ -65,8 +65,8 @@ class HypervisorAPI:
         reconfig = 0.0
         if deployment is None:
             placed = self._controller.try_deploy(model_key, now=now, waited_s=0.0)
-            if placed is None:
-                return None
+            if placed.__class__ is not tuple:
+                return None  # a refusal reason
             deployment, reconfig = placed
         deployment.acquire()
         handle = TaskHandle(

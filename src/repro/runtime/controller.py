@@ -373,8 +373,8 @@ class SystemController:
         #: integrated exactly over time (the autoscale bench's cost metric).
         self.ledger = None
         #: Optional tenant quota ``callable(tenant, plan) -> bool`` that
-        #: :meth:`try_deploy` filters plans through for the tenant it
-        #: places for; the tenancy scheduler installs it once, ``None``
+        #: :meth:`try_deploy` and :meth:`place_plan` ask for the tenant
+        #: they place for; the tenancy scheduler installs it once, ``None``
         #: otherwise.
         self.quota = None
         #: When True, :meth:`find_idle_deployment` only reuses deployments
@@ -460,16 +460,15 @@ class SystemController:
         Returns ``(deployment, reconfig_seconds)``; raises
         :class:`AllocationError` when the model cannot currently be placed.
         A thin wrapper over :meth:`try_deploy` (same policy, same counters)
-        for callers that want a refusal as an exception: the message — a
-        tenant-quota refusal, or the largest free hole per device type —
-        is built only here, so the scheduler's hot decline path, which
-        calls :meth:`try_deploy`, never formats one.
+        for callers that want a refusal as an exception: the message for
+        its reason — a tenant-quota refusal, or the largest free hole per
+        device type — is built only here, so the scheduler's hot decline
+        path, which calls :meth:`try_deploy`, never formats one.
         """
-        quota_before = self.stats.quota_rejections
         placed = self.try_deploy(model_key, now, waited_s, allow_mixed, tenant)
-        if placed is not None:
+        if placed.__class__ is tuple:
             return placed
-        if self.stats.quota_rejections > quota_before:
+        if placed == "quota":
             raise AllocationError(
                 f"tenant quota: no plan for {model_key} fits within the "
                 f"quota of tenant {tenant!r}"
@@ -491,17 +490,17 @@ class SystemController:
         waited_s: float = 0.0,
         allow_mixed: bool = True,
         tenant: str = "",
-    ) -> tuple | None:
+    ) -> tuple | str:
         """Create a new deployment for ``model_key``, owned by ``tenant``,
-        or return ``None``.
+        or say why not.
 
         Returns ``(deployment, reconfig_seconds)``.  Follows the greedy
         policy: try the fewest-FPGAs plan first; when no placement exists,
-        evict idle deployments LRU and retry; give up (``None``) when the
-        model cannot currently be placed.  Only plans :attr:`quota` allows
-        ``tenant`` are tried; a refusal because it allows none counts in
-        ``stats.quota_rejections``, any other refusal in
-        ``stats.placement_failures``.
+        evict idle deployments LRU and retry; give up when the model cannot
+        currently be placed.  Only plans :attr:`quota` allows ``tenant``
+        are tried.  A refusal returns its reason: ``"quota"`` when the
+        quota allows no plan (counted in ``stats.quota_rejections``),
+        ``"capacity"`` otherwise (counted in ``stats.placement_failures``).
 
         ``waited_s`` is how long the requesting task has queued.  Eviction
         is gated twice to prevent reconfiguration thrash on mixed streams:
@@ -510,8 +509,8 @@ class SystemController:
         between reconfigurations).
 
         Under a deep backlog almost every call is refused, so a refusal
-        raises nothing and formats nothing: it returns ``None`` and leaves
-        the diagnostic to :meth:`deploy`.
+        raises nothing and formats nothing: it returns a constant and
+        leaves the diagnostic to :meth:`deploy`.
         """
         self.stats.deploy_calls += 1
         entry = self.catalog.entry(model_by_key(model_key))
@@ -529,7 +528,7 @@ class SystemController:
                 # outcome, and counting it as capacity would make the
                 # serving retry/preemption machinery fight the quota.
                 self.stats.quota_rejections += 1
-                return None
+                return "quota"
             plans = allowed
         may_evict = waited_s >= self.eviction_patience_s
         while True:
@@ -542,7 +541,7 @@ class SystemController:
                 self.stats.fast_rejects += 1
             if not may_evict or not self._evict_one_idle(now, model_key, tenant):
                 self.stats.placement_failures += 1
-                return None
+                return "capacity"
 
     def emit_event(self, event) -> None:
         """Append a structured operational event (bounded ring)."""
@@ -558,16 +557,21 @@ class SystemController:
             image.virtual_blocks for image in plan.images.values()
         )
 
-    def place_plan(self, plan: DeploymentPlan, now: float) -> tuple | None:
-        """Place one specific plan right now, untenanted, without eviction,
-        plan search or quota.  Returns ``(deployment, reconfig_seconds)``
-        or ``None`` when no placement exists — the serving layer's
-        brownout switch and the autoscaler use this to target an exact
-        width."""
+    def place_plan(
+        self, plan: DeploymentPlan, now: float, tenant: str = ""
+    ) -> tuple | None:
+        """Place one specific plan right now for ``tenant``, without
+        eviction or plan search.  Returns ``(deployment,
+        reconfig_seconds)``, or ``None`` when :attr:`quota` refuses the
+        plan or no placement exists — the serving layer's brownout switch
+        and the autoscaler use this to target an exact width."""
+        quota = self.quota
+        if quota is not None and not quota(tenant, plan):
+            return None
         assignment = self._find_placement(plan)
         if assignment is None:
             return None
-        return self._instantiate(plan, assignment, now)
+        return self._instantiate(plan, assignment, now, tenant)
 
     def swap_plan(
         self, deployment: Deployment, target_plan: DeploymentPlan, now: float
@@ -575,14 +579,16 @@ class SystemController:
         """Discard-first width switch (brownout and autoscale): the old
         deployment's blocks fund ``target_plan``'s placement; when it does
         not fit, the original width goes back into the space just freed
-        (best effort).  Whatever was placed is held until ready.  Returns
-        the new ``(deployment, reconfig_seconds)``, or ``None`` when the
-        switch failed."""
+        (best effort).  Both belong to the old deployment's tenant, under
+        its quota.  Whatever was placed is held until ready.  Returns the
+        new ``(deployment, reconfig_seconds)``, or ``None`` when the switch
+        failed."""
         self._clock()  # raise before the old width is discarded
         original_plan = deployment.plan
+        tenant = deployment.tenant
         self.discard(deployment)
-        placed = self.place_plan(target_plan, now)
-        held = placed or self.place_plan(original_plan, now)
+        placed = self.place_plan(target_plan, now, tenant)
+        held = placed or self.place_plan(original_plan, now, tenant)
         if held is not None:
             self.hold_until_ready(*held)
         return placed

@@ -145,6 +145,7 @@ class ProposedSystem:
             # A compaction for this model is in flight; until it completes
             # the controller provably cannot place it, so don't charge a
             # placement failure for re-asking.
+            task.decline = "defrag"
             return None
         controller = self.controller
         tenant = task.tenant
@@ -153,7 +154,9 @@ class ProposedSystem:
         if deployment is None:
             copies = controller.deployment_count(task.model_key)
             if copies > 0 and not self._expansion_allowed(task.model_key):
-                return None  # wait for the busy copy instead of expanding
+                # Wait for the busy copy instead of expanding.
+                task.decline = "busy"
+                return None
             waited = now - task.arrival_s
             if copies > 0:
                 # Expansion uses free blocks; eviction only under strong
@@ -175,7 +178,8 @@ class ProposedSystem:
                 task.model_key, now, waited_s=waited, allow_mixed=allow_mixed,
                 tenant=tenant,
             )
-            if placed is None:
+            if placed.__class__ is not tuple:
+                task.decline = placed  # "capacity" or "quota"
                 self._maybe_defrag(task.model_key, now)
                 return None
             deployment, reconfig = placed
@@ -183,6 +187,7 @@ class ProposedSystem:
             controller.stats.reuse_hits += 1
         deployment.acquire()
         task.placement = deployment
+        task.decline = None
         deployment.task = task
         if self.batch_executor is not None:
             self.batch_executor.submit(task, deployment.plan.replicas)

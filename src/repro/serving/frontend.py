@@ -22,10 +22,12 @@ or boards fail:
   occupies a board.  A request started at its deadline could not finish
   on time anyway: service time is positive.  A head drop or an abandon
   leaves the queue the same way, at the event that condemns it.
-* **Retry budget** — genuine placement failures (the controller counted
-  a ``placement_failure``) consume a per-request budget with jittered
-  exponential backoff; exhaustion abandons the request.  Waiting behind a
-  busy deployment costs nothing — that is queueing, not failure.
+* **Retry budget** — genuine placement failures (the system declined
+  the start for ``"capacity"``) consume a per-request budget with
+  jittered exponential backoff; exhaustion abandons the request, whose
+  decline reason stays ``"capacity"`` (its outcome says it left).
+  Waiting behind a busy deployment costs nothing — that is queueing, not
+  failure.
 * **Circuit breakers** — per-board failure/latency windows
   (:mod:`repro.serving.breaker`); an open breaker drains its board
   through the health machinery (``HEALTHY -> DEGRADED``, dropping it from
@@ -283,14 +285,15 @@ class ServingFrontend:
     def try_start(self, task: Task, now: float) -> float | None:
         record = task.serving
         if now < record.next_attempt_s:
-            return None  # retry backoff gate
+            task.decline = "backoff"  # retry backoff gate
+            return None
         if self._all_breakers_open(task.model_key):
             self.stats.breaker_rejections += 1
+            task.decline = "breaker"
             return None
-        failures_before = self.controller.stats.placement_failures
         service = self.system.try_start(task, now)
         if service is None:
-            if self.controller.stats.placement_failures > failures_before:
+            if task.decline == "capacity":
                 self._placement_failed(task, now)
             return None
         # Started: let brownout react to the new utilisation.  The

@@ -23,10 +23,11 @@ way the frontend wraps the system).  It adds:
   tenant's virtual time by ``service/weight``, so a weight-2 tenant
   receives twice the share of a weight-1 peer under contention);
 * **preemption = checkpoint + requeue** — when a higher-priority tenant's
-  task fails placement on *capacity* (not quota), lower-priority
-  preemptible deployments on the best board are drained, checkpointed to
-  host memory (the migration engine's state-size model over the host
-  link — the same arithmetic as recovery restores) and discarded; a
+  task fails placement on *capacity* (``task.decline == "capacity"``, not
+  ``"quota"``), lower-priority preemptible deployments on the best board
+  are drained, checkpointed to host memory (the migration engine's
+  state-size model over the host link — the same arithmetic as recovery
+  restores) and discarded; a
   running victim task (``deployment.task``) is aborted and requeued, and
   on its next start it is charged only the checkpoint-restore stream plus
   its *remaining* service, so the preempted tenant loses the round trip
@@ -35,9 +36,13 @@ way the frontend wraps the system).  It adds:
 The layer calls its inner layer directly for the hooks it works around
 (``try_start``, ``on_finish``, ``retry_hint``, ``bind_simulator``), and
 probes only ``admit`` and ``requeue``, which a bare system does not
-define.  The queue view the system reads is the simulator's, and the
-tenant a placement is for travels as an argument (``task.tenant``, which
-the system passes to the controller), so nothing here forwards either.
+define.  It learns why an inner start declined from ``task.decline``, and
+writes its own reason, ``"preempt"``, there when a teardown for the model
+is pending or the decline started a sweep; ``retry_hint`` then waits for
+the teardown, as it waits for a release after ``"quota"``.  The queue
+view the system reads is the simulator's, and the tenant a placement is
+for travels as an argument (``task.tenant``, which the system passes to
+the controller), so nothing here forwards either.
 
 Everything is off by default at the system level: untenanted runs never
 construct this class, ``task.tenant == ""`` everywhere, and the fig12
@@ -81,13 +86,11 @@ class TenantState:
 @dataclass(slots=True)
 class TenancyRecord:
     """The tenancy layer's state for one admitted request until it
-    finishes (``task.tenancy``): why its last start declined (drives
-    ``retry_hint``; ``None`` once it started or left the queue), the
-    ``(remaining_service_s, restore_stream_s)`` credit owed to its next
-    start after a preemption, the finish time of its current run, and
-    whether it was ever preempted."""
+    finishes (``task.tenancy``): the ``(remaining_service_s,
+    restore_stream_s)`` credit owed to its next start after a preemption,
+    the finish time of its current run, and whether it was ever
+    preempted.  Why its last start declined is ``task.decline``."""
 
-    decline: str | None = None
     resume_credit: tuple | None = None
     finish_s: float = 0.0
     preempted: bool = False
@@ -270,15 +273,8 @@ class TenantScheduler:
         task.tenancy = TenancyRecord()
         return True
 
-    def on_drop(self, task: Task, now: float) -> None:
-        """The inner frontend condemned a queued task (the simulator has
-        dropped it): its decline reason and resume credit go with it."""
-        record = task.tenancy
-        record.decline = None
-        record.resume_credit = None
-
     def retry_hint(self, task: Task, now: float) -> float:
-        if task.tenancy.decline in ("quota", "preempt"):
+        if task.decline in ("quota", "preempt"):
             # Quota: only a release/discard (a version bump) helps.
             # Preempt: the teardown's completion is an external event that
             # bumps the version itself.
@@ -286,35 +282,21 @@ class TenantScheduler:
         return self.inner.retry_hint(task, now)
 
     def try_start(self, task: Task, now: float) -> float | None:
-        state = self._state(task.tenant)
-        record = task.tenancy
         if self._preempt_pending.get(task.model_key, 0) > 0:
             # Blocks for this model are already being reclaimed; starting
             # another sweep before they land would over-evict.
-            record.decline = "preempt"
+            task.decline = "preempt"
             return None
-        controller = self.controller
-        failures_before = controller.stats.placement_failures
-        quota_before = controller.stats.quota_rejections
-        # Marked declined up front: an abandon inside the inner start drops
-        # the task, and :meth:`on_drop` takes the mark with it.
-        record.decline = "inner"
+        state = self._state(task.tenant)
         service = self.inner.try_start(task, now)
         if service is None:
-            if controller.stats.placement_failures > failures_before:
-                reason = "capacity"
-                if self._maybe_preempt(task, state, now):
-                    reason = "preempt"
-            elif controller.stats.quota_rejections > quota_before:
-                reason = "quota"
-            else:
-                reason = "inner"
-            if record.decline is not None:
-                # Still queued: the inner start did not condemn the task.
-                record.decline = reason
+            if task.decline == "capacity" and self._maybe_preempt(
+                task, state, now
+            ):
+                task.decline = "preempt"
             return None
-        record.decline = None
         state.running += 1
+        record = task.tenancy
         credit = record.resume_credit
         if credit is not None:
             record.resume_credit = None

@@ -1,7 +1,7 @@
 """The cheap decline path decides exactly what the raising path decided.
 
-``SystemController.try_deploy`` answers a refused placement with ``None``
-instead of an ``AllocationError``, deployments read their service time
+``SystemController.try_deploy`` answers a refused placement with its
+reason instead of an ``AllocationError``, deployments read their service time
 from the controller's one service cache, and ``ProposedSystem``'s fairness
 check probes the per-model index instead of counting copies.  These tests
 hold each shortcut to the behaviour it replaced: the counters every
@@ -82,35 +82,36 @@ def _guarded_fast_reject(controller):
     return "lstm-h1536-t50", {}
 
 
-#: outcome -> (set-up, whether it places, the counters one call bumps).
+#: outcome -> (set-up, ``try_deploy``'s refusal reason (``None``: it
+#: places), the counters one call bumps).
 OUTCOMES = {
-    "success": (_success, True, {
+    "success": (_success, None, {
         "deploy_calls": 1, "placement_searches": 1, "boards_probed": 2,
         "deployments_created": 1,
     }),
-    "fast_reject": (_fast_reject, False, {
+    "fast_reject": (_fast_reject, "capacity", {
         "deploy_calls": 1, "fast_rejects": 1, "placement_failures": 1,
     }),
-    "capacity_failure": (_capacity_failure, False, {
+    "capacity_failure": (_capacity_failure, "capacity", {
         "deploy_calls": 1, "placement_searches": 1, "boards_probed": 1,
         "placement_failures": 1,
     }),
     "capacity_failure_after_eviction": (
-        _capacity_failure_after_eviction, False, {
+        _capacity_failure_after_eviction, "capacity", {
             "deploy_calls": 1, "placement_searches": 1, "boards_probed": 1,
             "fast_rejects": 1, "deployments_evicted": 1,
             "placement_failures": 1,
         },
     ),
-    "quota_refusal": (_quota_refusal, False, {
+    "quota_refusal": (_quota_refusal, "quota", {
         "deploy_calls": 1, "quota_rejections": 1,
     }),
     "quota_refusal_on_a_full_cluster": (
-        _quota_refusal_on_a_full_cluster, False, {
+        _quota_refusal_on_a_full_cluster, "quota", {
             "deploy_calls": 1, "quota_rejections": 1,
         },
     ),
-    "guarded_fast_reject": (_guarded_fast_reject, False, {
+    "guarded_fast_reject": (_guarded_fast_reject, "capacity", {
         "deploy_calls": 1, "fast_rejects": 1, "placement_failures": 1,
     }),
 }
@@ -124,7 +125,7 @@ def _delta(before: dict, after: dict) -> dict:
 class TestDeclineCounters:
     @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
     def test_deploy_and_try_deploy_count_alike(self, shared_catalog, outcome):
-        setup, places, expected = OUTCOMES[outcome]
+        setup, reason, expected = OUTCOMES[outcome]
         deltas = []
         for method in ("deploy", "try_deploy"):
             controller = _controller(shared_catalog)
@@ -132,8 +133,11 @@ class TestDeclineCounters:
             before = dict(vars(controller.stats))
             if method == "try_deploy":
                 placed = controller.try_deploy(model_key, **kwargs)
-                assert (placed is not None) == places
-            elif places:
+                if reason is None:
+                    assert type(placed) is tuple
+                else:
+                    assert placed == reason
+            elif reason is None:
                 controller.deploy(model_key, **kwargs)
             else:
                 with pytest.raises(AllocationError):

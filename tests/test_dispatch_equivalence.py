@@ -759,6 +759,41 @@ def _run_both_or_wedge(build, may_wedge: bool) -> list | None:
 #: The stacks the layered oracle draws, outermost layer first.
 STACKS = ("bare", "serving", "tenancy", "tenancy-serving")
 
+#: Every reason a layer of the framework writes in ``task.decline``.
+DECLINE_REASONS = frozenset({"defrag", "busy", "capacity", "quota",
+                             "backoff", "breaker", "preempt"})
+
+
+def _check_declines(scheduler) -> None:
+    """Wrap the outermost ``try_start`` (before ``run``): a start leaves
+    ``task.decline`` at ``None``, a decline at a reason that agrees with
+    the counters the layers keep — a quota rejection iff ``"quota"``, a
+    placement failure iff ``"capacity"`` or a ``"preempt"`` that started
+    a preemption sweep."""
+    stats = scheduler.controller.stats
+    tenancy = scheduler.stats if isinstance(scheduler, TenantScheduler) else None
+    inner = scheduler.try_start
+    unset = object()
+
+    def try_start(task, now):
+        failures = stats.placement_failures
+        quotas = stats.quota_rejections
+        sweeps = tenancy.preemption_sweeps if tenancy is not None else 0
+        task.decline = unset
+        service = inner(task, now)
+        reason = task.decline
+        if service is not None:
+            assert reason is None
+            return service
+        assert reason in DECLINE_REASONS, reason
+        swept = tenancy is not None and tenancy.preemption_sweeps > sweeps
+        assert (stats.quota_rejections > quotas) == (reason == "quota")
+        assert (stats.placement_failures > failures) == (
+            reason == "capacity" or reason == "preempt" and swept)
+        return service
+
+    scheduler.try_start = try_start
+
 
 @settings(deadline=None)
 @given(
@@ -787,7 +822,8 @@ def test_layered_stacks_match_the_reference(
     layered stack answers no ``woken_models``, so its schedule, drops,
     ``try_start`` calls and counters, the controller's included
     (``quota_rejections`` among them), must equal the reference's
-    exactly."""
+    exactly.  On the merge dispatcher every decline's reason is checked
+    against those counters (:func:`_check_declines`)."""
     isolation = isolation and stack == "bare"
     rng = random.Random(seed)
     arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
@@ -820,6 +856,8 @@ def test_layered_stacks_match_the_reference(
         tasks = [Request(task_id=i, model_key=m, arrival_s=a,
                          size_class="S", tenant=t)
                  for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
+        if cls is ClusterSimulator:
+            _check_declines(scheduler)
         return cls(scheduler, stack), tasks
 
     quota_drawn = tenanted and quotas != (None, None)

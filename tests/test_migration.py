@@ -373,6 +373,24 @@ class TestDefrag:
         assert simulator.external_events >= 1
         assert controller.migration.bytes_migrated > 0
 
+    def test_a_task_waits_out_its_models_defrag(self, shared_catalog):
+        """The capacity refusal that starts a compaction, then a decline
+        that names it while it is in flight."""
+        system = build_system(
+            "proposed", paper_cluster(), shared_catalog, defrag=True
+        )
+        controller = system.controller
+        _shatter_vu37p(controller, controller.cluster)
+        ClusterSimulator(system, system.name)  # the defrag's clock
+        task = Task(task_id=0, model_key="gru-h1536-t375", arrival_s=0.0)
+        assert system.try_start(task, 0.0) is None
+        assert task.decline == "capacity"
+        assert controller.stats.defrag_plans == 1
+        failures = controller.stats.placement_failures
+        assert system.try_start(task, 0.0) is None
+        assert task.decline == "defrag"
+        assert controller.stats.placement_failures == failures
+
     def test_victims_remain_functional_after_defrag(self, shared_catalog):
         system = build_system(
             "proposed", paper_cluster(), shared_catalog, defrag=True

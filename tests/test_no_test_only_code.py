@@ -24,6 +24,12 @@ shares.
 A definition that nothing there uses fails unless :data:`ALLOWED` names it,
 with the reason it stays.  An entry fails when it goes stale (its
 definition is gone or now has a use), so the table only ever shrinks.
+
+The other way round, a probe for an optional hook or field
+(``getattr(obj, "<name>", default)`` in ``src/``) is dead when no class in
+``src/`` defines ``<name>`` (a ``Protocol`` only declares it): the default
+always answers, and the probe and whatever it guards are code that no run
+exercises.
 """
 
 import ast
@@ -209,6 +215,41 @@ def _definitions() -> dict:
     return found
 
 
+def _probes() -> dict:
+    """``name -> [path:line, ...]`` for every ``getattr(obj, "<name>",
+    default)`` in ``src/``."""
+    found = collections.defaultdict(list)
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) == 3
+                    and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)):
+                where = f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+                found[node.args[1].value].append(where)
+    return found
+
+
+def _implemented() -> set:
+    """The names the classes in ``src/`` define (methods, class-body names
+    and ``self`` attributes); a ``Protocol``'s declarations do not count."""
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef) or any(
+                    isinstance(base, ast.Name) and base.id == "Protocol"
+                    for base in node.bases):
+                continue
+            names |= _body_names(node)
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    names.add(member.name)
+                    names |= _stored_self_attrs(member)
+    return names
+
+
 @pytest.fixture(scope="module")
 def unused() -> set:
     """Definitions that nothing in src/, benchmarks/ or examples/ uses."""
@@ -234,3 +275,15 @@ def test_allowed_holds_only_test_only_code(unused):
 def test_allowed_entries_give_a_reason():
     kinds = ("checker:", "reference model:", "paper artefact:", "accessor:")
     assert all(reason.startswith(kinds) for reason in ALLOWED.values())
+
+
+def test_every_probed_name_has_a_definer():
+    members = _implemented()
+    probes = _probes()
+    assert probes  # the scan still finds the simulator's hook probes
+    dead = sorted(f"{where} probes {name!r}"
+                  for name, sites in probes.items() if name not in members
+                  for where in sites)
+    assert not dead, (
+        "no class in src/ defines these probed names, so the default "
+        "always answers; delete the probe: " + ", ".join(dead))

@@ -215,7 +215,6 @@ class _Condemning(_Picky):
         super().__init__(accept)
         self.park = False
         self.actions = {}
-        self.dropped = []
 
     def bind_simulator(self, simulator):
         self.simulator = simulator
@@ -228,9 +227,6 @@ class _Condemning(_Picky):
 
     def retry_hint(self, task, now):
         return math.inf if self.park else now
-
-    def on_drop(self, task, now):
-        self.dropped.append(task.task_id)
 
 
 def _queued_ids(simulator, key=("", "m")):
@@ -314,7 +310,6 @@ class TestPendingQueues:
         assert scheduler.calls[:4] == [0, 1, 2, 3]
         assert tasks[1].start_s == 0.0
         assert [t.task_id for t in simulator._result.dropped] == [0]
-        assert scheduler.dropped == [0]
         assert _queued_ids(simulator) == [2, 3]
         assert simulator.pending_count == 2
 
@@ -331,7 +326,7 @@ class TestPendingQueues:
         assert scheduler.calls == [0, 1, 2, 4]
         assert _queued_ids(simulator) == [2, 3]
         assert simulator.pending_count == 3
-        assert scheduler.dropped == [0]
+        assert [t.task_id for t in simulator._result.dropped] == [0]
 
     def test_drop_a_task_requeued_mid_pass(self):
         # A task aborted inside a pass waits in the requeue list until the
@@ -353,7 +348,6 @@ class TestPendingQueues:
         assert simulator._requeued == []
         assert _queued_ids(simulator) == [1]
         assert [t.task_id for t in simulator._result.dropped] == [0]
-        assert scheduler.dropped == [0]
 
     def test_drop_a_queues_last_task(self):
         # Dropping a queue's only task removes the queue; a later arrival
@@ -363,7 +357,7 @@ class TestPendingQueues:
         simulator.drop_queued(tasks[0])
         assert simulator._queues == {}
         assert simulator.pending_count == 0
-        assert scheduler.dropped == [0]
+        assert [t.task_id for t in simulator._result.dropped] == [0]
         scheduler.accept = {1}
         simulator._arrive(Task(task_id=1, model_key="m", arrival_s=0.0))
         assert scheduler.calls == [1]

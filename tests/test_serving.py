@@ -425,6 +425,7 @@ class TestCircuitBreakerIntegration:
         task = _requests(1)[0]
         queue_tasks(frontend, [task])
         assert frontend.try_start(task, 0.0) is None
+        assert task.decline == "breaker"
         assert frontend.stats.breaker_rejections == 1
 
     def test_late_completion_is_slow_on_every_board_it_ran_on(self, catalog):

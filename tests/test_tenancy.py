@@ -244,6 +244,30 @@ class TestQuotaEnforcement:
         for tenant in ("free", "stranger", ""):
             assert all(scheduler._quota_allows(tenant, p) for p in plans)
 
+    def test_place_plan_asks_the_quota(self, shared_catalog):
+        """An exact-width placement for a tenant is held to its quota; an
+        untenanted one (the autoscaler's adds) is not."""
+        system = _proposed(paper_cluster(), shared_catalog)
+        controller = system.controller
+        plans = sorted(
+            controller.catalog.entry_by_key("gru-h512-t1").sorted_plans(),
+            key=controller.plan_footprint,
+        )
+        narrow, wide = plans[0], plans[-1]
+        assert controller.plan_footprint(narrow) < controller.plan_footprint(
+            wide)
+        scheduler = TenantScheduler(system, [TenantParameters(
+            name="capped", block_quota=controller.plan_footprint(wide) - 1)])
+        ClusterSimulator(scheduler, "t")  # the ledger books on its clock
+        assert controller.place_plan(wide, 0.0, "capped") is None
+        assert controller.stats.deployments_created == 0
+        deployment, _ = controller.place_plan(narrow, 0.0, "capped")
+        assert deployment.tenant == "capped"
+        assert scheduler.ledger.open_blocks("capped") == (
+            controller.plan_footprint(narrow))
+        untenanted, _ = controller.place_plan(wide, 0.0)
+        assert untenanted.tenant == ""
+
     def test_ledger_peak_never_exceeds_quota(self, shared_catalog):
         """End to end: a tightly capped tenant under backlog is declined
         at the allocation point — the ledger's peak resident blocks stay
@@ -285,9 +309,9 @@ class TestQuotaEnforcement:
         task = Task(task_id=7, model_key="gru-h512-t1", arrival_s=0.0,
                     tenant="t")
         queue_tasks(scheduler, [task])
-        task.tenancy.decline = "quota"
+        task.decline = "quota"
         assert scheduler.retry_hint(task, 1.0) == math.inf
-        task.tenancy.decline = "preempt"
+        task.decline = "preempt"
         assert scheduler.retry_hint(task, 1.0) == math.inf
 
 
@@ -539,6 +563,27 @@ class TestFrontendComposition:
         assert scheduler.system is system
         assert scheduler.controller is system.controller
 
+    def test_brownout_switch_keeps_its_tenant_and_quota(self, shared_catalog):
+        """A brownout switch places the narrow copy for the wide copy's
+        tenant, so the tenant's ledger axis keeps counting it."""
+        scheduler, frontend, system = self._frontend_stack(
+            shared_catalog, [TenantParameters(name="acme", block_quota=64)]
+        )
+        controller = system.controller
+        simulator = ClusterSimulator(scheduler, "switch")
+        plans = shared_catalog.entry_by_key("gru-h512-t1").sorted_plans()
+        wide = max(plans, key=controller.plan_footprint)
+        narrow = min(plans, key=controller.plan_footprint)
+        deployment, _ = controller.place_plan(wide, 0.0, "acme")
+        frontend._switch_plan(deployment, narrow, now=0.0)
+        assert frontend.stats.brownout_switches == 1
+        simulator.queue.run()  # the narrow width is held until configured
+        (replacement,) = controller.deployments_of("gru-h512-t1")
+        assert replacement.tenant == "acme"
+        assert replacement.plan is narrow
+        assert scheduler.ledger.open_blocks("acme") == (
+            controller.plan_footprint(narrow))
+
     def test_requeue_restores_queue_and_tenant_depth(self, shared_catalog):
         """A preempted request is back in the simulator's (tenant, model)
         queue when the frontend requeues it, and counts in its tenant's
@@ -750,8 +795,7 @@ class TestFrontendComposition:
     @pytest.mark.parametrize("seed", [4, 5])
     def test_dropped_tasks_leave_no_bookkeeping(self, shared_catalog, seed):
         """Tasks the frontend drops (deadline expiry) after a declined
-        start or a preemption take their decline reason and resume
-        credit with them, and leave their tenant's depth as they leave
+        start or a preemption leave their tenant's depth as they leave
         the simulator's queue."""
         scheduler, _, tasks = self._preempting_stream(shared_catalog, seed)
         simulator = ClusterSimulator(scheduler, "drops")
@@ -773,10 +817,6 @@ class TestFrontendComposition:
         assert finishes
         assert result.dropped
         assert scheduler.stats.tasks_preempted > 0
-        for task in tasks:
-            if task.tenancy is not None:
-                assert task.tenancy.decline is None
-                assert task.tenancy.resume_credit is None
 
     def test_composed_run_keeps_no_task_id_maps(self, shared_catalog):
         """Per-request state lives on the task: after a batched run of
@@ -807,16 +847,23 @@ class TestFrontendComposition:
         assert controller.deployments
         assert all(d.task is None for d in controller.deployments.values())
 
-    def test_abandoned_tasks_leave_no_decline_reason(self, shared_catalog):
+    def test_abandoned_tasks_keep_their_capacity_reason(self,
+                                                        shared_catalog):
         """An abandon drops its task inside the tenancy layer's own
-        ``try_start``: the decline it then reads is not kept."""
+        ``try_start``: its outcome says it left, and its decline reason
+        stays the capacity refusal that spent its retry budget, unless
+        the tenancy layer then started a sweep for it (it still preempts
+        for a task that no longer waits) and wrote ``"preempt"``."""
         scheduler, frontend, tasks = self._preempting_stream(
             shared_catalog, 4, retry_budget=0)
         simulator = ClusterSimulator(scheduler, "abandons")
         simulator.run(tasks)
-        assert frontend.stats.abandoned > 0
-        assert all(task.tenancy is None or task.tenancy.decline is None
-                   for task in tasks)
+        abandoned = [task for task in tasks
+                     if task.serving.outcome is RequestOutcome.ABANDONED]
+        assert len(abandoned) == frontend.stats.abandoned > 0
+        reasons = [task.decline for task in abandoned]
+        assert set(reasons) == {"capacity", "preempt"}
+        assert reasons.count("preempt") <= scheduler.stats.preemption_sweeps
         for name in ("premium", "besteffort"):
             assert simulator.tenant_depth(name) == 0
 
