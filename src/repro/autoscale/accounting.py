@@ -18,9 +18,9 @@ undercharged.
 
 The ledger also carries the **tenant axis** (multi-tenancy layer): every
 entry is keyed by the deployment's owning tenant, instantaneous per-tenant
-open blocks/replicas are maintained incrementally, and the *peak* of each
-is recorded — ``peak_open_blocks[tenant] <= quota`` is exactly the "zero
-quota violations" check the tenancy bench gates on, with no sampling gap.
+open blocks are maintained incrementally, and their *peak* is recorded —
+``peak_open_blocks[tenant] <= quota`` is exactly the "zero quota
+violations" check the tenancy bench gates on, with no sampling gap.
 """
 
 from __future__ import annotations
@@ -42,12 +42,8 @@ class ReplicaLedger:
         self._block_s_by_tenant: dict[str, float] = {}
         #: tenant -> blocks currently resident (incremental, exact).
         self._open_blocks_by_tenant: dict[str, int] = {}
-        #: tenant -> replica units currently resident.
-        self._open_replicas_by_tenant: dict[str, int] = {}
         #: tenant -> historical maximum of the instantaneous open blocks.
         self.peak_open_blocks: dict[str, int] = {}
-        #: tenant -> historical maximum of the instantaneous open replicas.
-        self.peak_open_replicas: dict[str, int] = {}
 
     # -- controller notifications ---------------------------------------------
 
@@ -62,14 +58,8 @@ class ReplicaLedger:
         )
         open_blocks = self._open_blocks_by_tenant.get(tenant, 0) + blocks
         self._open_blocks_by_tenant[tenant] = open_blocks
-        open_replicas = (
-            self._open_replicas_by_tenant.get(tenant, 0) + plan.replicas
-        )
-        self._open_replicas_by_tenant[tenant] = open_replicas
         if open_blocks > self.peak_open_blocks.get(tenant, 0):
             self.peak_open_blocks[tenant] = open_blocks
-        if open_replicas > self.peak_open_replicas.get(tenant, 0):
-            self.peak_open_replicas[tenant] = open_replicas
 
     def on_discard(self, deployment, now: float) -> None:
         entry = self._open.pop(deployment.deployment_id, None)
@@ -90,22 +80,15 @@ class ReplicaLedger:
             self._block_s_by_tenant.get(tenant, 0.0) + blocks * lived
         )
         self._open_blocks_by_tenant[tenant] -= blocks
-        self._open_replicas_by_tenant[tenant] -= replicas
 
     # -- queries ----------------------------------------------------------------
 
-    def open_replicas(
-        self, model_key: str | None = None, tenant: str | None = None
-    ) -> int:
-        """Replica units currently resident, filtered by model and/or
-        tenant (``None`` = all)."""
-        if model_key is None and tenant is not None:
-            return self._open_replicas_by_tenant.get(tenant, 0)
+    def open_replicas(self, model_key: str | None = None) -> int:
+        """Replica units currently resident, of one model (``None`` = all)."""
         return sum(
             replicas
-            for key, replicas, _, _, owner in self._open.values()
-            if (model_key is None or key == model_key)
-            and (tenant is None or owner == tenant)
+            for key, replicas, _, _, _ in self._open.values()
+            if model_key is None or key == model_key
         )
 
     def open_blocks(

@@ -376,7 +376,8 @@ class Autoscaler:
         """
         controller = self.controller
         model_key = deployment.model_key
-        cost = self._checkpoint_cost(deployment)
+        engine = controller.migration
+        cost = engine.host_stream_s(deployment, engine.params.drain_s)
         self.stats.scale_downs += 1
         self.stats.retirements += 1
         self._last_down[model_key] = now
@@ -405,7 +406,10 @@ class Autoscaler:
         if placed is None:
             return  # no room for the narrow copy right now; try next tick
         new_deployment, reconfig = placed
-        cost = reconfig + self._checkpoint_cost(deployment)
+        engine = controller.migration
+        cost = reconfig + engine.host_stream_s(
+            deployment, engine.params.drain_s
+        )
         self.stats.scale_downs += 1
         self.stats.narrowings += 1
         self._last_down[model_key] = now
@@ -423,22 +427,6 @@ class Autoscaler:
             controller.finish_reconfiguration(new, fire_now)
 
         controller._clock().schedule_external(cost, complete)
-
-    def _checkpoint_cost(self, deployment) -> float:
-        """Drain plus architectural state streamed over the host link
-        (mirrors the recovery manager's checkpoint-restore cost model)."""
-        controller = self.controller
-        engine = controller.migration
-        state_bytes = sum(
-            engine.state_bytes(deployment, index)
-            for index in range(len(deployment.placements))
-        )
-        link = controller.cluster.host_link
-        return (
-            engine.params.drain_s
-            + link.latency_s
-            + state_bytes * 8.0 / link.bandwidth_bps
-        )
 
     # -- shared mechanics ------------------------------------------------------
 

@@ -98,7 +98,8 @@ class Task:
     #: preserves the single-tenant paths bit-identically.
     tenant: str = ""
     #: Simulator: enqueue seq, the FIFO tiebreak after arrival (``None``
-    #: until admitted), and the run epoch a preemption bumps.
+    #: until offered to a run, ``-1`` until admitted), and the run epoch a
+    #: preemption bumps.
     seq: int | None = _run_state()
     run_epoch: int = _run_state(0)
     #: System: the running ``Deployment`` (the baseline: its boards;
@@ -853,14 +854,20 @@ class ClusterSimulator:
     # -- entry point -----------------------------------------------------------------
 
     def run(self, tasks: list) -> SimulationResult:
-        """Simulate the full task stream to completion."""
+        """Simulate the full task stream to completion.
+
+        Raises :class:`SimulationError` on a task listed twice or already
+        run, and when the run ends with a task neither completed nor
+        dropped exactly once (counted, not matched by id), or one still
+        running."""
         if not tasks:
             raise SimulationError("no tasks to simulate")
         self._resolve_hooks()
         for task in tasks:
-            if task.seq is not None:  # its state is another run's
+            if task.seq is not None:  # listed twice, or another run's
                 raise SimulationError(
                     f"task {task.task_id} already arrived in a run")
+            task.seq = -1  # offered; arrival gives it its place
             self.queue.schedule(task.arrival_s, self._arrive, task)
         self.queue.run()
         for callback in self._run_end:
@@ -871,5 +878,14 @@ class ClusterSimulator:
                 f"(models: {self.queued_models()}) — scheduler cannot "
                 f"serve this workload"
             )
-        self._result.makespan_s = self.queue.now - min(t.arrival_s for t in tasks)
-        return self._result
+        result = self._result
+        if self._running_count or (
+            len(result.completed) + len(result.dropped) != len(tasks)
+        ):
+            raise SimulationError(
+                f"{self.system_name}: {len(tasks)} tasks offered, "
+                f"{len(result.completed)} completed, {len(result.dropped)} "
+                f"dropped, {self._running_count} still running"
+            )
+        result.makespan_s = self.queue.now - min(t.arrival_s for t in tasks)
+        return result

@@ -12,7 +12,7 @@ that story:
   :meth:`repro.cluster.simulator.ClusterSimulator.schedule_external`;
 * :mod:`~repro.faults.recovery` — a :class:`RecoveryManager` that rebuilds
   deployments lost to a failure from their last periodic checkpoint
-  (priced by :meth:`~repro.migration.engine.MigrationEngine.state_bytes`),
+  (priced by :meth:`~repro.migration.engine.MigrationEngine.host_stream_s`),
   falling back to the paper's scale-down optimisation when no same-width
   placement exists and retrying with bounded exponential backoff when the
   cluster is momentarily full.  Restores and retries are timed events on

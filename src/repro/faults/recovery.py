@@ -2,8 +2,8 @@
 
 When a board fails its resident replica configurations are gone.  The
 recovery manager rebuilds every affected deployment from its last periodic
-checkpoint, whose size
-:meth:`~repro.migration.engine.MigrationEngine.state_bytes` models:
+checkpoint, whose restore
+:meth:`~repro.migration.engine.MigrationEngine.host_stream_s` prices:
 
 1. tear the broken deployment down (releasing whatever blocks survive);
 2. re-place the *same* deployment plan on healthy boards and stream the
@@ -184,13 +184,7 @@ class RecoveryManager:
             return reconfig + weight_load_seconds(
                 model_by_key(deployment.model_key).parameter_count
             )
-        engine = controller.migration
-        state_bytes = sum(
-            engine.state_bytes(deployment, index)
-            for index in range(len(deployment.placements))
-        )
-        link = controller.cluster.host_link
-        return reconfig + link.latency_s + state_bytes * 8.0 / link.bandwidth_bps
+        return controller.migration.host_stream_s(deployment, reconfig)
 
     def _complete_recovery(
         self, deployment: Deployment, now: float, scale_down: bool

@@ -14,8 +14,11 @@ Two layers plus a state-size model:
 
 * :func:`~repro.migration.engine.architectural_state_bytes` — a replica's
   transferable state, derived from its accelerator config and program;
-  every migration, recovery, preemption and retirement is priced through
-  :meth:`~repro.migration.engine.MigrationEngine.state_bytes`;
+  every migration is priced through
+  :meth:`~repro.migration.engine.MigrationEngine.state_bytes`, and every
+  checkpoint to or from host memory (recovery, preemption, autoscaler
+  retire and narrow) through
+  :meth:`~repro.migration.engine.MigrationEngine.host_stream_s`;
 * :mod:`~repro.migration.engine`     — planning and executing moves of a
   live deployment to other boards, charging drain + state transfer +
   virtual-block reconfiguration;

@@ -141,6 +141,20 @@ class MigrationEngine:
         program = plan.programs[min(replica_index, len(plan.programs) - 1)]
         return architectural_state_bytes(image.instance, program)
 
+    def host_stream_s(self, deployment: Deployment, lead_s: float = 0.0) -> float:
+        """``lead_s`` plus the deployment's architectural state streamed
+        over the host link: the one checkpoint-to-host (and restore) cost
+        that a preemption, an autoscaler retire or narrow and a recovery
+        restore all pay.  ``lead_s`` is the caller's leading term (a drain
+        or a reconfiguration), added first so each caller's sum keeps its
+        order."""
+        state_bytes = sum(
+            self.state_bytes(deployment, index)
+            for index in range(len(deployment.placements))
+        )
+        link = self.controller.cluster.host_link
+        return lead_s + link.latency_s + state_bytes * 8.0 / link.bandwidth_bps
+
     def _transfer_time(self, src_fpga: str, dst_fpga: str, data_bytes: int) -> float:
         network = self.controller.cluster.network
         if network is None:

@@ -180,7 +180,9 @@ class ProposedSystem:
             )
             if placed.__class__ is not tuple:
                 task.decline = placed  # "capacity" or "quota"
-                self._maybe_defrag(task.model_key, now)
+                if placed == "capacity":
+                    # A quota refusal is policy: compaction cannot help it.
+                    self._maybe_defrag(task.model_key, now)
                 return None
             deployment, reconfig = placed
         else:

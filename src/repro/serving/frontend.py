@@ -61,7 +61,7 @@ from ..errors import ReproError
 from ..vital.virtual_block import BoardHealth
 from .breaker import BreakerState, CircuitBreaker
 from .policy import ServingParameters, SheddingPolicy, TokenBucket
-from .request import Request, RequestOutcome, RequestRecord
+from .request import RequestOutcome, RequestRecord
 
 
 def _delay_to(due_s: float, now: float) -> float:
@@ -241,8 +241,6 @@ class ServingFrontend:
         deadline = getattr(task, "deadline_s", 0.0)
         if deadline <= 0.0:
             deadline = task.arrival_s + self.params.default_deadline_s
-            if isinstance(task, Request):
-                task.deadline_s = deadline
         task.serving = record = RequestRecord(deadline_s=deadline)
         self.stats.offered += 1
         model = task.model_key

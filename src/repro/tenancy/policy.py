@@ -2,15 +2,15 @@
 
 A :class:`TenantParameters` names one tenant and fixes its contract with
 the cluster: a *priority class* (strict — a higher class is always served
-first), a *weight* (fair-share ratio within one class), resource quotas
-(virtual blocks and replica units concurrently resident), an admission
-bound on queued work, and whether the tenant's deployments may be
-victimised by priority preemption.
+first), a *weight* (fair-share ratio within one class), a resource quota
+(virtual blocks concurrently resident), an admission bound on queued
+work, and whether the tenant's deployments may be victimised by priority
+preemption.
 
 :class:`TenancyParameters` configures the scheduler itself — preemption
-on/off, the drain charged before a victim's checkpoint, victim bounds and
-the sweep cooldown that keeps a starved premium tenant from levelling the
-whole cluster in one pass.
+on/off, victim bounds and the sweep cooldown that keeps a starved premium
+tenant from levelling the whole cluster in one pass.  A victim's drain and
+checkpoint are priced by the migration engine.
 
 Both are frozen dataclasses validated at construction, mirroring
 :class:`~repro.autoscale.policy.AutoscaleParameters`.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ReproError
-from ..units import ms, us
+from ..units import ms
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ class TenantParameters:
     #: deployments (``None`` = unlimited).  Enforced at the allocation
     #: point, so it can never be exceeded, only declined.
     block_quota: int | None = None
-    #: Maximum replica units concurrently resident (``None`` = unlimited).
-    replica_quota: int | None = None
     #: Maximum tasks queued at once; arrivals beyond it are shed at
     #: admission (``None`` = unlimited).
     queue_quota: int | None = None
@@ -59,8 +57,6 @@ class TenantParameters:
             raise ReproError("tenant weight must be positive")
         if self.block_quota is not None and self.block_quota < 1:
             raise ReproError("block_quota must be >= 1 (or None)")
-        if self.replica_quota is not None and self.replica_quota < 1:
-            raise ReproError("replica_quota must be >= 1 (or None)")
         if self.queue_quota is not None and self.queue_quota < 1:
             raise ReproError("queue_quota must be >= 1 (or None)")
 
@@ -72,10 +68,6 @@ class TenancyParameters:
     #: Whether a starved higher-priority tenant may checkpoint + requeue
     #: lower-priority deployments to reclaim their blocks.
     preemption_enabled: bool = True
-    #: Drain charged per preempted deployment before its checkpoint is
-    #: taken (run to an instruction boundary, flush queues) — the same
-    #: cost the migration engine charges before a live move.
-    drain_s: float = us(50.0)
     #: Most deployments one preemption sweep may victimise.
     max_victims: int = 4
     #: Minimum spacing between preemption sweeps; within the window a
@@ -87,8 +79,6 @@ class TenancyParameters:
     isolation: bool = True
 
     def __post_init__(self):
-        if self.drain_s < 0:
-            raise ReproError("drain_s must be >= 0")
         if self.max_victims < 1:
             raise ReproError("max_victims must be >= 1")
         if self.cooldown_s < 0:

@@ -10,7 +10,7 @@ way the frontend wraps the system).  It adds:
 * **tenant identities** — every task carries ``task.tenant``; per-tenant
   state tracks running work, fair-share virtual time and outcome
   counters (queued work is the simulator's ``tenant_depth``);
-* **quotas** — block/replica ceilings enforced *at the allocation point*:
+* **quotas** — block ceilings enforced *at the allocation point*:
   the layer installs :meth:`TenantScheduler._quota_allows` as the
   controller's ``quota`` once, and the controller asks it for the tenant
   each placement is for, so a tenant can be declined but never overshoot
@@ -25,9 +25,9 @@ way the frontend wraps the system).  It adds:
 * **preemption = checkpoint + requeue** — when a higher-priority tenant's
   task fails placement on *capacity* (``task.decline == "capacity"``, not
   ``"quota"``), lower-priority preemptible deployments on the best board
-  are drained, checkpointed to host memory (the migration engine's
-  state-size model over the host link — the same arithmetic as recovery
-  restores) and discarded; a
+  are drained, checkpointed to host memory (priced by
+  :meth:`~repro.migration.engine.MigrationEngine.host_stream_s`, the cost
+  recovery restores and autoscaler retires pay too) and discarded; a
   running victim task (``deployment.task``) is aborted and requeued, and
   on its next start it is charged only the checkpoint-restore stream plus
   its *remaining* service, so the preempted tenant loses the round trip
@@ -196,15 +196,11 @@ class TenantScheduler:
                 "priority": state.params.priority,
                 "weight": state.params.weight,
                 "block_quota": state.params.block_quota,
-                "replica_quota": state.params.replica_quota,
                 "offered": state.offered,
                 "shed": state.shed,
                 "completed": state.completed,
                 "preempted": state.preempted,
                 "peak_open_blocks": self.ledger.peak_open_blocks.get(name, 0),
-                "peak_open_replicas": (
-                    self.ledger.peak_open_replicas.get(name, 0)
-                ),
                 "mean_latency_s": (
                     sum(latencies) / len(latencies) if latencies else 0.0
                 ),
@@ -212,7 +208,7 @@ class TenantScheduler:
         return report
 
     def quota_violations(self) -> dict:
-        """Tenants whose *peak* resident usage ever exceeded a quota —
+        """Tenants whose *peak* resident blocks ever exceeded their quota —
         empty by construction (the quota declines before the allocator),
         and the bench asserts exactly that."""
         violations = {}
@@ -222,11 +218,6 @@ class TenantScheduler:
             if quota is not None and peak > quota:
                 violations[name] = {"kind": "blocks", "peak": peak,
                                     "quota": quota}
-            rquota = state.params.replica_quota
-            rpeak = self.ledger.peak_open_replicas.get(name, 0)
-            if rquota is not None and rpeak > rquota:
-                violations[name] = {"kind": "replicas", "peak": rpeak,
-                                    "quota": rquota}
         return violations
 
     # -- Scheduler protocol --------------------------------------------------
@@ -331,17 +322,10 @@ class TenantScheduler:
         state = self._tenants.get(tenant)
         if state is None:
             return True
-        params = state.params
-        blocks = params.block_quota
-        if blocks is not None and (
+        blocks = state.params.block_quota
+        return blocks is None or (
             self.ledger.open_blocks(tenant)
-            + self.controller.plan_footprint(plan) > blocks
-        ):
-            return False
-        replicas = params.replica_quota
-        return replicas is None or (
-            self.ledger.open_replicas(tenant=tenant) + plan.replicas
-            <= replicas
+            + self.controller.plan_footprint(plan) <= blocks
         )
 
     # -- preemption ----------------------------------------------------------
@@ -429,26 +413,17 @@ class TenantScheduler:
                     return victims
         return None
 
-    def _checkpoint_cost(self, deployment: Deployment) -> tuple:
-        """(teardown_s, restore_stream_s): drain + architectural state out
-        over the host link, and the same state streamed back at restart —
-        the recovery manager's restore arithmetic, reused."""
-        engine = self.controller.migration
-        state_bytes = sum(
-            engine.state_bytes(deployment, index)
-            for index in range(len(deployment.placements))
-        )
-        link = self.controller.cluster.host_link
-        stream = link.latency_s + state_bytes * 8.0 / link.bandwidth_bps
-        return self.params.drain_s + stream, stream
-
     def _execute_preemption(self, victims: list, task: Task,
                             state: TenantState, now: float) -> None:
         controller = self.controller
+        engine = controller.migration
         self.stats.preemption_sweeps += 1
         state.preemptions_triggered += 1
         for victim in victims:
-            teardown_s, restore_s = self._checkpoint_cost(victim)
+            # The checkpoint streams out after the drain, and the same
+            # state streams back when the victim's task restarts.
+            restore_s = engine.host_stream_s(victim)
+            teardown_s = engine.params.drain_s + restore_s
             self.stats.checkpoint_s += teardown_s
             if victim.state is DeploymentState.BUSY:
                 self._abort_victim_task(victim, restore_s, now)

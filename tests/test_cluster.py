@@ -323,6 +323,28 @@ class TestClusterSimulator:
         again = ClusterSimulator(_OneSlotScheduler(), "copy").run(pristine)
         assert len(again.completed) == 2
 
+    def test_task_listed_twice_rejected(self):
+        tasks = self._tasks(2)
+        with pytest.raises(SimulationError, match="already arrived"):
+            ClusterSimulator(_OneSlotScheduler(), "t").run(tasks + tasks[:1])
+
+    def test_lost_task_fails_the_run(self):
+        """The run counts its outcomes: a task that leaves the result
+        without a drop is caught at run end."""
+
+        class Losing(_OneSlotScheduler):
+            def bind_simulator(self, simulator):
+                self.simulator = simulator
+
+            def on_finish(self, task, now):
+                super().on_finish(task, now)
+                completed = self.simulator._result.completed
+                if completed:
+                    completed.pop(0)  # forget an earlier finish
+
+        with pytest.raises(SimulationError, match="3 tasks offered"):
+            ClusterSimulator(Losing(), "t").run(self._tasks(3))
+
     def test_negative_service_rejected(self):
         class Bad:
             def try_start(self, task, now):

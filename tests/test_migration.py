@@ -25,7 +25,10 @@ from repro.migration import (
 from repro.runtime import Catalog, build_system
 from repro.runtime.controller import SystemController
 from repro.runtime.deployment import DeploymentState
+from repro.tenancy import TenantParameters, TenantScheduler
 from repro.vital import LowLevelController, VitalCompiler
+from repro.workloads.deepbench import all_models
+from tests.queueing import queue_tasks
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,40 @@ class TestStateSizeModel:
         ) > architectural_state_bytes(
             small.images[device].instance, small.programs[0]
         )
+
+
+class TestHostStream:
+    def test_one_method_prices_every_checkpoint_to_host(self, shared_catalog):
+        """``host_stream_s`` is bit for bit the sum each caller pays: a
+        recovery restore (reconfiguration first), an autoscaler retire
+        (drain first) and a preemption's stream (no leading term; the
+        teardown adds the drain in front of it)."""
+        for spec in all_models():
+            controller, cluster = _controller(shared_catalog)
+            plan = shared_catalog.entry(spec).sorted_plans()[0]
+            deployment, _ = controller.place_plan(plan, 0.0)
+            engine = controller.migration
+            drain = engine.params.drain_s
+            state_bytes = sum(
+                engine.state_bytes(deployment, index)
+                for index in range(len(deployment.placements))
+            )
+            link = cluster.host_link
+            reconfig = sum(
+                placement.virtual_blocks
+                for placement in deployment.placements
+            ) * controller.reconfig_s_per_block
+            latency = link.latency_s
+            transfer = state_bytes * 8.0 / link.bandwidth_bps
+            assert engine.host_stream_s(deployment, reconfig) == (
+                reconfig + latency + transfer
+            ), spec.key
+            assert engine.host_stream_s(deployment, drain) == (
+                drain + latency + transfer
+            ), spec.key
+            assert engine.host_stream_s(deployment) == (
+                latency + transfer
+            ), spec.key
 
 
 class TestMigrationEngine:
@@ -390,6 +427,25 @@ class TestDefrag:
         assert system.try_start(task, 0.0) is None
         assert task.decline == "defrag"
         assert controller.stats.placement_failures == failures
+
+    def test_a_quota_refusal_starts_no_defrag(self, shared_catalog):
+        """A tenant over its block quota is refused by policy, not by
+        fragmentation: no compaction could let it place."""
+        system = build_system(
+            "proposed", paper_cluster(), shared_catalog, defrag=True
+        )
+        controller = system.controller
+        _shatter_vu37p(controller, controller.cluster)
+        scheduler = TenantScheduler(
+            system, [TenantParameters(name="t", block_quota=2)]
+        )
+        task = Task(task_id=0, model_key="gru-h1536-t375", arrival_s=0.0,
+                    tenant="t")
+        queue_tasks(scheduler, [task])
+        assert scheduler.try_start(task, 0.0) is None
+        assert task.decline == "quota"
+        assert controller.stats.quota_rejections == 1
+        assert controller.stats.defrag_plans == 0
 
     def test_victims_remain_functional_after_defrag(self, shared_catalog):
         system = build_system(

@@ -45,6 +45,8 @@ SRC = ROOT / "src" / "repro"
 ALLOWED = {
     "runtime/controller.py::SystemController.check_idle_consistent":
         "checker: recounts the idle index from every deployment",
+    "autoscale/accounting.py::ReplicaLedger.open_replicas":
+        "checker: the autoscale storm recounts the ledger against the residents",
     "rtl/equivalence.py::modules_equivalent":
         "checker: confirms a structural_signature verdict by graph isomorphism",
     "isa/bfp.py::quantisation_error_bound":

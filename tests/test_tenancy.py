@@ -72,7 +72,6 @@ class TestParameterValidation:
             {"name": "t", "weight": 0.0},
             {"name": "t", "weight": -1.0},
             {"name": "t", "block_quota": 0},
-            {"name": "t", "replica_quota": 0},
             {"name": "t", "queue_quota": 0},
         ],
     )
@@ -83,7 +82,6 @@ class TestParameterValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"drain_s": -1e-6},
             {"max_victims": 0},
             {"cooldown_s": -1.0},
         ],
@@ -444,8 +442,8 @@ class TestPreemption:
     ):
         system = _proposed(paper_cluster(), shared_catalog)
         scheduler = TenantScheduler(system, [TenantParameters(name="t")])
-        deployment, _ = system.controller.deploy("gru-h512-t1")
-        teardown_s, restore_s = scheduler._checkpoint_cost(deployment)
+        queue_tasks(scheduler, [])  # binds the teardown's clock
+        deployment, _ = system.controller.deploy("gru-h512-t1", tenant="t")
         engine = system.controller.migration
         state_bytes = sum(
             engine.state_bytes(deployment, i)
@@ -453,8 +451,14 @@ class TestPreemption:
         )
         link = system.cluster.host_link
         stream = link.latency_s + state_bytes * 8.0 / link.bandwidth_bps
-        assert restore_s == pytest.approx(stream)
-        assert teardown_s == pytest.approx(scheduler.params.drain_s + stream)
+        # A preempted victim's teardown pays the engine's drain, then the
+        # checkpoint stream.
+        scheduler._execute_preemption(
+            [deployment], Task(task_id=0, model_key="gru-h512-t1",
+                               arrival_s=0.0, tenant="t"),
+            scheduler.tenant("t"), 0.0,
+        )
+        assert scheduler.stats.checkpoint_s == engine.params.drain_s + stream
 
     @pytest.mark.parametrize(
         "tenants, starved, plans",
