@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..runtime.deployment import DeploymentState
-from .policy import AutoscaleParameters
+from .policy import DOWN_BUSY_FRACTION, SLO_FLOOR, AutoscaleParameters
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,6 @@ class Autoscaler:
         """Called by the frontend at every offered request."""
         self._arrivals[model_key] = self._arrivals.get(model_key, 0) + 1
 
-    def rate(self, model_key: str) -> float:
-        """The current arrival-rate EWMA for one model (requests/s)."""
-        return self._rate.get(model_key, 0.0)
-
     def replica_units(self, model_key: str) -> int:
         """Resident replica units of one model: each deployment contributes
         its plan's replica count, whatever its state — a deployment mid
@@ -216,7 +212,7 @@ class Autoscaler:
         self, model_key: str, depth: int, recent_slo: float, units: int, now: float
     ) -> bool:
         pressured = depth >= self.params.high_watermark or (
-            depth > 0 and recent_slo < self.params.slo_floor
+            depth > 0 and recent_slo < SLO_FLOOR
         )
         if not pressured or units >= self.params.max_replicas:
             return False
@@ -311,7 +307,7 @@ class Autoscaler:
         if not count:
             return False
         busy = count - len(controller.idle_of(model_key))
-        return busy / count <= params.down_busy_fraction
+        return busy / count <= DOWN_BUSY_FRACTION
 
     def _fits_after(self, model_key: str, removed_units: int) -> bool:
         """Would the EWMA arrival rate still fit ``down_target_util`` of
@@ -377,7 +373,7 @@ class Autoscaler:
         controller = self.controller
         model_key = deployment.model_key
         engine = controller.migration
-        cost = engine.host_stream_s(deployment, engine.params.drain_s)
+        cost = engine.host_stream_s(deployment, engine.DRAIN_S)
         self.stats.scale_downs += 1
         self.stats.retirements += 1
         self._last_down[model_key] = now
@@ -407,9 +403,7 @@ class Autoscaler:
             return  # no room for the narrow copy right now; try next tick
         new_deployment, reconfig = placed
         engine = controller.migration
-        cost = reconfig + engine.host_stream_s(
-            deployment, engine.params.drain_s
-        )
+        cost = reconfig + engine.host_stream_s(deployment, engine.DRAIN_S)
         self.stats.scale_downs += 1
         self.stats.narrowings += 1
         self._last_down[model_key] = now

@@ -16,6 +16,13 @@ from dataclasses import dataclass
 from ..errors import ReproError
 from ..units import ms
 
+#: Scale-down requires the model's busy-deployment fraction at or below
+#: this (capacity in use is capacity the trough still needs).
+DOWN_BUSY_FRACTION = 0.5
+#: Recent (per-tick window) SLO attainment below this floor counts as
+#: scale-up pressure even before the queue reaches the high watermark.
+SLO_FLOOR = 0.9
+
 
 @dataclass(frozen=True)
 class AutoscaleParameters:
@@ -42,15 +49,9 @@ class AutoscaleParameters:
     #: Minimum time between scale-downs of one model — and after a
     #: scale-up, so a grow is never immediately undone.
     down_cooldown_s: float = ms(100.0)
-    #: Scale-down requires the model's busy-deployment fraction at or
-    #: below this (capacity in use is capacity the trough still needs).
-    down_busy_fraction: float = 0.5
     #: Scale-down requires the EWMA arrival rate to fit within this
     #: utilisation of the capacity that would *remain* after the action.
     down_target_util: float = 0.6
-    #: Recent (per-tick window) SLO attainment below this floor counts as
-    #: scale-up pressure even before the queue reaches the high watermark.
-    slo_floor: float = 0.9
     #: Scale-ups are suppressed for this long after the fault-recovery
     #: machinery performs a scale-down-fallback restore (or any board
     #: failure): the cluster just shrank because capacity *vanished*, and
@@ -75,8 +76,6 @@ class AutoscaleParameters:
             raise ReproError("low_watermark must be >= 0")
         if not 0.0 < self.rate_alpha <= 1.0:
             raise ReproError("rate_alpha must be in (0, 1]")
-        if not 0.0 <= self.down_busy_fraction <= 1.0:
-            raise ReproError("down_busy_fraction must be in [0, 1]")
         if not 0.0 < self.down_target_util <= 1.0:
             raise ReproError("down_target_util must be in (0, 1]")
         if self.up_cooldown_s < 0 or self.down_cooldown_s < 0:

@@ -106,9 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "in seconds (0 = fault-free, the default)")
     p.add_argument("--seed", type=int, default=7,
                    help="fault-timeline seed (default 7)")
-    p.add_argument("--arrival", default="mmpp",
-                   help="inter-arrival process shaping the stream "
-                   "(poisson, uniform, mmpp, diurnal, pareto, lognormal)")
     p.add_argument("--autoscale", action="store_true",
                    help="arm the elastic replica autoscaler over the "
                    "frontend (repro.autoscale)")
@@ -124,9 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tasks", type=int, default=160,
                    help="total tasks across both tenants (default 160)")
-    p.add_argument("--trace", default="poisson",
-                   help="inter-arrival process shaping both streams "
-                   "(poisson, uniform, mmpp, diurnal, pareto, lognormal)")
     p.add_argument("--output", default=None,
                    help="also write the full BENCH_tenancy-style report "
                    "to this path")
@@ -345,7 +339,6 @@ def _cmd_serve(args, out) -> int:
         mtbf_s=args.mtbf if args.mtbf > 0 else None,
         params=params,
         fault_seed=args.seed,
-        arrival=args.arrival,
         autoscale=args.autoscale,
     )
     if args.json:
@@ -407,9 +400,7 @@ def _cmd_tenancy(args, out) -> int:
 
     from .experiments.bench_tenancy import PREMIUM, run_bench
 
-    report = run_bench(
-        task_count=args.tasks, output=args.output, trace=args.trace
-    )
+    report = run_bench(task_count=args.tasks, output=args.output)
     if args.json:
         print(json.dumps(report, indent=1), file=out)
         return 0

@@ -3,7 +3,8 @@
 The cluster's FPGAs are connected by a "secondary bidirectional ring
 network" (Section 4.2).  Section 4.3's Fig. 11 experiment inserts a
 programmable counter+FIFO module to *add* latency to this network; the
-``added_latency_s`` argument reproduces that knob.
+``added_latency_s`` argument of :meth:`RingNetwork.exchange_time`
+reproduces that knob.
 
 The model:
 
@@ -61,23 +62,20 @@ class RingNetwork:
         distance = abs(a - b)
         return min(distance, len(self.node_ids) - distance)
 
-    def transfer_time(
-        self, src: str, dst: str, data_bytes: float, added_latency_s: float = 0.0
-    ) -> float:
+    def transfer_time(self, src: str, dst: str, data_bytes: float) -> float:
         """One point-to-point transfer.
 
         The zero-hop case (``src == dst``) models intra-board state
         movement — a migration drain that lands back on the same board, a
         loopback through the sync module: the data still streams through
         one FIFO, so it is charged exactly one serialisation pass, but no
-        per-hop link latency and no Fig. 11 added latency (the counter
-        module sits on the ring links, which the transfer never enters).
+        per-hop link latency.
         """
         hops = self.hops(src, dst)
         serialisation = 8.0 * data_bytes / self.params.bandwidth_bps
         if hops == 0:
             return serialisation
-        return hops * (self.params.hop_latency_s + serialisation) + added_latency_s
+        return hops * (self.params.hop_latency_s + serialisation)
 
     def exchange_time(
         self,

@@ -36,7 +36,7 @@ costs O(1) per queue, not per task: a blocked model's queues leave the heap
 and, after the next start or finish, re-enter at their first task past the
 merge position (a bisect), so a pass is O(queues + attempts), not
 O(backlog).  A task the scheduler condemns while it waits (a serving
-deadline, head drop or abandon) leaves its queue at that moment
+deadline or abandon) leaves its queue at that moment
 (:meth:`ClusterSimulator.drop_queued`), so a pass never visits it.
 
 These queues are the only record of queued work: the layers above read
@@ -365,7 +365,7 @@ class ClusterSimulator:
 
     def drop_queued(self, task: Task) -> None:
         """Drop a queued task the scheduler has condemned (a serving
-        deadline, head drop or abandon): it leaves its queue now, is
+        deadline or abandon): it leaves its queue now, is
         recorded in :attr:`SimulationResult.dropped` and never occupies a
         board.  Safe inside a dispatch pass, where the only task a pass can
         condemn is the one it just tried, or one requeued during it."""
@@ -500,7 +500,7 @@ class ClusterSimulator:
         admit = self._admit
         if admit is not None and not admit(task, self.queue.now):
             # Shed at the door: never queued, never dispatched.  Admission
-            # state (queue depths, token buckets) is the scheduler's.
+            # state (queue depth bounds, quotas) is the scheduler's.
             self._result.dropped.append(task)
             return
         task.seq = next(self._seqs)

@@ -31,14 +31,13 @@ class FPGACluster:
         self,
         boards: list,
         network_params: NetworkParameters | None = None,
-        host_link: HostLink | None = None,
     ):
         if not boards:
             raise SimulationError("a cluster needs at least one board")
         self.boards: dict[str, PhysicalFPGA] = {b.fpga_id: b for b in boards}
         if len(self.boards) != len(boards):
             raise SimulationError("duplicate FPGA ids in cluster")
-        self.host_link = host_link or HostLink()
+        self.host_link = HostLink()
         if len(boards) >= 2:
             self.network = RingNetwork(
                 [b.fpga_id for b in boards], network_params

@@ -27,12 +27,7 @@ from .table4 import run_table4, Table4Row
 from .fig11 import run_fig11, Fig11Curve
 from .fig12 import run_fig12, Fig12Row
 from .compile_overhead import run_compile_overhead, CompileOverheadResult
-from .isolation import (
-    run_isolation,
-    run_tenant_isolation,
-    IsolationRow,
-    TenantIsolationRow,
-)
+from .isolation import run_isolation, IsolationRow
 
 # NOTE: bench_fig12 is deliberately not imported here so that
 # ``python -m repro.experiments.bench_fig12`` runs without the runpy
@@ -41,9 +36,7 @@ from .isolation import (
 __all__ = [
     "CompileOverheadResult",
     "IsolationRow",
-    "TenantIsolationRow",
     "run_isolation",
-    "run_tenant_isolation",
     "Fig11Curve",
     "Fig12Row",
     "Table2Row",

@@ -1,8 +1,8 @@
 """Benchmark driver for elastic replica autoscaling.
 
 Static peak provisioning vs. the :class:`~repro.autoscale.Autoscaler`,
-on trace-driven load (diurnal day/night cycle and bursty MMPP by
-default), emitting ``BENCH_autoscale.json``.  Both arms run the same
+on trace-driven load (a diurnal day/night cycle and bursty MMPP),
+emitting ``BENCH_autoscale.json``.  Both arms run the same
 serving frontend over the same seeded request stream on the paper
 cluster; the only difference is provisioning:
 
@@ -41,7 +41,7 @@ from ..runtime import Catalog, build_system
 from ..serving import Request, ServingFrontend, ServingParameters
 from ..units import ms
 from ..vital import VitalCompiler
-from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from ..workloads import diurnal_arrivals, mmpp_arrivals
 from .report import percentile
 
 #: Weighted round-robin model pattern: the stream leans on the slowest
@@ -106,12 +106,11 @@ def autoscale_parameters() -> AutoscaleParameters:
 
 
 def build_trace(trace: str, task_count: int, seed: int = ARRIVAL_SEED) -> list:
-    """Deadline-carrying request stream under one arrival shape, models
-    assigned by the weighted round-robin pattern."""
-    generator = arrival_process(trace)
+    """Deadline-carrying request stream under one of :data:`TRACES`,
+    models assigned by the weighted round-robin pattern."""
     if trace == "diurnal":
         duration = task_count / TOTAL_RATE_PER_S
-        arrivals = generator(
+        arrivals = diurnal_arrivals(
             task_count,
             TOTAL_RATE_PER_S,
             seed=seed,
@@ -119,7 +118,7 @@ def build_trace(trace: str, task_count: int, seed: int = ARRIVAL_SEED) -> list:
             amplitude=DIURNAL_AMPLITUDE,
         )
     else:
-        arrivals = generator(task_count, TOTAL_RATE_PER_S, seed=seed)
+        arrivals = mmpp_arrivals(task_count, TOTAL_RATE_PER_S, seed=seed)
     return [
         Request(
             task_id=index,
@@ -304,15 +303,14 @@ def run_trace(trace: str, task_count: int) -> dict:
 def run_bench(
     task_count: int = FULL_TASK_COUNT,
     output: str | pathlib.Path = "BENCH_autoscale.json",
-    traces: tuple = TRACES,
 ) -> dict:
-    results = [run_trace(trace, task_count) for trace in traces]
+    results = [run_trace(trace, task_count) for trace in TRACES]
     report = {
         "workload": {
             "task_count": task_count,
             "pattern": list(STREAM_PATTERN),
             "total_rate_per_s": TOTAL_RATE_PER_S,
-            "traces": list(traces),
+            "traces": list(TRACES),
             "arrival_seed": ARRIVAL_SEED,
             "deadline_s": DEADLINE_S,
             "util_target": UTIL_TARGET,
@@ -347,18 +345,9 @@ def main(argv=None) -> None:
         help=f"CI scale: {SMOKE_TASK_COUNT} tasks",
     )
     parser.add_argument("--output", default="BENCH_autoscale.json")
-    parser.add_argument(
-        "--arrival",
-        choices=sorted(ARRIVAL_PROCESSES),
-        default=None,
-        help="run a single arrival shape instead of the canonical pair",
-    )
     args = parser.parse_args(argv)
     task_count = SMOKE_TASK_COUNT if args.smoke else args.tasks
-    traces = (args.arrival,) if args.arrival else TRACES
-    report = run_bench(
-        task_count=task_count, output=args.output, traces=traces
-    )
+    report = run_bench(task_count=task_count, output=args.output)
     for result in report["traces"]:
         static, auto = result["static"], result["autoscale"]
         print(

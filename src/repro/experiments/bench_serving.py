@@ -31,7 +31,7 @@ from ..faults import FaultInjector, FaultModelParameters
 from ..runtime import Catalog, build_system
 from ..serving import Request, ServingFrontend, ServingParameters
 from ..vital import VitalCompiler
-from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from ..workloads import mmpp_arrivals
 from .report import percentile
 
 #: Small serving models (one of each per round-robin turn).
@@ -66,14 +66,11 @@ def serving_parameters() -> ServingParameters:
 
 
 def build_requests(
-    task_count: int,
-    rate_per_s: float,
-    seed: int = ARRIVAL_SEED,
-    arrival: str = "mmpp",
+    task_count: int, rate_per_s: float, seed: int = ARRIVAL_SEED
 ) -> list:
-    """Deadline-carrying request stream (default bursty/MMPP gaps),
-    round-robin over the serving models."""
-    arrivals = arrival_process(arrival)(task_count, rate_per_s, seed=seed)
+    """Deadline-carrying request stream (bursty MMPP gaps), round-robin
+    over the serving models."""
+    arrivals = mmpp_arrivals(task_count, rate_per_s, seed=seed)
     return [
         Request(
             task_id=index,
@@ -92,7 +89,6 @@ def run_point(
     params: ServingParameters | None = None,
     mttr_s: float = MTTR_S,
     fault_seed: int = FAULT_SEED,
-    arrival: str = "mmpp",
     autoscale: bool = False,
     autoscale_params=None,
 ) -> dict:
@@ -102,7 +98,7 @@ def run_point(
     Shared with ``repro serve``.
     """
     rate = BASE_RATE_PER_S * load_factor
-    tasks = build_requests(task_count, rate, arrival=arrival)
+    tasks = build_requests(task_count, rate)
     system = build_system(
         "proposed", paper_cluster(), Catalog(VitalCompiler()), recovery=True
     )
@@ -139,7 +135,7 @@ def run_point(
     point = {
         "load_factor": load_factor,
         "offered_rate_per_s": rate,
-        "arrival": arrival,
+        "arrival": "mmpp",
         "mtbf_s": mtbf_s,
         "offered": stats.offered,
         "admitted": stats.admitted,
@@ -187,9 +183,7 @@ def run_point(
     return point
 
 
-def run_reference(
-    task_count: int, load_factor: float, arrival: str = "mmpp"
-) -> dict:
+def run_reference(task_count: int, load_factor: float) -> dict:
     """The same stream with *no* serving edge: every request is accepted
     and queued forever — the tail the frontend exists to prevent."""
     rate = BASE_RATE_PER_S * load_factor
@@ -200,7 +194,7 @@ def run_reference(
             arrival_s=request.arrival_s,
             size_class=request.size_class,
         )
-        for request in build_requests(task_count, rate, arrival=arrival)
+        for request in build_requests(task_count, rate)
     ]
     system = build_system(
         "proposed", paper_cluster(), Catalog(VitalCompiler()), recovery=True
@@ -223,28 +217,27 @@ def run_reference(
 def run_bench(
     task_count: int = FULL_TASK_COUNT,
     output: str | pathlib.Path = "BENCH_serving.json",
-    arrival: str = "mmpp",
 ) -> dict:
     """Sweep offered load with and without faults; write the report."""
     sweep = []
     for mtbf_s in (None, MTBF_S):
         for load_factor in LOAD_FACTORS:
             sweep.append(
-                run_point(task_count, load_factor, mtbf_s, arrival=arrival)
+                run_point(task_count, load_factor, mtbf_s)
             )
     gate_point = next(
         p
         for p in sweep
         if p["mtbf_s"] == MTBF_S and p["load_factor"] == GATE_LOAD_FACTOR
     )
-    reference = run_reference(task_count, max(LOAD_FACTORS), arrival=arrival)
+    reference = run_reference(task_count, max(LOAD_FACTORS))
     report = {
         "workload": {
             "task_count": task_count,
             "models": list(STREAM_MODELS),
             "base_rate_per_s": BASE_RATE_PER_S,
             "load_factors": list(LOAD_FACTORS),
-            "arrival_process": arrival,
+            "arrival_process": "mmpp",
             "arrival_seed": ARRIVAL_SEED,
             "deadline_s": DEADLINE_S,
             "mtbf_s": MTBF_S,
@@ -280,17 +273,9 @@ def main(argv=None) -> None:
         help=f"CI scale: {SMOKE_TASK_COUNT} tasks",
     )
     parser.add_argument("--output", default="BENCH_serving.json")
-    parser.add_argument(
-        "--arrival",
-        choices=sorted(ARRIVAL_PROCESSES),
-        default="mmpp",
-        help="inter-arrival process shaping the request stream",
-    )
     args = parser.parse_args(argv)
     task_count = SMOKE_TASK_COUNT if args.smoke else args.tasks
-    report = run_bench(
-        task_count=task_count, output=args.output, arrival=args.arrival
-    )
+    report = run_bench(task_count=task_count, output=args.output)
     for point in report["sweep"]:
         faults = "faults" if point["mtbf_s"] else "clean "
         print(

@@ -36,7 +36,7 @@ from ..cluster import ClusterSimulator, Task, scaled_cluster
 from ..runtime import Catalog, build_system
 from ..tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from ..vital import VitalCompiler
-from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from ..workloads import poisson_arrivals
 from .report import percentile
 
 #: Bench cluster: 16 boards in the paper mix (3:1 VU37P:KU115).
@@ -93,10 +93,11 @@ def build_tenants(total_blocks: int) -> list:
 
 
 def build_streams(
-    task_count: int, rate_per_s: float, trace: str, seed: int = ARRIVAL_SEED
+    task_count: int, rate_per_s: float, seed: int = ARRIVAL_SEED
 ) -> dict:
-    """Per-tenant task streams; the premium tenant gets PREMIUM_SHARE of
-    the tasks and of the rate, so per-stream mean gaps match."""
+    """Per-tenant Poisson task streams; the premium tenant gets
+    PREMIUM_SHARE of the tasks and of the rate, so per-stream mean gaps
+    match."""
     premium_count = max(1, int(task_count * PREMIUM_SHARE))
     counts = {PREMIUM: premium_count, BEST_EFFORT: task_count - premium_count}
     rates = {
@@ -106,9 +107,7 @@ def build_streams(
     streams = {}
     for offset, name in enumerate(sorted(counts)):
         models = TENANT_MODELS[name]
-        arrivals = arrival_process(trace)(
-            counts[name], rates[name], seed=seed + offset
-        )
+        arrivals = poisson_arrivals(counts[name], rates[name], seed=seed + offset)
         streams[name] = [
             Task(
                 task_id=offset * task_count + index,
@@ -199,7 +198,6 @@ def run_arm(streams: dict, tenants: list | None, label: str) -> dict:
 def run_bench(
     task_count: int = FULL_TASK_COUNT,
     output: str | pathlib.Path | None = "BENCH_tenancy.json",
-    trace: str = "poisson",
 ) -> dict:
     """Run the three arms at 2x overload; write (unless ``output`` is
     None) and return the report."""
@@ -211,16 +209,16 @@ def run_bench(
     # the simulator stamps start/finish state into tasks, so sharing them
     # across arms would leak one run's state into the next.
     solo = run_arm(
-        {PREMIUM: build_streams(task_count, rate, trace)[PREMIUM]},
+        {PREMIUM: build_streams(task_count, rate)[PREMIUM]},
         [t for t in tenants if t.name == PREMIUM],
         "tenancy-premium-solo",
     )
     untenanted = run_arm(
-        build_streams(task_count, rate, trace), None,
+        build_streams(task_count, rate), None,
         "tenancy-mixed-untenanted",
     )
     tenanted = run_arm(
-        build_streams(task_count, rate, trace), tenants, "tenancy-mixed"
+        build_streams(task_count, rate), tenants, "tenancy-mixed"
     )
     solo_p99 = solo["tenants"][PREMIUM]["p99_s"]
     mixed_p99 = tenanted["tenants"][PREMIUM]["p99_s"]
@@ -248,7 +246,7 @@ def run_bench(
             "base_rate_per_s": BASE_RATE_PER_S,
             "overload_factor": OVERLOAD_FACTOR,
             "premium_share": PREMIUM_SHARE,
-            "trace": trace,
+            "trace": "poisson",
             "arrival_seed": ARRIVAL_SEED,
             "tenant_models": {k: list(v) for k, v in TENANT_MODELS.items()},
             "tenants": [
@@ -282,17 +280,9 @@ def main(argv=None) -> None:
         help=f"CI scale: {SMOKE_TASK_COUNT} tasks",
     )
     parser.add_argument("--output", default="BENCH_tenancy.json")
-    parser.add_argument(
-        "--trace",
-        choices=sorted(ARRIVAL_PROCESSES),
-        default="poisson",
-        help="inter-arrival process shaping both tenants' streams",
-    )
     args = parser.parse_args(argv)
     task_count = SMOKE_TASK_COUNT if args.smoke else args.tasks
-    report = run_bench(
-        task_count=task_count, output=args.output, trace=args.trace
-    )
+    report = run_bench(task_count=task_count, output=args.output)
     for key in ("premium_solo", "mixed_untenanted", "mixed_tenancy"):
         arm = report[key]
         premium = arm["tenants"].get(PREMIUM, {})

@@ -31,7 +31,7 @@ Fig. 12 goldens — stay bit-identical.
 
 from ..vital.virtual_block import BoardHealth
 from .injector import FaultInjector, FaultModelParameters
-from .recovery import RecoveryAbandoned, RecoveryManager, RecoveryParameters
+from .recovery import RecoveryAbandoned, RecoveryManager
 
 __all__ = [
     "BoardHealth",
@@ -39,5 +39,4 @@ __all__ = [
     "FaultModelParameters",
     "RecoveryAbandoned",
     "RecoveryManager",
-    "RecoveryParameters",
 ]

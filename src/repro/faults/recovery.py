@@ -22,7 +22,7 @@ one raises :class:`~repro.errors.ReproError`.
 
 Checkpoint cadence is arithmetic (see
 :meth:`~repro.runtime.deployment.Deployment.last_checkpoint_s`): a
-checkpoint every ``checkpoint_interval_s`` starting at the deployment's
+checkpoint every :data:`CHECKPOINT_INTERVAL_S` starting at the deployment's
 ``checkpoint_origin_s``, so lost work is computable without per-deployment
 DES events.  Busy, migrating and mid-restore deployments are not yanked:
 the failure marks them ``pending_recovery`` and the controller/engine runs
@@ -39,26 +39,22 @@ from ..units import ms
 from ..workloads.deepbench import model_by_key
 
 
-@dataclass(frozen=True)
-class RecoveryParameters:
-    """Policy knobs for checkpoint cadence and redeploy backoff."""
+#: Periodic checkpoint interval; work since the last tick is lost on
+#: failure.
+CHECKPOINT_INTERVAL_S = ms(50.0)
+#: First redeploy retry delay; doubles per attempt.
+RETRY_BASE_S = ms(2.0)
+#: Ceiling on the backoff delay.
+RETRY_CAP_S = ms(64.0)
+#: Attempts before the deployment is abandoned (it can still be
+#: re-created by the next task for its model, but the failure is
+#: counted).
+MAX_RETRIES = 8
 
-    #: Periodic checkpoint interval; work since the last tick is lost on
-    #: failure.  Shorter intervals lose less work but a real system pays
-    #: per-checkpoint drain time — the bench sweeps this trade-off.
-    checkpoint_interval_s: float = ms(50.0)
-    #: First redeploy retry delay; doubles per attempt.
-    retry_base_s: float = ms(2.0)
-    #: Ceiling on the backoff delay.
-    retry_cap_s: float = ms(64.0)
-    #: Attempts before the deployment is abandoned (it can still be
-    #: re-created by the next task for its model, but the failure is
-    #: counted).
-    max_retries: int = 8
 
-    def backoff_s(self, attempt: int) -> float:
-        """The capped backoff delay scheduled before retry ``attempt``."""
-        return min(self.retry_cap_s, self.retry_base_s * (2 ** attempt))
+def backoff_s(attempt: int) -> float:
+    """The capped backoff delay scheduled before retry ``attempt``."""
+    return min(RETRY_CAP_S, RETRY_BASE_S * (2 ** attempt))
 
 
 @dataclass(frozen=True)
@@ -80,9 +76,8 @@ class RecoveryAbandoned:
 class RecoveryManager:
     """Re-places deployments broken by board failures (one per controller)."""
 
-    def __init__(self, controller, params: RecoveryParameters | None = None):
+    def __init__(self, controller):
         self.controller = controller
-        self.params = params or RecoveryParameters()
         self.restores_started = 0
 
     # -- failure intake ------------------------------------------------------
@@ -102,7 +97,7 @@ class RecoveryManager:
         for deployment in affected:
             controller.stats.deployments_failed += 1
             lost = now - deployment.last_checkpoint_s(
-                now, self.params.checkpoint_interval_s
+                now, CHECKPOINT_INTERVAL_S
             )
             controller.stats.lost_work_s += lost
             if deployment.state is DeploymentState.IDLE:
@@ -211,7 +206,7 @@ class RecoveryManager:
         self, model_key: str, plan, now: float, attempt: int, tenant: str = ""
     ) -> None:
         controller = self.controller
-        if attempt >= self.params.max_retries:
+        if attempt >= MAX_RETRIES:
             controller.stats.recovery_failures += 1
             controller.emit_event(
                 RecoveryAbandoned(
@@ -223,7 +218,7 @@ class RecoveryManager:
             )
             return
         simulator = controller._clock()
-        delay = self.params.backoff_s(attempt)
+        delay = backoff_s(attempt)
         controller.stats.recovery_retries += 1
         controller.stats.recovery_backoff_s += delay
 

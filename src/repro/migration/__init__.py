@@ -34,7 +34,6 @@ only pin the disabled path.
 from .defrag import DefragPlan, cluster_fragmentation, fragmentation, plan_defrag
 from .engine import (
     MigrationEngine,
-    MigrationParameters,
     MigrationPlan,
     ReplicaMove,
     architectural_state_bytes,
@@ -43,7 +42,6 @@ from .engine import (
 __all__ = [
     "DefragPlan",
     "MigrationEngine",
-    "MigrationParameters",
     "MigrationPlan",
     "ReplicaMove",
     "architectural_state_bytes",

@@ -112,7 +112,7 @@ def _cheapest_destination(
             placement = deployment.placements[replica_index]
             state_bytes = engine.state_bytes(deployment, replica_index)
             cost = (
-                engine.params.drain_s
+                engine.DRAIN_S
                 + engine._transfer_time(
                     placement.fpga_id, board.fpga_id, state_bytes
                 )

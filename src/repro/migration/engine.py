@@ -69,19 +69,6 @@ def architectural_state_bytes(
 
 
 @dataclass(frozen=True)
-class MigrationParameters:
-    """Cost-model knobs.
-
-    ``drain_s`` is the time to let in-flight work reach an instruction
-    boundary and flush the send queues (tile-boundary granularity keeps it
-    short — the ISA has no long-running uninterruptible instruction).
-    """
-
-    drain_s: float = us(50.0)
-    added_latency_s: float = 0.0
-
-
-@dataclass(frozen=True)
 class ReplicaMove:
     """One replica relocating from one board to another."""
 
@@ -124,9 +111,14 @@ class MigrationPlan:
 class MigrationEngine:
     """Plans and executes deployment moves against one controller."""
 
-    def __init__(self, controller, params: MigrationParameters | None = None):
+    #: Time to let in-flight work reach an instruction boundary and flush
+    #: the send queues (tile-boundary granularity keeps it short — the ISA
+    #: has no long-running uninterruptible instruction).  A class constant,
+    #: so callers holding ``controller.migration`` need no import.
+    DRAIN_S = us(50.0)
+
+    def __init__(self, controller):
         self.controller = controller
-        self.params = params or MigrationParameters()
         self.migrations_planned = 0
         self.migrations_completed = 0
         self.bytes_migrated = 0
@@ -159,10 +151,7 @@ class MigrationEngine:
         network = self.controller.cluster.network
         if network is None:
             return 0.0
-        return network.transfer_time(
-            src_fpga, dst_fpga, data_bytes,
-            added_latency_s=self.params.added_latency_s,
-        )
+        return network.transfer_time(src_fpga, dst_fpga, data_bytes)
 
     # -- planning ------------------------------------------------------------
 
@@ -232,7 +221,7 @@ class MigrationEngine:
                     src_blocks=placement.virtual_blocks,
                     dst_blocks=image.virtual_blocks,
                     state_bytes=state_bytes,
-                    drain_s=self.params.drain_s,
+                    drain_s=self.DRAIN_S,
                     transfer_s=self._transfer_time(
                         placement.fpga_id, board.fpga_id, state_bytes
                     ),

@@ -14,13 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ..accel.config import AcceleratorConfig, BW_K115, BW_V37
-from ..accel.timing import (
-    CycleModel,
-    LatencyReport,
-    TimingParameters,
-    DEFAULT_TIMING,
-    VirtualizationContext,
-)
+from ..accel.timing import CycleModel, LatencyReport, VirtualizationContext
 from ..errors import ReproError
 from ..isa.program import Program
 
@@ -94,7 +88,6 @@ def single_fpga_latency(
     instance: AcceleratorConfig,
     virtualization: VirtualizationContext | None = None,
     frequency_hz: float | None = None,
-    params: TimingParameters = DEFAULT_TIMING,
 ) -> LatencyReport:
     """Task latency on one FPGA (optionally through the HS abstraction).
 
@@ -104,5 +97,5 @@ def single_fpga_latency(
     config = instance
     if frequency_hz is not None:
         config = instance.with_frequency(frequency_hz)
-    model = CycleModel(config, params)
+    model = CycleModel(config)
     return model.latency(program, virtualization=virtualization)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..accel.timing import CycleModel, TimingParameters, DEFAULT_TIMING, VirtualizationContext
+from ..accel.timing import CycleModel, VirtualizationContext
 from ..cluster.network import RingNetwork
 from ..errors import ReproError
 from ..isa.instructions import Op
@@ -98,7 +98,6 @@ def scaleout_latency(
     members: list,
     added_latency_s: float = 0.0,
     virtualization: VirtualizationContext | None = None,
-    params: TimingParameters = DEFAULT_TIMING,
 ) -> ScaleOutLatency:
     """End-to-end latency of one task on a k-FPGA scale-out deployment.
 

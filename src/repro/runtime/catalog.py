@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 from ..accel.config import AcceleratorConfig
 from ..accel.generator import CONTROL_MODULES, generate_accelerator
 from ..accel.codegen import build_scaleout_programs
-from ..accel.timing import CycleModel, TimingParameters, DEFAULT_TIMING
+from ..accel.timing import CycleModel
 from ..core.decompose import decompose
 from ..errors import CompileError, ReproError
 from ..perf.latency import BASE_INSTANCES, demand_sized_instance
 from ..vital.compiler import VitalCompiler
 from ..workloads.deepbench import ModelSpec
+
+#: Bits per stored weight, the base instances' block-floating-point width.
+WEIGHT_BITS = BASE_INSTANCES["XCVU37P"].weight_bits
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,10 @@ class Catalog:
     def __init__(
         self,
         compiler: VitalCompiler | None = None,
-        timing: TimingParameters = DEFAULT_TIMING,
         max_replicas: int = 2,
-        weight_bits: int | None = None,
     ):
         self.compiler = compiler or VitalCompiler()
-        self.timing = timing
         self.max_replicas = max_replicas
-        self.weight_bits = weight_bits or BASE_INSTANCES["XCVU37P"].weight_bits
         self._entries: dict[str, CatalogEntry] = {}
         # (tiles, device_type) -> (decomposed, partition tree)
         self._design_cache: dict = {}
@@ -227,10 +226,10 @@ class Catalog:
         plan = DeploymentPlan(
             model_key=spec.key, replicas=replicas, programs=programs
         )
-        bits_needed = spec.weight_bits(self.weight_bits)
+        bits_needed = spec.weight_bits(WEIGHT_BITS)
         for device_type in self.compiler.devices:
             choice = demand_sized_instance(bits_needed, device_type, replicas)
-            model = CycleModel(choice.config, self.timing)
+            model = CycleModel(choice.config)
             if not model.fits(programs[0]):
                 continue
             image = self._compile_instance(spec, choice.config, device_type)

@@ -16,12 +16,11 @@ eviction and wake hints read only idle copies.  Real FPGA-virtualization
 runtimes keep allocator state incremental for the same reason; the
 policies themselves are unchanged.
 
-Policy knobs reproduce the systems of Fig. 12:
-
-* ``same_type_only=True`` is the *restricted* policy that emulates existing
-  HS abstractions (one accelerator may only span FPGAs of one device type);
-* ``pattern_aware=False`` is the ablation where the ViTAL partitioner is
-  used instead of the pattern-guided one (more boundary crossings).
+``same_type_only=True`` is the *restricted* policy of Fig. 12 that
+emulates existing HS abstractions (one accelerator may only span FPGAs of
+one device type).  Deployments are always timed with the pattern-guided
+partitioner; the ViTAL-partitioner ablation is measured on the cycle model
+directly (``benchmarks/test_ablations.py``).
 """
 
 from __future__ import annotations
@@ -33,12 +32,7 @@ import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 
-from ..accel.timing import (
-    CycleModel,
-    TimingParameters,
-    DEFAULT_TIMING,
-    VirtualizationContext,
-)
+from ..accel.timing import CycleModel, VirtualizationContext
 from ..cluster.topology import FPGACluster
 from ..errors import AllocationError, DeploymentError, ReproError
 from ..perf.latency import single_fpga_latency, weight_load_seconds
@@ -281,9 +275,6 @@ class PlacementIndex:
         for _, fpga_id in heapq.merge(*slices, key=key):
             yield boards[fpga_id]
 
-    def board(self, fpga_id: str):
-        return self._boards[fpga_id]
-
     def check_consistent(self) -> bool:
         """Index entries match a from-scratch recount (invariant tests).
 
@@ -304,41 +295,35 @@ class PlacementIndex:
 class SystemController:
     """Resource allocation over one cluster, one catalog."""
 
+    #: Partial-reconfiguration time per virtual block configured.
+    reconfig_s_per_block = ms(4.0)
+    #: How long an idle deployment must sit unused before eviction may
+    #: reclaim it for another model.
+    eviction_patience_s = ms(25.0)
+
     def __init__(
         self,
         cluster: FPGACluster,
         catalog: Catalog,
         low_level: LowLevelController,
         same_type_only: bool = False,
-        pattern_aware: bool = True,
         placement: PlacementPolicy = PlacementPolicy.BEST_FIT,
         plan_order: "PlanOrder" = None,
-        timing: TimingParameters = DEFAULT_TIMING,
-        reconfig_s_per_block: float = ms(4.0),
-        eviction_patience_s: float = ms(25.0),
         migration_enabled: bool = False,
-        migration_params=None,
         recovery_enabled: bool = False,
-        recovery_params=None,
     ):
         self.cluster = cluster
         self.catalog = catalog
         self.low_level = low_level
         self.same_type_only = same_type_only
-        self.pattern_aware = pattern_aware
         self.placement = placement
         self.plan_order = plan_order or PlanOrder.FEWEST_FPGAS
-        self.timing = timing
-        self.reconfig_s_per_block = reconfig_s_per_block
-        self.eviction_patience_s = eviction_patience_s
         #: Migration + defrag layer; OFF by default so existing schedules
         #: (and the Fig. 12 goldens) are untouched.
         self.migration_enabled = migration_enabled
-        self._migration_params = migration_params
         self._migration_engine = None
         #: Fault-recovery layer; OFF by default for the same reason.
         self.recovery_enabled = recovery_enabled
-        self._recovery_params = recovery_params
         self._recovery_manager = None
         #: The DES driving this controller (see :meth:`_clock`); ``None``
         #: until one binds.
@@ -795,7 +780,7 @@ class SystemController:
         if self._recovery_manager is None:
             from ..faults.recovery import RecoveryManager
 
-            self._recovery_manager = RecoveryManager(self, self._recovery_params)
+            self._recovery_manager = RecoveryManager(self)
         return self._recovery_manager
 
     def on_board_failure(self, board, now: float) -> None:
@@ -846,9 +831,7 @@ class SystemController:
         if self._migration_engine is None:
             from ..migration.engine import MigrationEngine
 
-            self._migration_engine = MigrationEngine(
-                self, self._migration_params
-            )
+            self._migration_engine = MigrationEngine(self)
         return self._migration_engine
 
     def fragmentation(self) -> dict:
@@ -960,9 +943,9 @@ class SystemController:
         count among its boards.  ``_service_time`` depends on the member
         boards only through the all-to-all exchange's critical path, which
         is exactly this number — so it is the one piece of placement
-        identity the service cache must key on (beside the timing, pattern
-        awareness and ring parameters that every assignment of one
-        controller shares; see :meth:`_estimate_service`)."""
+        identity the service cache must key on (beside the ring parameters
+        that every assignment of one controller shares; see
+        :meth:`_estimate_service`)."""
         if len(assignment) < 2:
             return 0
         network = self.cluster.network
@@ -995,10 +978,10 @@ class SystemController:
         Read from the catalog's service cache, which every controller over
         that catalog shares: the mapping database holds service times as it
         holds plans.  The key is (model, replicas, ordered device types,
-        ring-hop signature) plus every input that can differ between
-        controllers sharing one catalog — pattern awareness, the timing
-        parameters and the ring's parameters (``None`` without a ring) —
-        and the latency is a pure function of exactly those inputs.
+        ring-hop signature) plus the one input that can differ between
+        controllers sharing one catalog — the ring's parameters (``None``
+        without a ring) — and the latency is a pure function of exactly
+        those inputs.
         Keying on the type mix alone (an old key) let two assignments with
         identical types but different ring adjacency share one entry, so
         ``_find_placement``'s min() could pick the slower pair on the stale
@@ -1013,8 +996,6 @@ class SystemController:
             plan.replicas,
             tuple(board.model.name for board, _ in assignment),
             self._hop_signature(assignment),
-            self.pattern_aware,
-            self.timing,
             None if network is None else network.params,
         )
         cache = self.catalog._service_cache
@@ -1131,35 +1112,25 @@ class SystemController:
         (uncached: callers want :meth:`service_time`)."""
         if plan.replicas == 1:
             image = plan.image_for(placements[0].device_type)
-            virt = VirtualizationContext(
-                virtual_blocks=image.virtual_blocks,
-                pattern_aware=self.pattern_aware,
-            )
+            virt = VirtualizationContext(virtual_blocks=image.virtual_blocks)
             return single_fpga_latency(
                 plan.programs[0],
                 image.instance,
                 virtualization=virt,
                 frequency_hz=image.frequency_hz,
-                params=self.timing,
             ).seconds
         members = [p.fpga_id for p in placements]
         worst = 0.0
         for index, placement in enumerate(placements):
             image = plan.image_for(placement.device_type)
-            virt = VirtualizationContext(
-                virtual_blocks=image.virtual_blocks,
-                pattern_aware=self.pattern_aware,
-            )
-            model = CycleModel(
-                image.instance.with_frequency(image.frequency_hz), self.timing
-            )
+            virt = VirtualizationContext(virtual_blocks=image.virtual_blocks)
+            model = CycleModel(image.instance.with_frequency(image.frequency_hz))
             report = scaleout_latency(
                 plan.programs[min(index, len(plan.programs) - 1)],
                 model,
                 self.cluster.network,
                 members,
                 virtualization=virt,
-                params=self.timing,
             )
             worst = max(worst, report.total_s)
         return worst

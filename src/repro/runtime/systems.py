@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 from ..accel.config import AcceleratorConfig
 from ..accel.codegen import build_scaleout_programs
-from ..accel.timing import CycleModel, TimingParameters, DEFAULT_TIMING
+from ..accel.timing import CycleModel
 from ..cluster.simulator import Task
 from ..cluster.topology import FPGACluster
-from ..errors import ReproError
+from ..errors import ReproError, SimulationError
 from ..perf.latency import BASE_INSTANCES, weight_load_seconds
 from ..perf.overlap import scaleout_latency
 from ..vital.bitstream import LowLevelController
@@ -38,9 +38,7 @@ class ProposedSystem:
     name = "proposed"
 
     def __init__(self, cluster: FPGACluster, catalog: Catalog,
-                 timing: TimingParameters = DEFAULT_TIMING,
-                 defrag: bool = False, migration_params=None,
-                 recovery: bool = False, recovery_params=None,
+                 defrag: bool = False, recovery: bool = False,
                  batching=None):
         self.cluster = cluster
         self.controller = SystemController(
@@ -48,11 +46,8 @@ class ProposedSystem:
             catalog,
             LowLevelController(catalog.compiler.store),
             same_type_only=self._same_type_only(),
-            timing=timing,
             migration_enabled=defrag,
-            migration_params=migration_params,
             recovery_enabled=recovery,
-            recovery_params=recovery_params,
         )
         #: Optional request-coalescing functional executor
         #: (:class:`repro.runtime.batching.BatchExecutor`).  Off by
@@ -100,17 +95,35 @@ class ProposedSystem:
     def bind_simulator(self, simulator) -> None:
         """Adopt the driving DES: its queue view feeds expansion and
         hints, the controller schedules defrag, recovery and
-        reconfiguration on it, and the batch executor runs the submitted
-        tasks when the run ends."""
+        reconfiguration on it, the batch executor runs the submitted
+        tasks when the run ends, and then the controller's books are
+        recounted (:meth:`_check_books`)."""
         self._simulator = simulator
         self.controller.bind_simulator(simulator)
         if self.batch_executor is not None:
             simulator.add_run_end(self._drain_outputs)
+        simulator.add_run_end(self._check_books)
 
     def _drain_outputs(self) -> None:
         # Looked up per call: a wrapper installed on ``flush`` after this
         # system was bound still sees the drain.
         self.batch_executor.flush()
+
+    def _check_books(self) -> None:
+        """Raise :class:`SimulationError` unless the placement, residency
+        and idle indexes each equal a from-scratch recount: one pass over
+        the boards and deployments per run, so a layer that leaks blocks
+        or deployment state fails the run that did it."""
+        controller = self.controller
+        for books, consistent in (
+            ("placement index", controller.index.check_consistent),
+            ("residency index", controller.check_residents_consistent),
+            ("idle index", controller.check_idle_consistent),
+        ):
+            if not consistent():
+                raise SimulationError(
+                    f"{self.name}: the {books} differs from a recount at run end"
+                )
 
     def dispatch_key(self, task: Task) -> tuple:
         """Locality: models with an idle copy resident start first."""
@@ -392,10 +405,8 @@ class BaselineSystem:
 
     name = "baseline"
 
-    def __init__(self, cluster: FPGACluster,
-                 timing: TimingParameters = DEFAULT_TIMING):
+    def __init__(self, cluster: FPGACluster):
         self.cluster = cluster
-        self.timing = timing
         self.boards = [
             _BaselineBoardState(
                 fpga_id=board.fpga_id,
@@ -448,7 +459,7 @@ class BaselineSystem:
     def _single_latency(self, spec: ModelSpec, board: _BaselineBoardState) -> float | None:
         key = ("single", spec.key, board.device_type)
         if key not in self._latency_cache:
-            model = CycleModel(board.instance, self.timing)
+            model = CycleModel(board.instance)
             program = spec.program()
             self._latency_cache[key] = (
                 model.latency(program).seconds if model.fits(program) else None
@@ -477,12 +488,11 @@ class BaselineSystem:
         members = [b.fpga_id for b in pair]
         worst = 0.0
         for board, program in zip(pair, programs):
-            model = CycleModel(board.instance, self.timing)
+            model = CycleModel(board.instance)
             if not model.fits(program):
                 return None
             report = scaleout_latency(
-                program, model, self.cluster.network, members,
-                params=self.timing,
+                program, model, self.cluster.network, members
             )
             worst = max(worst, report.total_s)
         return worst
@@ -506,9 +516,8 @@ class BaselineSystem:
         spec = model_by_key(task.model_key)
         boards = self._assignment.get(task.model_key)
         if boards is None:
-            # A model outside the offline pool: assign it now, permanently
-            # (recompiling the static allocation mid-run is not an option).
-            self._build_static_assignment()
+            # A model outside the offline pool: assign it now, permanently,
+            # without touching the pool's offline assignment.
             self._assign_extra(spec)
             boards = self._assignment.get(task.model_key)
             if boards is None:
@@ -552,10 +561,8 @@ def build_system(
     name: str,
     cluster: FPGACluster,
     catalog: Catalog | None = None,
-    timing: TimingParameters = DEFAULT_TIMING,
     defrag: bool = False,
     recovery: bool = False,
-    recovery_params=None,
     batching=None,
 ):
     """Factory over the three evaluated systems.
@@ -570,15 +577,13 @@ def build_system(
     bit-identical to the pre-migration, pre-faults implementation.
     """
     if name == "baseline":
-        return BaselineSystem(cluster, timing)
+        return BaselineSystem(cluster)
     if catalog is None:
         raise ReproError(f"system {name!r} needs a catalog")
     if name == "proposed":
-        return ProposedSystem(cluster, catalog, timing, defrag=defrag,
-                              recovery=recovery, recovery_params=recovery_params,
-                              batching=batching)
+        return ProposedSystem(cluster, catalog, defrag=defrag,
+                              recovery=recovery, batching=batching)
     if name == "restricted":
-        return RestrictedSystem(cluster, catalog, timing, defrag=defrag,
-                                recovery=recovery, recovery_params=recovery_params,
-                                batching=batching)
+        return RestrictedSystem(cluster, catalog, defrag=defrag,
+                                recovery=recovery, batching=batching)
     raise ReproError(f"unknown system {name!r}")

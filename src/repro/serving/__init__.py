@@ -7,7 +7,7 @@ layered on :class:`~repro.runtime.controller.SystemController` and driven
 by the :class:`~repro.cluster.simulator.ClusterSimulator`:
 
 * :mod:`~repro.serving.policy`   — the policy knobs
-  (:class:`ServingParameters`), shedding policies and the token bucket;
+  (:class:`ServingParameters`);
 * :mod:`~repro.serving.request`  — deadline-carrying :class:`Request`
   tasks and their terminal :class:`RequestOutcome`;
 * :mod:`~repro.serving.breaker`  — per-board circuit breakers
@@ -25,7 +25,7 @@ offered load with and without faults into ``BENCH_serving.json``.
 
 from .breaker import BreakerState, CircuitBreaker
 from .frontend import ServingFrontend, ServingStats
-from .policy import ServingParameters, SheddingPolicy, TokenBucket
+from .policy import ServingParameters
 from .request import Request, RequestOutcome, RequestRecord
 
 __all__ = [
@@ -37,6 +37,4 @@ __all__ = [
     "ServingFrontend",
     "ServingParameters",
     "ServingStats",
-    "SheddingPolicy",
-    "TokenBucket",
 ]

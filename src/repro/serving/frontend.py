@@ -11,17 +11,16 @@ mechanisms that keep goodput graceful when offered load exceeds capacity
 or boards fail:
 
 * **Admission control** — a per-model bound on the requests queued in
-  the simulator (the only queue) plus an optional per-model token bucket;
-  overflow is shed at arrival under a
-  :class:`~repro.serving.policy.SheddingPolicy` (tail or head drop).
+  the simulator (the only queue); an arrival past it is shed at the door
+  (tail drop).
 * **Deadlines** — every admitted request carries an absolute deadline.
   One expiry timer per frontend (a single ``schedule_external`` event,
   armed at the earliest deadline of a still-queued request) expires every
   queued request whose deadline has come, *at* its deadline, and takes it
   out of the simulator's queue then (``drop_queued``), so it never
   occupies a board.  A request started at its deadline could not finish
-  on time anyway: service time is positive.  A head drop or an abandon
-  leaves the queue the same way, at the event that condemns it.
+  on time anyway: service time is positive.  An abandon leaves the queue
+  the same way, at the event that condemns it.
 * **Retry budget** — genuine placement failures (the system declined
   the start for ``"capacity"``) consume a per-request budget with
   jittered exponential backoff; exhaustion abandons the request, whose
@@ -60,7 +59,7 @@ from ..cluster.simulator import Task
 from ..errors import ReproError
 from ..vital.virtual_block import BoardHealth
 from .breaker import BreakerState, CircuitBreaker
-from .policy import ServingParameters, SheddingPolicy, TokenBucket
+from .policy import ServingParameters
 from .request import RequestOutcome, RequestRecord
 
 
@@ -128,7 +127,6 @@ class ServingFrontend:
         self._armed_s = math.inf
         #: Expiry timers armed so far (one DES event each).
         self.timers_armed = 0
-        self._buckets: dict[str, TokenBucket] = {}
         self._breakers = {
             fpga_id: CircuitBreaker(fpga_id, self.params)
             for fpga_id in self.cluster.boards
@@ -222,20 +220,11 @@ class ServingFrontend:
                 self.stats.expired += 1
             heappop(expiry)
 
-    def _bucket(self, model_key: str) -> TokenBucket:
-        bucket = self._buckets.get(model_key)
-        if bucket is None:
-            bucket = TokenBucket(
-                self.params.admission_rate_per_s, self.params.admission_burst
-            )
-            self._buckets[model_key] = bucket
-        return bucket
-
     # -- Scheduler protocol: admission ---------------------------------------
 
     def admit(self, task: Task, now: float) -> bool:
-        """Arrival-time admission: bounded queue + token bucket.  Every
-        offered request gets its record here."""
+        """Arrival-time admission: a bounded queue.  Every offered request
+        gets its record here."""
         if self._simulator is None:
             raise ReproError("ServingFrontend.admit before bind_simulator")
         deadline = getattr(task, "deadline_s", 0.0)
@@ -246,11 +235,6 @@ class ServingFrontend:
         model = task.model_key
         if self.autoscaler is not None:
             self.autoscaler.observe_arrival(model, now)
-        if (
-            self.params.admission_rate_per_s > 0
-            and not self._bucket(model).try_take(now)
-        ):
-            return self._shed_at_door(record)
         if record.deadline_s <= now:
             # Late on arrival: it expires at the door and is never queued.
             record.outcome = RequestOutcome.EXPIRED
@@ -258,25 +242,12 @@ class ServingFrontend:
             self.stats.expired += 1
             return False
         if self._simulator.queued_depth(model) >= self.params.max_queue_depth:
-            if self.params.shedding is SheddingPolicy.HEAD_DROP:
-                self._condemn_oldest(model)
-            else:
-                return self._shed_at_door(record)
+            record.outcome = RequestOutcome.SHED
+            self.stats.shed += 1
+            return False
         self._watch_deadline(task, now)
         self.stats.admitted += 1
         return True
-
-    def _shed_at_door(self, record: RequestRecord) -> bool:
-        record.outcome = RequestOutcome.SHED
-        self.stats.shed += 1
-        return False
-
-    def _condemn_oldest(self, model_key: str) -> None:
-        """Head drop: shed this model's queued request that is first in
-        ``(arrival_s, seq)`` order, whichever tenant it belongs to."""
-        first = self._simulator.queued_tasks(model_key)[0]
-        self._condemn(first, RequestOutcome.SHED)
-        self.stats.shed += 1
 
     # -- Scheduler protocol: placement ---------------------------------------
 

@@ -3,60 +3,15 @@
 Everything the :class:`~repro.serving.frontend.ServingFrontend` decides is
 parameterised here so the bench can sweep policies without code changes.
 Defaults are tuned for the four-board paper cluster serving the small
-benchmark models; a larger pool wants proportionally larger queue bounds
-and bucket rates.
+benchmark models; a larger pool wants proportionally larger queue bounds.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from ..errors import ReproError
 from ..units import ms
-
-
-class SheddingPolicy(enum.Enum):
-    """What admission control does when a model's queue is full."""
-
-    #: Reject the arriving request (classic tail drop; FIFO fairness).
-    TAIL_DROP = "tail_drop"
-    #: Admit the arrival and shed the *oldest* queued request of the same
-    #: model instead — under deadlines the oldest request is the likeliest
-    #: to expire anyway, so head drop trades fairness for goodput.
-    HEAD_DROP = "head_drop"
-
-
-class TokenBucket:
-    """A standard token bucket: ``rate_per_s`` sustained, ``burst`` peak.
-
-    Time is passed in (the DES clock), never read from a wall clock, so
-    admission decisions are a pure function of the arrival trace.
-    """
-
-    def __init__(self, rate_per_s: float, burst: float):
-        if rate_per_s <= 0 or burst <= 0:
-            raise ReproError("token bucket rate and burst must be positive")
-        self.rate_per_s = rate_per_s
-        self.burst = burst
-        self._tokens = burst
-        self._last_s = 0.0
-
-    def try_take(self, now: float) -> bool:
-        """Take one token if available; refills lazily from elapsed time."""
-        if now > self._last_s:
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._last_s) * self.rate_per_s
-            )
-            self._last_s = now
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
-
-    @property
-    def tokens(self) -> float:
-        return self._tokens
 
 
 @dataclass(frozen=True)
@@ -64,15 +19,9 @@ class ServingParameters:
     """Policy knobs for the overload-robust serving edge."""
 
     # -- admission control ----------------------------------------------------
-    #: Per-model bounded queue: arrivals past this depth are shed.
+    #: Per-model bounded queue: arrivals past this depth are shed at the
+    #: door (tail drop).
     max_queue_depth: int = 12
-    #: Per-model token-bucket rate; ``0`` disables the bucket (queue-depth
-    #: watermarks alone gate admission).
-    admission_rate_per_s: float = 0.0
-    #: Bucket size (burst tolerance) when the bucket is enabled.
-    admission_burst: float = 16.0
-    #: What to do with the overflow (tail drop vs head drop).
-    shedding: SheddingPolicy = SheddingPolicy.TAIL_DROP
 
     # -- deadlines ------------------------------------------------------------
     #: Deadline granted to requests that do not carry their own: a request

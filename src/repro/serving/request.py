@@ -22,7 +22,7 @@ class RequestOutcome(enum.Enum):
     PENDING = "pending"
     #: Finished service (SLO attainment is judged separately).
     COMPLETED = "completed"
-    #: Rejected by admission control (queue bound or token bucket).
+    #: Rejected by admission control (queue bound).
     SHED = "shed"
     #: Still queued at its deadline; expired then, and dropped without
     #: ever occupying a board.

@@ -183,7 +183,7 @@ class TenantScheduler:
         return state
 
     def tenant(self, name: str) -> TenantState:
-        """One tenant's runtime state (benches and tests read it)."""
+        """One tenant's runtime state (tests read it)."""
         return self._state(name)
 
     def tenant_report(self) -> dict:
@@ -423,7 +423,7 @@ class TenantScheduler:
             # The checkpoint streams out after the drain, and the same
             # state streams back when the victim's task restarts.
             restore_s = engine.host_stream_s(victim)
-            teardown_s = engine.params.drain_s + restore_s
+            teardown_s = engine.DRAIN_S + restore_s
             self.stats.checkpoint_s += teardown_s
             if victim.state is DeploymentState.BUSY:
                 self._abort_victim_task(victim, restore_s, now)

@@ -21,32 +21,18 @@ from .synthetic import (
     WorkloadComposition,
     generate_workload,
 )
-from .arrival import (
-    ARRIVAL_PROCESSES,
-    arrival_process,
-    diurnal_arrivals,
-    lognormal_arrivals,
-    mmpp_arrivals,
-    pareto_arrivals,
-    poisson_arrivals,
-    uniform_arrivals,
-)
+from .arrival import diurnal_arrivals, mmpp_arrivals, poisson_arrivals
 
 __all__ = [
-    "ARRIVAL_PROCESSES",
     "MODEL_POOL",
     "ModelSpec",
     "TABLE1_COMPOSITIONS",
     "TABLE4_BENCHMARKS",
     "WorkloadComposition",
-    "arrival_process",
     "diurnal_arrivals",
     "generate_workload",
-    "lognormal_arrivals",
     "mmpp_arrivals",
-    "pareto_arrivals",
     "model_by_key",
     "poisson_arrivals",
     "size_class_of",
-    "uniform_arrivals",
 ]

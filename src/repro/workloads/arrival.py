@@ -1,23 +1,19 @@
 """Arrival processes for synthetic workloads.
 
 The paper's second benchmark set arrives "at a random time interval to
-emulate the dynamic runtime environment" (Section 4.1).  We provide the two
-standard choices the Fig. 12 experiment uses (Poisson at a rate that
-saturates every system under comparison, and uniform gaps of the same
-mean), plus the two load shapes a serving edge actually faces:
+emulate the dynamic runtime environment" (Section 4.1).  The Fig. 12
+experiment uses Poisson arrivals (:func:`poisson_arrivals`, at a rate that
+saturates every system under comparison); the serving and autoscale
+benches add the two load shapes a serving edge actually faces:
 
 * :func:`mmpp_arrivals` — a two-state Markov-modulated Poisson process
   (calm/burst), the standard model for bursty cloud traffic;
 * :func:`diurnal_arrivals` — a nonhomogeneous Poisson process whose rate
-  follows a sinusoidal day/night cycle, generated by thinning;
-* :func:`pareto_arrivals` / :func:`lognormal_arrivals` — renewal
-  processes with heavy-tailed inter-arrival gaps (rare long silences,
-  dense clumps), the shapes real request traces exhibit.
+  follows a sinusoidal day/night cycle, generated by thinning.
 
 Every generator is a pure function of its arguments (seeded NumPy
 generators), returns strictly ordered absolute arrival times, and keeps
-the requested *mean* rate so sweeps over shapes compare equal offered
-load.
+the requested *mean* rate so shapes compare at equal offered load.
 """
 
 from __future__ import annotations
@@ -39,14 +35,6 @@ def poisson_arrivals(count: int, rate_per_s: float, seed: int = 0) -> list[float
     _check(count, rate_per_s)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_per_s, size=count)
-    return [float(at) for at in np.cumsum(gaps)]
-
-
-def uniform_arrivals(count: int, rate_per_s: float, seed: int = 0) -> list[float]:
-    """``count`` arrivals with uniformly random gaps of the same mean."""
-    _check(count, rate_per_s)
-    rng = np.random.default_rng(seed)
-    gaps = rng.uniform(0.0, 2.0 / rate_per_s, size=count)
     return [float(at) for at in np.cumsum(gaps)]
 
 
@@ -129,72 +117,3 @@ def diurnal_arrivals(
         if rng.uniform() * peak <= rate_now:
             arrivals.append(now)
     return arrivals
-
-
-def pareto_arrivals(
-    count: int,
-    rate_per_s: float,
-    seed: int = 0,
-    shape: float = 2.5,
-) -> list[float]:
-    """``count`` arrivals with Pareto (power-law) inter-arrival gaps.
-
-    Gaps follow a Pareto distribution with tail index ``shape`` and scale
-    ``x_m`` solved so the mean gap is ``1/rate_per_s``
-    (``x_m = (shape - 1) / (shape * rate)``), keeping offered load equal
-    across shapes.  ``shape`` must exceed 1 for the mean to exist; values
-    near 1 give wild burstiness, large values degenerate toward uniform
-    gaps of ``x_m``.
-    """
-    _check(count, rate_per_s)
-    if shape <= 1.0:
-        raise ReproError("pareto shape must be > 1 (finite mean)")
-    rng = np.random.default_rng(seed)
-    x_m = (shape - 1.0) / (shape * rate_per_s)
-    # numpy's pareto() is the Lomax form (support [0, inf)); shift by 1
-    # for the classical Pareto with support [x_m, inf).
-    gaps = x_m * (1.0 + rng.pareto(shape, size=count))
-    return [float(at) for at in np.cumsum(gaps)]
-
-
-def lognormal_arrivals(
-    count: int,
-    rate_per_s: float,
-    seed: int = 0,
-    sigma: float = 1.0,
-) -> list[float]:
-    """``count`` arrivals with lognormal inter-arrival gaps.
-
-    ``mu`` is solved so the mean gap is ``1/rate_per_s``
-    (``mu = -ln(rate) - sigma^2 / 2``); ``sigma`` controls tail weight
-    (0 degenerates to deterministic gaps).
-    """
-    _check(count, rate_per_s)
-    if sigma < 0:
-        raise ReproError("lognormal sigma must be >= 0")
-    rng = np.random.default_rng(seed)
-    mu = -np.log(rate_per_s) - sigma * sigma / 2.0
-    gaps = rng.lognormal(mu, sigma, size=count)
-    return [float(at) for at in np.cumsum(gaps)]
-
-
-#: Named arrival processes the benches expose as ``--arrival`` choices.
-ARRIVAL_PROCESSES = {
-    "poisson": poisson_arrivals,
-    "uniform": uniform_arrivals,
-    "mmpp": mmpp_arrivals,
-    "diurnal": diurnal_arrivals,
-    "pareto": pareto_arrivals,
-    "lognormal": lognormal_arrivals,
-}
-
-
-def arrival_process(name: str):
-    """Look up an arrival generator by name (``--arrival`` flag plumbing)."""
-    try:
-        return ARRIVAL_PROCESSES[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown arrival process {name!r} "
-            f"(choices: {', '.join(sorted(ARRIVAL_PROCESSES))})"
-        ) from None

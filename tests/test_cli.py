@@ -156,12 +156,3 @@ class TestServe:
         )
         assert "autoscale:" in text
         assert "ups" in text and "downs" in text
-
-    def test_arrival_flag_selects_process(self):
-        text = _run(
-            "serve", "--tasks", "40", "--load", "2",
-            "--arrival", "pareto", "--json",
-        )
-        import json
-
-        assert json.loads(text)["arrival"] == "pareto"

@@ -16,7 +16,7 @@ from repro.runtime import BatchExecutor, BatchingParameters, Catalog, build_syst
 from repro.serving import Request, ServingFrontend, ServingParameters
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.vital import VitalCompiler
-from repro.workloads import arrival_process
+from repro.workloads import poisson_arrivals
 
 MODEL = "gru-h512-t1"  # the cheapest zoo model to actually execute
 
@@ -202,15 +202,14 @@ class TestThroughWrappers:
                              block_quota=int(blocks * 0.8),
                              preemptible=True),
         ], TenancyParameters())
-        poisson = arrival_process("poisson")
         tasks = [
             kind(task_id=i, model_key=MODEL, arrival_s=a, size_class="S",
                  tenant="premium")
-            for i, a in enumerate(poisson(6, 3200.0, seed=17))
+            for i, a in enumerate(poisson_arrivals(6, 3200.0, seed=17))
         ] + [
             kind(task_id=100 + i, model_key="lstm-h512-t25", arrival_s=a,
                  size_class="S", tenant="besteffort")
-            for i, a in enumerate(poisson(18, 9600.0, seed=18))
+            for i, a in enumerate(poisson_arrivals(18, 9600.0, seed=18))
         ]
         tasks.sort(key=lambda task: (task.arrival_s, task.task_id))
         result = ClusterSimulator(scheduler, "tenancy").run(tasks)

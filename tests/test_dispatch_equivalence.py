@@ -38,7 +38,6 @@ from repro.serving import (
     Request,
     ServingFrontend,
     ServingParameters,
-    SheddingPolicy,
 )
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.vital import VitalCompiler
@@ -387,8 +386,6 @@ def _count_lone_walks(simulator, lone: dict) -> None:
 SERVING_DIGESTS = {
     7: "654f2e6b5b09b5ac9c649c0461de8527b89c2d9b965ff02f0aeec5218f1ddb19",
     8: "c8b85177d0688858a9aab31a7663fa1ed9769f2ba3177c5616df4eaaf2a0714c",
-    "head_drop":
-        "9488449c50d21c5b92fedf44d0f62cef461823fc66be2bad24469ec3b7e3230b",
     "no_retry":
         "8650a816ed979d6a397acc8915deccfaca353a932332d3f0f46e428f395eaf0a",
 }
@@ -441,26 +438,15 @@ def test_one_expiry_timer_per_frontend(shared_catalog):
     assert frontend.timers_armed - stats.expired < 0.05 * stats.admitted
 
 
-@pytest.mark.parametrize("variant", ["head_drop", "no_retry"])
+@pytest.mark.parametrize("variant", ["no_retry"])
 def test_serving_condemned_requests(shared_catalog, variant):
-    """Requests condemned while queued — shed by a head drop, abandoned
-    on an exhausted retry budget — leave the queue at once, even when
-    their model is blocked, and both dispatchers drop them alike."""
-    overrides = {
-        "head_drop": {"shedding": SheddingPolicy.HEAD_DROP,
-                      "max_queue_depth": 3},
-        "no_retry": {"retry_budget": 0},
-    }[variant]
+    """Requests condemned while queued — abandoned on an exhausted retry
+    budget — leave the queue at once, even when their model is blocked,
+    and both dispatchers drop them alike."""
+    overrides = {"no_retry": {"retry_budget": 0}}[variant]
     build = _serving_build(shared_catalog, 7, **overrides)
     reference, _ = _run_both(build, SERVING_DIGESTS[variant])
-    stats = reference.scheduler.stats
-    if variant == "head_drop":
-        # Head drop admits every arrival, so each shed condemned a request
-        # already queued.
-        assert stats.shed > 0
-        assert stats.admitted == stats.offered
-    else:
-        assert stats.abandoned > 0
+    assert reference.scheduler.stats.abandoned > 0
 
 
 #: Brownout entries, exits and schedule digest of

@@ -12,6 +12,7 @@ import pytest
 from repro.cluster import ClusterSimulator, Task, paper_cluster
 from repro.errors import AllocationError, SimulationError
 from repro.faults import FaultInjector, FaultModelParameters
+from repro.faults.recovery import MAX_RETRIES, backoff_s
 from repro.runtime import Catalog, build_system
 from repro.runtime.deployment import Deployment, DeploymentState
 from repro.vital import BoardHealth, VitalCompiler
@@ -190,10 +191,9 @@ class TestRecovery:
         stats = controller.stats
         # Capacity never returns: every backoff retry fails, then the
         # failure is counted and the deployment given up.
-        params = controller.recovery.params
-        assert stats.recovery_retries == params.max_retries
+        assert stats.recovery_retries == MAX_RETRIES
         assert stats.recovery_backoff_s == pytest.approx(
-            sum(params.backoff_s(attempt) for attempt in range(params.max_retries))
+            sum(backoff_s(attempt) for attempt in range(MAX_RETRIES))
         )
         assert stats.recoveries == 0
         assert stats.recovery_failures == 1

@@ -81,7 +81,7 @@ class TestHostStream:
             plan = shared_catalog.entry(spec).sorted_plans()[0]
             deployment, _ = controller.place_plan(plan, 0.0)
             engine = controller.migration
-            drain = engine.params.drain_s
+            drain = engine.DRAIN_S
             state_bytes = sum(
                 engine.state_bytes(deployment, index)
                 for index in range(len(deployment.placements))
@@ -182,7 +182,7 @@ class TestMigrationEngine:
         engine = controller.migration
         plan = engine.plan_move(deployment, {0: destination})
         move = plan.moves[0]
-        assert move.drain_s == engine.params.drain_s
+        assert move.drain_s == engine.DRAIN_S
         assert move.transfer_s == cluster.network.transfer_time(
             move.src_fpga, move.dst_fpga, move.state_bytes
         )

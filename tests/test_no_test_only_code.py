@@ -30,6 +30,12 @@ The other way round, a probe for an optional hook or field
 ``src/`` defines ``<name>`` (a ``Protocol`` only declares it): the default
 always answers, and the probe and whatever it guards are code that no run
 exercises.
+
+A setting is dead the same way when nothing ever sets it: every field of
+a ``*Parameters`` record in ``src/`` must be passed, by keyword or by
+position, in some call to the record or to ``dataclasses.replace`` in
+``src/``, ``tests/``, ``benchmarks/`` or ``examples/``.  A field that only
+ever holds its default is a constant.
 """
 
 import ast
@@ -43,8 +49,6 @@ SRC = ROOT / "src" / "repro"
 
 #: Test-only definitions that stay, keyed ``path-under-repro::qualname``.
 ALLOWED = {
-    "runtime/controller.py::SystemController.check_idle_consistent":
-        "checker: recounts the idle index from every deployment",
     "autoscale/accounting.py::ReplicaLedger.open_replicas":
         "checker: the autoscale storm recounts the ledger against the residents",
     "rtl/equivalence.py::modules_equivalent":
@@ -289,3 +293,96 @@ def test_every_probed_name_has_a_definer():
     assert not dead, (
         "no class in src/ defines these probed names, so the default "
         "always answers; delete the probe: " + ", ".join(dead))
+
+
+#: ``*Parameters`` records exempt from the knob scan: calibration records
+#: whose defaults are measured figures of the modelled hardware.
+CALIBRATION_RECORDS = {
+    "TimingParameters": "the cycle model's calibrated timing constants",
+    "NetworkParameters": "the ring network's measured link figures",
+}
+
+
+def _parameter_fields() -> dict:
+    """``record -> [field, ...]`` for every ``*Parameters`` class in
+    ``src/``, fields in declaration order."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Parameters"):
+                found[node.name] = [
+                    statement.target.id for statement in node.body
+                    if isinstance(statement, ast.AnnAssign)
+                    and isinstance(statement.target, ast.Name)
+                ]
+    return found
+
+
+def _callee(call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _fields_set() -> set:
+    """``(record, field)`` pairs some call passes, by keyword or by
+    position, to the record or to ``replace``.  A function that hands
+    ``**kwargs`` on to a record (or to another such function) forwards
+    it, so the keywords its callers pass count too; a ``replace`` call is
+    credited to every record that has the keyword."""
+    records = _parameter_fields()
+    trees = [
+        ast.parse(path.read_text())
+        for directory in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    ]
+    functions = [
+        node for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    # record -> the record and every function that forwards it **kwargs
+    forwards = {name: {name} for name in records}
+    grew = True
+    while grew:
+        grew = False
+        for function in functions:
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call) and any(
+                        keyword.arg is None for keyword in node.keywords)):
+                    continue
+                for builders in forwards.values():
+                    if _callee(node) in builders and function.name not in builders:
+                        builders.add(function.name)
+                        grew = True
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee(node)
+            keywords = {keyword.arg for keyword in node.keywords}
+            if name in records:
+                passed.update((name, field)
+                              for field in records[name][:len(node.args)])
+            for record, fields in records.items():
+                if name == "replace" or name in forwards[record]:
+                    passed.update((record, field) for field in keywords
+                                  if field in fields)
+    return passed
+
+
+def test_every_parameter_field_is_set_somewhere():
+    records = _parameter_fields()
+    assert records and set(CALIBRATION_RECORDS) <= set(records)
+    passed = _fields_set()
+    never_set = sorted(
+        f"{record}.{field}"
+        for record, fields in records.items()
+        if record not in CALIBRATION_RECORDS
+        for field in fields
+        if (record, field) not in passed
+    )
+    assert not never_set, (
+        "no call ever sets these fields, so each holds one value; make it "
+        "a constant: " + ", ".join(never_set))

@@ -3,7 +3,6 @@ and the restricted variant."""
 
 import pytest
 
-from repro.accel.timing import TimingParameters
 from repro.cluster import Task, paper_cluster
 from repro.cluster.network import NetworkParameters
 from repro.errors import AllocationError, ReproError
@@ -109,13 +108,11 @@ class TestCatalogServiceCache:
         assert set(timed) == set(self.MODELS)
         assert counts[0] == counts[1] == len(catalog._service_cache)
 
-    @pytest.mark.parametrize("variant", ["timing", "pattern_aware", "network"])
+    @pytest.mark.parametrize("variant", ["network"])
     def test_other_timing_inputs_get_their_own_entry(self, shared_catalog,
                                                      variant):
         def options():
             return {
-                "timing": {"timing": TimingParameters(decode_cycles=3)},
-                "pattern_aware": {"pattern_aware": False},
                 "network": {"cluster": paper_cluster(
                     NetworkParameters(hop_latency_s=us(50.0)))},
             }[variant]

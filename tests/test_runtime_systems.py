@@ -10,7 +10,7 @@ from repro.runtime.systems import BaselineSystem, ProposedSystem, RestrictedSyst
 from repro.vital import VitalCompiler
 from repro.workloads import generate_workload
 from repro.workloads.synthetic import TABLE1_COMPOSITIONS
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 
 
 def _tasks(keys, gap=0.0):
@@ -81,6 +81,31 @@ class TestProposedSystem:
         deployment = next(iter(system.controller.deployments.values()))
         assert len(deployment.placements) == 2
 
+    @pytest.mark.parametrize("books", ["placement", "residency", "idle"])
+    def test_run_fails_when_its_books_do_not_recount(self, books):
+        """The run recounts the controller's indexes when it ends: one
+        written behind the controller's back fails the run."""
+        system = build_system(
+            "proposed", paper_cluster(), Catalog(VitalCompiler())
+        )
+        controller = system.controller
+
+        def corrupt(_now):
+            if books == "placement":
+                # A block taken without telling the placement index.
+                controller.cluster.board("vu37p-0").blocks[-1].owner = "ghost"
+            elif books == "residency":
+                controller._residents_by_board.setdefault(
+                    "vu37p-0", set()).add("ghost")
+            else:
+                controller._idle_lru.pop()
+
+        simulator = ClusterSimulator(system, "books")
+        # Long after the last finish: every deployment is idle by then.
+        simulator.schedule_external(1.0, corrupt)
+        with pytest.raises(SimulationError, match=f"the {books} index"):
+            simulator.run(_tasks(["gru-h512-t1", "lstm-h256-t150"] * 3))
+
 
 class TestBaselineSystem:
     def test_static_assignment_precomputed(self):
@@ -110,6 +135,24 @@ class TestBaselineSystem:
         services = sorted(t.service_s for t in result.completed)
         # First task pays the weight load; later ones do not.
         assert services[-1] > 2 * services[0]
+
+    @pytest.mark.parametrize("model, boards",
+                             [("lstm-h1024-t25", 1), ("gru-h2560-t375", 2)])
+    def test_model_outside_the_pool_gets_a_static_home(self, model, boards):
+        """A model the offline assignment never saw is placed on first
+        use, on one board or on a pair, and keeps that home."""
+        from repro.workloads.deepbench import MODEL_POOL
+
+        assert model not in {
+            spec.key for specs in MODEL_POOL.values() for spec in specs
+        }
+        system = BaselineSystem(paper_cluster())
+        pool_assignment = dict(system._assignment)
+        result = _run(system, _tasks([model] * 3))
+        assert len(result.completed) == 3
+        assert len(system._assignment[model]) == boards
+        del system._assignment[model]
+        assert system._assignment == pool_assignment
 
     def test_whole_board_occupied(self):
         system = BaselineSystem(paper_cluster())

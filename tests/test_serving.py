@@ -1,9 +1,8 @@
 """Serving-edge tests (:mod:`repro.serving`).
 
-Covers the policy primitives (token bucket, parameters, backoff), the
-admission path (bounded queues, tail vs head drop), deadline expiry and
-drops at the moment of condemnation, the placement retry budget and
-abandonment, the per-board
+Covers the policy primitives (parameters, backoff), the admission path
+(bounded queues, tail drop), deadline expiry and drops at the moment of
+condemnation, the placement retry budget and abandonment, the per-board
 circuit-breaker state machine (unit and DES-integrated), brownout
 plan-switching, the new arrival processes, and the recovery-backoff
 surfacing added alongside the frontend.
@@ -16,6 +15,7 @@ import pytest
 from repro.cluster import ClusterSimulator, Task, paper_cluster, scaled_cluster
 from repro.errors import ReproError
 from repro.faults import RecoveryAbandoned
+from repro.faults.recovery import MAX_RETRIES, RETRY_BASE_S, RETRY_CAP_S, backoff_s
 from repro.runtime import Catalog, build_system
 from repro.serving import (
     BreakerState,
@@ -24,8 +24,6 @@ from repro.serving import (
     RequestOutcome,
     ServingFrontend,
     ServingParameters,
-    SheddingPolicy,
-    TokenBucket,
 )
 from repro.serving.breaker import SLOW_WEIGHT
 from repro.vital import BoardHealth, VitalCompiler
@@ -89,33 +87,6 @@ def _requests(count, model_key="gru-h512-t1", gap_s=0.001, deadline_s=0.0):
     ]
 
 
-class TestTokenBucket:
-    def test_burst_then_starvation(self):
-        bucket = TokenBucket(rate_per_s=10.0, burst=2.0)
-        assert bucket.try_take(0.0)
-        assert bucket.try_take(0.0)
-        assert not bucket.try_take(0.0)
-
-    def test_refills_at_rate(self):
-        bucket = TokenBucket(rate_per_s=10.0, burst=2.0)
-        bucket.try_take(0.0)
-        bucket.try_take(0.0)
-        assert not bucket.try_take(0.05)  # 0.5 tokens accrued
-        assert bucket.try_take(0.1)  # 1.0 token accrued
-
-    def test_never_exceeds_burst(self):
-        bucket = TokenBucket(rate_per_s=100.0, burst=3.0)
-        assert bucket.tokens == 3.0
-        bucket.try_take(10.0)
-        assert bucket.tokens == 2.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ReproError):
-            TokenBucket(0.0, 1.0)
-        with pytest.raises(ReproError):
-            TokenBucket(1.0, -1.0)
-
-
 class TestServingParameters:
     def test_defaults_validate(self):
         ServingParameters()
@@ -149,27 +120,6 @@ class TestAdmission:
         assert frontend.stats.shed == 2
         for task in tasks[3:]:
             assert task.serving.outcome is RequestOutcome.SHED
-
-    def test_head_drop_condemns_the_oldest(self, catalog):
-        _, _, frontend = _frontend(
-            catalog, max_queue_depth=2, shedding=SheddingPolicy.HEAD_DROP
-        )
-        tasks = _requests(3)
-        assert all(queue_tasks(frontend, tasks))
-        # The arrival was admitted; the oldest queued request paid for it.
-        assert frontend.stats.admitted == 3
-        assert frontend.stats.shed == 1
-        assert tasks[0].serving.outcome is RequestOutcome.SHED
-        assert tasks[2].serving.outcome is RequestOutcome.PENDING
-
-    def test_token_bucket_gates_admission(self, catalog):
-        _, _, frontend = _frontend(
-            catalog, admission_rate_per_s=10.0, admission_burst=2.0
-        )
-        tasks = _requests(4)
-        admitted = queue_tasks(frontend, tasks)
-        assert admitted == [True, True, False, False]
-        assert frontend.stats.shed == 2
 
     def test_queue_bound_sheds_are_counted(self, catalog):
         _, _, frontend = _frontend(catalog, max_queue_depth=1)
@@ -234,28 +184,28 @@ class TestDeadlines:
             assert now == tasks[task_id].serving.deadline_s
 
     def test_condemned_requests_leave_the_queue_at_once(self, catalog):
-        """A head drop leaves the simulator's queue at the arrival that
-        sheds it, an abandon at the failed placement that condemns it."""
+        """An abandon leaves the simulator's queue at the failed placement
+        that condemns it; a shed never entered it."""
         cluster, _, frontend = _frontend(
             catalog, breaker_enabled=False, retry_budget=1, retry_jitter=0.0,
-            retry_base_s=0.002, max_queue_depth=2,
-            shedding=SheddingPolicy.HEAD_DROP, default_deadline_s=30.0,
+            retry_base_s=0.002, max_queue_depth=2, default_deadline_s=30.0,
         )
         for board in cluster.boards.values():
             board.set_health(BoardHealth.FAILED)
         simulator = ClusterSimulator(frontend, "condemned")
         drops = _spy_drops(simulator, frontend)
-        # Three arrivals at once into a queue of two: the third sheds the
-        # first.  The second fails placement, backs off 2 ms (the third
+        # Three arrivals at once into a queue of two: the third is shed at
+        # the door.  The first fails placement, backs off 2 ms (the second
         # waits behind its hint) and fails again past its budget of one;
-        # the third then does the same 2 ms later.
+        # the second then does the same once its model's hint lets it.
         result = simulator.run(_requests(3, gap_s=0.0))
-        assert drops == [
-            (0, 0.0, RequestOutcome.SHED),
-            (1, 0.002, RequestOutcome.ABANDONED),
-            (2, 0.004, RequestOutcome.ABANDONED),
+        assert [(task_id, outcome) for task_id, _, outcome in drops] == [
+            (0, RequestOutcome.ABANDONED),
+            (1, RequestOutcome.ABANDONED),
         ]
-        assert [task.task_id for task in result.dropped] == [0, 1, 2]
+        assert drops[0][1] == 0.002 < drops[1][1]
+        assert [task.task_id for task in result.dropped] == [2, 0, 1]
+        assert result.dropped[0].serving.outcome is RequestOutcome.SHED
         assert simulator.pending_count == 0
 
     def test_request_late_on_arrival_expires_at_the_door(self, catalog):
@@ -652,7 +602,6 @@ class TestRecoveryBackoffSurfacing:
         simulator.queue.run()
         # Capacity never returns: the recovery gives up after its last
         # backoff retry, and the structured event records when.
-        params = controller.recovery.params
         events = [
             event
             for event in controller.events
@@ -660,20 +609,15 @@ class TestRecoveryBackoffSurfacing:
         ]
         assert len(events) == 1
         assert events[0].model_key == "lstm-h512-t25"
-        assert events[0].attempts == params.max_retries
+        assert events[0].attempts == MAX_RETRIES
         assert events[0].at_s == pytest.approx(
-            0.01 + sum(params.backoff_s(a) for a in range(params.max_retries))
+            0.01 + sum(backoff_s(a) for a in range(MAX_RETRIES))
         )
 
-    def test_backoff_schedule_is_capped_and_surfaced(self, catalog):
-        cluster = paper_cluster()
-        system = build_system("proposed", cluster, catalog, recovery=True)
-        manager = system.controller.recovery
-        params = manager.params
-        schedule = [params.backoff_s(attempt) for attempt in range(params.max_retries)]
-        assert len(schedule) == manager.params.max_retries
-        assert schedule[0] == manager.params.retry_base_s
-        assert schedule[-1] == manager.params.retry_cap_s
+    def test_backoff_schedule_is_capped_and_surfaced(self):
+        schedule = [backoff_s(attempt) for attempt in range(MAX_RETRIES)]
+        assert schedule[0] == RETRY_BASE_S
+        assert schedule[-1] == RETRY_CAP_S
         assert all(b >= a for a, b in zip(schedule, schedule[1:]))
 
     def test_event_buffer_is_bounded(self, catalog):

@@ -23,12 +23,11 @@ from repro.serving import (
     RequestOutcome,
     ServingFrontend,
     ServingParameters,
-    SheddingPolicy,
 )
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.units import ms
 from repro.vital import VitalCompiler
-from repro.workloads import arrival_process
+from repro.workloads import poisson_arrivals
 from tests.queueing import queue_tasks
 
 
@@ -42,7 +41,7 @@ def _proposed(cluster, catalog, **kwargs):
 
 
 def _stream(tenant, model_keys, count, rate, seed, id_base=0):
-    arrivals = arrival_process("poisson")(count, rate, seed=seed)
+    arrivals = poisson_arrivals(count, rate, seed=seed)
     return [
         Task(
             task_id=id_base + index,
@@ -458,7 +457,7 @@ class TestPreemption:
                                arrival_s=0.0, tenant="t"),
             scheduler.tenant("t"), 0.0,
         )
-        assert scheduler.stats.checkpoint_s == engine.params.drain_s + stream
+        assert scheduler.stats.checkpoint_s == engine.DRAIN_S + stream
 
     @pytest.mark.parametrize(
         "tenants, starved, plans",
@@ -708,50 +707,6 @@ class TestFrontendComposition:
             assert task.serving.outcome is RequestOutcome.EXPIRED
             assert dropped_in[task_id] == (now, task_id)
 
-    def test_head_drop_sheds_a_requeued_request_first(self, shared_catalog):
-        """A head drop sheds the model's queued request that is first in
-        ``(arrival_s, seq)`` order, whichever tenant holds it.  A
-        preempted request goes back to its place in that order, so a
-        head drop sheds it ahead of later arrivals that were queued before
-        its requeue."""
-        scheduler, frontend, tasks = self._preempting_stream(
-            shared_catalog, 5, shedding=SheddingPolicy.HEAD_DROP,
-            max_queue_depth=8,
-        )
-        simulator = ClusterSimulator(scheduler, "head-drop")
-        requeued_at = {}
-        shed_requeued = []
-        requeue, condemn_oldest = frontend.requeue, frontend._condemn_oldest
-
-        def spy_requeue(task, now):
-            requeued_at[task.task_id] = now
-            requeue(task, now)
-
-        def spy_condemn_oldest(model_key):
-            waiting = [
-                entry[2]
-                for (_, model), queue in simulator._queues.items()
-                if model == model_key
-                for entry in queue.entries
-            ] + [task for task in simulator._requeued
-                 if task.model_key == model_key]
-            first = min(waiting, key=lambda task: (
-                task.arrival_s, task.seq))
-            condemn_oldest(model_key)
-            assert first.serving.outcome is RequestOutcome.SHED
-            if first.task_id in requeued_at and any(
-                task.task_id not in requeued_at
-                and task.arrival_s < requeued_at[first.task_id]
-                for task in waiting
-                if task is not first
-            ):
-                shed_requeued.append(first.task_id)
-
-        frontend.requeue = spy_requeue
-        frontend._condemn_oldest = spy_condemn_oldest
-        simulator.run(tasks)
-        assert shed_requeued
-
     def test_requeue_without_record_is_a_noop(self, shared_catalog):
         scheduler, frontend, _ = self._frontend_stack(
             shared_catalog, [TenantParameters(name="t")]
@@ -824,18 +779,17 @@ class TestFrontendComposition:
 
     def test_composed_run_keeps_no_task_id_maps(self, shared_catalog):
         """Per-request state lives on the task: after a batched run of
-        tenancy over serving over the system, with preemptions, head drops
-        and abandons, no dict or set of the simulator, the system, its
+        tenancy over serving over the system, with preemptions, sheds and
+        abandons, no dict or set of the simulator, the system, its
         batch executor, the frontend or the tenancy layer holds a task id,
         and no resident deployment holds a task."""
         scheduler, frontend, tasks = self._preempting_stream(
             shared_catalog, 4, batching=BatchingParameters(),
-            shedding=SheddingPolicy.HEAD_DROP, max_queue_depth=8,
-            retry_budget=2)
+            max_queue_depth=8, retry_budget=2)
         simulator = ClusterSimulator(scheduler, "one-record")
         result = simulator.run(tasks)
         assert scheduler.stats.tasks_preempted > 0
-        assert frontend.stats.shed > 0  # head drops: no door sheds here
+        assert frontend.stats.shed > 0
         assert frontend.stats.abandoned > 0
         assert len(result.completed) + len(result.dropped) == len(tasks)
         system = frontend.system

@@ -10,13 +10,9 @@ from repro.workloads import (
     ModelSpec,
     WorkloadComposition,
     generate_workload,
-    arrival_process,
-    lognormal_arrivals,
     model_by_key,
-    pareto_arrivals,
     poisson_arrivals,
     size_class_of,
-    uniform_arrivals,
 )
 from repro.workloads.deepbench import all_models
 
@@ -136,11 +132,6 @@ class TestArrivals:
         mean_gap = arrivals[-1] / len(arrivals)
         assert mean_gap == pytest.approx(0.01, rel=0.1)
 
-    def test_uniform_mean_rate(self):
-        arrivals = uniform_arrivals(4000, rate_per_s=100.0, seed=0)
-        mean_gap = arrivals[-1] / len(arrivals)
-        assert mean_gap == pytest.approx(0.01, rel=0.1)
-
     def test_monotone(self):
         arrivals = poisson_arrivals(100, 10.0, seed=1)
         assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
@@ -149,40 +140,4 @@ class TestArrivals:
         with pytest.raises(ReproError):
             poisson_arrivals(0, 1.0)
         with pytest.raises(ReproError):
-            uniform_arrivals(10, 0.0)
-
-    def test_pareto_mean_rate(self):
-        arrivals = pareto_arrivals(4000, rate_per_s=100.0, seed=0)
-        mean_gap = arrivals[-1] / len(arrivals)
-        assert mean_gap == pytest.approx(0.01, rel=0.15)
-
-    def test_pareto_is_heavy_tailed(self):
-        # Same mean rate, but the largest gap dwarfs the median gap by
-        # far more than an exponential's tail would allow.
-        arrivals = pareto_arrivals(4000, rate_per_s=100.0, seed=0)
-        gaps = sorted(
-            b - a for a, b in zip(arrivals, arrivals[1:])
-        )
-        assert gaps[-1] / gaps[len(gaps) // 2] > 20.0
-
-    def test_pareto_rejects_shape_without_mean(self):
-        with pytest.raises(ReproError):
-            pareto_arrivals(10, 100.0, shape=1.0)
-
-    def test_lognormal_mean_rate(self):
-        arrivals = lognormal_arrivals(4000, rate_per_s=100.0, seed=0)
-        mean_gap = arrivals[-1] / len(arrivals)
-        assert mean_gap == pytest.approx(0.01, rel=0.15)
-
-    def test_heavy_tail_monotone_and_deterministic(self):
-        for factory in (pareto_arrivals, lognormal_arrivals):
-            a = factory(200, 50.0, seed=3)
-            b = factory(200, 50.0, seed=3)
-            assert a == b
-            assert all(y >= x for x, y in zip(a, a[1:]))
-
-    def test_arrival_process_registry(self):
-        assert arrival_process("pareto") is pareto_arrivals
-        assert arrival_process("poisson") is poisson_arrivals
-        with pytest.raises(ReproError):
-            arrival_process("fractal")
+            poisson_arrivals(10, 0.0)
