@@ -18,38 +18,34 @@ change the order, so none is asked.
 
 Dispatch is incremental: when a model's task fails to start, the simulator
 records a *watermark* — the resource-state version it failed under, the
-scheduler's earliest time-gate hint (:meth:`Scheduler.retry_hint`) and the
-task that declined — and skips every task of that model until resources
-change or the clock reaches the hint.  Every arrival, start and finish may
-change resources; :meth:`Scheduler.woken_models` names the models the event
-can wake.  Without the hook, or on "all", the event bumps the version and
-every blocked model is retried.  Otherwise only the named models are woken;
-every other model keeps its decline.  A start or finish may still move a
-kept model's hint (it changes the idle set), so at the model's next visit
-the task that declined is re-hinted (one ``retry_hint`` call, not a
-``try_start``) and any other task is attempted.  A skipped attempt is one
-the scheduler would provably have declined, with the same hint, so
-schedules (and therefore experiment outputs) are identical to those of a
-task-by-task walk that retries every blocked model after every event, while
-the number of placement attempts drops by orders of magnitude.  Skipping
-costs O(1) per queue, not per task: a blocked model's queues leave the heap
-and, after the next start or finish, re-enter at their first task past the
-merge position (a bisect), so a pass is O(queues + attempts), not
-O(backlog).  A task the scheduler condemns while it waits (a serving
-deadline or abandon) leaves its queue at that moment
-(:meth:`ClusterSimulator.drop_queued`), so a pass never visits it.
+scheduler's earliest time-gate hint (:meth:`Scheduler.retry_hint`), the
+task that declined and that decline's wake key (:meth:`Scheduler.wake_key`)
+— and parks every task of that model while the clock is short of the hint
+and either the version is unchanged or the visit is to the task that
+declined and its wake key still equals the recorded one.  Every arrival,
+start, finish, drop, preemption and external event bumps the version.  A
+parked attempt is one the scheduler would provably have declined, with the
+same hint and no side effect, so schedules (and therefore experiment
+outputs) are identical to those of a task-by-task walk that retries every
+blocked model after every event, while the number of placement attempts
+drops by orders of magnitude.  Parking costs O(1) per queue, not per task:
+a blocked model's queues leave the heap and, after the next version bump,
+re-enter at their first task past the merge position (a bisect), so a pass
+is O(queues + attempts), not O(backlog).  A task the scheduler condemns
+while it waits (a serving deadline or abandon) leaves its queue at that
+moment (:meth:`ClusterSimulator.drop_queued`), so a pass never visits it.
 
 These queues are the only record of queued work: the layers above read
 their depths and order here instead of keeping copies.
 
 A pass runs only when something is queued, and only a pass rebuilds the
 per-model queue depths the layers above read
-(:attr:`ClusterSimulator.queue_view`), at its start and only when they
+(:attr:`ClusterSimulator.queue_view`), first thing and only when they
 changed since the last rebuild: a dispatch that empties the backlog
 rebuilds nothing, since every reader of the view runs inside a later pass,
-which rebuilds it first.  A pass in which every queued model is parked
-ends after one watermark lookup per queue, before it rebuilds the view or
-asks the scheduler anything.
+which rebuilds it first.  A pass in which every queued model holds its
+watermark ends after one watermark lookup (and at most one wake key) per
+queue, before it asks the scheduler for anything else.
 """
 
 from __future__ import annotations
@@ -149,16 +145,7 @@ class Scheduler(Protocol):
         future time a retry could succeed *without* any resource release in
         between (``math.inf`` when only a release can help).  Hints must be
         conservative (never later than the true unblock time); the simulator
-        uses them to skip provably fruitless attempts.  Also asked, with no
-        new ``try_start``, of a declined task whose model an event did not
-        wake (see :meth:`woken_models`): after a start or finish, and after
-        an arrival only where the hint read a queue view that has since
-        moved.  So, with that hook defined, a hint may read the clock, the
-        task, the idle set and its model's own depth in
-        :attr:`ClusterSimulator.queue_view`, plus only state that moves
-        where ``woken_models`` answers ``None`` (for
-        :class:`~repro.runtime.systems.ProposedSystem`: deployment creations
-        and evictions, defrag and recovery state)."""
+        uses them to skip provably fruitless attempts."""
 
     def admit(self, task: Task, now: float) -> bool:
         """Optional (serving layer): called once at arrival, before the
@@ -166,23 +153,20 @@ class Scheduler(Protocol):
         in :attr:`SimulationResult.dropped` and never dispatched.  The
         simulator's queue depths do not count the task yet."""
 
-    def woken_models(self, event: str, task: Task, now: float):
-        """Optional: asked after ``task``'s ``event`` — ``"arrive"`` (once
-        it is queued), ``"start"`` (after ``try_start`` placed it) or
-        ``"finish"`` (after :meth:`on_finish`) — while some model is
-        blocked (with none blocked there is nothing to wake, and it is not
-        asked).  Returns the keys of the models the event can wake, or
-        ``None`` for every model.  Naming a
-        set promises, for every other blocked model, that repeating the
-        ``try_start`` its watermark recorded would decline again with no
-        side effect, and — after an arrival — that ``retry_hint`` would
-        return the same hint.  The simulator retries only the named models
-        (and each model whose watermark came from a task behind its oldest
-        queued one); after a start or finish it re-hints the others at their
-        next visit instead.  Without the hook every event wakes every
-        model.  Define it only when declines are pure: a scheduler whose
-        decline may evict, preempt or spend a retry budget must leave it
-        out."""
+    def wake_key(self, task: Task):
+        """Optional: after ``try_start`` declined ``task`` with a hint still
+        ahead of the clock, a value summarising every input that decline
+        and its hint read, or ``None`` for no key.  Asked right after the
+        decline, and again, in a later resource version, when a pass visits
+        the same task while the clock is short of its hint.  The contract:
+        with the same key, the same task and the clock short of the hint, a
+        repeat ``try_start`` declines again, ``retry_hint`` gives the same
+        hint, and neither has a side effect — so the simulator parks the
+        model instead of asking.  Read off the outermost scheduler only;
+        without the hook every version bump retries every blocked model.
+        A scheduler whose decline may preempt or spend a retry budget must
+        leave it out.  A decline may itself evict: the key is read after
+        it, and a key moves with whatever a later decline evicts."""
 
     def dispatch_key(self, task: Task) -> tuple:
         """Optional: the class prefix of ``task``'s queue in one pass's
@@ -266,14 +250,17 @@ class ClusterSimulator:
         self._queues: dict[tuple, _Queue] = {}
         #: Tasks in ``_queues``.
         self._queued = 0
-        #: Whether the queue depths changed since ``queue_view`` was
-        #: last rebuilt.
+        #: ``{model key: tasks in _queues}`` summed over tenants, without
+        #: zero entries, kept by enqueue and take.
+        self._counts: dict[str, int] = {}
+        #: Whether ``_counts`` changed since ``queue_view`` was last
+        #: rebuilt.
         self._counts_dirty = True
-        #: ``{model key: queued tasks}`` summed over tenants, as they stood
-        #: at the start of the last pass that found them changed: a fresh
-        #: dict per rebuild, frozen for the pass, since expansion and hints
-        #: read it as a schedule input.  Parked passes and emptied backlogs
-        #: leave it stale (see :meth:`_dispatch_pass`).
+        #: A copy of ``_counts`` as it stood at the start of the last pass
+        #: that found it changed: a fresh dict per rebuild, frozen for the
+        #: pass, since expansion, hints and wake keys read it as a schedule
+        #: input.  An emptied backlog leaves it stale (see
+        #: :meth:`_dispatch`).
         self.queue_view: dict[str, int] = {}
         self._seqs = count()
         #: Tasks requeued by :meth:`abort_running` during a pass; they join
@@ -284,38 +271,24 @@ class ClusterSimulator:
         self._running_count = 0
         self._retry_scheduled = False
         self._idle_retries = 0
-        #: Monotonic version of cluster resource state; bumped whenever an
-        #: event could change every model's try_start outcome (a start, a
-        #: finish or an arrival the scheduler's ``woken_models`` does not
-        #: narrow, a drop, a preemption, an external event).
+        #: Monotonic version of cluster resource state; bumped by every
+        #: event that could change a model's try_start outcome (an arrival,
+        #: a start, a finish, a drop, a preemption, an external event).
         self._resource_version = 0
         #: model key -> (version it failed under, earliest useful retry
-        #: time, hint epoch it was computed at, the task that declined).
+        #: time, the task that declined, its wake key or ``None``).
         self._blocked: dict[str, tuple] = {}
-        #: Bumped by each start or finish that wakes only some models: every
-        #: kept watermark's hint may have moved with the idle set.
-        self._hint_epoch = 0
-        #: Models whose watermark a task behind the model's oldest queued
-        #: one recorded (see :meth:`_wake`).
-        self._behind_head: set = set()
-        #: Models whose watermark hint was computed in a pass after one of
-        #: their own tasks started in it, under a queue view the next pass
-        #: no longer shows (see :meth:`_wake`).
-        self._view_moved: set = set()
         #: Scheduler-driven events in flight (live migrations): they hold
         #: resources and will bump the version when they complete, so an
         #: idle queue is not a deadlock while any are outstanding.
         self._external_inflight = 0
         #: ``try_start`` calls made by dispatch passes.
         self.try_start_attempts = 0
-        #: ``retry_hint`` calls that refreshed a kept watermark instead of
-        #: repeating its ``try_start``.
-        self.rehints = 0
         #: Queued tasks a pass passed over because their model was blocked
         #: at the current resource version (parked or skipped).
         self.watermark_skips = 0
-        #: Passes ended before asking the scheduler anything, every queued
-        #: model being parked (see :meth:`_dispatch_pass`).
+        #: Passes ended before any ``try_start``, every queued model
+        #: holding its watermark (see :meth:`_dispatch_pass`).
         self.parked_passes = 0
         #: :meth:`schedule_external` events fired.
         self.external_events = 0
@@ -341,7 +314,7 @@ class ClusterSimulator:
             self._dispatch_key = getattr(
                 getattr(scheduler, "system", scheduler), "dispatch_key", None)
         self._retry_hint = getattr(scheduler, "retry_hint", None)
-        self._woken_models = getattr(scheduler, "woken_models", None)
+        self._wake_key = getattr(scheduler, "wake_key", None)
 
     # -- pending queues -----------------------------------------------------------
 
@@ -353,12 +326,20 @@ class ClusterSimulator:
             queue = self._queues[key] = _Queue(key)
         insort(queue.entries, (task.arrival_s, task.seq, task))
         self._queued += 1
+        counts = self._counts
+        counts[queue.model_key] = counts.get(queue.model_key, 0) + 1
         self._counts_dirty = True
 
     def _take(self, queue: _Queue, index: int) -> None:
         """Remove one queued task (it started or was dropped)."""
         del queue.entries[index]
         self._queued -= 1
+        counts = self._counts
+        left = counts[queue.model_key] - 1
+        if left:
+            counts[queue.model_key] = left
+        else:
+            del counts[queue.model_key]
         self._counts_dirty = True
         if not queue.entries:
             del self._queues[queue.key]
@@ -396,15 +377,12 @@ class ClusterSimulator:
 
     # Queue reads for the layers above.  Like :attr:`pending_count`, each
     # counts a task requeued during the running pass.  Each visits the
-    # non-empty queues (at most one per tenant and model), never the
-    # backlog, so enqueue and take keep no count for them.
+    # per-model counts or the non-empty queues (at most one per tenant and
+    # model), never the backlog.
 
     def queued_depth(self, model_key: str) -> int:
         """Tasks of one model waiting to start, summed over tenants."""
-        depth = 0
-        for queue in self._queues.values():
-            if queue.model_key == model_key:
-                depth += len(queue.entries)
+        depth = self._counts.get(model_key, 0)
         if self._requeued:
             depth += sum(t.model_key == model_key for t in self._requeued)
         return depth
@@ -505,51 +483,8 @@ class ClusterSimulator:
             return
         task.seq = next(self._seqs)
         self._enqueue(task)
-        self._wake("arrive", task)
+        self._resource_version += 1
         self._dispatch()
-
-    def _wake(self, event: str, task: Task) -> None:
-        """Retry the models ``task``'s ``event`` can wake, as the
-        scheduler's ``woken_models`` names them.
-
-        Without the hook, on ``None``, or with nothing blocked, the version
-        bump retries every blocked model.  Otherwise the scheduler vouches
-        that retrying any other model would repeat its recorded decline,
-        with no side effect.  That holds only where the retry asks about the same task:
-        a model whose watermark came from a task behind its oldest queued
-        one (a parked queue resumed past it) would now be asked about that
-        oldest task (its own waiting time, wake hint and first count in the
-        observed mix), so it wakes with the named ones.  The hint of a kept
-        watermark may still have moved:
-
-        * a start or finish changes the idle set, so every kept hint is
-          re-asked at its model's next visit (a new hint epoch);
-        * an arrival moves no idle set, but a hint recorded after its own
-          model started in the same pass read that pass's queue view, which
-          the next pass no longer shows, so those hints are re-asked.
-        """
-        woken = None
-        # With nothing blocked there is nothing to wake: the hook is not asked.
-        if self._woken_models is not None and self._blocked:
-            woken = self._woken_models(event, task, self.queue.now)
-        if woken is None:
-            self._resource_version += 1
-            return
-        blocked = self._blocked
-        for model_key in woken:
-            blocked.pop(model_key, None)
-        for model_key in self._behind_head:
-            blocked.pop(model_key, None)
-        self._behind_head.clear()
-        if event != "arrive":
-            self._hint_epoch += 1
-            return
-        for model_key in self._view_moved:
-            watermark = blocked.get(model_key)
-            if watermark is not None:
-                version, hint, _, declined = watermark
-                blocked[model_key] = (version, hint, -1, declined)
-        self._view_moved.clear()
 
     def _dispatch(self) -> None:
         """Start every pending task the scheduler can place right now.
@@ -600,62 +535,62 @@ class ClusterSimulator:
         in a merge, and a park ends the walk (nothing else is queued to
         resume it past the parked task).
 
-        Tasks whose model is below its watermark — failed at this resource
-        version, clock still short of the scheduler's retry hint — are
-        skipped without consulting the scheduler: within one version the
-        scheduler's answer for that model cannot have changed, and
-        same-model tasks later in the pass hold strictly weaker time gates.
-        The skip parks every queue of the model; a version bump, or a start
-        that woke only some models, returns each parked queue to the heap at
+        A model holds its watermark while the clock is short of the hint
+        and either the version is the one it failed under or the visited
+        task is the one that declined and its wake key is unchanged (the
+        watermark then moves to the current version, where the reference's
+        repeat decline would have recorded it).  A held model is parked
+        without consulting the scheduler: the skip parks every queue of the
+        model, and a version bump returns each parked queue to the heap at
         its first task whose key exceeds the one just visited, exactly where
         a task-by-task walk would have resumed.  A task condemned while it
         is tried (an abandon) leaves at once (:meth:`drop_queued`), and the
-        pass goes on at the next task in merged order.  After a start or
-        finish that did not wake a model (``woken_models``), its watermark
-        holds but its hint is stale: the task that recorded it is re-hinted
-        at its next visit (the reference retry would decline it again, then
-        ask this hint), and any other task of the model is attempted.
+        pass goes on at the next task in merged order.
 
-        A pass that could only park ends before it asks the scheduler
-        anything: when every queued model holds a watermark at the current
-        version and hint epoch whose hint is still ahead, each queue's
-        first visit would park its whole model without a ``try_start``,
-        and parking moves neither version nor epoch, so the pass's one
-        effect is the skip count.  Such a pass leaves :attr:`queue_view`
-        stale (the counts stay dirty, so the next pass that asks rebuilds
-        it first) and counts in :attr:`parked_passes`.
+        A pass that could only park ends before it tries anything: when
+        every queue's head would hold its model, each queue's first visit
+        would park its whole model, and parking changes no state, so the
+        pass's one effect is the skip count, and moving each watermark to
+        the current version.  That check reads wake keys but refreshes no
+        watermark unless the whole pass parks: a decline earlier in a full
+        pass may evict, which moves keys without a version bump.  Such a
+        pass counts in :attr:`parked_passes`.
         """
         now = self.queue.now
         blocked = self._blocked
         version = self._resource_version
-        epoch = self._hint_epoch
-        # Nothing is requeued when a pass starts (the last pass queued its
-        # requeues as it ended), so when every queued model is parked the
-        # pass would only count its tasks as skipped.
         queues = self._queues
+        if self._counts_dirty:
+            # Queue pressure per model, for expansion decisions, hints and
+            # wake keys.
+            self._counts_dirty = False
+            self.queue_view = self._counts.copy()
+        wake_key = self._wake_key
+        # Nothing is requeued when a pass starts (the last pass queued its
+        # requeues as it ended), so when every queued model holds, the pass
+        # would only count its tasks as skipped.
         for queue in queues.values():
             watermark = blocked.get(queue.model_key)
-            if (
-                watermark is None
-                or watermark[0] != version
-                or watermark[2] != epoch
-                or now >= watermark[1]
+            if watermark is None or now >= watermark[1]:
+                break
+            if watermark[0] != version and (
+                watermark[3] is None
+                or watermark[2] is not queue.entries[0][2]
+                or wake_key(watermark[2]) != watermark[3]
             ):
                 break
         else:
+            # At the current version, where the reference's repeat declines
+            # would have recorded them: a later decline in this version may
+            # evict and move a key.
+            for queue in queues.values():
+                watermark = blocked[queue.model_key]
+                blocked[queue.model_key] = (version, *watermark[1:])
             self.watermark_skips += self._queued
             self.parked_passes += 1
             return False
         retry_hint = self._retry_hint
         try_start = self._try_start
-        if self._counts_dirty:
-            # Queue pressure per model, for expansion decisions and hints.
-            self._counts_dirty = False
-            self.queue_view = view = {}
-            for queue in queues.values():
-                view[queue.model_key] = (
-                    view.get(queue.model_key, 0) + len(queue.entries)
-                )
         # A lone queue is walked in FIFO order: with nothing to merge it
         # with, no class prefix can change its order, so none is asked.
         merge = len(queues) > 1
@@ -680,12 +615,8 @@ class ClusterSimulator:
             (queue,) = queues.values()
             queue.cursor = 0
 
-        behind_head = self._behind_head
-        view_moved = self._view_moved
         parked: list = []
-        # Models with a task started in this pass.
-        started: set = set()
-        skips = attempts = rehints = 0
+        skips = attempts = 0
         progress = False
         while True:
             if merge:
@@ -707,22 +638,19 @@ class ClusterSimulator:
             park = False
             model_key = queue.model_key
             watermark = blocked.get(model_key)
-            hint = None  # set when this visit leaves the model declined
-            if watermark is not None and watermark[0] == version:
-                if watermark[2] == epoch:
-                    park = now < watermark[1]
-                elif watermark[3] is task and retry_hint is not None:
-                    # An event since this very task declined did not wake
-                    # its model, so a retry would decline again, but it may
-                    # have moved the hint: ask for the hint that decline
-                    # would record instead.
-                    rehints += 1
-                    hint = retry_hint(task, now)
-                    if now >= hint:
-                        hint = None  # the gate opened: attempt it
+            if watermark is not None and now < watermark[1]:
+                if watermark[0] == version:
+                    park = True
+                elif (
+                    watermark[2] is task
+                    and watermark[3] is not None
+                    and wake_key(task) == watermark[3]
+                ):
+                    blocked[model_key] = (version, *watermark[1:])
+                    park = True
             if park:
                 queue.cursor = index  # park from this task on
-            elif hint is None:
+            else:
                 attempts += 1
                 service = try_start(task, now)
                 if service is None:
@@ -730,6 +658,12 @@ class ClusterSimulator:
                         retry_hint(task, now)
                         if retry_hint is not None
                         else now  # no hint: retry every pass (exhaustive)
+                    )
+                    park = now < hint
+                    blocked[model_key] = (
+                        self._resource_version, hint, task,
+                        wake_key(task) if park and wake_key is not None
+                        else None,
                     )
                 elif service < 0:
                     raise SimulationError(
@@ -743,40 +677,14 @@ class ClusterSimulator:
                     blocked.pop(model_key, None)
                     # Starting a task reshapes resources (allocation,
                     # possible evictions, the idle set).
-                    started.add(model_key)
-                    self._wake("start", task)
+                    self._resource_version += 1
                     self.queue.schedule_in(
                         service, self._finish, task, task.run_epoch
                     )
                     progress = True
                     self._idle_retries = 0
-            if hint is not None:
-                blocked[model_key] = (
-                    self._resource_version, hint, self._hint_epoch, task
-                )
-                # A hint read this pass's queue view, frozen before the
-                # model's own start in it?
-                if model_key in started:
-                    view_moved.add(model_key)
-                elif view_moved:
-                    view_moved.discard(model_key)
-                # Declined behind the model's oldest queued task?  (A lone
-                # queue's oldest task is its first entry.)
-                if index or merge and len(by_model[model_key]) > 1 and any(
-                    other.entries
-                    and other.entries[0][:2] < (arrival, seq)
-                    for other in by_model[model_key]
-                ):
-                    behind_head.add(model_key)
-                else:
-                    behind_head.discard(model_key)
-                park = now < hint
-            if (
-                self._resource_version != version
-                or self._hint_epoch != epoch
-            ):
+            if self._resource_version != version:
                 version = self._resource_version
-                epoch = self._hint_epoch
                 if parked:
                     skips += self._unpark(parked, heap, tokens,
                                           (prefix, arrival, seq))
@@ -804,7 +712,6 @@ class ClusterSimulator:
             skips += len(queue.entries) - queue.cursor
         self.watermark_skips += skips
         self.try_start_attempts += attempts
-        self.rehints += rehints
         for task in self._requeued:
             self._enqueue(task)
         self._requeued.clear()
@@ -848,7 +755,7 @@ class ClusterSimulator:
         self._running_count -= 1
         self._on_finish(task, self.queue.now)
         self._result.completed.append(task)
-        self._wake("finish", task)
+        self._resource_version += 1
         self._dispatch()
 
     # -- entry point -----------------------------------------------------------------

@@ -111,8 +111,8 @@ TABLE = (
     ("tenancy", "mixed_tenancy.tenancy.tasks_preempted", "equal", None, WARN),
     ("tenancy", "mixed_tenancy.tenancy.quota_sheds", "equal", None, WARN),
     ("faults", "comparison.min_recovery_rate", "at_least", 1.0, HARD),
-    # failure_rate_off - failure_rate_on: defrag must lower the rate.
-    ("defrag", "comparison.failure_rate_reduction", "above", 0.0, HARD),
+    # evictions_off - evictions_on: compaction must spare some eviction.
+    ("defrag", "comparison.evictions_avoided", "above", 0, HARD),
     ("defrag", "defrag_on.migrations_completed", "at_least", 1, HARD),
     ("defrag", "defrag_on.migration_counters.bytes_migrated", "above", 0, HARD),
 )

@@ -36,6 +36,9 @@ from ..workloads.deepbench import ModelSpec
 
 #: Bits per stored weight, the base instances' block-floating-point width.
 WEIGHT_BITS = BASE_INSTANCES["XCVU37P"].weight_bits
+#: Widest deployment plan built: 1 and 2 FPGAs per model (plan widths
+#: double).
+MAX_REPLICAS = 2
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,8 @@ class CatalogEntry:
 class Catalog:
     """Builds and caches catalog entries through the offline tool chain."""
 
-    def __init__(
-        self,
-        compiler: VitalCompiler | None = None,
-        max_replicas: int = 2,
-    ):
+    def __init__(self, compiler: VitalCompiler | None = None):
         self.compiler = compiler or VitalCompiler()
-        self.max_replicas = max_replicas
         self._entries: dict[str, CatalogEntry] = {}
         # (tiles, device_type) -> (decomposed, partition tree)
         self._design_cache: dict = {}
@@ -201,7 +199,7 @@ class Catalog:
     def _build_entry(self, spec: ModelSpec) -> CatalogEntry:
         entry = CatalogEntry(spec=spec)
         replicas = 1
-        while replicas <= self.max_replicas:
+        while replicas <= MAX_REPLICAS:
             plan = self._build_plan(spec, replicas)
             if plan is not None:
                 entry.plans.append(plan)
@@ -209,7 +207,7 @@ class Catalog:
         if not entry.plans:
             raise CompileError(
                 f"{spec.key}: no feasible deployment at any width up to "
-                f"{self.max_replicas} FPGAs"
+                f"{MAX_REPLICAS} FPGAs"
             )
         return entry
 

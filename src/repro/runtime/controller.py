@@ -55,8 +55,6 @@ class PlacementPolicy(enum.Enum):
 
     #: Fill the fullest board that still fits (packs small tasks tightly).
     BEST_FIT = "best_fit"
-    #: First feasible board in id order.
-    FIRST_FIT = "first_fit"
     #: Emptiest board first (spreads load; worst packing — ablation).
     WORST_FIT = "worst_fit"
 
@@ -66,7 +64,6 @@ class PlacementPolicy(enum.Enum):
 _POLICY_ORDER = {
     PlacementPolicy.BEST_FIT: None,
     PlacementPolicy.WORST_FIT: lambda entry: (-entry[0], entry[1]),
-    PlacementPolicy.FIRST_FIT: lambda entry: entry[1],
 }
 
 
@@ -158,6 +155,9 @@ class PlacementIndex:
         self._boards: dict[str, object] = {b.fpga_id: b for b in boards}
         self._by_type: dict[str, list[tuple[int, str]]] = {}
         self._id_order: dict[str, list] = {}
+        #: Bumped by every free-block or health change on any board, so a
+        #: reader can tell that neither moved since it last looked.
+        self.generation = 0
         for board in self._boards.values():
             if board.health is BoardHealth.HEALTHY:
                 self._by_type.setdefault(board.model.name, []).append(
@@ -189,6 +189,7 @@ class PlacementIndex:
         entries.pop(at)
 
     def _on_change(self, board, old_free: int) -> None:
+        self.generation += 1
         if board.health is not BoardHealth.HEALTHY:
             return  # unhealthy boards carry no entry to move
         entries = self._by_type[board.model.name]
@@ -196,6 +197,7 @@ class PlacementIndex:
         bisect.insort(entries, (board.free_blocks, board.fpga_id))
 
     def _on_health(self, board, old_health) -> None:
+        self.generation += 1
         was_placeable = old_health is BoardHealth.HEALTHY
         if was_placeable == (board.health is BoardHealth.HEALTHY):
             return  # DEGRADED <-> FAILED: absent either way
@@ -260,8 +262,8 @@ class PlacementIndex:
         type's replica-image footprint).  Each type contributes the bisect
         slice of its entries that qualifies; with several types the slices
         merge on the policy's key — ``(free, fpga_id)`` for best-fit,
-        ``(-free, fpga_id)`` for worst-fit, ``fpga_id`` for first-fit —
-        which is unique per board, so the order is total.  Boards are
+        ``(-free, fpga_id)`` for worst-fit — which is unique per board, so
+        the order is total.  Boards are
         yielded lazily: a search stops consuming once it has its replicas.
         """
         key = _POLICY_ORDER[policy]
@@ -422,11 +424,6 @@ class SystemController:
     def idle_of(self, model_key: str) -> list:
         """Idle deployments of one model, in creation order."""
         return [entry[1] for entry in self._idle_by_model.get(model_key, ())]
-
-    def idle_lru(self):
-        """Every idle deployment, least recently used first (ties in
-        creation order) — the order LRU eviction and wake hints want."""
-        return (entry[2] for entry in self._idle_lru)
 
     def deployment_count(self, model_key: str) -> int:
         """Resident deployments of one model (busy or idle)."""

@@ -77,10 +77,6 @@ class ProposedSystem:
         self._simulator = None
         #: model key -> tasks seen (each counted on its first attempt).
         self._seen_models: dict[str, int] = {}
-        #: Deployments created plus evicted, at the last ``woken_models``.
-        self._placements_seen = 0
-        #: model key -> its queue-view depth at its last ``retry_hint``.
-        self._hinted_depth: dict[str, int] = {}
 
     @staticmethod
     def _same_type_only() -> bool:
@@ -254,65 +250,44 @@ class ProposedSystem:
         simulator.schedule_external(cost, complete)
         return True
 
-    def woken_models(self, event: str, task: Task, now: float):
-        """The models ``task``'s ``event`` can wake (``None``: every model).
+    def wake_key(self, task: Task):
+        """The inputs a decline of ``task`` and its hint read, or ``None``
+        with defrag or recovery on (a decline may start a compaction, a
+        release may re-place a failed deployment).
 
-        A decline of a blocked model is pure, and repeats, unless one of
-        these moved since the decline: free blocks or the resident set
-        (which :meth:`_expansion_allowed` reads), a stale idle copy a
-        decline would evict, or the model's own idle copies and queue
-        depth.  So every model wakes when
-
-        * defrag or recovery is on: a decline may start a compaction, and
-          a release may re-place a failed deployment;
-        * a deployment was created or evicted since the last answer (a
-          deploying start, or a failed placement that evicted).  The
-          simulator asks only while a model is blocked, so a move while
-          none was can wake every model once more than it had to;
-        * the least recently used idle copy is already past patience, so a
-          decline in the next pass could evict it.
-
-        Otherwise the event wakes at most its own model:
-
-        * a finish adds an idle copy of its model, no free blocks;
-        * a reuse start removes an idle copy of its model, whose own
-          watermark the simulator drops at the start;
-        * an arrival raises only its model's queue depth.  Elsewhere that
-          can hold a model back (fairness), never let one start, and no
-          other model's hint reads it.  While a model stays blocked its
-          share of the observed mix only shrinks, so ``allow_mixed`` never
-          turns a refused placement into one that fits.  The arriving model
-          itself keeps its decline when its hint saw a depth of at least
-          :attr:`EXPANSION_PRESSURE`: one more queued task then moves
-          neither the fairness rule, nor the eviction gate, nor the hint.
-
-        A start or finish still moves the idle set, so the simulator
-        re-hints the models it keeps blocked.
+        A decline reads the free blocks and board health, the resident set
+        (:meth:`_expansion_allowed`) and the model's copies, all of which
+        move only with :attr:`PlacementIndex.generation`; whether the task
+        has a usable idle copy; and its model's queue depth against 2
+        (fairness) and :attr:`EXPANSION_PRESSURE` (the eviction gate and
+        the hint).  Other models' depths can only hold this model back,
+        and while it stays blocked its share of the observed mix only
+        shrinks, so ``allow_mixed`` never turns a refusal into a fit.  A
+        hint from the eviction branch of :meth:`retry_hint` also reads the
+        oldest foreign idle copy, which a start or finish can change.
         """
         controller = self.controller
-        stats = controller.stats
-        placements = stats.deployments_created + stats.deployments_evicted
-        moved = placements != self._placements_seen
-        self._placements_seen = placements
+        if controller.migration_enabled or controller.recovery_enabled:
+            return None
+        model_key = task.model_key
+        simulator = self._simulator
+        depth = simulator.queue_view.get(model_key, 0)
+        pressured = depth >= self.EXPANSION_PRESSURE
+        # Any idle copy is usable unless tenants are isolated.
+        idle = controller._idle_by_model.get(model_key)
+        if idle and controller.tenant_isolation:
+            idle = controller.find_idle_deployment(model_key, task.tenant)
+        key = (controller.index.generation, not idle, depth >= 2, pressured)
+        # The hint's eviction branch (see :meth:`retry_hint`); a model has
+        # copies exactly when its key is in the per-model index.
         if (
-            moved
-            or controller.migration_enabled
-            or controller.recovery_enabled
+            (pressured and self.expansion_enabled
+             or model_key not in controller._by_model)
+            and simulator.queue.now - task.arrival_s
+            >= controller.eviction_patience_s
         ):
-            return None
-        oldest = next(controller.idle_lru(), None)
-        if oldest is not None and (
-            now - oldest.last_used_s >= controller.eviction_patience_s
-        ):
-            return None
-        if event == "start":
-            return ()
-        if event == "arrive" and (
-            self._hinted_depth.get(task.model_key, 0)
-            >= self.EXPANSION_PRESSURE
-        ):
-            return ()
-        return (task.model_key,)
+            return (*key, self._stale_at(task))
+        return key
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Earliest time a declined task could start absent releases.
@@ -321,21 +296,15 @@ class ProposedSystem:
         requester ageing past the eviction-patience window, and an idle
         foreign deployment going stale enough to evict.  Everything else
         (queue pressure, deployment counts, free blocks) only moves on
-        starts, finishes and arrivals, which the simulator tracks through
-        :meth:`woken_models`.  Besides the clock and the task, a hint reads
-        the idle set and the model's own depth in the simulator's queue
-        view, which the simulator re-asks it about, and deployment counts
-        and defrag state, which move only where :meth:`woken_models` wakes
-        every model.  No input is another model's queue depth.  The depth
-        a hint saw is kept for the model's next arrival.  A failed
-        placement that evicted moves deployment counts and free blocks
-        without an event, which is why the next event wakes every model.
-        Hints are biased a hair early so float rounding can only cause a
-        harmless extra attempt, never a missed one.
+        starts, finishes and arrivals.  Besides the clock and the task, a
+        hint reads the model's own depth in the simulator's queue view,
+        deployment counts, defrag state and the idle set, each of which
+        :meth:`wake_key` covers.  Hints are biased a hair early so float
+        rounding can only cause a harmless extra attempt, never a missed
+        one.
         """
         controller = self.controller
         depth = self._simulator.queue_view.get(task.model_key, 0)
-        self._hinted_depth[task.model_key] = depth
         if task.model_key in self._defrag_pending:
             # A compaction is in flight for this model; its completion is
             # an external event that bumps the resource version itself.
@@ -355,14 +324,20 @@ class ProposedSystem:
             return task.arrival_s + patience - 1e-12
         # Eviction was allowed but found no stale victim: wake when the
         # oldest idle foreign deployment crosses the staleness window.
-        # "Foreign" matches the eviction filter: another model, or — under
-        # tenant isolation — another tenant's unreusable same-model copy.
+        return self._stale_at(task)
+
+    def _stale_at(self, task: Task) -> float:
+        """When the oldest idle foreign deployment crosses the staleness
+        window (``math.inf`` with none).  "Foreign" matches the eviction
+        filter: another model, or — under tenant isolation — another
+        tenant's unreusable same-model copy."""
+        controller = self.controller
         isolation = controller.tenant_isolation
-        for d in controller.idle_lru():
+        for last_used_s, _, d in controller._idle_lru:
             if d.model_key != task.model_key or (
                 isolation and d.tenant != task.tenant
             ):
-                return d.last_used_s + patience - 1e-12
+                return last_used_s + controller.eviction_patience_s - 1e-12
         return math.inf
 
 

@@ -1,14 +1,15 @@
-"""An event retries only the models the scheduler says it can wake.
+"""A declined model stays parked while its decline's wake key is unchanged.
 
-``ClusterSimulator`` asks ``woken_models`` after each arrival, start and
-finish; without the hook, or on ``None``, every blocked model is retried.
-Otherwise only the named models, and a model whose watermark a task behind
-its oldest queued one recorded, are; after a start or finish every other
-blocked model is re-hinted at its next visit instead of retried.
-``ProposedSystem`` answers ``None`` exactly when a decline could act or
-another model's answer could move: defrag or recovery on, a deployment
-created or evicted since the last answer, or an idle deployment already
-past the patience window.
+Every arrival, start and finish bumps ``ClusterSimulator``'s resource
+version.  A visit to the task whose decline recorded a model's watermark,
+in a later version but with the clock short of its hint, asks the
+scheduler's ``wake_key`` and parks the model when the key equals the one
+recorded; without the hook, or on ``None``, every version bump retries
+every blocked model.  ``ProposedSystem``'s key is the board generation
+(free blocks and health), whether the task has a usable idle copy, its
+model's depth against 2 and ``EXPANSION_PRESSURE``, and — for a task past
+the patience window — when the oldest foreign idle copy goes stale; with
+defrag or recovery on it is ``None``.
 """
 
 import pytest
@@ -19,7 +20,7 @@ from repro.vital import VitalCompiler
 from tests.queueing import show_counts
 
 MODEL = "gru-h512-t1"
-EVENTS = ("arrive", "start", "finish")
+OTHER = "lstm-h256-t150"
 
 
 @pytest.fixture(scope="module")
@@ -27,85 +28,107 @@ def shared_catalog():
     return Catalog(VitalCompiler())
 
 
-# -- ProposedSystem's answer -------------------------------------------------------
+# -- ProposedSystem's key ----------------------------------------------------------
 
 
 def _task(model_key=MODEL, arrival_s=0.0, task_id=0):
     return Task(task_id=task_id, model_key=model_key, arrival_s=arrival_s)
 
 
-def _quiet_system(catalog, **options):
-    """A proposed system whose last answer already saw every deployment."""
+def _system(catalog, counts=None, **options):
+    """A proposed system shown ``counts`` as its queue view."""
     system = build_system("proposed", paper_cluster(), catalog, **options)
-    system.woken_models("arrive", _task(), 0.0)
+    show_counts(system, counts or {MODEL: 1, OTHER: 1})
     return system
 
 
 def test_quiet_cluster_wakes_only_the_arriving_model(shared_catalog):
-    system = build_system("proposed", paper_cluster(), shared_catalog)
-    assert system.woken_models("arrive", _task(), 0.0) == (MODEL,)
-
-
-def test_defrag_wakes_every_model(shared_catalog):
-    system = _quiet_system(shared_catalog, defrag=True)
-    for event in EVENTS:
-        assert system.woken_models(event, _task(), 0.0) is None
-
-
-def test_recovery_wakes_every_model(shared_catalog):
-    system = _quiet_system(shared_catalog, recovery=True)
-    for event in EVENTS:
-        assert system.woken_models(event, _task(), 0.0) is None
-
-
-def test_an_eviction_since_the_last_arrival_wakes_every_model(shared_catalog):
-    system = _quiet_system(shared_catalog)
-    controller = system.controller
-    deployment, _ = controller.deploy("lstm-h256-t150", now=0.0)
-    controller.evict(deployment)
-    assert system.woken_models("arrive", _task(), 0.0) is None
-    # Seen once: the next event with no new deployment or eviction is quiet.
-    assert system.woken_models("arrive", _task(), 0.0) == (MODEL,)
-
-
-def test_a_stale_idle_deployment_wakes_every_model(shared_catalog):
-    system = _quiet_system(shared_catalog)
-    controller = system.controller
-    controller.deploy("lstm-h256-t150", now=0.0)
-    patience = controller.eviction_patience_s
-    # The deployment is a creation: the first answer after it wakes all.
-    assert system.woken_models("arrive", _task(), 0.0) is None
-    assert system.woken_models("arrive", _task(), patience / 2) == (MODEL,)
-    assert system.woken_models("arrive", _task(), patience) is None
-
-
-def test_starts_and_finishes_wake_at_most_their_own_model(shared_catalog):
-    system = _quiet_system(shared_catalog)
-    show_counts(system, {MODEL: 2})
-    first, second = _task(task_id=0), _task(task_id=1)
-    service = system.try_start(first, 0.0)
-    assert service is not None
-    # A deploying start changes free blocks and the resident set.
-    assert system.woken_models("start", first, 0.0) is None
-    system.on_finish(first, service)
-    assert system.woken_models("finish", first, service) == (MODEL,)
-    # A reuse start: the simulator drops the starting model's watermark.
-    assert system.try_start(second, service) is not None
-    assert system.controller.stats.reuse_hits == 1
-    assert system.woken_models("start", second, service) == ()
+    """An arrival moves only its own model's depth, so no other model's
+    key; its own only where the depth crosses 2 (the next test covers
+    ``EXPANSION_PRESSURE``)."""
+    system = _system(shared_catalog)
+    mine, other = _task(), _task(OTHER, task_id=1)
+    before = system.wake_key(mine), system.wake_key(other)
+    show_counts(system, {MODEL: 1, OTHER: 2})
+    crossed = system.wake_key(other)
+    assert system.wake_key(mine) == before[0] and crossed != before[1]
+    show_counts(system, {MODEL: 1, OTHER: 3})
+    assert system.wake_key(mine) == before[0]
+    assert system.wake_key(other) == crossed
 
 
 @pytest.mark.parametrize("depth", [3, 4])
 def test_an_arrival_at_pressure_keeps_its_own_models_decline(shared_catalog,
                                                              depth):
-    """The arriving model wakes unless its hint saw a queue depth of at
-    least ``EXPANSION_PRESSURE``: one more task then changes nothing."""
-    system = _quiet_system(shared_catalog)
+    """One more queued task changes its model's key when the depth
+    reaches ``EXPANSION_PRESSURE``, and not beyond."""
+    system = _system(shared_catalog, {MODEL: depth})
     assert system.EXPANSION_PRESSURE == 4
-    show_counts(system, {MODEL: depth})
-    system.retry_hint(_task(), 0.0)
-    woken = system.woken_models("arrive", _task(task_id=1), 0.0)
-    assert woken == (() if depth >= 4 else (MODEL,))
+    key = system.wake_key(_task())
+    show_counts(system, {MODEL: depth + 1})
+    assert (system.wake_key(_task()) == key) == (depth >= 4)
+
+
+def test_defrag_wakes_every_model(shared_catalog):
+    system = _system(shared_catalog, defrag=True)
+    assert system.wake_key(_task()) is None
+
+
+def test_recovery_wakes_every_model(shared_catalog):
+    system = _system(shared_catalog, recovery=True)
+    assert system.wake_key(_task()) is None
+
+
+def test_an_eviction_since_the_last_arrival_wakes_every_model(shared_catalog):
+    """A deployment or an eviction moves free blocks, so every key."""
+    system = _system(shared_catalog)
+    controller = system.controller
+    tasks = (_task(), _task(OTHER, task_id=1))
+    before = [system.wake_key(task) for task in tasks]
+    deployment, _ = controller.deploy("lstm-h512-t25", now=0.0)
+    deployed = [system.wake_key(task) for task in tasks]
+    assert all(a != b for a, b in zip(before, deployed))
+    controller.evict(deployment)
+    assert all(a != b for a, b in
+               zip(deployed, [system.wake_key(task) for task in tasks]))
+
+
+def test_starts_and_finishes_wake_at_most_their_own_model(shared_catalog):
+    """A finish adds an idle copy of its model and frees no block: only
+    that model's key moves.  A reuse start takes that copy again."""
+    system = _system(shared_catalog, {MODEL: 2, OTHER: 1})
+    first, second = _task(task_id=0), _task(task_id=1)
+    service = system.try_start(first, 0.0)
+    assert service is not None
+    waiting = (_task(task_id=2), _task(OTHER, task_id=3))
+    busy = [system.wake_key(task) for task in waiting]
+    system.on_finish(first, service)
+    idle = [system.wake_key(task) for task in waiting]
+    assert idle[0] != busy[0] and idle[1] == busy[1]
+    assert system.try_start(second, service) is not None
+    assert system.controller.stats.reuse_hits == 1
+    assert [system.wake_key(task) for task in waiting] == busy
+
+
+def test_a_stale_idle_deployment_wakes_every_model(shared_catalog):
+    """Past the patience window a task's key reads when the oldest
+    foreign idle copy goes stale, which is also its hint: once the clock
+    reaches it, every model waiting on that copy is retried."""
+    system = _system(shared_catalog)
+    controller = system.controller
+    simulator = system._simulator
+    patience = controller.eviction_patience_s
+    waiting = _task()
+    young = system.wake_key(waiting)
+    simulator.queue.run(until=patience)
+    assert system.wake_key(waiting)[:4] == young
+    assert system.wake_key(waiting)[4] == float("inf")
+    deployment, _ = controller.deploy(OTHER, now=patience)
+    deployment.acquire()
+    controller.release(deployment, patience)
+    stale_at = system.wake_key(waiting)[4]
+    assert stale_at == pytest.approx(2 * patience)
+    assert system.retry_hint(waiting, patience) == stale_at
 
 
 # -- the simulator's wake rule ---------------------------------------------------
@@ -113,20 +136,14 @@ def test_an_arrival_at_pressure_keeps_its_own_models_decline(shared_catalog,
 
 class _OneBoard:
     """Model ``"a"`` runs for a second; ``"b"`` is declined until an
-    ``"a"`` task has finished.  With ``wakes_all`` given, an arrival wakes
-    every model (``True``) or only its own (``False``); starts and
-    finishes wake every model."""
+    ``"a"`` task has finished.  With ``wakes_all`` given, its wake key is
+    ``None`` (``True``), or the finishes so far (``False``)."""
 
     def __init__(self, wakes_all=None):
         self.calls = []
         self.finished = 0
         if wakes_all is not None:
-            def woken_models(event, task, now):
-                if event == "arrive" and not wakes_all:
-                    return (task.model_key,)
-                return None
-
-            self.woken_models = woken_models
+            self.wake_key = lambda task: None if wakes_all else self.finished
 
     def try_start(self, task, now):
         self.calls.append((task.model_key, now))
@@ -163,23 +180,21 @@ def test_a_quiet_arrival_retries_only_its_own_model(wakes_all):
     if wakes_all:
         assert calls == _run(_OneBoard())
     else:
-        # An arrival of "a" skips the retry of "b" ahead of it; the start
-        # of "a" still changes resources, so the next pass retries "b".
-        assert calls == [
-            ("b", 0.0), ("a", 0.25), ("b", 0.25),
-            ("a", 0.5), ("b", 0.5), ("b", 1.25),
-        ]
+        # Neither the arrivals nor the starts of "a" move the key of "b";
+        # the first finish does.
+        assert calls == [("b", 0.0), ("a", 0.25), ("a", 0.5), ("b", 1.25)]
 
 
 class _Gated:
     """Model ``"b"`` is declined until ``OPEN_S`` whatever else happens;
-    ``"a"`` runs for 0.1 s.  Every event wakes only its own model."""
+    ``"a"`` runs for 0.1 s.  Its wake key never changes."""
 
     OPEN_S = 0.5
 
     def __init__(self):
         self.calls = []
         self.hints = []
+        self.keys = []
 
     def try_start(self, task, now):
         self.calls.append((task.model_key, now))
@@ -194,21 +209,23 @@ class _Gated:
         self.hints.append((task.task_id, now))
         return self.OPEN_S
 
-    def woken_models(self, event, task, now):
-        return () if event == "start" else (task.model_key,)
+    def wake_key(self, task):
+        self.keys.append(task.task_id)
+        return ()
 
 
-def test_a_quiet_start_or_finish_rehints_instead_of_retrying():
+def test_a_quiet_start_or_finish_neither_retries_nor_rehints():
     scheduler = _Gated()
     tasks = [Task(task_id=0, model_key="b", arrival_s=0.0),
              Task(task_id=1, model_key="a", arrival_s=0.25)]
     simulator = ClusterSimulator(scheduler)
     result = simulator.run(tasks)
     assert len(result.completed) == 2
-    # "b" is tried at its arrival and once its gate opens; the start and
-    # the finish of "a" each re-ask its hint instead.
+    # "b" is tried at its arrival and once its gate opens, and its hint is
+    # asked only after its decline; the arrival, start and finish of "a"
+    # each ask its key instead.
     assert scheduler.calls[:2] == [("b", 0.0), ("a", 0.25)]
     [(model_key, now)] = scheduler.calls[2:]
     assert model_key == "b" and now == pytest.approx(_Gated.OPEN_S)
-    assert scheduler.hints == [(0, 0.0), (0, 0.25), (0, 0.35)]
-    assert simulator.rehints == 2
+    assert scheduler.hints == [(0, 0.0)]
+    assert set(scheduler.keys) == {0} and len(scheduler.keys) >= 3

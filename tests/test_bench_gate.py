@@ -33,9 +33,10 @@ SMOKE_REPORTS = {
     "faults": {"comparison": {"min_recovery_rate": 1.0}},
     "defrag": {
         "comparison": {
-            "failure_rate_off": 0.48148148148148145,
+            "failure_rate_off": 0.06666666666666667,
             "failure_rate_on": 0.06666666666666667,
-            "failure_rate_reduction": 0.4148148148148148,
+            "failure_rate_reduction": 0.0,
+            "evictions_avoided": 3,
         },
         "defrag_on": {
             "migrations_completed": 2,
@@ -142,12 +143,12 @@ def test_tenancy_nightly_report_keeps_intrinsic_rows():
 
 def test_defrag_rows_fail_without_migrations():
     report, _ = reference("defrag")
-    report["comparison"]["failure_rate_reduction"] = 0.0
+    report["comparison"]["evictions_avoided"] = 0
     report["defrag_on"]["migrations_completed"] = 0
     report["defrag_on"]["migration_counters"]["bytes_migrated"] = 0
     failures, _ = compare("defrag", report)
     assert [f.split(":")[0] for f in failures] == [
-        "defrag comparison.failure_rate_reduction",
+        "defrag comparison.evictions_avoided",
         "defrag defrag_on.migrations_completed",
         "defrag defrag_on.migration_counters.bytes_migrated",
     ]

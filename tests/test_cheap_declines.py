@@ -320,11 +320,12 @@ class TestExpansionAllowed:
 def test_small_deep_backlog_is_pinned(shared_catalog):
     """256 mix-7 tasks on 32 boards: ~250 refused placements and 21
     evictions.  The schedule, searches, creations and evictions match the
-    raising implementation's; the refusals are fewer because an event
-    retries only the models it can wake (they were 2 067 deploy calls,
-    2 030 failures, 2 028 fast rejects and 2 435 attempts while every
-    event retried every blocked model, and 1 010, 973, 971 and 1 290 while
-    only arrivals woke one model)."""
+    raising implementation's; the refusals are fewer because a declined
+    model stays parked while its decline's wake key is unchanged (they
+    were 2 067 deploy calls, 2 030 failures, 2 028 fast rejects and 2 435
+    attempts while every event retried every blocked model, 1 010, 973,
+    971 and 1 290 while only arrivals woke one model, and 291, 254, 252
+    and 570 under per-event wake sets with re-hints)."""
     system = build_system("proposed", scaled_cluster(32), shared_catalog)
     tasks = generate_workload(
         TABLE1_COMPOSITIONS[6], task_count=256, arrival_rate_per_s=1e5, seed=1
@@ -345,11 +346,11 @@ def test_small_deep_backlog_is_pinned(shared_catalog):
         "deployments_evicted": stats.deployments_evicted,
         "try_start_attempts": simulator.try_start_attempts,
     } == {
-        "deploy_calls": 291,
-        "placement_failures": 254,
-        "fast_rejects": 252,
+        "deploy_calls": 290,
+        "placement_failures": 253,
+        "fast_rejects": 251,
         "placement_searches": 66,
         "deployments_created": 37,
         "deployments_evicted": 21,
-        "try_start_attempts": 570,
+        "try_start_attempts": 569,
     }

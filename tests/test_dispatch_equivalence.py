@@ -8,7 +8,7 @@ of a model below its watermark one at a time.  It rebuilds ``queue_view``
 at every pass, shares only the queue removal of ``drop_queued`` with its
 own backlog, and answers the queue reads of the layers above (depths, a
 model's queued tasks) from that backlog.  It also keeps the old wake rule — every arrival, start
-and finish retries every blocked model — and never asks ``woken_models``.
+and finish retries every blocked model — and never asks ``wake_key``.
 It has no lone-queue shortcut: it sorts and walks (and asks every class
 prefix) even when one (tenant, model) queue holds all the work, where the
 merge dispatcher walks that queue without a heap or a prefix.  It keeps
@@ -17,7 +17,7 @@ since passes run only while that count is non-zero.
 Randomized small workloads run through both dispatchers; the schedules
 and the dropped sets must match exactly.  So must the sequence of
 ``(task_id, now)`` ``try_start`` calls and the watermark-skip and attempt
-totals, unless the scheduler answers ``woken_models``: then the merge
+totals, unless the scheduler answers ``wake_key``: then the merge
 dispatcher's calls must be a subsequence of the reference's, and every
 call it skipped must have declined without evicting anything.
 """
@@ -63,7 +63,7 @@ class ReferenceSimulator(ClusterSimulator):
 
     def _resolve_hooks(self):
         super()._resolve_hooks()
-        self._woken_models = None  # every event wakes every model
+        self._wake_key = None  # every event wakes every model
 
     def _enqueue(self, task):
         self._pending.append(task)
@@ -189,7 +189,7 @@ def _run_both(build, expected_digest=None) -> list:
     reference, merged = outcomes
     assert merged["digest"] == reference["digest"]
     assert merged["dropped"] == reference["dropped"]
-    if hasattr(simulators[1].scheduler, "woken_models"):
+    if hasattr(simulators[1].scheduler, "wake_key"):
         _assert_pure_skips(reference["calls"], merged["calls"])
         assert merged["counters"][1] <= reference["counters"][1]
     else:
@@ -566,43 +566,40 @@ STALE_IDLE_DIGESTS = {
 def test_idle_copies_go_stale_between_arrivals(shared_catalog, seed):
     """Arrivals spread over half a second on eight boards: idle copies
     outlive the patience window while tasks still arrive, and a failed
-    placement evicts one before the next arrival.  The per-model arrival
-    wake must see both and wake every model."""
+    placement evicts one before the next arrival.  A declined task's wake
+    key must see both: it reads the oldest foreign idle copy once the task
+    has waited out the patience window, and the eviction moves the board
+    generation, so the key parks some repeat visits and not others."""
     rng = random.Random(seed)
     count = 240
     arrivals = sorted(rng.uniform(0.0, 0.5) for _ in range(count))
     models = [rng.choice(MIXED) for _ in range(count)]
-    answers = []
-    blocked_at_arrival = []  # per arrival: was any model blocked?
+    keys = {}  # task id -> every wake key asked of it, in order
 
     def build(cls):
         system = build_system("proposed", scaled_cluster(8), shared_catalog)
 
-        def woken_models(event, task, now, inner=system.woken_models):
-            woken = inner(event, task, now)
-            if event == "arrive":
-                answers.append(woken)
-            return woken
+        def wake_key(task, inner=system.wake_key):
+            key = inner(task)
+            keys.setdefault(task.task_id, []).append(key)
+            return key
 
-        system.woken_models = woken_models
-        simulator = cls(system, "proposed")
-        if cls is ClusterSimulator:
-            def wake(event, task, inner=simulator._wake):
-                if event == "arrive":
-                    blocked_at_arrival.append(bool(simulator._blocked))
-                inner(event, task)
-
-            simulator._wake = wake
+        system.wake_key = wake_key
         tasks = [Task(task_id=i, model_key=m, arrival_s=a)
                  for i, (a, m) in enumerate(zip(arrivals, models))]
-        return simulator, tasks
+        return cls(system, "proposed"), tasks
 
     _run_both(build, STALE_IDLE_DIGESTS[seed])
-    # Only the merge dispatcher asks, once per arrival while a model is
-    # blocked.
-    assert len(blocked_at_arrival) == count
-    assert len(answers) == sum(blocked_at_arrival)
-    assert None in answers and any(woken is not None for woken in answers)
+    # Only the merge dispatcher asks: once per decline with a hint ahead,
+    # and once per later visit to the task that declined.
+    asked = [answers for answers in keys.values() if len(answers) > 1]
+    assert any(a == b for answers in asked for a, b in zip(answers, answers[1:]))
+    assert any(a != b for answers in asked for a, b in zip(answers, answers[1:]))
+    # Keys from the eviction branch carry the oldest foreign copy's stale
+    # time; some are finite, i.e. an idle copy was waiting to go stale.
+    stale = [key[-1] for answers in keys.values() for key in answers
+             if len(key) == 5]
+    assert stale and any(at != float("inf") for at in stale)
 
 
 #: Schedule digests of :func:`test_a_nearly_single_model_stream`.
@@ -660,8 +657,11 @@ def test_watermark_behind_the_head(shared_catalog, seed):
     watermark from a later task.  The reference's next arrival retries the
     model at its oldest task instead: another waiting time, another wake
     hint, a first count in the observed mix.  Two isolated tenants on six
-    boards make that retry act (an eviction, a start), so an arrival must
-    wake such a model too."""
+    boards make that retry act (an eviction, a start), so a visit to any
+    task but the one that declined must be tried.  Seed 14 also wedges if
+    the check before a pass refreshes a watermark whose key still matches
+    while a later queue makes the pass run: a decline earlier in that pass
+    evicts, which moves the key without a version bump."""
     rng = random.Random(seed)
     count = 100
     arrivals = sorted(rng.uniform(0.0, 0.3) for _ in range(count))
@@ -686,11 +686,11 @@ def test_watermark_behind_the_head(shared_catalog, seed):
     seed=st.integers(min_value=0, max_value=2**16),
     models=st.integers(min_value=1, max_value=len(MIXED)),
 )
-# Counterexamples to three wrong wake rules, in order: keeping, over the
-# next arrival, a hint recorded after its own model started in the same
-# pass (the rule while only arrivals woke per model); lowering every kept
-# hint to a finish's new idle copy's stale time instead of re-asking it;
-# arrivals that never re-ask a hint whose queue view went stale.
+# Counterexamples to wrong wake rules.  The first un-parked a model the
+# reference skips when a pass in which every model held left the
+# watermarks it had checked by key at their old version: a later evicting
+# decline in that version moved the key.  The other two broke per-event
+# wake sets (a stale hint kept over an arrival or a finish).
 @example(boards=15, count=81, span_s=0.125, isolation=False, seed=71,
          models=len(MIXED))
 @example(boards=4, count=4, span_s=0.0, isolation=False, seed=0,

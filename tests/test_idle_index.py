@@ -36,6 +36,11 @@ def _system(catalog, boards=1, isolation=False):
     return system
 
 
+def _lru(controller) -> list:
+    """Every idle deployment, least recently used first."""
+    return [entry[2] for entry in controller._idle_lru]
+
+
 def _deploy(controller, model_key, now=0.0, tenant=""):
     deployment, _ = controller.deploy(model_key, now=now, tenant=tenant)
     return deployment
@@ -86,7 +91,7 @@ class TestEvictionOrder:
         # Released newest first, all at the same instant.
         for deployment in reversed(copies):
             controller.release(deployment, 1.0)
-        assert list(controller.idle_lru()) == copies
+        assert _lru(controller) == copies
         patience = controller.eviction_patience_s
         controller.deploy(OTHER, now=2.0, waited_s=patience)
         assert controller.stats.deployments_evicted == 1
@@ -98,7 +103,7 @@ class TestEvictionOrder:
         copies = [_deploy(controller, SMALL) for _ in range(4)]
         for at, deployment in zip((3.0, 1.0, 4.0, 2.0), copies):
             _cycle(controller, deployment, now=at)
-        assert list(controller.idle_lru()) == [
+        assert _lru(controller) == [
             copies[1], copies[3], copies[0], copies[2]
         ]
         patience = controller.eviction_patience_s
@@ -183,12 +188,12 @@ class TestConsistencyCheck:
         gone = _deploy(controller, SMALL)
         controller.evict(gone)
         assert controller.idle_of(SMALL) == [kept]
-        assert list(controller.idle_lru()) == [kept]
+        assert _lru(controller) == [kept]
         # A discarded deployment's later transitions index nothing, and
         # the controller refuses to move it.
         gone.acquire()
         gone.release(2.0)
-        assert list(controller.idle_lru()) == [kept]
+        assert _lru(controller) == [kept]
         assert controller.check_idle_consistent()
         with pytest.raises(DeploymentError, match="not resident"):
             controller.set_state(gone, DeploymentState.MIGRATING)

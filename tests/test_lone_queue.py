@@ -4,8 +4,8 @@ When exactly one (tenant, model) queue holds work, a dispatch pass walks
 its entries in FIFO order and asks no class prefix (``dispatch_key``):
 with nothing to merge the queue with, no prefix can change the order.  A
 dispatch that leaves nothing queued does not rebuild the simulator's
-``queue_view``; the next pass that asks rebuilds it first, so every
-``try_start`` and ``retry_hint`` still reads the current counts.
+``queue_view``; the next pass rebuilds it first, so every ``try_start``,
+``retry_hint`` and ``wake_key`` still reads the current counts.
 """
 
 import pytest
@@ -35,7 +35,7 @@ def test_a_lone_queue_asks_no_prefix(scheduler_class):
         [_task(i, "a", 0.01 * i) for i in range(4)])
     assert len(result.completed) == 4
     hooks = {hook for hook, _ in lone.calls}
-    assert hooks == {"try_start", "retry_hint"}
+    assert hooks == {"try_start", "retry_hint", "wake_key"}
 
     merged = scheduler_class()
     ClusterSimulator(merged, "merged").run(
@@ -71,9 +71,9 @@ def _tenancy(catalog):
 def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     """Bursts that drain between them: the backlog empties many times,
     and the view is not rebuilt then.  Only a pass rebuilds it, exactly
-    when its counts are dirty and it asks the scheduler anything, and
-    every ``try_start`` and ``retry_hint`` reads the counts its pass
-    began with."""
+    when its counts are dirty, parked passes included, and every
+    ``try_start``, ``retry_hint`` and ``wake_key`` reads the counts its
+    pass began with."""
     system, scheduler = stack(shared_catalog)
     simulator = ClusterSimulator(scheduler, "spied")
     in_pass = []  # the counts the running pass began with
@@ -90,13 +90,11 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     def dispatch_pass(inner=simulator._dispatch_pass):
         in_pass.append(counts_now())
         view, dirty = simulator.queue_view, simulator._counts_dirty
-        parked = simulator.parked_passes
         try:
             return inner()
         finally:
             in_pass.pop()
-            asked = simulator.parked_passes == parked
-            assert (simulator.queue_view is not view) == (dirty and asked)
+            assert (simulator.queue_view is not view) == dirty
             if simulator.queue_view is not view:
                 rebuilt.append(simulator.queue_view)
 
@@ -110,15 +108,16 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
             assert simulator.queue_view is rebuilt[-1] != {}
 
     def reads_view(hook):
-        def spy(task, now, inner=getattr(scheduler, hook)):
+        def spy(*args, inner=getattr(scheduler, hook)):
             assert in_pass and simulator.queue_view == in_pass[-1], hook
-            return inner(task, now)
+            return inner(*args)
         return spy
 
     simulator._dispatch_pass = dispatch_pass
     simulator._dispatch = dispatch
-    scheduler.try_start = reads_view("try_start")
-    scheduler.retry_hint = reads_view("retry_hint")
+    for hook in ("try_start", "retry_hint", "wake_key"):
+        if hasattr(scheduler, hook):
+            setattr(scheduler, hook, reads_view(hook))
     tasks = [
         Request(task_id=i, model_key=MIXED[i % 4] if stack is _bare
                 else SMALL[i % 3], arrival_s=0.05 * (i // 12) + 1e-4 * i,

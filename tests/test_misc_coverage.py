@@ -122,18 +122,3 @@ class TestFabricInternals:
         with pytest.raises(ExecutionError):
             ScaleOutFabric(1)
 
-
-class TestFourWayScaleOutPlans:
-    def test_catalog_supports_four_replicas(self):
-        """max_replicas=4 unlocks models too big even for FPGA pairs."""
-        from repro.runtime import Catalog
-        from repro.vital import VitalCompiler
-        from repro.workloads.deepbench import ModelSpec
-
-        catalog = Catalog(VitalCompiler(), max_replicas=4)
-        entry = catalog.entry(ModelSpec("lstm", 2560, 25))
-        assert entry.min_replicas() == 4
-        plan = entry.sorted_plans()[0]
-        assert len(plan.programs) == 4
-        for program in plan.programs:
-            assert program.metadata["scaleout"]["replicas"] == 4

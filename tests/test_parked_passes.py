@@ -1,13 +1,15 @@
 """A dispatch pass in which every queued model is parked asks nothing.
 
-When each queued model holds a watermark at the current resource version
-and hint epoch whose hint is still ahead, every queue's first visit would
-park its whole model, so :meth:`ClusterSimulator._dispatch_pass` ends at
-once: it counts the queued tasks as skipped and the pass in
-``parked_passes``, calls no scheduler hook and leaves the simulator's
-``queue_view`` stale.  Any watermark that a version bump, a new hint epoch
-or a due hint has made stale runs the whole pass.  The next pass that
-asks rebuilds the view, counting every task that arrived in between.
+When each queued model holds its watermark — hint still ahead, and either
+the current resource version or a head that is the task that declined
+with an unchanged wake key — every queue's first visit would park its
+whole model, so :meth:`ClusterSimulator._dispatch_pass` ends at once: it
+counts the queued tasks as skipped and the pass in ``parked_passes``,
+moves every watermark to the current version and asks the scheduler
+nothing but those wake keys.  Any watermark whose key moved, whose
+decliner is not its queue's head or whose hint is due runs the whole
+pass.  Every pass, parked or not, first rebuilds a queue view whose counts
+changed, since the keys read it.
 """
 
 import pytest
@@ -19,8 +21,8 @@ OPEN_S = 0.05
 
 
 class _Gated:
-    """Declines every task until ``OPEN_S`` and hints that instant; an
-    event wakes no model.  Records every hook the simulator calls as
+    """Declines every task until ``OPEN_S`` and hints that instant; its
+    wake key never changes.  Records every hook the simulator calls as
     ``(hook, now)``, and each new simulator queue view a hook read as
     ``(now, view)``.  Its own order hook stands for the tenancy layer's
     (the "tenancy" cases)."""
@@ -51,7 +53,8 @@ class _Gated:
         self._called("retry_hint")
         return OPEN_S
 
-    def woken_models(self, event, task, now):
+    def wake_key(self, task):
+        self._called("wake_key")
         return ()
 
     def dispatch_key(self, task):
@@ -86,8 +89,8 @@ class _Layer:
     def retry_hint(self, task, now):
         return self.system.retry_hint(task, now)
 
-    def woken_models(self, event, task, now):
-        return ()
+    def wake_key(self, task):
+        return self.system.wake_key(task)
 
 
 def _task(task_id, model_key, arrival_s=0.0):
@@ -110,24 +113,33 @@ def parked(request):
 
 
 def test_a_parked_pass_asks_the_scheduler_nothing(parked):
+    """After the arrival each model's head is its decliner: the pass asks
+    one wake key per model and nothing else, and moves both watermarks to
+    the current version, so the next parked pass asks nothing at all."""
     skips = parked.watermark_skips
-    view = parked.queue_view
+    version = parked._resource_version
+    assert parked._dispatch_pass() is False
+    assert parked.scheduler.calls == [("wake_key", 0.0)] * 2
+    assert {watermark[0] for watermark in parked._blocked.values()} == {
+        version}
+    # Rebuilt first: the keys read the view.
+    assert parked.queue_view == {"a": 3, "b": 1}
+    assert parked.scheduler.views[-1][1] is parked.queue_view
+    parked.scheduler.calls.clear()
     assert parked._dispatch_pass() is False
     assert parked.scheduler.calls == []
-    # Stale: the parked pass did not count the arrival after the first.
-    assert parked.queue_view is view and view == {"a": 2, "b": 1}
-    assert parked.watermark_skips - skips == parked.pending_count == 4
-    assert parked.parked_passes == 1
+    assert parked.watermark_skips - skips == 2 * parked.pending_count == 8
+    assert parked.parked_passes == 2
     assert parked.try_start_attempts == 2
 
 
-@pytest.mark.parametrize("stale", ["version", "epoch", "hint"])
+@pytest.mark.parametrize("stale", ["version", "decliner", "hint"])
 def test_one_stale_watermark_runs_the_whole_pass(parked, stale):
-    version, hint, epoch, declined = parked._blocked["b"]
+    version, hint, declined, key = parked._blocked["b"]
     parked._blocked["b"] = {
-        "version": (version - 1, hint, epoch, declined),
-        "epoch": (version, hint, epoch - 1, declined),
-        "hint": (version, parked.queue.now, epoch, declined),
+        "version": (version - 1, hint, declined, ("moved",)),
+        "decliner": (version - 1, hint, _task(9, "b"), key),
+        "hint": (version - 1, parked.queue.now, declined, key),
     }[stale]
     view = parked.queue_view
     parked._dispatch_pass()
@@ -137,15 +149,16 @@ def test_one_stale_watermark_runs_the_whole_pass(parked, stale):
     assert parked.queue_view is not view
     assert parked.scheduler.views[-1][1] is parked.queue_view
     assert parked.queue_view == {"a": 3, "b": 1}
-    # Only b's watermark is stale: a's queue parks, b's head is asked
-    # again (a new epoch re-asks only the hint of the task that declined).
-    assert hooks.count("try_start") == (stale != "epoch")
+    # Only b's watermark is stale: a's queue parks on its unchanged key,
+    # b's head is asked again.
+    assert hooks.count("try_start") == 1
     assert hooks.count("retry_hint") == 1
 
 
 def test_the_next_pass_that_asks_shows_every_arrival():
     """Arrivals while both models wait for the gate run only parked
-    passes; the pass at the gate rebuilds the view with all of them."""
+    passes; the pass at the gate tries every task with a view of all of
+    them."""
     scheduler = _Gated()
     tasks = [_task(0, "a"), _task(1, "b"), _task(2, "a", 0.01),
              _task(3, "b", 0.02), _task(4, "b", 0.03)]
@@ -153,8 +166,12 @@ def test_the_next_pass_that_asks_shows_every_arrival():
     result = simulator.run(tasks)
     assert len(result.completed) == 5
     assert simulator.parked_passes >= 9  # every retry poll before the gate
-    assert all(now == 0.0 or now >= OPEN_S for _, now in scheduler.calls)
-    (first_at, first), (second_at, second) = scheduler.views[1:3]
-    assert (first_at, first) == (0.0, {"a": 1, "b": 1})
-    assert second_at >= OPEN_S
-    assert second == {"a": 2, "b": 3}
+    assert all(now == 0.0 or now >= OPEN_S
+               for hook, now in scheduler.calls if hook != "wake_key")
+    assert scheduler.views[1] == (0.0, {"a": 1, "b": 1})
+    # The keys of the parked passes read each arrival's view, and the
+    # pass at the gate starts all five tasks under the last one.
+    assert scheduler.views[-1][1] == {"a": 2, "b": 3}
+    asked = [hook for hook, now in scheduler.calls if now >= OPEN_S]
+    assert asked.count("try_start") == 5
+    assert "wake_key" not in asked and "retry_hint" not in asked

@@ -59,15 +59,13 @@ class TestIterCandidates:
         ]
         if policy is PlacementPolicy.BEST_FIT:
             expected = [fpga_id for _, fpga_id in sorted(feasible)]
-        elif policy is PlacementPolicy.WORST_FIT:
+        else:
             expected = [
                 fpga_id
                 for _, fpga_id in sorted(
                     feasible, key=lambda entry: (-entry[0], entry[1])
                 )
             ]
-        else:
-            expected = sorted(fpga_id for _, fpga_id in feasible)
         streamed = [
             board.fpga_id
             for board in index.iter_candidates(requirements, policy)
