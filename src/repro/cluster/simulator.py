@@ -46,6 +46,15 @@ rebuilds nothing, since every reader of the view runs inside a later pass,
 which rebuilds it first.  A pass in which every queued model holds its
 watermark ends after one watermark lookup (and at most one wake key) per
 queue, before it asks the scheduler for anything else.
+
+Most requests wait for no other: an arrival that finds the backlog empty,
+with no pass running, is tried at once by a *direct start*, without a
+pass.  It is queued alone and shows the view ``{model: 1}`` while it is
+tried, so every queue read sees what a one-queue pass would show, and it
+books its start or its decline's watermark through the same code as a
+pass.  It skips only what cannot matter for one fresh task: the
+enqueue's lookups, the view copy and the check for a model holding its
+watermark (the arrival moved the version, and the task never declined).
 """
 
 from __future__ import annotations
@@ -218,10 +227,11 @@ class _Queue:
 
     __slots__ = ("key", "model_key", "entries", "prefix", "cursor", "token")
 
-    def __init__(self, key: tuple):
+    def __init__(self, key: tuple, entry: tuple):
         self.key = key
         self.model_key = key[1]
-        self.entries: list = []
+        #: A queue is made for its first entry and deleted when it empties.
+        self.entries: list = [entry]
         #: Class prefix of every task here, frozen for the current pass.
         self.prefix: tuple = ()
         #: Index of the next entry the pass visits; while the queue is
@@ -257,14 +267,14 @@ class ClusterSimulator:
         #: rebuilt.
         self._counts_dirty = True
         #: A copy of ``_counts`` as it stood at the start of the last pass
-        #: that found it changed: a fresh dict per rebuild, frozen for the
-        #: pass, since expansion, hints and wake keys read it as a schedule
-        #: input.  An emptied backlog leaves it stale (see
-        #: :meth:`_dispatch`).
+        #: that found it changed (a direct start's is ``{model: 1}``): a
+        #: fresh dict per rebuild, frozen for the pass, since expansion,
+        #: hints and wake keys read it as a schedule input.  An emptied
+        #: backlog leaves it stale (see :meth:`_dispatch`).
         self.queue_view: dict[str, int] = {}
         self._seqs = count()
-        #: Tasks requeued by :meth:`abort_running` during a pass; they join
-        #: their queues when the pass ends.
+        #: Tasks requeued by :meth:`abort_running` during a pass or a direct
+        #: start; they join their queues when it ends.
         self._requeued: list[Task] = []
         self._result = SimulationResult(system=system_name)
         self._dispatching = False
@@ -282,7 +292,7 @@ class ClusterSimulator:
         #: resources and will bump the version when they complete, so an
         #: idle queue is not a deadlock while any are outstanding.
         self._external_inflight = 0
-        #: ``try_start`` calls made by dispatch passes.
+        #: ``try_start`` calls made by dispatch passes and direct starts.
         self.try_start_attempts = 0
         #: Queued tasks a pass passed over because their model was blocked
         #: at the current resource version (parked or skipped).
@@ -321,17 +331,28 @@ class ClusterSimulator:
     def _enqueue(self, task: Task) -> None:
         """Queue ``task`` at its ``(arrival_s, seq)`` place in its queue."""
         key = (task.tenant, task.model_key)
+        entry = (task.arrival_s, task.seq, task)
         queue = self._queues.get(key)
         if queue is None:
-            queue = self._queues[key] = _Queue(key)
-        insort(queue.entries, (task.arrival_s, task.seq, task))
+            self._queues[key] = _Queue(key, entry)
+        else:
+            insort(queue.entries, entry)
         self._queued += 1
         counts = self._counts
-        counts[queue.model_key] = counts.get(queue.model_key, 0) + 1
+        counts[task.model_key] = counts.get(task.model_key, 0) + 1
         self._counts_dirty = True
 
-    def _take(self, queue: _Queue, index: int) -> None:
-        """Remove one queued task (it started or was dropped)."""
+    def _take(self, queue: _Queue, index: int,
+              service: float | None = None) -> None:
+        """Remove one queued task: a dropped one, or, given its service
+        time, one that starts now.  A start is booked here for a pass and
+        a direct start alike: the task runs until its finish event, and
+        its model's watermark goes."""
+        task = queue.entries[index][2]
+        if service is not None and service < 0:
+            raise SimulationError(
+                f"scheduler returned negative service time {service}"
+            )
         del queue.entries[index]
         self._queued -= 1
         counts = self._counts
@@ -343,13 +364,46 @@ class ClusterSimulator:
         self._counts_dirty = True
         if not queue.entries:
             del self._queues[queue.key]
+        if service is None:
+            return
+        task.start_s = self.queue.now
+        self._running_count += 1
+        self._blocked.pop(queue.model_key, None)
+        # Starting a task reshapes resources (allocation, possible
+        # evictions, the idle set).
+        self._resource_version += 1
+        self.queue.schedule_in(service, self._finish, task, task.run_epoch)
+        self._idle_retries = 0
+
+    def _declined(self, task: Task, now: float) -> bool:
+        """Record the watermark of ``task``'s declined start, for a pass
+        and a direct start alike; returns whether it parks the model (its
+        hint is ahead of the clock)."""
+        retry_hint = self._retry_hint
+        # No hint: retry every pass (exhaustive).
+        hint = retry_hint(task, now) if retry_hint is not None else now
+        park = now < hint
+        wake_key = self._wake_key
+        self._blocked[task.model_key] = (
+            self._resource_version, hint, task,
+            wake_key(task) if park and wake_key is not None else None,
+        )
+        return park
+
+    def _join_requeued(self) -> None:
+        """Queue the tasks :meth:`abort_running` requeued during a pass or
+        a direct start, now that it has ended."""
+        for task in self._requeued:
+            self._enqueue(task)
+        self._requeued.clear()
 
     def drop_queued(self, task: Task) -> None:
         """Drop a queued task the scheduler has condemned (a serving
         deadline or abandon): it leaves its queue now, is
         recorded in :attr:`SimulationResult.dropped` and never occupies a
-        board.  Safe inside a dispatch pass, where the only task a pass can
-        condemn is the one it just tried, or one requeued during it."""
+        board.  Safe inside a dispatch pass, a direct start included, where
+        the only task a pass can condemn is the one it just tried, or one
+        requeued during it."""
         requeued = self._requeued
         for index, other in enumerate(requeued):
             if other is task:
@@ -451,9 +505,9 @@ class ClusterSimulator:
 
         The task's already-scheduled finish event becomes stale (epoch
         guard) and the task re-enters its queue at its original
-        ``(arrival_s, seq)`` place — at once, or, when a dispatch pass is
-        running, as soon as that pass ends: a pass's merge never sees a task
-        requeued during it.  The caller (the tenancy scheduler) is
+        ``(arrival_s, seq)`` place — at once, or, when a dispatch pass or a
+        direct start is running, as soon as it ends: a pass's merge never
+        sees a task requeued during it.  The caller (the tenancy scheduler) is
         responsible for the board-side teardown and for crediting any
         checkpointed progress on the next start.
         """
@@ -482,11 +536,42 @@ class ClusterSimulator:
             self._result.dropped.append(task)
             return
         task.seq = next(self._seqs)
-        self._enqueue(task)
         self._resource_version += 1
-        self._dispatch()
+        if self._queued or self._dispatching:
+            self._enqueue(task)
+            self._dispatch()
+            return
+        # Into an empty backlog, with no pass running: a direct start.  The
+        # task is queued alone, as _enqueue would queue it, so every queue
+        # read sees it while it is tried, under the view a pass would
+        # rebuild (the counts are always dirty once the backlog empties).
+        # It cannot hold its model: the arrival moved the version, and the
+        # task never declined.
+        model_key = task.model_key
+        key = (task.tenant, model_key)
+        queue = self._queues[key] = _Queue(key, (task.arrival_s, task.seq,
+                                                 task))
+        self._queued = 1
+        self._counts[model_key] = 1
+        self._counts_dirty = False
+        self.queue_view = {model_key: 1}
+        now = self.queue.now
+        self._dispatching = True
+        try:
+            self.try_start_attempts += 1
+            service = self._try_start(task, now)
+            if service is None:
+                self._declined(task, now)
+            else:
+                self._take(queue, 0, service)
+        finally:
+            self._dispatching = False
+        if self._requeued:
+            self._join_requeued()
+        if service is None or self._queued:
+            self._dispatch(service is not None)
 
-    def _dispatch(self) -> None:
+    def _dispatch(self, progress: bool = True) -> None:
         """Start every pending task the scheduler can place right now.
 
         Head-of-line blocking is intentional *per model class only*: a pass
@@ -494,24 +579,25 @@ class ClusterSimulator:
         (all three evaluated systems admit out-of-order placement), but
         tasks of one (tenant, model) queue are visited in FIFO order.
         Passes repeat while one starts a task, and never run with nothing
-        queued.  A dispatch that empties the backlog leaves
-        :attr:`queue_view` as it was: the next pass rebuilds it, before
-        anything reads it.
+        queued.  After a direct start (:meth:`_arrive`) that started its
+        task, passes follow while preempted tasks were requeued;
+        ``progress`` is ``False`` after one that started nothing, which
+        runs no pass and only polls.  A dispatch that empties the backlog
+        leaves :attr:`queue_view` as it was: the next pass or direct start
+        rebuilds it, before anything reads it.
         """
         if self._dispatching:
             return  # avoid re-entrant scans from nested on_finish calls
         self._dispatching = True
         try:
             # Outside a pass nothing waits in ``_requeued``, so the queued
-            # count is the whole backlog.
-            while self._queued:
-                if not self._dispatch_pass():
-                    break  # a pass that takes no task leaves tasks queued
-            else:
-                return  # nothing queued: a pass could start nothing
+            # count is the whole backlog; a pass that takes no task leaves
+            # tasks queued.
+            while progress and self._queued:
+                progress = self._dispatch_pass()
         finally:
             self._dispatching = False
-        if self._retry_scheduled:
+        if progress or self._retry_scheduled:
             return
         # Time-gated policies (eviction staleness) need the clock to advance
         # before a blocked task can be placed; poll.
@@ -533,7 +619,8 @@ class ClusterSimulator:
         With one queue holding work the pass walks it in FIFO order, with
         no heap and no class prefix; every visit follows the same rules as
         in a merge, and a park ends the walk (nothing else is queued to
-        resume it past the parked task).
+        resume it past the parked task).  A start and a decline are booked
+        as in a direct start (:meth:`_take`, :meth:`_declined`).
 
         A model holds its watermark while the clock is short of the hint
         and either the version is the one it failed under or the visited
@@ -589,7 +676,6 @@ class ClusterSimulator:
             self.watermark_skips += self._queued
             self.parked_passes += 1
             return False
-        retry_hint = self._retry_hint
         try_start = self._try_start
         # A lone queue is walked in FIFO order: with nothing to merge it
         # with, no class prefix can change its order, so none is asked.
@@ -628,11 +714,7 @@ class ClusterSimulator:
                 if token != queue.token:
                     heappop(heap)  # the queue was parked after this push
                     continue
-                index = queue.cursor
-            else:
-                index = queue.cursor
-                if index == len(queue.entries):
-                    break
+            index = queue.cursor
             task = queue.entries[index][2]
             queue.cursor = index + 1
             park = False
@@ -654,35 +736,11 @@ class ClusterSimulator:
                 attempts += 1
                 service = try_start(task, now)
                 if service is None:
-                    hint = (
-                        retry_hint(task, now)
-                        if retry_hint is not None
-                        else now  # no hint: retry every pass (exhaustive)
-                    )
-                    park = now < hint
-                    blocked[model_key] = (
-                        self._resource_version, hint, task,
-                        wake_key(task) if park and wake_key is not None
-                        else None,
-                    )
-                elif service < 0:
-                    raise SimulationError(
-                        f"scheduler returned negative service time {service}"
-                    )
+                    park = self._declined(task, now)
                 else:
-                    self._take(queue, index)
+                    self._take(queue, index, service)
                     queue.cursor = index
-                    task.start_s = now
-                    self._running_count += 1
-                    blocked.pop(model_key, None)
-                    # Starting a task reshapes resources (allocation,
-                    # possible evictions, the idle set).
-                    self._resource_version += 1
-                    self.queue.schedule_in(
-                        service, self._finish, task, task.run_epoch
-                    )
                     progress = True
-                    self._idle_retries = 0
             if self._resource_version != version:
                 version = self._resource_version
                 if parked:
@@ -693,6 +751,8 @@ class ClusterSimulator:
                     # Nothing else is queued to resume the walk past it.
                     parked.append(queue)
                     break
+                if queue.cursor == len(queue.entries):
+                    break  # the walk is done (a walk starts non-empty)
                 continue
             if park:
                 for other in by_model[model_key]:
@@ -712,9 +772,8 @@ class ClusterSimulator:
             skips += len(queue.entries) - queue.cursor
         self.watermark_skips += skips
         self.try_start_attempts += attempts
-        for task in self._requeued:
-            self._enqueue(task)
-        self._requeued.clear()
+        if self._requeued:
+            self._join_requeued()
         return progress
 
     @staticmethod

@@ -13,13 +13,16 @@ It has no lone-queue shortcut: it sorts and walks (and asks every class
 prefix) even when one (tenant, model) queue holds all the work, where the
 merge dispatcher walks that queue without a heap or a prefix.  It keeps
 the simulator's backlog count ``_queued`` in step with its own backlog,
-since passes run only while that count is non-zero.
-Randomized small workloads run through both dispatchers; the schedules
-and the dropped sets must match exactly.  So must the sequence of
-``(task_id, now)`` ``try_start`` calls and the watermark-skip and attempt
-totals, unless the scheduler answers ``wake_key``: then the merge
-dispatcher's calls must be a subsequence of the reference's, and every
-call it skipped must have declined without evicting anything.
+since passes run only while that count is non-zero.  It keeps the old
+arrival too, enqueue and then a pass, where the merge dispatcher starts
+an arrival into an empty backlog directly, without a pass.
+Randomized small workloads run through both dispatchers; the schedules,
+the dropped sets and the DES event counts must match exactly.  So must
+the sequence of ``(task_id, now)`` ``try_start`` calls and the
+watermark-skip and attempt totals, unless the scheduler answers
+``wake_key``: then the merge dispatcher's calls must be a subsequence of
+the reference's, and every call it skipped must have declined without
+evicting anything.
 """
 
 import hashlib
@@ -41,6 +44,7 @@ from repro.serving import (
 )
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
 from repro.vital import VitalCompiler
+from tests.queueing import queue_tasks
 
 SMALL = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25")
 #: Table 1 mix #7's models: single- and multi-replica plans.
@@ -64,6 +68,16 @@ class ReferenceSimulator(ClusterSimulator):
     def _resolve_hooks(self):
         super()._resolve_hooks()
         self._wake_key = None  # every event wakes every model
+
+    def _arrive(self, task):
+        """The old arrival, with no direct start: queue, then a pass."""
+        if self._admit is not None and not self._admit(task, self.queue.now):
+            self._result.dropped.append(task)
+            return
+        task.seq = next(self._seqs)
+        self._enqueue(task)
+        self._resource_version += 1
+        self._dispatch()
 
     def _enqueue(self, task):
         self._pending.append(task)
@@ -157,7 +171,9 @@ def _run_both(build, expected_digest=None) -> list:
     """Run ``build(simulator_class) -> (simulator, tasks)`` under the
     reference and the merge dispatcher; assert every observable matches,
     and the schedule digest equals ``expected_digest`` when one is given.
-    Returns both simulators (reference first)."""
+    The merge dispatcher must have started some arrival directly, and
+    its direct starts and lone walks are counted (:func:`_count_walks`,
+    as ``walks`` on it).  Returns both simulators (reference first)."""
     outcomes, simulators = [], []
     for cls in (ReferenceSimulator, ClusterSimulator):
         simulator, tasks = build(cls)
@@ -173,6 +189,8 @@ def _run_both(build, expected_digest=None) -> list:
             return service
 
         scheduler.try_start = try_start
+        if cls is ClusterSimulator:
+            simulator.walks = _count_walks(simulator)
         result = simulator.run(tasks)
         if cls is ReferenceSimulator:
             counters = (simulator.skips, simulator.attempts)
@@ -184,11 +202,14 @@ def _run_both(build, expected_digest=None) -> list:
             "dropped": sorted(t.task_id for t in result.dropped),
             "calls": calls,
             "counters": counters,
+            "events": simulator.queue.processed,
         })
         simulators.append(simulator)
     reference, merged = outcomes
     assert merged["digest"] == reference["digest"]
     assert merged["dropped"] == reference["dropped"]
+    # The same retry polls and external events.
+    assert merged["events"] == reference["events"]
     if hasattr(simulators[1].scheduler, "wake_key"):
         _assert_pure_skips(reference["calls"], merged["calls"])
         assert merged["counters"][1] <= reference["counters"][1]
@@ -196,8 +217,10 @@ def _run_both(build, expected_digest=None) -> list:
         assert merged["calls"] == reference["calls"]
         assert merged["counters"] == reference["counters"]
     assert len(reference["calls"]) == reference["counters"][1]
-    # A reference that never dispatched would agree with anything.
+    # A reference that never dispatched would agree with anything, and
+    # a merge dispatcher that never started directly tested nothing new.
     assert reference["counters"][1] > 0
+    assert simulators[1].walks["direct"]["tries"] > 0
     if expected_digest is not None:
         assert reference["digest"] == expected_digest
     return simulators
@@ -324,8 +347,6 @@ def test_lone_queue_walk_meets_park_abandon_requeue(shared_catalog):
     stream = sorted(
         [(rng.uniform(0.0, 0.004), "besteffort") for _ in range(60)]
         + [(0.006 + rng.uniform(0.0, 0.01), "premium") for _ in range(30)])
-    lone = {"passes": 0, "parks": 0, "abandons": 0, "requeues": 0}
-
     def build(cls):
         cluster = scaled_cluster(8)
         system = build_system("proposed", cluster, shared_catalog)
@@ -338,46 +359,191 @@ def test_lone_queue_walk_meets_park_abandon_requeue(shared_catalog):
             TenantParameters(name="besteffort", priority=0, weight=1.0,
                              block_quota=int(total * 0.8), preemptible=True),
         ], TenancyParameters())
-        simulator = cls(tenancy, "tenancy")
         tasks = [Request(task_id=i, model_key=SMALL[2], arrival_s=a,
                          size_class="S", tenant=t)
                  for i, (a, t) in enumerate(stream)]
-        if cls is ClusterSimulator:
-            _count_lone_walks(simulator, lone)
-        return simulator, tasks
+        return cls(tenancy, "tenancy"), tasks
 
-    _run_both(build, LONE_QUEUE_DIGEST)
+    _, merged = _run_both(build, LONE_QUEUE_DIGEST)
+    lone = merged.walks["lone"]
     assert all(lone.values()), lone
 
 
-def _count_lone_walks(simulator, lone: dict) -> None:
-    """Spy on ``simulator``: count its passes over one queue, and the
-    parks, drops and preemptions inside them."""
-    walking = []
+#: Schedule digests of the direct-start edge tests below.
+DIRECT_START_DIGESTS = {
+    "queued":
+        "c7230820e7e8bae678d8987c2c60c6f11e78f881f3977f0a99e89d90164f7a6d",
+    "abandon":
+        "a5c09f8b3d7f057299e6f8ca2a10fee5a20eaca2485a05e33b5799662529c3f0",
+    "preempt":
+        "47e12f0a12e0a71d85173ff05e1c64e63339bd1865907025341546943b8b0c4d",
+}
+
+
+def test_arrivals_under_the_pass_flag_only_queue(shared_catalog):
+    """An arrival made under the flag a running pass sets
+    (:func:`tests.queueing.queue_tasks` offers tasks by hand that way)
+    queues and starts nothing, even into an empty backlog: the next
+    dispatch tries it, as the reference's does.  Every other task arrives
+    as in a run, and the last one dispatches whatever is still queued."""
+    rng = random.Random(3)
+    count = 60
+    arrivals = sorted(rng.uniform(0.0, 0.3) for _ in range(count))
+    models = [rng.choice(MIXED) for _ in range(count)]
+    into_empty = []
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(8), shared_catalog)
+        simulator = cls(system, "proposed")
+
+        def arrive(task, inner=simulator._arrive):
+            if (simulator._dispatching or task.task_id % 2
+                    or task.task_id == count - 1):
+                return inner(task)
+            queued = simulator.pending_count
+            # Re-enters this spy with the flag set.
+            assert queue_tasks(system, [task]) == [True]
+            assert task.start_s == -1.0
+            assert simulator.pending_count == queued + 1
+            if cls is ClusterSimulator and not queued:
+                into_empty.append(task.task_id)
+
+        simulator._arrive = arrive
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a)
+                 for i, (a, m) in enumerate(zip(arrivals, models))]
+        return simulator, tasks
+
+    _run_both(build, DIRECT_START_DIGESTS["queued"])
+    assert into_empty
+
+
+def test_abandon_inside_a_direct_start(shared_catalog):
+    """Serving with no retry budget on three boards, arrivals spread over
+    half a second: most find the backlog empty, and a direct start whose
+    placement fails for capacity abandons its request inside
+    ``try_start``.  The emptied queue goes with it (the spy recounts the
+    queues), and the dispatch then polls as the reference's does (the
+    DES event counts match)."""
+    rng = random.Random(3)
+    count = 30
+    arrivals = sorted(rng.uniform(0.0, 0.5) for _ in range(count))
+    models = [rng.choice(MIXED) for _ in range(count)]
+
+    def build(cls):
+        system = build_system("proposed", scaled_cluster(3), shared_catalog)
+        frontend = ServingFrontend(system, ServingParameters(
+            default_deadline_s=0.05, breaker_enabled=False, retry_budget=0))
+        tasks = [Request(task_id=i, model_key=m, arrival_s=a, size_class="S")
+                 for i, (a, m) in enumerate(zip(arrivals, models))]
+        return cls(frontend, "serving"), tasks
+
+    _, merged = _run_both(build, DIRECT_START_DIGESTS["abandon"])
+    assert merged.walks["direct"]["drops"] > 0
+
+
+def test_preemption_inside_a_direct_start(shared_catalog):
+    """Eleven best-effort tasks arrive at once and fill three boards,
+    leaving nothing queued; premium tasks then arrive into an empty
+    backlog, and their direct starts preempt running best-effort tasks.
+    Each victim waits in the requeue list until the direct start returns
+    and then joins its queue (the spy recounts the queues), where the
+    passes that follow find it."""
+    stream = ([(0.0, "besteffort", SMALL[0])] * 11
+              + [(0.002 + 0.01 * k, "premium", SMALL[2]) for k in range(4)])
+
+    def build(cls):
+        cluster = scaled_cluster(3)
+        system = build_system("proposed", cluster, shared_catalog)
+        tenancy = TenantScheduler(system, [
+            TenantParameters(name="premium", priority=1, weight=2.0,
+                             preemptible=False),
+            TenantParameters(name="besteffort", priority=0, weight=1.0,
+                             preemptible=True),
+        ], TenancyParameters())
+        tasks = [Task(task_id=i, model_key=m, arrival_s=a, tenant=t)
+                 for i, (a, t, m) in enumerate(stream)]
+        return cls(tenancy, "tenancy"), tasks
+
+    _, merged = _run_both(build, DIRECT_START_DIGESTS["preempt"])
+    assert merged.walks["direct"]["requeues"] > 0
+    assert merged.scheduler.stats.tasks_preempted > 0
+
+
+def _count_walks(simulator) -> dict:
+    """Spy on the merge dispatcher ``simulator`` (before ``run``): count
+    its direct starts and its passes over one queue, and the declines,
+    parks, drops and preemptions inside them.  A direct start tries one
+    task, which starts, is dropped, or declines and stays queued; when it
+    returns, its tasks requeued by a preemption have joined their queues
+    and an emptied queue is gone (:func:`_assert_queues_recount`)."""
+    walks = {
+        "direct": dict.fromkeys(("tries", "declines", "drops", "requeues"),
+                                0),
+        "lone": dict.fromkeys(("passes", "parks", "drops", "requeues"), 0),
+    }
+    walking = []  # the counts of each running pass, None for a merge
+
+    def arrive(task, inner=simulator._arrive):
+        if simulator.pending_count or simulator._dispatching:
+            return inner(task)
+        # Into an empty backlog, with no pass running: once admitted, the
+        # task is tried directly.
+        counts = walks["direct"]
+        attempts = simulator.try_start_attempts
+        walking.append(counts)
+        try:
+            inner(task)
+        finally:
+            walking.pop()
+        if simulator.try_start_attempts > attempts:
+            counts["tries"] += 1
+            counts["declines"] += any(
+                queued is task
+                for queued in simulator.queued_tasks(task.model_key))
+        _assert_queues_recount(simulator)
 
     def dispatch_pass(inner=simulator._dispatch_pass):
-        walking.append(len(simulator._queues) == 1)
+        counts = walks["lone"] if len(simulator._queues) == 1 else None
+        walking.append(counts)
         parked, skips = simulator.parked_passes, simulator.watermark_skips
         try:
             return inner()
         finally:
-            if walking.pop():
-                lone["passes"] += 1
+            walking.pop()
+            if counts is not None:
+                counts["passes"] += 1
                 # A walk skips tasks only past a park.
-                lone["parks"] += (simulator.parked_passes == parked
-                                  and simulator.watermark_skips > skips)
+                counts["parks"] += (simulator.parked_passes == parked
+                                    and simulator.watermark_skips > skips)
 
     def drop_queued(task, inner=simulator.drop_queued):
-        lone["abandons"] += walking[-1:] == [True]
+        if walking and walking[-1] is not None:
+            walking[-1]["drops"] += 1
         inner(task)
 
     def abort_running(task, inner=simulator.abort_running):
-        lone["requeues"] += walking[-1:] == [True]
+        if walking and walking[-1] is not None:
+            walking[-1]["requeues"] += 1
         inner(task)
 
+    simulator._arrive = arrive
     simulator._dispatch_pass = dispatch_pass
     simulator.drop_queued = drop_queued
     simulator.abort_running = abort_running
+    return walks
+
+
+def _assert_queues_recount(simulator) -> None:
+    """Outside a pass: every queue is non-empty, nothing waits to be
+    requeued, and the per-model counts and the backlog count recount."""
+    counts = {}
+    for key, queue in simulator._queues.items():
+        assert queue.entries and queue.key == key
+        counts[queue.model_key] = (counts.get(queue.model_key, 0)
+                                   + len(queue.entries))
+    assert not simulator._requeued
+    assert simulator._counts == counts
+    assert simulator._queued == sum(counts.values())
 
 
 #: Schedule digests of the serving tests below, pinned so that a request
@@ -809,7 +975,9 @@ def test_layered_stacks_match_the_reference(
     ``try_start`` calls and counters, the controller's included
     (``quota_rejections`` among them), must equal the reference's
     exactly.  On the merge dispatcher every decline's reason is checked
-    against those counters (:func:`_check_declines`)."""
+    against those counters (:func:`_check_declines`), and every drawn run
+    that completes must have started some arrival directly
+    (:func:`_run_both`), so the comparison covers the direct start."""
     isolation = isolation and stack == "bare"
     rng = random.Random(seed)
     arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))

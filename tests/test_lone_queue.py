@@ -1,10 +1,11 @@
-"""A pass over one queue walks it, and only a pass rebuilds the queue view.
+"""A pass over one queue walks it; a pass or a direct start rebuilds the view.
 
 When exactly one (tenant, model) queue holds work, a dispatch pass walks
 its entries in FIFO order and asks no class prefix (``dispatch_key``):
 with nothing to merge the queue with, no prefix can change the order.  A
 dispatch that leaves nothing queued does not rebuild the simulator's
-``queue_view``; the next pass rebuilds it first, so every ``try_start``,
+``queue_view``; the next pass, or the direct start of an arrival that
+finds the backlog empty, rebuilds it first, so every ``try_start``,
 ``retry_hint`` and ``wake_key`` still reads the current counts.
 """
 
@@ -73,12 +74,17 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     and the view is not rebuilt then.  Only a pass rebuilds it, exactly
     when its counts are dirty, parked passes included, and every
     ``try_start``, ``retry_hint`` and ``wake_key`` reads the counts its
-    pass began with."""
+    pass began with.  An arrival that finds the backlog empty starts
+    directly, without a pass: it shows a fresh view, the counts as they
+    stand once it is queued alone, to the hooks its start asks."""
     system, scheduler = stack(shared_catalog)
     simulator = ClusterSimulator(scheduler, "spied")
-    in_pass = []  # the counts the running pass began with
-    rebuilt = []  # the view of each pass that rebuilt it
+    # The counts the running pass began with; for a direct start, the view
+    # it found, until its first read.
+    in_pass = []
+    rebuilt = []  # the view of each pass or direct start that rebuilt it
     emptied = []  # dispatches that emptied the backlog
+    direct = []  # the model of each direct start
 
     def counts_now():
         counts = {}
@@ -98,21 +104,49 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
             if simulator.queue_view is not view:
                 rebuilt.append(simulator.queue_view)
 
-    def dispatch(inner=simulator._dispatch):
+    def check_emptied(queued):
+        if queued and not simulator.pending_count:
+            emptied.append(simulator.queue.now)
+            # Stale: still the counts of the pass or direct start that
+            # emptied the backlog.
+            assert simulator.queue_view is rebuilt[-1] != {}
+
+    def dispatch(progress=True, inner=simulator._dispatch):
         nested = simulator._dispatching
         queued = simulator.pending_count
-        inner()
-        if not nested and queued and not simulator.pending_count:
-            emptied.append(simulator.queue.now)
-            # Stale: still the counts of the pass that emptied the backlog.
-            assert simulator.queue_view is rebuilt[-1] != {}
+        inner(progress)
+        if not nested:
+            check_emptied(queued)
+
+    def arrive(task, inner=simulator._arrive):
+        if simulator.pending_count or simulator._dispatching:
+            return inner(task)
+        attempts = simulator.try_start_attempts
+        in_pass.append(("direct", simulator.queue_view))
+        try:
+            inner(task)
+        finally:
+            in_pass.pop()
+        if simulator.try_start_attempts > attempts:
+            direct.append(task.model_key)
+            check_emptied(1)
 
     def reads_view(hook):
         def spy(*args, inner=getattr(scheduler, hook)):
-            assert in_pass and simulator.queue_view == in_pass[-1], hook
+            assert in_pass, hook
+            if isinstance(in_pass[-1], tuple):
+                # A direct start's first read, its try_start: the view is
+                # fresh, and the counts with the task queued alone.
+                assert hook == "try_start"
+                assert simulator.queue_view is not in_pass[-1][1]
+                in_pass[-1] = counts_now()
+                assert in_pass[-1] == {args[0].model_key: 1}
+                rebuilt.append(simulator.queue_view)
+            assert simulator.queue_view == in_pass[-1], hook
             return inner(*args)
         return spy
 
+    simulator._arrive = arrive
     simulator._dispatch_pass = dispatch_pass
     simulator._dispatch = dispatch
     for hook in ("try_start", "retry_hint", "wake_key"):
@@ -129,3 +163,5 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     assert len(result.completed) + len(result.dropped) == len(tasks)
     assert len(emptied) >= 8
     assert rebuilt and {} not in rebuilt
+    # Most arrivals find the backlog empty and start directly.
+    assert len(direct) > len(tasks) // 2
