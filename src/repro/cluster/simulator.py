@@ -18,14 +18,14 @@ change the order, so none is asked.
 
 Dispatch is incremental: when a model's task fails to start, the simulator
 records a *watermark* — the resource-state version it failed under, the
-scheduler's earliest time-gate hint (:meth:`Scheduler.retry_hint`), the
-task that declined and that decline's wake key (:meth:`Scheduler.wake_key`)
-— and parks every task of that model while the clock is short of the hint
-and either the version is unchanged or the visit is to the task that
-declined and its wake key still equals the recorded one.  Every arrival,
-start, finish, drop, preemption and external event bumps the version.  A
-parked attempt is one the scheduler would provably have declined, with the
-same hint and no side effect, so schedules (and therefore experiment
+hint the declining layer wrote in ``task.retry_at``, the task that
+declined and that decline's wake key (:meth:`Scheduler.wake_key`) — and
+parks every task of that model while the clock is short of the hint and
+either the version is unchanged or the visit is to the task that declined
+and its wake key still equals the recorded one.  Every arrival, start,
+finish, drop, preemption and external event bumps the version.  A parked
+attempt is one the scheduler would provably have declined, with the same
+hint and no side effect, so schedules (and therefore experiment
 outputs) are identical to those of a task-by-task walk that retries every
 blocked model after every event, while the number of placement attempts
 drops by orders of magnitude.  Parking costs O(1) per queue, not per task:
@@ -82,8 +82,8 @@ class Task:
     ``model_key`` identifies the benchmark model (e.g. ``"gru-h1536-t375"``);
     the scheduler resolves it against its catalog.  The fields after
     ``tenant`` belong to the layers a run drives the task through, each
-    written only by its owner (``decline`` by whichever layer declined the
-    last start); a task runs in one simulation only.
+    written only by its owner (``decline`` and ``retry_at`` by whichever
+    layer declined the last start); a task runs in one simulation only.
     """
 
     task_id: int
@@ -117,6 +117,11 @@ class Task:
     #: frontend's ``"backoff"`` or ``"breaker"``, the tenancy layer's
     #: ``"preempt"``.  A drop leaves it as it was.
     decline: str | None = _run_state()
+    #: Written beside ``decline``: the earliest time a retry could succeed
+    #: with no release in between, never later than the true one (``inf``
+    #: when only a release can help).  The default, for a scheduler that
+    #: writes none, retries the model every pass.
+    retry_at: float = _run_state(float("-inf"))
     #: The serving frontend's ``RequestRecord`` and the tenant scheduler's
     #: ``TenancyRecord``.
     serving: object = _run_state()
@@ -144,17 +149,12 @@ class Scheduler(Protocol):
         """Attempt to start ``task``; returns its service time in seconds,
         or ``None`` when resources are currently unavailable.  The
         framework's layers write why in ``task.decline``, for the layers
-        above them to read."""
+        above them to read, and when a retry could succeed in
+        ``task.retry_at``, which the simulator reads to skip provably
+        fruitless attempts."""
 
     def on_finish(self, task: Task, now: float) -> None:
         """Release whatever ``try_start`` reserved."""
-
-    def retry_hint(self, task: Task, now: float) -> float:
-        """Optional: after ``try_start`` declined ``task``, the earliest
-        future time a retry could succeed *without* any resource release in
-        between (``math.inf`` when only a release can help).  Hints must be
-        conservative (never later than the true unblock time); the simulator
-        uses them to skip provably fruitless attempts."""
 
     def admit(self, task: Task, now: float) -> bool:
         """Optional (serving layer): called once at arrival, before the
@@ -163,19 +163,20 @@ class Scheduler(Protocol):
         simulator's queue depths do not count the task yet."""
 
     def wake_key(self, task: Task):
-        """Optional: after ``try_start`` declined ``task`` with a hint still
-        ahead of the clock, a value summarising every input that decline
-        and its hint read, or ``None`` for no key.  Asked right after the
-        decline, and again, in a later resource version, when a pass visits
-        the same task while the clock is short of its hint.  The contract:
-        with the same key, the same task and the clock short of the hint, a
-        repeat ``try_start`` declines again, ``retry_hint`` gives the same
-        hint, and neither has a side effect — so the simulator parks the
-        model instead of asking.  Read off the outermost scheduler only;
-        without the hook every version bump retries every blocked model.
-        A scheduler whose decline may preempt or spend a retry budget must
-        leave it out.  A decline may itself evict: the key is read after
-        it, and a key moves with whatever a later decline evicts."""
+        """Optional: after ``try_start`` declined ``task`` with a hint (its
+        ``retry_at``) still ahead of the clock, a value summarising every
+        input that decline and its hint read, or ``None`` for no key.
+        Asked right after the decline, and again, in a later resource
+        version, when a pass visits the same task while the clock is short
+        of its hint.  The contract: with the same key, the same task and
+        the clock short of the hint, a repeat ``try_start`` declines again
+        with the same ``retry_at`` and no side effect — so the simulator
+        parks the model instead of asking.  Read off the outermost
+        scheduler only; without the hook every version bump retries every
+        blocked model.  A scheduler whose decline may preempt or spend a
+        retry budget must leave it out.  A decline may itself evict: the
+        key is read after it, and a key moves with whatever a later decline
+        evicts."""
 
     def dispatch_key(self, task: Task) -> tuple:
         """Optional: the class prefix of ``task``'s queue in one pass's
@@ -323,7 +324,6 @@ class ClusterSimulator:
         if self._dispatch_key is None:
             self._dispatch_key = getattr(
                 getattr(scheduler, "system", scheduler), "dispatch_key", None)
-        self._retry_hint = getattr(scheduler, "retry_hint", None)
         self._wake_key = getattr(scheduler, "wake_key", None)
 
     # -- pending queues -----------------------------------------------------------
@@ -378,14 +378,11 @@ class ClusterSimulator:
     def _declined(self, task: Task, now: float) -> bool:
         """Record the watermark of ``task``'s declined start, for a pass
         and a direct start alike; returns whether it parks the model (its
-        hint is ahead of the clock)."""
-        retry_hint = self._retry_hint
-        # No hint: retry every pass (exhaustive).
-        hint = retry_hint(task, now) if retry_hint is not None else now
-        park = now < hint
+        ``retry_at`` is ahead of the clock)."""
+        park = now < task.retry_at
         wake_key = self._wake_key
         self._blocked[task.model_key] = (
-            self._resource_version, hint, task,
+            self._resource_version, task.retry_at, task,
             wake_key(task) if park and wake_key is not None else None,
         )
         return park

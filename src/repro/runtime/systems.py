@@ -155,6 +155,7 @@ class ProposedSystem:
             # the controller provably cannot place it, so don't charge a
             # placement failure for re-asking.
             task.decline = "defrag"
+            task.retry_at = math.inf  # its completion bumps the version
             return None
         controller = self.controller
         tenant = task.tenant
@@ -165,6 +166,7 @@ class ProposedSystem:
             if copies > 0 and not self._expansion_allowed(task.model_key):
                 # Wait for the busy copy instead of expanding.
                 task.decline = "busy"
+                task.retry_at = self.earliest_retry(task, now)
                 return None
             waited = now - task.arrival_s
             if copies > 0:
@@ -192,6 +194,8 @@ class ProposedSystem:
                 if placed == "capacity":
                     # A quota refusal is policy: compaction cannot help it.
                     self._maybe_defrag(task.model_key, now)
+                # After the deploy and any defrag: either can move the hint.
+                task.retry_at = self.earliest_retry(task, now)
                 return None
             deployment, reconfig = placed
         else:
@@ -263,8 +267,8 @@ class ProposedSystem:
         the hint).  Other models' depths can only hold this model back,
         and while it stays blocked its share of the observed mix only
         shrinks, so ``allow_mixed`` never turns a refusal into a fit.  A
-        hint from the eviction branch of :meth:`retry_hint` also reads the
-        oldest foreign idle copy, which a start or finish can change.
+        hint from the eviction branch of :meth:`earliest_retry` also reads
+        the oldest foreign idle copy, which a start or finish can change.
         """
         controller = self.controller
         if controller.migration_enabled or controller.recovery_enabled:
@@ -278,8 +282,8 @@ class ProposedSystem:
         if idle and controller.tenant_isolation:
             idle = controller.find_idle_deployment(model_key, task.tenant)
         key = (controller.index.generation, not idle, depth >= 2, pressured)
-        # The hint's eviction branch (see :meth:`retry_hint`); a model has
-        # copies exactly when its key is in the per-model index.
+        # The hint's eviction branch (see :meth:`earliest_retry`); a model
+        # has copies exactly when its key is in the per-model index.
         if (
             (pressured and self.expansion_enabled
              or model_key not in controller._by_model)
@@ -289,8 +293,9 @@ class ProposedSystem:
             return (*key, self._stale_at(task))
         return key
 
-    def retry_hint(self, task: Task, now: float) -> float:
-        """Earliest time a declined task could start absent releases.
+    def earliest_retry(self, task: Task, now: float) -> float:
+        """Earliest time a declined task could start absent releases: its
+        ``retry_at`` at a decline here or at a serving frontend's gates.
 
         Two of the controller's gates open purely with the clock: the
         requester ageing past the eviction-patience window, and an idle
@@ -495,15 +500,15 @@ class BaselineSystem:
             # without touching the pool's offline assignment.
             self._assign_extra(spec)
             boards = self._assignment.get(task.model_key)
-            if boards is None:
-                return None
-        if any(board.busy_until_task is not None for board in boards):
-            return None
-        if len(boards) == 1:
+        if boards is None or any(b.busy_until_task is not None for b in boards):
+            latency = None
+        elif len(boards) == 1:
             latency = self._single_latency(spec, boards[0])
         else:
             latency = self._pair_latency(spec, boards)
         if latency is None:
+            # Static allocation has no time gates: only a finish can help.
+            task.retry_at = math.inf
             return None
         cost = self._switch_cost(spec, boards)
         self._occupy(task, spec, boards)
@@ -525,11 +530,6 @@ class BaselineSystem:
         for board in task.placement:
             board.busy_until_task = None
         task.placement = None
-
-    def retry_hint(self, task: Task, now: float) -> float:
-        """Static allocation has no time gates: a declined task can only
-        start after one of its assigned boards frees up (a finish)."""
-        return math.inf
 
 
 def build_system(

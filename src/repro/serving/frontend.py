@@ -255,22 +255,27 @@ class ServingFrontend:
         record = task.serving
         if now < record.next_attempt_s:
             task.decline = "backoff"  # retry backoff gate
-            return None
-        if self._all_breakers_open(task.model_key):
+        elif self._all_breakers_open(task.model_key):
             self.stats.breaker_rejections += 1
             task.decline = "breaker"
-            return None
-        service = self.system.try_start(task, now)
-        if service is None:
+        else:
+            service = self.system.try_start(task, now)
+            if service is not None:
+                # Started: let brownout react to the new utilisation.  The
+                # simulator takes the task off its queue once this returns.
+                record.started = True
+                self.stats.started += 1
+                self._update_brownout(now, starting=task.model_key)
+                return service
             if task.decline == "capacity":
                 self._placement_failed(task, now)
+            # After an abandon, which takes the task off its queue.
+            task.retry_at = self._backoff_hint(task, now, task.retry_at)
             return None
-        # Started: let brownout react to the new utilisation.  The
-        # simulator takes the task off its queue once this returns.
-        record.started = True
-        self.stats.started += 1
-        self._update_brownout(now, starting=task.model_key)
-        return service
+        # A gate declined before the system saw the task.
+        task.retry_at = self._backoff_hint(
+            task, now, self.system.earliest_retry(task, now))
+        return None
 
     def _placement_failed(self, task: Task, now: float) -> None:
         record = task.serving
@@ -332,13 +337,13 @@ class ServingFrontend:
                     self._drain(breaker)
         self._update_brownout(now)
 
-    # -- Scheduler protocol: hints --------------------------------------------
+    # -- retry hints ---------------------------------------------------------
 
-    def retry_hint(self, task: Task, now: float) -> float:
-        """Conservative per-model gate: the earliest moment *any* queued
-        request of this model could act — its backoff expiry when backing
-        off, the inner scheduler's hint otherwise."""
-        inner = self.system.retry_hint(task, now)
+    def _backoff_hint(self, task: Task, now: float, inner: float) -> float:
+        """The ``task.retry_at`` of a decline: a conservative per-model
+        gate, the earliest moment *any* queued request of this model could
+        act — its backoff expiry when backing off, the system's hint
+        ``inner`` otherwise."""
         if self._backoff_until <= now:
             return inner  # nothing queued is backing off
         queued = self._simulator.queued_tasks(task.model_key)

@@ -34,12 +34,12 @@ way the frontend wraps the system).  It adds:
   but not the work.
 
 The layer calls its inner layer directly for the hooks it works around
-(``try_start``, ``on_finish``, ``retry_hint``, ``bind_simulator``), and
-probes only ``admit`` and ``requeue``, which a bare system does not
-define.  It learns why an inner start declined from ``task.decline``, and
-writes its own reason, ``"preempt"``, there when a teardown for the model
-is pending or the decline started a sweep; ``retry_hint`` then waits for
-the teardown, as it waits for a release after ``"quota"``.  The queue
+(``try_start``, ``on_finish``, ``bind_simulator``), and probes only
+``admit`` and ``requeue``, which a bare system does not define.  It
+learns why an inner start declined from ``task.decline``, and writes its
+own reason, ``"preempt"``, there when a teardown for the model is pending
+or the decline started a sweep; ``task.retry_at`` is then ``math.inf``,
+to wait for the teardown, as after ``"quota"`` for a release.  The queue
 view the system reads is the simulator's, and the tenant a placement is
 for travels as an argument (``task.tenant``, which the system passes to
 the controller), so nothing here forwards either.
@@ -182,10 +182,6 @@ class TenantScheduler:
             self._tenants[name] = state
         return state
 
-    def tenant(self, name: str) -> TenantState:
-        """One tenant's runtime state (tests read it)."""
-        return self._state(name)
-
     def tenant_report(self) -> dict:
         """Per-tenant outcome summary."""
         report = {}
@@ -264,19 +260,12 @@ class TenantScheduler:
         task.tenancy = TenancyRecord()
         return True
 
-    def retry_hint(self, task: Task, now: float) -> float:
-        if task.decline in ("quota", "preempt"):
-            # Quota: only a release/discard (a version bump) helps.
-            # Preempt: the teardown's completion is an external event that
-            # bumps the version itself.
-            return math.inf
-        return self.inner.retry_hint(task, now)
-
     def try_start(self, task: Task, now: float) -> float | None:
         if self._preempt_pending.get(task.model_key, 0) > 0:
             # Blocks for this model are already being reclaimed; starting
             # another sweep before they land would over-evict.
             task.decline = "preempt"
+            task.retry_at = math.inf
             return None
         state = self._state(task.tenant)
         service = self.inner.try_start(task, now)
@@ -285,6 +274,10 @@ class TenantScheduler:
                 task, state, now
             ):
                 task.decline = "preempt"
+            if task.decline in ("quota", "preempt"):
+                # Only a version bump helps: a release or a discard, or the
+                # teardown's completion (an external event).
+                task.retry_at = math.inf
             return None
         state.running += 1
         record = task.tenancy

@@ -128,7 +128,7 @@ def test_a_stale_idle_deployment_wakes_every_model(shared_catalog):
     controller.release(deployment, patience)
     stale_at = system.wake_key(waiting)[4]
     assert stale_at == pytest.approx(2 * patience)
-    assert system.retry_hint(waiting, patience) == stale_at
+    assert system.earliest_retry(waiting, patience) == stale_at
 
 
 # -- the simulator's wake rule ---------------------------------------------------
@@ -148,14 +148,12 @@ class _OneBoard:
     def try_start(self, task, now):
         self.calls.append((task.model_key, now))
         if task.model_key == "b" and not self.finished:
+            task.retry_at = float("inf")
             return None
         return 1.0
 
     def on_finish(self, task, now):
         self.finished += 1
-
-    def retry_hint(self, task, now):
-        return float("inf")
 
 
 def _run(scheduler):
@@ -186,8 +184,9 @@ def test_a_quiet_arrival_retries_only_its_own_model(wakes_all):
 
 
 class _Gated:
-    """Model ``"b"`` is declined until ``OPEN_S`` whatever else happens;
-    ``"a"`` runs for 0.1 s.  Its wake key never changes."""
+    """Model ``"b"`` is declined until ``OPEN_S`` whatever else happens,
+    with that instant as its ``retry_at``; ``"a"`` runs for 0.1 s.  Its
+    wake key never changes."""
 
     OPEN_S = 0.5
 
@@ -199,15 +198,13 @@ class _Gated:
     def try_start(self, task, now):
         self.calls.append((task.model_key, now))
         if task.model_key == "b" and now < self.OPEN_S:
+            self.hints.append((task.task_id, now))
+            task.retry_at = self.OPEN_S
             return None
         return 0.1
 
     def on_finish(self, task, now):
         pass
-
-    def retry_hint(self, task, now):
-        self.hints.append((task.task_id, now))
-        return self.OPEN_S
 
     def wake_key(self, task):
         self.keys.append(task.task_id)
@@ -221,8 +218,8 @@ def test_a_quiet_start_or_finish_neither_retries_nor_rehints():
     simulator = ClusterSimulator(scheduler)
     result = simulator.run(tasks)
     assert len(result.completed) == 2
-    # "b" is tried at its arrival and once its gate opens, and its hint is
-    # asked only after its decline; the arrival, start and finish of "a"
+    # "b" is tried at its arrival and once its gate opens, and writes a
+    # hint only at its one decline; the arrival, start and finish of "a"
     # each ask its key instead.
     assert scheduler.calls[:2] == [("b", 0.0), ("a", 0.25)]
     [(model_key, now)] = scheduler.calls[2:]

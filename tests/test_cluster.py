@@ -216,8 +216,10 @@ class _ResidencyScheduler:
 
 class _TimeGatedScheduler:
     """Declines every task until it has aged past a fixed gate, and
-    exposes the optional ``retry_hint`` so the simulator can skip the
+    writes the gate in ``task.retry_at`` so the simulator can skip the
     provably fruitless attempts in between."""
+
+    hinted = True
 
     def __init__(self, gate_s=0.1):
         self.gate_s = gate_s
@@ -227,26 +229,26 @@ class _TimeGatedScheduler:
     def try_start(self, task, now):
         self.attempts += 1
         if now - task.arrival_s < self.gate_s:
+            if self.hinted:
+                self.hints += 1
+                task.retry_at = task.arrival_s + self.gate_s
             return None
         return 0.001
 
     def on_finish(self, task, now):
         pass
 
-    def retry_hint(self, task, now):
-        self.hints += 1
-        return task.arrival_s + self.gate_s
-
 
 class _UnhintedTimeGatedScheduler(_TimeGatedScheduler):
-    """Same gate, no hint (the simulator treats ``None`` as absent)."""
+    """Same gate, no hint (``task.retry_at`` keeps its default)."""
 
-    retry_hint = None
+    hinted = False
 
 
 class TestOptionalSchedulerProtocol:
     """The simulator must work with and without the optional
-    ``dispatch_key`` / ``retry_hint`` methods (discovered via getattr)."""
+    ``dispatch_key`` method (discovered via getattr) and a declining
+    scheduler's ``task.retry_at``."""
 
     def test_fast_path_tasks_served_first(self):
         scheduler = _ResidencyScheduler(hot="hot")
@@ -262,7 +264,7 @@ class TestOptionalSchedulerProtocol:
         # scan so the resident model's queued work drains first.
         assert scheduler.order == ["hot", "hot", "cold"]
 
-    def test_retry_hint_gates_attempts(self):
+    def test_retry_at_gates_attempts(self):
         scheduler = _TimeGatedScheduler(gate_s=0.1)
         task = Task(task_id=0, model_key="m", arrival_s=0.0, size_class="S")
         result = ClusterSimulator(scheduler, "t").run([task])

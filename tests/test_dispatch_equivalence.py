@@ -27,6 +27,7 @@ evicting anything.
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,7 +107,6 @@ class ReferenceSimulator(ClusterSimulator):
 
     def _dispatch_pass(self):
         scheduler = self.scheduler
-        retry_hint = getattr(scheduler, "retry_hint", None)
         progress = False
         # Every pass rebuilds the view at its start, changed or not, as the
         # old pass did.
@@ -141,8 +141,8 @@ class ReferenceSimulator(ClusterSimulator):
             self.attempts += 1
             service = scheduler.try_start(task, now)
             if service is None:
-                hint = retry_hint(task, now) if retry_hint is not None else now
-                self._blocked[task.model_key] = (self._resource_version, hint)
+                self._blocked[task.model_key] = (self._resource_version,
+                                                 task.retry_at)
                 continue
             self._unqueue(task)
             task.start_s = now
@@ -180,8 +180,13 @@ def _run_both(build, expected_digest=None) -> list:
         scheduler = simulator.scheduler
         calls = []
 
+        # The baseline has no controller, and evicts nothing.
+        controller = getattr(scheduler, "controller", None)
+        stats = (controller.stats if controller is not None
+                 else SimpleNamespace(deployments_evicted=0))
+
         def try_start(task, now, inner=scheduler.try_start, calls=calls,
-                      stats=scheduler.controller.stats):
+                      stats=stats):
             evicted = stats.deployments_evicted
             service = inner(task, now)
             calls.append((task.task_id, now, service is None,
@@ -640,33 +645,39 @@ def test_brownout_with_equal_watermarks(shared_catalog):
             frontend.stats.brownout_exits) == (entries, exits)
 
 
-def test_retry_hint_equals_the_backlog_scan(shared_catalog):
-    """Every ``retry_hint`` equals the scan it skips when nothing queued
-    is backing off: the earliest future backoff expiry among the model's
-    queued requests, the inner hint for the rest."""
+def test_retry_at_equals_the_backlog_scan(shared_catalog):
+    """Every frontend decline's ``retry_at`` equals the scan it skips when
+    nothing queued is backing off: the earliest future backoff expiry
+    among the model's queued requests, the system's hint for the rest.
+    Each decline, the frontend's own gates' included, asks the system's
+    hint once."""
     simulator, tasks = _serving_build(shared_catalog, 7)(ClusterSimulator)
     frontend = simulator.scheduler
     system = frontend.system
     inner_hints = []
     checked = {"hints": 0, "backing_off": 0}
 
-    def inner_hint(task, now, inner=system.retry_hint):
+    def earliest_retry(task, now, inner=system.earliest_retry):
         inner_hints.append(inner(task, now))
         return inner_hints[-1]
 
-    def retry_hint(task, now, outer=frontend.retry_hint):
-        hint = outer(task, now)
-        inner = inner_hints.pop()
+    def try_start(task, now, outer=frontend.try_start):
+        service = outer(task, now)
+        if service is not None:
+            assert not inner_hints
+            return service
+        (inner,) = inner_hints
+        inner_hints.clear()
         backoffs = [queued.serving.next_attempt_s
                     for queued in simulator.queued_tasks(task.model_key)]
-        assert hint == min((next_s if next_s > now else inner
-                            for next_s in backoffs), default=inner)
+        assert task.retry_at == min((next_s if next_s > now else inner
+                                     for next_s in backoffs), default=inner)
         checked["hints"] += 1
         checked["backing_off"] += any(next_s > now for next_s in backoffs)
-        return hint
+        return service
 
-    system.retry_hint = inner_hint
-    frontend.retry_hint = retry_hint
+    system.earliest_retry = earliest_retry
+    frontend.try_start = try_start
     simulator.run(tasks)
     assert frontend.stats.placement_retries > 0
     assert checked["backing_off"] > 0
@@ -702,13 +713,14 @@ def test_eviction_heavy_backlog(shared_catalog, isolation):
         system.controller.tenant_isolation = isolation
         patience = system.controller.eviction_patience_s
 
-        def retry_hint(task, now, inner=system.retry_hint):
-            hint = inner(task, now)
-            if now - task.arrival_s >= patience and hint != float("inf"):
-                wakes.append(hint)
-            return hint
+        def try_start(task, now, inner=system.try_start):
+            service = inner(task, now)
+            if (service is None and now - task.arrival_s >= patience
+                    and task.retry_at != float("inf")):
+                wakes.append(task.retry_at)
+            return service
 
-        system.retry_hint = retry_hint
+        system.try_start = try_start
         tasks = [Task(task_id=i, model_key=m, arrival_s=a,
                       tenant=t if isolation else "")
                  for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
@@ -870,7 +882,8 @@ def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
     arrival spreads (one tenant, or two isolated ones) schedules exactly
     as when every arrival, start and finish wakes every model, and only
     skips calls that decline purely.  A one-model, one-tenant stream
-    walks a lone queue in every pass."""
+    walks a lone queue in every pass.  Every decline writes its
+    ``retry_at`` (:func:`_check_hints`)."""
     rng = random.Random(seed)
     arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
     draws = [(rng.choice(MIXED[:models]), rng.choice("ab") if isolation
@@ -883,6 +896,8 @@ def test_arrival_wake_matches_the_reference(shared_catalog, boards, count,
         system.controller.tenant_isolation = isolation
         tasks = [Task(task_id=i, model_key=m, arrival_s=a, tenant=t)
                  for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
+        if cls is ClusterSimulator:
+            _check_hints(system)
         return cls(system, "proposed"), tasks
 
     _run_both_or_wedge(build, isolation)
@@ -908,8 +923,9 @@ def _run_both_or_wedge(build, may_wedge: bool) -> list | None:
         assert errors[0] == errors[1]
 
 
-#: The stacks the layered oracle draws, outermost layer first.
-STACKS = ("bare", "serving", "tenancy", "tenancy-serving")
+#: The stacks the layered oracle draws, outermost layer first; every
+#: framework stack is over a proposed system.
+STACKS = ("bare", "serving", "tenancy", "tenancy-serving", "baseline")
 
 #: Every reason a layer of the framework writes in ``task.decline``.
 DECLINE_REASONS = frozenset({"defrag", "busy", "capacity", "quota",
@@ -947,6 +963,25 @@ def _check_declines(scheduler) -> None:
     scheduler.try_start = try_start
 
 
+def _check_hints(scheduler) -> None:
+    """Wrap the outermost ``try_start`` (before ``run``): each call
+    starts with a sentinel in ``task.retry_at``, and a decline must have
+    overwritten it.  A decline exit that writes no ``retry_at`` would
+    leave an older decline's time there, and the simulator would park the
+    model until then."""
+    inner = scheduler.try_start
+    stale = object()
+
+    def try_start(task, now):
+        task.retry_at = stale
+        service = inner(task, now)
+        if service is None:
+            assert task.retry_at is not stale, (task.task_id, task.decline)
+        return service
+
+    scheduler.try_start = try_start
+
+
 @settings(deadline=None)
 @given(
     stack=st.sampled_from(STACKS),
@@ -967,7 +1002,7 @@ def test_layered_stacks_match_the_reference(
         models, deadline_s, retry_budget, max_queue_depth, quotas):
     """The oracle over the whole stack: a bare system, serving over it,
     tenancy over it, and tenancy over serving, on random clusters and
-    streams.  Serving draws its deadline, retry budget and queue bound;
+    streams, and the AS-ISA baseline beside them.  Serving draws its deadline, retry budget and queue bound;
     tenancy serves a premium tenant over a preemptible best-effort one,
     with preemption on, each with no block quota or a drawn fraction of
     the cluster's blocks.  Isolation is drawn for the bare system only.  A
@@ -975,9 +1010,11 @@ def test_layered_stacks_match_the_reference(
     ``try_start`` calls and counters, the controller's included
     (``quota_rejections`` among them), must equal the reference's
     exactly.  On the merge dispatcher every decline's reason is checked
-    against those counters (:func:`_check_declines`), and every drawn run
-    that completes must have started some arrival directly
-    (:func:`_run_both`), so the comparison covers the direct start."""
+    against those counters (:func:`_check_declines`), every decline of
+    every stack must write its ``retry_at`` (:func:`_check_hints`), and
+    every drawn run that completes must have started some arrival
+    directly (:func:`_run_both`), so the comparison covers the direct
+    start."""
     isolation = isolation and stack == "bare"
     rng = random.Random(seed)
     arrivals = sorted(rng.uniform(0.0, span_s) for _ in range(count))
@@ -989,6 +1026,14 @@ def test_layered_stacks_match_the_reference(
 
     def build(cls):
         cluster = scaled_cluster(boards)
+        tasks = [Request(task_id=i, model_key=m, arrival_s=a,
+                         size_class="S", tenant=t)
+                 for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
+        if stack == "baseline":
+            scheduler = build_system("baseline", cluster)
+            if cls is ClusterSimulator:
+                _check_hints(scheduler)
+            return cls(scheduler, stack), tasks
         system = build_system("proposed", cluster, shared_catalog)
         system.controller.tenant_isolation = isolation
         scheduler = system
@@ -1007,16 +1052,14 @@ def test_layered_stacks_match_the_reference(
                 TenantParameters(name="besteffort", priority=0,
                                  preemptible=True, block_quota=besteffort),
             ], TenancyParameters(isolation=False, preemption_enabled=True))
-        tasks = [Request(task_id=i, model_key=m, arrival_s=a,
-                         size_class="S", tenant=t)
-                 for i, (a, (m, t)) in enumerate(zip(arrivals, draws))]
         if cls is ClusterSimulator:
             _check_declines(scheduler)
+            _check_hints(scheduler)
         return cls(scheduler, stack), tasks
 
     quota_drawn = tenanted and quotas != (None, None)
     simulators = _run_both_or_wedge(build, isolation or quota_drawn)
-    if stack != "bare" and simulators is not None:
+    if stack not in ("bare", "baseline") and simulators is not None:
         reference, merged = (vars(simulator.scheduler.controller.stats)
                              for simulator in simulators)
         assert merged == reference

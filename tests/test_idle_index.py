@@ -150,11 +150,11 @@ class TestIsolationFilters:
         show_counts(system, {SMALL: system.EXPANSION_PRESSURE})
         patience = controller.eviction_patience_s
         task = Task(task_id=0, model_key=SMALL, arrival_s=0.0, tenant="a")
-        hint = system.retry_hint(task, now=patience)
+        hint = system.earliest_retry(task, now=patience)
         assert hint == 0.002 + patience - 1e-12
         controller.tenant_isolation = False
         # Without isolation the copy is reusable, not foreign: no wake.
-        assert system.retry_hint(task, now=patience) == math.inf
+        assert system.earliest_retry(task, now=patience) == math.inf
 
     def test_wake_hint_is_the_oldest_foreign_idle_copy(self, catalog):
         system = _system(catalog, boards=4)
@@ -167,7 +167,7 @@ class TestIsolationFilters:
         patience = controller.eviction_patience_s
         show_counts(system, {})
         task = Task(task_id=0, model_key="lstm-h512-t25", arrival_s=0.0)
-        hint = system.retry_hint(task, now=patience)
+        hint = system.earliest_retry(task, now=patience)
         assert hint == 0.001 + patience - 1e-12
 
 

@@ -5,8 +5,9 @@ its entries in FIFO order and asks no class prefix (``dispatch_key``):
 with nothing to merge the queue with, no prefix can change the order.  A
 dispatch that leaves nothing queued does not rebuild the simulator's
 ``queue_view``; the next pass, or the direct start of an arrival that
-finds the backlog empty, rebuilds it first, so every ``try_start``,
-``retry_hint`` and ``wake_key`` still reads the current counts.
+finds the backlog empty, rebuilds it first, so every ``try_start`` (and
+the ``retry_at`` its decline writes) and ``wake_key`` still reads the
+current counts.
 """
 
 import pytest
@@ -36,7 +37,7 @@ def test_a_lone_queue_asks_no_prefix(scheduler_class):
         [_task(i, "a", 0.01 * i) for i in range(4)])
     assert len(result.completed) == 4
     hooks = {hook for hook, _ in lone.calls}
-    assert hooks == {"try_start", "retry_hint", "wake_key"}
+    assert hooks == {"try_start", "wake_key"}
 
     merged = scheduler_class()
     ClusterSimulator(merged, "merged").run(
@@ -73,8 +74,8 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     """Bursts that drain between them: the backlog empties many times,
     and the view is not rebuilt then.  Only a pass rebuilds it, exactly
     when its counts are dirty, parked passes included, and every
-    ``try_start``, ``retry_hint`` and ``wake_key`` reads the counts its
-    pass began with.  An arrival that finds the backlog empty starts
+    ``try_start`` (its decline's ``retry_at`` included) and ``wake_key``
+    reads the counts its pass began with.  An arrival that finds the backlog empty starts
     directly, without a pass: it shows a fresh view, the counts as they
     stand once it is queued alone, to the hooks its start asks."""
     system, scheduler = stack(shared_catalog)
@@ -149,7 +150,7 @@ def test_the_view_is_pushed_by_passes_only(shared_catalog, stack):
     simulator._arrive = arrive
     simulator._dispatch_pass = dispatch_pass
     simulator._dispatch = dispatch
-    for hook in ("try_start", "retry_hint", "wake_key"):
+    for hook in ("try_start", "wake_key"):
         if hasattr(scheduler, hook):
             setattr(scheduler, hook, reads_view(hook))
     tasks = [

@@ -21,8 +21,8 @@ OPEN_S = 0.05
 
 
 class _Gated:
-    """Declines every task until ``OPEN_S`` and hints that instant; its
-    wake key never changes.  Records every hook the simulator calls as
+    """Declines every task until ``OPEN_S``, writing that instant as its
+    ``retry_at``; its wake key never changes.  Records every hook the simulator calls as
     ``(hook, now)``, and each new simulator queue view a hook read as
     ``(now, view)``.  Its own order hook stands for the tenancy layer's
     (the "tenancy" cases)."""
@@ -44,14 +44,13 @@ class _Gated:
 
     def try_start(self, task, now):
         self._called("try_start")
-        return 0.01 if now >= OPEN_S else None
+        if now >= OPEN_S:
+            return 0.01
+        task.retry_at = OPEN_S
+        return None
 
     def on_finish(self, task, now):
         pass
-
-    def retry_hint(self, task, now):
-        self._called("retry_hint")
-        return OPEN_S
 
     def wake_key(self, task):
         self._called("wake_key")
@@ -85,9 +84,6 @@ class _Layer:
 
     def on_finish(self, task, now):
         pass
-
-    def retry_hint(self, task, now):
-        return self.system.retry_hint(task, now)
 
     def wake_key(self, task):
         return self.system.wake_key(task)
@@ -152,7 +148,6 @@ def test_one_stale_watermark_runs_the_whole_pass(parked, stale):
     # Only b's watermark is stale: a's queue parks on its unchanged key,
     # b's head is asked again.
     assert hooks.count("try_start") == 1
-    assert hooks.count("retry_hint") == 1
 
 
 def test_the_next_pass_that_asks_shows_every_arrival():
@@ -174,4 +169,4 @@ def test_the_next_pass_that_asks_shows_every_arrival():
     assert scheduler.views[-1][1] == {"a": 2, "b": 3}
     asked = [hook for hook, now in scheduler.calls if now >= OPEN_S]
     assert asked.count("try_start") == 5
-    assert "wake_key" not in asked and "retry_hint" not in asked
+    assert "wake_key" not in asked

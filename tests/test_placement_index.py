@@ -206,8 +206,8 @@ class _PreemptOnce(_Picky):
 
 class _Condemning(_Picky):
     """:class:`_Picky` whose ``try_start`` first runs the action set for
-    that task id (a ``drop_queued`` call), and whose retry hint parks a
-    declined model (``inf``) once ``park`` is set."""
+    that task id (a ``drop_queued`` call), and whose declines' ``retry_at``
+    parks the model (``inf``) once ``park`` is set."""
 
     def __init__(self, accept=()):
         super().__init__(accept)
@@ -221,10 +221,10 @@ class _Condemning(_Picky):
         action = self.actions.pop(task.task_id, None)
         if action is not None:
             action()
-        return super().try_start(task, now)
-
-    def retry_hint(self, task, now):
-        return math.inf if self.park else now
+        service = super().try_start(task, now)
+        if service is None:
+            task.retry_at = math.inf if self.park else now
+        return service
 
 
 def _queued_ids(simulator, key=("", "m")):

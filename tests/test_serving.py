@@ -257,24 +257,27 @@ class TestRetryBudget:
         for task in tasks:
             assert task.serving.attempts == 0
 
-    def test_retry_hint_waits_for_the_earliest_backoff(self, catalog):
+    def test_retry_at_waits_for_the_earliest_backoff(self, catalog):
         """A model's hint is the earliest moment any of its queued requests
         could act: the inner hint once one is not backing off, else the
         earliest backoff expiry, even when the inner hint is earlier; with
         nothing of the model queued, or every backoff past, the inner
-        hint."""
+        hint.  A backoff decline writes it, over the system's hint."""
         _, system, frontend = _frontend(catalog)
         tasks = _requests(3, gap_s=0.0)
         assert all(queue_tasks(frontend, tasks))
         for task, next_s in zip(tasks, (3.0, 2.0, 4.0)):
             task.serving.next_attempt_s = next_s
         frontend._backoff_until = 4.0
-        system.retry_hint = lambda task, now: 0.5
-        assert frontend.retry_hint(tasks[0], 1.0) == 2.0
-        assert frontend.retry_hint(tasks[0], 2.5) == 0.5
-        assert frontend.retry_hint(tasks[0], 4.0) == 0.5
+        system.earliest_retry = lambda task, now: 0.5
+        assert frontend.try_start(tasks[0], 1.0) is None
+        assert tasks[0].decline == "backoff"
+        assert tasks[0].retry_at == 2.0
+        assert frontend.try_start(tasks[0], 2.5) is None
+        assert tasks[0].retry_at == 0.5
+        assert frontend._backoff_hint(tasks[0], 4.0, 0.5) == 0.5
         other = _requests(1, model_key="lstm-h256-t150")[0]
-        assert frontend.retry_hint(other, 1.0) == 0.5
+        assert frontend._backoff_hint(other, 1.0, 0.5) == 0.5
 
     def test_backoff_is_jittered_and_bounded(self, catalog):
         params = ServingParameters(retry_jitter=0.5, retry_base_s=0.002)

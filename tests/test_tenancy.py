@@ -118,8 +118,8 @@ class TestDispatchOrdering:
         )
         # The low-priority tenant arrived earlier and has less virtual
         # time, yet strict priority still orders the high class first.
-        scheduler.tenant("lo").vtime = 0.0
-        scheduler.tenant("hi").vtime = 99.0
+        scheduler._state("lo").vtime = 0.0
+        scheduler._state("hi").vtime = 99.0
         late = Task(task_id=1, model_key="m", arrival_s=5.0, tenant="hi")
         early = Task(task_id=0, model_key="m", arrival_s=0.0, tenant="lo")
         assert scheduler.dispatch_key(late) < scheduler.dispatch_key(early)
@@ -132,8 +132,8 @@ class TestDispatchOrdering:
                 TenantParameters(name="b", weight=1.0),
             ],
         )
-        scheduler.tenant("a").vtime = 1.0
-        scheduler.tenant("b").vtime = 2.0
+        scheduler._state("a").vtime = 1.0
+        scheduler._state("b").vtime = 2.0
         task_a = Task(task_id=1, model_key="m", arrival_s=9.0, tenant="a")
         task_b = Task(task_id=0, model_key="m", arrival_s=0.0, tenant="b")
         assert scheduler.dispatch_key(task_a) < scheduler.dispatch_key(task_b)
@@ -147,9 +147,9 @@ class TestDispatchOrdering:
         assert queue_tasks(scheduler, [
             Task(task_id=1, model_key="m", arrival_s=0.0, tenant="a")
         ]) == [True]
-        busy = scheduler.tenant("a")
+        busy = scheduler._state("a")
         busy.vtime = 10.0
-        idle = scheduler.tenant("b")
+        idle = scheduler._state("b")
         idle.vtime = 0.0
         task = Task(task_id=0, model_key="m", arrival_s=0.0, tenant="b")
         assert queue_tasks(scheduler, [task]) == [True]
@@ -178,8 +178,8 @@ class TestDispatchOrdering:
         )
         result = ClusterSimulator(scheduler, "wfq").run(tasks)
         assert len(result.completed) == 80
-        heavy = scheduler.tenant("heavy")
-        light = scheduler.tenant("light")
+        heavy = scheduler._state("heavy")
+        light = scheduler._state("light")
         mean_heavy = sum(heavy.latencies_s) / len(heavy.latencies_s)
         mean_light = sum(light.latencies_s) / len(light.latencies_s)
         assert mean_heavy < mean_light
@@ -204,8 +204,8 @@ class TestDispatchOrdering:
         )
         result = ClusterSimulator(scheduler, "prio").run(tasks)
         assert len(result.completed) == 80
-        prem = scheduler.tenant("prem")
-        be = scheduler.tenant("be")
+        prem = scheduler._state("prem")
+        be = scheduler._state("be")
         assert (
             sum(prem.latencies_s) / len(prem.latencies_s)
             < sum(be.latencies_s) / len(be.latencies_s)
@@ -298,18 +298,27 @@ class TestQuotaEnforcement:
         admitted = queue_tasks(scheduler, tasks)
         assert admitted == [True, True, False, False, False]
         assert scheduler.stats.quota_sheds == 3
-        assert scheduler.tenant("q").shed == 3
+        assert scheduler._state("q").shed == 3
 
     def test_quota_decline_hints_infinite_retry(self, shared_catalog):
+        """A quota decline and a decline behind a pending teardown each
+        overwrite the system's ``retry_at`` (here the end of the patience
+        window) with ``inf``: only a version bump can help."""
         system = _proposed(paper_cluster(), shared_catalog)
-        scheduler = TenantScheduler(system, [TenantParameters(name="t")])
+        scheduler = TenantScheduler(system, [
+            TenantParameters(name="t", block_quota=1)])
         task = Task(task_id=7, model_key="gru-h512-t1", arrival_s=0.0,
                     tenant="t")
         queue_tasks(scheduler, [task])
-        task.decline = "quota"
-        assert scheduler.retry_hint(task, 1.0) == math.inf
-        task.decline = "preempt"
-        assert scheduler.retry_hint(task, 1.0) == math.inf
+        assert system.earliest_retry(task, 0.0) < math.inf
+        assert scheduler.try_start(task, 0.0) is None
+        assert task.decline == "quota"
+        assert task.retry_at == math.inf
+        scheduler._preempt_pending[task.model_key] = 1
+        task.retry_at = 0.0
+        assert scheduler.try_start(task, 0.0) is None
+        assert task.decline == "preempt"
+        assert task.retry_at == math.inf
 
 
 def _overload_setup(catalog, board_count=8, task_count=120,
@@ -370,7 +379,7 @@ class TestPreemption:
         assert stats.tasks_preempted > 0
         assert stats.preempted_completed == stats.preempted_distinct
         assert len(result.completed) == len(tasks)
-        assert scheduler.tenant("besteffort").preempted > 0
+        assert scheduler._state("besteffort").preempted > 0
         # Checkpoint and restore streams were actually charged.
         assert stats.checkpoint_s > 0.0
         assert stats.restore_s > 0.0
@@ -406,7 +415,7 @@ class TestPreemption:
         _, _, tasks = _overload_setup(shared_catalog)
         result = ClusterSimulator(scheduler, "novictims").run(tasks)
         assert scheduler.stats.deployments_preempted == 0
-        assert scheduler.tenant("besteffort").preempted == 0
+        assert scheduler._state("besteffort").preempted == 0
         assert len(result.completed) == len(tasks)
 
     def test_resume_credit_charges_restore_plus_remaining(
@@ -455,7 +464,7 @@ class TestPreemption:
         scheduler._execute_preemption(
             [deployment], Task(task_id=0, model_key="gru-h512-t1",
                                arrival_s=0.0, tenant="t"),
-            scheduler.tenant("t"), 0.0,
+            scheduler._state("t"), 0.0,
         )
         assert scheduler.stats.checkpoint_s == engine.DRAIN_S + stream
 
@@ -487,7 +496,7 @@ class TestPreemption:
         monkeypatch.setattr(scheduler, "_plan_victims", planned)
         task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
                     tenant=starved)
-        state = scheduler.tenant(starved)
+        state = scheduler._state(starved)
         if plans:
             with pytest.raises(AssertionError, match="victim planning ran"):
                 scheduler._maybe_preempt(task, state, 0.0)
@@ -506,7 +515,7 @@ class TestPreemption:
         scheduler._preempt_gate_s = 1.0
         task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
                     tenant="hi")
-        state = scheduler.tenant("hi")
+        state = scheduler._state("hi")
         # Inside the cooldown window no sweep may start, whatever the
         # cluster looks like.
         assert not scheduler._maybe_preempt(task, state, 0.9999)
