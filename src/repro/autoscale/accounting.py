@@ -7,8 +7,8 @@ measures are kept per model:
 
 * **replica-seconds** — each deployment contributes its plan's replica
   count for its lifetime (the fleet-size metric the bench gates on);
-* **block-seconds** — each deployment contributes its block footprint
-  (:meth:`~repro.runtime.controller.SystemController.plan_footprint`),
+* **block-seconds** — each deployment contributes its plan's block
+  footprint (``DeploymentPlan.footprint``),
   the finer-grained rent a real cloud would bill.
 
 Deployments still resident when a run ends are charged up to the
@@ -49,9 +49,7 @@ class ReplicaLedger:
 
     def on_instantiate(self, deployment, now: float) -> None:
         plan = deployment.plan
-        blocks = plan.replicas * min(
-            image.virtual_blocks for image in plan.images.values()
-        )
+        blocks = plan.footprint
         tenant = getattr(deployment, "tenant", "")
         self._open[deployment.deployment_id] = (
             deployment.model_key, plan.replicas, blocks, now, tenant

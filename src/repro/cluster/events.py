@@ -16,9 +16,10 @@ from ..errors import SimulationError
 class EventQueue:
     """Min-heap of timed callbacks.
 
-    :meth:`schedule` and :meth:`schedule_in` push an event; :meth:`run`
-    pops and fires events in ``(time, insertion)`` order, inline in its
-    loop, and counts them in :attr:`processed`."""
+    :meth:`schedule_all` adds a batch of events (a run's arrivals) with
+    one heapify, and :meth:`schedule_in` pushes one; :meth:`run` pops and
+    fires events in ``(time, insertion)`` order, inline in its loop, and
+    counts them in :attr:`processed`."""
 
     def __init__(self):
         self._heap: list = []
@@ -26,13 +27,26 @@ class EventQueue:
         self.now = 0.0
         self.processed = 0
 
-    def schedule(self, when: float, callback: Callable, *args) -> None:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self.now - 1e-15:
+    def schedule_all(self, events: list) -> None:
+        """Schedule each ``(when, callback, args)`` of ``events`` to fire as
+        ``callback(*args)`` at absolute time ``when``.
+
+        Insertion order is list order, after every event already
+        scheduled, so events pop exactly as if pushed one at a time; the
+        heap is restored once, by one ``heapify``.  Raises, scheduling
+        none of them, when any time is before the current one."""
+        entries = [
+            (when, seq, callback, args)
+            for (when, callback, args), seq in zip(events, self._sequence)
+        ]
+        earliest = min(entries)[0] if entries else self.now
+        if earliest < self.now - 1e-15:
             raise SimulationError(
-                f"cannot schedule at {when} before current time {self.now}"
+                f"cannot schedule at {earliest} before current time {self.now}"
             )
-        heapq.heappush(self._heap, (when, next(self._sequence), callback, args))
+        heap = self._heap
+        heap += entries
+        heapq.heapify(heap)
 
     def schedule_in(self, delay: float, callback: Callable, *args) -> None:
         """Schedule relative to the current time."""

@@ -59,6 +59,7 @@ watermark (the arrival moved the version, and the task never declined).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
@@ -113,7 +114,8 @@ class Task:
     attempted: bool = _run_state(False)
     #: Why the last ``try_start`` declined, in the words of the layer that
     #: declined it (``None`` once a start placed the task): the system's
-    #: ``"defrag"``, ``"busy"``, ``"capacity"`` or ``"quota"``, the serving
+    #: ``"defrag"``, ``"busy"``, ``"capacity"`` or ``"quota"`` (the
+    #: baseline's ``"busy"`` or ``"capacity"``), the serving
     #: frontend's ``"backoff"`` or ``"breaker"``, the tenancy layer's
     #: ``"preempt"``.  A drop leaves it as it was.
     decline: str | None = _run_state()
@@ -493,7 +495,8 @@ class ClusterSimulator:
         callback(self.queue.now)
         self.external_events += 1
         self._resource_version += 1
-        self._dispatch()
+        if self._queued:
+            self._dispatch()
 
     # -- preemption (tenancy layer) ----------------------------------------------
 
@@ -800,7 +803,8 @@ class ClusterSimulator:
 
     def _retry(self) -> None:
         self._retry_scheduled = False
-        self._dispatch()
+        if self._queued:
+            self._dispatch()
 
     def _finish(self, task: Task, epoch: int) -> None:
         if task.run_epoch != epoch:
@@ -812,9 +816,29 @@ class ClusterSimulator:
         self._on_finish(task, self.queue.now)
         self._result.completed.append(task)
         self._resource_version += 1
-        self._dispatch()
+        if self._queued:
+            self._dispatch()
 
     # -- entry point -----------------------------------------------------------------
+
+    def _offer(self, tasks: list) -> float:
+        """Mark every task offered and schedule its arrival, all in one
+        :meth:`EventQueue.schedule_all` (list order breaks arrival ties);
+        returns the first arrival time."""
+        arrive = self._arrive
+        arrivals = []
+        first = math.inf
+        for task in tasks:
+            if task.seq is not None:  # listed twice, or another run's
+                raise SimulationError(
+                    f"task {task.task_id} already arrived in a run")
+            task.seq = -1  # offered; arrival gives it its place
+            arrival = task.arrival_s
+            if arrival < first:
+                first = arrival
+            arrivals.append((arrival, arrive, (task,)))
+        self.queue.schedule_all(arrivals)
+        return first
 
     def run(self, tasks: list) -> SimulationResult:
         """Simulate the full task stream to completion.
@@ -826,12 +850,7 @@ class ClusterSimulator:
         if not tasks:
             raise SimulationError("no tasks to simulate")
         self._resolve_hooks()
-        for task in tasks:
-            if task.seq is not None:  # listed twice, or another run's
-                raise SimulationError(
-                    f"task {task.task_id} already arrived in a run")
-            task.seq = -1  # offered; arrival gives it its place
-            self.queue.schedule(task.arrival_s, self._arrive, task)
+        first = self._offer(tasks)
         self.queue.run()
         for callback in self._run_end:
             callback()
@@ -850,5 +869,5 @@ class ClusterSimulator:
                 f"{len(result.completed)} completed, {len(result.dropped)} "
                 f"dropped, {self._running_count} still running"
             )
-        result.makespan_s = self.queue.now - min(t.arrival_s for t in tasks)
+        result.makespan_s = self.queue.now - first
         return result

@@ -60,16 +60,20 @@ class DeploymentPlan:
     maps device-type name to the replica image for that type (replicas on
     different device types are allowed — the heterogeneous support).
     ``programs[i]`` is replica ``i``'s transformed ISA program.
+
+    The catalog fixes ``feasible_types`` (the image types, sorted) and
+    ``footprint`` (the virtual blocks the plan occupies in its cheapest
+    per-type image, the size order quotas, brownout and scale-down use)
+    once the images are final; a plan's images never change after that,
+    so placement reads them instead of recounting.
     """
 
     model_key: str
     replicas: int
     images: dict = field(default_factory=dict)
     programs: list = field(default_factory=list)
-
-    @property
-    def feasible_types(self) -> list:
-        return sorted(self.images)
+    feasible_types: list = field(default_factory=list, init=False)
+    footprint: int = field(default=0, init=False)
 
     def image_for(self, device_type: str) -> ReplicaImage:
         try:
@@ -171,11 +175,15 @@ class Catalog:
     def entry_by_key(self, model_key: str) -> CatalogEntry:
         """The catalog entry for a model key (built on first request).
 
-        The migration/defrag layer resolves cross-type remaps through
-        this: every plan's ``images`` dict is the per-type mapping
-        database, so moving a replica to another device type is a lookup,
-        not a recompile.
+        Every placement finds its entry here, so a built entry is one dict
+        probe.  The migration/defrag layer resolves cross-type remaps
+        through this too: every plan's ``images`` dict is the per-type
+        mapping database, so moving a replica to another device type is a
+        lookup, not a recompile.
         """
+        entry = self._entries.get(model_key)
+        if entry is not None:
+            return entry
         from ..workloads.deepbench import model_by_key
 
         return self.entry(model_by_key(model_key))
@@ -233,7 +241,13 @@ class Catalog:
             image = self._compile_instance(spec, choice.config, device_type)
             if image is not None:
                 plan.images[device_type] = image
-        return plan if plan.images else None
+        if not plan.images:
+            return None
+        plan.feasible_types = sorted(plan.images)
+        plan.footprint = replicas * min(
+            image.virtual_blocks for image in plan.images.values()
+        )
+        return plan
 
     def _compile_instance(
         self, spec: ModelSpec, config: AcceleratorConfig, device_type: str

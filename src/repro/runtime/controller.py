@@ -172,6 +172,8 @@ class PlacementIndex:
             entries.sort()
         for boards_of_type in self._id_order.values():
             boards_of_type.sort(key=lambda b: b.fpga_id)
+        #: The device types present, sorted once: boards never change type.
+        self._types = sorted(self._by_type)
 
     def _pop_exact(self, entries: list, expected: tuple) -> None:
         """Remove ``expected`` from ``entries``, verifying it is present.
@@ -210,7 +212,7 @@ class PlacementIndex:
     # -- queries -------------------------------------------------------------
 
     def device_types(self) -> list:
-        return sorted(self._by_type)
+        return self._types
 
     def max_free(self, device_type: str) -> int:
         """Largest free-block count on any board of ``device_type``."""
@@ -495,7 +497,7 @@ class SystemController:
         leaves the diagnostic to :meth:`deploy`.
         """
         self.stats.deploy_calls += 1
-        entry = self.catalog.entry(model_by_key(model_key))
+        entry = self.catalog.entry_by_key(model_key)
         plans = entry.sorted_plans()
         if self.prefer_narrow:
             plans = sorted(plans, key=self.plan_footprint)
@@ -534,10 +536,9 @@ class SystemController:
     @staticmethod
     def plan_footprint(plan: DeploymentPlan) -> int:
         """Total virtual blocks a plan occupies in its cheapest per-type
-        image — the size ordering brownout and scale-down switches use."""
-        return plan.replicas * min(
-            image.virtual_blocks for image in plan.images.values()
-        )
+        image — the size ordering brownout and scale-down switches use
+        (stored on the plan when the catalog built it)."""
+        return plan.footprint
 
     def place_plan(
         self, plan: DeploymentPlan, now: float, tenant: str = ""
@@ -875,12 +876,11 @@ class SystemController:
         free the whole plan loop is skipped.  One memoised catalog probe
         per device type against the index's largest free hole."""
         index = self.index
-        return any(
-            self.catalog.placement_feasible(
-                model_key, device_type, index.max_free(device_type)
-            )
-            for device_type in index.device_types()
-        )
+        feasible = self.catalog.placement_feasible
+        for device_type in index.device_types():
+            if feasible(model_key, device_type, index.max_free(device_type)):
+                return True
+        return False
 
     def _find_placement(
         self, plan: DeploymentPlan, allow_mixed: bool = True

@@ -500,19 +500,23 @@ class BaselineSystem:
             # without touching the pool's offline assignment.
             self._assign_extra(spec)
             boards = self._assignment.get(task.model_key)
-        if boards is None or any(b.busy_until_task is not None for b in boards):
-            latency = None
-        elif len(boards) == 1:
-            latency = self._single_latency(spec, boards[0])
+        if boards is None:
+            task.decline = "capacity"  # no board can ever host it
+        elif any(b.busy_until_task is not None for b in boards):
+            task.decline = "busy"
         else:
-            latency = self._pair_latency(spec, boards)
-        if latency is None:
-            # Static allocation has no time gates: only a finish can help.
-            task.retry_at = math.inf
-            return None
-        cost = self._switch_cost(spec, boards)
-        self._occupy(task, spec, boards)
-        return cost + latency
+            # The static assignment holds only boards the model fits.
+            if len(boards) == 1:
+                latency = self._single_latency(spec, boards[0])
+            else:
+                latency = self._pair_latency(spec, boards)
+            cost = self._switch_cost(spec, boards)
+            self._occupy(task, spec, boards)
+            task.decline = None
+            return cost + latency
+        # Static allocation has no time gates: only a finish can help.
+        task.retry_at = math.inf
+        return None
 
     def _assign_extra(self, spec: ModelSpec) -> None:
         """Statically place a model that was not in the offline pool."""

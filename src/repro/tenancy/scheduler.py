@@ -86,11 +86,13 @@ class TenantState:
 @dataclass(slots=True)
 class TenancyRecord:
     """The tenancy layer's state for one admitted request until it
-    finishes (``task.tenancy``): the ``(remaining_service_s,
-    restore_stream_s)`` credit owed to its next start after a preemption,
-    the finish time of its current run, and whether it was ever
-    preempted.  Why its last start declined is ``task.decline``."""
+    finishes (``task.tenancy``): its tenant's :class:`TenantState`, set
+    once at admission, the ``(remaining_service_s, restore_stream_s)``
+    credit owed to its next start after a preemption, the finish time of
+    its current run, and whether it was ever preempted.  Why its last
+    start declined is ``task.decline``."""
 
+    state: TenantState
     resume_credit: tuple | None = None
     finish_s: float = 0.0
     preempted: bool = False
@@ -127,6 +129,9 @@ class TenantScheduler:
         params: TenancyParameters | None = None,
     ):
         self.inner = inner
+        #: The inner layer's admission (a frontend's), or ``None`` for a
+        #: bare system, which has none.
+        self._inner_admit = getattr(inner, "admit", None)
         #: The placement-owning system (the frontend exposes its wrapped
         #: system; a bare system is its own).
         self.system = getattr(inner, "system", inner)
@@ -225,7 +230,7 @@ class TenantScheduler:
     def dispatch_key(self, task: Task) -> tuple:
         """Strict priority classes, fair-share virtual time within one; the
         simulator breaks ties by arrival FIFO."""
-        state = self._state(task.tenant)
+        state = task.tenancy.state
         return (-state.params.priority, state.vtime)
 
     def _active(self, name: str, state: TenantState) -> bool:
@@ -243,7 +248,7 @@ class TenantScheduler:
             state.shed += 1
             self.stats.quota_sheds += 1
             return False
-        inner_admit = getattr(self.inner, "admit", None)
+        inner_admit = self._inner_admit
         if inner_admit is not None and not inner_admit(task, now):
             state.shed += 1
             return False
@@ -257,7 +262,7 @@ class TenantScheduler:
             ]
             if active:
                 state.vtime = max(state.vtime, min(active))
-        task.tenancy = TenancyRecord()
+        task.tenancy = TenancyRecord(state)
         return True
 
     def try_start(self, task: Task, now: float) -> float | None:
@@ -267,7 +272,8 @@ class TenantScheduler:
             task.decline = "preempt"
             task.retry_at = math.inf
             return None
-        state = self._state(task.tenant)
+        record = task.tenancy
+        state = record.state
         service = self.inner.try_start(task, now)
         if service is None:
             if task.decline == "capacity" and self._maybe_preempt(
@@ -280,7 +286,6 @@ class TenantScheduler:
                 task.retry_at = math.inf
             return None
         state.running += 1
-        record = task.tenancy
         credit = record.resume_credit
         if credit is not None:
             record.resume_credit = None
@@ -297,11 +302,12 @@ class TenantScheduler:
         return service
 
     def on_finish(self, task: Task, now: float) -> None:
-        state = self._state(task.tenant)
+        record = task.tenancy
+        state = record.state
         state.running -= 1
         state.completed += 1
         state.latencies_s.append(now - task.arrival_s)
-        if task.tenancy.preempted:
+        if record.preempted:
             self.stats.preempted_completed += 1
         task.tenancy = None  # nothing reads it after the finish
         self.inner.on_finish(task, now)
@@ -317,8 +323,7 @@ class TenantScheduler:
             return True
         blocks = state.params.block_quota
         return blocks is None or (
-            self.ledger.open_blocks(tenant)
-            + self.controller.plan_footprint(plan) <= blocks
+            self.ledger.open_blocks(tenant) + plan.footprint <= blocks
         )
 
     # -- preemption ----------------------------------------------------------
@@ -368,7 +373,7 @@ class TenantScheduler:
         qualifies when its free blocks plus its victims' blocks cover one
         replica image."""
         controller = self.controller
-        for device_type in sorted(plan.feasible_types):
+        for device_type in plan.feasible_types:
             image = plan.images[device_type]
             needed = image.virtual_blocks
             taken: set[str] = set()
@@ -449,7 +454,7 @@ class TenantScheduler:
         if not record.preempted:
             record.preempted = True
             self.stats.preempted_distinct += 1
-        owner = self._state(victim_task.tenant)
+        owner = record.state
         owner.running -= 1
         owner.preempted += 1
         self.stats.tasks_preempted += 1

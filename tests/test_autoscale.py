@@ -119,8 +119,8 @@ class TestAutoscaleParameters:
 class TestReplicaLedger:
     @staticmethod
     def _deployment(dep_id, replicas, blocks_per_replica=3, model_key=MODEL):
-        image = SimpleNamespace(virtual_blocks=blocks_per_replica)
-        plan = SimpleNamespace(replicas=replicas, images={"any": image})
+        plan = SimpleNamespace(replicas=replicas,
+                               footprint=replicas * blocks_per_replica)
         return SimpleNamespace(
             deployment_id=dep_id, model_key=model_key, plan=plan
         )

@@ -2,6 +2,7 @@
 discrete-event simulator."""
 
 import copy
+import random
 
 import pytest
 
@@ -23,47 +24,55 @@ class TestEventQueue:
     def test_events_fire_in_time_order(self):
         queue = EventQueue()
         fired = []
-        queue.schedule(2.0, fired.append, "late")
-        queue.schedule(1.0, fired.append, "early")
+        queue.schedule_all([(2.0, fired.append, ("late",)),
+                            (1.0, fired.append, ("early",))])
         queue.run()
         assert fired == ["early", "late"]
 
     def test_ties_break_by_insertion(self):
         queue = EventQueue()
         fired = []
-        queue.schedule(1.0, fired.append, "first")
-        queue.schedule(1.0, fired.append, "second")
+        queue.schedule_all([(1.0, fired.append, ("first",)),
+                            (1.0, fired.append, ("second",))])
+        queue.schedule_all([(1.0, fired.append, ("third",))])
         queue.run()
-        assert fired == ["first", "second"]
+        assert fired == ["first", "second", "third"]
 
     def test_schedule_in_relative(self):
         queue = EventQueue()
         fired = []
-        queue.schedule(1.0, lambda: queue.schedule_in(0.5, fired.append, "x"))
+        queue.schedule_all([
+            (1.0, lambda: queue.schedule_in(0.5, fired.append, "x"), ()),
+        ])
         queue.run()
         assert queue.now == pytest.approx(1.5)
 
     def test_past_scheduling_rejected(self):
         queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
+        fired = []
+        queue.schedule_all([(1.0, lambda: None, ())])
         queue.run()
         with pytest.raises(SimulationError):
-            queue.schedule(0.5, lambda: None)
+            queue.schedule_all([(2.0, fired.append, ("kept out",)),
+                                (0.5, fired.append, ("past",))])
         with pytest.raises(SimulationError):
             queue.schedule_in(-0.5, lambda: None)
+        # A refused batch schedules none of its events.
+        assert queue.run() == 1.0
+        assert fired == []
 
     def test_run_until(self):
         queue = EventQueue()
         fired = []
-        queue.schedule(1.0, fired.append, "a")
-        queue.schedule(5.0, fired.append, "b")
+        queue.schedule_all([(1.0, fired.append, ("a",)),
+                            (5.0, fired.append, ("b",))])
         queue.run(until=2.0)
         assert fired == ["a"]
         assert queue.now == 2.0
 
     def test_run_until_advances_an_empty_queue(self):
         queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
+        queue.schedule_all([(1.0, lambda: None, ())])
         queue.run(until=3.0)
         assert queue.now == 3.0
         queue.schedule_in(0.5, lambda: None)
@@ -75,10 +84,29 @@ class TestEventQueue:
         def rearm():
             queue.schedule_in(0.001, rearm)
 
-        queue.schedule(0.0, rearm)
+        queue.schedule_all([(0.0, rearm, ())])
         with pytest.raises(SimulationError, match="runaway"):
             queue.run(max_events=100)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bulk_order_equals_one_at_a_time(self, seed):
+        """One batch pops in the ``(time, insertion)`` order pushing its
+        events one at a time gives, ties included, after events already
+        scheduled and beside events pushed while it fires."""
+        rng = random.Random(seed)
+        times = [rng.choice((0.0, 0.5, 1.0, 1.5, rng.random()))
+                 for _ in range(60)]
+        fired = []
+        queue = EventQueue()
+        queue.schedule_in(1.0, fired.append, "before")
+        queue.schedule_all([(when, fired.append, (index,))
+                            for index, when in enumerate(times)])
+        queue.schedule_in(0.5, fired.append, "after")
+        queue.run()
+        pushed = [(1.0, -1, "before")]
+        pushed += [(when, index, index) for index, when in enumerate(times)]
+        pushed.append((0.5, len(times), "after"))
+        assert fired == [label for *_, label in sorted(pushed)]
 
 class TestRingNetwork:
     def _ring(self, nodes=4, **kwargs):

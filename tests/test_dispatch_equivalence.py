@@ -37,7 +37,7 @@ from repro.cluster import ClusterSimulator, Task, scaled_cluster
 from repro.cluster.topology import paper_cluster
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultModelParameters
-from repro.runtime import Catalog, build_system
+from repro.runtime import BaselineSystem, Catalog, build_system
 from repro.serving import (
     Request,
     ServingFrontend,
@@ -923,7 +923,7 @@ def _run_both_or_wedge(build, may_wedge: bool) -> list | None:
         assert errors[0] == errors[1]
 
 
-#: The stacks the layered oracle draws, outermost layer first; every
+#: The stacks the layered oracle runs, outermost layer first; every
 #: framework stack is over a proposed system.
 STACKS = ("bare", "serving", "tenancy", "tenancy-serving", "baseline")
 
@@ -937,7 +937,12 @@ def _check_declines(scheduler) -> None:
     ``task.decline`` at ``None``, a decline at a reason that agrees with
     the counters the layers keep — a quota rejection iff ``"quota"``, a
     placement failure iff ``"capacity"`` or a ``"preempt"`` that started
-    a preemption sweep."""
+    a preemption sweep.  The baseline keeps no such counters: its
+    reason is ``"busy"``, or ``"capacity"`` iff the model has no static
+    assignment."""
+    if isinstance(scheduler, BaselineSystem):
+        _check_baseline_declines(scheduler)
+        return
     stats = scheduler.controller.stats
     tenancy = scheduler.stats if isinstance(scheduler, TenantScheduler) else None
     inner = scheduler.try_start
@@ -963,6 +968,26 @@ def _check_declines(scheduler) -> None:
     scheduler.try_start = try_start
 
 
+def _check_baseline_declines(scheduler) -> None:
+    """:func:`_check_declines` for the baseline, which has no controller."""
+    inner = scheduler.try_start
+    unset = object()
+
+    def try_start(task, now):
+        task.decline = unset
+        service = inner(task, now)
+        reason = task.decline
+        if service is not None:
+            assert reason is None
+            return service
+        assert reason in ("busy", "capacity"), reason
+        assert (reason == "capacity") == (
+            task.model_key not in scheduler._assignment)
+        return service
+
+    scheduler.try_start = try_start
+
+
 def _check_hints(scheduler) -> None:
     """Wrap the outermost ``try_start`` (before ``run``): each call
     starts with a sentinel in ``task.retry_at``, and a decline must have
@@ -982,9 +1007,12 @@ def _check_hints(scheduler) -> None:
     scheduler.try_start = try_start
 
 
-@settings(deadline=None)
+# Each stack draws an equal share of the profile's examples: 20 each in
+# tier-1, 400 each under the ``oracle`` profile.
+@pytest.mark.parametrize("stack", STACKS)
+@settings(max_examples=settings.default.max_examples // len(STACKS),
+          deadline=None)
 @given(
-    stack=st.sampled_from(STACKS),
     boards=st.integers(min_value=4, max_value=12),
     count=st.integers(min_value=1, max_value=80),
     span_s=st.floats(min_value=0.0, max_value=0.2),
@@ -1010,8 +1038,9 @@ def test_layered_stacks_match_the_reference(
     ``try_start`` calls and counters, the controller's included
     (``quota_rejections`` among them), must equal the reference's
     exactly.  On the merge dispatcher every decline's reason is checked
-    against those counters (:func:`_check_declines`), every decline of
-    every stack must write its ``retry_at`` (:func:`_check_hints`), and
+    against those counters (:func:`_check_declines`; the baseline's
+    against its static assignment), every decline of every stack must
+    write its ``retry_at`` (:func:`_check_hints`), and
     every drawn run that completes must have started some arrival
     directly (:func:`_run_both`), so the comparison covers the direct
     start."""
@@ -1032,6 +1061,7 @@ def test_layered_stacks_match_the_reference(
         if stack == "baseline":
             scheduler = build_system("baseline", cluster)
             if cls is ClusterSimulator:
+                _check_declines(scheduler)
                 _check_hints(scheduler)
             return cls(scheduler, stack), tasks
         system = build_system("proposed", cluster, shared_catalog)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.runtime import Catalog
+from repro.runtime import Catalog, SystemController
 from repro.vital import VitalCompiler
-from repro.workloads.deepbench import ModelSpec
+from repro.workloads.deepbench import ModelSpec, all_models
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,22 @@ class TestEntries:
         first = catalog.entry(ModelSpec("gru", 512, 1))
         second = catalog.entry(ModelSpec("gru", 512, 1))
         assert first is second
+        assert catalog.entry_by_key(first.spec.key) is first
+
+    def test_entry_by_key_rejects_an_unknown_model(self, catalog):
+        with pytest.raises(ReproError, match="unknown benchmark model"):
+            catalog.entry_by_key("gru-h7-t7")
+
+    @pytest.mark.parametrize("spec", all_models(), ids=lambda spec: spec.key)
+    def test_plans_store_their_recounted_footprint_and_types(
+            self, catalog, spec):
+        """The footprint and feasible types stored at build equal a
+        recount from the plan's final images."""
+        for plan in catalog.entry(spec).plans:
+            assert plan.feasible_types == sorted(plan.images)
+            assert plan.footprint == plan.replicas * min(
+                image.virtual_blocks for image in plan.images.values())
+            assert SystemController.plan_footprint(plan) == plan.footprint
 
 
 class TestInstanceReuse:

@@ -1,6 +1,7 @@
 """Tests for the three evaluated systems as simulator schedulers."""
 
 import copy
+import math
 
 import pytest
 
@@ -153,6 +154,22 @@ class TestBaselineSystem:
         assert len(system._assignment[model]) == boards
         del system._assignment[model]
         assert system._assignment == pool_assignment
+
+    def test_declines_say_why(self):
+        """A start clears ``task.decline``; a decline names its cause,
+        ``"busy"`` boards or no static home (``"capacity"``), and only a
+        finish can help either."""
+        system = BaselineSystem(paper_cluster())
+        first, second = _tasks(["gru-h512-t1"] * 2)
+        first.decline = "busy"
+        assert system.try_start(first, 0.0) is not None
+        assert first.decline is None
+        assert system.try_start(second, 0.0) is None
+        assert (second.decline, second.retry_at) == ("busy", math.inf)
+        system._assign_extra = lambda spec: None  # no board can host it
+        (homeless,) = _tasks(["lstm-h1024-t25"])
+        assert system.try_start(homeless, 0.0) is None
+        assert (homeless.decline, homeless.retry_at) == ("capacity", math.inf)
 
     def test_whole_board_occupied(self):
         system = BaselineSystem(paper_cluster())

@@ -118,10 +118,11 @@ class TestDispatchOrdering:
         )
         # The low-priority tenant arrived earlier and has less virtual
         # time, yet strict priority still orders the high class first.
-        scheduler._state("lo").vtime = 0.0
-        scheduler._state("hi").vtime = 99.0
         late = Task(task_id=1, model_key="m", arrival_s=5.0, tenant="hi")
         early = Task(task_id=0, model_key="m", arrival_s=0.0, tenant="lo")
+        queue_tasks(scheduler, [early, late])
+        scheduler._state("lo").vtime = 0.0
+        scheduler._state("hi").vtime = 99.0
         assert scheduler.dispatch_key(late) < scheduler.dispatch_key(early)
 
     def test_vtime_breaks_ties_within_class(self, shared_catalog):
@@ -132,10 +133,11 @@ class TestDispatchOrdering:
                 TenantParameters(name="b", weight=1.0),
             ],
         )
-        scheduler._state("a").vtime = 1.0
-        scheduler._state("b").vtime = 2.0
         task_a = Task(task_id=1, model_key="m", arrival_s=9.0, tenant="a")
         task_b = Task(task_id=0, model_key="m", arrival_s=0.0, tenant="b")
+        queue_tasks(scheduler, [task_b, task_a])
+        scheduler._state("a").vtime = 1.0
+        scheduler._state("b").vtime = 2.0
         assert scheduler.dispatch_key(task_a) < scheduler.dispatch_key(task_b)
 
     def test_activation_floor_normalises_idle_vtime(self, shared_catalog):
@@ -352,6 +354,44 @@ def _overload_setup(catalog, board_count=8, task_count=120,
         key=lambda task: (task.arrival_s, task.task_id),
     )
     return scheduler, system, tasks
+
+
+class TestTenancyRecord:
+    def test_state_is_set_at_admission(self, shared_catalog):
+        """Admission gives a record its tenant's state: a registered
+        tenant's, and the neutral one it registers for an unknown tenant."""
+        system = _proposed(paper_cluster(), shared_catalog)
+        scheduler = TenantScheduler(system, [TenantParameters(name="t")])
+        known = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
+                     tenant="t")
+        stranger = Task(task_id=1, model_key="gru-h512-t1", arrival_s=0.0,
+                        tenant="nobody")
+        queue_tasks(scheduler, [known, stranger])
+        assert known.tenancy.state is scheduler._tenants["t"]
+        assert stranger.tenancy.state is scheduler._tenants["nobody"]
+        assert not stranger.tenancy.state.params.preemptible
+
+    def test_state_survives_a_preemption_requeue(self, shared_catalog):
+        """Every start and finish, a preempted task's restart included,
+        reads the state of the task's own tenant."""
+        scheduler, _, tasks = _overload_setup(shared_catalog)
+        inner_start, inner_finish = scheduler.try_start, scheduler.on_finish
+        restarts = []
+
+        def try_start(task, now):
+            assert task.tenancy.state is scheduler._tenants[task.tenant]
+            if task.tenancy.preempted:
+                restarts.append(task.task_id)
+            return inner_start(task, now)
+
+        def on_finish(task, now):
+            assert task.tenancy.state is scheduler._tenants[task.tenant]
+            inner_finish(task, now)
+
+        scheduler.try_start, scheduler.on_finish = try_start, on_finish
+        ClusterSimulator(scheduler, "record").run(tasks)
+        assert scheduler.stats.tasks_preempted > 0
+        assert restarts
 
 
 class TestPreemption:
