@@ -126,12 +126,21 @@ class MigrationEngine:
     # -- cost model ----------------------------------------------------------
 
     def state_bytes(self, deployment: Deployment, replica_index: int) -> int:
-        """Transferable state of one replica (config + program derived)."""
+        """Transferable state of one replica (config + program derived).
+
+        A constant of the plan, the replica and the device type it sits
+        on, sized once per plan (:attr:`DeploymentPlan.state_bytes`): a
+        plan's images and programs never change once built."""
         plan = deployment.plan
-        placement = deployment.placements[replica_index]
-        image = plan.image_for(placement.device_type)
-        program = plan.programs[min(replica_index, len(plan.programs) - 1)]
-        return architectural_state_bytes(image.instance, program)
+        device_type = deployment.placements[replica_index].device_type
+        key = (device_type, replica_index)
+        sized = plan.state_bytes.get(key)
+        if sized is None:
+            program = plan.programs[min(replica_index, len(plan.programs) - 1)]
+            sized = plan.state_bytes[key] = architectural_state_bytes(
+                plan.image_for(device_type).instance, program
+            )
+        return sized
 
     def host_stream_s(self, deployment: Deployment, lead_s: float = 0.0) -> float:
         """``lead_s`` plus the deployment's architectural state streamed

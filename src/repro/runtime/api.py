@@ -68,7 +68,7 @@ class HypervisorAPI:
             if placed.__class__ is not tuple:
                 return None  # a refusal reason
             deployment, reconfig = placed
-        deployment.acquire()
+        self._controller.acquire(deployment)
         handle = TaskHandle(
             handle_id=next(self._ids),
             model_key=model_key,

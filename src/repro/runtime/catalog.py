@@ -74,6 +74,12 @@ class DeploymentPlan:
     programs: list = field(default_factory=list)
     feasible_types: list = field(default_factory=list, init=False)
     footprint: int = field(default=0, init=False)
+    #: Checkpoint size in bytes per ``(device type, replica index)``,
+    #: filled on first use by
+    #: :meth:`~repro.migration.engine.MigrationEngine.state_bytes`.
+    state_bytes: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def image_for(self, device_type: str) -> ReplicaImage:
         try:

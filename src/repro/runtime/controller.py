@@ -11,7 +11,8 @@ bisect-maintained list of ``(free_blocks, fpga_id)`` entries kept current
 by board occupancy notifications, so candidate selection is an index probe
 instead of a cluster scan.  Deployment lookups are likewise indexed: per
 model, and — since the controller is the one writer of deployment state
-(:meth:`SystemController.set_state`) — per idle deployment, so reuse, LRU
+(:meth:`SystemController.acquire`, :meth:`~SystemController.release` and
+:meth:`~SystemController.set_state`) — per idle deployment, so reuse, LRU
 eviction and wake hints read only idle copies.  Real FPGA-virtualization
 runtimes keep allocator state incremental for the same reason; the
 policies themselves are unchanged.
@@ -45,9 +46,10 @@ from .catalog import Catalog, DeploymentPlan
 from .deployment import Deployment, DeploymentState, ReplicaPlacement
 
 
-#: Hot-path alias: an enum member read through its class costs a
+#: Hot-path aliases: an enum member read through its class costs a
 #: descriptor call per access.
 _IDLE = DeploymentState.IDLE
+_BUSY = DeploymentState.BUSY
 
 
 class PlacementPolicy(enum.Enum):
@@ -350,9 +352,9 @@ class SystemController:
         self._ids = itertools.count(1)
         #: model key -> resident deployments in creation order.
         self._by_model: dict[str, list[Deployment]] = {}
-        #: The idle index, kept by :meth:`set_state`: model key -> its idle
-        #: deployments as ``(seq, deployment)`` in creation order (lists may
-        #: be empty) ...
+        #: The idle index, kept by :meth:`acquire`, :meth:`release` and
+        #: :meth:`set_state`: model key -> its idle deployments as ``(seq,
+        #: deployment)`` in creation order (lists may be empty) ...
         self._idle_by_model: dict[str, list] = {}
         #: ... and every idle deployment as ``(last_used_s, seq,
         #: deployment)``, least recently used first, ties in creation order.
@@ -601,15 +603,48 @@ class SystemController:
         self.set_state(deployment, _IDLE, now)
         deployment.checkpoint_origin_s = now
 
+    def acquire(self, deployment: Deployment) -> None:
+        """Start a task on an idle resident deployment: IDLE -> BUSY, and
+        out of the idle index."""
+        if deployment.controller is not self or deployment.state is not _IDLE:
+            raise DeploymentError(
+                f"deployment {deployment.deployment_id} is not idle in this "
+                f"controller"
+            )
+        self._unindex_idle(deployment)
+        deployment.state = _BUSY
+
     def release(self, deployment: Deployment, now: float) -> None:
-        """Return a deployment to idle after a task completes.
+        """Return a deployment to idle after a task completes: BUSY ->
+        IDLE, stamped ``last_used_s = now`` and back in the idle index.
+
+        Releases come in time order from the simulator, so the LRU entry
+        usually belongs at its tail and is appended; one released out of
+        time order (a synchronous caller) is inserted at its place.
 
         If a board under the deployment failed while it was busy, the
         recovery deferred to this transition runs now — the task's results
         had already streamed out, but the replica configuration is gone and
         must be rebuilt before the deployment can serve again.
         """
-        deployment.release(now)
+        if deployment.controller is not self or deployment.state is not _BUSY:
+            raise DeploymentError(
+                f"deployment {deployment.deployment_id} is not busy in this "
+                f"controller"
+            )
+        deployment.state = _IDLE
+        deployment.last_used_s = now
+        deployment.tasks_served += 1
+        seq = deployment.seq
+        bisect.insort(self._idle_by_model[deployment.model_key],
+                      (seq, deployment))
+        lru = self._idle_lru
+        entry = (now, seq, deployment)
+        # Seqs are unique, so the comparison never reaches the deployment.
+        if not lru or lru[-1] < entry:
+            lru.append(entry)
+        else:
+            bisect.insort(lru, entry)
         if deployment.pending_recovery and self.recovery_enabled:
             self.recovery.recover(deployment, now)
 
@@ -621,11 +656,12 @@ class SystemController:
     ) -> None:
         """Move a resident deployment to ``state``.
 
-        Every write of ``Deployment.state`` outside
-        :mod:`repro.runtime.deployment` goes through here, so the idle
-        index cannot drift.  A move to IDLE stamps ``last_used_s = now``
-        (when given).  Only deployments resident here may move: indexing
-        one that was discarded would hand it out for reuse.
+        With :meth:`acquire` and :meth:`release`, which own the IDLE <->
+        BUSY moves of a task's start and finish, every write of
+        ``Deployment.state`` goes through here, so the idle index cannot
+        drift.  A move to IDLE stamps ``last_used_s = now`` (when given).
+        Only deployments resident here may move: indexing one that was
+        discarded would hand it out for reuse.
         """
         if deployment.controller is not self:
             raise DeploymentError(
@@ -659,7 +695,7 @@ class SystemController:
             raise DeploymentError(
                 f"idle index corruption: {deployment.deployment_id} is not "
                 f"where its seq and last_used_s place it (state or "
-                f"last_used_s written around SystemController.set_state)"
+                f"last_used_s written around the controller)"
             )
         del idle[at]
         del lru[at_lru]

@@ -6,11 +6,13 @@ blocks each occupies, and whether a task is currently running on it.
 Deployments persist between tasks of the same model (persistent-NN serving)
 and are evicted LRU when the controller needs their blocks.
 
-A resident deployment's ``state`` belongs to its controller:
-:meth:`~repro.runtime.controller.SystemController.set_state` is the one
-writer, because the controller indexes idle deployments.  :meth:`acquire`
-and :meth:`release` go through it; a deployment no controller holds (tests,
-or one already discarded) just flips its own state.
+A resident deployment's ``state`` belongs to its controller, because the
+controller indexes idle deployments:
+:meth:`~repro.runtime.controller.SystemController.acquire` and
+:meth:`~repro.runtime.controller.SystemController.release` make the
+IDLE <-> BUSY moves of a task's start and finish, and
+:meth:`~repro.runtime.controller.SystemController.set_state` every other
+move.  Nothing here writes it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..errors import DeploymentError
 from .catalog import DeploymentPlan
 
 
@@ -35,10 +36,9 @@ class DeploymentState(enum.Enum):
     RECOVERING = "recovering"
 
 
-#: Hot-path aliases: an enum member read through its class costs a
+#: Hot-path alias: an enum member read through its class costs a
 #: descriptor call per access.
 _IDLE = DeploymentState.IDLE
-_BUSY = DeploymentState.BUSY
 
 
 @dataclass
@@ -114,25 +114,3 @@ class Deployment:
     @property
     def is_idle(self) -> bool:
         return self.state is _IDLE
-
-    def acquire(self) -> None:
-        if self.state is not _IDLE:
-            raise DeploymentError(
-                f"deployment {self.deployment_id} is not idle"
-            )
-        if self.controller is None:
-            self.state = _BUSY
-        else:
-            self.controller.set_state(self, _BUSY)
-
-    def release(self, now: float) -> None:
-        if self.state is not _BUSY:
-            raise DeploymentError(
-                f"deployment {self.deployment_id} is not busy"
-            )
-        if self.controller is None:
-            self.state = _IDLE
-            self.last_used_s = now
-        else:
-            self.controller.set_state(self, _IDLE, now)
-        self.tasks_served += 1

@@ -75,8 +75,10 @@ class ProposedSystem:
         #: The driving DES (see :meth:`bind_simulator`); its
         #: ``queue_view`` is the queue pressure every decision reads.
         self._simulator = None
-        #: model key -> tasks seen (each counted on its first attempt).
+        #: model key -> tasks seen (each counted on its first attempt), and
+        #: their running total.
         self._seen_models: dict[str, int] = {}
+        self._seen_total = 0
 
     @staticmethod
     def _same_type_only() -> bool:
@@ -150,6 +152,7 @@ class ProposedSystem:
             # dispatch loop happened to retry a blocked task.
             task.attempted = True
             seen[task.model_key] = seen.get(task.model_key, 0) + 1
+            self._seen_total += 1
         if task.model_key in self._defrag_pending:
             # A compaction for this model is in flight; until it completes
             # the controller provably cannot place it, so don't charge a
@@ -182,7 +185,7 @@ class ProposedSystem:
             # the observed workload: mixed pairs are only worthwhile when
             # the stream is essentially single-model (otherwise the scarce
             # type serves the other models better).
-            total_seen = sum(seen.values())
+            total_seen = self._seen_total
             other_seen = total_seen - seen.get(task.model_key, 0)
             allow_mixed = other_seen <= 0.05 * total_seen
             placed = controller.try_deploy(
@@ -200,7 +203,7 @@ class ProposedSystem:
             deployment, reconfig = placed
         else:
             controller.stats.reuse_hits += 1
-        deployment.acquire()
+        controller.acquire(deployment)
         task.placement = deployment
         task.decline = None
         deployment.task = task

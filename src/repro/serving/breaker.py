@@ -15,8 +15,10 @@ serving edge from routing work onto a board that keeps killing it:
 
 Signals are fed by the frontend: hard board failures (``BoardHealth``
 transitions observed via ``subscribe_health``) weigh 1.0, completions that
-missed their deadline weigh 0.5.  The breaker never *causes* state loss —
-opening is always a drain, so a false positive costs capacity, not work.
+missed their deadline weigh 0.5.  Every state change is reported to the
+breaker's ``listener`` (the frontend's), whichever path made it.  The
+breaker never *causes* state loss — opening is always a drain, so a false
+positive costs capacity, not work.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ class CircuitBreaker:
     #: True while this breaker holds the board DEGRADED (so it only
     #: repairs a drain it initiated, never an injector's).
     draining: bool = False
+    #: Called as ``listener(breaker, old_state)`` after every state change.
+    listener: object = field(default=None, repr=False, compare=False)
+
+    def _move(self, state: BreakerState) -> None:
+        old_state = self.state
+        self.state = state
+        if self.listener is not None:
+            self.listener(self, old_state)
 
     def _prune(self, now: float) -> None:
         window = self.params.breaker_window_s
@@ -102,22 +112,22 @@ class CircuitBreaker:
             return False
         self.probe_successes += 1
         if self.probe_successes >= self.params.breaker_probe_budget:
-            self.state = BreakerState.CLOSED
             self.consecutive_opens = 0
             self._samples.clear()
+            self._move(BreakerState.CLOSED)
             return True
         return False
 
     # -- transitions ---------------------------------------------------------
 
     def _open(self, now: float) -> None:
-        self.state = BreakerState.OPEN
         self.consecutive_opens += 1
         self.probe_successes = 0
         self._samples.clear()
+        self._move(BreakerState.OPEN)
 
     def half_open(self) -> None:
         """Cooldown elapsed: re-admit the board for probing."""
         if self.state is BreakerState.OPEN:
-            self.state = BreakerState.HALF_OPEN
             self.probe_successes = 0
+            self._move(BreakerState.HALF_OPEN)

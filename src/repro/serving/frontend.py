@@ -26,21 +26,27 @@ or boards fail:
   jittered exponential backoff; exhaustion abandons the request, whose
   decline reason stays ``"capacity"`` (its outcome says it left).
   Waiting behind a busy deployment costs nothing — that is queueing, not
-  failure.
+  failure.  A decline's ``retry_at`` reads a per-model record of the
+  queued requests backing off, not the backlog.
 * **Circuit breakers** — per-board failure/latency windows
   (:mod:`repro.serving.breaker`); an open breaker drains its board
   through the health machinery (``HEALTHY -> DEGRADED``, dropping it from
   the placement index), half-open probes re-admit it.  A completion is
   attributed at finish to the boards of the deployment it ran on (read
   off ``task.placement``), and only when it can move a breaker: it was
-  late, or some breaker is half-open.
+  late, or some breaker is half-open.  A request is rejected without a
+  placement search while none of the boards its model could land on is
+  usable (breaker not open, board not failed); the frontend keeps that
+  count per model, moved by the breakers' own transitions and by board
+  health changes, not by a walk per request.
 * **Brownout** — above a utilisation high watermark the frontend flips
   the controller to narrowest-plan-first dispatch and switches hot
   models' idle deployments to the narrowest catalog plan (a cross-width
   switch is a cold restart, mirroring the recovery manager's scale-down
-  fallback), exiting at a low watermark with hysteresis.  It is
-  evaluated at every start and finish, but only when occupancy moved
-  since the last evaluation that changed nothing.
+  fallback), exiting at a low watermark with hysteresis.  A start or
+  finish evaluates it only when occupancy moved since the last
+  evaluation that changed nothing (a comparison before the call, not
+  inside it).
 
 Everything is opt-in: no behaviour of the wrapped system changes unless a
 frontend is constructed around it, so the Fig. 12 golden path is
@@ -56,11 +62,34 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from ..cluster.simulator import Task
-from ..errors import ReproError
+from ..errors import ReproError, SimulationError
 from ..vital.virtual_block import BoardHealth
 from .breaker import BreakerState, CircuitBreaker
 from .policy import ServingParameters
 from .request import RequestOutcome, RequestRecord
+
+
+#: Hot-path aliases: an enum member read through its class costs a
+#: descriptor call per access.
+_OPEN = BreakerState.OPEN
+_FAILED = BoardHealth.FAILED
+_PENDING = RequestOutcome.PENDING
+
+
+class _UsableBoards(dict):
+    """model key -> how many boards the model could land on are usable
+    (breaker not open, board not failed); ``None`` when the breaker gate
+    does not apply to the model.  A model is counted at its first read."""
+
+    __slots__ = ("_count",)
+
+    def __init__(self, count):
+        super().__init__()
+        self._count = count
+
+    def __missing__(self, model_key: str):
+        usable = self[model_key] = self._count(model_key)
+        return usable
 
 
 def _delay_to(due_s: float, now: float) -> float:
@@ -108,7 +137,14 @@ class ServingStats:
 
 
 class ServingFrontend:
-    """Admission/deadline/retry/breaker/brownout edge over one scheduler."""
+    """Admission/deadline/retry/breaker/brownout edge over one scheduler.
+
+    Its gates read kept state: per model, the usable-board count (moved
+    by breaker transitions, which each breaker reports, and by board
+    health) and the record of queued requests backing off (written at a
+    backoff, pruned lazily); and the cluster's free-block total (moved by
+    board occupancy).  :meth:`_check_books` recounts the first two at run
+    end."""
 
     name = "serving"
 
@@ -128,15 +164,27 @@ class ServingFrontend:
         #: Expiry timers armed so far (one DES event each).
         self.timers_armed = 0
         self._breakers = {
-            fpga_id: CircuitBreaker(fpga_id, self.params)
+            fpga_id: CircuitBreaker(fpga_id, self.params,
+                                    listener=self._on_breaker)
             for fpga_id in self.cluster.boards
         }
         #: Boards whose breaker is half-open: only these (and a late
         #: completion) make a finish walk its boards.
         self._half_open: set[str] = set()
+        #: The breaker gate's counts (see :class:`_UsableBoards`), the
+        #: ``(breaker, board)`` candidates of each counted model, and
+        #: fpga id -> the counted models it is a candidate of.
+        self._usable = _UsableBoards(self._count_usable)
+        self._candidates: dict[str, list] = {}
+        self._gated_on: dict[str, list] = {}
         #: Latest backoff expiry ever set: at or before ``now``, no queued
         #: request is backing off.
         self._backoff_until = 0.0
+        #: model key -> ``{seq: task}`` of its requests that were queued
+        #: backing off when their backoff was set.  An entry whose backoff
+        #: expired or whose request left (started, dropped) is stale and
+        #: pruned when a hint reads the record.
+        self._backing_off: dict[str, dict] = {}
         self._total_blocks = sum(
             len(board.blocks) for board in self.cluster.boards.values()
         )
@@ -145,8 +193,6 @@ class ServingFrontend:
         for board in self.cluster.boards.values():
             self._free_blocks += board.free_blocks
             board.subscribe(self._on_occupancy)
-        #: model key -> (breaker, board) of every board it could land on.
-        self._candidates: dict[str, list] = {}
         self.brownout = False
         #: Free blocks at the last brownout evaluation that changed
         #: nothing (``None``: re-evaluate at the next start or finish).
@@ -162,8 +208,51 @@ class ServingFrontend:
     # -- simulator adoption --------------------------------------------------
 
     def bind_simulator(self, simulator) -> None:
+        """Adopt the driving DES; the frontend's kept records are recounted
+        when its run ends (:meth:`_check_books`)."""
         self._simulator = simulator
         self.system.bind_simulator(simulator)
+        simulator.add_run_end(self._check_books)
+
+    def _check_books(self) -> None:
+        """Raise :class:`SimulationError` naming each kept record that
+        differs from a from-scratch recount (:meth:`_recount`)."""
+        differs = self._recount(self._simulator.queue.now)
+        if differs:
+            raise SimulationError(
+                f"{self.name}: the {' and the '.join(differs)} differ from "
+                f"a recount at run end"
+            )
+
+    def _recount(self, now: float) -> list:
+        """The kept records that differ from a recount at ``now``: the
+        usable-board count of every counted model, and, per model, the
+        live entries of the backoff record against the queued requests
+        whose backoff runs past ``now``."""
+        differs = []
+        for model_key, candidates in self._candidates.items():
+            usable = sum(
+                breaker.state is not _OPEN and board.health is not _FAILED
+                for breaker, board in candidates
+            )
+            if self._usable[model_key] != usable:
+                differs.append("usable-board counts")
+                break
+        simulator = self._simulator
+        for model_key in set(self._backing_off) | set(simulator.queued_models()):
+            live = {
+                seq for seq, task in self._backing_off.get(model_key, {}).items()
+                if task.serving.next_attempt_s > now
+                and task.serving.outcome is _PENDING
+            }
+            queued = {
+                task.seq for task in simulator.queued_tasks(model_key)
+                if task.serving.next_attempt_s > now
+            }
+            if live != queued:
+                differs.append("backoff records")
+                break
+        return differs
 
     # -- deadlines -----------------------------------------------------------
 
@@ -255,7 +344,8 @@ class ServingFrontend:
         record = task.serving
         if now < record.next_attempt_s:
             task.decline = "backoff"  # retry backoff gate
-        elif self._all_breakers_open(task.model_key):
+        elif self._usable[task.model_key] == 0:
+            # Every board the model could land on is held open or failed.
             self.stats.breaker_rejections += 1
             task.decline = "breaker"
         else:
@@ -265,16 +355,17 @@ class ServingFrontend:
                 # simulator takes the task off its queue once this returns.
                 record.started = True
                 self.stats.started += 1
-                self._update_brownout(now, starting=task.model_key)
+                if self._free_blocks != self._settled_free:
+                    self._update_brownout(now, starting=task.model_key)
                 return service
             if task.decline == "capacity":
                 self._placement_failed(task, now)
             # After an abandon, which takes the task off its queue.
             task.retry_at = self._backoff_hint(task, now, task.retry_at)
             return None
-        # A gate declined before the system saw the task.
-        task.retry_at = self._backoff_hint(
-            task, now, self.system.earliest_retry(task, now))
+        # A gate declined before the system saw the task: the system's
+        # hint is asked only if the backoff record leaves it a term.
+        task.retry_at = self._backoff_hint(task, now)
         return None
 
     def _placement_failed(self, task: Task, now: float) -> None:
@@ -292,6 +383,7 @@ class ServingFrontend:
         record.next_attempt_s = now + delay
         if record.next_attempt_s > self._backoff_until:
             self._backoff_until = record.next_attempt_s
+        self._backing_off.setdefault(task.model_key, {})[task.seq] = task
         # Wake the dispatcher when the backoff expires.
         self._simulator.schedule_external(delay, lambda _now: None)
 
@@ -331,28 +423,49 @@ class ServingFrontend:
                     continue
                 if on_time:
                     if breaker.record_success(now):
-                        self._half_open.discard(breaker.fpga_id)
                         self.stats.breaker_closes += 1
                 elif breaker.record_slow(now):
                     self._drain(breaker)
-        self._update_brownout(now)
+        if self._free_blocks != self._settled_free:
+            self._update_brownout(now)
 
     # -- retry hints ---------------------------------------------------------
 
-    def _backoff_hint(self, task: Task, now: float, inner: float) -> float:
+    def _backoff_hint(self, task: Task, now: float,
+                      inner: float | None = None) -> float:
         """The ``task.retry_at`` of a decline: a conservative per-model
         gate, the earliest moment *any* queued request of this model could
         act — its backoff expiry when backing off, the system's hint
-        ``inner`` otherwise."""
-        if self._backoff_until <= now:
-            return inner  # nothing queued is backing off
-        queued = self._simulator.queued_tasks(task.model_key)
-        hint = math.inf if queued else inner
-        for other in queued:
-            next_s = other.serving.next_attempt_s
-            term = next_s if next_s > now else inner
-            if term < hint:
-                hint = term
+        otherwise (and with nothing of the model queued).
+
+        The requests backing off are the live entries of the model's
+        backoff record, pruned here.  The system's hint is ``inner`` when
+        the decline has it already; else it is asked only when a queued
+        request of the model is not backing off."""
+        model_key = task.model_key
+        hint = math.inf
+        backing_off = 0
+        if self._backoff_until > now:  # else nothing queued is backing off
+            record = self._backing_off.get(model_key)
+            if record:
+                stale = []
+                for seq, other in record.items():
+                    serving = other.serving
+                    next_s = serving.next_attempt_s
+                    if next_s <= now or serving.outcome is not _PENDING:
+                        stale.append(seq)
+                    elif next_s < hint:
+                        hint = next_s
+                for seq in stale:
+                    del record[seq]
+                backing_off = len(record)
+        if not backing_off or (
+            backing_off < self._simulator.queued_depth(model_key)
+        ):
+            if inner is None:
+                inner = self.system.earliest_retry(task, now)
+            if inner < hint:
+                hint = inner
         return hint
 
     # -- circuit breakers ----------------------------------------------------
@@ -360,19 +473,64 @@ class ServingFrontend:
     def breaker(self, fpga_id: str) -> CircuitBreaker:
         return self._breakers[fpga_id]
 
+    def _on_breaker(self, breaker: CircuitBreaker, old_state) -> None:
+        """A breaker changed state, on any path: keep the half-open set,
+        and the usable-board counts when it opened or left OPEN on a
+        board that has not failed."""
+        fpga_id = breaker.fpga_id
+        state = breaker.state
+        if state is BreakerState.HALF_OPEN:
+            self._half_open.add(fpga_id)
+        else:
+            self._half_open.discard(fpga_id)
+        if (state is _OPEN) is not (old_state is _OPEN) and (
+            self.cluster.board(fpga_id).health is not _FAILED
+        ):
+            self._move_usable(fpga_id, -1 if state is _OPEN else 1)
+
     def _on_board_health(self, board, old_health) -> None:
-        if board.health is not BoardHealth.FAILED:
-            return
-        breaker = self._breakers.get(board.fpga_id)
-        now = self._simulator.queue.now
-        if breaker is not None and breaker.record_failure(now):
+        failed = board.health is _FAILED
+        if failed == (old_health is _FAILED):
+            return  # HEALTHY <-> DEGRADED: usable either way
+        breaker = self._breakers[board.fpga_id]
+        if breaker.state is not _OPEN:
+            self._move_usable(board.fpga_id, -1 if failed else 1)
+        if failed and breaker.record_failure(self._simulator.queue.now):
             self._drain(breaker)
+
+    def _move_usable(self, fpga_id: str, delta: int) -> None:
+        """One board became usable (``delta`` 1) or unusable (-1)."""
+        usable = self._usable
+        for model_key in self._gated_on.get(fpga_id, ()):
+            usable[model_key] += delta
+
+    def _count_usable(self, model_key: str) -> int | None:
+        """Count a model's usable candidate boards, at the gate's first
+        read of the model, and list it on each candidate board for the
+        transitions to come.  ``None`` (the gate does not apply) with
+        breakers off or no board the model could land on."""
+        if not self.params.breaker_enabled:
+            return None
+        types = set(self.controller.catalog.compatible_types(model_key))
+        candidates = [
+            (self._breakers[board.fpga_id], board)
+            for board in self.cluster.boards.values()
+            if board.model.name in types
+        ]
+        if not candidates:
+            return None
+        self._candidates[model_key] = candidates
+        for _, board in candidates:
+            self._gated_on.setdefault(board.fpga_id, []).append(model_key)
+        return sum(
+            breaker.state is not _OPEN and board.health is not _FAILED
+            for breaker, board in candidates
+        )
 
     def _drain(self, breaker: CircuitBreaker) -> None:
         """An opened breaker drains its board via the health machinery and
         schedules the half-open probe."""
         self.stats.breaker_opens += 1
-        self._half_open.discard(breaker.fpga_id)
         board = self.cluster.board(breaker.fpga_id)
         if board.health is BoardHealth.HEALTHY:
             self.controller.on_board_degraded(board)
@@ -394,32 +552,10 @@ class ServingFrontend:
         if breaker.state is not BreakerState.OPEN:
             return
         breaker.half_open()
-        self._half_open.add(breaker.fpga_id)
         self.stats.breaker_half_opens += 1
         if breaker.draining and board.health is BoardHealth.DEGRADED:
             self.controller.on_board_repair(board)
         breaker.draining = False
-
-    def _all_breakers_open(self, model_key: str) -> bool:
-        """Fast-reject when every board the model could land on is held
-        open (don't burn a placement search the breakers predetermine)."""
-        if not self.params.breaker_enabled:
-            return False
-        candidates = self._candidates.get(model_key)
-        if candidates is None:
-            types = set(self.controller.catalog.compatible_types(model_key))
-            candidates = self._candidates[model_key] = [
-                (self._breakers[board.fpga_id], board)
-                for board in self.cluster.boards.values()
-                if board.model.name in types
-            ]
-        for breaker, board in candidates:
-            if (
-                breaker.state is not BreakerState.OPEN
-                and board.health is not BoardHealth.FAILED
-            ):
-                return False
-        return bool(candidates)
 
     # -- brownout ------------------------------------------------------------
 
@@ -438,12 +574,13 @@ class ServingFrontend:
         simulator's queue (its :meth:`try_start` has not returned).
 
         An evaluation that changed nothing stays right until occupancy
-        moves; a transition re-arms it, since with equal watermarks the
-        state flips again at unchanged utilisation."""
-        free = self._free_blocks
-        if free == self._settled_free or not self.params.brownout_enabled:
+        moves, so a start or finish calls this only when the free-block
+        total differs from :attr:`_settled_free`; a transition re-arms it,
+        since with equal watermarks the state flips again at unchanged
+        utilisation."""
+        self._settled_free = self._free_blocks
+        if not self.params.brownout_enabled:
             return
-        self._settled_free = free
         util = self.utilisation()
         if not self.brownout and util >= self.params.brownout_high_watermark:
             self.brownout = True

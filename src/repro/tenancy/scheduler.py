@@ -233,32 +233,39 @@ class TenantScheduler:
         state = task.tenancy.state
         return (-state.params.priority, state.vtime)
 
-    def _active(self, name: str, state: TenantState) -> bool:
-        """Whether the tenant has work queued or running."""
-        return state.running > 0 or self._simulator.tenant_depth(name) > 0
-
     def admit(self, task: Task, now: float) -> bool:
         simulator = self._simulator
         if simulator is None:
             raise ReproError("TenantScheduler.admit before bind_simulator")
-        state = self._state(task.tenant)
+        tenant = task.tenant
+        state = self._state(tenant)
         state.offered += 1
+        # The arriving tenant's queued work, asked at most once: admission
+        # leaves the queues as they are.
+        depth = None
         quota = state.params.queue_quota
-        if quota is not None and simulator.tenant_depth(task.tenant) >= quota:
-            state.shed += 1
-            self.stats.quota_sheds += 1
-            return False
+        if quota is not None:
+            depth = simulator.tenant_depth(tenant)
+            if depth >= quota:
+                state.shed += 1
+                self.stats.quota_sheds += 1
+                return False
         inner_admit = self._inner_admit
         if inner_admit is not None and not inner_admit(task, now):
             state.shed += 1
             return False
-        if not self._active(task.tenant, state):
-            # Activation floor: an idle tenant re-enters at the active
-            # minimum, not at its stale (possibly tiny) virtual time —
-            # otherwise a long-idle tenant would lock out its class.
+        if not state.running and not (
+            depth if depth is not None else simulator.tenant_depth(tenant)
+        ):
+            # Activation floor: an idle tenant (nothing queued or running)
+            # re-enters at the active minimum, not at its stale (possibly
+            # tiny) virtual time — otherwise a long-idle tenant would lock
+            # out its class.
             active = [
-                s.vtime for name, s in self._tenants.items()
-                if self._active(name, s)
+                other.vtime for name, other in self._tenants.items()
+                if other is not state and (
+                    other.running or simulator.tenant_depth(name)
+                )
             ]
             if active:
                 state.vtime = max(state.vtime, min(active))

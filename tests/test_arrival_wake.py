@@ -124,7 +124,7 @@ def test_a_stale_idle_deployment_wakes_every_model(shared_catalog):
     assert system.wake_key(waiting)[:4] == young
     assert system.wake_key(waiting)[4] == float("inf")
     deployment, _ = controller.deploy(OTHER, now=patience)
-    deployment.acquire()
+    controller.acquire(deployment)
     controller.release(deployment, patience)
     stale_at = system.wake_key(waiting)[4]
     assert stale_at == pytest.approx(2 * patience)

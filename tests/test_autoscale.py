@@ -274,8 +274,8 @@ class TestScaleDownPaths:
         controller = system.controller
         busy_a = _place(controller)
         busy_b = _place(controller)
-        busy_a.acquire()
-        busy_b.acquire()
+        controller.acquire(busy_a)
+        controller.acquire(busy_b)
         scaler = Autoscaler(frontend, AutoscaleParameters())
         scaler.evaluate(5.0)
         # Both deployments hold in-flight work: nothing may be touched.

@@ -59,7 +59,7 @@ def _capacity_failure(controller):
 
 def _capacity_failure_after_eviction(controller):
     busy, _ = controller.deploy("gru-h2560-t375")
-    busy.acquire()
+    controller.acquire(busy)
     controller.deploy("gru-h512-t1")  # idle and stale by now=1.0
     return "gru-h2560-t375", {"now": 1.0, "waited_s": 1.0}
 

@@ -646,16 +646,16 @@ def test_brownout_with_equal_watermarks(shared_catalog):
 
 
 def test_retry_at_equals_the_backlog_scan(shared_catalog):
-    """Every frontend decline's ``retry_at`` equals the scan it skips when
-    nothing queued is backing off: the earliest future backoff expiry
-    among the model's queued requests, the system's hint for the rest.
-    Each decline, the frontend's own gates' included, asks the system's
-    hint once."""
+    """Every frontend decline's ``retry_at`` equals a scan of the model's
+    queued requests: the earliest future backoff expiry among them, the
+    system's hint for the rest.  Each decline, the frontend's own gates'
+    included, asks the system's hint at most once, and not at all only
+    when every queued request of the model is backing off."""
     simulator, tasks = _serving_build(shared_catalog, 7)(ClusterSimulator)
     frontend = simulator.scheduler
     system = frontend.system
     inner_hints = []
-    checked = {"hints": 0, "backing_off": 0}
+    checked = {"hints": 0, "backing_off": 0, "settled": 0}
 
     def earliest_retry(task, now, inner=system.earliest_retry):
         inner_hints.append(inner(task, now))
@@ -666,10 +666,13 @@ def test_retry_at_equals_the_backlog_scan(shared_catalog):
         if service is not None:
             assert not inner_hints
             return service
-        (inner,) = inner_hints
+        (inner,) = inner_hints or (None,)
         inner_hints.clear()
         backoffs = [queued.serving.next_attempt_s
                     for queued in simulator.queued_tasks(task.model_key)]
+        if inner is None:
+            assert backoffs and all(next_s > now for next_s in backoffs)
+            checked["settled"] += 1
         assert task.retry_at == min((next_s if next_s > now else inner
                                      for next_s in backoffs), default=inner)
         checked["hints"] += 1
@@ -680,7 +683,7 @@ def test_retry_at_equals_the_backlog_scan(shared_catalog):
     frontend.try_start = try_start
     simulator.run(tasks)
     assert frontend.stats.placement_retries > 0
-    assert checked["backing_off"] > 0
+    assert checked["backing_off"] > checked["settled"] > 0
     assert checked["hints"] > checked["backing_off"]
 
 

@@ -138,7 +138,7 @@ class TestRecovery:
         controller = system.controller
         simulator = ClusterSimulator(system, "t")
         deployment, _ = controller.deploy("gru-h512-t1", now=0.0)
-        deployment.acquire()
+        controller.acquire(deployment)
         board = cluster.board(deployment.placements[0].fpga_id)
         simulator.queue.run(until=0.01)
         controller.on_board_failure(board, now=0.01)

@@ -48,7 +48,7 @@ def _deploy(controller, model_key, now=0.0, tenant=""):
 
 def _cycle(controller, deployment, now):
     """idle -> busy -> idle, ending idle at ``now``."""
-    deployment.acquire()
+    controller.acquire(deployment)
     controller.release(deployment, now)
 
 
@@ -61,7 +61,7 @@ class TestReuseOrder:
         # ``first`` became idle last, but it was created first.
         assert controller.find_idle_deployment(SMALL) is first
         assert controller.idle_of(SMALL) == [first, second]
-        first.acquire()
+        controller.acquire(first)
         assert controller.find_idle_deployment(SMALL) is second
         assert controller.check_idle_consistent()
 
@@ -75,7 +75,7 @@ class TestReuseOrder:
         _cycle(controller, b_first, now=1.0)
         assert controller.find_idle_deployment(SMALL, "b") is b_first
         assert controller.find_idle_deployment(SMALL, "c") is None
-        b_first.acquire()
+        controller.acquire(b_first)
         assert controller.find_idle_deployment(SMALL, "b") is b_second
         assert controller.check_idle_consistent()
 
@@ -87,7 +87,7 @@ class TestEvictionOrder:
         with pytest.raises(AllocationError):
             controller.deploy(SMALL)  # the board is full
         for deployment in copies:
-            deployment.acquire()
+            controller.acquire(deployment)
         # Released newest first, all at the same instant.
         for deployment in reversed(copies):
             controller.release(deployment, 1.0)
@@ -131,7 +131,7 @@ class TestIsolationFilters:
         mine = [_deploy(controller, SMALL, tenant="a") for _ in range(2)]
         theirs = [_deploy(controller, SMALL, tenant="b") for _ in range(2)]
         for deployment in mine + theirs:
-            deployment.acquire()
+            controller.acquire(deployment)
         for deployment in reversed(theirs):
             controller.release(deployment, 0.001)
         patience = controller.eviction_patience_s
@@ -144,7 +144,7 @@ class TestIsolationFilters:
     def test_wake_hint_counts_other_tenants_same_model_copy(self, catalog):
         system = _system(catalog, isolation=True)
         controller = system.controller
-        _deploy(controller, SMALL, tenant="a").acquire()
+        controller.acquire(_deploy(controller, SMALL, tenant="a"))
         theirs = _deploy(controller, SMALL, tenant="b")
         _cycle(controller, theirs, now=0.002)
         show_counts(system, {SMALL: system.EXPANSION_PRESSURE})
@@ -175,7 +175,7 @@ class TestConsistencyCheck:
     def test_write_around_the_owner_is_detected(self, catalog):
         controller = _system(catalog).controller
         deployment = _deploy(controller, SMALL)
-        deployment.acquire()
+        controller.acquire(deployment)
         assert controller.check_idle_consistent()
         deployment.state = DeploymentState.IDLE  # bypasses set_state
         assert not controller.check_idle_consistent()
@@ -189,10 +189,12 @@ class TestConsistencyCheck:
         controller.evict(gone)
         assert controller.idle_of(SMALL) == [kept]
         assert _lru(controller) == [kept]
-        # A discarded deployment's later transitions index nothing, and
-        # the controller refuses to move it.
-        gone.acquire()
-        gone.release(2.0)
+        # The controller refuses to move a discarded deployment, so its
+        # later transitions index nothing.
+        with pytest.raises(DeploymentError, match="not idle in this"):
+            controller.acquire(gone)
+        with pytest.raises(DeploymentError, match="not busy in this"):
+            controller.release(gone, 2.0)
         assert _lru(controller) == [kept]
         assert controller.check_idle_consistent()
         with pytest.raises(DeploymentError, match="not resident"):

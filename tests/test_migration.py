@@ -206,10 +206,10 @@ class TestMigrationEngine:
         )
         with pytest.raises(DeploymentError, match="already resides"):
             engine.plan_move(deployment, {0: src})
-        deployment.acquire()
+        controller.acquire(deployment)
         with pytest.raises(DeploymentError, match="state is busy"):
             engine.plan_move(deployment, {0: other})
-        deployment.release(0.0)
+        controller.release(deployment, 0.0)
         with pytest.raises(ReproError, match="no replica"):
             engine.plan_move(deployment, {7: other})
 
@@ -385,8 +385,8 @@ class TestDefrag:
         controller, cluster = _controller(shared_catalog)
         by_board = _shatter_vu37p(controller, cluster)
         for residents in by_board.values():
-            residents[1].acquire()
-            residents[3].acquire()
+            controller.acquire(residents[1])
+            controller.acquire(residents[3])
         assert controller.plan_defrag("gru-h1536-t375") is None
 
     def test_des_run_defrags_on_placement_failure(self, shared_catalog):

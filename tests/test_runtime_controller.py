@@ -74,7 +74,7 @@ class TestDeploy:
         controller, _ = _controller(shared_catalog)
         deployment, _ = controller.deploy("gru-h512-t1", now=0.0)
         assert controller.find_idle_deployment("gru-h512-t1") is deployment
-        deployment.acquire()
+        controller.acquire(deployment)
         assert controller.find_idle_deployment("gru-h512-t1") is None
 
 
@@ -152,8 +152,8 @@ class TestEviction:
         controller, _ = _controller(shared_catalog)
         a, _ = controller.deploy("gru-h2560-t375", now=0.0)
         b, _ = controller.deploy("gru-h2304-t250", now=0.0)
-        a.acquire()
-        b.acquire()
+        controller.acquire(a)
+        controller.acquire(b)
         with pytest.raises(AllocationError):
             controller.deploy("lstm-h1536-t50", now=10.0, waited_s=10.0)
         assert a.state is DeploymentState.BUSY
@@ -168,7 +168,7 @@ class TestEviction:
     def test_evicting_busy_rejected(self, shared_catalog):
         controller, _ = _controller(shared_catalog)
         deployment, _ = controller.deploy("gru-h512-t1")
-        deployment.acquire()
+        controller.acquire(deployment)
         with pytest.raises(AllocationError):
             controller.evict(deployment)
 

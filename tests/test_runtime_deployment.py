@@ -2,13 +2,22 @@
 
 import pytest
 
+from repro.cluster import paper_cluster
 from repro.errors import DeploymentError
+from repro.runtime import Catalog
 from repro.runtime.catalog import DeploymentPlan
+from repro.runtime.controller import SystemController
 from repro.runtime.deployment import (
     Deployment,
     DeploymentState,
     ReplicaPlacement,
 )
+from repro.vital import LowLevelController, VitalCompiler
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return Catalog(VitalCompiler())
 
 
 def _deployment() -> Deployment:
@@ -26,38 +35,50 @@ def _deployment() -> Deployment:
     )
 
 
+def _resident(catalog):
+    """A controller and one idle deployment resident in it: the
+    controller makes the IDLE <-> BUSY moves."""
+    controller = SystemController(
+        paper_cluster(), catalog, LowLevelController(catalog.compiler.store)
+    )
+    deployment, _ = controller.deploy("gru-h512-t1")
+    return controller, deployment
+
+
 class TestStateMachine:
     def test_starts_idle(self):
         deployment = _deployment()
         assert deployment.is_idle
         assert deployment.state is DeploymentState.IDLE
 
-    def test_acquire_release_cycle(self):
-        deployment = _deployment()
-        deployment.acquire()
+    def test_acquire_release_cycle(self, catalog):
+        controller, deployment = _resident(catalog)
+        controller.acquire(deployment)
         assert deployment.state is DeploymentState.BUSY
-        deployment.release(now=5.0)
+        controller.release(deployment, now=5.0)
         assert deployment.is_idle
         assert deployment.last_used_s == 5.0
         assert deployment.tasks_served == 1
 
-    def test_double_acquire_rejected(self):
-        deployment = _deployment()
-        deployment.acquire()
+    def test_double_acquire_rejected(self, catalog):
+        controller, deployment = _resident(catalog)
+        controller.acquire(deployment)
         with pytest.raises(DeploymentError):
-            deployment.acquire()
+            controller.acquire(deployment)
 
-    def test_release_idle_rejected(self):
+    def test_release_idle_rejected(self, catalog):
+        controller, deployment = _resident(catalog)
         with pytest.raises(DeploymentError):
-            _deployment().release(now=0.0)
+            controller.release(deployment, now=0.0)
 
     def test_member_fpgas(self):
         assert _deployment().member_fpgas == ["vu37p-0"]
 
-    def test_tasks_served_accumulates(self):
-        deployment = _deployment()
+    def test_tasks_served_accumulates(self, catalog):
+        controller, deployment = _resident(catalog)
         for stamp in (1.0, 2.0, 3.0):
-            deployment.acquire()
-            deployment.release(now=stamp)
+            controller.acquire(deployment)
+            controller.release(deployment, now=stamp)
         assert deployment.tasks_served == 3
         assert deployment.last_used_s == 3.0
+        assert controller.check_idle_consistent()

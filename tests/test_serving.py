@@ -263,12 +263,15 @@ class TestRetryBudget:
         earliest backoff expiry, even when the inner hint is earlier; with
         nothing of the model queued, or every backoff past, the inner
         hint.  A backoff decline writes it, over the system's hint."""
-        _, system, frontend = _frontend(catalog)
+        # Un-jittered one-second backoffs.
+        _, system, frontend = _frontend(
+            catalog, retry_base_s=1.0, retry_cap_s=1.0, retry_jitter=0.0
+        )
         tasks = _requests(3, gap_s=0.0)
         assert all(queue_tasks(frontend, tasks))
-        for task, next_s in zip(tasks, (3.0, 2.0, 4.0)):
-            task.serving.next_attempt_s = next_s
-        frontend._backoff_until = 4.0
+        for task, failed_at in zip(tasks, (2.0, 1.0, 3.0)):
+            frontend._placement_failed(task, failed_at)
+        assert [task.serving.next_attempt_s for task in tasks] == [3.0, 2.0, 4.0]
         system.earliest_retry = lambda task, now: 0.5
         assert frontend.try_start(tasks[0], 1.0) is None
         assert tasks[0].decline == "backoff"

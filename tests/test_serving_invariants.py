@@ -201,6 +201,40 @@ class TestServingInvariants:
         assert frontend.stats.breaker_half_opens > 0
         _assert_invariants(cluster, system, frontend, result)
 
+    def test_kept_records_match_a_recount_after_every_decline(self, catalog):
+        """The frontend's usable-board counts (the breaker gate) and its
+        record of queued requests backing off (the hint) equal a
+        from-scratch recount after every decline it makes, through
+        breaker opens, half-opens, breaker rejections and backoffs."""
+        declines = []
+
+        def recount_at_declines(frontend):
+            try_start = frontend.try_start
+
+            def spy(task, now):
+                service = try_start(task, now)
+                if service is None:
+                    assert frontend._recount(now) == []
+                    declines.append(task.decline)
+                return service
+
+            frontend.try_start = spy
+
+        cluster, system, frontend, result = _run_storm(
+            catalog,
+            9,
+            mtbf_s=0.05,
+            breaker_threshold=1.0,
+            breaker_cooldown_s=0.05,
+            before_run=recount_at_declines,
+        )
+        stats = frontend.stats
+        assert stats.breaker_opens > 0 and stats.breaker_half_opens > 0
+        assert stats.placement_retries > 0
+        assert {"backoff", "breaker", "capacity"} <= set(declines)
+        assert frontend._candidates
+        _assert_invariants(cluster, system, frontend, result)
+
     def test_abandons_free_their_place_in_the_queue(self, catalog):
         """With no retry budget every genuine placement failure abandons
         its request; each abandon leaves the simulator's queue at once, so
