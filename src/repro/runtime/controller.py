@@ -96,7 +96,9 @@ class ControllerStats:
     #: Boards examined across all placement searches (the scan-cost metric:
     #: the index's bisect slices keep it sub-linear in cluster size).
     boards_probed: int = 0
-    #: Placement attempts answered by the capacity fast-reject alone.
+    #: Placement attempts answered by the capacity fast-reject alone,
+    #: probed or repeated from :meth:`SystemController.try_deploy`'s memo
+    #: of the generation it last refused at.
     fast_rejects: int = 0
     #: Defragmentation plans issued (migration subsystem enabled only).
     defrag_plans: int = 0
@@ -365,13 +367,18 @@ class SystemController:
         self.ledger = None
         #: Optional tenant quota ``callable(tenant, plan) -> bool`` that
         #: :meth:`try_deploy` and :meth:`place_plan` ask for the tenant
-        #: they place for; the tenancy scheduler installs it once, ``None``
-        #: otherwise.
+        #: they place for; the tenancy scheduler installs it once, before
+        #: any placement, ``None`` otherwise.  It may read only the ledger
+        #: and fixed tenant contracts: :meth:`try_deploy` repeats a refusal
+        #: while the placement index's generation stands.
         self.quota = None
         #: When True, :meth:`find_idle_deployment` only reuses deployments
         #: owned by the asking tenant — tenants never ride each other's
         #: resident accelerators, so quota attribution stays exact.
         self.tenant_isolation = False
+        #: ``(model key, tenant)`` -> the :attr:`PlacementIndex.generation`
+        #: of its last no-evict capacity fast reject (:meth:`try_deploy`).
+        self._refused: dict[tuple, int] = {}
 
     # -- public API (what the hypervisor calls) -------------------------------------
 
@@ -496,9 +503,28 @@ class SystemController:
 
         Under a deep backlog almost every call is refused, so a refusal
         raises nothing and formats nothing: it returns a constant and
-        leaves the diagnostic to :meth:`deploy`.
+        leaves the diagnostic to :meth:`deploy`.  Most refusals repeat one:
+        a call that may not evict and fails the capacity fast reject stores
+        the index's :attr:`PlacementIndex.generation` for its ``(model,
+        tenant)``, and a later such call at that generation answers
+        ``"capacity"`` before the quota and the fast reject, bumping the
+        same counters.  Both read nothing the generation does not cover:
+        the fast reject reads the largest free holes, and the quota reads
+        the ledger, which moves with block allocations and frees (a drop
+        without one, a discard of blocks a repair already reclaimed, only
+        widens what the quota allows).  The eviction path reads the idle
+        set and the clock, so a call that may evict neither reads nor
+        stores the memo, and a refusal after a search (which reads
+        ``allow_mixed``) stores nothing.
         """
-        self.stats.deploy_calls += 1
+        stats = self.stats
+        stats.deploy_calls += 1
+        may_evict = waited_s >= self.eviction_patience_s
+        key = (model_key, tenant)
+        if not may_evict and self._refused.get(key) == self.index.generation:
+            stats.fast_rejects += 1
+            stats.placement_failures += 1
+            return "capacity"
         entry = self.catalog.entry_by_key(model_key)
         plans = entry.sorted_plans()
         if self.prefer_narrow:
@@ -513,10 +539,9 @@ class SystemController:
                 # not a placement_failure: quota exhaustion is a policy
                 # outcome, and counting it as capacity would make the
                 # serving retry/preemption machinery fight the quota.
-                self.stats.quota_rejections += 1
+                stats.quota_rejections += 1
                 return "quota"
             plans = allowed
-        may_evict = waited_s >= self.eviction_patience_s
         while True:
             if self._any_plan_could_fit(model_key):
                 for plan in plans:
@@ -524,9 +549,11 @@ class SystemController:
                     if assignment is not None:
                         return self._instantiate(plan, assignment, now, tenant)
             else:
-                self.stats.fast_rejects += 1
+                stats.fast_rejects += 1
+                if not may_evict:
+                    self._refused[key] = self.index.generation
             if not may_evict or not self._evict_one_idle(now, model_key, tenant):
-                self.stats.placement_failures += 1
+                stats.placement_failures += 1
                 return "capacity"
 
     def emit_event(self, event) -> None:

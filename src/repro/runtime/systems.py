@@ -194,7 +194,7 @@ class ProposedSystem:
             )
             if placed.__class__ is not tuple:
                 task.decline = placed  # "capacity" or "quota"
-                if placed == "capacity":
+                if placed == "capacity" and controller.migration_enabled:
                     # A quota refusal is policy: compaction cannot help it.
                     self._maybe_defrag(task.model_key, now)
                 # After the deploy and any defrag: either can move the hint.
@@ -236,12 +236,12 @@ class ProposedSystem:
     # -- defragmentation (migration subsystem; off unless ``defrag=True``) ---------
 
     def _maybe_defrag(self, model_key: str, now: float) -> bool:
-        """After a placement failure, start the cheapest compaction that
-        would open a hole for ``model_key``; its moves finish as one timed
-        event on the controller's simulator.  Returns whether a defrag was
-        started."""
+        """After a capacity refusal with migration enabled, start the
+        cheapest compaction that would open a hole for ``model_key``; its
+        moves finish as one timed event on the controller's simulator.
+        Returns whether a defrag was started."""
         controller = self.controller
-        if not controller.migration_enabled or model_key in self._defrag_pending:
+        if model_key in self._defrag_pending:
             return False
         plan = controller.plan_defrag(model_key)
         if plan is None:

@@ -7,8 +7,8 @@ first), a *weight* (fair-share ratio within one class), a resource quota
 work, and whether the tenant's deployments may be victimised by priority
 preemption.
 
-:class:`TenancyParameters` configures the scheduler itself — preemption
-on/off, victim bounds and the sweep cooldown that keeps a starved premium
+:class:`TenancyParameters` configures the scheduler itself — victim
+bounds and the sweep cooldown that keeps a starved premium
 tenant from levelling the whole cluster in one pass.  A victim's drain and
 checkpoint are priced by the migration engine.
 
@@ -63,11 +63,11 @@ class TenantParameters:
 
 @dataclass(frozen=True)
 class TenancyParameters:
-    """Policy knobs for the tenancy scheduler."""
+    """Policy knobs for the tenancy scheduler.  Preemption itself has no
+    switch: a capacity-starved task above the lowest preemptible class
+    always plans a sweep, and a contract with no preemptible tenant
+    (:attr:`TenantParameters.preemptible`) never does."""
 
-    #: Whether a starved higher-priority tenant may checkpoint + requeue
-    #: lower-priority deployments to reclaim their blocks.
-    preemption_enabled: bool = True
     #: Most deployments one preemption sweep may victimise.
     max_victims: int = 4
     #: Minimum spacing between preemption sweeps; within the window a

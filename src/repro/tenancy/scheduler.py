@@ -147,17 +147,18 @@ class TenantScheduler:
             if tenant.name in self._tenants:
                 raise ReproError(f"duplicate tenant {tenant.name!r}")
             self._tenants[tenant.name] = TenantState(params=tenant)
-        #: Lowest priority class holding a preemptible tenant (``None``
+        #: Lowest priority class holding a preemptible tenant (``inf``
         #: when no tenant is preemptible).  A starved task at or below it
-        #: has no possible victim; tenants :meth:`_state` registers later
-        #: are never preemptible, so this cannot go stale.
+        #: has no possible victim, so only a task above it plans a sweep;
+        #: tenants :meth:`_state` registers later are never preemptible,
+        #: so this cannot go stale.
         self._lowest_preemptible = min(
             (
                 state.params.priority
                 for state in self._tenants.values()
                 if state.params.preemptible
             ),
-            default=None,
+            default=math.inf,
         )
         # Quota usage is read off the ledger's tenant axis; adopt the
         # controller's ledger when one is already attached (autoscale
@@ -283,8 +284,10 @@ class TenantScheduler:
         state = record.state
         service = self.inner.try_start(task, now)
         if service is None:
-            if task.decline == "capacity" and self._maybe_preempt(
-                task, state, now
+            if (
+                task.decline == "capacity"
+                and state.params.priority > self._lowest_preemptible
+                and self._maybe_preempt(task, state, now)
             ):
                 task.decline = "preempt"
             if task.decline in ("quota", "preempt"):
@@ -337,17 +340,13 @@ class TenantScheduler:
 
     def _maybe_preempt(self, task: Task, state: TenantState,
                        now: float) -> bool:
-        """A capacity-starved task of a higher class: drain, checkpoint and
-        discard enough lower-class preemptible deployments on one board per
-        needed replica.  Returns whether a sweep started."""
-        if not self.params.preemption_enabled:
-            return False
+        """A capacity-starved task above the lowest preemptible class (the
+        caller checks): drain, checkpoint and discard enough lower-class
+        preemptible deployments on one board per needed replica.  Returns
+        whether a sweep started."""
         if now < self._preempt_gate_s:
             return False
         priority = state.params.priority
-        lowest = self._lowest_preemptible
-        if lowest is None or priority <= lowest:
-            return False  # no preemptible class below: no victim can exist
         controller = self.controller
         entry = controller.catalog.entry_by_key(task.model_key)
         plans = sorted(entry.sorted_plans(), key=controller.plan_footprint)

@@ -1,26 +1,31 @@
 """The cheap decline path decides exactly what the raising path decided.
 
 ``SystemController.try_deploy`` answers a refused placement with its
-reason instead of an ``AllocationError``, deployments read their service time
+reason instead of an ``AllocationError`` and repeats a capacity fast reject
+from memory while the placement index's generation stands, deployments
+read their service time
 from the controller's one service cache, and ``ProposedSystem``'s fairness
 check probes the per-model index instead of counting copies.  These tests
 hold each shortcut to the behaviour it replaced: the counters every
-placement outcome bumps, the cycle model's uncached latency at every ring
-distance, the old fairness loop, and one small deep-backlog schedule.
+placement outcome bumps, a fresh probe after every change the memo must
+see, the cycle model's uncached latency at every ring distance, the old
+fairness loop, and one small deep-backlog schedule.
 """
 
+import collections
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ClusterSimulator, paper_cluster, scaled_cluster
+from repro.cluster import ClusterSimulator, Task, paper_cluster, scaled_cluster
 from repro.errors import AllocationError
 from repro.experiments.bench_scale import _schedule_digest
 from repro.runtime import Catalog, build_system
 from repro.runtime.controller import SystemController
+from repro.tenancy import TenantParameters, TenantScheduler
 from repro.vital import LowLevelController, VitalCompiler
-from repro.workloads import TABLE1_COMPOSITIONS, generate_workload
+from repro.workloads import TABLE1_COMPOSITIONS, generate_workload, poisson_arrivals
 from repro.workloads.deepbench import all_models
 from tests.queueing import show_counts
 
@@ -174,6 +179,185 @@ class TestDeclineCounters:
             r"quota of tenant 'acme'$",
         ):
             controller.deploy(model_key, tenant="acme")
+
+
+# -- a repeated refusal answered from memory ----------------------------------------
+
+#: The model ``_fast_reject`` leaves no hole for.
+REFUSED = "lstm-h1536-t50"
+
+
+def _spy_probes(controller, monkeypatch) -> list:
+    """Record every capacity fast-reject probe, by model."""
+    probes = []
+    probe = controller._any_plan_could_fit
+
+    def spy(model_key):
+        probes.append(model_key)
+        return probe(model_key)
+
+    monkeypatch.setattr(controller, "_any_plan_could_fit", spy)
+    return probes
+
+
+def _fail(controller, fpga_id):
+    controller.on_board_failure(controller.cluster.board(fpga_id), 0.0)
+
+
+#: change -> (set-up before the refusal, the change after it).  Each moves
+#: what a refusal reads: free blocks or board health.
+CHANGES = {
+    "allocation": (None, lambda c: c.cluster.board("vu37p-0").allocate("x", 1)),
+    "release": (
+        lambda c: c.cluster.board("vu37p-0").allocate("x", 1),
+        lambda c: c.cluster.board("vu37p-0").release("x"),
+    ),
+    "evict": (None, lambda c: c.evict(c.deployments_of("gru-h2304-t250")[0])),
+    "discard": (
+        None, lambda c: c.discard(c.deployments_of("gru-h2560-t375")[0])
+    ),
+    "board_failure": (None, lambda c: _fail(c, "vu37p-2")),
+    "board_degraded": (
+        None, lambda c: c.on_board_degraded(c.cluster.board("vu37p-2"))
+    ),
+    "board_repair": (
+        lambda c: _fail(c, "vu37p-2"),
+        lambda c: c.on_board_repair(c.cluster.board("vu37p-2")),
+    ),
+}
+
+
+class TestRefusalMemo:
+    def test_repeat_asks_neither_probe_nor_quota(
+        self, shared_catalog, monkeypatch
+    ):
+        controller = _controller(shared_catalog)
+        _fast_reject(controller)
+        asked = []
+        controller.quota = lambda tenant, plan: asked.append(tenant) or True
+        assert controller.try_deploy(REFUSED, tenant="a") == "capacity"
+        assert asked
+        probes = _spy_probes(controller, monkeypatch)
+        asked.clear()
+        for _ in range(3):
+            before = dict(vars(controller.stats))
+            assert controller.try_deploy(REFUSED, tenant="a") == "capacity"
+            assert _delta(before, vars(controller.stats)) == (
+                OUTCOMES["fast_reject"][2]
+            )
+        assert probes == [] and asked == []
+        # deploy shares the memo and still raises the capacity message.
+        with pytest.raises(AllocationError, match="^no feasible allocation"):
+            controller.deploy(REFUSED, tenant="a")
+        assert probes == []
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_every_change_probes_again(self, shared_catalog, monkeypatch,
+                                       change):
+        prepare, apply = CHANGES[change]
+        controller = _controller(shared_catalog)
+        _fast_reject(controller)
+        if prepare is not None:
+            prepare(controller)
+        assert controller.try_deploy(REFUSED) == "capacity"
+        probes = _spy_probes(controller, monkeypatch)
+        generation = controller.index.generation
+        apply(controller)
+        assert controller.index.generation != generation
+        controller.try_deploy(REFUSED)
+        assert probes == [REFUSED]
+
+    def test_a_quota_refusal_is_per_tenant(self, shared_catalog, monkeypatch):
+        """Another tenant's quota is still asked at the same generation."""
+        controller = _controller(shared_catalog)
+        _fast_reject(controller)
+        controller.quota = lambda tenant, plan: tenant != "capped"
+        assert controller.try_deploy(REFUSED, tenant="a") == "capacity"
+        probes = _spy_probes(controller, monkeypatch)
+        before = dict(vars(controller.stats))
+        assert controller.try_deploy(REFUSED, tenant="capped") == "quota"
+        assert _delta(before, vars(controller.stats)) == (
+            OUTCOMES["quota_refusal"][2]
+        )
+        assert controller.try_deploy(REFUSED, tenant="a") == "capacity"
+        assert probes == []
+
+    def test_a_call_that_may_evict_always_probes(
+        self, shared_catalog, monkeypatch
+    ):
+        controller = _controller(shared_catalog)
+        _fast_reject(controller)
+        assert controller.try_deploy(REFUSED) == "capacity"
+        probes = _spy_probes(controller, monkeypatch)
+        patience = controller.eviction_patience_s
+        for _ in range(2):
+            # Nothing has idled out by now=0: the eviction finds no victim.
+            assert controller.try_deploy(REFUSED, waited_s=patience) == (
+                "capacity"
+            )
+        assert probes == [REFUSED, REFUSED]
+        # A stale idle copy of another model is evicted and the model
+        # placed, where the memo would have refused.
+        placed = controller.try_deploy(REFUSED, now=1.0, waited_s=patience)
+        assert placed.__class__ is tuple
+        assert controller.stats.deployments_evicted == 1
+
+
+def test_one_refusing_probe_per_generation_on_a_tenant_stream(shared_catalog):
+    """A premium/best-effort overload: every no-evict capacity probe that
+    refuses is the first for its (model, tenant, generation), and every
+    no-evict refusal answered without a probe repeats one of those."""
+    cluster = scaled_cluster(8)
+    system = build_system("proposed", cluster, shared_catalog)
+    total = sum(len(board.blocks) for board in cluster.boards.values())
+    tenancy = TenantScheduler(system, [
+        TenantParameters(name="premium", priority=1, weight=2.0,
+                         block_quota=int(total * 0.3), preemptible=False),
+        TenantParameters(name="besteffort", priority=0,
+                         block_quota=int(total * 0.8)),
+    ])
+    draws = [("gru-h512-t1", "premium"), ("lstm-h256-t150", "besteffort"),
+             ("lstm-h512-t25", "besteffort"), ("lstm-h256-t150", "besteffort")]
+    tasks = [
+        Task(task_id=i, model_key=model, arrival_s=arrival_s,
+                size_class="S", tenant=tenant)
+        for i, (arrival_s, (model, tenant)) in enumerate(
+            zip(poisson_arrivals(400, 12800.0, seed=5),
+                itertools.cycle(draws))
+        )
+    ]
+    controller = system.controller
+    patience = controller.eviction_patience_s
+    deploy, probe = controller.try_deploy, controller._any_plan_could_fit
+    current = {}
+    refusing = collections.Counter()
+    remembered = []
+
+    def spy_deploy(model_key, now=0.0, waited_s=0.0, allow_mixed=True,
+                   tenant=""):
+        seen = (model_key, tenant, controller.index.generation)
+        current["call"] = None if waited_s >= patience else seen
+        current["probed"] = False
+        placed = deploy(model_key, now, waited_s, allow_mixed, tenant)
+        if current["call"] is not None and not current["probed"] and (
+            placed == "capacity"
+        ):
+            remembered.append(seen)
+        return placed
+
+    def spy_probe(model_key):
+        current["probed"] = True
+        fits = probe(model_key)
+        if current["call"] is not None and not fits:
+            refusing[current["call"]] += 1
+        return fits
+
+    controller.try_deploy = spy_deploy
+    controller._any_plan_could_fit = spy_probe
+    result = ClusterSimulator(tenancy, "memo").run(tasks)
+    assert len(result.completed) + len(result.dropped) == len(tasks)
+    assert refusing and max(refusing.values()) == 1
+    assert remembered and set(remembered) <= set(refusing)
 
 
 # -- one cached service time ------------------------------------------------------

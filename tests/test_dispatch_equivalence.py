@@ -1084,7 +1084,7 @@ def test_layered_stacks_match_the_reference(
                                  preemptible=False, block_quota=premium),
                 TenantParameters(name="besteffort", priority=0,
                                  preemptible=True, block_quota=besteffort),
-            ], TenancyParameters(isolation=False, preemption_enabled=True))
+            ], TenancyParameters(isolation=False))
         if cls is ClusterSimulator:
             _check_declines(scheduler)
             _check_hints(scheduler)

@@ -429,14 +429,6 @@ class TestPreemption:
         ClusterSimulator(scheduler, "violations").run(tasks)
         assert scheduler.quota_violations() == {}
 
-    def test_preemption_disabled_means_no_sweeps(self, shared_catalog):
-        scheduler, _, tasks = _overload_setup(shared_catalog)
-        scheduler.params = TenancyParameters(preemption_enabled=False)
-        result = ClusterSimulator(scheduler, "disabled").run(tasks)
-        assert scheduler.stats.preemption_sweeps == 0
-        assert scheduler.stats.tasks_preempted == 0
-        assert len(result.completed) == len(tasks)
-
     def test_non_preemptible_tenant_is_never_victimised(self, shared_catalog):
         """Flip the bench roles: the low-priority tenant is
         non-preemptible, so the starved premium tenant finds no victims
@@ -530,20 +522,27 @@ class TestPreemption:
         system = _proposed(paper_cluster(), shared_catalog)
         scheduler = TenantScheduler(system, tenants)
 
+        def declined(task, now):
+            task.decline = "capacity"
+            task.retry_at = now
+            return None
+
         def planned(plan, priority):
             raise AssertionError("victim planning ran")
 
+        monkeypatch.setattr(system, "try_start", declined)
         monkeypatch.setattr(scheduler, "_plan_victims", planned)
         task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
                     tenant=starved)
-        state = scheduler._state(starved)
+        queue_tasks(scheduler, [task])
         if plans:
             with pytest.raises(AssertionError, match="victim planning ran"):
-                scheduler._maybe_preempt(task, state, 0.0)
+                scheduler.try_start(task, 0.0)
         else:
-            assert not scheduler._maybe_preempt(task, state, 0.0)
+            assert scheduler.try_start(task, 0.0) is None
+            assert task.decline == "capacity"
             assert scheduler.stats.preemption_sweeps == 0
-            assert state.preemptions_triggered == 0
+            assert scheduler._state(starved).preemptions_triggered == 0
 
     def test_cooldown_spaces_sweeps(self, shared_catalog):
         system = _proposed(paper_cluster(), shared_catalog)
