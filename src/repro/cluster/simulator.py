@@ -23,7 +23,7 @@ declined and that decline's wake key (:meth:`Scheduler.wake_key`) — and
 parks every task of that model while the clock is short of the hint and
 either the version is unchanged or the visit is to the task that declined
 and its wake key still equals the recorded one.  Every arrival, start,
-finish, drop, preemption and external event bumps the version.  A parked
+finish, drop, preemption and external event moves the version.  A parked
 attempt is one the scheduler would provably have declined, with the same
 hint and no side effect, so schedules (and therefore experiment
 outputs) are identical to those of a task-by-task walk that retries every
@@ -35,6 +35,15 @@ is O(queues + attempts), not O(backlog).  A task the scheduler condemns
 while it waits (a serving deadline or abandon) leaves its queue at that
 moment (:meth:`ClusterSimulator.drop_queued`), so a pass never visits it.
 
+Each model's watermark is one record, written in place, which all the
+model's queues point at.  A wake key is asked again only when it could
+have moved: a key reads no other model's queue depth or admission state,
+so an arrival moves no key but its own model's.  The simulator keeps a
+*key stamp* that everything but arrivals moves (starts, finishes, drops,
+preemptions, external events, and declines, since a decline may evict),
+and a record keeps the stamp its key was read at; a visit asks the key
+only when the stamp moved or an arrival of the model came since.
+
 These queues are the only record of queued work: the layers above read
 their depths and order here instead of keeping copies.
 
@@ -44,8 +53,9 @@ per-model queue depths the layers above read
 changed since the last rebuild: a dispatch that empties the backlog
 rebuilds nothing, since every reader of the view runs inside a later pass,
 which rebuilds it first.  A pass in which every queued model holds its
-watermark ends after one watermark lookup (and at most one wake key) per
-queue, before it asks the scheduler for anything else.
+watermark ends after one watermark read (and at most one wake key) per
+queue, before it asks the scheduler for anything else; after an arrival
+into a backlog of held models it asks at most the arriving model's key.
 
 Most requests wait for no other: an arrival that finds the backlog empty,
 with no pass running, is tried at once by a *direct start*, without a
@@ -54,7 +64,8 @@ tried, so every queue read sees what a one-queue pass would show, and it
 books its start or its decline's watermark through the same code as a
 pass.  It skips only what cannot matter for one fresh task: the
 enqueue's lookups, the view copy and the check for a model holding its
-watermark (the arrival moved the version, and the task never declined).
+watermark (the arrival moved the version, and the task never declined);
+its queue looks up the model's watermark only if it declines.
 """
 
 from __future__ import annotations
@@ -178,7 +189,11 @@ class Scheduler(Protocol):
         blocked model.  A scheduler whose decline may preempt or spend a
         retry budget must leave it out.  A decline may itself evict: the
         key is read after it, and a key moves with whatever a later decline
-        evicts."""
+        evicts.  A key must not read another model's queue depth or any
+        admission state: an arrival re-asks only its own model's key (the
+        key is asked again only once a start, finish, drop, preemption,
+        external event or decline came since it was read, or an arrival
+        of its model)."""
 
     def dispatch_key(self, task: Task) -> tuple:
         """Optional: the class prefix of ``task``'s queue in one pass's
@@ -221,20 +236,53 @@ class SimulationResult:
         return sum(t.latency_s for t in self.completed) / len(self.completed)
 
 
+#: A watermark's hint once its model started a task: no clock is short
+#: of it, so the model holds nothing.
+_NO_HINT = float("-inf")
+
+
+class _Watermark:
+    """One model's watermark, shared by the model's (tenant, model) queues
+    and written in place.
+
+    ``version`` is the resource version the model last declined or held
+    at, ``hint`` the declining layer's ``retry_at`` (a start sets
+    :data:`_NO_HINT`), ``task`` the task that declined and ``key`` its wake
+    key (``None`` for no key; a keyless run writes neither).  ``stamp`` is
+    the key stamp (see :meth:`ClusterSimulator._declined`) at which the key
+    was last read against a queue view that showed the model's true depth,
+    or ``-1`` when it must be asked again.
+    """
+
+    __slots__ = ("version", "hint", "task", "key", "stamp")
+
+    def __init__(self):
+        self.version = -1
+        self.hint = _NO_HINT
+        self.task: Task | None = None
+        self.key = None
+        self.stamp = -1
+
+
 class _Queue:
     """One (tenant, model) FIFO of pending tasks.
 
     ``entries`` holds ``(arrival_s, seq, task)`` sorted by ``(arrival_s,
-    seq)``; the other fields are the current dispatch pass's merge state.
+    seq)``; ``record`` is its model's watermark (a direct start's queue
+    takes it at its decline); the other fields are the current dispatch
+    pass's merge state.
     """
 
-    __slots__ = ("key", "model_key", "entries", "prefix", "cursor", "token")
+    __slots__ = ("key", "model_key", "entries", "record", "prefix", "cursor",
+                 "token")
 
-    def __init__(self, key: tuple, entry: tuple):
+    def __init__(self, key: tuple, entry: tuple,
+                 record: _Watermark | None = None):
         self.key = key
         self.model_key = key[1]
         #: A queue is made for its first entry and deleted when it empties.
         self.entries: list = [entry]
+        self.record = record
         #: Class prefix of every task here, frozen for the current pass.
         self.prefix: tuple = ()
         #: Index of the next entry the pass visits; while the queue is
@@ -284,13 +332,21 @@ class ClusterSimulator:
         self._running_count = 0
         self._retry_scheduled = False
         self._idle_retries = 0
-        #: Monotonic version of cluster resource state; bumped by every
-        #: event that could change a model's try_start outcome (an arrival,
-        #: a start, a finish, a drop, a preemption, an external event).
+        #: Monotonic count of the events other than arrivals that could
+        #: change a model's try_start outcome (a start, a finish, a drop, a
+        #: preemption, an external event).  The *version* a watermark holds
+        #: at is this plus ``_arrivals``, so every such event and every
+        #: arrival moves it.
         self._resource_version = 0
-        #: model key -> (version it failed under, earliest useful retry
-        #: time, the task that declined, its wake key or ``None``).
-        self._blocked: dict[str, tuple] = {}
+        #: Admitted arrivals.
+        self._arrivals = 0
+        #: Declines under a wake key.  The *key stamp* is this plus
+        #: ``_resource_version``: it moves with everything but arrivals,
+        #: which change no other model's wake key.
+        self._declines = 0
+        #: model key -> its :class:`_Watermark` (a plain dict, so a lookup
+        #: costs no ``__missing__`` call).
+        self._watermarks: dict[str, _Watermark] = {}
         #: Scheduler-driven events in flight (live migrations): they hold
         #: resources and will bump the version when they complete, so an
         #: idle queue is not a deadlock while any are outstanding.
@@ -330,26 +386,40 @@ class ClusterSimulator:
 
     # -- pending queues -----------------------------------------------------------
 
+    def _watermark(self, model_key: str) -> _Watermark:
+        """``model_key``'s watermark, made at its first use."""
+        record = self._watermarks.get(model_key)
+        if record is None:
+            record = self._watermarks[model_key] = _Watermark()
+        return record
+
     def _enqueue(self, task: Task) -> None:
         """Queue ``task`` at its ``(arrival_s, seq)`` place in its queue."""
-        key = (task.tenant, task.model_key)
+        model_key = task.model_key
+        key = (task.tenant, model_key)
         entry = (task.arrival_s, task.seq, task)
         queue = self._queues.get(key)
         if queue is None:
-            self._queues[key] = _Queue(key, entry)
+            record = self._watermark(model_key)
+            self._queues[key] = _Queue(key, entry, record)
         else:
             insort(queue.entries, entry)
+            record = queue.record
+        # The model's depth moved, which its wake key reads: ask it again.
+        record.stamp = -1
         self._queued += 1
         counts = self._counts
-        counts[task.model_key] = counts.get(task.model_key, 0) + 1
+        counts[model_key] = counts.get(model_key, 0) + 1
         self._counts_dirty = True
 
     def _take(self, queue: _Queue, index: int,
               service: float | None = None) -> None:
         """Remove one queued task: a dropped one, or, given its service
         time, one that starts now.  A start is booked here for a pass and
-        a direct start alike: the task runs until its finish event, and
-        its model's watermark goes."""
+        a direct start alike: the task runs until its finish event.  (A
+        pass then clears its model's hint; a direct start's model holds
+        nothing, since its arrival moved the version and the backlog held
+        no decliner.)"""
         task = queue.entries[index][2]
         if service is not None and service < 0:
             raise SimulationError(
@@ -370,24 +440,42 @@ class ClusterSimulator:
             return
         task.start_s = self.queue.now
         self._running_count += 1
-        self._blocked.pop(queue.model_key, None)
         # Starting a task reshapes resources (allocation, possible
         # evictions, the idle set).
         self._resource_version += 1
         self.queue.schedule_in(service, self._finish, task, task.run_epoch)
         self._idle_retries = 0
 
-    def _declined(self, task: Task, now: float) -> bool:
-        """Record the watermark of ``task``'s declined start, for a pass
-        and a direct start alike; returns whether it parks the model (its
-        ``retry_at`` is ahead of the clock)."""
-        park = now < task.retry_at
+    def _declined(self, task: Task, now: float, record: _Watermark) -> bool:
+        """Write ``task``'s declined start into its model's watermark
+        ``record``, for a pass and a direct start alike; returns whether it
+        parks the model (its ``retry_at`` is ahead of the clock).
+
+        Under a wake key the decline also moves the key stamp, since a
+        decline may evict, and the key is read after it.  The key counts
+        as read at the new stamp unless the frozen queue view shows the
+        model at another depth than its queues (a start of the model
+        earlier in this pass): then the next pass, which rebuilds the
+        view, must ask it again."""
+        retry_at = task.retry_at
+        record.version = self._resource_version + self._arrivals
+        record.hint = retry_at
         wake_key = self._wake_key
-        self._blocked[task.model_key] = (
-            self._resource_version, task.retry_at, task,
-            wake_key(task) if park and wake_key is not None else None,
-        )
-        return park
+        if wake_key is None:
+            return now < retry_at
+        self._declines += 1
+        record.task = task
+        if now < retry_at:
+            record.key = wake_key(task)
+            model_key = task.model_key
+            if (self._counts_dirty and self._counts.get(model_key)
+                    != self.queue_view.get(model_key)):
+                record.stamp = -1
+            else:
+                record.stamp = self._resource_version + self._declines
+            return True
+        record.key = None
+        return False
 
     def _join_requeued(self) -> None:
         """Queue the tasks :meth:`abort_running` requeued during a pass or
@@ -536,7 +624,7 @@ class ClusterSimulator:
             self._result.dropped.append(task)
             return
         task.seq = next(self._seqs)
-        self._resource_version += 1
+        self._arrivals += 1
         if self._queued or self._dispatching:
             self._enqueue(task)
             self._dispatch()
@@ -546,7 +634,8 @@ class ClusterSimulator:
         # read sees it while it is tried, under the view a pass would
         # rebuild (the counts are always dirty once the backlog empties).
         # It cannot hold its model: the arrival moved the version, and the
-        # task never declined.
+        # task never declined.  Its queue takes the model's watermark only
+        # if it declines.
         model_key = task.model_key
         key = (task.tenant, model_key)
         queue = self._queues[key] = _Queue(key, (task.arrival_s, task.seq,
@@ -561,7 +650,8 @@ class ClusterSimulator:
             self.try_start_attempts += 1
             service = self._try_start(task, now)
             if service is None:
-                self._declined(task, now)
+                queue.record = record = self._watermark(model_key)
+                self._declined(task, now, record)
             else:
                 self._take(queue, 0, service)
         finally:
@@ -626,7 +716,10 @@ class ClusterSimulator:
         and either the version is the one it failed under or the visited
         task is the one that declined and its wake key is unchanged (the
         watermark then moves to the current version, where the reference's
-        repeat decline would have recorded it).  A held model is parked
+        repeat decline would have recorded it).  The key is asked only when
+        the key stamp moved since it was last read, or when its model's
+        depth did (an arrival of that model): nothing else can move it.  A
+        held model is parked
         without consulting the scheduler: the skip parks every queue of the
         model, and a version bump returns each parked queue to the heap at
         its first task whose key exceeds the one just visited, exactly where
@@ -638,14 +731,18 @@ class ClusterSimulator:
         every queue's head would hold its model, each queue's first visit
         would park its whole model, and parking changes no state, so the
         pass's one effect is the skip count, and moving each watermark to
-        the current version.  That check reads wake keys but refreshes no
-        watermark unless the whole pass parks: a decline earlier in a full
-        pass may evict, which moves keys without a version bump.  Such a
+        the current version.  That check reads wake keys, and stamps the
+        ones it read, but moves no watermark's version unless the whole
+        pass parks: a decline earlier in a full pass may evict, which
+        moves keys without a version bump (and moves the stamp).  Such a
         pass counts in :attr:`parked_passes`.
         """
         now = self.queue.now
-        blocked = self._blocked
-        version = self._resource_version
+        # The version is the count of other events plus arrivals; no
+        # arrival comes during a pass, so only the first can move here.
+        arrivals = self._arrivals
+        moved = self._resource_version
+        version = moved + arrivals
         queues = self._queues
         if self._counts_dirty:
             # Queue pressure per model, for expansion decisions, hints and
@@ -653,26 +750,29 @@ class ClusterSimulator:
             self._counts_dirty = False
             self.queue_view = self._counts.copy()
         wake_key = self._wake_key
+        stamp = moved + self._declines
         # Nothing is requeued when a pass starts (the last pass queued its
         # requeues as it ended), so when every queued model holds, the pass
         # would only count its tasks as skipped.
         for queue in queues.values():
-            watermark = blocked.get(queue.model_key)
-            if watermark is None or now >= watermark[1]:
+            record = queue.record
+            if now >= record.hint:
                 break
-            if watermark[0] != version and (
-                watermark[3] is None
-                or watermark[2] is not queue.entries[0][2]
-                or wake_key(watermark[2]) != watermark[3]
-            ):
-                break
+            if record.version != version:
+                if (record.key is None
+                        or record.task is not queue.entries[0][2]):
+                    break
+                if record.stamp != stamp:
+                    if wake_key(record.task) != record.key:
+                        break
+                    record.stamp = stamp
         else:
             # At the current version, where the reference's repeat declines
             # would have recorded them: a later decline in this version may
-            # evict and move a key.
+            # evict and move a key.  A record held by its version keeps its
+            # stamp: no key was checked.
             for queue in queues.values():
-                watermark = blocked[queue.model_key]
-                blocked[queue.model_key] = (version, *watermark[1:])
+                queue.record.version = version
             self.watermark_skips += self._queued
             self.parked_passes += 1
             return False
@@ -718,31 +818,34 @@ class ClusterSimulator:
             task = queue.entries[index][2]
             queue.cursor = index + 1
             park = False
-            model_key = queue.model_key
-            watermark = blocked.get(model_key)
-            if watermark is not None and now < watermark[1]:
-                if watermark[0] == version:
+            record = queue.record
+            if now < record.hint:
+                if record.version == version:
                     park = True
-                elif (
-                    watermark[2] is task
-                    and watermark[3] is not None
-                    and wake_key(task) == watermark[3]
-                ):
-                    blocked[model_key] = (version, *watermark[1:])
-                    park = True
+                elif record.key is not None and record.task is task:
+                    # The view shows the model's true depth here: a start
+                    # of the model in this pass cleared its hint, and a
+                    # drop takes only the task just tried.
+                    stamp = self._resource_version + self._declines
+                    if record.stamp == stamp or wake_key(task) == record.key:
+                        record.version = version
+                        record.stamp = stamp
+                        park = True
             if park:
                 queue.cursor = index  # park from this task on
             else:
                 attempts += 1
                 service = try_start(task, now)
                 if service is None:
-                    park = self._declined(task, now)
+                    park = self._declined(task, now, record)
                 else:
                     self._take(queue, index, service)
+                    record.hint = _NO_HINT
                     queue.cursor = index
                     progress = True
-            if self._resource_version != version:
-                version = self._resource_version
+            if self._resource_version != moved:
+                moved = self._resource_version
+                version = moved + arrivals
                 if parked:
                     skips += self._unpark(parked, heap, tokens,
                                           (prefix, arrival, seq))
@@ -755,7 +858,7 @@ class ClusterSimulator:
                     break  # the walk is done (a walk starts non-empty)
                 continue
             if park:
-                for other in by_model[model_key]:
+                for other in by_model[queue.model_key]:
                     if other.token is not None:
                         other.token = None
                         if other.cursor < len(other.entries):

@@ -377,7 +377,7 @@ class SystemController:
         #: resident accelerators, so quota attribution stays exact.
         self.tenant_isolation = False
         #: ``(model key, tenant)`` -> the :attr:`PlacementIndex.generation`
-        #: of its last no-evict capacity fast reject (:meth:`try_deploy`).
+        #: of its last capacity fast reject (:meth:`try_deploy`).
         self._refused: dict[tuple, int] = {}
 
     # -- public API (what the hypervisor calls) -------------------------------------
@@ -504,24 +504,27 @@ class SystemController:
         Under a deep backlog almost every call is refused, so a refusal
         raises nothing and formats nothing: it returns a constant and
         leaves the diagnostic to :meth:`deploy`.  Most refusals repeat one:
-        a call that may not evict and fails the capacity fast reject stores
-        the index's :attr:`PlacementIndex.generation` for its ``(model,
-        tenant)``, and a later such call at that generation answers
-        ``"capacity"`` before the quota and the fast reject, bumping the
-        same counters.  Both read nothing the generation does not cover:
-        the fast reject reads the largest free holes, and the quota reads
-        the ledger, which moves with block allocations and frees (a drop
-        without one, a discard of blocks a repair already reclaimed, only
-        widens what the quota allows).  The eviction path reads the idle
-        set and the clock, so a call that may evict neither reads nor
-        stores the memo, and a refusal after a search (which reads
+        a call that fails the capacity fast reject stores the index's
+        :attr:`PlacementIndex.generation` for its ``(model, tenant)``, and
+        a later call at that generation answers its first fast reject from
+        that memo, bumping the same counter; one that may not evict then
+        refuses at once, before the quota.  The fast reject and the quota
+        read nothing the generation does not cover: the fast reject reads
+        the largest free holes, and the quota reads the ledger, which
+        moves with block allocations and frees (a drop without one, a
+        discard of blocks a repair already reclaimed, and an eviction only
+        widen what the quota allows).  One that may evict asks the quota
+        as before and then tries its eviction, which reads the idle set
+        and the clock; an eviction moves the generation, so the next turn
+        probes afresh.  A refusal after a search (which reads
         ``allow_mixed``) stores nothing.
         """
         stats = self.stats
         stats.deploy_calls += 1
         may_evict = waited_s >= self.eviction_patience_s
         key = (model_key, tenant)
-        if not may_evict and self._refused.get(key) == self.index.generation:
+        refused = self._refused.get(key) == self.index.generation
+        if refused and not may_evict:
             stats.fast_rejects += 1
             stats.placement_failures += 1
             return "capacity"
@@ -543,15 +546,17 @@ class SystemController:
                 return "quota"
             plans = allowed
         while True:
-            if self._any_plan_could_fit(model_key):
+            if refused:
+                refused = False  # the memo answers this generation only
+                stats.fast_rejects += 1
+            elif self._any_plan_could_fit(model_key):
                 for plan in plans:
                     assignment = self._find_placement(plan, allow_mixed=allow_mixed)
                     if assignment is not None:
                         return self._instantiate(plan, assignment, now, tenant)
             else:
                 stats.fast_rejects += 1
-                if not may_evict:
-                    self._refused[key] = self.index.generation
+                self._refused[key] = self.index.generation
             if not may_evict or not self._evict_one_idle(now, model_key, tenant):
                 stats.placement_failures += 1
                 return "capacity"

@@ -165,14 +165,16 @@ class ProposedSystem:
         deployment = controller.find_idle_deployment(task.model_key, tenant)
         reconfig = 0.0
         if deployment is None:
-            copies = controller.deployment_count(task.model_key)
-            if copies > 0 and not self._expansion_allowed(task.model_key):
+            # A model has copies exactly when its key is in the per-model
+            # index (see :meth:`_expansion_allowed`).
+            resident = task.model_key in controller._by_model
+            if resident and not self._expansion_allowed(task.model_key):
                 # Wait for the busy copy instead of expanding.
                 task.decline = "busy"
                 task.retry_at = self.earliest_retry(task, now)
                 return None
             waited = now - task.arrival_s
-            if copies > 0:
+            if resident:
                 # Expansion uses free blocks; eviction only under strong
                 # queue pressure.
                 if (
@@ -269,7 +271,9 @@ class ProposedSystem:
         (fairness) and :attr:`EXPANSION_PRESSURE` (the eviction gate and
         the hint).  Other models' depths can only hold this model back,
         and while it stays blocked its share of the observed mix only
-        shrinks, so ``allow_mixed`` never turns a refusal into a fit.  A
+        shrinks, so ``allow_mixed`` never turns a refusal into a fit.  The
+        key reads neither, so no arrival of another model can move it (the
+        simulator does not ask it again then).  A
         hint from the eviction branch of :meth:`earliest_retry` also reads
         the oldest foreign idle copy, which a start or finish can change.
         """
@@ -318,7 +322,7 @@ class ProposedSystem:
             # an external event that bumps the resource version itself.
             return math.inf
         patience = controller.eviction_patience_s
-        if controller.deployment_count(task.model_key) > 0:
+        if task.model_key in controller._by_model:  # it has copies
             if not self.expansion_enabled:
                 # Elasticity belongs to the autoscaler: only a release or
                 # its next scaling event (an external event that bumps the

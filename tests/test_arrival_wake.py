@@ -1,20 +1,25 @@
 """A declined model stays parked while its decline's wake key is unchanged.
 
-Every arrival, start and finish bumps ``ClusterSimulator``'s resource
+Every arrival, start and finish moves ``ClusterSimulator``'s resource
 version.  A visit to the task whose decline recorded a model's watermark,
-in a later version but with the clock short of its hint, asks the
-scheduler's ``wake_key`` and parks the model when the key equals the one
-recorded; without the hook, or on ``None``, every version bump retries
-every blocked model.  ``ProposedSystem``'s key is the board generation
-(free blocks and health), whether the task has a usable idle copy, its
-model's depth against 2 and ``EXPANSION_PRESSURE``, and — for a task past
-the patience window — when the oldest foreign idle copy goes stale; with
-defrag or recovery on it is ``None``.
+in a later version but with the clock short of its hint, parks the model
+when its key equals the one recorded; without the hook, or on ``None``,
+every version bump retries every blocked model.  The key is asked again
+only when something but an arrival moved since it was read (a start,
+finish, drop, preemption, external event or decline), or an arrival of
+its own model did: a key reads no other model's depth.
+``ProposedSystem``'s key is the board generation (free blocks and
+health), whether the task has a usable idle copy, its model's depth
+against 2 and ``EXPANSION_PRESSURE``, and — for a task past the patience
+window — when the oldest foreign idle copy goes stale; with defrag or
+recovery on it is ``None``.
 """
 
 import pytest
 
-from repro.cluster import ClusterSimulator, Task, paper_cluster
+import random
+
+from repro.cluster import ClusterSimulator, Task, paper_cluster, scaled_cluster
 from repro.runtime import Catalog, build_system
 from repro.vital import VitalCompiler
 from tests.queueing import show_counts
@@ -226,3 +231,33 @@ def test_a_quiet_start_or_finish_neither_retries_nor_rehints():
     assert model_key == "b" and now == pytest.approx(_Gated.OPEN_S)
     assert scheduler.hints == [(0, 0.0)]
     assert set(scheduler.keys) == {0} and len(scheduler.keys) >= 3
+
+
+#: Table 1 mix #7's models.
+MIXED = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25", "gru-h1536-t375",
+         "lstm-h1536-t50", "gru-h2304-t250")
+
+
+def test_a_mixed_backlog_asks_few_wake_keys(shared_catalog):
+    """400 tasks of the six models, evenly mixed, arrive within 5 ms on 16
+    boards, so most passes start at an arrival into a backlog of parked
+    models.  Each asks at most its own model's key: 3 245 keys in all,
+    where re-asking every parked model at every arrival asked 5 157."""
+    rng = random.Random(7)
+    arrivals = sorted(rng.uniform(0.0, 0.005) for _ in range(400))
+    models = [MIXED[i % len(MIXED)] for i in range(400)]
+    rng.shuffle(models)
+    system = build_system("proposed", scaled_cluster(16), shared_catalog)
+    asked = []
+
+    def wake_key(task, inner=system.wake_key):
+        asked.append(task.task_id)
+        return inner(task)
+
+    system.wake_key = wake_key
+    simulator = ClusterSimulator(system, "mixed")
+    result = simulator.run([Task(task_id=i, model_key=m, arrival_s=a)
+                            for i, (a, m) in enumerate(zip(arrivals, models))])
+    assert len(result.completed) == 400
+    assert simulator.try_start_attempts == 848
+    assert len(asked) <= 3_300

@@ -282,31 +282,90 @@ class TestRefusalMemo:
         assert controller.try_deploy(REFUSED, tenant="a") == "capacity"
         assert probes == []
 
-    def test_a_call_that_may_evict_always_probes(
+    def test_a_call_that_may_evict_probes_after_its_eviction(
         self, shared_catalog, monkeypatch
     ):
+        """A call that may evict answers its first fast reject from the
+        memo, counted as the probe would count it, and then tries its
+        eviction; an eviction moves the generation, so the next turn
+        probes."""
         controller = _controller(shared_catalog)
         _fast_reject(controller)
         assert controller.try_deploy(REFUSED) == "capacity"
         probes = _spy_probes(controller, monkeypatch)
         patience = controller.eviction_patience_s
         for _ in range(2):
+            before = dict(vars(controller.stats))
             # Nothing has idled out by now=0: the eviction finds no victim.
             assert controller.try_deploy(REFUSED, waited_s=patience) == (
                 "capacity"
             )
-        assert probes == [REFUSED, REFUSED]
-        # A stale idle copy of another model is evicted and the model
-        # placed, where the memo would have refused.
+            assert _delta(before, vars(controller.stats)) == (
+                OUTCOMES["fast_reject"][2]
+            )
+        assert probes == []
+        # A stale idle copy of another model is evicted, and the probe
+        # after it places the model where the memo would have refused.
         placed = controller.try_deploy(REFUSED, now=1.0, waited_s=patience)
         assert placed.__class__ is tuple
         assert controller.stats.deployments_evicted == 1
+        assert probes == [REFUSED]
+
+    def test_a_call_that_may_evict_stores_the_memo(self, shared_catalog,
+                                                   monkeypatch):
+        controller = _controller(shared_catalog)
+        _fast_reject(controller)
+        patience = controller.eviction_patience_s
+        assert controller.try_deploy(REFUSED, waited_s=patience) == (
+            "capacity"
+        )
+        probes = _spy_probes(controller, monkeypatch)
+        assert controller.try_deploy(REFUSED) == "capacity"
+        assert probes == []
+
+
+def _memo_answers(scheduler, controller, tasks) -> dict:
+    """Run ``tasks`` and check that every capacity probe that refuses is
+    the first for its (model, tenant, generation), and that every refusal
+    answered without a probe repeats one of those.  Returns those answered
+    refusals' ``(model, tenant, generation)``, split by whether the call
+    may evict."""
+    patience = controller.eviction_patience_s
+    deploy, probe = controller.try_deploy, controller._any_plan_could_fit
+    current = {}
+    refusing = collections.Counter()
+    remembered = {False: [], True: []}
+
+    def spy_deploy(model_key, now=0.0, waited_s=0.0, allow_mixed=True,
+                   tenant=""):
+        seen = (model_key, tenant, controller.index.generation)
+        current["tenant"] = tenant
+        current["probed"] = False
+        placed = deploy(model_key, now, waited_s, allow_mixed, tenant)
+        if not current["probed"] and placed == "capacity":
+            remembered[waited_s >= patience].append(seen)
+        return placed
+
+    def spy_probe(model_key):
+        current["probed"] = True
+        fits = probe(model_key)
+        if not fits:
+            refusing[(model_key, current["tenant"],
+                      controller.index.generation)] += 1
+        return fits
+
+    controller.try_deploy = spy_deploy
+    controller._any_plan_could_fit = spy_probe
+    result = ClusterSimulator(scheduler, "memo").run(tasks)
+    assert len(result.completed) + len(result.dropped) == len(tasks)
+    assert refusing and max(refusing.values()) == 1
+    for calls in remembered.values():
+        assert set(calls) <= set(refusing)
+    return remembered
 
 
 def test_one_refusing_probe_per_generation_on_a_tenant_stream(shared_catalog):
-    """A premium/best-effort overload: every no-evict capacity probe that
-    refuses is the first for its (model, tenant, generation), and every
-    no-evict refusal answered without a probe repeats one of those."""
+    """A premium/best-effort overload."""
     cluster = scaled_cluster(8)
     system = build_system("proposed", cluster, shared_catalog)
     total = sum(len(board.blocks) for board in cluster.boards.values())
@@ -326,38 +385,25 @@ def test_one_refusing_probe_per_generation_on_a_tenant_stream(shared_catalog):
                 itertools.cycle(draws))
         )
     ]
-    controller = system.controller
-    patience = controller.eviction_patience_s
-    deploy, probe = controller.try_deploy, controller._any_plan_could_fit
-    current = {}
-    refusing = collections.Counter()
-    remembered = []
+    assert _memo_answers(tenancy, system.controller, tasks)[False]
 
-    def spy_deploy(model_key, now=0.0, waited_s=0.0, allow_mixed=True,
-                   tenant=""):
-        seen = (model_key, tenant, controller.index.generation)
-        current["call"] = None if waited_s >= patience else seen
-        current["probed"] = False
-        placed = deploy(model_key, now, waited_s, allow_mixed, tenant)
-        if current["call"] is not None and not current["probed"] and (
-            placed == "capacity"
-        ):
-            remembered.append(seen)
-        return placed
 
-    def spy_probe(model_key):
-        current["probed"] = True
-        fits = probe(model_key)
-        if current["call"] is not None and not fits:
-            refusing[current["call"]] += 1
-        return fits
-
-    controller.try_deploy = spy_deploy
-    controller._any_plan_could_fit = spy_probe
-    result = ClusterSimulator(tenancy, "memo").run(tasks)
-    assert len(result.completed) + len(result.dropped) == len(tasks)
-    assert refusing and max(refusing.values()) == 1
-    assert remembered and set(remembered) <= set(refusing)
+def test_one_refusing_probe_per_generation_on_an_evicting_backlog(
+    shared_catalog,
+):
+    """A mixed-model backlog on eight boards, where most placements wait
+    out the patience window: calls that may evict answer repeat refusals
+    from the memo too."""
+    system = build_system("proposed", scaled_cluster(8), shared_catalog)
+    models = itertools.cycle(["gru-h512-t1", "gru-h1536-t375",
+                              "lstm-h256-t150", "gru-h2304-t250",
+                              "lstm-h1536-t50", "lstm-h512-t25"])
+    tasks = [Task(task_id=i, model_key=model, arrival_s=arrival_s)
+             for i, (arrival_s, model) in enumerate(
+                 zip(poisson_arrivals(240, 24000.0, seed=11), models))]
+    remembered = _memo_answers(system, system.controller, tasks)
+    assert remembered[True] and remembered[False]
+    assert system.controller.stats.deployments_evicted > 0
 
 
 # -- one cached service time ------------------------------------------------------

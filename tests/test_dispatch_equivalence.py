@@ -62,6 +62,8 @@ class ReferenceSimulator(ClusterSimulator):
 
     def __init__(self, scheduler, system_name="reference"):
         self._pending = []
+        #: Its own watermarks: model key -> ``(version, hint)``.
+        self._blocked = {}
         self.skips = 0
         self.attempts = 0
         super().__init__(scheduler, system_name)
@@ -870,9 +872,17 @@ def test_watermark_behind_the_head(shared_catalog, seed):
 # Counterexamples to wrong wake rules.  The first un-parked a model the
 # reference skips when a pass in which every model held left the
 # watermarks it had checked by key at their old version: a later evicting
-# decline in that version moved the key.  The other two broke per-event
+# decline in that version moved the key.  It also parks a model the
+# reference tries when a decline's key, read against a queue view that a
+# start of its model earlier in the pass left stale (task 18 declines
+# after task 6 starts, reading depth 2 where one task is queued), counts
+# as read: the arrival of task 19 must ask it again.  The second parks one
+# when the pass in which every model holds stamps a record it held by its
+# version alone, whose key no one checked.  The last two broke per-event
 # wake sets (a stale hint kept over an arrival or a finish).
 @example(boards=15, count=81, span_s=0.125, isolation=False, seed=71,
+         models=len(MIXED))
+@example(boards=5, count=107, span_s=0.328125, isolation=True, seed=1974,
          models=len(MIXED))
 @example(boards=4, count=4, span_s=0.0, isolation=False, seed=0,
          models=len(MIXED))

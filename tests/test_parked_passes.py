@@ -6,10 +6,13 @@ with an unchanged wake key — every queue's first visit would park its
 whole model, so :meth:`ClusterSimulator._dispatch_pass` ends at once: it
 counts the queued tasks as skipped and the pass in ``parked_passes``,
 moves every watermark to the current version and asks the scheduler
-nothing but those wake keys.  Any watermark whose key moved, whose
-decliner is not its queue's head or whose hint is due runs the whole
-pass.  Every pass, parked or not, first rebuilds a queue view whose counts
-changed, since the keys read it.
+nothing but wake keys.  It asks a key only when the key stamp moved since
+the key was last read (a start, finish, drop, preemption, external event
+or decline) or its model's depth did (an arrival of that model), so an
+arrival of one model asks at most that model's key.  Any watermark whose
+key moved, whose decliner is not its queue's head or whose hint is due
+runs the whole pass.  Every pass, parked or not, first rebuilds a queue
+view whose counts changed, since the keys read it.
 """
 
 import pytest
@@ -31,6 +34,8 @@ class _Gated:
         self._simulator = None
         self.calls = []
         self.views = []
+        #: The task of every wake key asked, in order.
+        self.keyed = []
 
     def bind_simulator(self, simulator):
         self._simulator = simulator
@@ -54,6 +59,7 @@ class _Gated:
 
     def wake_key(self, task):
         self._called("wake_key")
+        self.keyed.append(task.task_id)
         return ()
 
     def dispatch_key(self, task):
@@ -71,6 +77,7 @@ class _Layer:
         self.system = _Gated()
         self.calls = self.system.calls
         self.views = self.system.views
+        self.keyed = self.system.keyed
 
     @property
     def _simulator(self):
@@ -105,19 +112,23 @@ def parked(request):
     assert [hook for hook, _ in scheduler.calls].count("try_start") == 2
     queue_tasks(scheduler, [_task(3, "a")])
     scheduler.calls.clear()
+    scheduler.keyed.clear()
     return simulator
 
 
 def test_a_parked_pass_asks_the_scheduler_nothing(parked):
-    """After the arrival each model's head is its decliner: the pass asks
-    one wake key per model and nothing else, and moves both watermarks to
-    the current version, so the next parked pass asks nothing at all."""
+    """After the arrival each model's head is its decliner.  The pass asks
+    the key of ``a``, whose depth moved, and not that of ``b``, which
+    declined last (nothing has moved its key since), and moves both
+    watermarks to the current version, so the next parked pass asks
+    nothing at all."""
     skips = parked.watermark_skips
-    version = parked._resource_version
     assert parked._dispatch_pass() is False
-    assert parked.scheduler.calls == [("wake_key", 0.0)] * 2
-    assert {watermark[0] for watermark in parked._blocked.values()} == {
-        version}
+    assert parked.scheduler.calls == [("wake_key", 0.0)]
+    assert parked.scheduler.keyed == [0]
+    # The version: every event but arrivals, plus arrivals.
+    assert {record.version for record in parked._watermarks.values()} == {
+        parked._resource_version + parked._arrivals}
     # Rebuilt first: the keys read the view.
     assert parked.queue_view == {"a": 3, "b": 1}
     assert parked.scheduler.views[-1][1] is parked.queue_view
@@ -129,14 +140,29 @@ def test_a_parked_pass_asks_the_scheduler_nothing(parked):
     assert parked.try_start_attempts == 2
 
 
+@pytest.mark.parametrize("model", ["a", "b"])
+def test_an_arrival_asks_only_its_own_models_key(parked, model):
+    """Once a parked pass has read every key, an arrival of one model
+    asks that model's key, of its decliner, and no other."""
+    assert parked._dispatch_pass() is False
+    parked.scheduler.keyed.clear()
+    queue_tasks(parked.scheduler, [_task(4, model)])
+    assert parked._dispatch_pass() is False
+    assert parked.scheduler.keyed == [{"a": 0, "b": 2}[model]]
+    assert parked.parked_passes == 2
+
+
 @pytest.mark.parametrize("stale", ["version", "decliner", "hint"])
 def test_one_stale_watermark_runs_the_whole_pass(parked, stale):
-    version, hint, declined, key = parked._blocked["b"]
-    parked._blocked["b"] = {
-        "version": (version - 1, hint, declined, ("moved",)),
-        "decliner": (version - 1, hint, _task(9, "b"), key),
-        "hint": (version - 1, parked.queue.now, declined, key),
-    }[stale]
+    record = parked._watermarks["b"]
+    record.version -= 1
+    if stale == "version":
+        # A key that moved, read again since the record is unverified.
+        record.key, record.stamp = ("moved",), -1
+    elif stale == "decliner":
+        record.task = _task(9, "b")
+    else:
+        record.hint = parked.queue.now
     view = parked.queue_view
     parked._dispatch_pass()
     hooks = [hook for hook, _ in parked.scheduler.calls]
