@@ -4,8 +4,8 @@ The paper picks a replica count once, at deployment time.  The
 :class:`Autoscaler` closes the loop at run time: it consumes the signals
 the system already produces — the simulator's queue depth, a per-model
 arrival-rate EWMA, recent SLO attainment, per-deployment busy state — and
-drives each model's replica units between ``min_replicas`` and
-``max_replicas``:
+drives each model's replica units between
+:data:`~repro.autoscale.policy.MIN_REPLICAS` and ``max_replicas``:
 
 * **Scale-up** first tries to *widen* an idle deployment to the next
   wider catalog plan via :meth:`~repro.runtime.controller.
@@ -24,7 +24,8 @@ recovery and defrag reach it), so they interleave with serving traffic,
 faults, and migrations at exact simulated times.  The two watermarks are
 hysteretic and each direction has its own cooldown, so steady load cannot
 make the scaler flap; a fault-recovery scale-down restore (or any board
-failure) suppresses scale-up for ``fault_suppress_s`` — the fleet just
+failure) suppresses scale-up for
+:data:`~repro.autoscale.policy.FAULT_SUPPRESS_S` — the fleet just
 shrank because capacity *vanished*, and growing into the hole would
 fight the repair.
 
@@ -37,7 +38,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..runtime.deployment import DeploymentState
-from .policy import DOWN_BUSY_FRACTION, SLO_FLOOR, AutoscaleParameters
+from .policy import (
+    DOWN_BUSY_FRACTION,
+    FAULT_SUPPRESS_S,
+    HIGH_WATERMARK,
+    INTERVAL_S,
+    LOW_WATERMARK,
+    MIN_REPLICAS,
+    RATE_ALPHA,
+    SLO_FLOOR,
+    AutoscaleParameters,
+)
 
 
 @dataclass(frozen=True)
@@ -120,17 +131,16 @@ class Autoscaler:
         empty, so the event queue always terminates.
         """
         self._horizon_s = horizon_s
-        self.controller._clock().schedule_external(
-            self.params.interval_s, self._tick)
+        self.controller._clock().schedule_external(INTERVAL_S, self._tick)
 
     def _tick(self, now: float) -> None:
         self.evaluate(now)
         simulator = self.controller._clock()
         if (
-            now + self.params.interval_s <= self._horizon_s
+            now + INTERVAL_S <= self._horizon_s
             or simulator.pending_count > 0
         ):
-            simulator.schedule_external(self.params.interval_s, self._tick)
+            simulator.schedule_external(INTERVAL_S, self._tick)
 
     # -- signal intake ---------------------------------------------------------
 
@@ -164,7 +174,7 @@ class Autoscaler:
             stats.scale_down_recoveries > self._seen_scale_down_recoveries
             or stats.boards_failed > self._seen_boards_failed
         ):
-            self._suppress_until = now + self.params.fault_suppress_s
+            self._suppress_until = now + FAULT_SUPPRESS_S
         self._seen_scale_down_recoveries = stats.scale_down_recoveries
         self._seen_boards_failed = stats.boards_failed
 
@@ -193,9 +203,9 @@ class Autoscaler:
         )
         for model_key in models:
             inst = self._arrivals.pop(model_key, 0) / interval
-            alpha = self.params.rate_alpha
             self._rate[model_key] = (
-                alpha * inst + (1.0 - alpha) * self._rate.get(model_key, 0.0)
+                RATE_ALPHA * inst
+                + (1.0 - RATE_ALPHA) * self._rate.get(model_key, 0.0)
             )
             units = self.replica_units(model_key)
             if units > self.stats.peak_units.get(model_key, 0):
@@ -211,7 +221,7 @@ class Autoscaler:
     def _should_scale_up(
         self, model_key: str, depth: int, recent_slo: float, units: int, now: float
     ) -> bool:
-        pressured = depth >= self.params.high_watermark or (
+        pressured = depth >= HIGH_WATERMARK or (
             depth > 0 and recent_slo < SLO_FLOOR
         )
         if not pressured or units >= self.params.max_replicas:
@@ -223,12 +233,10 @@ class Autoscaler:
         return last is None or now - last >= self.params.up_cooldown_s
 
     def _scale_up(self, model_key: str, units: int, depth: int, now: float) -> None:
+        """Widen an idle deployment, or else add one."""
         reason = f"depth={depth} rate={self._rate.get(model_key, 0.0):.0f}/s"
-        if self.params.widen_enabled and self._try_widen(
-            model_key, units, now, reason
-        ):
-            return
-        self._try_add(model_key, units, now, reason)
+        if not self._try_widen(model_key, units, now, reason):
+            self._try_add(model_key, units, now, reason)
 
     def _plans(self, model_key: str) -> list:
         return self.controller.catalog.entry_by_key(model_key).sorted_plans()
@@ -296,11 +304,10 @@ class Autoscaler:
     def _should_scale_down(
         self, model_key: str, depth: int, units: int, now: float
     ) -> bool:
-        params = self.params
-        if depth > params.low_watermark or units <= params.min_replicas:
+        if depth > LOW_WATERMARK or units <= MIN_REPLICAS:
             return False
         for last in (self._last_down.get(model_key), self._last_up.get(model_key)):
-            if last is not None and now - last < params.down_cooldown_s:
+            if last is not None and now - last < self.params.down_cooldown_s:
                 return False
         controller = self.controller
         count = controller.deployment_count(model_key)
@@ -341,7 +348,7 @@ class Autoscaler:
         reason = f"depth={depth} rate={self._rate.get(model_key, 0.0):.0f}/s"
         if (
             len(deployments) > 1
-            and units - victim.plan.replicas >= self.params.min_replicas
+            and units - victim.plan.replicas >= MIN_REPLICAS
         ):
             if self._fits_after(model_key, victim.plan.replicas):
                 self._retire(victim, units, now, reason)
@@ -351,7 +358,7 @@ class Autoscaler:
             for plan in self._plans(model_key)
             if plan.replicas < victim.plan.replicas
             and units - victim.plan.replicas + plan.replicas
-            >= self.params.min_replicas
+            >= MIN_REPLICAS
         ]
         if not narrower:
             return

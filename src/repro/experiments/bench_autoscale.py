@@ -11,7 +11,7 @@ cluster; the only difference is provisioning:
   shared utilisation target — the classic fleet sized for the worst
   moment, resident for the whole run;
 * **autoscale** pre-places the minimum (one deployment per model) and
-  arms the autoscaler to track demand between ``min_replicas`` and
+  arms the autoscaler to track demand between the replica floor and
   ``max_replicas``.
 
 The two metrics that matter: **SLO attainment** of admitted requests

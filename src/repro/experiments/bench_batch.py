@@ -42,6 +42,7 @@ from ..accel.batched import run_batched
 from ..accel.codegen import OUT_BASE, make_codegen
 from ..accel.functional import FunctionalSimulator, WeightImage
 from ..isa.progcache import PROGRAM_CACHE
+from ..runtime.batching import WEIGHT_SEED
 from ..workloads.deepbench import model_by_key
 
 #: Two model configurations (the acceptance criterion's minimum); both are
@@ -63,7 +64,6 @@ GATE_SPEEDUP_FLOOR = 5.0
 #: is reported.
 REPEATS = 5
 
-WEIGHT_SEED = 0
 INPUT_SEED = 1234
 
 #: BLAS / OpenMP thread pools pinned to one thread for a module run.

@@ -38,8 +38,8 @@ batched-vs-scalar equivalence is checkable end-to-end through the DES.
 Execution is *weight-stationary across runs*: a model is compiled once
 per process into its program and its weight layout, and every execution
 after that only writes its inputs.  :data:`WEIGHT_STORE` keeps one
-:class:`~repro.accel.functional.WeightImage` per (model, weight seed),
-built at that key's first execution in the process and then shared by
+:class:`~repro.accel.functional.WeightImage` per model, its weights drawn
+from :data:`WEIGHT_SEED`, built at the model's first execution in the process and then shared by
 every executor and every later run, scalar or batched, and by every plan
 width and replica of a scale-out (each FPGA's DRAM holds the whole
 model); the image keeps its memoised quantised matrices, and the raw
@@ -64,13 +64,16 @@ from ..workloads.deepbench import model_by_key
 #: and its quantised matrices (8-33 MB for an S model).
 WEIGHT_STORE_CAPACITY = 16
 
-#: Process-wide ``(model_key, weight_seed) -> WeightImage`` store (see
+#: Process-wide ``model_key -> WeightImage`` store (see
 #: :func:`resident_weights`).
 WEIGHT_STORE = ProgramCache(capacity=WEIGHT_STORE_CAPACITY)
 
+#: Seed of the model weights every functional execution runs with.
+WEIGHT_SEED = 0
 
-def resident_weights(model_key: str, weight_seed: int) -> WeightImage:
-    """The model's weight image, built on the key's first use in the
+
+def resident_weights(model_key: str) -> WeightImage:
+    """The model's weight image, built on the model's first use in the
     process.  Every replica's DRAM holds the whole model, so one image
     serves every plan width and replica index (its matrix memo is keyed
     by region: each replica quantises only its own slices).  The weight
@@ -79,11 +82,11 @@ def resident_weights(model_key: str, weight_seed: int) -> WeightImage:
     def build() -> WeightImage:
         spec = model_by_key(model_key)
         return WeightImage.build(
-            make_codegen(spec.kind, spec.real_weights(seed=weight_seed),
+            make_codegen(spec.kind, spec.real_weights(seed=WEIGHT_SEED),
                          spec.timesteps).preload_weights
         )
 
-    return WEIGHT_STORE.get((model_key, weight_seed), build, copy=False)
+    return WEIGHT_STORE.get(model_key, build, copy=False)
 
 
 def input_codegen(spec, replicas: int = 1, replica_index: int = 0):
@@ -99,14 +102,13 @@ class BatchingParameters:
 
     ``max_batch`` bounds group size: the lanes, and so the memory, of one
     batched run (a key's tasks execute at run end in chunks of it);
-    ``weight_seed`` fixes the model weights used for functional
-    execution; ``force_scalar`` pins every execution to the scalar
-    simulator, the reference equivalence harnesses compare against (a
-    one-lane group otherwise runs batched too).
+    ``force_scalar`` pins every execution to the scalar simulator, the
+    reference equivalence harnesses compare against (a one-lane group
+    otherwise runs batched too).  The weights are always
+    :data:`WEIGHT_SEED`'s.
     """
 
     max_batch: int = 8
-    weight_seed: int = 0
     force_scalar: bool = False
 
     def __post_init__(self):
@@ -183,7 +185,7 @@ class BatchExecutor:
             lanes = run_batched(
                 spec.program(),
                 [lambda view, xs=xs: gen.preload_inputs(view, xs) for xs in payloads],
-                image=resident_weights(model_key, self.params.weight_seed),
+                image=resident_weights(model_key),
                 force_scalar=self.params.force_scalar,
             )
             outputs = [
@@ -202,7 +204,7 @@ class BatchExecutor:
 
     def _execute_scaleout(self, spec, replicas: int, payloads: list) -> list:
         gens = [input_codegen(spec, replicas, index) for index in range(replicas)]
-        images = [resident_weights(spec.key, self.params.weight_seed)] * replicas
+        images = [resident_weights(spec.key)] * replicas
         programs = build_scaleout_programs(
             spec.kind, spec.metadata_weights(), spec.timesteps, replicas
         )

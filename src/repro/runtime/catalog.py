@@ -106,11 +106,6 @@ class CatalogEntry:
             self._sorted_cache = sorted(self.plans, key=lambda plan: plan.replicas)
         return self._sorted_cache
 
-    def min_replicas(self) -> int:
-        if not self.plans:
-            raise ReproError(f"{self.spec.key}: no feasible deployment plan")
-        return min(plan.replicas for plan in self.plans)
-
 
 class Catalog:
     """Builds and caches catalog entries through the offline tool chain."""

@@ -120,7 +120,7 @@ class ControllerStats:
     #: Deployments abandoned after exhausting recovery retries.
     recovery_failures: int = 0
     #: Total backoff delay the recovery manager actually scheduled (the
-    #: surfaced retry schedule; capped per attempt at ``retry_cap_s``).
+    #: surfaced retry schedule; capped per attempt at ``RETRY_CAP_S``).
     recovery_backoff_s: float = 0.0
     #: Simulated work lost to failures (time since last checkpoint).
     lost_work_s: float = 0.0

@@ -7,7 +7,8 @@ layered on :class:`~repro.runtime.controller.SystemController` and driven
 by the :class:`~repro.cluster.simulator.ClusterSimulator`:
 
 * :mod:`~repro.serving.policy`   — the policy knobs
-  (:class:`ServingParameters`);
+  (:class:`ServingParameters`) and the fixed backoff and brownout
+  constants;
 * :mod:`~repro.serving.request`  — deadline-carrying :class:`Request`
   tasks and their terminal :class:`RequestOutcome`;
 * :mod:`~repro.serving.breaker`  — per-board circuit breakers

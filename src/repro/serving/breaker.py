@@ -3,15 +3,17 @@
 A breaker watches one board's recent failure/latency signal and keeps the
 serving edge from routing work onto a board that keeps killing it:
 
-* ``CLOSED``    — healthy; failures accumulate in a sliding window.
+* ``CLOSED``    — healthy; failures accumulate in a sliding window of
+  :data:`WINDOW_S`, and a mass of :data:`FAILURE_THRESHOLD` opens it.
 * ``OPEN``      — too much recent failure mass: the board is *drained*
   through the health machinery (``HEALTHY -> DEGRADED``), which removes it
   from every placement query via the
   :class:`~repro.runtime.controller.PlacementIndex` without the placement
   policies knowing breakers exist.  Residents keep serving.
-* ``HALF_OPEN`` — after a cooldown the board is re-admitted and must serve
-  a probe budget of on-deadline completions to close; any failure while
-  half-open re-opens with a doubled cooldown (capped at 8x).
+* ``HALF_OPEN`` — after a cooldown (:data:`COOLDOWN_S`) the board is
+  re-admitted and must serve :data:`PROBE_BUDGET` on-deadline completions
+  to close; any failure while half-open re-opens with a doubled cooldown
+  (capped at 8x).
 
 Signals are fed by the frontend: hard board failures (``BoardHealth``
 transitions observed via ``subscribe_health``) weigh 1.0, completions that
@@ -19,6 +21,9 @@ missed their deadline weigh 0.5.  Every state change is reported to the
 breaker's ``listener`` (the frontend's), whichever path made it.  The
 breaker never *causes* state loss — opening is always a drain, so a false
 positive costs capacity, not work.
+
+The thresholds are fixed policy, module constants, the same for every
+breaker and every run.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 
-from .policy import ServingParameters
-
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -36,6 +39,15 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+#: Weighted failure mass inside the window that opens a breaker.
+FAILURE_THRESHOLD = 2.0
+#: Sliding window the failure mass is counted over.
+WINDOW_S = 0.5
+#: Time a breaker stays open before a half-open probe; doubles per
+#: consecutive open, capped at 8x.
+COOLDOWN_S = 0.2
+#: Successful completions a half-open board must serve to close.
+PROBE_BUDGET = 2
 #: Hard cap on the cooldown growth (2^3 = 8x the base).
 MAX_COOLDOWN_DOUBLINGS = 3
 
@@ -49,7 +61,6 @@ class CircuitBreaker:
     """Failure-mass window + state machine for one board."""
 
     fpga_id: str
-    params: ServingParameters
     state: BreakerState = BreakerState.CLOSED
     #: (time, weight) samples inside the sliding window.
     _samples: deque = field(default_factory=deque)
@@ -70,8 +81,7 @@ class CircuitBreaker:
             self.listener(self, old_state)
 
     def _prune(self, now: float) -> None:
-        window = self.params.breaker_window_s
-        while self._samples and self._samples[0][0] < now - window:
+        while self._samples and self._samples[0][0] < now - WINDOW_S:
             self._samples.popleft()
 
     def failure_mass(self, now: float) -> float:
@@ -82,7 +92,7 @@ class CircuitBreaker:
         doublings = min(
             max(0, self.consecutive_opens - 1), MAX_COOLDOWN_DOUBLINGS
         )
-        return self.params.breaker_cooldown_s * (2 ** doublings)
+        return COOLDOWN_S * (2 ** doublings)
 
     # -- signal intake -------------------------------------------------------
 
@@ -96,7 +106,7 @@ class CircuitBreaker:
             self._open(now)
             return True
         self._samples.append((now, weight))
-        if self.failure_mass(now) >= self.params.breaker_threshold:
+        if self.failure_mass(now) >= FAILURE_THRESHOLD:
             self._open(now)
             return True
         return False
@@ -111,7 +121,7 @@ class CircuitBreaker:
         if self.state is not BreakerState.HALF_OPEN:
             return False
         self.probe_successes += 1
-        if self.probe_successes >= self.params.breaker_probe_budget:
+        if self.probe_successes >= PROBE_BUDGET:
             self.consecutive_opens = 0
             self._samples.clear()
             self._move(BreakerState.CLOSED)

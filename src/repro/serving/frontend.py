@@ -45,8 +45,7 @@ or boards fail:
   switch is a cold restart, mirroring the recovery manager's scale-down
   fallback), exiting at a low watermark with hysteresis.  A start or
   finish evaluates it only when occupancy moved since the last
-  evaluation that changed nothing (a comparison before the call, not
-  inside it).
+  evaluation (a comparison before the call, not inside it).
 
 Everything is opt-in: no behaviour of the wrapped system changes unless a
 frontend is constructed around it, so the Fig. 12 golden path is
@@ -65,7 +64,14 @@ from ..cluster.simulator import Task
 from ..errors import ReproError, SimulationError
 from ..vital.virtual_block import BoardHealth
 from .breaker import BreakerState, CircuitBreaker
-from .policy import ServingParameters
+from .policy import (
+    BROWNOUT_HIGH_WATERMARK,
+    BROWNOUT_HOT_DEPTH,
+    BROWNOUT_LOW_WATERMARK,
+    RETRY_JITTER,
+    ServingParameters,
+    backoff_s,
+)
 from .request import RequestOutcome, RequestRecord
 
 
@@ -78,8 +84,8 @@ _PENDING = RequestOutcome.PENDING
 
 class _UsableBoards(dict):
     """model key -> how many boards the model could land on are usable
-    (breaker not open, board not failed); ``None`` when the breaker gate
-    does not apply to the model.  A model is counted at its first read."""
+    (breaker not open, board not failed); ``None`` when no board could
+    take the model.  A model is counted at its first read."""
 
     __slots__ = ("_count",)
 
@@ -164,8 +170,7 @@ class ServingFrontend:
         #: Expiry timers armed so far (one DES event each).
         self.timers_armed = 0
         self._breakers = {
-            fpga_id: CircuitBreaker(fpga_id, self.params,
-                                    listener=self._on_breaker)
+            fpga_id: CircuitBreaker(fpga_id, listener=self._on_breaker)
             for fpga_id in self.cluster.boards
         }
         #: Boards whose breaker is half-open: only these (and a late
@@ -194,25 +199,28 @@ class ServingFrontend:
             self._free_blocks += board.free_blocks
             board.subscribe(self._on_occupancy)
         self.brownout = False
-        #: Free blocks at the last brownout evaluation that changed
-        #: nothing (``None``: re-evaluate at the next start or finish).
+        #: Free blocks at the last brownout evaluation (``None``: none yet).
         self._settled_free: int | None = None
         self._simulator = None
         #: Optional elastic autoscaler (:mod:`repro.autoscale`); it sets
         #: itself here when built, and observes every offered arrival.
         self.autoscaler = None
-        if self.params.breaker_enabled:
-            for board in self.cluster.boards.values():
-                board.subscribe_health(self._on_board_health)
 
     # -- simulator adoption --------------------------------------------------
 
     def bind_simulator(self, simulator) -> None:
         """Adopt the driving DES; the frontend's kept records are recounted
-        when its run ends (:meth:`_check_books`)."""
+        when its run ends (:meth:`_check_books`).
+
+        Board health is watched from here on: a breaker sample needs the
+        simulator's clock.  A board that failed before is seen by the
+        breaker gate all the same, since a model's usable boards are
+        counted at the gate's first read of it."""
         self._simulator = simulator
         self.system.bind_simulator(simulator)
         simulator.add_run_end(self._check_books)
+        for board in self.cluster.boards.values():
+            board.subscribe_health(self._on_board_health)
 
     def _check_books(self) -> None:
         """Raise :class:`SimulationError` naming each kept record that
@@ -376,9 +384,8 @@ class ServingFrontend:
             self.stats.abandoned += 1
             return
         self.stats.placement_retries += 1
-        jitter = self.params.retry_jitter
-        delay = self.params.backoff_s(record.attempts) * (
-            1.0 - jitter + 2.0 * jitter * self._rng.random()
+        delay = backoff_s(record.attempts) * (
+            1.0 - RETRY_JITTER + 2.0 * RETRY_JITTER * self._rng.random()
         )
         record.next_attempt_s = now + delay
         if record.next_attempt_s > self._backoff_until:
@@ -416,7 +423,7 @@ class ServingFrontend:
         if on_time:
             self.stats.slo_hits += 1
         # An on-time completion moves only half-open breakers.
-        if self.params.breaker_enabled and (not on_time or self._half_open):
+        if not on_time or self._half_open:
             for placement in deployment.placements:
                 breaker = self._breakers.get(placement.fpga_id)
                 if breaker is None:
@@ -507,10 +514,8 @@ class ServingFrontend:
     def _count_usable(self, model_key: str) -> int | None:
         """Count a model's usable candidate boards, at the gate's first
         read of the model, and list it on each candidate board for the
-        transitions to come.  ``None`` (the gate does not apply) with
-        breakers off or no board the model could land on."""
-        if not self.params.breaker_enabled:
-            return None
+        transitions to come.  ``None`` (the gate does not apply) with no
+        board the model could land on."""
         types = set(self.controller.catalog.compatible_types(model_key))
         candidates = [
             (self._breakers[board.fpga_id], board)
@@ -573,38 +578,36 @@ class ServingFrontend:
         names the model of a task that has started but is still on the
         simulator's queue (its :meth:`try_start` has not returned).
 
-        An evaluation that changed nothing stays right until occupancy
-        moves, so a start or finish calls this only when the free-block
-        total differs from :attr:`_settled_free`; a transition re-arms it,
-        since with equal watermarks the state flips again at unchanged
-        utilisation."""
+        An evaluation stays right until occupancy moves, so a start or
+        finish calls this only when the free-block total differs from
+        :attr:`_settled_free`: the low watermark sits strictly below the
+        high one, so neither transition flips back at the utilisation
+        that made it."""
         self._settled_free = self._free_blocks
         if not self.params.brownout_enabled:
             return
         util = self.utilisation()
-        if not self.brownout and util >= self.params.brownout_high_watermark:
+        if not self.brownout and util >= BROWNOUT_HIGH_WATERMARK:
             self.brownout = True
             self.controller.prefer_narrow = True
             self.stats.brownout_entries += 1
-            self._settled_free = None
             self._shrink_hot_models(now, starting)
-        elif self.brownout and util <= self.params.brownout_low_watermark:
+        elif self.brownout and util <= BROWNOUT_LOW_WATERMARK:
             self.brownout = False
             self.controller.prefer_narrow = False
             self.stats.brownout_exits += 1
-            self._settled_free = None
 
     def _shrink_hot_models(self, now: float, starting: str) -> None:
         """Switch hot models' idle deployments to the narrowest catalog
         plan (cross-width, so a cold restart — the recovery manager's
         scale-down fallback applied proactively).  A model is hot when
         its queued requests, ``starting`` not counted, reach
-        ``brownout_hot_depth``."""
+        :data:`~repro.serving.policy.BROWNOUT_HOT_DEPTH`."""
         controller = self.controller
         simulator = self._simulator
         for model_key in simulator.queued_models():
             depth = simulator.queued_depth(model_key) - (model_key == starting)
-            if depth < self.params.brownout_hot_depth:
+            if depth < BROWNOUT_HOT_DEPTH:
                 continue
             plans = controller.catalog.entry_by_key(model_key).sorted_plans()
             if len(plans) < 2:

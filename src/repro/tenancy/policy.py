@@ -3,17 +3,19 @@
 A :class:`TenantParameters` names one tenant and fixes its contract with
 the cluster: a *priority class* (strict — a higher class is always served
 first), a *weight* (fair-share ratio within one class), a resource quota
-(virtual blocks concurrently resident), an admission bound on queued
-work, and whether the tenant's deployments may be victimised by priority
-preemption.
+(virtual blocks concurrently resident), and whether the tenant's
+deployments may be victimised by priority preemption.
 
-:class:`TenancyParameters` configures the scheduler itself — victim
-bounds and the sweep cooldown that keeps a starved premium
-tenant from levelling the whole cluster in one pass.  A victim's drain and
-checkpoint are priced by the migration engine.
+:class:`TenancyParameters` configures the scheduler itself: whether idle
+deployments are reused across tenants.  Preemption's bounds are fixed
+policy, module constants here: the victims one sweep may take and the
+sweep cooldown that keeps a starved premium tenant from levelling the
+whole cluster in one pass.  A victim's drain and checkpoint are priced by
+the migration engine.
 
-Both are frozen dataclasses validated at construction, mirroring
-:class:`~repro.autoscale.policy.AutoscaleParameters`.
+Both are frozen dataclasses, mirroring
+:class:`~repro.autoscale.policy.AutoscaleParameters`; a tenant's
+contract is validated at construction.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from dataclasses import dataclass
 
 from ..errors import ReproError
 from ..units import ms
+
+#: Most deployments one preemption sweep may victimise.
+MAX_VICTIMS = 4
+#: Minimum spacing between preemption sweeps; within the window a starved
+#: task simply waits for the in-flight teardowns to land.
+PREEMPT_COOLDOWN_S = ms(1.0)
 
 
 @dataclass(frozen=True)
@@ -41,9 +49,6 @@ class TenantParameters:
     #: deployments (``None`` = unlimited).  Enforced at the allocation
     #: point, so it can never be exceeded, only declined.
     block_quota: int | None = None
-    #: Maximum tasks queued at once; arrivals beyond it are shed at
-    #: admission (``None`` = unlimited).
-    queue_quota: int | None = None
     #: Whether a higher-priority tenant may reclaim this tenant's blocks
     #: via checkpoint + requeue.
     preemptible: bool = True
@@ -57,8 +62,6 @@ class TenantParameters:
             raise ReproError("tenant weight must be positive")
         if self.block_quota is not None and self.block_quota < 1:
             raise ReproError("block_quota must be >= 1 (or None)")
-        if self.queue_quota is not None and self.queue_quota < 1:
-            raise ReproError("queue_quota must be >= 1 (or None)")
 
 
 @dataclass(frozen=True)
@@ -68,18 +71,7 @@ class TenancyParameters:
     always plans a sweep, and a contract with no preemptible tenant
     (:attr:`TenantParameters.preemptible`) never does."""
 
-    #: Most deployments one preemption sweep may victimise.
-    max_victims: int = 4
-    #: Minimum spacing between preemption sweeps; within the window a
-    #: starved task simply waits for the in-flight teardowns to land.
-    cooldown_s: float = ms(1.0)
     #: When True the controller only reuses idle deployments owned by the
     #: requesting tenant, so block attribution (and therefore quota
     #: enforcement) is exact.  Off restores cross-tenant reuse.
     isolation: bool = True
-
-    def __post_init__(self):
-        if self.max_victims < 1:
-            raise ReproError("max_victims must be >= 1")
-        if self.cooldown_s < 0:
-            raise ReproError("cooldown_s must be >= 0")

@@ -15,8 +15,7 @@ way the frontend wraps the system).  It adds:
   controller's ``quota`` once, and the controller asks it for the tenant
   each placement is for, so a tenant can be declined but never overshoot
   (zero-violation by construction), with instantaneous usage read off the
-  :class:`~repro.autoscale.accounting.ReplicaLedger`'s tenant axis; queue
-  quotas shed at admission;
+  :class:`~repro.autoscale.accounting.ReplicaLedger`'s tenant axis;
 * **dispatch order** — the simulator's optional ``dispatch_key`` hook,
   which replaces the system's locality order: strict priority classes
   first, start-time fair queueing within a class (each start advances the
@@ -59,7 +58,12 @@ from ..autoscale.accounting import ReplicaLedger
 from ..cluster.simulator import Task
 from ..errors import ReproError
 from ..runtime.deployment import Deployment, DeploymentState
-from .policy import TenancyParameters, TenantParameters
+from .policy import (
+    MAX_VICTIMS,
+    PREEMPT_COOLDOWN_S,
+    TenancyParameters,
+    TenantParameters,
+)
 
 
 @dataclass
@@ -110,6 +114,8 @@ class TenancyStats:
     preempted_distinct: int = 0
     #: Distinct preempted tasks that subsequently ran to completion.
     preempted_completed: int = 0
+    #: Arrivals shed by a tenant's admission quota.  No contract sets one
+    #: yet, so it reads 0; the tenancy bench reports it.
     quota_sheds: int = 0
     #: Total drain + checkpoint-stream time charged to teardowns.
     checkpoint_s: float = 0.0
@@ -241,23 +247,11 @@ class TenantScheduler:
         tenant = task.tenant
         state = self._state(tenant)
         state.offered += 1
-        # The arriving tenant's queued work, asked at most once: admission
-        # leaves the queues as they are.
-        depth = None
-        quota = state.params.queue_quota
-        if quota is not None:
-            depth = simulator.tenant_depth(tenant)
-            if depth >= quota:
-                state.shed += 1
-                self.stats.quota_sheds += 1
-                return False
         inner_admit = self._inner_admit
         if inner_admit is not None and not inner_admit(task, now):
             state.shed += 1
             return False
-        if not state.running and not (
-            depth if depth is not None else simulator.tenant_depth(tenant)
-        ):
+        if not state.running and not simulator.tenant_depth(tenant):
             # Activation floor: an idle tenant (nothing queued or running)
             # re-enters at the active minimum, not at its stale (possibly
             # tiny) virtual time — otherwise a long-idle tenant would lock
@@ -408,7 +402,7 @@ class TenantScheduler:
                     chosen.append(victim)
                 if free < needed or not chosen:
                     continue  # board can't be opened (or is already open)
-                if len(victims) + len(chosen) > self.params.max_victims:
+                if len(victims) + len(chosen) > MAX_VICTIMS:
                     continue
                 victims.extend(chosen)
                 taken.update(v.deployment_id for v in chosen)
@@ -446,7 +440,7 @@ class TenantScheduler:
                 self._preempt_pending[model_key] -= 1
 
             self._simulator.schedule_external(teardown_s, teardown)
-        self._preempt_gate_s = now + self.params.cooldown_s
+        self._preempt_gate_s = now + PREEMPT_COOLDOWN_S
 
     def _abort_victim_task(self, victim: Deployment, restore_s: float,
                            now: float) -> None:

@@ -1,7 +1,7 @@
 """Queue tasks in a simulator without running it, or set its queue view.
 
 Admission reads the simulator's queues (the serving bound, the
-tenancy queue quota and activation floor), so a test that offers tasks to
+tenancy activation floor), so a test that offers tasks to
 a frontend or tenancy layer by hand queues them in a bound simulator.  A
 proposed system's expansion and hints read the simulator's queue view, so
 a test that drives the system by hand sets that view.

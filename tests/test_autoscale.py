@@ -21,6 +21,12 @@ from repro.autoscale import (
     ReplicaLedger,
     ScaleEvent,
 )
+from repro.autoscale.policy import (
+    FAULT_SUPPRESS_S,
+    HIGH_WATERMARK,
+    LOW_WATERMARK,
+    MIN_REPLICAS,
+)
 from repro.cluster import ClusterSimulator, paper_cluster
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultModelParameters
@@ -94,22 +100,14 @@ def _drain_queue(frontend, model_key=MODEL):
 class TestAutoscaleParameters:
     def test_defaults_valid(self):
         params = AutoscaleParameters()
-        assert params.low_watermark < params.high_watermark
-        assert params.min_replicas <= params.max_replicas
-
-    def test_rejects_collapsed_hysteresis_band(self):
-        with pytest.raises(ReproError):
-            AutoscaleParameters(low_watermark=6, high_watermark=6)
+        assert LOW_WATERMARK < HIGH_WATERMARK
+        assert MIN_REPLICAS <= params.max_replicas
 
     def test_rejects_inverted_replica_bounds(self):
         with pytest.raises(ReproError):
-            AutoscaleParameters(min_replicas=4, max_replicas=2)
+            AutoscaleParameters(max_replicas=MIN_REPLICAS - 1)
 
-    def test_rejects_bad_alpha_interval_and_cooldowns(self):
-        with pytest.raises(ReproError):
-            AutoscaleParameters(rate_alpha=0.0)
-        with pytest.raises(ReproError):
-            AutoscaleParameters(interval_s=0.0)
+    def test_rejects_bad_cooldowns_and_target_util(self):
         with pytest.raises(ReproError):
             AutoscaleParameters(up_cooldown_s=-1.0)
         with pytest.raises(ReproError):
@@ -171,7 +169,7 @@ class TestHysteresis:
         _place(controller)
         params = AutoscaleParameters(down_cooldown_s=0.1)
         scaler = Autoscaler(frontend, params)
-        _queue(frontend, params.high_watermark)
+        _queue(frontend, HIGH_WATERMARK)
         scaler.evaluate(0.01)
         assert scaler.stats.scale_ups == 1
         # The burst is served instantly and the queue empties — but the
@@ -216,14 +214,14 @@ class TestScaleUpPaths:
         assert deployments[0].plan.replicas == 2
         assert scaler.replica_units(MODEL) == 2
 
-    def test_add_places_second_deployment_when_widen_disabled(self, catalog):
+    def test_add_places_second_deployment_when_none_is_idle(self, catalog):
+        """Scale-up widens an idle deployment first; with the only one
+        busy there is nothing to widen, so it adds a deployment."""
         cluster, system, frontend = _frontend(catalog)
         controller = system.controller
-        _place(controller, replicas=1)
-        scaler = Autoscaler(
-            frontend, AutoscaleParameters(widen_enabled=False)
-        )
-        _queue(frontend, 6)
+        controller.acquire(_place(controller, replicas=1))
+        scaler = Autoscaler(frontend, AutoscaleParameters())
+        _queue(frontend, HIGH_WATERMARK)
         scaler.evaluate(0.01)
         assert scaler.stats.additions == 1
         assert scaler.stats.widenings == 0
@@ -298,7 +296,7 @@ class TestScaleDownPaths:
         cluster, system, frontend = _frontend(catalog)
         controller = system.controller
         _place(controller)
-        scaler = Autoscaler(frontend, AutoscaleParameters(min_replicas=1))
+        scaler = Autoscaler(frontend, AutoscaleParameters())
         for tick in range(20):
             scaler.evaluate(0.05 * (tick + 1))
         assert scaler.replica_units(MODEL) == 1
@@ -310,8 +308,7 @@ class TestFaultCoordination:
         cluster, system, frontend = _frontend(catalog)
         controller = system.controller
         _place(controller)
-        params = AutoscaleParameters(fault_suppress_s=0.15)
-        scaler = Autoscaler(frontend, params)
+        scaler = Autoscaler(frontend, AutoscaleParameters())
         _queue(frontend, 6)
         # The cluster just lost capacity: growing into the hole would
         # fight the repair, so pressure is suppressed for the window...
@@ -322,7 +319,7 @@ class TestFaultCoordination:
         scaler.evaluate(0.05)
         assert scaler.stats.scale_ups == 0
         # ...and honoured again once the window closes.
-        scaler.evaluate(0.01 + params.fault_suppress_s + 0.001)
+        scaler.evaluate(0.01 + FAULT_SUPPRESS_S + 0.001)
         assert scaler.stats.scale_ups == 1
 
     def test_scale_down_recovery_also_suppresses(self, catalog):
@@ -382,8 +379,7 @@ def _storm(catalog, count=400, rate_per_s=3600.0, mtbf_s=None, seed=11):
     for model in models:
         _place(controller, model_key=model)
     params = AutoscaleParameters(
-        interval_s=0.002, up_cooldown_s=0.004, down_cooldown_s=0.02,
-        max_replicas=4,
+        up_cooldown_s=0.004, down_cooldown_s=0.02, max_replicas=4,
     )
     scaler = Autoscaler(frontend, params)
     scaler.arm(tasks[-1].arrival_s)
@@ -423,7 +419,7 @@ def _assert_storm_invariants(cluster, system, frontend, scaler, result):
         if not isinstance(event, ScaleEvent):
             continue
         if event.action in ("retire", "narrow"):
-            assert event.units_after >= params.min_replicas
+            assert event.units_after >= MIN_REPLICAS
         else:
             assert event.units_after <= params.max_replicas
 

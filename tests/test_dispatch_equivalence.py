@@ -314,7 +314,7 @@ def test_tenancy_with_preemption(shared_catalog, seed, with_frontend):
         inner = system
         if with_frontend:
             inner = ServingFrontend(system, ServingParameters(
-                default_deadline_s=0.02, breaker_enabled=False))
+                default_deadline_s=0.02))
         total = sum(len(board.blocks) for board in cluster.boards.values())
         tenancy = TenantScheduler(inner, [
             TenantParameters(name="premium", priority=1, weight=2.0,
@@ -358,7 +358,7 @@ def test_lone_queue_walk_meets_park_abandon_requeue(shared_catalog):
         cluster = scaled_cluster(8)
         system = build_system("proposed", cluster, shared_catalog)
         frontend = ServingFrontend(system, ServingParameters(
-            default_deadline_s=0.05, breaker_enabled=False, retry_budget=0))
+            default_deadline_s=0.05, retry_budget=0))
         total = sum(len(board.blocks) for board in cluster.boards.values())
         tenancy = TenantScheduler(frontend, [
             TenantParameters(name="premium", priority=1, weight=2.0,
@@ -439,7 +439,7 @@ def test_abandon_inside_a_direct_start(shared_catalog):
     def build(cls):
         system = build_system("proposed", scaled_cluster(3), shared_catalog)
         frontend = ServingFrontend(system, ServingParameters(
-            default_deadline_s=0.05, breaker_enabled=False, retry_budget=0))
+            default_deadline_s=0.05, retry_budget=0))
         tasks = [Request(task_id=i, model_key=m, arrival_s=a, size_class="S")
                  for i, (a, m) in enumerate(zip(arrivals, models))]
         return cls(frontend, "serving"), tasks
@@ -620,31 +620,6 @@ def test_serving_condemned_requests(shared_catalog, variant):
     build = _serving_build(shared_catalog, 7, **overrides)
     reference, _ = _run_both(build, SERVING_DIGESTS[variant])
     assert reference.scheduler.stats.abandoned > 0
-
-
-#: Brownout entries, exits and schedule digest of
-#: :func:`test_brownout_with_equal_watermarks`, pinned from a frontend that
-#: evaluated brownout at every start and finish.
-EQUAL_WATERMARKS_PIN = (
-    32, 32, "80e751a47786482149cb08c69608c050d7a5fe68b01fac5d85c1c49aa69b7711")
-
-
-def test_brownout_with_equal_watermarks(shared_catalog):
-    """With ``brownout_low_watermark == brownout_high_watermark`` the
-    state flips at every evaluation at exactly that utilisation.  An
-    evaluation is skipped while occupancy has not moved since the last
-    one that changed nothing, so each flip must re-arm the next; the
-    watermark sits at the free-block count this run holds most often."""
-    watermark = 1.0 - 2 / 58  # two of the paper cluster's 58 blocks free
-    build = _serving_build(shared_catalog, 9,
-                           brownout_high_watermark=watermark,
-                           brownout_low_watermark=watermark)
-    entries, exits, digest = EQUAL_WATERMARKS_PIN
-    _, simulator = _run_both(build, digest)
-    frontend = simulator.scheduler
-    assert frontend._total_blocks == 58
-    assert (frontend.stats.brownout_entries,
-            frontend.stats.brownout_exits) == (entries, exits)
 
 
 def test_retry_at_equals_the_backlog_scan(shared_catalog):

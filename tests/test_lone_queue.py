@@ -54,7 +54,7 @@ def _bare(catalog):
 def _serving(catalog):
     system = build_system("proposed", scaled_cluster(4), catalog)
     return system, ServingFrontend(system, ServingParameters(
-        default_deadline_s=0.05, breaker_enabled=False))
+        default_deadline_s=0.05))
 
 
 def _tenancy(catalog):

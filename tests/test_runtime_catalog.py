@@ -16,13 +16,13 @@ def catalog():
 class TestEntries:
     def test_small_model_single_fpga_plan(self, catalog):
         entry = catalog.entry(ModelSpec("gru", 512, 1))
-        assert entry.min_replicas() == 1
+        assert entry.sorted_plans()[0].replicas == 1
         plan = entry.sorted_plans()[0]
         assert set(plan.feasible_types) == {"XCVU37P", "XCKU115"}
 
     def test_large_model_two_fpga_only(self, catalog):
         entry = catalog.entry(ModelSpec("gru", 2560, 10))
-        assert entry.min_replicas() == 2
+        assert entry.sorted_plans()[0].replicas == 2
 
     def test_gru2304_feasible_on_both_types(self, catalog):
         entry = catalog.entry(ModelSpec("gru", 2304, 10))

@@ -9,6 +9,8 @@ surfacing added alongside the frontend.
 """
 
 import dataclasses
+import math
+import random
 
 import pytest
 
@@ -25,7 +27,8 @@ from repro.serving import (
     ServingFrontend,
     ServingParameters,
 )
-from repro.serving.breaker import SLOW_WEIGHT
+from repro.serving import policy
+from repro.serving.breaker import COOLDOWN_S, SLOW_WEIGHT
 from repro.vital import BoardHealth, VitalCompiler
 from repro.workloads import diurnal_arrivals, mmpp_arrivals
 from tests.queueing import queue_tasks
@@ -74,6 +77,14 @@ def _fail_board(simulator, fpga_id, at, repair_after):
     )
 
 
+def _fill_cluster(cluster, spare=0):
+    """Hold all but ``spare`` free blocks of each board with a blocker:
+    with none spare each placement fails for capacity, and nothing can be
+    evicted to make room."""
+    for board in cluster.boards.values():
+        board.allocate("blocker", board.free_blocks - spare)
+
+
 def _requests(count, model_key="gru-h512-t1", gap_s=0.001, deadline_s=0.0):
     return [
         Request(
@@ -95,18 +106,13 @@ class TestServingParameters:
         with pytest.raises(ReproError):
             ServingParameters(max_queue_depth=0)
         with pytest.raises(ReproError):
-            ServingParameters(retry_jitter=1.0)
-        with pytest.raises(ReproError):
-            ServingParameters(
-                brownout_low_watermark=0.9, brownout_high_watermark=0.8
-            )
+            ServingParameters(retry_budget=-1)
 
     def test_backoff_doubles_and_caps(self):
-        params = ServingParameters(retry_base_s=0.002, retry_cap_s=0.006)
-        assert params.backoff_s(1) == 0.002
-        assert params.backoff_s(2) == 0.004
-        assert params.backoff_s(3) == 0.006  # capped
-        assert params.backoff_s(9) == 0.006
+        assert policy.backoff_s(1) == policy.RETRY_BASE_S == 0.002
+        assert policy.backoff_s(2) == 0.004
+        assert policy.backoff_s(5) == policy.RETRY_CAP_S == 0.032
+        assert policy.backoff_s(9) == policy.RETRY_CAP_S  # capped
 
 
 class TestAdmission:
@@ -129,10 +135,7 @@ class TestAdmission:
 
 class TestDeadlines:
     def test_expired_request_never_occupies_a_board(self, catalog):
-        cluster, _, frontend = _frontend(
-            catalog, breaker_enabled=False, retry_budget=100,
-            retry_base_s=0.05, retry_jitter=0.0,
-        )
+        cluster, _, frontend = _frontend(catalog)
         for board in cluster.boards.values():
             board.set_health(BoardHealth.FAILED)
         simulator = ClusterSimulator(frontend, "expiry")
@@ -146,9 +149,12 @@ class TestDeadlines:
             record = task.serving
             assert record.outcome is RequestOutcome.EXPIRED
             assert not record.started
+        # Every board failed before the frontend was bound: the breaker
+        # gate, counting at its first read, declined every attempt.
+        assert frontend.stats.breaker_rejections > 0
 
     def test_expiry_is_an_exact_event_not_a_poll(self, catalog):
-        cluster, _, frontend = _frontend(catalog, breaker_enabled=False)
+        cluster, _, frontend = _frontend(catalog)
         for board in cluster.boards.values():
             board.set_health(BoardHealth.FAILED)
         simulator = ClusterSimulator(frontend, "expiry-exact")
@@ -187,15 +193,14 @@ class TestDeadlines:
         """An abandon leaves the simulator's queue at the failed placement
         that condemns it; a shed never entered it."""
         cluster, _, frontend = _frontend(
-            catalog, breaker_enabled=False, retry_budget=1, retry_jitter=0.0,
-            retry_base_s=0.002, max_queue_depth=2, default_deadline_s=30.0,
+            catalog, retry_budget=1, max_queue_depth=2,
+            default_deadline_s=30.0,
         )
-        for board in cluster.boards.values():
-            board.set_health(BoardHealth.FAILED)
+        _fill_cluster(cluster)
         simulator = ClusterSimulator(frontend, "condemned")
         drops = _spy_drops(simulator, frontend)
         # Three arrivals at once into a queue of two: the third is shed at
-        # the door.  The first fails placement, backs off 2 ms (the second
+        # the door.  The first fails placement, backs off (the second
         # waits behind its hint) and fails again past its budget of one;
         # the second then does the same once its model's hint lets it.
         result = simulator.run(_requests(3, gap_s=0.0))
@@ -203,7 +208,12 @@ class TestDeadlines:
             (0, RequestOutcome.ABANDONED),
             (1, RequestOutcome.ABANDONED),
         ]
-        assert drops[0][1] == 0.002 < drops[1][1]
+        # The first backoff is the first draw of the seed-0 jitter stream.
+        jitter = policy.RETRY_JITTER
+        first_backoff = policy.backoff_s(1) * (
+            1.0 - jitter + 2.0 * jitter * random.Random(0).random()
+        )
+        assert drops[0][1] == first_backoff < drops[1][1]
         assert [task.task_id for task in result.dropped] == [2, 0, 1]
         assert result.dropped[0].serving.outcome is RequestOutcome.SHED
         assert simulator.pending_count == 0
@@ -230,11 +240,9 @@ class TestDeadlines:
 class TestRetryBudget:
     def test_placement_failures_consume_the_budget(self, catalog):
         cluster, _, frontend = _frontend(
-            catalog, breaker_enabled=False, retry_budget=2,
-            default_deadline_s=30.0, retry_jitter=0.0,
+            catalog, retry_budget=2, default_deadline_s=30.0,
         )
-        for board in cluster.boards.values():
-            board.set_health(BoardHealth.FAILED)
+        _fill_cluster(cluster)
         simulator = ClusterSimulator(frontend, "abandon")
         tasks = _requests(1)
         result = simulator.run(tasks)
@@ -263,66 +271,57 @@ class TestRetryBudget:
         earliest backoff expiry, even when the inner hint is earlier; with
         nothing of the model queued, or every backoff past, the inner
         hint.  A backoff decline writes it, over the system's hint."""
-        # Un-jittered one-second backoffs.
-        _, system, frontend = _frontend(
-            catalog, retry_base_s=1.0, retry_cap_s=1.0, retry_jitter=0.0
-        )
+        _, system, frontend = _frontend(catalog)
         tasks = _requests(3, gap_s=0.0)
         assert all(queue_tasks(frontend, tasks))
+        # Failures a second apart, each backing off for a few ms.
         for task, failed_at in zip(tasks, (2.0, 1.0, 3.0)):
             frontend._placement_failed(task, failed_at)
-        assert [task.serving.next_attempt_s for task in tasks] == [3.0, 2.0, 4.0]
+        next_s = [task.serving.next_attempt_s for task in tasks]
+        assert 1.0 < next_s[1] < 1.5 < 2.0 < next_s[0] < 2.5 < 3.0 < next_s[2]
         system.earliest_retry = lambda task, now: 0.5
         assert frontend.try_start(tasks[0], 1.0) is None
         assert tasks[0].decline == "backoff"
-        assert tasks[0].retry_at == 2.0
-        assert frontend.try_start(tasks[0], 2.5) is None
+        assert tasks[0].retry_at == next_s[1]
+        assert frontend.try_start(tasks[0], 1.5) is None
         assert tasks[0].retry_at == 0.5
         assert frontend._backoff_hint(tasks[0], 4.0, 0.5) == 0.5
         other = _requests(1, model_key="lstm-h256-t150")[0]
         assert frontend._backoff_hint(other, 1.0, 0.5) == 0.5
 
     def test_backoff_is_jittered_and_bounded(self, catalog):
-        params = ServingParameters(retry_jitter=0.5, retry_base_s=0.002)
-        _, _, frontend = _frontend(
-            catalog, retry_jitter=0.5, retry_base_s=0.002
-        )
-        base = params.backoff_s(1)
-        record_delays = []
-        for _ in range(20):
-            jitter = params.retry_jitter
-            draw = frontend._rng.random()
-            record_delays.append(base * (1 - jitter + 2 * jitter * draw))
-        assert all(
-            0.5 * base <= delay <= 1.5 * base for delay in record_delays
-        )
-        assert len(set(record_delays)) > 1
+        _, _, frontend = _frontend(catalog, max_queue_depth=20)
+        tasks = _requests(20, gap_s=0.0)
+        assert all(queue_tasks(frontend, tasks))
+        for task in tasks:
+            frontend._placement_failed(task, 0.0)
+        base = policy.backoff_s(1)
+        delays = [task.serving.next_attempt_s for task in tasks]
+        assert all(0.5 * base <= delay <= 1.5 * base for delay in delays)
+        assert len(set(delays)) > 1
 
 
 class TestCircuitBreakerUnit:
     def test_opens_at_threshold_mass(self):
-        breaker = CircuitBreaker("b0", ServingParameters())
+        breaker = CircuitBreaker("b0")
         assert not breaker.record_failure(0.0)  # mass 1.0 < 2.0
         assert breaker.record_failure(0.1)  # mass 2.0 -> OPEN
         assert breaker.state is BreakerState.OPEN
 
     def test_window_forgets_old_failures(self):
-        breaker = CircuitBreaker(
-            "b0", ServingParameters(breaker_window_s=0.5)
-        )
+        breaker = CircuitBreaker("b0")
         breaker.record_failure(0.0)
         assert not breaker.record_failure(1.0)  # first sample expired
         assert breaker.state is BreakerState.CLOSED
 
     def test_slow_completions_weigh_half(self):
-        breaker = CircuitBreaker("b0", ServingParameters())
+        breaker = CircuitBreaker("b0")
         for _ in range(3):
             assert not breaker.record_slow(0.1)
         assert breaker.record_slow(0.1)  # 4 * 0.5 = 2.0 -> OPEN
 
     def test_half_open_probe_closes_after_budget(self):
-        params = ServingParameters(breaker_probe_budget=2)
-        breaker = CircuitBreaker("b0", params)
+        breaker = CircuitBreaker("b0")  # a probe budget of two
         breaker.record_failure(0.0)
         breaker.record_failure(0.0)
         breaker.half_open()
@@ -333,9 +332,7 @@ class TestCircuitBreakerUnit:
         assert breaker.consecutive_opens == 0
 
     def test_failed_probe_reopens_with_doubled_cooldown(self):
-        breaker = CircuitBreaker(
-            "b0", ServingParameters(breaker_cooldown_s=0.2)
-        )
+        breaker = CircuitBreaker("b0")
         breaker.record_failure(0.0)
         breaker.record_failure(0.0)
         first_cooldown = breaker.cooldown_s()
@@ -345,25 +342,36 @@ class TestCircuitBreakerUnit:
         assert breaker.cooldown_s() == pytest.approx(2 * first_cooldown)
 
     def test_cooldown_growth_is_capped(self):
-        breaker = CircuitBreaker(
-            "b0", ServingParameters(breaker_cooldown_s=0.2)
-        )
+        breaker = CircuitBreaker("b0")
         for _ in range(10):
             breaker.record_failure(0.0)
             breaker.record_failure(0.0)
             breaker.half_open()
-        assert breaker.cooldown_s() == pytest.approx(0.2 * 8)
+        assert breaker.cooldown_s() == pytest.approx(COOLDOWN_S * 8)
 
 
 class TestCircuitBreakerIntegration:
+    def test_a_board_failed_before_binding_takes_no_sample(self, catalog):
+        """A board that fails before a simulator binds the frontend gives
+        its breaker no sample, since there is no clock yet; the breaker
+        gate still counts the board unusable at its first read."""
+        cluster, system, frontend = _frontend(catalog, default_deadline_s=30.0)
+        cluster.board("vu37p-0").set_health(BoardHealth.FAILED)
+        breaker = frontend.breaker("vu37p-0")
+        assert breaker.state is BreakerState.CLOSED
+        assert breaker.failure_mass(0.0) == 0
+        simulator = ClusterSimulator(frontend, "failed-before-binding")
+        result = simulator.run(_requests(4))
+        assert len(result.completed) == 4
+        assert not system.controller.deployments_on("vu37p-0")
+        assert frontend.stats.breaker_opens == 0
+
     def test_repeated_board_failures_open_and_drain(self, catalog):
-        cluster, _, frontend = _frontend(
-            catalog, breaker_threshold=2.0, breaker_window_s=5.0,
-            breaker_cooldown_s=10.0, default_deadline_s=30.0,
-        )
+        cluster, _, frontend = _frontend(catalog, default_deadline_s=30.0)
         simulator = ClusterSimulator(frontend, "breaker-drain")
         # Two hard failures on one board inside the window: breaker opens
-        # on the second and holds the board drained past its repair.
+        # on the second and holds the board drained past its repair, until
+        # the half-open probe.
         _fail_board(simulator, "vu37p-0", at=0.001, repair_after=0.002)
         _fail_board(simulator, "vu37p-0", at=0.02, repair_after=0.002)
         result = simulator.run(_requests(6, gap_s=0.01))
@@ -412,12 +420,12 @@ class TestCircuitBreakerIntegration:
         the set names exactly the half-open breakers."""
         system = build_system("proposed", scaled_cluster(1), catalog,
                               recovery=True)
-        frontend = ServingFrontend(system, ServingParameters(
-            breaker_threshold=1.0, breaker_cooldown_s=0.005,
-            breaker_probe_budget=1, default_deadline_s=30.0,
-        ))
+        frontend = ServingFrontend(
+            system, ServingParameters(default_deadline_s=30.0))
         simulator = ClusterSimulator(frontend, "probe-close")
+        # Two failures inside the window open the breaker.
         _fail_board(simulator, "vu37p-0", at=0.001, repair_after=0.001)
+        _fail_board(simulator, "vu37p-0", at=0.003, repair_after=0.001)
         half_open_at_finish = []
         on_finish = frontend.on_finish
 
@@ -439,20 +447,21 @@ class TestCircuitBreakerIntegration:
         assert not half_open_at_finish[-1]
 
     def test_breaker_only_repairs_its_own_drain(self, catalog):
-        cluster, _, frontend = _frontend(
-            catalog, breaker_threshold=1.0, breaker_cooldown_s=0.01
-        )
+        cluster, _, frontend = _frontend(catalog)
         board = cluster.board("vu37p-0")
         # The fault (not the breaker) holds the board FAILED: the
         # half-open probe must not flip it back to HEALTHY while the
-        # fault's repair is still pending.
+        # fault's repair is still pending.  The second failure opens the
+        # breaker.
         simulator = ClusterSimulator(frontend, "no-repair")
-        _fail_board(simulator, "vu37p-0", at=0.001, repair_after=5.0)
+        _fail_board(simulator, "vu37p-0", at=0.001, repair_after=0.002)
+        _fail_board(simulator, "vu37p-0", at=0.01, repair_after=5.0)
         observed = []
         simulator.schedule_external(
             2.0, lambda now: observed.append(board.health)
         )
         simulator.run(_requests(3, gap_s=0.002, deadline_s=0.1))
+        assert frontend.stats.breaker_opens == 1
         assert observed == [BoardHealth.FAILED]
         # After the fault's own repair the board is healthy again.
         assert board.health is BoardHealth.HEALTHY
@@ -491,26 +500,30 @@ class TestBrownout:
         )
         assert controller.index.check_consistent()
 
-    @pytest.mark.parametrize("queued, switches", [(2, 0), (3, 1)])
+    @pytest.mark.parametrize("queued, switches", [
+        (policy.BROWNOUT_HOT_DEPTH, 0), (policy.BROWNOUT_HOT_DEPTH + 1, 1),
+    ])
     def test_a_starting_request_does_not_make_its_model_hot(
         self, catalog, queued, switches
     ):
         """A start that enters brownout reads hot models off the
         simulator's queue, where the starting request stays until its
-        ``try_start`` returns; it does not count.  With
-        ``brownout_hot_depth - 1`` requests queued behind it the model is
-        not hot, and its idle wide deployment keeps its width; with
-        ``brownout_hot_depth`` behind it the deployment is switched."""
-        _, system, frontend = _frontend(
-            catalog, brownout_high_watermark=0.2, brownout_low_watermark=0.1,
-            brownout_hot_depth=2,
-        )
+        ``try_start`` returns; it does not count.  With one request short
+        of the hot depth queued behind it the model is not hot, and its
+        idle wide deployment keeps its width; with the hot depth behind it
+        the deployment is switched.  A blocker holds the rest of the
+        cluster but a block per board (the narrow plan takes one more
+        block of a board than the wide one frees), so the start finds it in
+        brownout."""
+        cluster, system, frontend = _frontend(catalog)
         controller = system.controller
         plans = catalog.entry_by_key("gru-h512-t1").sorted_plans()
         wide = max(plans, key=controller.plan_footprint)
         for _ in range(2):
             controller.place_plan(wide, now=0.0)
-        assert frontend.utilisation() >= 0.2 and not frontend.brownout
+        _fill_cluster(cluster, spare=1)
+        assert frontend.utilisation() >= policy.BROWNOUT_HIGH_WATERMARK
+        assert not frontend.brownout
         tasks = _requests(queued)
         assert all(queue_tasks(frontend, tasks))
         assert frontend.try_start(tasks[0], 0.0) is not None
@@ -527,28 +540,38 @@ class TestBrownout:
         )
 
     def test_watermark_hysteresis(self, catalog):
-        cluster, system, frontend = _frontend(
-            catalog, brownout_high_watermark=0.5, brownout_low_watermark=0.3
-        )
+        cluster, system, frontend = _frontend(catalog)
         controller = system.controller
         # Brownout reads hot models off the simulator's queues.
         ClusterSimulator(frontend, "hysteresis")
         total = sum(len(board.blocks) for board in cluster.boards.values())
-        # Fill 60% of the cluster with a blocker: enters brownout.
-        blocked = int(0.6 * total)
-        remaining = blocked
-        for board in cluster.boards.values():
-            take = min(remaining, board.free_blocks)
-            if take:
-                board.allocate("blocker", take)
-            remaining -= take
+
+        def block(fraction, owner):
+            remaining = math.ceil(fraction * total)
+            for board in cluster.boards.values():
+                take = min(remaining, board.free_blocks)
+                if take:
+                    board.allocate(owner, take)
+                remaining -= take
+
+        # Fill the band between the marks, then the rest up to the high
+        # one: enters brownout.
+        band = policy.BROWNOUT_LOW_WATERMARK + 0.05
+        block(band, "band")
+        block(policy.BROWNOUT_HIGH_WATERMARK - band, "top")
         frontend._update_brownout(0.0)
         assert frontend.brownout
         assert controller.prefer_narrow
+        # Back inside the band: brownout holds (hysteresis).
+        for board in cluster.boards.values():
+            if "top" in board.owners():
+                board.release("top")
+        frontend._update_brownout(0.5)
+        assert frontend.brownout
         # Drain it: exits at the low watermark.
         for board in cluster.boards.values():
-            if "blocker" in board.owners():
-                board.release("blocker")
+            if "band" in board.owners():
+                board.release("band")
         frontend._update_brownout(1.0)
         assert not frontend.brownout
         assert not controller.prefer_narrow

@@ -185,20 +185,17 @@ class TestServingInvariants:
         )
         _assert_invariants(cluster, system, frontend, result)
 
-    def test_storm_with_tight_breakers_and_brownout(self, catalog):
+    def test_storm_with_dense_faults_and_brownout(self, catalog):
         cluster, system, frontend, result = _run_storm(
             catalog,
             9,
-            mtbf_s=0.1,
-            breaker_threshold=1.0,
-            breaker_cooldown_s=0.02,
-            brownout_high_watermark=0.4,
-            brownout_low_watermark=0.2,
-            brownout_hot_depth=2,
+            mtbf_s=0.03,
         )
         # Probes re-admit boards, and some fail and re-open: the half-open
-        # set is recounted at every finish across both.
+        # set is recounted at every finish across both, with brownout
+        # entered on the way.
         assert frontend.stats.breaker_half_opens > 0
+        assert frontend.stats.brownout_entries > 0
         _assert_invariants(cluster, system, frontend, result)
 
     def test_kept_records_match_a_recount_after_every_decline(self, catalog):
@@ -220,12 +217,13 @@ class TestServingInvariants:
 
             frontend.try_start = spy
 
+        # Faults dense and long enough that every board a model could
+        # land on is held open or failed at some decline.
         cluster, system, frontend, result = _run_storm(
             catalog,
             9,
-            mtbf_s=0.05,
-            breaker_threshold=1.0,
-            breaker_cooldown_s=0.05,
+            count=300,
+            mtbf_s=0.03,
             before_run=recount_at_declines,
         )
         stats = frontend.stats

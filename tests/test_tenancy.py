@@ -25,6 +25,7 @@ from repro.serving import (
     ServingParameters,
 )
 from repro.tenancy import TenancyParameters, TenantParameters, TenantScheduler
+from repro.tenancy.policy import PREEMPT_COOLDOWN_S
 from repro.units import ms
 from repro.vital import VitalCompiler
 from repro.workloads import poisson_arrivals
@@ -71,23 +72,11 @@ class TestParameterValidation:
             {"name": "t", "weight": 0.0},
             {"name": "t", "weight": -1.0},
             {"name": "t", "block_quota": 0},
-            {"name": "t", "queue_quota": 0},
         ],
     )
     def test_bad_tenant_parameters_raise(self, kwargs):
         with pytest.raises(ReproError):
             TenantParameters(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_victims": 0},
-            {"cooldown_s": -1.0},
-        ],
-    )
-    def test_bad_tenancy_parameters_raise(self, kwargs):
-        with pytest.raises(ReproError):
-            TenancyParameters(**kwargs)
 
     def test_duplicate_tenants_rejected(self, shared_catalog):
         system = _proposed(paper_cluster(), shared_catalog)
@@ -286,21 +275,6 @@ class TestQuotaEnforcement:
         assert scheduler.quota_violations() == {}
         assert scheduler.ledger.peak_open_blocks.get("capped", 0) <= quota
         assert system.controller.stats.quota_rejections > 0
-
-    def test_queue_quota_sheds_at_admission(self, shared_catalog):
-        system = _proposed(paper_cluster(), shared_catalog)
-        scheduler = TenantScheduler(
-            system, [TenantParameters(name="q", queue_quota=2)]
-        )
-        tasks = [
-            Task(task_id=i, model_key="gru-h512-t1", arrival_s=0.0,
-                 tenant="q")
-            for i in range(5)
-        ]
-        admitted = queue_tasks(scheduler, tasks)
-        assert admitted == [True, True, False, False, False]
-        assert scheduler.stats.quota_sheds == 3
-        assert scheduler._state("q").shed == 3
 
     def test_quota_decline_hints_infinite_retry(self, shared_catalog):
         """A quota decline and a decline behind a pending teardown each
@@ -547,17 +521,17 @@ class TestPreemption:
     def test_cooldown_spaces_sweeps(self, shared_catalog):
         system = _proposed(paper_cluster(), shared_catalog)
         scheduler = TenantScheduler(
-            system,
-            [TenantParameters(name="hi", priority=1)],
-            TenancyParameters(cooldown_s=ms(5.0)),
+            system, [TenantParameters(name="hi", priority=1)]
         )
-        scheduler._preempt_gate_s = 1.0
         task = Task(task_id=0, model_key="gru-h512-t1", arrival_s=0.0,
                     tenant="hi")
         state = scheduler._state("hi")
+        scheduler._execute_preemption([], task, state, 1.0)
+        assert scheduler._preempt_gate_s == 1.0 + PREEMPT_COOLDOWN_S
         # Inside the cooldown window no sweep may start, whatever the
         # cluster looks like.
-        assert not scheduler._maybe_preempt(task, state, 0.9999)
+        assert not scheduler._maybe_preempt(
+            task, state, 1.0 + 0.99 * PREEMPT_COOLDOWN_S)
 
 
 class TestFrontendComposition:
@@ -569,7 +543,6 @@ class TestFrontendComposition:
             ServingParameters(
                 max_queue_depth=64,
                 default_deadline_s=5.0,
-                breaker_enabled=False,
             ),
         )
         scheduler = TenantScheduler(frontend, tenants)
@@ -581,7 +554,7 @@ class TestFrontendComposition:
         and expiries side by side."""
         cluster = scaled_cluster(8)
         system = build_system("proposed", cluster, catalog, batching=batching)
-        params = dict(default_deadline_s=ms(20.0), breaker_enabled=False)
+        params = dict(default_deadline_s=ms(20.0))
         params.update(overrides)
         frontend = ServingFrontend(system, ServingParameters(**params))
         total = sum(len(board.blocks) for board in cluster.boards.values())
@@ -680,12 +653,10 @@ class TestFrontendComposition:
             self, shared_catalog):
         """A request preempted and restarted on other boards is attributed,
         at finish, to the deployment it finished on: a late completion is
-        slow on exactly the boards of its last start.  The breakers never
-        open, so they do not steer the schedule."""
+        slow on exactly the boards of its last start.  No breaker opens in
+        this run, so none steers the schedule."""
         scheduler, frontend, tasks = self._preempting_stream(
             shared_catalog, 5, default_deadline_s=ms(40.0),
-            breaker_enabled=True, breaker_threshold=1e9,
-            breaker_window_s=1e9,
         )
         simulator = ClusterSimulator(scheduler, "restart-attribution")
         boards_at_start = {}
@@ -933,9 +904,7 @@ class TestPreemptionStorm:
                              preemptible=True,
                              block_quota=max(1, total_blocks * 9 // 10)),
         ]
-        scheduler = TenantScheduler(
-            system, tenants, TenancyParameters(max_victims=6)
-        )
+        scheduler = TenantScheduler(system, tenants)
         per_tenant = task_count // 3
         models = {
             "gold": ["gru-h512-t1"],

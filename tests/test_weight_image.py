@@ -1,5 +1,5 @@
 """Resident weight images: image-backed execution is bitwise the image-less
-simulator's, one image per (model, weight seed) is shared by every
+simulator's, one image per model is shared by every
 executor, plan width and replica of the process, copy-on-write keeps the image
 intact when a program writes into its weight pages, and the executor
 takes its programs from the decoded-program cache."""
@@ -150,7 +150,7 @@ class TestWeightStore:
         assert len(cold_store) == 0
         _execute(first, _tasks(spec.key, payloads[:2]))
         assert cold_store.misses == 1
-        image = resident_weights(spec.key, 0)
+        image = resident_weights(spec.key)
         assert isinstance(image, WeightImage)
         # The executor's codegen writes inputs only: it holds no tensors.
         gen = input_codegen(spec)
@@ -161,20 +161,7 @@ class TestWeightStore:
         second = BatchExecutor(BatchingParameters(max_batch=2))
         _execute(second, _tasks(spec.key, payloads[2:]))
         assert cold_store.misses == 1 and len(cold_store) == 1
-        assert resident_weights(spec.key, 0) is image
-
-    def test_other_weight_seed_builds_its_own_image(self, cold_store):
-        spec = model_by_key("gru-h512-t1")
-        payloads = _payloads(spec, 2)
-        outputs = {}
-        for seed in (0, 1):
-            executor = BatchExecutor(
-                BatchingParameters(max_batch=2, weight_seed=seed)
-            )
-            outputs[seed] = _execute(executor, _tasks(spec.key, payloads))
-        assert cold_store.misses == 2
-        assert resident_weights(spec.key, 0) is not resident_weights(spec.key, 1)
-        assert not np.array_equal(outputs[0][0], outputs[1][0])
+        assert resident_weights(spec.key) is image
 
     @pytest.mark.parametrize("replicas", [1, 2])
     @pytest.mark.parametrize("force_scalar", [False, True])
@@ -199,7 +186,7 @@ class TestWeightStore:
         payloads = _payloads(spec, 2)
         _execute(BatchExecutor(BatchingParameters(max_batch=2)),
                  _tasks(spec.key, payloads))
-        image = resident_weights(spec.key, 0)
+        image = resident_weights(spec.key)
         assert image._matrices  # the first run filled the memo
         before = _digest(image)
         for force_scalar in (False, True):
@@ -207,25 +194,30 @@ class TestWeightStore:
                 BatchingParameters(max_batch=2, force_scalar=force_scalar)
             )
             _execute(executor, _tasks(spec.key, payloads))
-            assert resident_weights(spec.key, 0) is image
+            assert resident_weights(spec.key) is image
             assert _digest(image) == before
         assert not any(page.flags.writeable for page in image.pages.values())
         assert not any(
             quantised.flags.writeable for quantised, _ in image._matrices.values()
         )
 
-    def test_store_evicts_least_recently_used_past_its_bound(self, cold_store):
+    def test_store_evicts_least_recently_used_past_its_bound(
+            self, cold_store, monkeypatch):
         assert cold_store.capacity == WEIGHT_STORE_CAPACITY
-        key = "lstm-h256-t150"  # the smallest weight image
-        for seed in range(WEIGHT_STORE_CAPACITY):
-            resident_weights(key, seed)
+        # One image per model, and the registry holds fewer models than
+        # the bound: a bound of two shows the eviction order on three
+        # small models.
+        monkeypatch.setattr(cold_store, "capacity", 2)
+        first, second, third = S_MODELS
+        resident_weights(first)
+        resident_weights(second)
         assert cold_store.evictions == 0
-        resident_weights(key, 0)  # seed 0 becomes the most recent
-        resident_weights(key, WEIGHT_STORE_CAPACITY)
+        resident_weights(first)  # the first becomes the most recent
+        resident_weights(third)
         assert cold_store.evictions == 1
-        assert len(cold_store) == WEIGHT_STORE_CAPACITY
-        assert (key, 0) in cold_store
-        assert (key, 1) not in cold_store
+        assert len(cold_store) == 2
+        assert first in cold_store
+        assert second not in cold_store
 
     def test_scaleout_widths_share_one_page_set(self, cold_store):
         """Width 1 and both replicas of a width-2 scale-out run on one
@@ -237,7 +229,7 @@ class TestWeightStore:
             _execute(BatchExecutor(BatchingParameters(max_batch=2)),
                      _tasks(spec.key, payloads), replicas=replicas)
         assert cold_store.misses == 1 and len(cold_store) == 1
-        image = resident_weights(spec.key, 0)
+        image = resident_weights(spec.key)
         rows = {key[1] for key in image._matrices}
         assert rows == {spec.hidden, spec.hidden // 2}
         addresses = {key[0] for key in image._matrices if key[1] == spec.hidden // 2}
